@@ -1,0 +1,82 @@
+"""Regenerate tests/golden/digests.json, the golden output digests.
+
+This is the only code that writes the table; tests/test_golden.py only
+reads it. Run it on purpose, from the repository root, on the commit whose
+outputs are the contract, and say in CHANGES.md why the table moved:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+Each case runs one canonical experiment with the trace on and stores the
+SHA-256 of every file write_outputs produces (cdt.csv, requests_server.csv,
+requests_rsu.csv, chr.csv when caching, trace.log).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from vcachesim.cli import write_outputs
+from vcachesim.engine import run_simulation
+from vcachesim.scenarios import BUILDERS
+
+GOLDEN_FILE = Path(__file__).resolve().parent / "digests.json"
+
+# The six canonical experiments of scripts/run_all_experiments.py.
+EXPERIMENTS = [
+    ("urban_single", True),
+    ("urban_single", False),
+    ("urban_multi", True),
+    ("highway_single", True),
+    ("highway_single", False),
+    ("highway_multi", True),
+]
+SEEDS = (1, 2)
+# (builder, caching, seed, vehicle count); None keeps the builder's default
+CASES = [
+    (name, caching, seed, None) for name, caching in EXPERIMENTS for seed in SEEDS
+] + [("highway_single", True, 1, 1200)]
+
+
+def case_id(name: str, caching: bool, seed: int, count: int | None) -> str:
+    size = "" if count is None else f"/n{count}"
+    return f"{name}/{'cached' if caching else 'nocache'}/seed{seed}{size}"
+
+
+def build(name: str, caching: bool, seed: int, count: int | None):
+    kwargs = {"seed": seed}
+    if name != "highway_multi":  # the relay chain only runs with caching
+        kwargs["caching"] = caching
+    if count is not None:
+        kwargs["count"] = count
+    return dataclasses.replace(BUILDERS[name](**kwargs), trace=True)
+
+
+def digest_case(name: str, caching: bool, seed: int, count: int | None, out_dir: Path) -> dict[str, str]:
+    """Run one case into out_dir; returns file name -> SHA-256 hex digest."""
+    result = run_simulation(build(name, caching, seed, count))
+    paths = write_outputs(result, out_dir)
+    return {
+        filename: hashlib.sha256(path.read_bytes()).hexdigest()
+        for filename, path in sorted(paths.items())
+    }
+
+
+def main() -> int:
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            key = case_id(*case)
+            table[key] = digest_case(*case, Path(tmp) / key.replace("/", "_"))
+            print(f"{key}: {len(table[key])} files")
+    GOLDEN_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} cases to {GOLDEN_FILE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
