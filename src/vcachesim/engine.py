@@ -7,6 +7,18 @@ else hangs off. One instance runs one scenario once.
 Per-tick ordering: kinematics advance, then arrivals spawn, then due request
 attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
+
+Per-tick and per-frame work is proportional to the vehicles on the road,
+not to every vehicle ever spawned. The tick scans an index of active
+vehicles (vehicle id -> spawn sequence) that spawns add to and exits drop
+from. At frame end the receivers come from the road geometry: each zone
+meets each road in one position interval, computed once, and the vehicles
+inside it are one bisected slice of the road's front-to-back order. The
+exact closed-ball range test still decides every candidate.
+
+Receive events are scheduled RSUs first, in zone order, then vehicles in
+spawn order. The event queue breaks same-instant ties first in, first out,
+so any other order would change the outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from functools import partial
 
 from .content import Catalog
 from .metrics import DeliveryRecord, MetricsLedger
-from .mobility import ACTIVE, MobilityWorld, generate_arrivals
+from .mobility import MobilityWorld, generate_arrivals
 from .protocol import (
     Beacon,
     CachingGateway,
@@ -80,6 +92,15 @@ class Simulation:
             for spec in cfg.rsus
         }
         self.channels = {rsu_id: Channel(zone) for rsu_id, zone in self.zones.items()}
+        # zone id -> (road id, lo, hi) for every road the zone meets
+        self._road_spans: dict[str, list[tuple[str, float, float]]] = {
+            zone_id: [
+                (road.id, *span)
+                for road in cfg.roads
+                if (span := road.span_within(zone.center, zone.radius_m)) is not None
+            ]
+            for zone_id, zone in self.zones.items()
+        }
         self.backhaul = {
             spec.id: BackhaulLink(backhaul_latency_us)
             for spec in cfg.rsus
@@ -115,7 +136,8 @@ class Simulation:
             self.world.register(arrival.vehicle_id, arrival.road_id)
             self._pending_arrivals[arrival.road_id].append(arrival)
 
-        self.vehicles: dict[str, VehicleAgent] = {}
+        self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
+        self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
         self._next_attempt_us: dict[str, int] = {}
         self._next_beacon_us: dict[str, int] = {}
         self.vehicle_requests_transmitted = 0
@@ -152,7 +174,11 @@ class Simulation:
 
     def _on_tick(self) -> None:
         now = self.queue.now_us
+        active = self._active
+        next_attempt = self._next_attempt_us
+        next_beacon = self._next_beacon_us
         for vid in self.world.tick(self.cfg.tick_s, now):
+            del active[vid], next_attempt[vid], next_beacon[vid]
             self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
             pending = self._pending_arrivals[road.id]
@@ -164,41 +190,43 @@ class Simulation:
                 # beacon phases staggered by spawn order; synchronized phases
                 # (all spawns sit on tick boundaries) would pile beacon bursts
                 # onto the channel right when responses need it
-                stagger = (len(self.vehicles) % 100) * self.tick_us
+                spawned = len(self.vehicles)
+                stagger = (spawned % 100) * self.tick_us
                 self.vehicles[arrival.vehicle_id] = VehicleAgent(
                     arrival.vehicle_id, arrival.wanted, self.cfg.caching
                 )
-                self._next_attempt_us[arrival.vehicle_id] = now
-                self._next_beacon_us[arrival.vehicle_id] = now + stagger
+                active[arrival.vehicle_id] = spawned
+                next_attempt[arrival.vehicle_id] = now
+                next_beacon[arrival.vehicle_id] = now + stagger
                 self._trace(
                     f"SPAWN vehicle={arrival.vehicle_id} road={road.id} "
                     f"wanted={arrival.wanted}"
                 )
-        for vid, agent in self.vehicles.items():
-            if self._next_attempt_us[vid] <= now and self.world.is_active(vid):
-                self._next_attempt_us[vid] += self.request_interval_us
-                if agent.status != SATISFIED:
-                    self.queue.schedule(now, partial(self._on_attempt, vid))
-        for vid in self.vehicles:
-            if self._next_beacon_us[vid] <= now and self.world.is_active(vid):
-                self._next_beacon_us[vid] += self.beacon_interval_us
-                self.queue.schedule(now, partial(self._on_beacon, vid))
+        schedule = self.queue.schedule
+        vehicles = self.vehicles
+        for vid in active:
+            if next_attempt[vid] <= now:
+                next_attempt[vid] += self.request_interval_us
+                if vehicles[vid].status != SATISFIED:
+                    schedule(now, partial(self._on_attempt, vid))
+        for vid in active:
+            if next_beacon[vid] <= now:
+                next_beacon[vid] += self.beacon_interval_us
+                schedule(now, partial(self._on_beacon, vid))
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
-            self.queue.schedule(next_tick, self._on_tick)
+            schedule(next_tick, self._on_tick)
 
     def _on_attempt(self, vehicle_id: str) -> None:
-        fix = self.world.fix(vehicle_id)
-        if fix.status != ACTIVE:
+        if vehicle_id not in self._active:
             return
-        target = self._zone_owner_at(fix.world_xy)
+        target = self._zone_owner_at(self.world.world_xy(vehicle_id))
         self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
 
     def _on_beacon(self, vehicle_id: str) -> None:
-        fix = self.world.fix(vehicle_id)
-        if fix.status != ACTIVE:
+        if vehicle_id not in self._active:
             return
-        owner = self._zone_owner_at(fix.world_xy)
+        owner = self._zone_owner_at(self.world.world_xy(vehicle_id))
         if owner is None:
             return
         beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
@@ -237,40 +265,52 @@ class Simulation:
         if isinstance(frame, Beacon):
             return  # occupies airtime; carries nothing receivers keep
         now = self.queue.now_us
-        zone = self.zones[channel_owner]
-        sender_xy = self._node_xy(sender)
-        for node_id, node_xy in self._node_positions(exclude=sender):
-            if in_range(zone, node_xy):
-                distance = math.hypot(node_xy[0] - sender_xy[0], node_xy[1] - sender_xy[1])
-                self.queue.schedule(
-                    now + propagation_us(distance),
-                    partial(self._on_receive, node_id, frame),
-                )
+        sender_x, sender_y = self._node_xy(sender)
+        for node_id, (x, y) in self._receivers(channel_owner, sender):
+            distance = math.hypot(x - sender_x, y - sender_y)
+            self.queue.schedule(
+                now + propagation_us(distance),
+                partial(self._on_receive, node_id, frame),
+            )
 
     def _on_receive(self, node_id: str, frame) -> None:
         rsu = self.rsus.get(node_id)
         if rsu is not None:
             rsu.on_frame(frame, self.queue.now_us, self)
             return
-        if self.world.is_active(node_id):
+        if node_id in self._active:
             self.vehicles[node_id].on_frame(frame, self.queue.now_us, self)
 
-    def _node_positions(self, exclude: str) -> list[tuple[str, tuple[float, float]]]:
-        positions: list[tuple[str, tuple[float, float]]] = [
-            (rsu_id, zone.center)
-            for rsu_id, zone in self.zones.items()
-            if rsu_id != exclude
+    def _receivers(self, zone_id: str, exclude: str) -> list[tuple[str, tuple[float, float]]]:
+        """In-range nodes and their positions, in receive-scheduling order.
+
+        RSUs in zone order, then active vehicles in spawn order; the sender
+        is excluded.
+        """
+        zone = self.zones[zone_id]
+        found = [
+            (rsu_id, other.center)
+            for rsu_id, other in self.zones.items()
+            if rsu_id != exclude and in_range(zone, other.center)
         ]
-        for vid in self.vehicles:
-            if vid != exclude and self.world.is_active(vid):
-                positions.append((vid, self.world.fix(vid).world_xy))
-        return positions
+        spans = self._road_spans[zone_id]
+        candidates = [
+            hit for road_id, lo, hi in spans for hit in self.world.in_span(road_id, lo, hi)
+        ]
+        if len(spans) > 1:
+            # each road's slice is in spawn order already; merge them
+            active = self._active
+            candidates.sort(key=lambda hit: active[hit[0]])
+        found.extend(
+            (vid, xy) for vid, xy in candidates if vid != exclude and in_range(zone, xy)
+        )
+        return found
 
     def _node_xy(self, node_id: str) -> tuple[float, float]:
         zone = self.zones.get(node_id)
         if zone is not None:
             return zone.center
-        return self.world.fix(node_id).world_xy
+        return self.world.world_xy(node_id)
 
     def _zone_owner_at(self, point: tuple[float, float]) -> str | None:
         """Owner of the nearest covering zone; id order breaks exact ties."""

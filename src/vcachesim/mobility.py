@@ -2,12 +2,15 @@
 
 Roads are 1-D with a world-frame origin and unit direction so coverage
 geometry can live in 2-D. Vehicles never overtake; each follows its leader
-under acceleration/deceleration limits with a hard minimum-gap floor.
+under acceleration/deceleration limits with a hard minimum-gap floor, so
+each road's vehicles, front to back, are also in spawn order and in
+non-increasing position order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +35,8 @@ NOT_YET_ENTERED = "not-yet-entered"
 URBAN_RANDOM = "urban-random"
 HIGHWAY_UNIFORM = "highway-uniform"
 
+SPAN_SLACK = 1e-6  # widening of RoadSegment.span_within, relative and in metres
+
 
 @dataclass(frozen=True)
 class RoadSegment:
@@ -54,6 +59,31 @@ class RoadSegment:
             self.origin[0] + self.direction[0] * pos_m,
             self.origin[1] + self.direction[1] * pos_m,
         )
+
+    def span_within(
+        self, center: tuple[float, float], radius_m: float
+    ) -> tuple[float, float] | None:
+        """Positions whose world point may lie within radius_m of center.
+
+        A superset of the exact answer: the disc is widened by a hair
+        (SPAN_SLACK, relative and in metres) so that rounding here never
+        drops a point a closed-ball test on world_position accepts. None
+        when even the widened disc misses the road's line. Not clipped to
+        [0, length].
+        """
+        ux, uy = self.direction
+        dx = center[0] - self.origin[0]
+        dy = center[1] - self.origin[1]
+        norm2 = ux * ux + uy * uy
+        foot = (ux * dx + uy * dy) / norm2  # position nearest the center
+        ex = ux * foot - dx
+        ey = uy * foot - dy
+        reach = radius_m * (1.0 + SPAN_SLACK) + SPAN_SLACK
+        slack = reach * reach - (ex * ex + ey * ey)
+        if slack < 0.0:
+            return None
+        half = math.sqrt(slack / norm2)
+        return foot - half, foot + half
 
 
 @dataclass(frozen=True)
@@ -155,11 +185,15 @@ def advance_kinematics(
 ) -> tuple[float, float]:
     """One car-following step; returns (new position, new speed).
 
-    Accelerate toward the cap unless the projected gap to the leader falls
-    below min_gap plus the relative braking distance (follower kinetic
-    energy in excess of the leader's, absorbed at decel); then brake. A
-    final no-pass clamp guarantees the minimum gap outright, whatever the
-    discretization did.
+    A Gipps-style safe-speed follower (Gipps 1981): accelerate toward the
+    cap unless the projected gap to the leader falls below min_gap plus the
+    relative braking distance (follower kinetic energy in excess of the
+    leader's, absorbed at decel); then brake. A final no-pass clamp
+    guarantees the minimum gap outright, whatever the discretization did.
+
+    This is the reference form of the model. MobilityWorld.tick inlines the
+    same floating-point operations in the same order, and a test holds the
+    two bit-identical.
     """
     v_cand = min(speed_mps + p.accel_mps2 * dt_s, p.max_speed_mps)
     pos_cand = pos_m + 0.5 * (speed_mps + v_cand) * dt_s
@@ -233,33 +267,89 @@ class MobilityWorld:
         self.spawned_total += 1
 
     def tick(self, dt_s: float, now_us: int) -> list[str]:
-        """Advance every active vehicle front to back; returns exit ids."""
+        """Advance every active vehicle front to back; returns exit ids.
+
+        Each step is advance_kinematics inlined: the same floating-point
+        operations in the same order, with the loop invariants hoisted.
+        """
+        p = self.params
+        accel_dt = p.accel_mps2 * dt_s
+        decel_dt = p.decel_mps2 * dt_s
+        max_speed = p.max_speed_mps
+        min_gap = p.min_gap_m
+        two_decel = 2.0 * p.decel_mps2
+        states = self._states
         exited: list[str] = []
         for road_id, order in self._order.items():
-            road = self.roads[road_id]
-            leader: tuple[float, float] | None = None
+            length = self.roads[road_id].length_m
+            leader_pos: float | None = None
+            leader_speed = 0.0
             survivors: list[str] = []
             for vid in order:
-                state = self._states[vid]
-                pos, speed = advance_kinematics(
-                    state.pos_m, state.speed_mps, leader, dt_s, self.params
-                )
-                state.pos_m = pos
-                state.speed_mps = speed
-                if pos >= road.length_m:
+                state = states[vid]
+                pos_m = state.pos_m
+                speed = state.speed_mps
+                new_speed = speed + accel_dt
+                if new_speed > max_speed:
+                    new_speed = max_speed
+                new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
+                if leader_pos is not None:
+                    surplus = new_speed * new_speed - leader_speed * leader_speed
+                    need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
+                    if not leader_pos - new_pos >= need:
+                        new_speed = speed - decel_dt
+                        if new_speed < 0.0:
+                            new_speed = 0.0
+                        new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
+                        limit = leader_pos - min_gap
+                        if new_pos > limit:
+                            new_pos = max(limit, pos_m)
+                            new_speed = min(
+                                max(2.0 * (new_pos - pos_m) / dt_s - speed, 0.0), new_speed
+                            )
+                state.pos_m = new_pos
+                state.speed_mps = new_speed
+                if new_pos >= length:
                     state.exited_at_us = now_us
                     self.exited_total += 1
                     exited.append(vid)
                     # an exited leader no longer constrains anyone on the road
                 else:
                     survivors.append(vid)
-                    leader = (pos, speed)
+                    leader_pos = new_pos
+                    leader_speed = new_speed
             self._order[road_id] = survivors
         return exited
 
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
         return state is not None and state.exited_at_us is None
+
+    def world_xy(self, vehicle_id: str) -> tuple[float, float]:
+        """fix(vehicle_id).world_xy of a spawned vehicle, without the fix."""
+        state = self._states[vehicle_id]
+        road = self.roads[state.road_id]
+        if state.exited_at_us is None:
+            return road.world_position(state.pos_m)
+        return road.world_position(min(state.pos_m, road.length_m))
+
+    def in_span(
+        self, road_id: str, lo_m: float, hi_m: float
+    ) -> list[tuple[str, tuple[float, float]]]:
+        """Active vehicles with lo_m <= pos <= hi_m, front to back, with world_xy.
+
+        One bisected slice of the road's front-to-back order.
+        """
+        order = self._order[road_id]
+        states = self._states
+
+        def behind(vid: str) -> float:  # ascending along the order
+            return -states[vid].pos_m
+
+        start = bisect_left(order, -hi_m, key=behind)
+        stop = bisect_right(order, -lo_m, lo=start, key=behind)
+        position = self.roads[road_id].world_position
+        return [(vid, position(states[vid].pos_m)) for vid in order[start:stop]]
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)

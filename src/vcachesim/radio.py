@@ -127,7 +127,12 @@ def receivers_in_zone(
     positions: list[tuple[str, tuple[float, float]]],
     exclude: str,
 ) -> list[str]:
-    """Node ids (input order preserved) inside the zone, sender excluded."""
+    """Node ids (input order preserved) inside the zone, sender excluded.
+
+    The engine no longer calls this: it slices receivers out of the road
+    geometry instead. Tests keep it as the oracle that slicing must match,
+    applied to every node, RSUs first and then vehicles in spawn order.
+    """
     return [
         node_id
         for node_id, point in positions

@@ -8,10 +8,12 @@ describe a layout from scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
 from .radio import RadioParams
+from .simcore import seconds_to_us
 
 ROLE_GATEWAY = "gateway"
 ROLE_RELAY = "relay"
@@ -89,13 +91,20 @@ def validate_config(cfg: ScenarioConfig) -> None:
         cfg.duration_s >= cfg.arrival_window_s,
         f"duration_s {cfg.duration_s} shorter than arrival_window_s {cfg.arrival_window_s}",
     )
-    check(cfg.tick_s > 0, f"tick_s must be positive: {cfg.tick_s}")
-    check(cfg.sample_interval_s > 0, f"sample_interval_s must be positive: {cfg.sample_interval_s}")
-    check(cfg.request_interval_s > 0, f"request_interval_s must be positive: {cfg.request_interval_s}")
-    check(
-        cfg.relay_announce_interval_s > 0,
-        f"relay_announce_interval_s must be positive: {cfg.relay_announce_interval_s}",
-    )
+    # periodic work steps on the microsecond clock: an interval that rounds
+    # to 0 us would reschedule an event at one instant forever (tick,
+    # requests, announces, beacons) or fail after the run (sampling)
+    for name, seconds in (
+        ("tick_s", cfg.tick_s),
+        ("sample_interval_s", cfg.sample_interval_s),
+        ("request_interval_s", cfg.request_interval_s),
+        ("relay_announce_interval_s", cfg.relay_announce_interval_s),
+        ("radio.beacon_interval_s", cfg.radio.beacon_interval_s),
+    ):
+        check(
+            math.isfinite(seconds) and seconds_to_us(seconds) >= 1,
+            f"{name} must be at least 1 us once quantized: {seconds}",
+        )
     check(cfg.catalog_size >= 1, f"catalog_size must be >= 1: {cfg.catalog_size}")
     check(cfg.payload_bits >= 1, f"payload_bits must be >= 1: {cfg.payload_bits}")
     check(cfg.rsu_cache_capacity >= 1, f"rsu_cache_capacity must be >= 1: {cfg.rsu_cache_capacity}")

@@ -125,6 +125,73 @@ def test_free_step_speed_bounds(speed, dt):
     assert pos >= 0.0
 
 
+# -- the inlined tick against the reference step -----------------------------------
+
+
+def reference_tick(vehicles, length, dt, params):
+    """Step advance_kinematics front to back; drops and returns exited ids."""
+    leader = None
+    exited = []
+    for vid, (pos, speed) in list(vehicles.items()):
+        pos, speed = advance_kinematics(pos, speed, leader, dt, params)
+        if pos >= length:
+            del vehicles[vid]
+            exited.append(vid)
+        else:
+            vehicles[vid] = (pos, speed)
+            leader = (pos, speed)
+    return exited
+
+
+kinematic_params = st.builds(
+    KinematicParams,
+    accel_mps2=st.floats(min_value=0.1, max_value=6.0),
+    decel_mps2=st.floats(min_value=0.5, max_value=9.0),
+    max_speed_mps=st.floats(min_value=1.0, max_value=40.0),
+    min_gap_m=st.floats(min_value=0.5, max_value=10.0),
+)
+
+
+@given(
+    params=kinematic_params,
+    dt=st.floats(min_value=0.01, max_value=1.0),
+    # front to back: (gap to the vehicle in front, unused for the first;
+    # entry speed as a fraction of the cap)
+    platoon=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    length=st.floats(min_value=20.0, max_value=400.0),
+    ticks=st.integers(min_value=1, max_value=30),
+)
+def test_tick_is_bit_identical_to_stepping_the_reference(params, dt, platoon, length, ticks):
+    # spacings below min_gap plus braking distance reach the braking branch,
+    # spacings below min_gap itself the terminal clamp
+    positions = []
+    pos = params.min_gap_m  # the rear; spawning the next needs min_gap behind it
+    for gap, _ in reversed(platoon):
+        positions.append(pos)
+        pos += gap
+    positions.reverse()
+    world = MobilityWorld([RoadSegment(id="r", length_m=length + positions[0])], params)
+    reference = {}
+    for i, (pos, (_, fraction)) in enumerate(zip(positions, platoon)):
+        vid = f"v{i:02d}"
+        speed = fraction * params.max_speed_mps
+        world.spawn(vid, "r", speed, 0)
+        world.state_of(vid).pos_m = pos
+        reference[vid] = (pos, speed)
+    road_length = world.roads["r"].length_m
+    for step in range(1, ticks + 1):
+        exited = world.tick(dt, step)
+        assert exited == reference_tick(reference, road_length, dt, params)
+        assert world.active_on_road("r") == list(reference)
+        for vid, (pos, speed) in reference.items():
+            state = world.state_of(vid)
+            assert (state.pos_m.hex(), state.speed_mps.hex()) == (pos.hex(), speed.hex())
+
+
 # -- arrival schedules -----------------------------------------------------------
 
 

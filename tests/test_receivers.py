@@ -1,0 +1,138 @@
+"""Receiver selection at frame end against the per-node range test.
+
+The engine finds a frame's receivers by slicing each road's front-to-back
+order with the interval the zone cuts from that road. radio.receivers_in_zone
+applied to every node (RSUs in zone order, then active vehicles in spawn
+order) is the oracle: the two must agree on membership and on order, because
+the event queue breaks same-instant ties first in, first out.
+"""
+
+import math
+
+from hypothesis import assume, given, strategies as st
+
+from vcachesim.engine import Simulation
+from vcachesim.mobility import URBAN_RANDOM, KinematicParams, RoadSegment
+from vcachesim.radio import receivers_in_zone
+from vcachesim.scenarios import RsuSpec, ScenarioConfig
+
+coords = st.floats(min_value=-300.0, max_value=300.0)
+
+
+@st.composite
+def roads(draw):
+    count = draw(st.integers(min_value=1, max_value=3))
+    built = []
+    for i in range(count):
+        if draw(st.booleans()):
+            direction = draw(st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]))
+        else:
+            angle = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
+            direction = (math.cos(angle), math.sin(angle))
+        built.append(
+            RoadSegment(
+                id=f"road{i}",
+                length_m=draw(st.floats(min_value=10.0, max_value=800.0)),
+                origin=(draw(coords), draw(coords)),
+                direction=direction,
+            )
+        )
+    return built
+
+
+@st.composite
+def layouts(draw):
+    """A Simulation with vehicles placed on its roads, a zone and a sender."""
+    layout_roads = draw(roads())
+    # per road, positions front to back; spawn order interleaves the roads
+    # but keeps each road's own front-to-back order, as real spawns do
+    placed = {}
+    for road in layout_roads:
+        positions = draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=road.length_m, exclude_max=True),
+                max_size=8,
+                unique=True,
+            )
+        )
+        placed[road.id] = sorted(positions, reverse=True)
+    spawn_roads = draw(st.permutations([rid for rid, ps in placed.items() for _ in ps]))
+
+    zone_count = draw(st.integers(min_value=1, max_value=3))
+    centers = [(draw(coords), draw(coords)) for _ in range(zone_count)]
+    radii = [draw(st.floats(min_value=1.0, max_value=400.0)) for _ in range(zone_count)]
+    anchor = draw(st.sampled_from(["none", "on", "just-outside"]))
+    if anchor != "none" and spawn_roads:
+        # put one vehicle exactly on (or one ulp outside) zone 0's boundary
+        road_id = draw(st.sampled_from(spawn_roads))
+        road = next(r for r in layout_roads if r.id == road_id)
+        point = road.world_position(draw(st.sampled_from(placed[road.id])))
+        radius = math.hypot(point[0] - centers[0][0], point[1] - centers[0][1])
+        if anchor == "just-outside":
+            radius = math.nextafter(radius, 0.0)
+        assume(radius > 0.0)
+        radii[0] = radius
+
+    cfg = ScenarioConfig(
+        name="layout",
+        roads=layout_roads,
+        rsus=[RsuSpec(f"r{i}", centers[i], radii[i]) for i in range(zone_count)],
+        arrival_pattern=URBAN_RANDOM,
+        vehicle_count=1,
+        arrival_window_s=1.0,
+        caching=True,
+        duration_s=1.0,
+        kinematics=KinematicParams(min_gap_m=1e-9),
+    )
+    sim = Simulation(cfg)
+    taken = {rid: 0 for rid in placed}
+    for seq, road_id in enumerate(spawn_roads):
+        vid = f"x{seq:02d}"
+        assume(sim.world.can_spawn(road_id))  # a tiny float can sit below min_gap
+        sim.world.spawn(vid, road_id, 0.0, 0)
+        sim.world.state_of(vid).pos_m = placed[road_id][taken[road_id]]
+        taken[road_id] += 1
+        sim._active[vid] = seq
+    nodes = [spec.id for spec in cfg.rsus] + list(sim._active)
+    sender = draw(st.sampled_from(nodes + ["nobody"]))
+    zone_id = draw(st.sampled_from([spec.id for spec in cfg.rsus]))
+    return sim, zone_id, sender
+
+
+@given(layouts())
+def test_sliced_receivers_match_the_range_test_on_every_node(layout):
+    sim, zone_id, sender = layout
+    zone = sim.zones[zone_id]
+    positions = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
+    positions += [(vid, sim.world.fix(vid).world_xy) for vid in sim._active]
+    expected = receivers_in_zone(zone, positions, exclude=sender)
+    got = sim._receivers(zone_id, sender)
+    assert [node_id for node_id, _ in got] == expected
+    assert all(xy == dict(positions)[node_id] for node_id, xy in got)
+
+
+def test_zone_meeting_two_roads_merges_by_spawn_order():
+    cfg = ScenarioConfig(
+        name="crossing",
+        roads=[
+            RoadSegment(id="a", length_m=200.0, origin=(0.0, 0.0)),
+            RoadSegment(id="b", length_m=200.0, origin=(200.0, 10.0), direction=(-1.0, 0.0)),
+        ],
+        rsus=[RsuSpec("r0", (100.0, 5.0), 50.0)],
+        arrival_pattern=URBAN_RANDOM,
+        vehicle_count=1,
+        arrival_window_s=1.0,
+        caching=True,
+        duration_s=1.0,
+    )
+    sim = Simulation(cfg)
+    for seq, (vid, road_id, pos) in enumerate(
+        [("a0", "a", 120.0), ("b0", "b", 130.0), ("a1", "a", 90.0), ("b1", "b", 20.0)]
+    ):
+        sim.world.spawn(vid, road_id, 0.0, 0)
+        sim.world.state_of(vid).pos_m = pos
+        sim._active[vid] = seq
+    assert sim._road_spans["r0"][0][0] == "a" and sim._road_spans["r0"][1][0] == "b"
+    # b1 sits at x = 180, outside the zone; the RSU hears its own zone
+    assert [node for node, _ in sim._receivers("r0", exclude="a1")] == ["r0", "a0", "b0"]
+    assert [node for node, _ in sim._receivers("r0", exclude="r0")] == ["a0", "b0", "a1"]

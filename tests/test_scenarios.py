@@ -1,10 +1,13 @@
 """Builder geometry, config validation, and the config-file loader."""
 
+import dataclasses
 import math
 
 import pytest
 
+from vcachesim.engine import Simulation
 from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM
+from vcachesim.radio import RadioParams
 from vcachesim.scenarios import (
     BUILDERS,
     DRAIN_MARGIN_S,
@@ -144,6 +147,37 @@ def broken(**changes):
 def test_validation_rejects_bad_fields(changes, fragment):
     with pytest.raises(ValidationError, match=fragment):
         validate_config(broken(**changes))
+
+
+INTERVAL_FIELDS = ["tick_s", "request_interval_s", "sample_interval_s", "relay_announce_interval_s"]
+
+
+def with_interval(name, seconds):
+    if name == "radio.beacon_interval_s":
+        return broken(radio=dataclasses.replace(RadioParams(), beacon_interval_s=seconds))
+    return broken(**{name: seconds})
+
+
+@pytest.mark.parametrize("name", INTERVAL_FIELDS + ["radio.beacon_interval_s"])
+@pytest.mark.parametrize("seconds", [1e-7, 4.9e-7, math.inf, math.nan])
+def test_validation_rejects_intervals_below_one_microsecond(name, seconds):
+    # 1e-7 s passes a "> 0" test but quantizes to 0 us: a zero tick would
+    # reschedule itself at the same instant forever
+    with pytest.raises(ValidationError, match=name.split(".")[-1]):
+        validate_config(with_interval(name, seconds))
+
+
+@pytest.mark.parametrize("name", INTERVAL_FIELDS + ["radio.beacon_interval_s"])
+def test_validation_accepts_intervals_that_quantize_to_one_microsecond(name):
+    validate_config(with_interval(name, 5.1e-7))
+
+
+@pytest.mark.parametrize("name", ["tick_s", "sample_interval_s"])
+def test_sub_microsecond_interval_is_rejected_before_the_run(name):
+    # tick_s used to hang the event loop; sample_interval_s used to fail
+    # only when the finished run's outputs were written
+    with pytest.raises(ValidationError, match=name):
+        Simulation(broken(**{name: 1e-7}))
 
 
 def test_validation_collects_multiple_problems():
