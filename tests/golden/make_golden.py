@@ -8,7 +8,10 @@ outputs are the contract, and say in CHANGES.md why the table moved:
 
 Each case runs one canonical experiment with the trace on and stores the
 SHA-256 of every file write_outputs produces (cdt.csv, requests_server.csv,
-requests_rsu.csv, chr.csv when caching, trace.log).
+requests_rsu.csv, chr.csv when caching, trace.log). The off-grid cases set
+request, beacon and announce intervals (and ticks) that are not multiples of
+the tick, so due times inside one tick differ from vehicle to vehicle and the
+order in which a tick schedules its due work shows in the outputs.
 """
 
 from __future__ import annotations
@@ -36,29 +39,56 @@ EXPERIMENTS = [
     ("highway_multi", True),
 ]
 SEEDS = (1, 2)
-# (builder, caching, seed, vehicle count); None keeps the builder's default
-CASES = [
-    (name, caching, seed, None) for name, caching in EXPERIMENTS for seed in SEEDS
-] + [("highway_single", True, 1, 1200)]
+OFF_GRID = [
+    ("urban_single", True, 1, None, (("request_interval_s", 0.35), ("radio.beacon_interval_s", 0.25))),
+    (
+        "urban_multi", True, 2, None,
+        (("tick_s", 0.07), ("request_interval_s", 1.05), ("radio.beacon_interval_s", 0.33)),
+    ),
+    (
+        "highway_multi", True, 1, None,
+        (
+            ("tick_s", 0.07),
+            ("request_interval_s", 0.45),
+            ("relay_announce_interval_s", 3.05),
+            ("radio.beacon_interval_s", 0.29),
+        ),
+    ),
+]
+# (builder, caching, seed, vehicle count, field overrides); a None count keeps
+# the builder's default; an override key "radio.x" sets field x of cfg.radio
+CASES = (
+    [(name, caching, seed, None, ()) for name, caching in EXPERIMENTS for seed in SEEDS]
+    + [("highway_single", True, 1, 1200, ())]
+    + OFF_GRID
+)
 
 
-def case_id(name: str, caching: bool, seed: int, count: int | None) -> str:
+def case_id(name: str, caching: bool, seed: int, count: int | None, overrides=()) -> str:
     size = "" if count is None else f"/n{count}"
-    return f"{name}/{'cached' if caching else 'nocache'}/seed{seed}{size}"
+    tail = "".join(f"/{key}={value}" for key, value in overrides)
+    return f"{name}/{'cached' if caching else 'nocache'}/seed{seed}{size}{tail}"
 
 
-def build(name: str, caching: bool, seed: int, count: int | None):
+def build(name: str, caching: bool, seed: int, count: int | None, overrides=()):
     kwargs = {"seed": seed}
     if name != "highway_multi":  # the relay chain only runs with caching
         kwargs["caching"] = caching
     if count is not None:
         kwargs["count"] = count
-    return dataclasses.replace(BUILDERS[name](**kwargs), trace=True)
+    cfg = dataclasses.replace(BUILDERS[name](**kwargs), trace=True)
+    for key, value in overrides:
+        if key.startswith("radio."):
+            radio = dataclasses.replace(cfg.radio, **{key.removeprefix("radio."): value})
+            cfg = dataclasses.replace(cfg, radio=radio)
+        else:
+            cfg = dataclasses.replace(cfg, **{key: value})
+    return cfg
 
 
-def digest_case(name: str, caching: bool, seed: int, count: int | None, out_dir: Path) -> dict[str, str]:
+def digest_case(name, caching, seed, count, overrides, out_dir: Path) -> dict[str, str]:
     """Run one case into out_dir; returns file name -> SHA-256 hex digest."""
-    result = run_simulation(build(name, caching, seed, count))
+    result = run_simulation(build(name, caching, seed, count, overrides))
     paths = write_outputs(result, out_dir)
     return {
         filename: hashlib.sha256(path.read_bytes()).hexdigest()
