@@ -8,17 +8,27 @@ Per-tick ordering: kinematics advance, then arrivals spawn, then due request
 attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
 
-Per-tick and per-frame work is proportional to the vehicles on the road,
-not to every vehicle ever spawned. The tick scans an index of active
-vehicles (vehicle id -> spawn sequence) that spawns add to and exits drop
-from. At frame end the receivers come from the road geometry: each zone
-meets each road in one position interval, computed once, and the vehicles
-inside it are one bisected slice of the road's front-to-back order. The
-exact closed-ball range test still decides every candidate.
+Only work that changes state goes on the event heap, and per-tick and
+per-frame work is proportional to the work due, not to every vehicle ever
+spawned. An index of active vehicles (vehicle id -> spawn sequence) is
+added to at spawn and dropped from at exit. Attempts and beacons wait in two
+due-time heaps keyed (due time, spawn sequence, vehicle id); each tick pops
+the entries due by now, re-arms each one interval later, and schedules the
+batch in spawn order, attempts before beacons. Exited vehicles leave both
+heaps when next popped, satisfied ones leave the attempt heap. At frame end
+the receivers come from the road geometry: each zone meets each road in one
+position interval, computed once, and the vehicles inside it are one
+bisected slice of the road's front-to-back order. The exact closed-ball
+range test still decides every candidate. A beacon occupies airtime but
+carries nothing receivers keep, so it has no frame-end event.
 
-Receive events are scheduled RSUs first, in zone order, then vehicles in
-spawn order. The event queue breaks same-instant ties first in, first out,
-so any other order would change the outputs.
+Receivers are taken RSUs first, in zone order, then vehicles in spawn
+order, and grouped by arrival instant: one receive event per frame and
+instant runs its members in that order. The event queue breaks same-instant
+ties first in, first out, so this is exactly the order one event per
+receiver would give: a group's members would hold consecutive places among
+the events of their instant, and anything their handlers schedule for that
+instant runs after the last member either way.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from .content import Catalog
 from .metrics import DeliveryRecord, MetricsLedger
@@ -138,8 +150,9 @@ class Simulation:
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
-        self._next_attempt_us: dict[str, int] = {}
-        self._next_beacon_us: dict[str, int] = {}
+        # heaps of (due time, spawn sequence, vehicle id)
+        self._attempts_due: list[tuple[int, int, str]] = []
+        self._beacons_due: list[tuple[int, int, str]] = []
         self.vehicle_requests_transmitted = 0
         self.frames_transmitted: dict[str, int] = {}
         self._ran = False
@@ -175,10 +188,8 @@ class Simulation:
     def _on_tick(self) -> None:
         now = self.queue.now_us
         active = self._active
-        next_attempt = self._next_attempt_us
-        next_beacon = self._next_beacon_us
         for vid in self.world.tick(self.cfg.tick_s, now):
-            del active[vid], next_attempt[vid], next_beacon[vid]
+            del active[vid]  # its heap entries go when next popped
             self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
             pending = self._pending_arrivals[road.id]
@@ -196,26 +207,29 @@ class Simulation:
                     arrival.vehicle_id, arrival.wanted, self.cfg.caching
                 )
                 active[arrival.vehicle_id] = spawned
-                next_attempt[arrival.vehicle_id] = now
-                next_beacon[arrival.vehicle_id] = now + stagger
+                heappush(self._attempts_due, (now, spawned, arrival.vehicle_id))
+                heappush(self._beacons_due, (now + stagger, spawned, arrival.vehicle_id))
                 self._trace(
                     f"SPAWN vehicle={arrival.vehicle_id} road={road.id} "
                     f"wanted={arrival.wanted}"
                 )
         schedule = self.queue.schedule
-        vehicles = self.vehicles
-        for vid in active:
-            if next_attempt[vid] <= now:
-                next_attempt[vid] += self.request_interval_us
-                if vehicles[vid].status != SATISFIED:
-                    schedule(now, partial(self._on_attempt, vid))
-        for vid in active:
-            if next_beacon[vid] <= now:
-                next_beacon[vid] += self.beacon_interval_us
+        # most ticks find nothing due; the heap tops say so without a call
+        attempts = self._attempts_due
+        if attempts and attempts[0][0] <= now:
+            for vid in _take_due(attempts, now, self.request_interval_us, self._wants_attempts):
+                schedule(now, partial(self._on_attempt, vid))
+        beacons = self._beacons_due
+        if beacons and beacons[0][0] <= now:
+            for vid in _take_due(beacons, now, self.beacon_interval_us, active.__contains__):
                 schedule(now, partial(self._on_beacon, vid))
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
             schedule(next_tick, self._on_tick)
+
+    def _wants_attempts(self, vehicle_id: str) -> bool:
+        # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap
+        return vehicle_id in self._active and self.vehicles[vehicle_id].status != SATISFIED
 
     def _on_attempt(self, vehicle_id: str) -> None:
         if vehicle_id not in self._active:
@@ -259,27 +273,31 @@ class Simulation:
             f"name={name if name is not None else '-'} "
             f"start={format_time(start)} end={format_time(end)}"
         )
-        self.queue.schedule(end, partial(self._on_frame_end, channel_owner, frame, sender))
+        if not isinstance(frame, Beacon):  # airtime only; receivers keep nothing
+            self.queue.schedule(end, partial(self._on_frame_end, channel_owner, frame, sender))
 
     def _on_frame_end(self, channel_owner: str, frame, sender: str) -> None:
-        if isinstance(frame, Beacon):
-            return  # occupies airtime; carries nothing receivers keep
+        """One receive event per arrival instant, scheduled when its first member is found."""
         now = self.queue.now_us
         sender_x, sender_y = self._node_xy(sender)
+        batches: dict[int, list[str]] = {}
         for node_id, (x, y) in self._receivers(channel_owner, sender):
-            distance = math.hypot(x - sender_x, y - sender_y)
-            self.queue.schedule(
-                now + propagation_us(distance),
-                partial(self._on_receive, node_id, frame),
-            )
+            at_us = now + propagation_us(math.hypot(x - sender_x, y - sender_y))
+            batch = batches.get(at_us)
+            if batch is None:
+                batch = batches[at_us] = [node_id]
+                self.queue.schedule(at_us, partial(self._on_receive, batch, frame))
+            else:
+                batch.append(node_id)
 
-    def _on_receive(self, node_id: str, frame) -> None:
-        rsu = self.rsus.get(node_id)
-        if rsu is not None:
-            rsu.on_frame(frame, self.queue.now_us, self)
-            return
-        if node_id in self._active:
-            self.vehicles[node_id].on_frame(frame, self.queue.now_us, self)
+    def _on_receive(self, node_ids: list[str], frame) -> None:
+        now = self.queue.now_us
+        for node_id in node_ids:
+            rsu = self.rsus.get(node_id)
+            if rsu is not None:
+                rsu.on_frame(frame, now, self)
+            elif node_id in self._active:
+                self.vehicles[node_id].on_frame(frame, now, self)
 
     def _receivers(self, zone_id: str, exclude: str) -> list[tuple[str, tuple[float, float]]]:
         """In-range nodes and their positions, in receive-scheduling order.
@@ -372,6 +390,26 @@ class Simulation:
     def _trace(self, text: str) -> None:
         if self.trace_lines is not None:
             self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
+
+
+def _take_due(
+    heap: list[tuple[int, int, str]], now_us: int, interval_us: int, keep
+) -> list[str]:
+    """Pop every entry due by now_us; returns the kept vehicle ids in spawn order.
+
+    Each kept entry goes back one interval later, after the popping, so an
+    interval shorter than the tick still fires once per tick; the others
+    leave the heap.
+    """
+    due = []
+    while heap and heap[0][0] <= now_us:
+        entry = heappop(heap)
+        if keep(entry[2]):
+            due.append(entry)
+    due.sort(key=itemgetter(1))
+    for due_us, seq, vid in due:
+        heappush(heap, (due_us + interval_us, seq, vid))
+    return [vid for _, _, vid in due]
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

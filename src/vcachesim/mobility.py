@@ -99,7 +99,7 @@ class KinematicParams:
                 raise ValueError(f"{field_name} must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     id: str
     road_id: str
@@ -233,7 +233,8 @@ class MobilityWorld:
         self.params = params
         self._states: dict[str, VehicleState] = {}
         self._registered: dict[str, str] = {}  # vehicle id -> road id
-        self._order: dict[str, list[str]] = {road.id: [] for road in roads}
+        # road id -> states of the active vehicles on it, front to back
+        self._order: dict[str, list[VehicleState]] = {road.id: [] for road in roads}
         self.spawned_total = 0
         self.exited_total = 0
 
@@ -245,10 +246,7 @@ class MobilityWorld:
     def can_spawn(self, road_id: str) -> bool:
         """True when the entry point is at least min_gap behind the rear car."""
         order = self._order[road_id]
-        if not order:
-            return True
-        rear = self._states[order[-1]]
-        return rear.pos_m >= self.params.min_gap_m
+        return not order or order[-1].pos_m >= self.params.min_gap_m
 
     def spawn(self, vehicle_id: str, road_id: str, speed_mps: float, now_us: int) -> None:
         if vehicle_id in self._states:
@@ -256,43 +254,51 @@ class MobilityWorld:
         if not self.can_spawn(road_id):
             raise ValueError(f"entry of road {road_id} is blocked")
         self._registered.setdefault(vehicle_id, road_id)
-        self._states[vehicle_id] = VehicleState(
+        state = VehicleState(
             id=vehicle_id,
             road_id=road_id,
             pos_m=0.0,
             speed_mps=speed_mps,
             entered_at_us=now_us,
         )
-        self._order[road_id].append(vehicle_id)
+        self._states[vehicle_id] = state
+        self._order[road_id].append(state)
         self.spawned_total += 1
 
     def tick(self, dt_s: float, now_us: int) -> list[str]:
         """Advance every active vehicle front to back; returns exit ids.
 
         Each step is advance_kinematics inlined: the same floating-point
-        operations in the same order, with the loop invariants hoisted.
+        operations in the same order, with the loop invariants hoisted. A
+        vehicle already at the cap takes the folded cruise step, which is
+        the free step's own arithmetic with speed == v_cand == max_speed.
+        Only a prefix of a road can exit: a vehicle behind one that stays
+        on the road stays strictly behind it.
         """
         p = self.params
         accel_dt = p.accel_mps2 * dt_s
         decel_dt = p.decel_mps2 * dt_s
         max_speed = p.max_speed_mps
+        cruise_step = 0.5 * (max_speed + max_speed) * dt_s
         min_gap = p.min_gap_m
         two_decel = 2.0 * p.decel_mps2
-        states = self._states
         exited: list[str] = []
         for road_id, order in self._order.items():
             length = self.roads[road_id].length_m
             leader_pos: float | None = None
             leader_speed = 0.0
-            survivors: list[str] = []
-            for vid in order:
-                state = states[vid]
+            exits = 0
+            for state in order:
                 pos_m = state.pos_m
                 speed = state.speed_mps
-                new_speed = speed + accel_dt
-                if new_speed > max_speed:
+                if speed == max_speed:
                     new_speed = max_speed
-                new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
+                    new_pos = pos_m + cruise_step
+                else:
+                    new_speed = speed + accel_dt
+                    if new_speed > max_speed:
+                        new_speed = max_speed
+                    new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
                 if leader_pos is not None:
                     surplus = new_speed * new_speed - leader_speed * leader_speed
                     need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
@@ -309,16 +315,17 @@ class MobilityWorld:
                             )
                 state.pos_m = new_pos
                 state.speed_mps = new_speed
-                if new_pos >= length:
+                if leader_pos is None and new_pos >= length:
                     state.exited_at_us = now_us
-                    self.exited_total += 1
-                    exited.append(vid)
+                    exits += 1
+                    exited.append(state.id)
                     # an exited leader no longer constrains anyone on the road
                 else:
-                    survivors.append(vid)
                     leader_pos = new_pos
                     leader_speed = new_speed
-            self._order[road_id] = survivors
+            if exits:
+                del order[:exits]
+                self.exited_total += exits
         return exited
 
     def is_active(self, vehicle_id: str) -> bool:
@@ -341,15 +348,14 @@ class MobilityWorld:
         One bisected slice of the road's front-to-back order.
         """
         order = self._order[road_id]
-        states = self._states
 
-        def behind(vid: str) -> float:  # ascending along the order
-            return -states[vid].pos_m
+        def behind(state: VehicleState) -> float:  # ascending along the order
+            return -state.pos_m
 
         start = bisect_left(order, -hi_m, key=behind)
         stop = bisect_right(order, -lo_m, lo=start, key=behind)
         position = self.roads[road_id].world_position
-        return [(vid, position(states[vid].pos_m)) for vid in order[start:stop]]
+        return [(state.id, position(state.pos_m)) for state in order[start:stop]]
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)
@@ -370,7 +376,7 @@ class MobilityWorld:
 
     def active_on_road(self, road_id: str) -> list[str]:
         """Vehicle ids front to back."""
-        return list(self._order[road_id])
+        return [state.id for state in self._order[road_id]]
 
     def state_of(self, vehicle_id: str) -> VehicleState:
         try:

@@ -282,16 +282,16 @@ class PlainGateway(RsuBase):
 
     def __init__(self, rsu_id: str, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
-        self._pending: dict[str, str] = {}  # request id -> requester
+        self._pending: set[str] = set()  # request ids
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
-        self._pending[frame.request_id] = frame.requester
+        self._pending.add(frame.request_id)
         services.backhaul_fetch(self.id, frame.name, frame.request_id)
 
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
         if request_id not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request {request_id}")
-        del self._pending[request_id]
+        self._pending.remove(request_id)
         self._respond(
             Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH),
             services,
@@ -319,7 +319,7 @@ class Relay(RsuBase):
             raise ValueError(f"relay {rsu_id} needs a next hop toward the gateway")
         self.cache = LruStore(capacity)
         self.next_hop = next_hop
-        self._pending: dict[str, tuple[str, ContentName]] = {}
+        self._pending: dict[ContentName, list[str]] = {}  # name -> forwarded request ids
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         item = self.cache.get(frame.name)
@@ -330,7 +330,7 @@ class Relay(RsuBase):
                 services,
             )
             return
-        self._pending[frame.request_id] = (frame.requester, frame.name)
+        self._pending.setdefault(frame.name, []).append(frame.request_id)
         forward = replace(frame, target=self.next_hop, forwarded=True)
         services.after(
             self.proc_delay_us,
@@ -338,9 +338,7 @@ class Relay(RsuBase):
         )
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
-        self._pending = {
-            rid: entry for rid, entry in self._pending.items() if entry[1] != frame.name
-        }
+        self._pending.pop(frame.name, None)
         if self.cache.peek(frame.name) is not None:
             self.cache.put(ContentItem(frame.name, frame.payload_bits))  # refresh recency
             return
@@ -364,7 +362,7 @@ class Relay(RsuBase):
         )
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return sum(map(len, self._pending.values()))
 
 
 # -- server ---------------------------------------------------------------------

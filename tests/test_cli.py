@@ -1,11 +1,14 @@
 """Command line behavior: flags, exit codes, files, and printed summaries."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vcachesim
 from vcachesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -245,11 +248,16 @@ def test_sweep_highway_multi_skips_nocache(tmp_path, capsys):
 
 
 def test_python_dash_m_entry_point():
+    # the child finds the package where this process imported it from, also
+    # when pytest's own pythonpath setting, not PYTHONPATH, put it there
+    package_root = str(Path(vcachesim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "vcachesim", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "usage: vcachesim" in proc.stdout

@@ -1,0 +1,125 @@
+"""Only state-changing work on the event heap.
+
+One receive event per frame and arrival instant, no frame end for beacons,
+and due-time heaps for request attempts and beacons. Each must keep the
+order that one event per receiver and a full per-tick scan gave, because
+the event queue breaks same-instant ties first in, first out.
+"""
+
+import heapq
+
+from vcachesim.content import parse_name
+from vcachesim.engine import Simulation, _take_due
+from vcachesim.metrics import SOURCE_RSU_HIT
+from vcachesim.mobility import URBAN_RANDOM, RoadSegment
+from vcachesim.protocol import Beacon, Response
+from vcachesim.scenarios import RsuSpec, ScenarioConfig
+
+# front to back, so also spawn order: (vehicle id, position on the road);
+# the sender r0 sits at the road's entry, and signals cover 300 m per us
+VEHICLES = [("v0", 500.0), ("v1", 450.0), ("v2", 200.0), ("v3", 100.0), ("v4", 0.0)]
+
+
+class Recorder:
+    """Stands in for an agent; logs (instant, id) for every frame it hears."""
+
+    def __init__(self, node_id, log, on_hear=None):
+        self.node_id = node_id
+        self.log = log
+        self.on_hear = on_hear
+
+    def on_frame(self, frame, now_us, services):
+        self.log.append((now_us, self.node_id))
+        if self.on_hear is not None:
+            self.on_hear(now_us, services)
+
+
+def layout(log, on_hear=None):
+    """r0 sends on its own zone; r1 (1 us away) and the vehicles hear it."""
+    cfg = ScenarioConfig(
+        name="batches",
+        roads=[RoadSegment(id="a", length_m=1000.0)],
+        rsus=[RsuSpec("r0", (0.0, 0.0), 700.0), RsuSpec("r1", (290.0, 0.0), 10.0)],
+        arrival_pattern=URBAN_RANDOM,
+        vehicle_count=1,
+        arrival_window_s=1.0,
+        caching=True,
+        duration_s=1.0,
+    )
+    sim = Simulation(cfg)
+    on_hear = on_hear or {}
+    sim.rsus["r1"] = Recorder("r1", log, on_hear.get("r1"))
+    for seq, (vid, pos) in enumerate(VEHICLES):
+        sim.world.spawn(vid, "a", 0.0, 0)
+        sim.world.state_of(vid).pos_m = pos
+        sim._active[vid] = seq
+        sim.vehicles[vid] = Recorder(vid, log, on_hear.get(vid))
+    return sim
+
+
+def broadcast(sim):
+    """Send one response from r0; returns the instant its airtime ends."""
+    sim.transmit("r0", Response(parse_name("/traffic/1"), 2000, "v9.0", SOURCE_RSU_HIT), "r0")
+    (end, _, _), = sim.queue._heap
+    sim.queue.run_until(sim.duration_us)
+    return end
+
+
+def test_receivers_hear_in_instant_then_receive_order():
+    log = []
+    sim = layout(log)
+    end = broadcast(sim)
+    # receive order is r1, v0, v1, v2, v3, v4 (RSUs first, then spawn order)
+    # at 1, 2, 2, 1, 1 and 0 us of propagation
+    assert log == [
+        (end, "v4"),
+        (end + 1, "r1"),
+        (end + 1, "v2"),
+        (end + 1, "v3"),
+        (end + 2, "v0"),
+        (end + 2, "v1"),
+    ]
+    assert sim.queue.processed_total == 4  # the frame end and one event per instant
+
+
+def test_same_instant_follow_up_runs_after_the_rest_of_the_batch():
+    log = []
+
+    def follow_up(now_us, services):
+        services.after(0, lambda: log.append((sim.queue.now_us, "r1 follow-up")))
+
+    sim = layout(log, on_hear={"r1": follow_up})
+    end = broadcast(sim)
+    assert log[1:5] == [
+        (end + 1, "r1"),
+        (end + 1, "v2"),
+        (end + 1, "v3"),
+        (end + 1, "r1 follow-up"),
+    ]
+    assert log[5:] == [(end + 2, "v0"), (end + 2, "v1")]
+
+
+def test_beacon_takes_airtime_but_schedules_nothing():
+    sim = layout([])
+    queued = len(sim.queue)
+    sim.transmit("r0", Beacon("v4"), "v4")
+    assert len(sim.queue) == queued
+    assert sim.channels["r0"].frames_carried == 1
+    assert sim.channels["r0"].busy_until_us > 0
+
+
+def test_take_due_pops_due_entries_in_spawn_order_and_rearms_them():
+    heap = []
+    for entry in [(30, 0, "a"), (10, 2, "c"), (25, 1, "b"), (40, 3, "d"), (20, 4, "e")]:
+        heapq.heappush(heap, entry)
+    due = _take_due(heap, 30, 7, keep=lambda vid: vid != "e")
+    assert due == ["a", "b", "c"]  # e was due too but is dropped
+    assert sorted(heap) == [(17, 2, "c"), (32, 1, "b"), (37, 0, "a"), (40, 3, "d")]
+
+
+def test_take_due_fires_a_short_interval_once_per_call():
+    heap = [(0, 0, "a")]
+    assert _take_due(heap, 100, 30, keep=lambda vid: True) == ["a"]
+    assert heap == [(30, 0, "a")]  # due again, but only at the next call
+    assert _take_due(heap, 200, 30, keep=lambda vid: True) == ["a"]
+    assert heap == [(60, 0, "a")]

@@ -164,10 +164,16 @@ kinematic_params = st.builds(
     ),
     length=st.floats(min_value=20.0, max_value=400.0),
     ticks=st.integers(min_value=1, max_value=30),
+    cruiser=st.integers(min_value=0, max_value=11),
 )
-def test_tick_is_bit_identical_to_stepping_the_reference(params, dt, platoon, length, ticks):
+def test_tick_is_bit_identical_to_stepping_the_reference(
+    params, dt, platoon, length, ticks, cruiser
+):
     # spacings below min_gap plus braking distance reach the braking branch,
-    # spacings below min_gap itself the terminal clamp
+    # spacings below min_gap itself the terminal clamp; one vehicle always
+    # starts at exactly the cap, where the tick takes its cruise step
+    fractions = [fraction for _, fraction in platoon]
+    fractions[cruiser % len(platoon)] = 1.0
     positions = []
     pos = params.min_gap_m  # the rear; spawning the next needs min_gap behind it
     for gap, _ in reversed(platoon):
@@ -176,7 +182,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(params, dt, platoon, le
     positions.reverse()
     world = MobilityWorld([RoadSegment(id="r", length_m=length + positions[0])], params)
     reference = {}
-    for i, (pos, (_, fraction)) in enumerate(zip(positions, platoon)):
+    for i, (pos, fraction) in enumerate(zip(positions, fractions)):
         vid = f"v{i:02d}"
         speed = fraction * params.max_speed_mps
         world.spawn(vid, "r", speed, 0)

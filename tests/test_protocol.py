@@ -359,6 +359,19 @@ def test_relay_miss_forwards_one_hop_toward_gateway():
     assert frame.request_id == "v0.0"  # original id rides along
 
 
+def test_relay_broadcast_clears_only_the_pending_requests_for_its_name():
+    svc = FakeServices()
+    relay = make_relay()
+    relay.on_frame(request(requester="v0", request_id="v0.0"), 1_000, svc)
+    relay.on_frame(request(requester="v1", request_id="v1.0"), 1_100, svc)
+    relay.on_frame(request(name=OTHER, requester="v2", request_id="v2.0"), 1_200, svc)
+    assert relay.pending_count() == 3  # one per forwarded request, not per name
+    relay.on_frame(response(), 2_000, svc)
+    assert relay.pending_count() == 1
+    relay.on_frame(response(name=OTHER, request_id="v2.0"), 2_100, svc)
+    assert relay.pending_count() == 0
+
+
 def test_relay_overheard_broadcast_clears_pending_and_rebroadcasts_new_names():
     svc = FakeServices()
     relay = make_relay()
