@@ -95,9 +95,7 @@ def _resolve_config(args, caching: bool | None, seed: int | None) -> ScenarioCon
     if args.config is not None and args.scenario is not None:
         raise ValidationError("pass either --scenario or --config, not both")
     if args.config is not None:
-        cfg = load_config(args.config)
-        if args.count is not None:
-            cfg.vehicle_count = args.count
+        cfg = load_config(args.config, count=args.count)
         if seed is not None:
             cfg.seed = seed
         if caching is not None:

@@ -22,6 +22,13 @@ bisected slice of the road's front-to-back order. The exact closed-ball
 range test still decides every candidate. A beacon occupies airtime but
 carries nothing receivers keep, so it has no frame-end event.
 
+Frames go only to nodes that act on them. Before the range test, a request
+leaves out every vehicle (vehicles ignore requests) and content leaves out
+satisfied vehicles: the status is terminal, and a satisfied vehicle's cache
+is read only by its attempt handler, which returns first. Picking at frame
+end is exact, because a vehicle satisfied then is still satisfied when the
+frame arrives. A frame that no node acts on schedules no receive event.
+
 Receivers are taken RSUs first, in zone order, then vehicles in spawn
 order, and grouped by arrival instant: one receive event per frame and
 instant runs its members in that order. The event queue breaks same-instant
@@ -98,7 +105,7 @@ class Simulation:
         self.proc_delay_us = seconds_to_us(cfg.processing_delay_s)
         backhaul_latency_us = seconds_to_us(cfg.backhaul_latency_s)
 
-        self.world = MobilityWorld(cfg.roads, cfg.kinematics)
+        self.world = MobilityWorld(cfg.roads, cfg.kinematics, cfg.tick_s)
         self.zones: dict[str, CoverageZone] = {
             spec.id: CoverageZone(spec.id, spec.center, cfg.effective_radius(spec))
             for spec in cfg.rsus
@@ -188,7 +195,7 @@ class Simulation:
     def _on_tick(self) -> None:
         now = self.queue.now_us
         active = self._active
-        for vid in self.world.tick(self.cfg.tick_s, now):
+        for vid in self.world.tick(now):
             del active[vid]  # its heap entries go when next popped
             self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
@@ -281,7 +288,7 @@ class Simulation:
         now = self.queue.now_us
         sender_x, sender_y = self._node_xy(sender)
         batches: dict[int, list[str]] = {}
-        for node_id, (x, y) in self._receivers(channel_owner, sender):
+        for node_id, (x, y) in self._receivers(channel_owner, sender, frame):
             at_us = now + propagation_us(math.hypot(x - sender_x, y - sender_y))
             batch = batches.get(at_us)
             if batch is None:
@@ -299,11 +306,16 @@ class Simulation:
             elif node_id in self._active:
                 self.vehicles[node_id].on_frame(frame, now, self)
 
-    def _receivers(self, zone_id: str, exclude: str) -> list[tuple[str, tuple[float, float]]]:
-        """In-range nodes and their positions, in receive-scheduling order.
+    def _receivers(
+        self, zone_id: str, exclude: str, frame
+    ) -> list[tuple[str, tuple[float, float]]]:
+        """In-range nodes that act on frame, with positions, in receive-scheduling order.
 
         RSUs in zone order, then active vehicles in spawn order; the sender
-        is excluded.
+        is excluded. Listeners are picked before the range test: vehicles
+        ignore requests, and a satisfied vehicle does nothing with content
+        (the status is terminal, and its cache is read only by on_attempt,
+        which returns first for it).
         """
         zone = self.zones[zone_id]
         found = [
@@ -311,17 +323,22 @@ class Simulation:
             for rsu_id, other in self.zones.items()
             if rsu_id != exclude and in_range(zone, other.center)
         ]
+        if isinstance(frame, Request):
+            return found
         spans = self._road_spans[zone_id]
         candidates = [
-            hit for road_id, lo, hi in spans for hit in self.world.in_span(road_id, lo, hi)
+            vid for road_id, lo, hi in spans for vid in self.world.in_span(road_id, lo, hi)
         ]
         if len(spans) > 1:
             # each road's slice is in spawn order already; merge them
-            active = self._active
-            candidates.sort(key=lambda hit: active[hit[0]])
-        found.extend(
-            (vid, xy) for vid, xy in candidates if vid != exclude and in_range(zone, xy)
-        )
+            candidates.sort(key=self._active.__getitem__)
+        vehicles = self.vehicles
+        world_xy = self.world.world_xy
+        for vid in candidates:
+            if vid != exclude and vehicles[vid].status != SATISFIED:
+                xy = world_xy(vid)
+                if in_range(zone, xy):
+                    found.append((vid, xy))
         return found
 
     def _node_xy(self, node_id: str) -> tuple[float, float]:

@@ -5,6 +5,19 @@ geometry can live in 2-D. Vehicles never overtake; each follows its leader
 under acceleration/deceleration limits with a hard minimum-gap floor, so
 each road's vehicles, front to back, are also in spawn order and in
 non-increasing position order.
+
+Most vehicles never brake, so the world does not step them. For each entry
+speed it builds one free-flow track, once: the positions and speeds that the
+free step gives tick after tick from (0, entry speed). A vehicle that rides
+a track is at track.pos[age] with track.speed[age], age being the ticks since
+its spawn, and it exits at the road's exit age, the first age whose position
+reaches the road's length. A spawning vehicle rides its track only when
+every vehicle on its road rides the same track and the lag test shows it
+never brakes behind the rear one (FreeTrack.clears). Each road is therefore
+a tracked front prefix, which the tick touches only to take exits, and
+stepped vehicles behind it, which run the car-following step. state_of
+hands out a state its caller may write, so it first writes the road's track
+values into the states and steps that road's vehicles from then on.
 """
 
 from __future__ import annotations
@@ -12,6 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .simcore import US_PER_SECOND, RandomSource
@@ -36,6 +51,9 @@ URBAN_RANDOM = "urban-random"
 HIGHWAY_UNIFORM = "highway-uniform"
 
 SPAN_SLACK = 1e-6  # widening of RoadSegment.span_within, relative and in metres
+# A free path longer than this many ticks (a tiny tick on a long road) is
+# stepped rather than stored: 2**18 ticks of two floats take about 17 MB.
+MAX_TRACK_TICKS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,12 +119,17 @@ class KinematicParams:
 
 @dataclass(slots=True)
 class VehicleState:
+    """One vehicle. While track is set, pos_m and speed_mps are not kept up
+    to date: the vehicle is at track.pos/speed[ticks since spawn_tick]."""
+
     id: str
     road_id: str
     pos_m: float
     speed_mps: float
     entered_at_us: int
     exited_at_us: int | None = None
+    spawn_tick: int = 0  # the world's tick count at spawn
+    track: FreeTrack | None = None
 
 
 @dataclass(frozen=True)
@@ -216,25 +239,86 @@ def advance_kinematics(
     return pos_brake, v_brake
 
 
+class FreeTrack:
+    """Where a vehicle that never brakes is, age ticks after its spawn.
+
+    pos[age] and speed[age] come from applying the free step of
+    advance_kinematics (no leader) age times to (0.0, entry speed); the
+    lists run until the position reaches the world's longest road.
+    """
+
+    __slots__ = ("pos", "speed", "_clear")
+
+    def __init__(self, pos: list[float], speed: list[float]) -> None:
+        self.pos = pos
+        self.speed = speed
+        self._clear: dict[tuple[float, int], bool] = {}
+
+    def exit_age(self, length_m: float) -> int:
+        """The age at which a vehicle on this track leaves a road this long."""
+        return bisect_left(self.pos, length_m)
+
+    def clears(self, length_m: float, lag: int, min_gap_m: float) -> bool:
+        """The lag test: does a vehicle spawned lag ticks after its leader,
+        both on this track, keep min_gap_m to it on every tick?
+
+        This is the tick's own braking test. At its age a >= 1 the follower
+        is at pos[a] and its leader at pos[a + lag], up to the leader's exit
+        at the exit age. Speed along a track never falls from age 1 on, so
+        the follower's speed surplus over the leader is never positive and
+        the gap the tick needs is min_gap_m itself.
+        """
+        key = (length_m, lag)
+        clear = self._clear.get(key)
+        if clear is None:
+            pos = self.pos
+            end = self.exit_age(length_m)
+            gaps = map(sub, pos[lag + 1:end], pos[1:end - lag])
+            clear = self._clear[key] = min(gaps, default=math.inf) >= min_gap_m
+        return clear
+
+
+class _Lane:
+    """One road's active vehicles, front to back; the first `tracked` of
+    them ride `track` and leave the road at `exit_age`."""
+
+    __slots__ = ("road", "order", "track", "tracked", "exit_age")
+
+    def __init__(self, road: RoadSegment) -> None:
+        self.road = road
+        self.order: list[VehicleState] = []
+        self.track: FreeTrack | None = None
+        self.tracked = 0
+        self.exit_age = 0
+
+
 class MobilityWorld:
-    """All vehicles on all roads, advanced tick by tick.
+    """All vehicles on all roads, advanced one fixed tick of tick_s at a time.
 
     Vehicles must be registered before they can be queried; registration is
     separate from spawning so position_at can distinguish "not yet entered"
     from "no such vehicle".
     """
 
-    def __init__(self, roads: list[RoadSegment], params: KinematicParams) -> None:
+    def __init__(
+        self, roads: list[RoadSegment], params: KinematicParams, tick_s: float
+    ) -> None:
         if not roads:
             raise EmptyRoadList("world needs at least one road")
         self.roads = {road.id: road for road in roads}
         if len(self.roads) != len(roads):
             raise ValueError("duplicate road ids")
         self.params = params
+        self.tick_s = tick_s
         self._states: dict[str, VehicleState] = {}
         self._registered: dict[str, str] = {}  # vehicle id -> road id
-        # road id -> states of the active vehicles on it, front to back
-        self._order: dict[str, list[VehicleState]] = {road.id: [] for road in roads}
+        self._lanes = {road.id: _Lane(road) for road in roads}
+        self._longest_m = max(road.length_m for road in roads)
+        # entry speed as float.hex() -> its track, or None when it has none;
+        # hex keys keep -0.0 apart from 0.0 (their speeds at age 0 differ in
+        # sign) and give every NaN one key
+        self._tracks: dict[str, FreeTrack | None] = {}
+        self._ticks = 0
         self.spawned_total = 0
         self.exited_total = 0
 
@@ -245,8 +329,8 @@ class MobilityWorld:
 
     def can_spawn(self, road_id: str) -> bool:
         """True when the entry point is at least min_gap behind the rear car."""
-        order = self._order[road_id]
-        return not order or order[-1].pos_m >= self.params.min_gap_m
+        order = self._lanes[road_id].order
+        return not order or self._pos(order[-1]) >= self.params.min_gap_m
 
     def spawn(self, vehicle_id: str, road_id: str, speed_mps: float, now_us: int) -> None:
         if vehicle_id in self._states:
@@ -260,73 +344,171 @@ class MobilityWorld:
             pos_m=0.0,
             speed_mps=speed_mps,
             entered_at_us=now_us,
+            spawn_tick=self._ticks,
         )
+        lane = self._lanes[road_id]
+        if lane.tracked == len(lane.order):  # no stepped vehicle on the road
+            self._join_track(lane, state)
         self._states[vehicle_id] = state
-        self._order[road_id].append(state)
+        lane.order.append(state)
         self.spawned_total += 1
 
-    def tick(self, dt_s: float, now_us: int) -> list[str]:
-        """Advance every active vehicle front to back; returns exit ids.
+    def _join_track(self, lane: _Lane, state: VehicleState) -> None:
+        track = self._track(state.speed_mps)
+        if track is None:
+            return
+        length = lane.road.length_m
+        if lane.order:
+            if lane.track is not track:
+                return
+            lag = state.spawn_tick - lane.order[-1].spawn_tick
+            if not track.clears(length, lag, self.params.min_gap_m):
+                return
+        else:
+            lane.track = track
+            lane.exit_age = track.exit_age(length)
+        state.track = track
+        lane.tracked += 1
+
+    def _track(self, speed_mps: float) -> FreeTrack | None:
+        """The entry speed's track, built on first use.
+
+        None for a NaN or negative entry speed (from below zero, speed would
+        not keep from falling, which the lag test relies on) and for a path
+        that does not reach the longest road within MAX_TRACK_TICKS.
+        """
+        key = float(speed_mps).hex()
+        if key in self._tracks:
+            return self._tracks[key]
+        track = None
+        if speed_mps >= 0.0:
+            pos, speed = 0.0, speed_mps
+            positions, speeds = [pos], [speed]
+            for _ in range(MAX_TRACK_TICKS):
+                pos, speed = advance_kinematics(pos, speed, None, self.tick_s, self.params)
+                positions.append(pos)
+                speeds.append(speed)
+                if pos >= self._longest_m:
+                    track = FreeTrack(positions, speeds)
+                    break
+        self._tracks[key] = track
+        return track
+
+    def tick(self, now_us: int) -> list[str]:
+        """Advance every active vehicle one tick; returns exit ids.
+
+        On each road, the tracked front prefix is not stepped: its vehicles
+        move along their track by aging one tick, and the front ones whose
+        age reaches the road's exit age exit. The stepped vehicles behind
+        the prefix then run the car-following step, the first of them
+        following the last tracked vehicle at its new age. Only a prefix of
+        a road can exit: a vehicle behind one that stays on the road stays
+        strictly behind it.
+        """
+        self._ticks += 1
+        ticks = self._ticks
+        exited: list[str] = []
+        for lane in self._lanes.values():
+            order = lane.order
+            if not order:
+                continue
+            exits = 0
+            tracked = lane.tracked
+            leader = None
+            if tracked:
+                track = lane.track
+                exit_age = lane.exit_age
+                while exits < tracked and ticks - order[exits].spawn_tick == exit_age:
+                    state = order[exits]
+                    state.pos_m = track.pos[exit_age]
+                    state.speed_mps = track.speed[exit_age]
+                    state.track = None
+                    state.exited_at_us = now_us
+                    exited.append(state.id)
+                    exits += 1
+                tracked -= exits
+                lane.tracked = tracked
+                if tracked:
+                    age = ticks - order[exits + tracked - 1].spawn_tick
+                    leader = (track.pos[age], track.speed[age])
+            if exits + tracked < len(order):
+                exits += self._step(
+                    order, exits + tracked, leader, lane.road.length_m, now_us, exited
+                )
+            if exits:
+                del order[:exits]
+                self.exited_total += exits
+        return exited
+
+    def _step(
+        self,
+        order: list[VehicleState],
+        start: int,
+        leader: tuple[float, float] | None,
+        length: float,
+        now_us: int,
+        exited: list[str],
+    ) -> int:
+        """Step order[start:] front to back behind leader; returns its exits.
 
         Each step is advance_kinematics inlined: the same floating-point
         operations in the same order, with the loop invariants hoisted. A
         vehicle already at the cap takes the folded cruise step, which is
         the free step's own arithmetic with speed == v_cand == max_speed.
-        Only a prefix of a road can exit: a vehicle behind one that stays
-        on the road stays strictly behind it.
         """
         p = self.params
+        dt_s = self.tick_s
         accel_dt = p.accel_mps2 * dt_s
         decel_dt = p.decel_mps2 * dt_s
         max_speed = p.max_speed_mps
         cruise_step = 0.5 * (max_speed + max_speed) * dt_s
         min_gap = p.min_gap_m
         two_decel = 2.0 * p.decel_mps2
-        exited: list[str] = []
-        for road_id, order in self._order.items():
-            length = self.roads[road_id].length_m
-            leader_pos: float | None = None
-            leader_speed = 0.0
-            exits = 0
-            for state in order:
-                pos_m = state.pos_m
-                speed = state.speed_mps
-                if speed == max_speed:
+        leader_pos, leader_speed = leader if leader is not None else (None, 0.0)
+        exits = 0
+        for state in islice(order, start, None):
+            pos_m = state.pos_m
+            speed = state.speed_mps
+            if speed == max_speed:
+                new_speed = max_speed
+                new_pos = pos_m + cruise_step
+            else:
+                new_speed = speed + accel_dt
+                if new_speed > max_speed:
                     new_speed = max_speed
-                    new_pos = pos_m + cruise_step
-                else:
-                    new_speed = speed + accel_dt
-                    if new_speed > max_speed:
-                        new_speed = max_speed
+                new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
+            if leader_pos is not None:
+                surplus = new_speed * new_speed - leader_speed * leader_speed
+                need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
+                if not leader_pos - new_pos >= need:
+                    new_speed = speed - decel_dt
+                    if new_speed < 0.0:
+                        new_speed = 0.0
                     new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
-                if leader_pos is not None:
-                    surplus = new_speed * new_speed - leader_speed * leader_speed
-                    need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
-                    if not leader_pos - new_pos >= need:
-                        new_speed = speed - decel_dt
-                        if new_speed < 0.0:
-                            new_speed = 0.0
-                        new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
-                        limit = leader_pos - min_gap
-                        if new_pos > limit:
-                            new_pos = max(limit, pos_m)
-                            new_speed = min(
-                                max(2.0 * (new_pos - pos_m) / dt_s - speed, 0.0), new_speed
-                            )
-                state.pos_m = new_pos
-                state.speed_mps = new_speed
-                if leader_pos is None and new_pos >= length:
-                    state.exited_at_us = now_us
-                    exits += 1
-                    exited.append(state.id)
-                    # an exited leader no longer constrains anyone on the road
-                else:
-                    leader_pos = new_pos
-                    leader_speed = new_speed
-            if exits:
-                del order[:exits]
-                self.exited_total += exits
-        return exited
+                    limit = leader_pos - min_gap
+                    if new_pos > limit:
+                        new_pos = max(limit, pos_m)
+                        new_speed = min(
+                            max(2.0 * (new_pos - pos_m) / dt_s - speed, 0.0), new_speed
+                        )
+            state.pos_m = new_pos
+            state.speed_mps = new_speed
+            if leader_pos is None and new_pos >= length:
+                state.exited_at_us = now_us
+                exits += 1
+                exited.append(state.id)
+                # an exited leader no longer constrains anyone on the road
+            else:
+                leader_pos = new_pos
+                leader_speed = new_speed
+        return exits
+
+    def _pos(self, state: VehicleState) -> float:
+        """A vehicle's position as of the latest tick, tracked or stepped."""
+        track = state.track
+        if track is None:
+            return state.pos_m
+        return track.pos[self._ticks - state.spawn_tick]
 
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
@@ -337,25 +519,23 @@ class MobilityWorld:
         state = self._states[vehicle_id]
         road = self.roads[state.road_id]
         if state.exited_at_us is None:
-            return road.world_position(state.pos_m)
+            return road.world_position(self._pos(state))
         return road.world_position(min(state.pos_m, road.length_m))
 
-    def in_span(
-        self, road_id: str, lo_m: float, hi_m: float
-    ) -> list[tuple[str, tuple[float, float]]]:
-        """Active vehicles with lo_m <= pos <= hi_m, front to back, with world_xy.
+    def in_span(self, road_id: str, lo_m: float, hi_m: float) -> list[str]:
+        """Ids of the active vehicles with lo_m <= pos <= hi_m, front to back.
 
         One bisected slice of the road's front-to-back order.
         """
-        order = self._order[road_id]
+        order = self._lanes[road_id].order
+        pos = self._pos
 
         def behind(state: VehicleState) -> float:  # ascending along the order
-            return -state.pos_m
+            return -pos(state)
 
         start = bisect_left(order, -hi_m, key=behind)
         stop = bisect_right(order, -lo_m, lo=start, key=behind)
-        position = self.roads[road_id].world_position
-        return [(state.id, position(state.pos_m)) for state in order[start:stop]]
+        return [state.id for state in order[start:stop]]
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)
@@ -364,22 +544,45 @@ class MobilityWorld:
                 return VehicleFix(status=NOT_YET_ENTERED)
             raise UnknownVehicle(vehicle_id)
         road = self.roads[state.road_id]
-        status = EXITED if state.exited_at_us is not None else ACTIVE
-        pos = min(state.pos_m, road.length_m) if status == EXITED else state.pos_m
+        if state.exited_at_us is not None:
+            status = EXITED
+            pos = min(state.pos_m, road.length_m)
+        else:
+            status = ACTIVE
+            pos = self._pos(state)
+        speed = state.speed_mps
+        if state.track is not None:
+            speed = state.track.speed[self._ticks - state.spawn_tick]
         return VehicleFix(
             status=status,
             road_id=state.road_id,
             pos_m=pos,
-            speed_mps=state.speed_mps,
+            speed_mps=speed,
             world_xy=road.world_position(pos),
         )
 
     def active_on_road(self, road_id: str) -> list[str]:
         """Vehicle ids front to back."""
-        return [state.id for state in self._order[road_id]]
+        return [state.id for state in self._lanes[road_id].order]
 
     def state_of(self, vehicle_id: str) -> VehicleState:
+        """The vehicle's state, which the caller may write.
+
+        A tracked vehicle's state is not kept up to date, and writing it
+        would not move the vehicle, so the vehicle's road first leaves its
+        track: each tracked vehicle there gets its track values written into
+        its state and is stepped from then on.
+        """
         try:
-            return self._states[vehicle_id]
+            state = self._states[vehicle_id]
         except KeyError:
             raise UnknownVehicle(vehicle_id) from None
+        if state.track is not None:
+            lane = self._lanes[state.road_id]
+            for tracked in islice(lane.order, lane.tracked):
+                age = self._ticks - tracked.spawn_tick
+                tracked.pos_m = tracked.track.pos[age]
+                tracked.speed_mps = tracked.track.speed[age]
+                tracked.track = None
+            lane.tracked = 0
+        return state

@@ -63,13 +63,6 @@ def in_range(zone: CoverageZone, point: tuple[float, float]) -> bool:
     return math.hypot(point[0] - zone.center[0], point[1] - zone.center[1]) <= zone.radius_m
 
 
-def tx_duration_s(params: RadioParams, payload_bits: int) -> float:
-    """Exact airtime in seconds: (header + payload) / bitrate."""
-    if payload_bits < 0:
-        raise ValueError(f"payload_bits must be >= 0: {payload_bits}")
-    return (params.header_bits + payload_bits) / params.bitrate_bps
-
-
 def tx_duration_us(params: RadioParams, payload_bits: int) -> int:
     """Airtime quantized up to whole microseconds for the event clock."""
     if payload_bits < 0:

@@ -405,8 +405,13 @@ def _build_rsu(entry: dict[str, tuple[str, int]]) -> RsuSpec:
     return RsuSpec(**kwargs)
 
 
-def load_config(path) -> ScenarioConfig:
-    """Load and validate a scenario file; see the package README for grammar."""
+def load_config(path, count: int | None = None) -> ScenarioConfig:
+    """Load and validate a scenario file; see the package README for grammar.
+
+    count, when given, replaces the file's vehicle count. A builder-based
+    file hands it to the builder, which derives the arrival window and the
+    duration from it; fields the file sets still win over those.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     scenario_kv, road_entries, rsu_entries = _parse_sections(text)
@@ -427,6 +432,8 @@ def load_config(path) -> ScenarioConfig:
         if "count" in scenario_kv:
             raw, line_no = scenario_kv.pop("count")
             kwargs["count"] = _coerce("int", raw, line_no, "count")
+        if count is not None:
+            kwargs["count"] = count
         if "caching" in scenario_kv:
             raw, line_no = scenario_kv.pop("caching")
             kwargs["caching"] = _coerce("bool", raw, line_no, "caching")
@@ -483,6 +490,8 @@ def load_config(path) -> ScenarioConfig:
 
     for key, value in overrides.items():
         setattr(cfg, key, value)
+    if count is not None:
+        cfg.vehicle_count = count
     if radio_overrides:
         cfg.radio = RadioParams(**{**_params_as_dict(cfg.radio), **radio_overrides})
     if kinematic_overrides:

@@ -161,6 +161,27 @@ def test_config_file_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_count_on_a_builder_file_runs_like_the_builder(tmp_path, capsys):
+    # --count used to set vehicle_count alone and keep the builder's arrival
+    # window and duration: 421 of 600 vehicles spawned, 370 were satisfied
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("scenario = highway_single\n")
+    code = run_cli(["run", "--config", cfg, "--count", 600, "--out", tmp_path / "file"])
+    from_file = parse_summary(capsys.readouterr().out)
+    assert code == EXIT_OK
+    code = run_cli(
+        ["run", "--scenario", "highway_single", "--count", 600, "--out", tmp_path / "built"]
+    )
+    built = parse_summary(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert from_file["satisfied"] == built["satisfied"] == "600/600"
+    run_dir = "highway_single_cached_s1"
+    for name in ("cdt.csv", "requests_server.csv", "requests_rsu.csv", "chr.csv"):
+        assert (tmp_path / "file" / run_dir / name).read_bytes() == (
+            tmp_path / "built" / run_dir / name
+        ).read_bytes()
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     base = [
         "run", "--scenario", "urban_single", "--count", 20, "--seed", 4, "--trace",

@@ -12,7 +12,7 @@ from vcachesim.content import parse_name
 from vcachesim.engine import Simulation, _take_due
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment
-from vcachesim.protocol import Beacon, Response
+from vcachesim.protocol import IDLE, Beacon, Response
 from vcachesim.scenarios import RsuSpec, ScenarioConfig
 
 # front to back, so also spawn order: (vehicle id, position on the road);
@@ -27,6 +27,7 @@ class Recorder:
         self.node_id = node_id
         self.log = log
         self.on_hear = on_hear
+        self.status = IDLE  # a listener: not yet satisfied
 
     def on_frame(self, frame, now_us, services):
         self.log.append((now_us, self.node_id))

@@ -1,9 +1,10 @@
 """Roads, car-following kinematics, arrival schedules, and the world."""
 
 import math
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vcachesim.content import parse_name
 from vcachesim.mobility import (
@@ -128,8 +129,11 @@ def test_free_step_speed_bounds(speed, dt):
 # -- the inlined tick against the reference step -----------------------------------
 
 
-def reference_tick(vehicles, length, dt, params):
-    """Step advance_kinematics front to back; drops and returns exited ids."""
+def reference_tick(vehicles, length, dt, params, final=None):
+    """Step advance_kinematics front to back; drops and returns exited ids.
+
+    final, when given, receives each exited vehicle's last (pos, speed).
+    """
     leader = None
     exited = []
     for vid, (pos, speed) in list(vehicles.items()):
@@ -137,6 +141,8 @@ def reference_tick(vehicles, length, dt, params):
         if pos >= length:
             del vehicles[vid]
             exited.append(vid)
+            if final is not None:
+                final[vid] = (pos, speed)
         else:
             vehicles[vid] = (pos, speed)
             leader = (pos, speed)
@@ -180,7 +186,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
         positions.append(pos)
         pos += gap
     positions.reverse()
-    world = MobilityWorld([RoadSegment(id="r", length_m=length + positions[0])], params)
+    world = MobilityWorld([RoadSegment(id="r", length_m=length + positions[0])], params, dt)
     reference = {}
     for i, (pos, fraction) in enumerate(zip(positions, fractions)):
         vid = f"v{i:02d}"
@@ -190,12 +196,124 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
         reference[vid] = (pos, speed)
     road_length = world.roads["r"].length_m
     for step in range(1, ticks + 1):
-        exited = world.tick(dt, step)
+        exited = world.tick(step)
         assert exited == reference_tick(reference, road_length, dt, params)
         assert world.active_on_road("r") == list(reference)
         for vid, (pos, speed) in reference.items():
             state = world.state_of(vid)
             assert (state.pos_m.hex(), state.speed_mps.hex()) == (pos.hex(), speed.hex())
+
+
+def hexes(pos, speed):
+    return pos.hex(), speed.hex()
+
+
+# entry speeds as fractions of the cap; 1.5 enters above it and slows to the
+# cap on its first tick, the one way a gap along one track can shrink
+ENTRY_FRACTIONS = (0.0, 0.5, 1.0, 1.5)
+
+
+def test_driven_world_is_bit_identical_to_stepping_the_reference():
+    """Drive a world as the engine does: tick, then spawn what is due and fits.
+
+    Entry speeds mix, so tracked and stepped vehicles share roads and some
+    brake; midway one road's front vehicle is taken with state_of and slowed
+    down. Every vehicle, active or exited, must match stepping
+    advance_kinematics for all vehicles, bit for bit.
+    """
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=kinematic_params,
+        dt=st.floats(min_value=0.05, max_value=0.5),
+        lengths=st.tuples(st.floats(20.0, 300.0), st.floats(20.0, 300.0)),
+        fractions=st.lists(
+            st.sampled_from(ENTRY_FRACTIONS), min_size=2, max_size=3, unique=True
+        ),
+        # (ticks after the previous arrival, road, entry speed); arrivals
+        # that queue up spawn as soon as the rear vehicle is min_gap in
+        arrivals=st.lists(
+            st.tuples(st.just(0) | st.integers(0, 30), st.integers(0, 1), st.integers(0, 2)),
+            min_size=1,
+            max_size=14,
+        ),
+        touch_at=st.integers(1, 120),
+        ticks=st.integers(20, 160),
+    )
+    def drive(params, dt, lengths, fractions, arrivals, touch_at, ticks):
+        roads = [RoadSegment(id="r", length_m=lengths[0]), RoadSegment(id="s", length_m=lengths[1])]
+        world = MobilityWorld(roads, params, dt)
+        speeds = [fraction * params.max_speed_mps for fraction in fractions]
+        pending = {road.id: deque() for road in roads}
+        due = 0
+        for i, (wait, road, pick) in enumerate(arrivals):
+            due += wait
+            pending[roads[road].id].append((due, f"v{i:02d}", speeds[pick % len(speeds)]))
+        reference = {road.id: {} for road in roads}  # front to back: (pos, speed)
+        final = {}
+        for step in range(ticks + 1):
+            if step:
+                exited = []
+                for road in roads:
+                    ref = reference[road.id]
+                    free = {vid: advance_kinematics(*ref[vid], None, dt, params) for vid in ref}
+                    exited += reference_tick(ref, road.length_m, dt, params, final)
+                    if any(ref[vid] != free[vid] for vid in ref):
+                        seen.add("braked")
+                assert world.tick(step) == exited
+            for road in roads:
+                queue, ref = pending[road.id], reference[road.id]
+                while queue and queue[0][0] <= step:
+                    rear = next(reversed(ref.values()), None)
+                    fits = rear is None or rear[0] >= params.min_gap_m
+                    assert world.can_spawn(road.id) == fits
+                    if not fits:
+                        break
+                    _, vid, speed = queue.popleft()
+                    world.spawn(vid, road.id, speed, step)
+                    ref[vid] = (0.0, speed)
+                    seen.add("tracked" if world._states[vid].track else "stepped")
+            if step == touch_at and reference["r"]:
+                vid = next(iter(reference["r"]))
+                if world._states[vid].track:
+                    seen.add("left its track")
+                state = world.state_of(vid)
+                assert hexes(state.pos_m, state.speed_mps) == hexes(*reference["r"][vid])
+                state.speed_mps *= 0.5
+                reference["r"][vid] = (state.pos_m, state.speed_mps)
+            for road in roads:
+                assert world.active_on_road(road.id) == list(reference[road.id])
+                for vid, (pos, speed) in reference[road.id].items():
+                    fix = world.fix(vid)
+                    assert fix.status == ACTIVE
+                    assert hexes(fix.pos_m, fix.speed_mps) == hexes(pos, speed)
+            for vid, (pos, speed) in final.items():
+                fix = world.fix(vid)
+                assert fix.status == EXITED
+                length = world.roads[fix.road_id].length_m
+                assert hexes(fix.pos_m, fix.speed_mps) == hexes(min(pos, length), speed)
+
+    drive()
+    assert {"tracked", "stepped", "braked", "left its track"} <= seen
+
+
+def test_a_vehicle_that_would_brake_behind_its_track_leader_is_stepped():
+    # both enter at 40 m/s and slow to the 14 m/s cap on their first tick;
+    # v1 may enter once v0 is 2.7 m in, but its first tick would leave it
+    # 1.4 m behind v0, below the 2.5 m minimum gap, so the lag test refuses
+    world = MobilityWorld([straight_road(1000.0)], P, 0.1)
+    world.spawn("v0", "r", 40.0, 0)
+    world.tick(1)
+    assert world.fix("v0").pos_m == advance_kinematics(0.0, 40.0, None, 0.1, P)[0]
+    world.spawn("v1", "r", 40.0, 1)
+    assert world._states["v0"].track is not None
+    assert world._states["v1"].track is None
+    world.tick(2)
+    v0 = advance_kinematics(*advance_kinematics(0.0, 40.0, None, 0.1, P), None, 0.1, P)
+    v1 = advance_kinematics(0.0, 40.0, v0, 0.1, P)
+    assert v1 != advance_kinematics(0.0, 40.0, None, 0.1, P)  # it brakes
+    assert (world.fix("v1").pos_m, world.fix("v1").speed_mps) == v1
 
 
 # -- arrival schedules -----------------------------------------------------------
@@ -252,7 +370,7 @@ def test_vehicle_ids_pad_for_large_fleets():
 
 
 def make_world(length=1000.0):
-    return MobilityWorld([straight_road(length)], P)
+    return MobilityWorld([straight_road(length)], P, 0.1)
 
 
 def test_fix_distinguishes_unknown_registered_and_active():
@@ -277,7 +395,7 @@ def test_spawn_gate_requires_min_gap_behind_rear_vehicle():
     # let the first vehicle accelerate away
     ticks = 0
     while not world.can_spawn("r"):
-        world.tick(0.1, ticks * 100_000)
+        world.tick(ticks * 100_000)
         ticks += 1
     assert world.fix("v0").pos_m >= P.min_gap_m
     world.spawn("v1", "r", 0.0, ticks * 100_000)
@@ -286,7 +404,7 @@ def test_spawn_gate_requires_min_gap_behind_rear_vehicle():
 def test_duplicate_spawn_rejected():
     world = make_world()
     world.spawn("v0", "r", 14.0, 0)
-    world.tick(0.1, 100_000)
+    world.tick(100_000)
     with pytest.raises(ValueError):
         world.spawn("v0", "r", 14.0, 200_000)
 
@@ -298,7 +416,7 @@ def test_exit_reports_once_and_freezes_position():
     now = 0
     for _ in range(20):
         now += 100_000
-        exited += world.tick(0.1, now)
+        exited += world.tick(now)
     assert exited == ["v0"]
     fix = world.fix("v0")
     assert fix.status == EXITED
@@ -314,11 +432,11 @@ def test_exited_leader_releases_the_road():
     now = 0
     while not world.can_spawn("r"):
         now += 100_000
-        world.tick(0.1, now)
+        world.tick(now)
     world.spawn("v1", "r", 14.0, now)
     for _ in range(40):
         now += 100_000
-        world.tick(0.1, now)
+        world.tick(now)
     assert world.fix("v0").status == EXITED
     # the frozen end position of the exited leader must not trap followers
     assert world.fix("v1").status == EXITED
@@ -331,7 +449,7 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
     spawned = 0
     for step in range(1, 3000):
         now = step * 100_000
-        world.tick(0.1, now)
+        world.tick(now)
         if step % 10 == 0 and spawned < 50 and world.can_spawn("r"):
             world.spawn(f"v{spawned:03d}", "r", 14.0, now)
             spawned += 1
@@ -353,6 +471,6 @@ def test_state_of_unknown_vehicle():
 
 def test_duplicate_road_ids_rejected():
     with pytest.raises(ValueError):
-        MobilityWorld([straight_road(), straight_road()], P)
+        MobilityWorld([straight_road(), straight_road()], P, 0.1)
     with pytest.raises(EmptyRoadList):
-        MobilityWorld([], P)
+        MobilityWorld([], P, 0.1)

@@ -11,7 +11,6 @@ from vcachesim.radio import (
     in_range,
     propagation_us,
     receivers_in_zone,
-    tx_duration_s,
     tx_duration_us,
 )
 
@@ -21,29 +20,19 @@ RADIO = RadioParams()
 # -- airtime -------------------------------------------------------------------
 
 
-def test_tx_duration_exact_values():
-    # header-only frame: 80 bits at 6 Mbps
-    assert tx_duration_s(RADIO, 0) == pytest.approx(80 / 6_000_000)
-    # request: 80-bit header + 80-bit name
-    assert tx_duration_s(RADIO, 80) == pytest.approx(160 / 6_000_000)
-    # response: header + 2000-bit payload = 2080 bits -> 346.67 us
-    assert tx_duration_s(RADIO, 2000) == pytest.approx(346.666e-6, rel=1e-4)
-    # beacon: header + 320 bits = 400 bits -> 66.67 us
-    assert tx_duration_s(RADIO, 320) == pytest.approx(66.666e-6, rel=1e-4)
-
-
 def test_tx_duration_us_rounds_up_to_clock():
-    assert tx_duration_us(RADIO, 80) == 27  # 26.67 us
-    assert tx_duration_us(RADIO, 2000) == 347
-    assert tx_duration_us(RADIO, 320) == 67
+    # (header + payload) bits at 6 Mbps, rounded up to whole microseconds
+    assert tx_duration_us(RADIO, 0) == 14  # header only: 80 bits, 13.33 us
+    assert tx_duration_us(RADIO, 80) == 27  # request: 160 bits, 26.67 us
+    assert tx_duration_us(RADIO, 2000) == 347  # response: 2080 bits, 346.67 us
+    assert tx_duration_us(RADIO, 320) == 67  # beacon: 400 bits, 66.67 us
     assert tx_duration_us(RADIO, 40) == 20  # exactly 120 bits / 6 Mbps
+    assert tx_duration_us(RadioParams(bitrate_bps=1_000_000), 2000) == 2080
 
 
 def test_tx_duration_rejects_negative_payload():
     with pytest.raises(ValueError):
         tx_duration_us(RADIO, -1)
-    with pytest.raises(ValueError):
-        tx_duration_s(RADIO, -1)
 
 
 def test_propagation_rounds_up():

@@ -4,17 +4,33 @@ The engine finds a frame's receivers by slicing each road's front-to-back
 order with the interval the zone cuts from that road. radio.receivers_in_zone
 applied to every node (RSUs in zone order, then active vehicles in spawn
 order) is the oracle: the two must agree on membership and on order, because
-the event queue breaks same-instant ties first in, first out.
+the event queue breaks same-instant ties first in, first out. The oracle
+layouts let every vehicle listen (idle vehicles hearing content), so that
+they check the geometry; the listener filter has tests of its own.
 """
 
 import math
 
 from hypothesis import assume, given, strategies as st
 
+from vcachesim.content import parse_name
 from vcachesim.engine import Simulation
+from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, KinematicParams, RoadSegment
+from vcachesim.protocol import SATISFIED, Request, Response, VehicleAgent
 from vcachesim.radio import receivers_in_zone
 from vcachesim.scenarios import RsuSpec, ScenarioConfig
+
+ITEM = parse_name("/traffic/1")
+CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
+
+
+def place(sim, seq, vid, road_id, pos):
+    """Spawn an idle caching vehicle that wants ITEM at pos, as spawn number seq."""
+    sim.world.spawn(vid, road_id, 0.0, 0)
+    sim.world.state_of(vid).pos_m = pos
+    sim._active[vid] = seq
+    sim.vehicles[vid] = VehicleAgent(vid, ITEM, caching=True)
 
 coords = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -89,10 +105,8 @@ def layouts(draw):
     for seq, road_id in enumerate(spawn_roads):
         vid = f"x{seq:02d}"
         assume(sim.world.can_spawn(road_id))  # a tiny float can sit below min_gap
-        sim.world.spawn(vid, road_id, 0.0, 0)
-        sim.world.state_of(vid).pos_m = placed[road_id][taken[road_id]]
+        place(sim, seq, vid, road_id, placed[road_id][taken[road_id]])
         taken[road_id] += 1
-        sim._active[vid] = seq
     nodes = [spec.id for spec in cfg.rsus] + list(sim._active)
     sender = draw(st.sampled_from(nodes + ["nobody"]))
     zone_id = draw(st.sampled_from([spec.id for spec in cfg.rsus]))
@@ -106,12 +120,13 @@ def test_sliced_receivers_match_the_range_test_on_every_node(layout):
     positions = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
     positions += [(vid, sim.world.fix(vid).world_xy) for vid in sim._active]
     expected = receivers_in_zone(zone, positions, exclude=sender)
-    got = sim._receivers(zone_id, sender)
+    got = sim._receivers(zone_id, sender, CONTENT)
     assert [node_id for node_id, _ in got] == expected
     assert all(xy == dict(positions)[node_id] for node_id, xy in got)
 
 
-def test_zone_meeting_two_roads_merges_by_spawn_order():
+def crossing():
+    """Roads a and b cross zone r0; a0, b0 and a1 are inside it, b1 is not."""
     cfg = ScenarioConfig(
         name="crossing",
         roads=[
@@ -129,10 +144,57 @@ def test_zone_meeting_two_roads_merges_by_spawn_order():
     for seq, (vid, road_id, pos) in enumerate(
         [("a0", "a", 120.0), ("b0", "b", 130.0), ("a1", "a", 90.0), ("b1", "b", 20.0)]
     ):
-        sim.world.spawn(vid, road_id, 0.0, 0)
-        sim.world.state_of(vid).pos_m = pos
-        sim._active[vid] = seq
+        place(sim, seq, vid, road_id, pos)
+    return sim
+
+
+def heard(sim, exclude, frame):
+    return [node for node, _ in sim._receivers("r0", exclude, frame)]
+
+
+def test_zone_meeting_two_roads_merges_by_spawn_order():
+    sim = crossing()
     assert sim._road_spans["r0"][0][0] == "a" and sim._road_spans["r0"][1][0] == "b"
     # b1 sits at x = 180, outside the zone; the RSU hears its own zone
-    assert [node for node, _ in sim._receivers("r0", exclude="a1")] == ["r0", "a0", "b0"]
-    assert [node for node, _ in sim._receivers("r0", exclude="r0")] == ["a0", "b0", "a1"]
+    assert heard(sim, "a1", CONTENT) == ["r0", "a0", "b0"]
+    assert heard(sim, "r0", CONTENT) == ["a0", "b0", "a1"]
+
+
+def test_a_request_is_heard_by_rsus_only():
+    sim = crossing()
+    request = Request(ITEM, "a1", "a1.0", "r0")
+    assert heard(sim, "a1", request) == ["r0"]
+    heard_by_vehicles = []
+    for agent in sim.vehicles.values():
+        agent.on_frame = lambda frame, now_us, services: heard_by_vehicles.append(frame)
+    sim.transmit("r0", request, "a1")
+    sim.queue.run_until(sim.duration_us)
+    assert sim.rsus["r0"].requests_received == 1
+    # the gateway's answer reaches the vehicles; the request did not
+    assert [type(frame) for frame in heard_by_vehicles] == [Response] * 3
+
+
+def test_a_satisfied_vehicle_hears_no_content():
+    sim = crossing()
+    sim.vehicles["b0"].status = SATISFIED
+    assert heard(sim, "r0", CONTENT) == ["a0", "a1"]
+    for vid in ("a0", "a1"):
+        sim.vehicles[vid].status = SATISFIED
+    sim.transmit("r0", CONTENT, "r0")
+    sim.queue.run_until(sim.duration_us)
+    assert sim.queue.processed_total == 1  # no listener: the frame end alone
+    assert all(len(sim.vehicles[vid].cache) == 0 for vid in ("a0", "b0", "a1"))
+
+
+def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():
+    sim = crossing()
+    sim.transmit("r0", CONTENT, "r0")  # answers someone else's request
+    sim.queue.run_until(sim.duration_us)
+    agent = sim.vehicles["a0"]
+    assert agent.cache.peek(ITEM) is not None
+    assert agent.status != SATISFIED
+    sim._on_attempt("a0")
+    (record,) = sim.ledger.deliveries
+    assert (record.vehicle, record.cdt_us, record.source) == ("a0", 0, SOURCE_LOCAL_PRECACHE)
+    assert agent.status == SATISFIED
+    assert sim.frames_transmitted == {"response": 1}  # the hit sent nothing

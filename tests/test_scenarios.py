@@ -282,6 +282,17 @@ def test_builder_file_overrides(tmp_path):
     assert cfg.trace is True
 
 
+def test_count_goes_to_the_builder_and_file_fields_still_win(tmp_path):
+    path = write(tmp_path, "scenario = highway_single\ncount = 100\nduration_s = 400\n")
+    cfg = load_config(path, count=200)
+    assert cfg.vehicle_count == 200
+    assert cfg.arrival_window_s == 200.0  # derived by the builder from the count
+    assert cfg.duration_s == 400.0  # the file's own field
+    assert load_config(write(tmp_path, "scenario = urban_single\n"), count=60) == urban_single(
+        count=60
+    )
+
+
 def test_dotted_overrides_replace_nested_params(tmp_path):
     text = """
     scenario = highway_single

@@ -94,8 +94,9 @@ def test_events_beyond_horizon_stay_queued():
     assert q.run_until(10) == 1
     assert log == ["in"]
     assert len(q) == 1
-    assert q.peek_time() == 11
-    q.run_until(11)
+    assert q.run_until(10) == 0  # still not due
+    assert q.run_until(11) == 1
+    assert q.now_us == 11
     assert log == ["in", "out"]
 
 
