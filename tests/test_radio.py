@@ -20,12 +20,24 @@ RADIO = RadioParams()
 # -- airtime -------------------------------------------------------------------
 
 
+def test_tx_duration_exact_values():
+    # (header + payload) bits at 6 Mbps: the exact airtime, rounded up to the clock
+    cases = [
+        (0, 80, 14),  # header only: 13.33 us
+        (80, 160, 27),  # request: 26.67 us
+        (2000, 2080, 347),  # response: 346.67 us
+        (320, 400, 67),  # beacon: 66.67 us
+    ]
+    for payload_bits, frame_bits, expected_us in cases:
+        exact_us = frame_bits * 1e6 / 6_000_000
+        assert tx_duration_us(RADIO, payload_bits) == expected_us
+        assert expected_us - 1 < exact_us <= expected_us
+
+
 def test_tx_duration_us_rounds_up_to_clock():
-    # (header + payload) bits at 6 Mbps, rounded up to whole microseconds
-    assert tx_duration_us(RADIO, 0) == 14  # header only: 80 bits, 13.33 us
-    assert tx_duration_us(RADIO, 80) == 27  # request: 160 bits, 26.67 us
-    assert tx_duration_us(RADIO, 2000) == 347  # response: 2080 bits, 346.67 us
-    assert tx_duration_us(RADIO, 320) == 67  # beacon: 400 bits, 66.67 us
+    assert tx_duration_us(RADIO, 80) == 27  # 26.67 us
+    assert tx_duration_us(RADIO, 2000) == 347
+    assert tx_duration_us(RADIO, 320) == 67
     assert tx_duration_us(RADIO, 40) == 20  # exactly 120 bits / 6 Mbps
     assert tx_duration_us(RadioParams(bitrate_bps=1_000_000), 2000) == 2080
 
