@@ -11,7 +11,10 @@ SHA-256 of every file write_outputs produces (cdt.csv, requests_server.csv,
 requests_rsu.csv, chr.csv when caching, trace.log). The off-grid cases set
 request, beacon and announce intervals (and ticks) that are not multiples of
 the tick, so due times inside one tick differ from vehicle to vehicle and the
-order in which a tick schedules its due work shows in the outputs.
+order in which a tick schedules its due work shows in the outputs. The small
+highway_multi cases leave most ticks with nothing to do while every relay
+announce lands on a tick instant, so a tick that takes another place among
+the events of its instant shows in trace.log.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ OFF_GRID = [
 CASES = (
     [(name, caching, seed, None, ()) for name, caching in EXPERIMENTS for seed in SEEDS]
     + [("highway_single", True, 1, 1200, ())]
+    + [("highway_multi", True, seed, 20, ()) for seed in SEEDS]
     + OFF_GRID
 )
 
