@@ -8,6 +8,21 @@ Per-tick ordering: kinematics advance, then arrivals spawn, then due request
 attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
 
+Ticks sit on the tick_s grid from 0, but the tick runs only at instants
+with due work: a spawn (the first tick at or after a road's front arrival
+that finds its entry open), a step or a tracked exit, or a due attempt or
+beacon. After each tick the next one is scheduled at the first grid instant
+at or after the earliest of that work and the event heap's top, at least
+one tick later and at most the last tick instant of the run, and the idle
+ticks skipped on the way are added to the world's tick count, so tracked
+vehicles read the positions that the ticks would have left. This is exactly
+the tick every tick_s: only a tick creates tick work (exits and satisfied
+vehicles only remove it); no event runs between now and the heap top, so
+the new tick is scheduled with the same events ahead of it, and takes the
+same FIFO place among the events of its instant, as a tick scheduled one
+tick earlier; and the last tick instant still ends the run, so the clock
+ends where it did.
+
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence) is
@@ -99,6 +114,7 @@ class Simulation:
 
         self.duration_us = seconds_to_us(cfg.duration_s)
         self.tick_us = seconds_to_us(cfg.tick_s)
+        self.last_tick_us = self.duration_us - self.duration_us % self.tick_us
         self.request_interval_us = seconds_to_us(cfg.request_interval_s)
         self.beacon_interval_us = seconds_to_us(cfg.radio.beacon_interval_s)
         self.announce_interval_us = seconds_to_us(cfg.relay_announce_interval_s)
@@ -231,8 +247,48 @@ class Simulation:
             for vid in _take_due(beacons, now, self.beacon_interval_us, active.__contains__):
                 schedule(now, partial(self._on_beacon, vid))
         next_tick = now + self.tick_us
-        if next_tick <= self.duration_us:
-            schedule(next_tick, self._on_tick)
+        if next_tick > self.duration_us:
+            return
+        # most ticks have an attempt or beacon due by the next one
+        if not (
+            (attempts and attempts[0][0] <= next_tick)
+            or (beacons and beacons[0][0] <= next_tick)
+        ):
+            next_tick = self._skip_idle_ticks(now)
+        schedule(next_tick, self._on_tick)
+
+    def _skip_idle_ticks(self, now: int) -> int:
+        """The first tick instant after now with work, or before which an
+        event runs; adds the idle ticks before it to the world's tick count.
+
+        Work is a spawn (the first tick at or after a road's front arrival
+        that finds the entry open), a step or a tracked exit, or a due
+        attempt or beacon. The instant is at least one tick after now and
+        at most the last tick instant of the run.
+        """
+        tick_us = self.tick_us
+        next_tick = now + tick_us
+        due = self.last_tick_us
+        top = self.queue.peek_time()
+        if top is not None and top < due:
+            due = top
+        for heap in (self._attempts_due, self._beacons_due):
+            if heap and heap[0][0] < due:
+                due = heap[0][0]
+        if due > next_tick:  # else the next tick is due whatever the world holds
+            world = self.world
+            quiet = world.quiet_ticks()
+            if quiet is not None and now + quiet * tick_us < due:
+                due = now + quiet * tick_us
+            for road_id, pending in self._pending_arrivals.items():
+                # no spawn before the arrival, whenever the entry opens
+                if pending and pending[0].at_us < due:
+                    opens = max(pending[0].at_us, now + world.ticks_to_open(road_id) * tick_us)
+                    if opens < due:
+                        due = opens
+        at = max(-(-due // tick_us) * tick_us, next_tick)
+        self.world.skip((at - now) // tick_us - 1)
+        return at
 
     def _wants_attempts(self, vehicle_id: str) -> bool:
         # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap

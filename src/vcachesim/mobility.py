@@ -113,8 +113,9 @@ class KinematicParams:
 
     def __post_init__(self) -> None:
         for field_name in ("accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field_name} must be finite and positive: {value}")
 
 
 @dataclass(slots=True)
@@ -247,16 +248,25 @@ class FreeTrack:
     lists run until the position reaches the world's longest road.
     """
 
-    __slots__ = ("pos", "speed", "_clear")
+    __slots__ = ("pos", "speed", "_clear", "_open_age")
 
     def __init__(self, pos: list[float], speed: list[float]) -> None:
         self.pos = pos
         self.speed = speed
         self._clear: dict[tuple[float, int], bool] = {}
+        self._open_age: int | None = None
 
     def exit_age(self, length_m: float) -> int:
         """The age at which a vehicle on this track leaves a road this long."""
         return bisect_left(self.pos, length_m)
+
+    def open_age(self, min_gap_m: float) -> int:
+        """The first age at which a vehicle on this track is min_gap_m past
+        the entry, so that the next vehicle may spawn behind it (can_spawn).
+        A world's min gap never changes, so the first answer is kept."""
+        if self._open_age is None:
+            self._open_age = bisect_left(self.pos, min_gap_m)
+        return self._open_age
 
     def clears(self, length_m: float, lag: int, min_gap_m: float) -> bool:
         """The lag test: does a vehicle spawned lag ticks after its leader,
@@ -393,6 +403,41 @@ class MobilityWorld:
                     break
         self._tracks[key] = track
         return track
+
+    def quiet_ticks(self) -> int | None:
+        """How many ticks from now until the first that changes more than the
+        tick count: one that steps a vehicle (every tick does while a road
+        has a stepped vehicle) or takes a tracked exit. None when no vehicle
+        is on any road."""
+        ticks = self._ticks
+        quiet = None
+        for lane in self._lanes.values():
+            order = lane.order
+            if not order:
+                continue
+            if lane.tracked < len(order):
+                return 1
+            n = order[0].spawn_tick + lane.exit_age - ticks
+            if quiet is None or n < quiet:
+                quiet = n
+        return quiet
+
+    def ticks_to_open(self, road_id: str) -> int:
+        """How many ticks from now until can_spawn(road_id) holds behind a
+        tracked rear vehicle (0 if it holds already). An empty road gives 0,
+        and a stepped rear vehicle 1: it may get there at the next tick."""
+        order = self._lanes[road_id].order
+        if not order:
+            return 0
+        rear = order[-1]
+        if rear.track is None:
+            return 1
+        return max(0, rear.spawn_tick + rear.track.open_age(self.params.min_gap_m) - self._ticks)
+
+    def skip(self, ticks: int) -> None:
+        """Let ticks ticks pass that step no vehicle and take no exit; only
+        the tick count, and with it every tracked vehicle's age, moves."""
+        self._ticks += ticks
 
     def tick(self, now_us: int) -> list[str]:
         """Advance every active vehicle one tick; returns exit ids.

@@ -495,9 +495,12 @@ def load_config(path, count: int | None = None) -> ScenarioConfig:
     if radio_overrides:
         cfg.radio = RadioParams(**{**_params_as_dict(cfg.radio), **radio_overrides})
     if kinematic_overrides:
-        cfg.kinematics = KinematicParams(
-            **{**_params_as_dict(cfg.kinematics), **kinematic_overrides}
-        )
+        try:
+            cfg.kinematics = KinematicParams(
+                **{**_params_as_dict(cfg.kinematics), **kinematic_overrides}
+            )
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
 
     validate_config(cfg)
     return cfg

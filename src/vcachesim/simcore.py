@@ -74,6 +74,10 @@ class EventQueue:
         self.scheduled_total += 1
         return seq
 
+    def peek_time(self) -> int | None:
+        """The time of the earliest pending event; None when none is pending."""
+        return self._heap[0][0] if self._heap else None
+
     def run_until(self, horizon_us: int) -> int:
         """Process every event due at or before the horizon, in time order.
 

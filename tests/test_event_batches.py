@@ -1,19 +1,27 @@
 """Only state-changing work on the event heap.
 
 One receive event per frame and arrival instant, no frame end for beacons,
-and due-time heaps for request attempts and beacons. Each must keep the
-order that one event per receiver and a full per-tick scan gave, because
-the event queue breaks same-instant ties first in, first out.
+due-time heaps for request attempts and beacons, and a tick only at the
+instants with due work. Each must keep the order that one event per
+receiver, a full per-tick scan and a tick every tick_s gave, because the
+event queue breaks same-instant ties first in, first out.
 """
 
+import dataclasses
 import heapq
+
+import pytest
+
+from vcachesim import mobility
+from vcachesim.cli import write_outputs
 
 from vcachesim.content import parse_name
 from vcachesim.engine import Simulation, _take_due
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment
 from vcachesim.protocol import IDLE, Beacon, Response
-from vcachesim.scenarios import RsuSpec, ScenarioConfig
+from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi, urban_multi, urban_single
+from vcachesim.simcore import seconds_to_us
 
 # front to back, so also spawn order: (vehicle id, position on the road);
 # the sender r0 sits at the road's entry, and signals cover 300 m per us
@@ -124,3 +132,101 @@ def test_take_due_fires_a_short_interval_once_per_call():
     assert heap == [(30, 0, "a")]  # due again, but only at the next call
     assert _take_due(heap, 200, 30, keep=lambda vid: True) == ["a"]
     assert heap == [(60, 0, "a")]
+
+
+# -- the sparse tick ---------------------------------------------------------------
+
+
+def dense(monkeypatch):
+    """Make every tick schedule the next one tick_s later, as the dense chain did."""
+    monkeypatch.setattr(Simulation, "_skip_idle_ticks", lambda self, now: now + self.tick_us)
+
+
+def logged_ticks(sim):
+    """Record the instant of every tick sim runs."""
+    instants = []
+    on_tick = sim._on_tick
+
+    def logged():
+        instants.append(sim.queue.now_us)
+        on_tick()
+
+    sim._on_tick = logged  # the tick schedules itself through this attribute
+    return instants
+
+
+def outputs(cfg, out_dir):
+    result = Simulation(dataclasses.replace(cfg, trace=True)).run()
+    return {name: path.read_bytes() for name, path in write_outputs(result, out_dir).items()}
+
+
+SMALL_RUNS = [
+    highway_multi(count=20, seed=1),
+    urban_single(count=10, seed=1),
+    urban_multi(count=10, seed=1),
+]
+
+
+@pytest.mark.parametrize("cfg", SMALL_RUNS, ids=lambda cfg: cfg.name)
+def test_stepped_vehicles_give_the_same_outputs_as_tracked_ones(cfg, tmp_path, monkeypatch):
+    # without tracks every vehicle is stepped, so every tick with a vehicle
+    # on the road has work; with them, those ticks are mostly skipped
+    tracked = outputs(cfg, tmp_path / "tracked")
+    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
+    assert outputs(cfg, tmp_path / "stepped") == tracked
+
+
+@pytest.mark.parametrize("tick_s, extra_s", [(0.1, 0.0), (0.1, 0.05), (0.07, 0.0), (0.07, 0.03)])
+def test_the_clock_ends_at_the_last_tick_instant(tick_s, extra_s, monkeypatch):
+    # the world empties well before the end, so every tick after that is idle
+    base = urban_single(count=10, seed=2)
+    cfg = dataclasses.replace(base, tick_s=tick_s, duration_s=base.duration_s + extra_s)
+    sparse = Simulation(cfg)
+    ticks = logged_ticks(sparse)
+    sparse.run()
+    last_tick = sparse.duration_us - sparse.duration_us % sparse.tick_us
+    assert ticks[-1] == last_tick == sparse.queue.now_us
+    dense(monkeypatch)
+    reference = Simulation(cfg)
+    dense_ticks = logged_ticks(reference)
+    reference.run()
+    assert reference.queue.now_us == sparse.queue.now_us
+    assert len(ticks) < len(dense_ticks) // 2
+    assert set(ticks) <= set(dense_ticks)
+
+
+def probe(cfg, at_us):
+    """Run cfg with an action at at_us that reads world_xy of every active
+    vehicle; returns what it read and the tick instants."""
+    sim = Simulation(cfg)
+    seen = {}
+    sim.queue.schedule(
+        at_us, lambda: seen.update({vid: sim.world.world_xy(vid) for vid in sim._active})
+    )
+    ticks = logged_ticks(sim)
+    sim.run()
+    return seen, ticks
+
+
+def test_an_action_inside_an_idle_stretch_sees_dense_positions(monkeypatch):
+    cfg = urban_single(count=10, seed=1)
+    _, ticks = probe(cfg, 0)
+    tick_us = seconds_to_us(cfg.tick_s)
+    # four or more idle ticks in a row, after the first spawns
+    start = next(a for a, b in zip(ticks[3:], ticks[4:]) if b - a >= 5 * tick_us)
+    at_us = start + 2 * tick_us
+    seen, sparse_ticks = probe(cfg, at_us)
+    assert seen, "no vehicle on the road inside the stretch"
+    assert at_us in sparse_ticks and at_us - tick_us not in sparse_ticks
+    dense(monkeypatch)
+    dense_seen, _ = probe(cfg, at_us)
+    assert seen == dense_seen
+
+
+def test_the_next_tick_is_never_before_one_tick_from_now():
+    sim = Simulation(urban_single(count=10, seed=1))
+    sim.queue.schedule(0, lambda: None)  # an event due now
+    assert sim._skip_idle_ticks(0) == sim.tick_us
+    sim.queue.run_until(0)
+    heapq.heappush(sim._attempts_due, (0, 0, "v000"))  # an attempt due now
+    assert sim._skip_idle_ticks(0) == sim.tick_us

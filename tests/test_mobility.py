@@ -59,6 +59,14 @@ def test_kinematic_params_positive():
         KinematicParams(min_gap_m=-1.0)
 
 
+@pytest.mark.parametrize("name", ["accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_kinematic_params_finite(name, value):
+    # NaN passes a "<= 0" test, and a NaN accel ran to the end with NaN positions
+    with pytest.raises(ValueError, match=name):
+        KinematicParams(**{name: value})
+
+
 # -- single-step kinematics ------------------------------------------------------
 
 

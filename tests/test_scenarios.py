@@ -180,6 +180,14 @@ def test_sub_microsecond_interval_is_rejected_before_the_run(name):
         Simulation(broken(**{name: 1e-7}))
 
 
+@pytest.mark.parametrize("name", ["accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_kinematics_override_must_be_finite_and_positive(tmp_path, name, value):
+    path = write(tmp_path, f"scenario = urban_single\nkinematics.{name} = {value}\n")
+    with pytest.raises(ValidationError, match=name):
+        load_config(path)
+
+
 def test_validation_collects_multiple_problems():
     with pytest.raises(ValidationError) as exc:
         validate_config(broken(vehicle_count=0, tick_s=0.0))

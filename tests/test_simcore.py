@@ -100,6 +100,16 @@ def test_events_beyond_horizon_stay_queued():
     assert log == ["in", "out"]
 
 
+def test_peek_time_reads_the_earliest_pending_event():
+    q = EventQueue()
+    assert q.peek_time() is None
+    q.schedule(11, lambda: None)
+    q.schedule(10, lambda: None)
+    assert q.peek_time() == 10
+    q.run_until(10)
+    assert q.peek_time() == 11
+
+
 def test_clock_is_last_processed_event_not_horizon():
     q = EventQueue()
     q.schedule(7, lambda: None)
