@@ -14,7 +14,10 @@ the tick, so due times inside one tick differ from vehicle to vehicle and the
 order in which a tick schedules its due work shows in the outputs. The small
 highway_multi cases leave most ticks with nothing to do while every relay
 announce lands on a tick instant, so a tick that takes another place among
-the events of its instant shows in trace.log.
+the events of its instant shows in trace.log. The min-gap cases set the gap
+to a track position at the spawn lag, so float rounding makes vehicles brake
+and the world steps nearly all of them: every tick has work there, and the
+stepping loop and its brake branch run.
 """
 
 from __future__ import annotations
@@ -58,13 +61,19 @@ OFF_GRID = [
         ),
     ),
 ]
+STEPPED = [
+    (name, True, 1, None, (("kinematics.min_gap_m", 14.0),))
+    for name in ("highway_single", "highway_multi")
+]
 # (builder, caching, seed, vehicle count, field overrides); a None count keeps
-# the builder's default; an override key "radio.x" sets field x of cfg.radio
+# the builder's default; an override key "radio.x" or "kinematics.x" sets
+# field x of cfg.radio or cfg.kinematics
 CASES = (
     [(name, caching, seed, None, ()) for name, caching in EXPERIMENTS for seed in SEEDS]
     + [("highway_single", True, 1, 1200, ())]
     + [("highway_multi", True, seed, 20, ()) for seed in SEEDS]
     + OFF_GRID
+    + STEPPED
 )
 
 
@@ -82,9 +91,10 @@ def build(name: str, caching: bool, seed: int, count: int | None, overrides=()):
         kwargs["count"] = count
     cfg = dataclasses.replace(BUILDERS[name](**kwargs), trace=True)
     for key, value in overrides:
-        if key.startswith("radio."):
-            radio = dataclasses.replace(cfg.radio, **{key.removeprefix("radio."): value})
-            cfg = dataclasses.replace(cfg, radio=radio)
+        block, _, field = key.rpartition(".")
+        if block:
+            inner = dataclasses.replace(getattr(cfg, block), **{field: value})
+            cfg = dataclasses.replace(cfg, **{block: inner})
         else:
             cfg = dataclasses.replace(cfg, **{key: value})
     return cfg
