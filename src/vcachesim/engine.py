@@ -28,9 +28,17 @@ per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence) is
 added to at spawn and dropped from at exit. Attempts and beacons wait in two
 due-time heaps keyed (due time, spawn sequence, vehicle id); each tick pops
-the entries due by now, re-arms each one interval later, and schedules the
-batch in spawn order, attempts before beacons. Exited vehicles leave both
-heaps when next popped, satisfied ones leave the attempt heap. At frame end
+the entries due by now and re-arms each one interval later. Exited vehicles
+leave both heaps when next popped, satisfied ones leave the attempt heap.
+The tick then queues the next tick and runs the due attempts, then the due
+beacons, each in spawn order, inside itself; when another event already
+waits at its instant, it schedules them as one batch event at that instant
+instead. This is exactly one event per attempt and beacon, for the same
+reasons as the receive batches below: those events held consecutive places
+among the events of their instant, after any event already waiting there;
+what they scheduled for that instant ran after the last of them anyway; the
+next tick was queued before anything they scheduled; and exits happen only
+in the tick, so every due vehicle is still active when it runs. At frame end
 the receivers come from the road geometry: each zone meets each road in one
 position interval, computed once, and the vehicles inside it are one
 bisected slice of the road's front-to-back order. The exact closed-ball
@@ -178,6 +186,7 @@ class Simulation:
         self._beacons_due: list[tuple[int, int, str]] = []
         self.vehicle_requests_transmitted = 0
         self.frames_transmitted: dict[str, int] = {}
+        self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
         self._ran = False
 
     # -- run ---------------------------------------------------------------
@@ -236,26 +245,37 @@ class Simulation:
                     f"SPAWN vehicle={arrival.vehicle_id} road={road.id} "
                     f"wanted={arrival.wanted}"
                 )
-        schedule = self.queue.schedule
         # most ticks find nothing due; the heap tops say so without a call
         attempts = self._attempts_due
-        if attempts and attempts[0][0] <= now:
-            for vid in _take_due(attempts, now, self.request_interval_us, self._wants_attempts):
-                schedule(now, partial(self._on_attempt, vid))
+        due_attempts = (
+            _take_due(attempts, now, self.request_interval_us, self._wants_attempts)
+            if attempts and attempts[0][0] <= now
+            else []
+        )
         beacons = self._beacons_due
-        if beacons and beacons[0][0] <= now:
-            for vid in _take_due(beacons, now, self.beacon_interval_us, active.__contains__):
-                schedule(now, partial(self._on_beacon, vid))
+        due_beacons = (
+            _take_due(beacons, now, self.beacon_interval_us, active.__contains__)
+            if beacons and beacons[0][0] <= now
+            else []
+        )
+        queue = self.queue
         next_tick = now + self.tick_us
-        if next_tick > self.duration_us:
-            return
-        # most ticks have an attempt or beacon due by the next one
-        if not (
-            (attempts and attempts[0][0] <= next_tick)
-            or (beacons and beacons[0][0] <= next_tick)
-        ):
-            next_tick = self._skip_idle_ticks(now)
-        schedule(next_tick, self._on_tick)
+        if next_tick <= self.duration_us:
+            # most ticks have an attempt or beacon due by the next one
+            if not (
+                due_attempts
+                or due_beacons
+                or (attempts and attempts[0][0] <= next_tick)
+                or (beacons and beacons[0][0] <= next_tick)
+            ):
+                next_tick = self._skip_idle_ticks(now)
+            queue.schedule(next_tick, self._on_tick)
+        if due_attempts or due_beacons:
+            top = queue.peek_time()
+            if top is None or top > now:  # nothing else waits at this instant
+                self._run_due(due_attempts, due_beacons)
+            else:
+                queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))
 
     def _skip_idle_ticks(self, now: int) -> int:
         """The first tick instant after now with work, or before which an
@@ -294,15 +314,21 @@ class Simulation:
         # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap
         return vehicle_id in self._active and self.vehicles[vehicle_id].status != SATISFIED
 
+    def _run_due(self, attempts: list[str], beacons: list[str]) -> None:
+        """One tick's due attempts, then its due beacons, each in spawn order.
+
+        Exits happen only in the tick, so every vehicle here is active.
+        """
+        for vid in attempts:
+            self._on_attempt(vid)
+        for vid in beacons:
+            self._on_beacon(vid)
+
     def _on_attempt(self, vehicle_id: str) -> None:
-        if vehicle_id not in self._active:
-            return
         target = self._zone_owner_at(self.world.world_xy(vehicle_id))
         self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
 
     def _on_beacon(self, vehicle_id: str) -> None:
-        if vehicle_id not in self._active:
-            return
         owner = self._zone_owner_at(self.world.world_xy(vehicle_id))
         if owner is None:
             return
@@ -324,18 +350,22 @@ class Simulation:
             raise RuntimeError(
                 f"{sender} transmitted on {channel_owner}'s channel from outside its zone"
             )
-        duration = tx_duration_us(self.cfg.radio, frame.payload_bits)
+        bits = frame.payload_bits
+        duration = self._airtime_us.get(bits)
+        if duration is None:
+            duration = self._airtime_us[bits] = tx_duration_us(self.cfg.radio, bits)
         start, end = channel.reserve(self.queue.now_us, duration)
         kind = type(frame).__name__.lower()
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
         if isinstance(frame, Request) and not frame.forwarded:
             self.vehicle_requests_transmitted += 1
-        name = getattr(frame, "name", None)
-        self._trace(
-            f"TX kind={kind} sender={sender} channel={channel_owner} "
-            f"name={name if name is not None else '-'} "
-            f"start={format_time(start)} end={format_time(end)}"
-        )
+        if self.trace_lines is not None:
+            name = getattr(frame, "name", None)
+            self._trace(
+                f"TX kind={kind} sender={sender} channel={channel_owner} "
+                f"name={name if name is not None else '-'} "
+                f"start={format_time(start)} end={format_time(end)}"
+            )
         if not isinstance(frame, Beacon):  # airtime only; receivers keep nothing
             self.queue.schedule(end, partial(self._on_frame_end, channel_owner, frame, sender))
 

@@ -1,10 +1,11 @@
 """Only state-changing work on the event heap.
 
 One receive event per frame and arrival instant, no frame end for beacons,
-due-time heaps for request attempts and beacons, and a tick only at the
-instants with due work. Each must keep the order that one event per
-receiver, a full per-tick scan and a tick every tick_s gave, because the
-event queue breaks same-instant ties first in, first out.
+due-time heaps for request attempts and beacons whose due work runs inside
+the tick, and a tick only at the instants with due work. Each must keep the
+order that one event per receiver, one event per due attempt or beacon, a
+full per-tick scan and a tick every tick_s gave, because the event queue
+breaks same-instant ties first in, first out.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from vcachesim.engine import Simulation, _take_due
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment
 from vcachesim.protocol import IDLE, Beacon, Response
+from vcachesim.radio import tx_duration_us
 from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi, urban_multi, urban_single
 from vcachesim.simcore import seconds_to_us
 
@@ -115,6 +117,17 @@ def test_beacon_takes_airtime_but_schedules_nothing():
     assert len(sim.queue) == queued
     assert sim.channels["r0"].frames_carried == 1
     assert sim.channels["r0"].busy_until_us > 0
+
+
+def test_a_beacon_takes_the_airtime_of_its_own_payload():
+    sim = layout([])
+    assert sim.cfg.radio.beacon_payload_bits == 320
+    channel = sim.channels["r0"]
+    for bits in (640, 320):
+        busy = channel.busy_time_us
+        sim.transmit("r0", Beacon("v4", bits), "v4")
+        assert channel.busy_time_us - busy == tx_duration_us(sim.cfg.radio, bits)
+    assert channel.busy_until_us == channel.busy_time_us  # back to back from 0
 
 
 def test_take_due_pops_due_entries_in_spawn_order_and_rearms_them():
@@ -230,3 +243,65 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
     sim.queue.run_until(0)
     heapq.heappush(sim._attempts_due, (0, 0, "v000"))  # an attempt due now
     assert sim._skip_idle_ticks(0) == sim.tick_us
+
+
+# -- due work inside the tick ------------------------------------------------------
+
+
+def logged_due_work(sim, log):
+    """Record (instant, what) for every attempt and beacon sim runs."""
+    for kind in ("attempt", "beacon"):
+        handler = getattr(sim, f"_on_{kind}")
+
+        def logged(vehicle_id, kind=kind, handler=handler):
+            log.append((sim.queue.now_us, f"{kind} {vehicle_id}"))
+            handler(vehicle_id)
+
+        setattr(sim, f"_on_{kind}", logged)
+
+
+def first_due_instant(cfg):
+    sim = Simulation(cfg)
+    log = []
+    logged_due_work(sim, log)
+    sim.run()
+    at_us = log[0][0]
+    # the first vehicle's attempt and its unstaggered beacon, in that order
+    assert log[:2] == [(at_us, "attempt v000"), (at_us, "beacon v000")]
+    return at_us
+
+
+def test_due_work_runs_after_an_event_already_waiting_at_its_instant():
+    cfg = urban_single(count=10, seed=1)
+    at_us = first_due_instant(cfg)
+    sim = Simulation(cfg)
+    log = []
+    logged_due_work(sim, log)
+    # the probe is queued after the tick at at_us and before anything the
+    # tick schedules, so it runs before the due work
+    sim.queue.schedule(
+        at_us - 1,
+        lambda: sim.queue.schedule(at_us, lambda: log.append((at_us, "probe"))),
+    )
+    sim.run()
+    assert log[:3] == [(at_us, "probe"), (at_us, "attempt v000"), (at_us, "beacon v000")]
+
+
+def test_the_next_tick_is_queued_before_what_due_work_schedules():
+    cfg = urban_single(count=10, seed=1)
+    at_us = first_due_instant(cfg)
+    sim = Simulation(cfg)
+    log = []
+    ticks = logged_ticks(sim)
+    on_attempt = sim._on_attempt
+
+    def attempt(vehicle_id):
+        if sim.queue.now_us == at_us and vehicle_id == "v000":
+            later = at_us + sim.tick_us
+            sim.queue.schedule(later, lambda: log.append(list(ticks)))
+        on_attempt(vehicle_id)
+
+    sim._on_attempt = attempt
+    sim.run()
+    # the tick one tick later, due whenever work was due, ran before it
+    assert log and log[0][-1] == at_us + sim.tick_us
