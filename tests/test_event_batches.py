@@ -123,10 +123,10 @@ def test_a_beacon_takes_the_airtime_of_its_own_payload():
     sim = layout([])
     assert sim.cfg.radio.beacon_payload_bits == 320
     channel = sim.channels["r0"]
-    for bits in (640, 320):
+    for beacon in (Beacon("v4", 640), Beacon("v4")):
         busy = channel.busy_time_us
-        sim.transmit("r0", Beacon("v4", bits), "v4")
-        assert channel.busy_time_us - busy == tx_duration_us(sim.cfg.radio, bits)
+        sim.transmit("r0", beacon, "v4")
+        assert channel.busy_time_us - busy == tx_duration_us(sim.cfg.radio, beacon.payload_bits)
     assert channel.busy_until_us == channel.busy_time_us  # back to back from 0
 
 
