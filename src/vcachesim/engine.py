@@ -28,9 +28,9 @@ per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence) is
 added to at spawn and dropped from at exit. Attempts and beacons wait in two
 due-time heaps keyed (due time, spawn sequence, vehicle id); each tick pops
-the entries due by now and re-arms each one interval later. Exited vehicles
-leave both heaps when next popped, satisfied ones leave the attempt heap.
-The tick then queues the next tick and runs the due attempts, then the due
+the entries due by now and re-arms each one at its next due time (below).
+Exited vehicles leave both heaps when next popped, satisfied ones leave the
+attempt heap. The tick then queues the next tick and runs the due attempts, then the due
 beacons, each in spawn order, inside itself; when another event already
 waits at its instant, it schedules them as one batch event at that instant
 instead. This is exactly one event per attempt and beacon, for the same
@@ -44,6 +44,31 @@ position interval, computed once, and the vehicles inside it are one
 bisected slice of the road's front-to-back order. The exact closed-ball
 range test still decides every candidate. A beacon occupies airtime but
 carries nothing receivers keep, so it has no frame-end event.
+
+Only due work that can act is queued. A vehicle that rides its track is at
+track.pos[age] at every tick of its age, so what it meets is a function of
+(road, track, age), memoized lazily per road (_TrackAges). With an interval
+of at least one tick, due time d runs at grid tick ceil(d / tick_us), at an
+age known in advance, so arming an entry (at spawn and at each re-arm)
+jumps over the due times whose work would do nothing, and drops the entry
+once the run age reaches the road's exit age, where the vehicle has left
+and the pop would drop it anyway. A beacon does nothing where no zone
+covers the vehicle: it reserves no airtime and writes no trace. An attempt
+does nothing before the first age at which a zone covers the vehicle: no
+frame can have reached it, so it is idle with an empty cache and no target.
+A later attempt outside every zone stays queued, because it may find an
+item the vehicle overheard inside one (a pre-cache hit). The due times
+kept are those of the plain chain d, d + interval, ..., so each runs at the
+same instant and in the same spawn order as before; the ticks that no
+longer run had no work left, which the sparse-tick argument above covers.
+A shorter interval re-arms behind its run instant, and a stepped vehicle
+has no age to look up, so both keep the plain re-arm one interval later.
+The memos are exact, too: each entry is filled with the very call the
+engine makes for a vehicle off its track, on road.world_position(
+track.pos[age]), which is the value world_xy gives. That holds for the
+covering zone of an attempt or beacon, and for the range test and delay of
+content at frame end, because only the channel's own RSU sends content, so
+the sender sits at the zone's centre (content from anyone else raises).
 
 Frames go only to nodes that act on them. Before the range test, a request
 leaves out every vehicle (vehicles ignore requests) and content leaves out
@@ -72,7 +97,7 @@ from operator import itemgetter
 
 from .content import Catalog
 from .metrics import DeliveryRecord, MetricsLedger
-from .mobility import MobilityWorld, generate_arrivals
+from .mobility import FreeTrack, MobilityWorld, RoadSegment, generate_arrivals
 from .protocol import (
     Beacon,
     CachingGateway,
@@ -184,6 +209,8 @@ class Simulation:
         # heaps of (due time, spawn sequence, vehicle id)
         self._attempts_due: list[tuple[int, int, str]] = []
         self._beacons_due: list[tuple[int, int, str]] = []
+        # road id -> what a vehicle riding the road's track meets at each age
+        self._track_ages: dict[str, _TrackAges] = {}
         self.vehicle_requests_transmitted = 0
         self.frames_transmitted: dict[str, int] = {}
         self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
@@ -221,7 +248,7 @@ class Simulation:
         now = self.queue.now_us
         active = self._active
         for vid in self.world.tick(now):
-            del active[vid]  # its heap entries go when next popped
+            del active[vid]  # its heap entries left, if any, go when next popped
             self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
             pending = self._pending_arrivals[road.id]
@@ -238,9 +265,14 @@ class Simulation:
                 self.vehicles[arrival.vehicle_id] = VehicleAgent(
                     arrival.vehicle_id, arrival.wanted, self.cfg.caching
                 )
-                active[arrival.vehicle_id] = spawned
-                heappush(self._attempts_due, (now, spawned, arrival.vehicle_id))
-                heappush(self._beacons_due, (now + stagger, spawned, arrival.vehicle_id))
+                vid = arrival.vehicle_id
+                active[vid] = spawned
+                first = self._first_due(now, vid, self.request_interval_us, True)
+                if first is not None:
+                    heappush(self._attempts_due, (first, spawned, vid))
+                first = self._first_due(now + stagger, vid, self.beacon_interval_us, False)
+                if first is not None:
+                    heappush(self._beacons_due, (first, spawned, vid))
                 self._trace(
                     f"SPAWN vehicle={arrival.vehicle_id} road={road.id} "
                     f"wanted={arrival.wanted}"
@@ -248,13 +280,13 @@ class Simulation:
         # most ticks find nothing due; the heap tops say so without a call
         attempts = self._attempts_due
         due_attempts = (
-            _take_due(attempts, now, self.request_interval_us, self._wants_attempts)
+            _take_due(attempts, now, self._wants_attempts, self._next_attempt)
             if attempts and attempts[0][0] <= now
             else []
         )
         beacons = self._beacons_due
         due_beacons = (
-            _take_due(beacons, now, self.beacon_interval_us, active.__contains__)
+            _take_due(beacons, now, active.__contains__, self._next_beacon)
             if beacons and beacons[0][0] <= now
             else []
         )
@@ -314,6 +346,57 @@ class Simulation:
         # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap
         return vehicle_id in self._active and self.vehicles[vehicle_id].status != SATISFIED
 
+    def _next_attempt(self, due_us: int, vehicle_id: str) -> int | None:
+        interval_us = self.request_interval_us
+        return self._first_due(due_us + interval_us, vehicle_id, interval_us, True)
+
+    def _next_beacon(self, due_us: int, vehicle_id: str) -> int | None:
+        interval_us = self.beacon_interval_us
+        return self._first_due(due_us + interval_us, vehicle_id, interval_us, False)
+
+    def _first_due(
+        self, from_us: int, vehicle_id: str, interval_us: int, attempt: bool
+    ) -> int | None:
+        """The first of from_us, from_us + interval_us, ... at which the
+        vehicle's attempt (or beacon) can act; None when it exits first.
+
+        Only a vehicle that rides its track is planned ahead (and only for
+        an interval of at least one tick, _first_acting_due); any other due
+        time is from_us itself. A beacon can act where a zone covers the
+        vehicle, an attempt from the first age at which one does (see the
+        module docstring). Runs inside the tick at now, before idle ticks
+        are skipped, so the world's latest tick is the one at now.
+        """
+        riding = self.world.riding(vehicle_id)
+        if riding is None:
+            return from_us
+        road, track, age = riding
+        ages = self._ages(road, track)
+        tick_us = self.tick_us
+        return _first_acting_due(
+            from_us,
+            interval_us,
+            tick_us,
+            self.queue.now_us // tick_us - age,  # the grid tick of its spawn
+            ages.exit_age,
+            ages.covered_since if attempt else ages.covered,
+        )
+
+    def _ages(self, road: RoadSegment, track: FreeTrack) -> _TrackAges:
+        # a road's vehicles ride one track, which changes only while the road is empty
+        ages = self._track_ages.get(road.id)
+        if ages is None or ages.track is not track:
+            ages = self._track_ages[road.id] = _TrackAges(road, track, self._zone_owner_at)
+        return ages
+
+    def _owner_of(self, vehicle_id: str) -> str | None:
+        """Owner of the zone covering an active vehicle now (_zone_owner_at)."""
+        riding = self.world.riding(vehicle_id)
+        if riding is None:
+            return self._zone_owner_at(self.world.world_xy(vehicle_id))
+        road, track, age = riding
+        return self._ages(road, track).owner(age)
+
     def _run_due(self, attempts: list[str], beacons: list[str]) -> None:
         """One tick's due attempts, then its due beacons, each in spawn order.
 
@@ -325,11 +408,11 @@ class Simulation:
             self._on_beacon(vid)
 
     def _on_attempt(self, vehicle_id: str) -> None:
-        target = self._zone_owner_at(self.world.world_xy(vehicle_id))
+        target = self._owner_of(vehicle_id)
         self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
 
     def _on_beacon(self, vehicle_id: str) -> None:
-        owner = self._zone_owner_at(self.world.world_xy(vehicle_id))
+        owner = self._owner_of(vehicle_id)
         if owner is None:
             return
         beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
@@ -372,10 +455,9 @@ class Simulation:
     def _on_frame_end(self, channel_owner: str, frame, sender: str) -> None:
         """One receive event per arrival instant, scheduled when its first member is found."""
         now = self.queue.now_us
-        sender_x, sender_y = self._node_xy(sender)
         batches: dict[int, list[str]] = {}
-        for node_id, (x, y) in self._receivers(channel_owner, sender, frame):
-            at_us = now + propagation_us(math.hypot(x - sender_x, y - sender_y))
+        for node_id, delay_us in self._receivers(channel_owner, sender, frame):
+            at_us = now + delay_us
             batch = batches.get(at_us)
             if batch is None:
                 batch = batches[at_us] = [node_id]
@@ -392,24 +474,32 @@ class Simulation:
             elif node_id in self._active:
                 self.vehicles[node_id].on_frame(frame, now, self)
 
-    def _receivers(
-        self, zone_id: str, exclude: str, frame
-    ) -> list[tuple[str, tuple[float, float]]]:
-        """In-range nodes that act on frame, with positions, in receive-scheduling order.
+    def _receivers(self, zone_id: str, sender: str, frame) -> list[tuple[str, int]]:
+        """In-range nodes that act on frame, with their propagation delays
+        from the sender, in receive-scheduling order.
 
         RSUs in zone order, then active vehicles in spawn order; the sender
         is excluded. Listeners are picked before the range test: vehicles
         ignore requests, and a satisfied vehicle does nothing with content
         (the status is terminal, and its cache is read only by on_attempt,
-        which returns first for it).
+        which returns first for it). Only the zone's own RSU sends content,
+        so a vehicle riding its track gets its range test and delay from
+        its age (_TrackAges.delay).
         """
+        request = isinstance(frame, Request)
+        if not request and sender != zone_id:
+            raise RuntimeError(
+                f"{sender} sent a {type(frame).__name__} on {zone_id}'s channel; "
+                f"only {zone_id} sends content there"
+            )
         zone = self.zones[zone_id]
-        found = [
-            (rsu_id, other.center)
-            for rsu_id, other in self.zones.items()
-            if rsu_id != exclude and in_range(zone, other.center)
-        ]
-        if isinstance(frame, Request):
+        sender_x, sender_y = self._node_xy(sender)
+        found = []
+        for rsu_id, other in self.zones.items():
+            if rsu_id != sender and in_range(zone, other.center):
+                x, y = other.center
+                found.append((rsu_id, propagation_us(math.hypot(x - sender_x, y - sender_y))))
+        if request:
             return found
         spans = self._road_spans[zone_id]
         candidates = [
@@ -419,12 +509,20 @@ class Simulation:
             # each road's slice is in spawn order already; merge them
             candidates.sort(key=self._active.__getitem__)
         vehicles = self.vehicles
-        world_xy = self.world.world_xy
+        world = self.world
         for vid in candidates:
-            if vid != exclude and vehicles[vid].status != SATISFIED:
-                xy = world_xy(vid)
-                if in_range(zone, xy):
-                    found.append((vid, xy))
+            if vehicles[vid].status == SATISFIED:
+                continue
+            riding = world.riding(vid)
+            if riding is None:
+                x, y = world.world_xy(vid)
+                if in_range(zone, (x, y)):
+                    found.append((vid, propagation_us(math.hypot(x - sender_x, y - sender_y))))
+                continue
+            road, track, age = riding
+            delay = self._ages(road, track).delay(zone, age)
+            if delay >= 0:
+                found.append((vid, delay))
         return found
 
     def _node_xy(self, node_id: str) -> tuple[float, float]:
@@ -495,14 +593,13 @@ class Simulation:
             self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
 
 
-def _take_due(
-    heap: list[tuple[int, int, str]], now_us: int, interval_us: int, keep
-) -> list[str]:
+def _take_due(heap: list[tuple[int, int, str]], now_us: int, keep, rearm) -> list[str]:
     """Pop every entry due by now_us; returns the kept vehicle ids in spawn order.
 
-    Each kept entry goes back one interval later, after the popping, so an
-    interval shorter than the tick still fires once per tick; the others
-    leave the heap.
+    Each kept entry goes back at rearm(due time, vehicle id), after the
+    popping, so an interval shorter than the tick still fires once per
+    tick; it leaves the heap when rearm gives None, and so do the entries
+    keep refuses.
     """
     due = []
     while heap and heap[0][0] <= now_us:
@@ -511,8 +608,95 @@ def _take_due(
             due.append(entry)
     due.sort(key=itemgetter(1))
     for due_us, seq, vid in due:
-        heappush(heap, (due_us + interval_us, seq, vid))
+        next_us = rearm(due_us, vid)
+        if next_us is not None:
+            heappush(heap, (next_us, seq, vid))
     return [vid for _, _, vid in due]
+
+
+def _first_acting_due(
+    from_us: int, interval_us: int, tick_us: int, spawn_tick: int, exit_age: int, acts
+) -> int | None:
+    """The first of from_us, from_us + interval_us, ... whose run age passes
+    acts; None once a run age reaches exit_age, where the vehicle has left.
+
+    A due time d runs at the first tick instant at or after it, grid tick
+    ceil(d / tick_us), where a vehicle spawned at grid tick spawn_tick is
+    ceil(d / tick_us) - spawn_tick ticks old. That holds for interval_us >=
+    tick_us only: a shorter interval re-arms behind its run instant, so
+    then from_us is returned as it is.
+    """
+    if interval_us < tick_us:
+        return from_us
+    due_us = from_us
+    while True:
+        age = -(-due_us // tick_us) - spawn_tick
+        if age >= exit_age:
+            return None
+        if acts(age):
+            return due_us
+        due_us += interval_us
+
+
+class _TrackAges:
+    """What a vehicle riding one track on one road meets at each age.
+
+    Such a vehicle is at road.world_position(track.pos[age]) at every tick
+    of its age, so the zone that covers it, and the range test and delay of
+    a frame a zone's RSU sends it, are functions of the age. Each is filled
+    lazily, one age when first asked for, with the calls the engine makes
+    for a vehicle off its track.
+    """
+
+    __slots__ = ("road", "track", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays")
+
+    def __init__(self, road: RoadSegment, track: FreeTrack, owner_at) -> None:
+        self.road = road
+        self.track = track
+        self.exit_age = track.exit_age(road.length_m)
+        self._owner_at = owner_at  # point -> owner of the nearest covering zone, or None
+        self._owners: list = [_UNFILLED] * self.exit_age
+        self._first_covered: int | None = None
+        # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
+        self._delays: dict[str, list[int | None]] = {}
+
+    def owner(self, age: int) -> str | None:
+        owner = self._owners[age]
+        if owner is _UNFILLED:
+            point = self.road.world_position(self.track.pos[age])
+            owner = self._owners[age] = self._owner_at(point)
+        return owner
+
+    def covered(self, age: int) -> bool:
+        return self.owner(age) is not None
+
+    def covered_since(self, age: int) -> bool:
+        """Has a zone covered the vehicle at this age or before?"""
+        if self._first_covered is None:
+            first = 0
+            while first < self.exit_age and self.owner(first) is None:
+                first += 1
+            self._first_covered = first
+        return age >= self._first_covered
+
+    def delay(self, zone: CoverageZone, age: int) -> int:
+        """Propagation delay of a frame from the zone's centre, or -1 out of range."""
+        delays = self._delays.get(zone.owner)
+        if delays is None:
+            delays = self._delays[zone.owner] = [None] * self.exit_age
+        delay = delays[age]
+        if delay is None:
+            x, y = self.road.world_position(self.track.pos[age])
+            center_x, center_y = zone.center
+            delay = delays[age] = (
+                propagation_us(math.hypot(x - center_x, y - center_y))
+                if in_range(zone, (x, y))
+                else -1
+            )
+        return delay
+
+
+_UNFILLED = object()
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

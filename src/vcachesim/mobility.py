@@ -15,9 +15,11 @@ reaches the road's length. A spawning vehicle rides its track only when
 every vehicle on its road rides the same track and the lag test shows it
 never brakes behind the rear one (FreeTrack.clears). Each road is therefore
 a tracked front prefix, which the tick touches only to take exits, and
-stepped vehicles behind it, which run the car-following step. state_of
-hands out a state its caller may write, so it first writes the road's track
-values into the states and steps that road's vehicles from then on.
+stepped vehicles behind it, which run the car-following step. Tracks are
+built by a pure function of their inputs and cached process-wide, so a sweep
+builds each one once. state_of hands out a state its caller may write, so it
+first writes the road's track values into the states and steps that road's
+vehicles from then on; it is the only way off a track before the exit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from operator import sub
 from typing import TYPE_CHECKING
@@ -253,8 +256,10 @@ class FreeTrack:
     def __init__(self, pos: list[float], speed: list[float]) -> None:
         self.pos = pos
         self.speed = speed
-        self._clear: dict[tuple[float, int], bool] = {}
-        self._open_age: int | None = None
+        # the answers are kept, keyed by every input they read, because one
+        # track serves every world whose inputs build it (free_track)
+        self._clear: dict[tuple[float, int, float], bool] = {}
+        self._open_age: dict[float, int] = {}
 
     def exit_age(self, length_m: float) -> int:
         """The age at which a vehicle on this track leaves a road this long."""
@@ -262,11 +267,11 @@ class FreeTrack:
 
     def open_age(self, min_gap_m: float) -> int:
         """The first age at which a vehicle on this track is min_gap_m past
-        the entry, so that the next vehicle may spawn behind it (can_spawn).
-        A world's min gap never changes, so the first answer is kept."""
-        if self._open_age is None:
-            self._open_age = bisect_left(self.pos, min_gap_m)
-        return self._open_age
+        the entry, so that the next vehicle may spawn behind it (can_spawn)."""
+        age = self._open_age.get(min_gap_m)
+        if age is None:
+            age = self._open_age[min_gap_m] = bisect_left(self.pos, min_gap_m)
+        return age
 
     def clears(self, length_m: float, lag: int, min_gap_m: float) -> bool:
         """The lag test: does a vehicle spawned lag ticks after its leader,
@@ -278,7 +283,7 @@ class FreeTrack:
         the follower's speed surplus over the leader is never positive and
         the gap the tick needs is min_gap_m itself.
         """
-        key = (length_m, lag)
+        key = (length_m, lag, min_gap_m)
         clear = self._clear.get(key)
         if clear is None:
             pos = self.pos
@@ -286,6 +291,32 @@ class FreeTrack:
             gaps = map(sub, pos[lag + 1:end], pos[1:end - lag])
             clear = self._clear[key] = min(gaps, default=math.inf) >= min_gap_m
         return clear
+
+
+@lru_cache(maxsize=16)
+def free_track(
+    speed_hex: str, tick_s: float, params: KinematicParams, longest_m: float, max_ticks: int
+) -> FreeTrack | None:
+    """The free-flow track from entry speed float.fromhex(speed_hex), cached.
+
+    None for a NaN or negative entry speed (from below zero, speed would
+    not keep from falling, which the lag test relies on) and for a path
+    that does not reach longest_m within max_ticks. The key holds every
+    input the track depends on, so every world built from the same inputs
+    shares one track; the cache is bounded, so a long sweep does not grow.
+    """
+    speed = float.fromhex(speed_hex)
+    if not speed >= 0.0:
+        return None
+    pos = 0.0
+    positions, speeds = [pos], [speed]
+    for _ in range(max_ticks):
+        pos, speed = advance_kinematics(pos, speed, None, tick_s, params)
+        positions.append(pos)
+        speeds.append(speed)
+        if pos >= longest_m:
+            return FreeTrack(positions, speeds)
+    return None
 
 
 class _Lane:
@@ -381,28 +412,15 @@ class MobilityWorld:
         lane.tracked += 1
 
     def _track(self, speed_mps: float) -> FreeTrack | None:
-        """The entry speed's track, built on first use.
-
-        None for a NaN or negative entry speed (from below zero, speed would
-        not keep from falling, which the lag test relies on) and for a path
-        that does not reach the longest road within MAX_TRACK_TICKS.
-        """
+        """The entry speed's track (free_track), fetched on first use and
+        kept, so that the world's vehicles share one track object whatever
+        the process-wide cache evicts meanwhile."""
         key = float(speed_mps).hex()
-        if key in self._tracks:
-            return self._tracks[key]
-        track = None
-        if speed_mps >= 0.0:
-            pos, speed = 0.0, speed_mps
-            positions, speeds = [pos], [speed]
-            for _ in range(MAX_TRACK_TICKS):
-                pos, speed = advance_kinematics(pos, speed, None, self.tick_s, self.params)
-                positions.append(pos)
-                speeds.append(speed)
-                if pos >= self._longest_m:
-                    track = FreeTrack(positions, speeds)
-                    break
-        self._tracks[key] = track
-        return track
+        if key not in self._tracks:
+            self._tracks[key] = free_track(
+                key, self.tick_s, self.params, self._longest_m, MAX_TRACK_TICKS
+            )
+        return self._tracks[key]
 
     def quiet_ticks(self) -> int | None:
         """How many ticks from now until the first that changes more than the
@@ -555,6 +573,16 @@ class MobilityWorld:
             return state.pos_m
         return track.pos[self._ticks - state.spawn_tick]
 
+    def riding(self, vehicle_id: str) -> tuple[RoadSegment, FreeTrack, int] | None:
+        """(road, track, age) of a spawned vehicle that rides its track: it
+        is at road.world_position(track.pos[age]), age being its ticks since
+        spawn as of the latest tick. None for a stepped or exited vehicle."""
+        state = self._states[vehicle_id]
+        track = state.track
+        if track is None:
+            return None
+        return self.roads[state.road_id], track, self._ticks - state.spawn_tick
+
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
         return state is not None and state.exited_at_us is None
@@ -616,7 +644,10 @@ class MobilityWorld:
         A tracked vehicle's state is not kept up to date, and writing it
         would not move the vehicle, so the vehicle's road first leaves its
         track: each tracked vehicle there gets its track values written into
-        its state and is stepped from then on.
+        its state and is stepped from then on. This is the only way off a
+        track before the exit, and the engine never calls it: the engine
+        plans a tracked vehicle's attempts and beacons from its track
+        (riding), and a state written mid-run would not move those plans.
         """
         try:
             state = self._states[vehicle_id]

@@ -2,10 +2,11 @@
 
 One receive event per frame and arrival instant, no frame end for beacons,
 due-time heaps for request attempts and beacons whose due work runs inside
-the tick, and a tick only at the instants with due work. Each must keep the
-order that one event per receiver, one event per due attempt or beacon, a
-full per-tick scan and a tick every tick_s gave, because the event queue
-breaks same-instant ties first in, first out.
+the tick, due times planned past work that cannot act, and a tick only at
+the instants with due work. Each must keep the order that one event per
+receiver, one event per due attempt or beacon, a full per-tick scan and a
+tick every tick_s gave, because the event queue breaks same-instant ties
+first in, first out.
 """
 
 import dataclasses
@@ -17,12 +18,19 @@ from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import parse_name
-from vcachesim.engine import Simulation, _take_due
+from vcachesim.engine import Simulation, _first_acting_due, _take_due
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment
 from vcachesim.protocol import IDLE, Beacon, Response
 from vcachesim.radio import tx_duration_us
-from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi, urban_multi, urban_single
+from vcachesim.scenarios import (
+    RsuSpec,
+    ScenarioConfig,
+    highway_multi,
+    highway_single,
+    urban_multi,
+    urban_single,
+)
 from vcachesim.simcore import seconds_to_us
 
 # front to back, so also spawn order: (vehicle id, position on the road);
@@ -130,21 +138,71 @@ def test_a_beacon_takes_the_airtime_of_its_own_payload():
     assert channel.busy_until_us == channel.busy_time_us  # back to back from 0
 
 
+def every(interval_us):
+    """The plain re-arm: one interval later, whatever the vehicle meets."""
+    return lambda due_us, vid: due_us + interval_us
+
+
 def test_take_due_pops_due_entries_in_spawn_order_and_rearms_them():
     heap = []
     for entry in [(30, 0, "a"), (10, 2, "c"), (25, 1, "b"), (40, 3, "d"), (20, 4, "e")]:
         heapq.heappush(heap, entry)
-    due = _take_due(heap, 30, 7, keep=lambda vid: vid != "e")
+    rearmed = []
+
+    def rearm(due_us, vid):
+        rearmed.append(vid)
+        return None if vid == "b" else due_us + 7
+
+    due = _take_due(heap, 30, keep=lambda vid: vid != "e", rearm=rearm)
     assert due == ["a", "b", "c"]  # e was due too but is dropped
-    assert sorted(heap) == [(17, 2, "c"), (32, 1, "b"), (37, 0, "a"), (40, 3, "d")]
+    assert rearmed == ["a", "b", "c"]  # in spawn order, e not asked
+    # b ran, but its re-arm found nothing left for it to do
+    assert sorted(heap) == [(17, 2, "c"), (37, 0, "a"), (40, 3, "d")]
 
 
 def test_take_due_fires_a_short_interval_once_per_call():
     heap = [(0, 0, "a")]
-    assert _take_due(heap, 100, 30, keep=lambda vid: True) == ["a"]
+    assert _take_due(heap, 100, keep=lambda vid: True, rearm=every(30)) == ["a"]
     assert heap == [(30, 0, "a")]  # due again, but only at the next call
-    assert _take_due(heap, 200, 30, keep=lambda vid: True) == ["a"]
+    assert _take_due(heap, 200, keep=lambda vid: True, rearm=every(30)) == ["a"]
     assert heap == [(60, 0, "a")]
+
+
+# -- planning a tracked vehicle's due work by its age ------------------------------
+
+
+def test_an_interval_shorter_than_the_tick_rearms_by_exactly_one_interval():
+    # the run-age formula does not hold below one tick, so nothing is
+    # skipped and nothing dropped, even past the exit age
+    for due_us in (0, 30, 170):
+        assert _first_acting_due(due_us + 30, 30, 100, 0, 1, lambda age: False) == due_us + 30
+    sim = Simulation(dataclasses.replace(highway_single(count=1), request_interval_s=0.05))
+    sim.queue.schedule(0, sim._on_tick)
+    sim.queue.run_until(0)
+    assert sim.world.riding("v000") is not None
+    assert sim._next_attempt(0, "v000") == 50_000
+    assert sim._next_attempt(10**9, "v000") == 10**9 + 50_000  # past its exit
+
+
+def test_an_entry_whose_run_age_reaches_the_exit_age_is_dropped():
+    # tick 100 us, spawned at grid tick 3, exits at age 5 (grid tick 8)
+    always = lambda age: True  # noqa: E731
+    assert _first_acting_due(700, 100, 100, 3, 5, always) == 700  # runs at age 4
+    assert _first_acting_due(701, 100, 100, 3, 5, always) is None  # runs at 800: age 5
+    assert _first_acting_due(800, 100, 100, 3, 5, always) is None
+    # d runs at ceil(d / tick): 650 runs at 700 (age 4); a floor would say 600
+    assert _first_acting_due(650, 250, 100, 3, 5, lambda age: age == 4) == 650
+    assert _first_acting_due(550, 250, 100, 3, 5, lambda age: age == 2) is None
+
+
+def test_a_beacon_rearm_jumps_over_uncovered_ages():
+    # ages 0-9 uncovered, 10-12 covered, 13-19 uncovered, exit at age 20
+    covered = [False] * 10 + [True] * 3 + [False] * 7
+    acts = covered.__getitem__
+    # tick 100 us, interval 300 us, spawned at grid tick 2
+    assert _first_acting_due(200, 300, 100, 2, 20, acts) == 1400  # age 12
+    assert _first_acting_due(250, 300, 100, 2, 20, acts) == 1150  # runs at 1200, age 10
+    assert _first_acting_due(1500, 300, 100, 2, 20, acts) is None  # exits uncovered
 
 
 # -- the sparse tick ---------------------------------------------------------------
@@ -184,9 +242,20 @@ SMALL_RUNS = [
 def test_stepped_vehicles_give_the_same_outputs_as_tracked_ones(cfg, tmp_path, monkeypatch):
     # without tracks every vehicle is stepped, so every tick with a vehicle
     # on the road has work; with them, those ticks are mostly skipped
+    spawns = {True: 0, False: 0}  # on a track at spawn -> count
+    spawn = mobility.MobilityWorld.spawn
+
+    def counted_spawn(world, vehicle_id, *args):
+        spawn(world, vehicle_id, *args)
+        spawns[world.riding(vehicle_id) is not None] += 1
+
+    monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
     tracked = outputs(cfg, tmp_path / "tracked")
+    assert spawns[True] > 0
+    spawns[True] = 0
     monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
     assert outputs(cfg, tmp_path / "stepped") == tracked
+    assert spawns[True] == 0 and spawns[False] > 0, spawns
 
 
 @pytest.mark.parametrize("tick_s, extra_s", [(0.1, 0.0), (0.1, 0.05), (0.07, 0.0), (0.07, 0.03)])

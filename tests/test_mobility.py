@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vcachesim import mobility
 from vcachesim.content import parse_name
 from vcachesim.mobility import (
     ACTIVE,
@@ -18,7 +19,9 @@ from vcachesim.mobility import (
     RoadSegment,
     URBAN_RANDOM,
     UnknownVehicle,
+    MAX_TRACK_TICKS,
     advance_kinematics,
+    free_track,
     generate_arrivals,
 )
 from vcachesim.simcore import RandomSource, US_PER_SECOND
@@ -322,6 +325,39 @@ def test_a_vehicle_that_would_brake_behind_its_track_leader_is_stepped():
     v1 = advance_kinematics(0.0, 40.0, v0, 0.1, P)
     assert v1 != advance_kinematics(0.0, 40.0, None, 0.1, P)  # it brakes
     assert (world.fix("v1").pos_m, world.fix("v1").speed_mps) == v1
+
+
+def test_worlds_built_from_the_same_inputs_share_one_track():
+    roads = [straight_road(1000.0)]
+    track = MobilityWorld(roads, P, 0.1)._track(14.0)
+    assert MobilityWorld(roads, P, 0.1)._track(14.0) is track
+    shorter = RoadSegment(id="s", length_m=900.0)
+    assert MobilityWorld([shorter, *roads], P, 0.1)._track(14.0) is track
+    for other in (
+        MobilityWorld(roads, P, 0.2),
+        MobilityWorld(roads, KinematicParams(min_gap_m=5.0), 0.1),
+        MobilityWorld([straight_road(1500.0)], P, 0.1),
+    ):
+        assert other._track(14.0) is not track
+    assert MobilityWorld(roads, P, 0.1)._track(13.0) is not track
+
+
+def test_a_shared_track_keys_its_answers_by_the_min_gap():
+    track = free_track((14.0).hex(), 0.1, P, 1000.0, MAX_TRACK_TICKS)
+    # the first answer for one gap is not the answer for another
+    assert track.open_age(2.5) == 2 and track.open_age(14.0) == 10
+    assert track.clears(1000.0, 10, 2.5) and not track.clears(1000.0, 10, 20.0)
+    assert track.clears(1000.0, 10, 2.5)
+
+
+def test_no_track_is_built_past_max_track_ticks(monkeypatch):
+    roads = [straight_road(1000.0)]
+    assert MobilityWorld(roads, P, 0.1)._track(14.0) is not None  # cached now
+    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
+    world = MobilityWorld(roads, P, 0.1)
+    assert world._track(14.0) is None
+    world.spawn("v0", "r", 14.0, 0)
+    assert world.riding("v0") is None
 
 
 # -- arrival schedules -----------------------------------------------------------

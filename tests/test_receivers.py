@@ -11,15 +11,16 @@ they check the geometry; the listener filter has tests of its own.
 
 import math
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from vcachesim.content import parse_name
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
-from vcachesim.mobility import URBAN_RANDOM, KinematicParams, RoadSegment
+from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
 from vcachesim.protocol import SATISFIED, Request, Response, VehicleAgent
-from vcachesim.radio import receivers_in_zone
-from vcachesim.scenarios import RsuSpec, ScenarioConfig
+from vcachesim.radio import propagation_us, receivers_in_zone
+from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
 ITEM = parse_name("/traffic/1")
 CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
@@ -108,21 +109,77 @@ def layouts(draw):
         place(sim, seq, vid, road_id, placed[road_id][taken[road_id]])
         taken[road_id] += 1
     nodes = [spec.id for spec in cfg.rsus] + list(sim._active)
-    sender = draw(st.sampled_from(nodes + ["nobody"]))
+    sender = draw(st.sampled_from(nodes))
     zone_id = draw(st.sampled_from([spec.id for spec in cfg.rsus]))
     return sim, zone_id, sender
+
+
+def oracle(sim, zone_id, sender, frame):
+    """receivers_in_zone over every node that acts on frame, with each one's
+    propagation delay from the sender."""
+    rsus = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
+    vehicles = [
+        (vid, sim.world.fix(vid).world_xy)
+        for vid in sim._active
+        if sim.vehicles[vid].status != SATISFIED
+    ]
+    xy = dict(rsus + vehicles)
+    listeners = rsus if isinstance(frame, Request) else rsus + vehicles
+    sender_x, sender_y = xy[sender]
+    return [
+        (node_id, propagation_us(math.hypot(xy[node_id][0] - sender_x, xy[node_id][1] - sender_y)))
+        for node_id in receivers_in_zone(sim.zones[zone_id], listeners, exclude=sender)
+    ]
 
 
 @given(layouts())
 def test_sliced_receivers_match_the_range_test_on_every_node(layout):
     sim, zone_id, sender = layout
-    zone = sim.zones[zone_id]
-    positions = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
-    positions += [(vid, sim.world.fix(vid).world_xy) for vid in sim._active]
-    expected = receivers_in_zone(zone, positions, exclude=sender)
-    got = sim._receivers(zone_id, sender, CONTENT)
-    assert [node_id for node_id, _ in got] == expected
-    assert all(xy == dict(positions)[node_id] for node_id, xy in got)
+    # content comes from the zone's own RSU; a request from anyone in it
+    assert sim._receivers(zone_id, zone_id, CONTENT) == oracle(sim, zone_id, zone_id, CONTENT)
+    request = Request(ITEM, sender, "x.0", zone_id)
+    assert sim._receivers(zone_id, sender, request) == oracle(sim, zone_id, sender, request)
+
+
+def wide_twins():
+    """Two gateways whose 450 m zones overlap on 400 m of a highway: a
+    vehicle there may be 1 us from one RSU and 2 us from the other. No
+    vehicle requests before it exits, so every one listens all the way."""
+    return ScenarioConfig(
+        name="wide-twins",
+        roads=[RoadSegment(id="h", length_m=2100.0)],
+        rsus=[RsuSpec("g0", (700.0, 0.0), 450.0), RsuSpec("g1", (1200.0, 0.0), 450.0)],
+        arrival_pattern=HIGHWAY_UNIFORM,
+        vehicle_count=30,
+        arrival_window_s=30.0,
+        caching=True,
+        duration_s=200.0,
+        entry_speed_mps=14.0,
+        request_interval_s=1000.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg", [highway_multi(count=30, seed=1), wide_twins()], ids=lambda cfg: cfg.name
+)
+def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
+    # the receivers of each zone's content at instants through a highway
+    # run, most vehicles on their track, against the oracle on world positions
+    sim = Simulation(cfg)
+    seen = {"tracked": 0, "receivers": 0}
+
+    def probe():
+        for vid in sim._active:
+            seen["tracked"] += sim.world.riding(vid) is not None
+        for zone_id in sim.zones:
+            got = sim._receivers(zone_id, zone_id, CONTENT)
+            assert got == oracle(sim, zone_id, zone_id, CONTENT)
+            seen["receivers"] += len(got)
+
+    for at_us in range(0, sim.duration_us, 1_700_000):  # off the tick grid too
+        sim.queue.schedule(at_us, probe)
+    sim.run()
+    assert seen["tracked"] >= 2000 and seen["receivers"] >= 400, seen
 
 
 def crossing():
@@ -155,9 +212,16 @@ def heard(sim, exclude, frame):
 def test_zone_meeting_two_roads_merges_by_spawn_order():
     sim = crossing()
     assert sim._road_spans["r0"][0][0] == "a" and sim._road_spans["r0"][1][0] == "b"
-    # b1 sits at x = 180, outside the zone; the RSU hears its own zone
-    assert heard(sim, "a1", CONTENT) == ["r0", "a0", "b0"]
+    # b1 sits at x = 180, outside the zone
     assert heard(sim, "r0", CONTENT) == ["a0", "b0", "a1"]
+
+
+def test_only_the_zones_own_rsu_sends_content_on_its_channel():
+    sim = crossing()
+    for sender in ("a1", "nobody"):
+        with pytest.raises(RuntimeError, match="only r0 sends content"):
+            heard(sim, sender, CONTENT)
+    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r0")) == ["r0"]
 
 
 def test_a_request_is_heard_by_rsus_only():

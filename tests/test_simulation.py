@@ -4,6 +4,7 @@ These exercise the whole pipeline (mobility, channel, protocol, ledger) and
 pin the invariants the experiment metrics rely on.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -11,12 +12,14 @@ import pytest
 from vcachesim.engine import Simulation, run_simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
+    SOURCE_RSU_HIT,
     TARGET_ALL_RSUS,
     TARGET_SERVER,
     sample_grid,
 )
-from vcachesim.protocol import CachingGateway, PlainGateway, Relay, SATISFIED
-from vcachesim.scenarios import highway_multi, urban_single
+from vcachesim.mobility import HIGHWAY_UNIFORM, RoadSegment, free_track
+from vcachesim.protocol import IDLE, CachingGateway, PlainGateway, Relay, Response, SATISFIED
+from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi, highway_single, urban_single
 from vcachesim.simcore import seconds_to_us
 
 
@@ -189,3 +192,86 @@ def test_trace_lines_are_ordered_and_well_formed(traced):
 
 def test_untraced_runs_carry_no_lines(urban_cached):
     assert urban_cached[1].trace_lines is None
+
+
+def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone():
+    """Pre-caching on a track: the zone is shorter than one request interval
+    of travel, so the vehicle makes no attempt inside it. It overhears its
+    item there while idle, and its next attempt, outside every zone, is a
+    local hit. Only attempts before the first covered age may be skipped."""
+    cfg = ScenarioConfig(
+        name="short-zone",
+        # 14 m/s from the entry: 1.4 m a tick, 140 m per request interval
+        roads=[RoadSegment(id="a", length_m=1000.0)],
+        rsus=[RsuSpec("r0", (210.0, 0.0), 30.0)],  # ages 129-171 only
+        arrival_pattern=HIGHWAY_UNIFORM,
+        vehicle_count=1,
+        arrival_window_s=1.0,
+        caching=True,
+        duration_s=60.0,
+        catalog_size=1,
+        entry_speed_mps=14.0,
+    )
+    sim = Simulation(cfg)
+    (item,) = sim.catalog.names()
+    attempts = []
+    on_attempt = sim._on_attempt
+
+    def attempt(vehicle_id):
+        attempts.append((sim.queue.now_us, sim._owner_of(vehicle_id)))
+        on_attempt(vehicle_id)
+
+    sim._on_attempt = attempt
+    heard_at = {}
+
+    def answer_someone_else():
+        # queued before the tick at 15 s, so v000 is at age 149, 208.6 m:
+        # inside r0's zone, on its track, idle
+        _, _, age = sim.world.riding("v000")
+        heard_at.update(age=age, status=sim.vehicles["v000"].status)
+        sim.transmit("r0", Response(item, cfg.payload_bits, "x.0", SOURCE_RSU_HIT), "r0")
+
+    sim.queue.schedule(seconds_to_us(15.0), answer_someone_else)
+    result = sim.run()
+    assert heard_at == {"age": 149, "status": IDLE}
+    # the attempts at 0 s and 10 s came before the zone and did nothing;
+    # the one at 20 s, at 280 m, is outside every zone and must still run
+    assert attempts == [(seconds_to_us(20.0), None)]
+    (record,) = result.ledger.deliveries
+    assert (record.vehicle, record.source, record.cdt_us) == ("v000", SOURCE_LOCAL_PRECACHE, 0)
+    assert record.delivered_at_us == seconds_to_us(20.0)
+    assert sim.vehicles["v000"].requests_sent == 0
+    assert sim.frames_transmitted == {"response": 1}
+
+
+def test_a_sweep_keeps_the_track_cache_within_its_bound():
+    before = free_track.cache_info()
+    for i in range(20):  # 20 tick lengths, 20 tracks
+        cfg = dataclasses.replace(urban_single(count=2, seed=i), tick_s=0.1 + i / 1000)
+        sim = Simulation(cfg)
+        sim.run()
+        assert sim.world._tracks[(cfg.entry_speed_mps).hex()] is not None
+    after = free_track.cache_info()
+    assert after.misses - before.misses >= 16
+    assert after.currsize <= after.maxsize == 16
+
+
+def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone():
+    # highway_single: one zone over x = 650..1450 m of a 2100 m road
+    sim = Simulation(highway_single(count=20, seed=1))
+    runs = {"attempt": [], "beacon": []}
+    for kind, log in runs.items():
+        handler = getattr(sim, f"_on_{kind}")
+
+        def logged(vehicle_id, log=log, handler=handler):
+            tracked = sim.world.riding(vehicle_id) is not None
+            log.append((tracked, sim.world.world_xy(vehicle_id)[0], sim._owner_of(vehicle_id)))
+            handler(vehicle_id)
+
+        setattr(sim, f"_on_{kind}", logged)
+    sim.run()
+    assert all(tracked for tracked, _, _ in runs["attempt"] + runs["beacon"])
+    # an uncovered beacon does nothing, so none runs; nor does an attempt
+    # before the vehicle has reached a zone, idle with an empty cache
+    assert len(runs["beacon"]) >= 20 and {owner for _, _, owner in runs["beacon"]} == {"r0"}
+    assert len(runs["attempt"]) >= 20 and min(x for _, x, _ in runs["attempt"]) >= 650.0
