@@ -15,7 +15,7 @@ from pathlib import Path
 from vcachesim.cli import run_dir_name, write_outputs
 from vcachesim.engine import run_simulation
 from vcachesim.metrics import TARGET_ALL_RSUS
-from vcachesim.scenarios import BUILDERS
+from vcachesim.scenarios import resolve_config
 
 EXPERIMENTS = [
     ("urban_single", True),
@@ -29,12 +29,6 @@ EXPERIMENTS = [
 
 def label(name, caching):
     return f"{name}/{'cached' if caching else 'nocache'}"
-
-
-def build(name, caching, seed):
-    if name == "highway_multi":
-        return BUILDERS[name](seed=seed)
-    return BUILDERS[name](caching=caching, seed=seed)
 
 
 def mean(values):
@@ -58,7 +52,7 @@ def main(argv=None):
         cdt, server, rsu, hit_ratio = [], [], [], []
         started = time.perf_counter()
         for seed in seeds:
-            cfg = build(name, caching, seed)
+            cfg = resolve_config(name, {"caching": caching, "seed": seed})
             result = run_simulation(cfg)
             write_outputs(result, args.out / run_dir_name(cfg))
             ledger = result.ledger

@@ -18,6 +18,7 @@ from .scenarios import (
     highway_multi,
     highway_single,
     load_config,
+    resolve_config,
     urban_multi,
     urban_single,
     validate_config,
@@ -36,6 +37,7 @@ __all__ = [
     "highway_multi",
     "highway_single",
     "load_config",
+    "resolve_config",
     "run_simulation",
     "urban_multi",
     "urban_single",

@@ -28,8 +28,8 @@ from .scenarios import (
     ParseError,
     ScenarioConfig,
     ValidationError,
-    load_config,
-    validate_config,
+    caching_only,
+    resolve_config,
 )
 from .simcore import seconds_to_us
 
@@ -94,35 +94,17 @@ def _parse_seeds(text: str) -> list[int]:
 def _resolve_config(args, caching: bool | None, seed: int | None) -> ScenarioConfig:
     if args.config is not None and args.scenario is not None:
         raise ValidationError("pass either --scenario or --config, not both")
-    if args.config is not None:
-        cfg = load_config(args.config, count=args.count)
-        if seed is not None:
-            cfg.seed = seed
-        if caching is not None:
-            cfg.caching = caching
-    elif args.scenario is not None:
-        kwargs = {}
-        if args.count is not None:
-            kwargs["count"] = args.count
-        if seed is not None:
-            kwargs["seed"] = seed
-        if caching is not None:
-            if args.scenario == "highway_multi":
-                if not caching:
-                    raise ValidationError(
-                        "highway_multi runs caching-only (relay RSUs are caches)"
-                    )
-            else:
-                kwargs["caching"] = caching
-        cfg = BUILDERS[args.scenario](**kwargs)
-    else:
+    source = args.scenario if args.config is None else args.config
+    if source is None:
         raise ValidationError("one of --scenario or --config is required")
-    if args.sample_interval is not None:
-        cfg.sample_interval_s = args.sample_interval
-    if args.trace:
-        cfg.trace = True
-    validate_config(cfg)
-    return cfg
+    overrides = {
+        "count": args.count,
+        "caching": caching,
+        "seed": seed,
+        "sample_interval_s": args.sample_interval,
+        "trace": args.trace or None,  # without --trace the file's value stands
+    }
+    return resolve_config(source, {k: v for k, v in overrides.items() if v is not None})
 
 
 # -- output ---------------------------------------------------------------
@@ -225,13 +207,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.caching is None:
-        variants = [True, False]
-        if args.scenario == "highway_multi":
-            variants = [True]
-            print("note: highway_multi runs caching-only; skipping the no-cache variant")
-    else:
+    if args.caching is not None:
         variants = [args.caching]
+    elif caching_only(cfg := _resolve_config(args, None, None)):
+        variants = [True]
+        print(
+            f"note: {cfg.name} has relay RSUs and runs caching-only; "
+            "skipping the no-cache variant"
+        )
+    else:
+        variants = [True, False]
 
     rows: list[dict[str, str]] = []
     failures: list[str] = []

@@ -1,8 +1,8 @@
 """Hierarchical content names, the server catalog, and the LRU store.
 
 The same LruStore class backs RSU caches (bounded) and vehicle caches
-(unbounded); hit/miss counters live inside the store so hit ratios can be
-computed per node and aggregated later.
+(unbounded). Hits and misses are not counted here: the metrics ledger
+records every RSU cache lookup and derives the hit ratios.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class LruStore:
     """Name-keyed store with least-recently-used eviction.
 
     capacity None means unbounded (vehicle caches never evict). get()
-    refreshes recency and counts a hit or miss; peek() does neither, for
-    checks that must not distort the hit ratio or the eviction order.
+    refreshes recency; peek() does not, for checks that must not distort
+    the eviction order.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -71,8 +71,6 @@ class LruStore:
             raise ValueError(f"capacity must be >= 1 or None: {capacity}")
         self.capacity = capacity
         self._items: OrderedDict[ContentName, ContentItem] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -82,11 +80,8 @@ class LruStore:
 
     def get(self, name: ContentName) -> ContentItem | None:
         item = self._items.get(name)
-        if item is None:
-            self.misses += 1
-            return None
-        self._items.move_to_end(name)
-        self.hits += 1
+        if item is not None:
+            self._items.move_to_end(name)
         return item
 
     def peek(self, name: ContentName) -> ContentItem | None:
@@ -108,13 +103,6 @@ class LruStore:
     def names(self) -> list[ContentName]:
         """Names from least to most recently used."""
         return list(self._items)
-
-    def hit_ratio(self) -> float | None:
-        """hits/(hits+misses), or None before any lookup."""
-        total = self.hits + self.misses
-        if total == 0:
-            return None
-        return self.hits / total
 
 
 class Catalog:

@@ -156,7 +156,7 @@ class Simulation:
 
         self.world = MobilityWorld(cfg.roads, cfg.kinematics, cfg.tick_s)
         self.zones: dict[str, CoverageZone] = {
-            spec.id: CoverageZone(spec.id, spec.center, cfg.effective_radius(spec))
+            spec.id: CoverageZone(spec.id, spec.center, spec.radius_m)
             for spec in cfg.rsus
         }
         self.channels = {rsu_id: Channel(zone) for rsu_id, zone in self.zones.items()}
@@ -172,7 +172,7 @@ class Simulation:
         self.backhaul = {
             spec.id: BackhaulLink(backhaul_latency_us)
             for spec in cfg.rsus
-            if spec.has_backhaul()
+            if spec.role == ROLE_GATEWAY
         }
 
         self.rsus: dict[str, RsuBase] = {}

@@ -634,10 +634,6 @@ class MobilityWorld:
             world_xy=road.world_position(pos),
         )
 
-    def active_on_road(self, road_id: str) -> list[str]:
-        """Vehicle ids front to back."""
-        return [state.id for state in self._lanes[road_id].order]
-
     def state_of(self, vehicle_id: str) -> VehicleState:
         """The vehicle's state, which the caller may write.
 

@@ -31,10 +31,6 @@ IDLE = "idle"
 WAITING = "waiting"
 SATISFIED = "satisfied"
 
-ROLE_CACHING_GATEWAY = "caching-gateway"
-ROLE_PLAIN_GATEWAY = "plain-gateway"
-ROLE_RELAY = "relay"
-
 
 class OrphanResponse(RuntimeError):
     """A backhaul response arrived with no matching pending request."""
@@ -100,7 +96,6 @@ class VehicleAgent:
         self.cache = LruStore(capacity=None)
         self.status = IDLE
         self.first_request_at_us: int | None = None
-        self.satisfied_at_us: int | None = None
         self.requests_sent = 0
 
     def on_attempt(self, now_us: int, target_rsu: str | None, services) -> None:
@@ -143,7 +138,6 @@ class VehicleAgent:
             self.cache.put(ContentItem(name, payload_bits))
         if self.status == WAITING and name == self.wanted:
             self.status = SATISFIED
-            self.satisfied_at_us = now_us
             services.deliver(
                 DeliveryRecord(
                     vehicle=self.id,
@@ -157,7 +151,6 @@ class VehicleAgent:
 
     def _satisfy_local(self, now_us: int, services) -> None:
         self.status = SATISFIED
-        self.satisfied_at_us = now_us
         if self.first_request_at_us is None:
             self.first_request_at_us = now_us
         services.deliver(
@@ -177,8 +170,6 @@ class VehicleAgent:
 
 class RsuBase:
     """Shared request dispatch: RSUs only handle requests addressed to them."""
-
-    role = "abstract"
 
     def __init__(self, rsu_id: str, proc_delay_us: int) -> None:
         self.id = rsu_id
@@ -230,8 +221,6 @@ class CachingGateway(RsuBase):
     response broadcast answers every requester and pre-caches bystanders.
     """
 
-    role = ROLE_CACHING_GATEWAY
-
     def __init__(self, rsu_id: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
         self.cache = LruStore(capacity)
@@ -278,8 +267,6 @@ class CachingGateway(RsuBase):
 class PlainGateway(RsuBase):
     """No-cache baseline: every request goes to the server, one response each."""
 
-    role = ROLE_PLAIN_GATEWAY
-
     def __init__(self, rsu_id: str, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
         self._pending: set[str] = set()  # request ids
@@ -310,8 +297,6 @@ class Relay(RsuBase):
     again, which is what stops echo between overlapping relays. A periodic
     announcement rebroadcasts the full cache to seed approaching traffic.
     """
-
-    role = ROLE_RELAY
 
     def __init__(self, rsu_id: str, next_hop: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)

@@ -1,9 +1,9 @@
 """Range-based broadcast zones, per-zone FIFO channel contention, backhaul.
 
-Reception is a deterministic closed-ball range test; the power, noise, and
-antenna figures are carried in configuration for fidelity but do not drive a
-path-loss model. Congestion enters purely through channel serialization:
-one frame in the air per zone at a time.
+Reception is a deterministic closed-ball range test; there is no path-loss
+model, so radio configuration is only airtime (header size, bitrate) and
+beaconing. Congestion enters purely through channel serialization: one
+frame in the air per zone at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class NoBackhaul(RuntimeError):
 class RadioParams:
     header_bits: int = 80
     bitrate_bps: int = 6_000_000
-    tx_power_mw: float = 20.0
-    noise_floor_dbm: float = -98.0
-    min_power_dbm: float = -110.0
-    antenna_height_m: float = 1.895
-    center_freq_ghz: float = 5.89
     beacon_interval_s: float = 10.0
     beacon_payload_bits: int = 320
 

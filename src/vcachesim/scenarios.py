@@ -1,15 +1,17 @@
-"""Scenario builders for the canonical experiments plus a config-file loader.
+"""Scenario builders for the canonical experiments, and the one config resolver.
 
-Builders return fully validated configs. The file format is flat key=value
-lines with optional [scenario], repeatable [road] and [rsu] sections, and
-'#' comments; a file may start from a named builder and override fields, or
-describe a layout from scratch.
+Builders return fully validated configs. resolve_config is the one place
+that turns a builder name or a config file, plus overrides, into a validated
+config. The file format is flat key=value lines with optional [scenario],
+repeatable [road] and [rsu] sections, and '#' comments; a file may start from
+a named builder and override fields, or describe a layout from scratch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from pathlib import Path
 
 from .mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
 from .radio import RadioParams
@@ -38,12 +40,6 @@ class RsuSpec:
     radius_m: float
     role: str = ROLE_GATEWAY
     next_hop: str | None = None
-    backhaul: bool | None = None  # None: derived from role
-
-    def has_backhaul(self) -> bool:
-        if self.backhaul is None:
-            return self.role == ROLE_GATEWAY
-        return self.backhaul
 
 
 @dataclass
@@ -69,11 +65,12 @@ class ScenarioConfig:
     tick_s: float = 0.1
     entry_speed_mps: float = 0.0
     sample_interval_s: float = 5.0
-    coverage_is_diameter: bool = False
     trace: bool = False
 
-    def effective_radius(self, spec: RsuSpec) -> float:
-        return spec.radius_m / 2.0 if self.coverage_is_diameter else spec.radius_m
+
+def caching_only(cfg: ScenarioConfig) -> bool:
+    """A layout with a relay RSU runs only with caching: relays are caches."""
+    return any(spec.role == ROLE_RELAY for spec in cfg.rsus)
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -131,15 +128,16 @@ def validate_config(cfg: ScenarioConfig) -> None:
     known = set(rsu_ids)
     gateways = [spec for spec in cfg.rsus if spec.role == ROLE_GATEWAY]
     check(bool(gateways), "at least one gateway RSU is required")
+    check(
+        cfg.caching or not caching_only(cfg),
+        "relay RSUs require caching enabled: a layout with relays is caching-only",
+    )
     for spec in cfg.rsus:
         if spec.radius_m <= 0:
             problems.append(f"rsu {spec.id}: radius_m must be positive: {spec.radius_m}")
         if spec.role == ROLE_GATEWAY:
             check(spec.next_hop is None, f"rsu {spec.id}: gateways take no next_hop")
-            check(spec.has_backhaul(), f"rsu {spec.id}: a gateway requires backhaul")
         elif spec.role == ROLE_RELAY:
-            check(not spec.has_backhaul(), f"rsu {spec.id}: a relay cannot have backhaul")
-            check(cfg.caching, f"rsu {spec.id}: relay roles require caching enabled")
             if spec.next_hop is None:
                 problems.append(f"rsu {spec.id}: relay requires a next_hop")
             elif spec.next_hop not in known:
@@ -177,25 +175,17 @@ DRAIN_MARGIN_S = 120.0
 _URBAN_WINDOWS = {20: 144.0, 40: 230.0, 60: 430.0}
 
 
-def _urban_window(count: int) -> float:
+def _urban(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: int):
+    """Two opposite 800 m city roads under the given RSUs."""
     # windows for other vehicle counts extrapolate the 40-vehicle density
-    return _URBAN_WINDOWS.get(count, round(count * 5.75))
-
-
-def _urban_roads() -> list[RoadSegment]:
-    return [
-        RoadSegment(id="a", length_m=800.0, origin=(0.0, 0.0), direction=(1.0, 0.0)),
-        RoadSegment(id="b", length_m=800.0, origin=(800.0, 200.0), direction=(-1.0, 0.0)),
-    ]
-
-
-def urban_single(count: int = 40, caching: bool = True, seed: int = 1) -> ScenarioConfig:
-    """Two opposite 800 m city roads under one gateway RSU between them."""
-    window = _urban_window(count)
+    window = _URBAN_WINDOWS.get(count, round(count * 5.75))
     cfg = ScenarioConfig(
-        name="urban_single",
-        roads=_urban_roads(),
-        rsus=[RsuSpec(id="r0", center=(400.0, 100.0), radius_m=400.0)],
+        name=name,
+        roads=[
+            RoadSegment(id="a", length_m=800.0, origin=(0.0, 0.0), direction=(1.0, 0.0)),
+            RoadSegment(id="b", length_m=800.0, origin=(800.0, 200.0), direction=(-1.0, 0.0)),
+        ],
+        rsus=rsus,
         arrival_pattern=URBAN_RANDOM,
         vehicle_count=count,
         arrival_window_s=window,
@@ -206,6 +196,30 @@ def urban_single(count: int = 40, caching: bool = True, seed: int = 1) -> Scenar
     )
     validate_config(cfg)
     return cfg
+
+
+def _highway(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: int):
+    """One 2100 m highway, one vehicle per second, under the given RSUs."""
+    cfg = ScenarioConfig(
+        name=name,
+        roads=[RoadSegment(id="h", length_m=2100.0)],
+        rsus=rsus,
+        arrival_pattern=HIGHWAY_UNIFORM,
+        vehicle_count=count,
+        arrival_window_s=float(count),
+        caching=caching,
+        duration_s=count + DRAIN_MARGIN_S,
+        seed=seed,
+        entry_speed_mps=14.0,
+    )
+    validate_config(cfg)
+    return cfg
+
+
+def urban_single(count: int = 40, caching: bool = True, seed: int = 1) -> ScenarioConfig:
+    """Two opposite 800 m city roads under one gateway RSU between them."""
+    rsus = [RsuSpec(id="r0", center=(400.0, 100.0), radius_m=400.0)]
+    return _urban("urban_single", rsus, count, caching, seed)
 
 
 def urban_multi(count: int = 40, caching: bool = True, seed: int = 1) -> ScenarioConfig:
@@ -214,69 +228,33 @@ def urban_multi(count: int = 40, caching: bool = True, seed: int = 1) -> Scenari
     Each RSU covers its own road's entry stretch, so each road's traffic
     requests from its own RSU and the load divides between them.
     """
-    window = _urban_window(count)
-    cfg = ScenarioConfig(
-        name="urban_multi",
-        roads=_urban_roads(),
-        rsus=[
-            RsuSpec(id="r0", center=(130.0, 0.0), radius_m=270.0),
-            RsuSpec(id="r1", center=(670.0, 200.0), radius_m=270.0),
-        ],
-        arrival_pattern=URBAN_RANDOM,
-        vehicle_count=count,
-        arrival_window_s=window,
-        caching=caching,
-        duration_s=window + DRAIN_MARGIN_S,
-        seed=seed,
-        backhaul_latency_s=0.0004,
-    )
-    validate_config(cfg)
-    return cfg
+    rsus = [
+        RsuSpec(id="r0", center=(130.0, 0.0), radius_m=270.0),
+        RsuSpec(id="r1", center=(670.0, 200.0), radius_m=270.0),
+    ]
+    return _urban("urban_multi", rsus, count, caching, seed)
 
 
-def highway_single(caching: bool = True, seed: int = 1, count: int = 300) -> ScenarioConfig:
+def highway_single(count: int = 300, caching: bool = True, seed: int = 1) -> ScenarioConfig:
     """One 2100 m highway, one vehicle per second, one mid-road gateway RSU."""
-    cfg = ScenarioConfig(
-        name="highway_single",
-        roads=[RoadSegment(id="h", length_m=2100.0)],
-        rsus=[RsuSpec(id="r0", center=(1050.0, 0.0), radius_m=400.0)],
-        arrival_pattern=HIGHWAY_UNIFORM,
-        vehicle_count=count,
-        arrival_window_s=float(count),
-        caching=caching,
-        duration_s=count + DRAIN_MARGIN_S,
-        seed=seed,
-        entry_speed_mps=14.0,
-    )
-    validate_config(cfg)
-    return cfg
+    rsus = [RsuSpec(id="r0", center=(1050.0, 0.0), radius_m=400.0)]
+    return _highway("highway_single", rsus, count, caching, seed)
 
 
-def highway_multi(seed: int = 1, count: int = 300) -> ScenarioConfig:
+def highway_multi(count: int = 300, caching: bool = True, seed: int = 1) -> ScenarioConfig:
     """The highway with an overlapping three-RSU chain.
 
     Two relays sit upstream of the gateway (each RSU inside its neighbor's
     zone) so content broadcast at the gateway cascades backward along the
-    chain and meets vehicles before their first request.
+    chain and meets vehicles before their first request. The relays make
+    it caching-only: caching=False fails validation.
     """
-    cfg = ScenarioConfig(
-        name="highway_multi",
-        roads=[RoadSegment(id="h", length_m=2100.0)],
-        rsus=[
-            RsuSpec(id="r0", center=(628.0, 0.0), radius_m=200.0, role=ROLE_RELAY, next_hop="r1"),
-            RsuSpec(id="r1", center=(823.0, 0.0), radius_m=200.0, role=ROLE_RELAY, next_hop="r2"),
-            RsuSpec(id="r2", center=(1018.0, 0.0), radius_m=200.0),
-        ],
-        arrival_pattern=HIGHWAY_UNIFORM,
-        vehicle_count=count,
-        arrival_window_s=float(count),
-        caching=True,
-        duration_s=count + DRAIN_MARGIN_S,
-        seed=seed,
-        entry_speed_mps=14.0,
-    )
-    validate_config(cfg)
-    return cfg
+    rsus = [
+        RsuSpec(id="r0", center=(628.0, 0.0), radius_m=200.0, role=ROLE_RELAY, next_hop="r1"),
+        RsuSpec(id="r1", center=(823.0, 0.0), radius_m=200.0, role=ROLE_RELAY, next_hop="r2"),
+        RsuSpec(id="r2", center=(1018.0, 0.0), radius_m=200.0),
+    ]
+    return _highway("highway_multi", rsus, count, caching, seed)
 
 
 BUILDERS = {
@@ -287,66 +265,75 @@ BUILDERS = {
 }
 
 
-# -- config files -------------------------------------------------------------
+# -- config files and resolution ---------------------------------------------
 
-_SCENARIO_FIELDS = {
-    f.name: f.type
-    for f in fields(ScenarioConfig)
-    if f.name not in ("roads", "rsus", "radio", "kinematics")
+
+def _from_scratch(count: int = 0, caching: bool = True, seed: int = 1) -> ScenarioConfig:
+    """The start of a file without a scenario key: no layout, no window."""
+    return ScenarioConfig(
+        name="custom", roads=[], rsus=[], arrival_pattern=URBAN_RANDOM, vehicle_count=count,
+        arrival_window_s=0.0, caching=caching, duration_s=0.0, seed=seed,
+    )
+
+
+def _parse_bool(raw: str) -> bool:
+    word = raw.lower()
+    if word in ("true", "yes", "on", "1"):
+        return True
+    if word in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_pair(raw: str) -> tuple[float, float]:
+    x, y = raw.split(",")  # ValueError unless exactly two parts
+    return (float(x), float(y))
+
+
+# a field's annotation text (annotations are strings here) -> its parser
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "str | None": str,
+    "tuple[float, float]": _parse_pair,
 }
-_RADIO_FIELDS = {f.name: f.type for f in fields(RadioParams)}
-_KINEMATIC_FIELDS = {f.name: f.type for f in fields(KinematicParams)}
-_ROAD_FIELDS = {"id": "str", "length_m": "float", "origin": "pair", "direction": "pair"}
-_RSU_FIELDS = {
-    "id": "str",
-    "center": "pair",
-    "radius_m": "float",
-    "role": "str",
-    "next_hop": "str",
-    "backhaul": "bool",
+
+
+def _parsers(cls, prefix: str = "", skip: tuple[str, ...] = ()) -> dict:
+    return {prefix + f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# count, caching and seed go to the builder; an override's count also sets
+# vehicle_count last
+_BUILDER_ARGS = {"count": int, "caching": _parse_bool, "seed": int}
+_SETTINGS = {
+    **_parsers(ScenarioConfig, skip=("roads", "rsus", "radio", "kinematics")),
+    **_parsers(RadioParams, "radio."),
+    **_parsers(KinematicParams, "kinematics."),
+    **_BUILDER_ARGS,
 }
-_BUILDER_KEYS = {"scenario", "count"}
-
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
+_SECTIONS = {"road": (RoadSegment, _parsers(RoadSegment)), "rsu": (RsuSpec, _parsers(RsuSpec))}
 
 
-def _coerce(kind: str, raw: str, line_no: int, key: str):
+def _coerce(table: dict, key: str, raw: str, line_no: int, where: str = ""):
+    if key not in table:
+        raise ParseError(line_no, f"unknown field {key!r}{where}")
     try:
-        if kind in ("int", "<class 'int'>") or kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            word = raw.lower()
-            if word in _TRUE_WORDS:
-                return True
-            if word in _FALSE_WORDS:
-                return False
-            raise ValueError(raw)
-        if kind == "pair":
-            parts = [part.strip() for part in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(raw)
-            return (float(parts[0]), float(parts[1]))
-        return raw
+        return table[key](raw)
     except ValueError:
         raise ParseError(line_no, f"bad value for {key}: {raw!r}") from None
 
 
-def _field_kind(type_text: str) -> str:
-    for kind in ("bool", "int", "float"):
-        if kind in type_text:
-            return kind
-    return "str"
+def _parse_sections(text: str) -> tuple[dict, list[tuple[str, int, dict]]]:
+    """Split file text into the scenario mapping and the [road]/[rsu] sections.
 
-
-def _parse_sections(text: str) -> tuple[dict, list[dict], list[dict]]:
-    """Split file text into the scenario mapping and road/rsu section dicts."""
+    Values are (raw text, line number); a section is (kind, header line, values).
+    """
     scenario: dict[str, tuple[str, int]] = {}
-    roads: list[dict[str, tuple[str, int]]] = []
-    rsus: list[dict[str, tuple[str, int]]] = []
-    current: dict[str, tuple[str, int]] = scenario
+    sections: list[tuple[str, int, dict[str, tuple[str, int]]]] = []
+    current = scenario
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -357,12 +344,9 @@ def _parse_sections(text: str) -> tuple[dict, list[dict], list[dict]]:
             section = line[1:-1].strip()
             if section == "scenario":
                 current = scenario
-            elif section == "road":
-                roads.append({})
-                current = roads[-1]
-            elif section == "rsu":
-                rsus.append({})
-                current = rsus[-1]
+            elif section in _SECTIONS:
+                current = {}
+                sections.append((section, line_no, current))
             else:
                 raise ParseError(line_no, f"unknown section [{section}]")
             continue
@@ -376,135 +360,83 @@ def _parse_sections(text: str) -> tuple[dict, list[dict], list[dict]]:
         if key in current:
             raise ParseError(line_no, f"duplicate key {key!r}")
         current[key] = (value, line_no)
-    return scenario, roads, rsus
+    return scenario, sections
 
 
-def _build_road(entry: dict[str, tuple[str, int]]) -> RoadSegment:
-    kwargs = {}
-    first_line = min(line for _, line in entry.values())
-    for key, (raw, line_no) in entry.items():
-        if key not in _ROAD_FIELDS:
-            raise ParseError(line_no, f"unknown field {key!r} in [road]")
-        kwargs[key] = _coerce(_ROAD_FIELDS[key], raw, line_no, key)
-    for required in ("id", "length_m"):
-        if required not in kwargs:
-            raise ParseError(first_line, f"[road] is missing field {required!r}")
-    return RoadSegment(**kwargs)
-
-
-def _build_rsu(entry: dict[str, tuple[str, int]]) -> RsuSpec:
-    kwargs = {}
-    first_line = min(line for _, line in entry.values())
-    for key, (raw, line_no) in entry.items():
-        if key not in _RSU_FIELDS:
-            raise ParseError(line_no, f"unknown field {key!r} in [rsu]")
-        kwargs[key] = _coerce(_RSU_FIELDS[key], raw, line_no, key)
-    for required in ("id", "center", "radius_m"):
-        if required not in kwargs:
-            raise ParseError(first_line, f"[rsu] is missing field {required!r}")
-    return RsuSpec(**kwargs)
-
-
-def load_config(path, count: int | None = None) -> ScenarioConfig:
-    """Load and validate a scenario file; see the package README for grammar.
-
-    count, when given, replaces the file's vehicle count. A builder-based
-    file hands it to the builder, which derives the arrival window and the
-    duration from it; fields the file sets still win over those.
-    """
+def _read_config_file(path):
+    """The builder, typed settings and layout sections a config file names."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    scenario_kv, road_entries, rsu_entries = _parse_sections(text)
+        scenario, sections = _parse_sections(handle.read())
+    builder = _from_scratch
+    if "scenario" in scenario:
+        name, line_no = scenario.pop("scenario")
+        if name not in BUILDERS:
+            raise ParseError(line_no, f"unknown scenario {name!r}; expected one of {sorted(BUILDERS)}")
+        builder = BUILDERS[name]
+    settings = {key: _coerce(_SETTINGS, key, *value) for key, value in scenario.items()}
+    layout: dict[str, list] = {"road": [], "rsu": []}
+    for kind, header_line, entry in sections:
+        cls, table = _SECTIONS[kind]
+        where = f" in [{kind}]"
+        kwargs = {key: _coerce(table, key, *value, where) for key, value in entry.items()}
+        first_line = min((line for _, line in entry.values()), default=header_line)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in kwargs:
+                raise ParseError(first_line, f"[{kind}] is missing field {f.name!r}")
+        layout[kind].append(cls(**kwargs))
+    return builder, settings, layout["road"], layout["rsu"]
 
-    for key, (_, line_no) in scenario_kv.items():
-        if key not in _SCENARIO_FIELDS and key not in _BUILDER_KEYS:
-            if not (key.startswith("radio.") or key.startswith("kinematics.")):
-                raise ParseError(line_no, f"unknown field {key!r}")
 
-    if "scenario" in scenario_kv:
-        builder_name, line_no = scenario_kv.pop("scenario")
-        builder = BUILDERS.get(builder_name)
-        if builder is None:
-            raise ParseError(
-                line_no, f"unknown scenario {builder_name!r}; expected one of {sorted(BUILDERS)}"
-            )
-        kwargs = {}
-        if "count" in scenario_kv:
-            raw, line_no = scenario_kv.pop("count")
-            kwargs["count"] = _coerce("int", raw, line_no, "count")
-        if count is not None:
-            kwargs["count"] = count
-        if "caching" in scenario_kv:
-            raw, line_no = scenario_kv.pop("caching")
-            kwargs["caching"] = _coerce("bool", raw, line_no, "caching")
-        if "seed" in scenario_kv:
-            raw, line_no = scenario_kv.pop("seed")
-            kwargs["seed"] = _coerce("int", raw, line_no, "seed")
-        if builder is highway_multi:
-            kwargs.pop("caching", None)
-        cfg = builder(**kwargs)
-    else:
-        cfg = None
+def _apply(cfg: ScenarioConfig, settings: dict) -> None:
+    """Set plain fields; 'block.x' keys replace field x of a parameter block."""
+    blocks: dict[str, dict] = {}
+    for key, value in settings.items():
+        if key not in _SETTINGS:
+            raise ValidationError(f"unknown field {key!r}")
+        block, _, name = key.rpartition(".")
+        if block:
+            blocks.setdefault(block, {})[name] = value
+        elif key not in _BUILDER_ARGS:
+            setattr(cfg, key, value)
+    for block, changes in blocks.items():
+        setattr(cfg, block, replace(getattr(cfg, block), **changes))
 
-    overrides = {}
-    radio_overrides = {}
-    kinematic_overrides = {}
-    for key, (raw, line_no) in scenario_kv.items():
-        if key.startswith("radio."):
-            sub = key[len("radio."):]
-            if sub not in _RADIO_FIELDS:
-                raise ParseError(line_no, f"unknown field {key!r}")
-            radio_overrides[sub] = _coerce(_field_kind(str(_RADIO_FIELDS[sub])), raw, line_no, key)
-        elif key.startswith("kinematics."):
-            sub = key[len("kinematics."):]
-            if sub not in _KINEMATIC_FIELDS:
-                raise ParseError(line_no, f"unknown field {key!r}")
-            kinematic_overrides[sub] = _coerce(
-                _field_kind(str(_KINEMATIC_FIELDS[sub])), raw, line_no, key
-            )
+
+def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
+    """The validated config of a builder name or a config file path.
+
+    overrides maps count, caching, seed or any field the file grammar
+    accepts (radio.x and kinematics.x included) to a typed value.
+    Precedence: count, caching and seed go to the builder, an override's
+    over the file's; the file's other fields win over what the builder
+    derived; the overrides' other fields come next; an override's count
+    sets vehicle_count last. [road]/[rsu] sections replace the builder's layout,
+    and a file without a scenario key starts from an empty one. A
+    ValueError that a parameter block, road or RSU raises becomes a
+    ValidationError.
+    """
+    overrides = overrides or {}
+    try:
+        if source in BUILDERS:
+            builder, settings, roads, rsus = BUILDERS[source], {}, [], []
         else:
-            overrides[key] = _coerce(_field_kind(str(_SCENARIO_FIELDS[key])), raw, line_no, key)
-
-    roads = [_build_road(entry) for entry in road_entries]
-    rsus = [_build_rsu(entry) for entry in rsu_entries]
-
-    if cfg is None:
-        try:
-            cfg = ScenarioConfig(
-                name=overrides.pop("name", "custom"),
-                roads=roads,
-                rsus=rsus,
-                arrival_pattern=overrides.pop("arrival_pattern", URBAN_RANDOM),
-                vehicle_count=overrides.pop("vehicle_count", 0),
-                arrival_window_s=overrides.pop("arrival_window_s", 0.0),
-                caching=overrides.pop("caching", True),
-                duration_s=overrides.pop("duration_s", 0.0),
-            )
-        except TypeError as exc:  # pragma: no cover - defensive
-            raise ValidationError(str(exc)) from None
-    else:
-        if roads:
-            cfg.roads = roads
-        if rsus:
-            cfg.rsus = rsus
-
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    if count is not None:
-        cfg.vehicle_count = count
-    if radio_overrides:
-        cfg.radio = RadioParams(**{**_params_as_dict(cfg.radio), **radio_overrides})
-    if kinematic_overrides:
-        try:
-            cfg.kinematics = KinematicParams(
-                **{**_params_as_dict(cfg.kinematics), **kinematic_overrides}
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-
+            builder, settings, roads, rsus = _read_config_file(source)
+        args = {k: v for k, v in {**settings, **overrides}.items() if k in _BUILDER_ARGS}
+        cfg = builder(**args)
+        cfg.roads = roads or cfg.roads
+        cfg.rsus = rsus or cfg.rsus
+        _apply(cfg, settings)
+        _apply(cfg, overrides)
+        if "count" in overrides:
+            cfg.vehicle_count = overrides["count"]
+    except (ParseError, ValidationError):
+        raise
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     validate_config(cfg)
     return cfg
 
 
-def _params_as_dict(params) -> dict:
-    return {f.name: getattr(params, f.name) for f in fields(params)}
+def load_config(path, count: int | None = None) -> ScenarioConfig:
+    """resolve_config of a config file (grammar in the package README), count overriding."""
+    return resolve_config(Path(path), {} if count is None else {"count": count})

@@ -20,10 +20,6 @@ def seconds_to_us(seconds: float) -> int:
     return int(round(seconds * US_PER_SECOND))
 
 
-def us_to_seconds(t_us: int) -> float:
-    return t_us / US_PER_SECOND
-
-
 def format_time(t_us: int) -> str:
     """Render microseconds as decimal seconds with 6 exact fractional digits.
 
@@ -55,7 +51,6 @@ class EventQueue:
         self.now_us = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._next_seq = 0
-        self.scheduled_total = 0
         self.processed_total = 0
 
     def __len__(self) -> int:
@@ -71,7 +66,6 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq += 1
         heapq.heappush(self._heap, (at_us, seq, action))
-        self.scheduled_total += 1
         return seq
 
     def peek_time(self) -> int | None:

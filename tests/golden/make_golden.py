@@ -22,7 +22,6 @@ stepping loop and its brake branch run.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from vcachesim.cli import write_outputs
 from vcachesim.engine import run_simulation
-from vcachesim.scenarios import BUILDERS
+from vcachesim.scenarios import resolve_config
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "digests.json"
 
@@ -66,8 +65,8 @@ STEPPED = [
     for name in ("highway_single", "highway_multi")
 ]
 # (builder, caching, seed, vehicle count, field overrides); a None count keeps
-# the builder's default; an override key "radio.x" or "kinematics.x" sets
-# field x of cfg.radio or cfg.kinematics
+# the builder's default; the overrides are resolve_config's, so a key
+# "radio.x" or "kinematics.x" sets field x of cfg.radio or cfg.kinematics
 CASES = (
     [(name, caching, seed, None, ()) for name, caching in EXPERIMENTS for seed in SEEDS]
     + [("highway_single", True, 1, 1200, ())]
@@ -84,20 +83,10 @@ def case_id(name: str, caching: bool, seed: int, count: int | None, overrides=()
 
 
 def build(name: str, caching: bool, seed: int, count: int | None, overrides=()):
-    kwargs = {"seed": seed}
-    if name != "highway_multi":  # the relay chain only runs with caching
-        kwargs["caching"] = caching
+    settings = {"caching": caching, "seed": seed, "trace": True, **dict(overrides)}
     if count is not None:
-        kwargs["count"] = count
-    cfg = dataclasses.replace(BUILDERS[name](**kwargs), trace=True)
-    for key, value in overrides:
-        block, _, field = key.rpartition(".")
-        if block:
-            inner = dataclasses.replace(getattr(cfg, block), **{field: value})
-            cfg = dataclasses.replace(cfg, **{block: inner})
-        else:
-            cfg = dataclasses.replace(cfg, **{key: value})
-    return cfg
+        settings["count"] = count
+    return resolve_config(name, settings)
 
 
 def digest_case(name, caching, seed, count, overrides, out_dir: Path) -> dict[str, str]:

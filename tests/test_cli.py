@@ -80,6 +80,30 @@ def test_broken_config_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("scenario = urban_single\nradio.bitrate_bps = 0\n", "bitrate_bps must be positive"),
+        ("scenario = urban_single\n[road]\nid = a\nlength_m = -5\n", "road length must be positive"),
+        (
+            "scenario = urban_single\n[road]\nid = a\nlength_m = 800\ndirection = 1, 1\n",
+            "direction must be a unit vector",
+        ),
+        ("scenario = urban_single\n[road]\n", "line 2: [road] is missing field 'id'"),
+        ("scenario = urban_single\n[rsu]\n", "line 2: [rsu] is missing field 'id'"),
+    ],
+)
+def test_bad_config_values_are_config_errors(tmp_path, capsys, text, fragment):
+    # a parameter block's own check, and an empty section, used to escape
+    # as "runtime error: ValueError" with exit code 2
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fragment in err
+
+
 def test_highway_multi_refuses_no_caching(capsys):
     code = run_cli(["run", "--scenario", "highway_multi", "--no-caching"])
     assert code == EXIT_USAGE
@@ -258,6 +282,19 @@ def test_sweep_highway_multi_skips_nocache(tmp_path, capsys):
             "--seeds", "1", "--out", tmp_path,
         ]
     )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "caching-only" in out
+    rows = [line for line in out.splitlines() if line.startswith(("cached", "nocache"))]
+    assert len(rows) == 1 and rows[0].startswith("cached 1")
+
+
+def test_sweep_config_with_relays_runs_caching_only(tmp_path, capsys):
+    # the sweep used to decide by the scenario name, so a relay layout given
+    # by a file also tried the no-cache variant and aborted with exit 1
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("scenario = highway_multi\ncount = 20\n")
+    code = run_cli(["sweep", "--config", cfg, "--seeds", "1", "--out", tmp_path / "out"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "caching-only" in out

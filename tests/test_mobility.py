@@ -209,7 +209,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
     for step in range(1, ticks + 1):
         exited = world.tick(step)
         assert exited == reference_tick(reference, road_length, dt, params)
-        assert world.active_on_road("r") == list(reference)
+        assert world.in_span("r", -math.inf, math.inf) == list(reference)
         for vid, (pos, speed) in reference.items():
             state = world.state_of(vid)
             assert (state.pos_m.hex(), state.speed_mps.hex()) == (pos.hex(), speed.hex())
@@ -294,7 +294,7 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                 state.speed_mps *= 0.5
                 reference["r"][vid] = (state.pos_m, state.speed_mps)
             for road in roads:
-                assert world.active_on_road(road.id) == list(reference[road.id])
+                assert world.in_span(road.id, -math.inf, math.inf) == list(reference[road.id])
                 for vid, (pos, speed) in reference[road.id].items():
                     fix = world.fix(vid)
                     assert fix.status == ACTIVE
@@ -467,7 +467,7 @@ def test_exit_reports_once_and_freezes_position():
     assert fix.pos_m == 10.0  # clamped to the road end
     assert not world.is_active("v0")
     assert world.exited_total == 1
-    assert world.active_on_road("r") == []
+    assert world.in_span("r", -math.inf, math.inf) == []
 
 
 def test_exited_leader_releases_the_road():
@@ -497,7 +497,7 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
         if step % 10 == 0 and spawned < 50 and world.can_spawn("r"):
             world.spawn(f"v{spawned:03d}", "r", 14.0, now)
             spawned += 1
-        order = world.active_on_road("r")
+        order = world.in_span("r", -math.inf, math.inf)
         positions = [world.fix(v).pos_m for v in order]
         speeds = [world.fix(v).speed_mps for v in order]
         assert positions == sorted(positions, reverse=True)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from vcachesim.engine import Simulation
-from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM
+from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams
 from vcachesim.radio import RadioParams
 from vcachesim.scenarios import (
     BUILDERS,
@@ -20,6 +20,7 @@ from vcachesim.scenarios import (
     highway_multi,
     highway_single,
     load_config,
+    resolve_config,
     urban_multi,
     urban_single,
     validate_config,
@@ -99,22 +100,9 @@ def test_highway_multi_chain_reaches_gateway_with_overlap():
 
 
 def test_highway_multi_builder_has_no_caching_knob():
-    with pytest.raises(TypeError):
+    # the relays make the layout caching-only, so caching=False cannot run
+    with pytest.raises(ValidationError, match="caching-only"):
         highway_multi(caching=False)
-
-
-def test_effective_radius_halves_under_diameter_mode():
-    cfg = urban_single()
-    spec = cfg.rsus[0]
-    assert cfg.effective_radius(spec) == 400.0
-    cfg.coverage_is_diameter = True
-    assert cfg.effective_radius(spec) == 200.0
-
-
-def test_rsu_spec_backhaul_defaults_follow_role():
-    assert RsuSpec("g", (0, 0), 100.0).has_backhaul()
-    assert not RsuSpec("r", (0, 0), 100.0, role=ROLE_RELAY, next_hop="g").has_backhaul()
-    assert RsuSpec("x", (0, 0), 100.0, role=ROLE_RELAY, next_hop="g", backhaul=True).has_backhaul()
 
 
 # -- validation ----------------------------------------------------------------
@@ -301,6 +289,15 @@ def test_count_goes_to_the_builder_and_file_fields_still_win(tmp_path):
     )
 
 
+def test_overrides_win_over_the_file(tmp_path):
+    text = "scenario = urban_single\nseed = 7\ncaching = no\nsample_interval_s = 20\nvehicle_count = 30\n"
+    overrides = {"seed": 3, "caching": True, "sample_interval_s": 50.0, "count": 20}
+    cfg = resolve_config(write(tmp_path, text), overrides)
+    assert (cfg.seed, cfg.caching, cfg.sample_interval_s) == (3, True, 50.0)
+    assert cfg.vehicle_count == 20  # an override's count sets vehicle_count last
+    assert cfg.arrival_window_s == 144.0  # derived by the builder from that count
+
+
 def test_dotted_overrides_replace_nested_params(tmp_path):
     text = """
     scenario = highway_single
@@ -381,12 +378,32 @@ def test_from_scratch_relay_chain(tmp_path):
     cfg = load_config(write(tmp_path, text))
     assert cfg.rsus[0].role == ROLE_RELAY
     assert cfg.rsus[0].next_hop == "front"
-    assert not cfg.rsus[0].has_backhaul()
+    assert cfg.caching is True  # default, and a relay layout needs it
 
 
-def test_highway_multi_file_ignores_caching_key(tmp_path):
-    cfg = load_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
-    assert cfg.caching is True  # relay chains only run cached
+def test_highway_multi_file_rejects_caching_false(tmp_path):
+    # a relay layout is caching-only; the file's caching = false used to be
+    # dropped without a word
+    with pytest.raises(ValidationError, match="caching-only"):
+        load_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
+
+
+def test_resolve_config_takes_a_builder_name_and_typed_overrides():
+    cfg = resolve_config(
+        "highway_single",
+        {"count": 50, "seed": 4, "tick_s": 0.05, "radio.bitrate_bps": 3_000_000,
+         "kinematics.min_gap_m": 3.0},
+    )
+    assert cfg == dataclasses.replace(
+        highway_single(count=50, seed=4),
+        tick_s=0.05,
+        radio=RadioParams(bitrate_bps=3_000_000),
+        kinematics=KinematicParams(min_gap_m=3.0),
+    )
+    with pytest.raises(ValidationError, match="unknown field 'radio.tx_power_mw'"):
+        resolve_config("urban_single", {"radio.tx_power_mw": 20.0})
+    with pytest.raises(ValidationError, match="caching-only"):
+        resolve_config("highway_multi", {"caching": False})
 
 
 def test_from_scratch_without_rsus_fails_validation(tmp_path):
@@ -414,8 +431,20 @@ def test_from_scratch_without_rsus_fails_validation(tmp_path):
         ("scenario = urban_single\njust words\n", 2, "expected key = value"),
         ("scenario = nowhere\n", 1, "unknown scenario"),
         ("scenario = urban_single\nradio.volume = 11\n", 2, "unknown field 'radio.volume'"),
+        # keys that drove nothing in the simulator and left the grammar
+        *(
+            (f"scenario = urban_single\nradio.{key} = 1\n", 2, f"unknown field 'radio.{key}'")
+            for key in (
+                "tx_power_mw", "noise_floor_dbm", "min_power_dbm", "antenna_height_m",
+                "center_freq_ghz",
+            )
+        ),
+        ("scenario = urban_single\ncoverage_is_diameter = yes\n", 2, "unknown field"),
+        ("[rsu]\nid = g\nbackhaul = yes\n", 3, "unknown field 'backhaul' in [rsu]"),
         ("[rsu]\ncenter = 0, 0\nradius_m = 10\n", 2, "missing field 'id'"),
         ("[road]\nid = a\n", 2, "missing field 'length_m'"),
+        ("scenario = urban_single\n[road]\n", 2, "[road] is missing field 'id'"),
+        ("scenario = urban_single\n\n[rsu]  # empty\n\n", 3, "[rsu] is missing field 'id'"),
         ("scenario = urban_single\n[rsu]\nid = g\ncenter = 1\nradius_m = 5\n", 4, "bad value for center"),
     ],
 )
