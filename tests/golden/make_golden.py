@@ -17,7 +17,9 @@ announce lands on a tick instant, so a tick that takes another place among
 the events of its instant shows in trace.log. The min-gap cases set the gap
 to a track position at the spawn lag, so float rounding makes vehicles brake
 and the world steps nearly all of them: every tick has work there, and the
-stepping loop and its brake branch run.
+stepping loop and its brake branch run. The beacon-edge cases set a beacon
+interval below the tick (with a request interval below it too) and one equal
+to it, on both sides of the shortest interval a beacon plan is made for.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ STEPPED = [
     (name, True, 1, None, (("kinematics.min_gap_m", 14.0),))
     for name in ("highway_single", "highway_multi")
 ]
+# beacon intervals below and equal to the tick, the boundary between the
+# plain one-interval re-arm and beacons planned at spawn
+BEACON_EDGES = [
+    (
+        "urban_single", True, 1, None,
+        (("tick_s", 0.13), ("radio.beacon_interval_s", 0.1), ("request_interval_s", 0.09)),
+    ),
+    ("highway_multi", True, 1, 20, (("radio.beacon_interval_s", 0.1),)),
+]
 # (builder, caching, seed, vehicle count, field overrides); a None count keeps
 # the builder's default; the overrides are resolve_config's, so a key
 # "radio.x" or "kinematics.x" sets field x of cfg.radio or cfg.kinematics
@@ -73,6 +84,7 @@ CASES = (
     + [("highway_multi", True, seed, 20, ()) for seed in SEEDS]
     + OFF_GRID
     + STEPPED
+    + BEACON_EDGES
 )
 
 
