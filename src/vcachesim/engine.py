@@ -17,20 +17,36 @@ one tick later and at most the last tick instant of the run, and the idle
 ticks skipped on the way are added to the world's tick count, so tracked
 vehicles read the positions that the ticks would have left. This is exactly
 the tick every tick_s: only a tick creates tick work (exits and satisfied
-vehicles only remove it); no event runs between now and the heap top, so
-the new tick is scheduled with the same events ahead of it, and takes the
-same FIFO place among the events of its instant, as a tick scheduled one
-tick earlier; and the last tick instant still ends the run, so the clock
-ends where it did.
+vehicles only remove it, and the attempt entries of spawned vehicles that
+want no more attempts are popped off the heap's top before its due time is
+read); no event runs between now and the heap top, so the new tick is
+scheduled with the same events ahead of it, and takes the same FIFO place
+among the events of its instant, as a tick scheduled one tick earlier; and
+the last tick instant still ends the run, so the clock ends where it did.
+
+Most ticks that run have only beacons due, or nothing (after due work the
+next tick is always one tick later). Each time the tick advances the world
+it records the first instant at which the world can do more than count a
+tick: a step or a tracked exit (quiet_ticks) or a spawn (ticks_to_open and
+the roads' front arrivals). A tick before that instant only adds one to the
+world's tick count (skip) and takes its due attempts and beacons. That is
+exactly what advancing the world would do there: the tick would step no
+vehicle and take no exit, and no arrival would be both due and able to
+enter; and only advancing the world spawns, steps or takes an exit, so the
+instant holds until the world is advanced again. Such a tick is the same
+_on_tick event at the same FIFO place, so everything after it is unchanged.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence) is
-added to at spawn and dropped from at exit. Attempts and beacons wait in two
-due-time heaps keyed (due time, spawn sequence, vehicle id); each tick pops
-the entries due by now and re-arms each one at its next due time (below).
-Exited vehicles leave both heaps when next popped, satisfied ones leave the
-attempt heap. The tick then queues the next tick and runs the due attempts, then the due
+added to at spawn and dropped from at exit. Attempts, and beacons that are
+re-armed one interval at a time (below), wait in two due-time heaps keyed
+(due time, spawn sequence, vehicle id); each tick pops the entries due by
+now and re-arms each one at its next due time. Exited vehicles leave both
+heaps when next popped, satisfied ones leave the attempt heap. Planned
+beacons (below) wait in lists keyed by the instant they run at. The tick
+takes its instant's planned beacons and merges in the plain ones in spawn
+order, then queues the next tick and runs the due attempts, then the due
 beacons, each in spawn order, inside itself; when another event already
 waits at its instant, it schedules them as one batch event at that instant
 instead. This is exactly one event per attempt and beacon, for the same
@@ -38,37 +54,50 @@ reasons as the receive batches below: those events held consecutive places
 among the events of their instant, after any event already waiting there;
 what they scheduled for that instant ran after the last of them anyway; the
 next tick was queued before anything they scheduled; and exits happen only
-in the tick, so every due vehicle is still active when it runs. At frame end
-the receivers come from the road geometry: each zone meets each road in one
-position interval, computed once, and the vehicles inside it are one
-bisected slice of the road's front-to-back order. The exact closed-ball
-range test still decides every candidate. A beacon occupies airtime but
-carries nothing receivers keep, so it has no frame-end event.
+in the tick, so every due vehicle is still active when it runs. A beacon's
+channel owner is taken with it: it depends only on the vehicle's position,
+which only the tick moves. At frame end the receivers come from the road
+geometry: each zone meets each road in one position interval, computed
+once, and the vehicles inside it are one bisected slice of the road's
+front-to-back order. The exact closed-ball range test still decides every
+candidate. A beacon occupies airtime but carries nothing receivers keep, so
+it has no frame-end event.
 
 Only due work that can act is queued. A vehicle that rides its track is at
 track.pos[age] at every tick of its age, so what it meets is a function of
 (road, track, age), memoized lazily per road (_TrackAges). With an interval
 of at least one tick, due time d runs at grid tick ceil(d / tick_us), at an
-age known in advance, so arming an entry (at spawn and at each re-arm)
-jumps over the due times whose work would do nothing, and drops the entry
+age known in advance (_first_acting_due). An attempt does nothing before
+the first age at which a zone covers the vehicle: no frame can have reached
+it, so it is idle with an empty cache and no target. A later attempt outside
+every zone stays queued, because it may find an item the vehicle overheard
+inside one (a pre-cache hit). So arming an attempt entry (at spawn and at
+each re-arm) jumps over the due times before that age, and drops the entry
 once the run age reaches the road's exit age, where the vehicle has left
 and the pop would drop it anyway. A beacon does nothing where no zone
-covers the vehicle: it reserves no airtime and writes no trace. An attempt
-does nothing before the first age at which a zone covers the vehicle: no
-frame can have reached it, so it is idle with an empty cache and no target.
-A later attempt outside every zone stays queued, because it may find an
-item the vehicle overheard inside one (a pre-cache hit). The due times
-kept are those of the plain chain d, d + interval, ..., so each runs at the
-same instant and in the same spawn order as before; the ticks that no
-longer run had no work left, which the sparse-tick argument above covers.
-A shorter interval re-arms behind its run instant, and a stepped vehicle
-has no age to look up, so both keep the plain re-arm one interval later.
-The memos are exact, too: each entry is filled with the very call the
-engine makes for a vehicle off its track, on road.world_position(
-track.pos[age]), which is the value world_xy gives. That holds for the
-covering zone of an attempt or beacon, and for the range test and delay of
-content at frame end, because only the channel's own RSU sends content, so
-the sender sits at the zone's centre (content from anyone else raises).
+covers the vehicle: it reserves no airtime and writes no trace. Its whole
+plan is made at spawn: every due time of the chain that can act, up to the
+exit age, each with the owner of the zone covering its run age and the
+vehicle's one Beacon frame, filed under its run instant. Later spawns file
+later, so each instant's list is in spawn order. The plan is exact because
+it is fixed at spawn: the engine never calls state_of, so a tracked
+vehicle stays on its track until its exit age, and its ages, owners and
+exit are known then. Relative to its on-grid spawn instant a plan depends
+only on the first due offset (the stagger), so plans are kept per road
+track and offset. The due times kept are those of the plain chain d, d +
+interval, ..., so each runs at the same instant and in the same spawn order
+as before; the ticks that no longer run had no work left, which the
+sparse-tick argument above covers. A shorter interval re-arms behind its
+run instant, and a stepped vehicle has no age to look up, so both keep the
+plain re-arm one interval later. The memos are exact, too: each entry is
+filled with the very call the engine makes for a vehicle off its track, on
+road.world_position(track.pos[age]), which is the value world_xy gives.
+That holds for the covering zone of an attempt or beacon, and for the range
+test and delay of content at frame end, because only the channel's own RSU
+sends content, so the sender sits at the zone's centre (content from anyone
+else raises).
+
+Trace text is built only when the trace is on (Simulation.tracing).
 
 Frames go only to nodes that act on them. Before the range test, a request
 leaves out every vehicle (vehicles ignore requests) and content leaves out
@@ -190,6 +219,7 @@ class Simulation:
         self.server = ServerAgent(self.catalog)
         self.ledger = MetricsLedger([spec.id for spec in cfg.rsus])
         self.trace_lines: list[str] | None = [] if cfg.trace else None
+        self.tracing = self.trace_lines is not None  # build trace text only then
 
         arrivals = generate_arrivals(
             cfg.arrival_pattern,
@@ -208,7 +238,14 @@ class Simulation:
         self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
         # heaps of (due time, spawn sequence, vehicle id)
         self._attempts_due: list[tuple[int, int, str]] = []
-        self._beacons_due: list[tuple[int, int, str]] = []
+        self._beacons_due: list[tuple[int, int, str]] = []  # plainly re-armed ones
+        # run instant -> planned beacons (vehicle id, channel owner, frame) in
+        # spawn order, and a heap of those instants
+        self._planned: dict[int, list[tuple[str, str, Beacon]]] = {}
+        self._planned_at: list[int] = []
+        # the first instant at which the world changes more than its tick
+        # count or an arrival spawns (_world_work_at)
+        self._world_due = 0
         # road id -> what a vehicle riding the road's track meets at each age
         self._track_ages: dict[str, _TrackAges] = {}
         self.vehicle_requests_transmitted = 0
@@ -247,36 +284,10 @@ class Simulation:
     def _on_tick(self) -> None:
         now = self.queue.now_us
         active = self._active
-        for vid in self.world.tick(now):
-            del active[vid]  # its heap entries left, if any, go when next popped
-            self._trace(f"EXIT vehicle={vid}")
-        for road in self.cfg.roads:
-            pending = self._pending_arrivals[road.id]
-            while pending and pending[0].at_us <= now and self.world.can_spawn(road.id):
-                arrival = pending.popleft()
-                self.world.spawn(
-                    arrival.vehicle_id, road.id, self.cfg.entry_speed_mps, now
-                )
-                # beacon phases staggered by spawn order; synchronized phases
-                # (all spawns sit on tick boundaries) would pile beacon bursts
-                # onto the channel right when responses need it
-                spawned = len(self.vehicles)
-                stagger = (spawned % 100) * self.tick_us
-                self.vehicles[arrival.vehicle_id] = VehicleAgent(
-                    arrival.vehicle_id, arrival.wanted, self.cfg.caching
-                )
-                vid = arrival.vehicle_id
-                active[vid] = spawned
-                first = self._first_due(now, vid, self.request_interval_us, True)
-                if first is not None:
-                    heappush(self._attempts_due, (first, spawned, vid))
-                first = self._first_due(now + stagger, vid, self.beacon_interval_us, False)
-                if first is not None:
-                    heappush(self._beacons_due, (first, spawned, vid))
-                self._trace(
-                    f"SPAWN vehicle={arrival.vehicle_id} road={road.id} "
-                    f"wanted={arrival.wanted}"
-                )
+        if self._world_idle(now):
+            self.world.skip(1)
+        else:
+            self._advance_world(now)
         # most ticks find nothing due; the heap tops say so without a call
         attempts = self._attempts_due
         due_attempts = (
@@ -285,21 +296,23 @@ class Simulation:
             else []
         )
         beacons = self._beacons_due
-        due_beacons = (
+        plain = (
             _take_due(beacons, now, active.__contains__, self._next_beacon)
             if beacons and beacons[0][0] <= now
             else []
         )
+        due_beacons = self._take_planned(now)
+        if plain:
+            bits = self.cfg.radio.beacon_payload_bits
+            for vid in plain:
+                owner = self._owner_of(vid)
+                if owner is not None:  # an uncovered beacon does nothing
+                    due_beacons.append((vid, owner, Beacon(vid, bits)))
+            due_beacons.sort(key=lambda entry: active[entry[0]])
         queue = self.queue
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
-            # most ticks have an attempt or beacon due by the next one
-            if not (
-                due_attempts
-                or due_beacons
-                or (attempts and attempts[0][0] <= next_tick)
-                or (beacons and beacons[0][0] <= next_tick)
-            ):
+            if not (due_attempts or plain or due_beacons):
                 next_tick = self._skip_idle_ticks(now)
             queue.schedule(next_tick, self._on_tick)
         if due_attempts or due_beacons:
@@ -309,36 +322,88 @@ class Simulation:
             else:
                 queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))
 
+    def _world_idle(self, now: int) -> bool:
+        """Is the tick at now before the world's next work (_world_work_at)?
+        Then it steps no vehicle, takes no exit and spawns nothing: the
+        world only counts the tick."""
+        return now < self._world_due
+
+    def _advance_world(self, now: int) -> None:
+        """Tick the world, take its exits, spawn the arrivals that are due and
+        fit, and arm their due work; then find the world's next work."""
+        active = self._active
+        tracing = self.tracing
+        for vid in self.world.tick(now):
+            del active[vid]  # its heap entries left, if any, go when next popped
+            if tracing:
+                self._trace(f"EXIT vehicle={vid}")
+        for road in self.cfg.roads:
+            pending = self._pending_arrivals[road.id]
+            while pending and pending[0].at_us <= now and self.world.can_spawn(road.id):
+                arrival = pending.popleft()
+                vid = arrival.vehicle_id
+                self.world.spawn(vid, road.id, self.cfg.entry_speed_mps, now)
+                spawned = len(self.vehicles)
+                self.vehicles[vid] = VehicleAgent(vid, arrival.wanted, self.cfg.caching)
+                active[vid] = spawned
+                first = self._first_due(now, vid)
+                if first is not None:
+                    heappush(self._attempts_due, (first, spawned, vid))
+                # beacon phases staggered by spawn order; synchronized phases
+                # (all spawns sit on tick boundaries) would pile beacon bursts
+                # onto the channel right when responses need it
+                self._arm_beacons(now, (spawned % 100) * self.tick_us, spawned, vid)
+                if tracing:
+                    self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
+        self._world_due = self._world_work_at(now)
+
+    def _world_work_at(self, now: int) -> int:
+        """The first instant after the tick at now at which the world changes
+        more than its tick count, or an arrival spawns: a step or a tracked
+        exit, or the first tick at or after a road's front arrival that
+        finds its entry open; at most the last tick instant of the run.
+
+        Nothing else spawns, steps or takes an exit, so the instant holds
+        until the world is advanced again.
+        """
+        tick_us = self.tick_us
+        world = self.world
+        due = self.last_tick_us
+        quiet = world.quiet_ticks()
+        if quiet is not None and now + quiet * tick_us < due:
+            due = now + quiet * tick_us
+        for road_id, pending in self._pending_arrivals.items():
+            # no spawn before the arrival, whenever the entry opens
+            if pending and pending[0].at_us < due:
+                opens = max(pending[0].at_us, now + world.ticks_to_open(road_id) * tick_us)
+                if opens < due:
+                    due = opens
+        return due
+
     def _skip_idle_ticks(self, now: int) -> int:
         """The first tick instant after now with work, or before which an
         event runs; adds the idle ticks before it to the world's tick count.
 
-        Work is a spawn (the first tick at or after a road's front arrival
-        that finds the entry open), a step or a tracked exit, or a due
-        attempt or beacon. The instant is at least one tick after now and
-        at most the last tick instant of the run.
+        Work is a spawn, a step or a tracked exit (_world_work_at, as of the
+        latest advance of the world), or a due attempt or beacon. The
+        instant is at least one tick after now and at most the last tick
+        instant of the run.
         """
         tick_us = self.tick_us
-        next_tick = now + tick_us
-        due = self.last_tick_us
+        due = self._world_due
         top = self.queue.peek_time()
         if top is not None and top < due:
             due = top
-        for heap in (self._attempts_due, self._beacons_due):
-            if heap and heap[0][0] < due:
-                due = heap[0][0]
-        if due > next_tick:  # else the next tick is due whatever the world holds
-            world = self.world
-            quiet = world.quiet_ticks()
-            if quiet is not None and now + quiet * tick_us < due:
-                due = now + quiet * tick_us
-            for road_id, pending in self._pending_arrivals.items():
-                # no spawn before the arrival, whenever the entry opens
-                if pending and pending[0].at_us < due:
-                    opens = max(pending[0].at_us, now + world.ticks_to_open(road_id) * tick_us)
-                    if opens < due:
-                        due = opens
-        at = max(-(-due // tick_us) * tick_us, next_tick)
+        first = self._first_attempt_due()
+        if first is not None and first < due:
+            due = first
+        beacons = self._beacons_due
+        if beacons and beacons[0][0] < due:
+            due = beacons[0][0]
+        planned_at = self._planned_at
+        if planned_at and planned_at[0] < due:
+            due = planned_at[0]
+        at = max(-(-due // tick_us) * tick_us, now + tick_us)
         self.world.skip((at - now) // tick_us - 1)
         return at
 
@@ -346,26 +411,37 @@ class Simulation:
         # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap
         return vehicle_id in self._active and self.vehicles[vehicle_id].status != SATISFIED
 
+    def _first_attempt_due(self) -> int | None:
+        """Due time of the attempt heap's top, after popping the top entries
+        of spawned vehicles that want no more attempts (satisfied or exited);
+        they would be dropped when due anyway."""
+        heap = self._attempts_due
+        vehicles = self.vehicles
+        while heap:
+            vid = heap[0][2]
+            if vid in vehicles and not self._wants_attempts(vid):
+                heappop(heap)
+            else:
+                return heap[0][0]
+        return None
+
     def _next_attempt(self, due_us: int, vehicle_id: str) -> int | None:
-        interval_us = self.request_interval_us
-        return self._first_due(due_us + interval_us, vehicle_id, interval_us, True)
+        return self._first_due(due_us + self.request_interval_us, vehicle_id)
 
-    def _next_beacon(self, due_us: int, vehicle_id: str) -> int | None:
-        interval_us = self.beacon_interval_us
-        return self._first_due(due_us + interval_us, vehicle_id, interval_us, False)
+    def _next_beacon(self, due_us: int, vehicle_id: str) -> int:
+        return due_us + self.beacon_interval_us
 
-    def _first_due(
-        self, from_us: int, vehicle_id: str, interval_us: int, attempt: bool
-    ) -> int | None:
-        """The first of from_us, from_us + interval_us, ... at which the
-        vehicle's attempt (or beacon) can act; None when it exits first.
+    def _first_due(self, from_us: int, vehicle_id: str) -> int | None:
+        """The first of from_us, from_us + interval, ... (the request
+        interval) at which the vehicle's attempt can act; None when it
+        exits first.
 
         Only a vehicle that rides its track is planned ahead (and only for
         an interval of at least one tick, _first_acting_due); any other due
-        time is from_us itself. A beacon can act where a zone covers the
-        vehicle, an attempt from the first age at which one does (see the
-        module docstring). Runs inside the tick at now, before idle ticks
-        are skipped, so the world's latest tick is the one at now.
+        time is from_us itself. An attempt can act from the first age at
+        which a zone covers the vehicle (see the module docstring). Runs
+        inside the tick at now, before idle ticks are skipped, so the
+        world's latest tick is the one at now.
         """
         riding = self.world.riding(vehicle_id)
         if riding is None:
@@ -375,12 +451,56 @@ class Simulation:
         tick_us = self.tick_us
         return _first_acting_due(
             from_us,
-            interval_us,
+            self.request_interval_us,
             tick_us,
             self.queue.now_us // tick_us - age,  # the grid tick of its spawn
             ages.exit_age,
-            ages.covered_since if attempt else ages.covered,
+            ages.covered_since,
         )
+
+    def _arm_beacons(self, now: int, stagger_us: int, seq: int, vehicle_id: str) -> None:
+        """Queue the beacons of a vehicle spawned at now, the first due
+        stagger_us later: planned up to the last tick instant when it rides
+        its track (_beacon_plan), else as one plainly re-armed heap entry."""
+        plan = self._beacon_plan(vehicle_id, stagger_us)
+        if plan is None:
+            heappush(self._beacons_due, (now + stagger_us, seq, vehicle_id))
+            return
+        beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
+        planned = self._planned
+        last_us = self.last_tick_us
+        for offset_us, owner in plan:
+            at_us = now + offset_us
+            if at_us > last_us:
+                break
+            bucket = planned.get(at_us)
+            if bucket is None:
+                planned[at_us] = [(vehicle_id, owner, beacon)]
+                heappush(self._planned_at, at_us)
+            else:  # later spawns append later, so a bucket is in spawn order
+                bucket.append((vehicle_id, owner, beacon))
+
+    def _beacon_plan(self, vehicle_id: str, stagger_us: int) -> list[tuple[int, str]] | None:
+        """(run offset from the spawn instant, channel owner) of every beacon
+        of a vehicle that has just spawned onto its track; None when its
+        beacons take the plain re-arm instead: a stepped vehicle, or an
+        interval below one tick (see the module docstring)."""
+        interval_us = self.beacon_interval_us
+        if interval_us < self.tick_us:
+            return None
+        riding = self.world.riding(vehicle_id)
+        if riding is None:
+            return None
+        road, track, _ = riding
+        return self._ages(road, track).beacon_plan(stagger_us, interval_us, self.tick_us)
+
+    def _take_planned(self, now: int) -> list[tuple[str, str, Beacon]]:
+        """Pop the beacons planned to run at now, in spawn order."""
+        planned_at = self._planned_at
+        if not planned_at or planned_at[0] != now:
+            return []
+        heappop(planned_at)
+        return self._planned.pop(now)
 
     def _ages(self, road: RoadSegment, track: FreeTrack) -> _TrackAges:
         # a road's vehicles ride one track, which changes only while the road is empty
@@ -397,25 +517,22 @@ class Simulation:
         road, track, age = riding
         return self._ages(road, track).owner(age)
 
-    def _run_due(self, attempts: list[str], beacons: list[str]) -> None:
+    def _run_due(self, attempts: list[str], beacons: list[tuple[str, str, Beacon]]) -> None:
         """One tick's due attempts, then its due beacons, each in spawn order.
 
         Exits happen only in the tick, so every vehicle here is active.
         """
         for vid in attempts:
             self._on_attempt(vid)
-        for vid in beacons:
-            self._on_beacon(vid)
+        for vid, owner, beacon in beacons:
+            self._on_beacon(vid, owner, beacon)
 
     def _on_attempt(self, vehicle_id: str) -> None:
         target = self._owner_of(vehicle_id)
         self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
 
-    def _on_beacon(self, vehicle_id: str) -> None:
-        owner = self._owner_of(vehicle_id)
-        if owner is None:
-            return
-        beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
+    def _on_beacon(self, vehicle_id: str, owner: str, beacon: Beacon) -> None:
+        """Send a due beacon on the channel of the zone covering its vehicle."""
         self.transmit(owner, beacon, vehicle_id)
 
     def _on_announce(self, rsu_id: str) -> None:
@@ -442,7 +559,7 @@ class Simulation:
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
         if isinstance(frame, Request) and not frame.forwarded:
             self.vehicle_requests_transmitted += 1
-        if self.trace_lines is not None:
+        if self.tracing:
             name = getattr(frame, "name", None)
             self._trace(
                 f"TX kind={kind} sender={sender} channel={channel_owner} "
@@ -548,7 +665,8 @@ class Simulation:
         link = self.backhaul.get(rsu_id)
         if link is None:
             raise NoBackhaul(f"{rsu_id} has no backhaul link")
-        self._trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
+        if self.tracing:
+            self._trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
         self.queue.schedule(
             self.queue.now_us + link.latency_us,
             partial(self._on_server_request, rsu_id, name, request_id),
@@ -558,7 +676,8 @@ class Simulation:
         now = self.queue.now_us
         item = self.server.fetch(name)
         self.ledger.record_server_fetch(now, str(name))
-        self._trace(f"SERVER name={name} id={request_id}")
+        if self.tracing:
+            self._trace(f"SERVER name={name} id={request_id}")
         self.queue.schedule(
             now + self.proc_delay_us + self.backhaul[rsu_id].latency_us,
             partial(self._on_backhaul_return, rsu_id, item, request_id),
@@ -574,10 +693,11 @@ class Simulation:
 
     def deliver(self, record: DeliveryRecord) -> None:
         self.ledger.record_delivery(record)
-        self._trace(
-            f"DELIVER vehicle={record.vehicle} name={record.name} "
-            f"source={record.source} cdt={format_time(record.cdt_us)}"
-        )
+        if self.tracing:
+            self._trace(
+                f"DELIVER vehicle={record.vehicle} name={record.name} "
+                f"source={record.source} cdt={format_time(record.cdt_us)}"
+            )
 
     def rsu_request(self, rsu_id: str) -> None:
         self.ledger.record_rsu_request(self.queue.now_us, rsu_id)
@@ -648,7 +768,9 @@ class _TrackAges:
     for a vehicle off its track.
     """
 
-    __slots__ = ("road", "track", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays")
+    __slots__ = (
+        "road", "track", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays", "_plans"
+    )
 
     def __init__(self, road: RoadSegment, track: FreeTrack, owner_at) -> None:
         self.road = road
@@ -659,6 +781,8 @@ class _TrackAges:
         self._first_covered: int | None = None
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
+        # (first due, interval, tick) -> beacon_plan
+        self._plans: dict[tuple[int, int, int], list[tuple[int, str]]] = {}
 
     def owner(self, age: int) -> str | None:
         owner = self._owners[age]
@@ -678,6 +802,34 @@ class _TrackAges:
                 first += 1
             self._first_covered = first
         return age >= self._first_covered
+
+    def beacon_plan(
+        self, first_us: int, interval_us: int, tick_us: int
+    ) -> list[tuple[int, str]]:
+        """(run offset, channel owner) of every beacon that can act, for a
+        vehicle spawned at a tick instant whose first beacon is due first_us
+        after it, at interval_us >= tick_us.
+
+        The due times are those the plain chain first_us, first_us +
+        interval_us, ... gives, skipping the uncovered ones up to the exit
+        age (_first_acting_due); each runs at its grid tick, age * tick_us
+        after the spawn, on the channel of the zone covering that age.
+        Relative to an on-grid spawn nothing else enters, so plans are kept.
+        """
+        key = (first_us, interval_us, tick_us)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = []
+            exit_age = self.exit_age
+            covered = self.covered
+            due_us = _first_acting_due(first_us, interval_us, tick_us, 0, exit_age, covered)
+            while due_us is not None:
+                age = -(-due_us // tick_us)
+                plan.append((age * tick_us, self.owner(age)))
+                due_us = _first_acting_due(
+                    due_us + interval_us, interval_us, tick_us, 0, exit_age, covered
+                )
+        return plan
 
     def delay(self, zone: CoverageZone, age: int) -> int:
         """Propagation delay of a frame from the zone's centre, or -1 out of range."""

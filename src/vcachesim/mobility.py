@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from operator import sub
+from operator import attrgetter, sub
 from typing import TYPE_CHECKING
 
 from .simcore import US_PER_SECOND, RandomSource
@@ -319,6 +319,9 @@ def free_track(
     return None
 
 
+_SPAWN_TICK = attrgetter("spawn_tick")
+
+
 class _Lane:
     """One road's active vehicles, front to back; the first `tracked` of
     them ride `track` and leave the road at `exit_age`."""
@@ -598,9 +601,23 @@ class MobilityWorld:
     def in_span(self, road_id: str, lo_m: float, hi_m: float) -> list[str]:
         """Ids of the active vehicles with lo_m <= pos <= hi_m, front to back.
 
-        One bisected slice of the road's front-to-back order.
+        One bisected slice of the road's front-to-back order. When every
+        vehicle on the road rides its track, a vehicle spawn_tick ticks old
+        is at track.pos[ticks - spawn_tick], and positions along a track
+        never fall, so the span is a range of ages, and so of spawn ticks,
+        which rise front to back.
         """
-        order = self._lanes[road_id].order
+        lane = self._lanes[road_id]
+        order = lane.order
+        if order and lane.tracked == len(order):
+            track_pos = lane.track.pos
+            ticks = self._ticks
+            # ages bisect_left(track_pos, lo_m) .. bisect_right(track_pos, hi_m) - 1
+            start = bisect_right(order, ticks - bisect_right(track_pos, hi_m), key=_SPAWN_TICK)
+            stop = bisect_right(
+                order, ticks - bisect_left(track_pos, lo_m), lo=start, key=_SPAWN_TICK
+            )
+            return [state.id for state in order[start:stop]]
         pos = self._pos
 
         def behind(state: VehicleState) -> float:  # ascending along the order

@@ -12,6 +12,8 @@ Services interface used by agents:
     rsu_request(rsu_id)                         count a vehicle-originated request
     cache_event(rsu_id, hit)                    count an RSU cache lookup
     trace(text)                                 append a trace line
+    tracing                                     True when trace lines are kept;
+                                                build trace text only then
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ class CachingGateway(RsuBase):
     def _on_broadcast(self, frame, now_us: int, services) -> None:
         # overheard neighbor traffic is free cache warm-up; never rebroadcast
         evicted = self.cache.put(ContentItem(frame.name, frame.payload_bits))
-        if evicted is not None:
+        if evicted is not None and services.tracing:
             services.trace(f"EVICT rsu={self.id} name={evicted}")
 
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
@@ -253,7 +255,7 @@ class CachingGateway(RsuBase):
             raise OrphanResponse(f"{self.id}: no pending request for {item.name}")
         del self._pending[item.name]
         evicted = self.cache.put(item)
-        if evicted is not None:
+        if evicted is not None and services.tracing:
             services.trace(f"EVICT rsu={self.id} name={evicted}")
         self._respond(
             Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH),
@@ -334,7 +336,8 @@ class Relay(RsuBase):
         """Rebroadcast the whole cache, least recently used first."""
         if len(self.cache) == 0:
             return
-        services.trace(f"ANNOUNCE rsu={self.id} items={len(self.cache)}")
+        if services.tracing:
+            services.trace(f"ANNOUNCE rsu={self.id} items={len(self.cache)}")
         for name in self.cache.names():
             item = self.cache.peek(name)
             services.transmit(self.id, RelayRebroadcast(name, item.payload_bits), self.id)

@@ -314,6 +314,25 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
     assert sim._skip_idle_ticks(0) == sim.tick_us
 
 
+def test_attempt_entries_that_cannot_act_force_no_tick():
+    sim = Simulation(urban_single(count=10, seed=1))
+    sim.run()  # every vehicle has spawned, been satisfied and exited
+    heap = sim._attempts_due
+    heap.clear()
+    sim._active.update({"v001": 1, "v002": 2})  # back on the road
+    sim.vehicles["v002"].status = IDLE
+    for entry in [(10, 0, "v000"), (20, 1, "v001"), (30, 2, "v002"), (40, 9, "v999")]:
+        heapq.heappush(heap, entry)
+    # v000 has exited and v001 is satisfied: neither can act, so neither
+    # sets the next tick; v002 can, and stops the popping
+    assert sim._first_attempt_due() == 30
+    assert sorted(heap) == [(30, 2, "v002"), (40, 9, "v999")]
+    heapq.heappop(heap)
+    assert sim._first_attempt_due() == 40  # never spawned: kept
+    heapq.heappop(heap)
+    assert sim._first_attempt_due() is None
+
+
 # -- due work inside the tick ------------------------------------------------------
 
 
@@ -322,9 +341,9 @@ def logged_due_work(sim, log):
     for kind in ("attempt", "beacon"):
         handler = getattr(sim, f"_on_{kind}")
 
-        def logged(vehicle_id, kind=kind, handler=handler):
+        def logged(vehicle_id, *rest, kind=kind, handler=handler):
             log.append((sim.queue.now_us, f"{kind} {vehicle_id}"))
-            handler(vehicle_id)
+            handler(vehicle_id, *rest)  # a beacon also gets its owner and frame
 
         setattr(sim, f"_on_{kind}", logged)
 

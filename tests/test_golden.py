@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from vcachesim import mobility
+from vcachesim.engine import Simulation
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -92,3 +93,57 @@ def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatc
     monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
     assert counts["tracked spawns"] == 0 and counts["stepped spawns"] > 0, counts
+
+
+def digest_and_count(case, out_dir, monkeypatch):
+    """The case's digests and events processed; checks that the world
+    counted every grid tick up to the last tick instant, run or skipped."""
+    sims = []
+    run = Simulation.run
+
+    def kept_run(sim):
+        sims.append(sim)
+        return run(sim)
+
+    monkeypatch.setattr(Simulation, "run", kept_run)
+    digests = make_golden.digest_case(*case, out_dir)
+    (sim,) = sims
+    assert sim.world._ticks == sim.last_tick_us // sim.tick_us + 1
+    return digests, sim.queue.processed_total
+
+
+@pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
+def test_beacon_only_ticks_and_beacon_plans_change_no_output(case, tmp_path, monkeypatch):
+    digests, events = digest_and_count(case, tmp_path / "as-is", monkeypatch)
+    assert digests == GOLDEN[make_golden.case_id(*case)]
+    with monkeypatch.context() as patched:
+        # every tick advances the world and looks for spawns
+        patched.setattr(Simulation, "_world_idle", lambda sim, now: False)
+        assert digest_and_count(case, tmp_path / "full", patched) == (digests, events)
+    with monkeypatch.context() as patched:
+        # every beacon takes the plain one-interval re-arm; a tracked
+        # vehicle's uncovered beacons then still pop, and a tick runs for
+        # them, so only the event count may grow
+        patched.setattr(Simulation, "_beacon_plan", lambda sim, vehicle_id, stagger_us: None)
+        plain_digests, plain_events = digest_and_count(case, tmp_path / "plain", patched)
+        assert plain_digests == digests and plain_events >= events
+
+
+def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
+    # the oracle test above means something only if the shortcut is taken
+    ticks = {"tick events": 0, "world ticks": 0}
+    on_tick = Simulation._on_tick
+    world_tick = mobility.MobilityWorld.tick
+
+    def counted_on_tick(sim):
+        ticks["tick events"] += 1
+        on_tick(sim)
+
+    def counted_world_tick(world, now_us):
+        ticks["world ticks"] += 1
+        return world_tick(world, now_us)
+
+    monkeypatch.setattr(Simulation, "_on_tick", counted_on_tick)
+    monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
+    Simulation(make_golden.build("highway_single", True, 1, 100)).run()
+    assert 0 < ticks["world ticks"] < ticks["tick events"] // 2, ticks

@@ -507,6 +507,43 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
     assert spawned == 50
 
 
+def test_in_span_slices_tracked_mixed_and_stepped_lanes_like_the_positions():
+    # road t: every vehicle on its track, sliced by spawn tick; m: a
+    # tracked front and stepped vehicles behind it (a slower entry speed);
+    # s: every vehicle taken off its track; the last two bisect positions
+    roads = [RoadSegment(id=road_id, length_m=300.0) for road_id in "tms"]
+    world = MobilityWorld(roads, P, 0.1)
+    lanes = {"tracked": 0, "mixed": 0, "stepped": 0}
+    for step in range(400):
+        if step:
+            world.tick(step)
+        if step % 17 == 0 and step < 300:
+            for road_id, speed in (("t", 14.0), ("m", 14.0 if step % 34 else 7.0), ("s", 14.0)):
+                if world.can_spawn(road_id):
+                    world.spawn(f"{road_id}{step}", road_id, speed, step)
+            if world.in_span("s", -math.inf, math.inf):
+                world.state_of(world.in_span("s", -math.inf, math.inf)[0])
+        for road in roads if step % 4 == 0 else ():
+            lane = world._lanes[road.id]
+            order = lane.order
+            if not order:
+                continue
+            tracked = lane.tracked
+            lanes[("stepped", "mixed", "tracked")[(tracked > 0) + (tracked == len(order))]] += 1
+            positions = [world._pos(state) for state in order]
+            bounds = {-math.inf, math.inf, -1.0, 1e3}
+            for pos in positions:
+                bounds |= {pos, math.nextafter(pos, -math.inf), math.nextafter(pos, math.inf)}
+            bounds = sorted(bounds)
+            for lo in bounds[::3]:
+                for hi in bounds:
+                    expected = [
+                        state.id for state, pos in zip(order, positions) if lo <= pos <= hi
+                    ]
+                    assert world.in_span(road.id, lo, hi) == expected, (road.id, step, lo, hi)
+    assert min(lanes.values()) >= 40, lanes
+
+
 def test_state_of_unknown_vehicle():
     world = make_world()
     with pytest.raises(UnknownVehicle):

@@ -32,6 +32,8 @@ OTHER = parse_name("/traffic/9")
 class FakeServices:
     """Records every call; deferred actions run when the test says so."""
 
+    tracing = True
+
     def __init__(self):
         self.transmitted = []  # (channel owner, frame, sender)
         self.delivered = []

@@ -194,6 +194,31 @@ def test_untraced_runs_carry_no_lines(urban_cached):
     assert urban_cached[1].trace_lines is None
 
 
+def test_an_untraced_run_builds_no_trace_text(monkeypatch):
+    # small caches and announces every 3 s: every kind of trace line occurs
+    runs = [
+        urban_single(count=20, seed=3),
+        dataclasses.replace(
+            highway_multi(count=60, seed=3),
+            catalog_size=100,
+            rsu_cache_capacity=16,
+            relay_announce_interval_s=3.0,
+        ),
+    ]
+    kinds = set()
+    for cfg in runs:
+        for line in Simulation(dataclasses.replace(cfg, trace=True)).run().trace_lines:
+            kinds.add(TRACE_RE.match(line).group(3))
+    assert kinds == {"SPAWN", "EXIT", "TX", "DELIVER", "FETCH", "SERVER", "EVICT", "ANNOUNCE"}
+
+    def refuse(sim, text):
+        raise AssertionError(f"trace text built with the trace off: {text}")
+
+    monkeypatch.setattr(Simulation, "_trace", refuse)
+    for cfg in runs:
+        assert Simulation(cfg).run().trace_lines is None
+
+
 def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone():
     """Pre-caching on a track: the zone is shorter than one request interval
     of travel, so the vehicle makes no attempt inside it. It overhears its
@@ -263,10 +288,13 @@ def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_firs
     for kind, log in runs.items():
         handler = getattr(sim, f"_on_{kind}")
 
-        def logged(vehicle_id, log=log, handler=handler):
+        def logged(vehicle_id, *rest, log=log, handler=handler):
             tracked = sim.world.riding(vehicle_id) is not None
-            log.append((tracked, sim.world.world_xy(vehicle_id)[0], sim._owner_of(vehicle_id)))
-            handler(vehicle_id)
+            owner = sim._owner_of(vehicle_id)
+            log.append((tracked, sim.world.world_xy(vehicle_id)[0], owner))
+            if rest:  # a beacon's planned owner is the one its position gives
+                assert rest[0] == owner
+            handler(vehicle_id, *rest)
 
         setattr(sim, f"_on_{kind}", logged)
     sim.run()
