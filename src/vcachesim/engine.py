@@ -765,7 +765,7 @@ class _TrackAges:
     of its age, so the zone that covers it, and the range test and delay of
     a frame a zone's RSU sends it, are functions of the age. Each is filled
     lazily, one age when first asked for, with the calls the engine makes
-    for a vehicle off its track.
+    for a vehicle off its track. So are the beacon plans built from them.
     """
 
     __slots__ = (

@@ -307,6 +307,7 @@ def test_an_action_inside_an_idle_stretch_sees_dense_positions(monkeypatch):
 
 def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
+    sim._world_due = sim.last_tick_us  # as if the world had no work before the end
     sim.queue.schedule(0, lambda: None)  # an event due now
     assert sim._skip_idle_ticks(0) == sim.tick_us
     sim.queue.run_until(0)
