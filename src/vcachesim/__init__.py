@@ -17,7 +17,6 @@ from .scenarios import (
     ValidationError,
     highway_multi,
     highway_single,
-    load_config,
     resolve_config,
     urban_multi,
     urban_single,
@@ -36,7 +35,6 @@ __all__ = [
     "ValidationError",
     "highway_multi",
     "highway_single",
-    "load_config",
     "resolve_config",
     "run_simulation",
     "urban_multi",

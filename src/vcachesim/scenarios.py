@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from pathlib import Path
 
 from .mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
 from .radio import RadioParams
@@ -435,8 +434,3 @@ def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
         raise ValidationError(str(exc)) from None
     validate_config(cfg)
     return cfg
-
-
-def load_config(path, count: int | None = None) -> ScenarioConfig:
-    """resolve_config of a config file (grammar in the package README), count overriding."""
-    return resolve_config(Path(path), {} if count is None else {"count": count})

@@ -19,7 +19,6 @@ from vcachesim.scenarios import (
     ValidationError,
     highway_multi,
     highway_single,
-    load_config,
     resolve_config,
     urban_multi,
     urban_single,
@@ -173,7 +172,7 @@ def test_sub_microsecond_interval_is_rejected_before_the_run(name):
 def test_kinematics_override_must_be_finite_and_positive(tmp_path, name, value):
     path = write(tmp_path, f"scenario = urban_single\nkinematics.{name} = {value}\n")
     with pytest.raises(ValidationError, match=name):
-        load_config(path)
+        resolve_config(path)
 
 
 def test_validation_collects_multiple_problems():
@@ -255,7 +254,7 @@ def write(tmp_path, text):
 
 
 def test_builder_file_reproduces_builder(tmp_path):
-    cfg = load_config(write(tmp_path, "scenario = highway_single\n"))
+    cfg = resolve_config(write(tmp_path, "scenario = highway_single\n"))
     assert cfg == highway_single()
 
 
@@ -269,7 +268,7 @@ def test_builder_file_overrides(tmp_path):
     tick_s = 0.05
     trace = yes
     """
-    cfg = load_config(write(tmp_path, text))
+    cfg = resolve_config(write(tmp_path, text))
     assert cfg.vehicle_count == 20
     assert cfg.arrival_window_s == 144.0
     assert cfg.seed == 7
@@ -280,13 +279,12 @@ def test_builder_file_overrides(tmp_path):
 
 def test_count_goes_to_the_builder_and_file_fields_still_win(tmp_path):
     path = write(tmp_path, "scenario = highway_single\ncount = 100\nduration_s = 400\n")
-    cfg = load_config(path, count=200)
+    cfg = resolve_config(path, {"count": 200})
     assert cfg.vehicle_count == 200
     assert cfg.arrival_window_s == 200.0  # derived by the builder from the count
     assert cfg.duration_s == 400.0  # the file's own field
-    assert load_config(write(tmp_path, "scenario = urban_single\n"), count=60) == urban_single(
-        count=60
-    )
+    path = write(tmp_path, "scenario = urban_single\n")
+    assert resolve_config(path, {"count": 60}) == urban_single(count=60)
 
 
 def test_overrides_win_over_the_file(tmp_path):
@@ -304,7 +302,7 @@ def test_dotted_overrides_replace_nested_params(tmp_path):
     radio.bitrate_bps = 12000000
     kinematics.max_speed_mps = 20
     """
-    cfg = load_config(write(tmp_path, text))
+    cfg = resolve_config(write(tmp_path, text))
     assert cfg.radio.bitrate_bps == 12_000_000
     assert cfg.radio.header_bits == 80  # untouched fields keep defaults
     assert cfg.kinematics.max_speed_mps == 20.0
@@ -320,7 +318,7 @@ def test_rsu_sections_replace_builder_layout(tmp_path):
     center = 400, 100
     radius_m = 350
     """
-    cfg = load_config(write(tmp_path, text))
+    cfg = resolve_config(write(tmp_path, text))
     assert cfg.rsus == [RsuSpec(id="mast", center=(400.0, 100.0), radius_m=350.0)]
     assert len(cfg.roads) == 2  # roads untouched
 
@@ -343,7 +341,7 @@ def test_from_scratch_layout(tmp_path):
     center = 250, 0
     radius_m = 200
     """
-    cfg = load_config(write(tmp_path, text))
+    cfg = resolve_config(write(tmp_path, text))
     assert cfg.name == "strip"
     assert cfg.vehicle_count == 5
     assert cfg.roads[0].length_m == 500.0
@@ -375,7 +373,7 @@ def test_from_scratch_relay_chain(tmp_path):
     center = 250, 0
     radius_m = 150
     """
-    cfg = load_config(write(tmp_path, text))
+    cfg = resolve_config(write(tmp_path, text))
     assert cfg.rsus[0].role == ROLE_RELAY
     assert cfg.rsus[0].next_hop == "front"
     assert cfg.caching is True  # default, and a relay layout needs it
@@ -385,7 +383,7 @@ def test_highway_multi_file_rejects_caching_false(tmp_path):
     # a relay layout is caching-only; the file's caching = false used to be
     # dropped without a word
     with pytest.raises(ValidationError, match="caching-only"):
-        load_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
+        resolve_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
 
 
 def test_resolve_config_takes_a_builder_name_and_typed_overrides():
@@ -417,7 +415,7 @@ def test_from_scratch_without_rsus_fails_validation(tmp_path):
     length_m = 100
     """
     with pytest.raises(ValidationError, match="at least one RSU"):
-        load_config(write(tmp_path, text))
+        resolve_config(write(tmp_path, text))
 
 
 @pytest.mark.parametrize(
@@ -450,7 +448,7 @@ def test_from_scratch_without_rsus_fails_validation(tmp_path):
 )
 def test_parse_errors_carry_line_numbers(tmp_path, text, line_no, fragment):
     with pytest.raises(ParseError) as exc:
-        load_config(write(tmp_path, text))
+        resolve_config(write(tmp_path, text))
     assert exc.value.line_no == line_no
     assert fragment in str(exc.value)
     assert str(exc.value).startswith(f"line {line_no}:")
