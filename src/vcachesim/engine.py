@@ -10,92 +10,88 @@ beacon chatter; FIFO channel contention does the rest.
 
 Ticks sit on the tick_s grid from 0, but the tick runs only at instants
 with due work: a spawn (the first tick at or after a road's front arrival
-that finds its entry open), a step or a tracked exit, or a due attempt or
-beacon. After each tick the next one is scheduled at the first grid instant
-at or after the earliest of that work and the event heap's top, at least
-one tick later and at most the last tick instant of the run, and the idle
-ticks skipped on the way are added to the world's tick count, so tracked
-vehicles read the positions that the ticks would have left. This is exactly
-the tick every tick_s: only a tick creates tick work (exits and satisfied
-vehicles only remove it, and the attempt entries of spawned vehicles that
-want no more attempts are popped off the heap's top before its due time is
-read); no event runs between now and the heap top, so the new tick is
-scheduled with the same events ahead of it, and takes the same FIFO place
-among the events of its instant, as a tick scheduled one tick earlier; and
-the last tick instant still ends the run, so the clock ends where it did.
+that finds its entry open), an exit, or a due attempt or beacon. After each
+tick the next one is scheduled at the first grid instant at or after the
+earliest of that work and the event heap's top, at least one tick later and
+at most the last tick instant of the run, and the idle ticks skipped on the
+way are added to the world's tick count, so vehicles read the positions
+that the ticks would have left. This is exactly the tick every tick_s: only
+a tick creates tick work (exits and satisfied vehicles only remove it, and
+the attempt entries of spawned vehicles that want no more attempts are
+popped off the heap's top before its due time is read); no event runs
+between now and the heap top, so the new tick is scheduled with the same
+events ahead of it, and takes the same FIFO place among the events of its
+instant, as a tick scheduled one tick earlier; and the last tick instant
+still ends the run, so the clock ends where it did.
 
 Most ticks that run have only beacons due, or nothing (after due work the
 next tick is always one tick later). Each time the tick advances the world
 it records the first instant at which the world can do more than count a
-tick: a step or a tracked exit (quiet_ticks) or a spawn (ticks_to_open and
-the roads' front arrivals). A tick before that instant only adds one to the
-world's tick count (skip) and takes its due attempts and beacons. That is
-exactly what advancing the world would do there: the tick would step no
-vehicle and take no exit, and no arrival would be both due and able to
-enter; and only advancing the world spawns, steps or takes an exit, so the
-instant holds until the world is advanced again. Such a tick is the same
-_on_tick event at the same FIFO place, so everything after it is unchanged.
+tick: an exit (quiet_ticks) or a spawn (ticks_to_open and the roads' front
+arrivals). A tick before that instant only adds one to the world's tick
+count (skip) and takes its due attempts and beacons. That is exactly what
+advancing the world would do there: the tick would take no exit, and no
+arrival would be both due and able to enter; and only advancing the world
+spawns or takes an exit, so the instant holds until the world is advanced
+again. Such a tick is the same _on_tick event at the same FIFO place, so
+everything after it is unchanged.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence) is
-added to at spawn and dropped from at exit. Attempts, and beacons that are
-re-armed one interval at a time (below), wait in two due-time heaps keyed
-(due time, spawn sequence, vehicle id); each tick pops the entries due by
-now and re-arms each one at its next due time. Exited vehicles leave both
-heaps when next popped, satisfied ones leave the attempt heap. Planned
-beacons (below) wait in lists keyed by the instant they run at. The tick
-takes its instant's planned beacons and merges in the plain ones in spawn
-order, then queues the next tick and runs the due attempts, then the due
-beacons, each in spawn order, inside itself; when another event already
-waits at its instant, it schedules them as one batch event at that instant
-instead. This is exactly one event per attempt and beacon, for the same
-reasons as the receive batches below: those events held consecutive places
-among the events of their instant, after any event already waiting there;
-what they scheduled for that instant ran after the last of them anyway; the
-next tick was queued before anything they scheduled; and exits happen only
-in the tick, so every due vehicle is still active when it runs. A beacon's
-channel owner is taken with it: it depends only on the vehicle's position,
-which only the tick moves. At frame end the receivers come from the road
+added to at spawn and dropped from at exit. Attempts wait in a due-time
+heap keyed (due time, spawn sequence, vehicle id); each tick pops the
+entries due by now and re-arms each one at its next due time. Exited and
+satisfied vehicles leave the heap when next popped. Beacons are planned at
+spawn (below) and wait in lists keyed by the instant they run at. The tick
+takes its instant's beacons, then queues the next tick and runs the due
+attempts, then the due beacons, each in spawn order, inside itself; when
+another event already waits at its instant, it schedules them as one batch
+event at that instant instead. This is exactly one event per attempt and
+beacon, for the same reasons as the receive batches below: those events
+held consecutive places among the events of their instant, after any event
+already waiting there; what they scheduled for that instant ran after the
+last of them anyway; the next tick was queued before anything they
+scheduled; and exits happen only in the tick, so every due vehicle is still
+active when it runs. At frame end the receivers come from the road
 geometry: each zone meets each road in one position interval, computed
 once, and the vehicles inside it are one bisected slice of the road's
 front-to-back order. The exact closed-ball range test still decides every
 candidate. A beacon occupies airtime but carries nothing receivers keep, so
 it has no frame-end event.
 
-Only due work that can act is queued. A vehicle that rides its track is at
-track.pos[age] at every tick of its age, so what it meets is a function of
-(road, track, age), memoized lazily per road (_TrackAges). With an interval
-of at least one tick, due time d runs at grid tick ceil(d / tick_us), at an
-age known in advance (_first_acting_due). An attempt does nothing before
-the first age at which a zone covers the vehicle: no frame can have reached
-it, so it is idle with an empty cache and no target. A later attempt outside
-every zone stays queued, because it may find an item the vehicle overheard
-inside one (a pre-cache hit). So arming an attempt entry (at spawn and at
-each re-arm) jumps over the due times before that age, and drops the entry
-once the run age reaches the road's exit age, where the vehicle has left
-and the pop would drop it anyway. A beacon does nothing where no zone
-covers the vehicle: it reserves no airtime and writes no trace. Its whole
-plan is made at spawn: every due time of the chain that can act, up to the
-exit age, each with the owner of the zone covering its run age and the
-vehicle's one Beacon frame, filed under its run instant. Later spawns file
-later, so each instant's list is in spawn order. The plan is exact because
-it is fixed at spawn: the engine never calls state_of, so a tracked
-vehicle stays on its track until its exit age, and its ages, owners and
-exit are known then. Relative to its on-grid spawn instant a plan depends
-only on the first due offset (the stagger), so plans are kept per road
-track and offset. The due times kept are those of the plain chain d, d +
-interval, ..., so each runs at the same instant and in the same spawn order
-as before; the ticks that no longer run had no work left, which the
-sparse-tick argument above covers. A shorter interval re-arms behind its
-run instant, and a stepped vehicle has no age to look up, so both keep the
-plain re-arm one interval later. The memos are exact, too: each entry is
-filled with the very call the engine makes for a vehicle off its track, on
-road.world_position(track.pos[age]), which is the value world_xy gives.
-That holds for the covering zone of an attempt or beacon, and for the range
-test and delay of content at frame end, because only the channel's own RSU
-sends content, so the sender sits at the zone's centre (content from anyone
-else raises).
+Only due work that can act is queued. The engine never moves a vehicle, so
+the path fixed at its spawn (see mobility) holds until its exit: it is at
+track.pos[age] at every tick of its age, and what it meets is a function of
+(road, track, age), memoized lazily per track and road (_TrackAges) under a
+weak key, so that an own track's memos go with it at the vehicle's exit.
+Each entry is filled with the very call a lookup at the event would make,
+on road.world_position(track.pos[age]), the value world_xy gives; for the
+range test and delay of content at frame end too, because only the
+channel's own RSU sends content, so the sender sits at the zone's centre
+(content from anyone else raises). An attempt does nothing before the first
+age at which a zone covers the vehicle: it is idle with an empty cache and
+no target. No age before the lowest position where a zone's span (which
+holds the whole zone) meets the road is covered, so the search starts
+there. A later attempt outside every zone stays queued, because it may find
+an item the vehicle overheard inside one (a pre-cache hit). With an
+interval of at least one tick, due time d runs at grid tick ceil(d /
+tick_us), at an age known in advance (_first_acting_due), so arming an
+attempt entry jumps over the due times before the first covered age and
+drops the entry once the run age reaches the exit age; a shorter interval
+re-arms behind its run instant, one interval later. A beacon does nothing
+where no zone covers the vehicle. Its whole plan is made at spawn: every
+due time d, d + interval, ... that can act before the exit age, with the
+owner of the zone covering its run age and the vehicle's one Beacon frame,
+filed under its run instant. A due time runs at the first tick at or after
+it, but once per tick at most, as when a beacon was re-armed one interval
+later after the tick had taken its due ones: the k-th runs at age
+max(ceil(d_k / tick_us), previous age + 1), and from one tick up the max
+never binds (_TrackAges.beacon_plan). Later spawns file later, so each
+instant's list is in spawn order. Relative to an on-grid spawn a plan
+depends only on the first due offset (the stagger), so plans are kept per
+track, road and stagger. The ticks that no longer run had no work left,
+which the sparse-tick argument above covers.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
@@ -118,15 +114,17 @@ instant runs after the last member either way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
+from weakref import WeakKeyDictionary
 
 from .content import Catalog
 from .metrics import DeliveryRecord, MetricsLedger
-from .mobility import FreeTrack, MobilityWorld, RoadSegment, generate_arrivals
+from .mobility import MobilityWorld, RoadSegment, Track, generate_arrivals
 from .protocol import (
     Beacon,
     CachingGateway,
@@ -198,6 +196,14 @@ class Simulation:
             ]
             for zone_id, zone in self.zones.items()
         }
+        # not a method: memos that referred to the engine would keep a
+        # finished run's tracks alive until a cyclic collection
+        self._owner_at = partial(_zone_owner_at, self.zones)
+        # road id -> the lowest position at which a zone may cover it
+        self._covered_from: dict[str, float] = {}
+        for spans in self._road_spans.values():
+            for road_id, lo, _ in spans:
+                self._covered_from[road_id] = min(lo, self._covered_from.get(road_id, lo))
         self.backhaul = {
             spec.id: BackhaulLink(backhaul_latency_us)
             for spec in cfg.rsus
@@ -236,9 +242,8 @@ class Simulation:
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
-        # heaps of (due time, spawn sequence, vehicle id)
+        # heap of (due time, spawn sequence, vehicle id)
         self._attempts_due: list[tuple[int, int, str]] = []
-        self._beacons_due: list[tuple[int, int, str]] = []  # plainly re-armed ones
         # run instant -> planned beacons (vehicle id, channel owner, frame) in
         # spawn order, and a heap of those instants
         self._planned: dict[int, list[tuple[str, str, Beacon]]] = {}
@@ -246,8 +251,9 @@ class Simulation:
         # the first instant at which the world changes more than its tick
         # count or an arrival spawns (_world_work_at)
         self._world_due = 0
-        # road id -> what a vehicle riding the road's track meets at each age
-        self._track_ages: dict[str, _TrackAges] = {}
+        # track -> road id -> what a vehicle riding the track on the road
+        # meets at each age; an own track's entry goes with the track
+        self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
         self.vehicle_requests_transmitted = 0
         self.frames_transmitted: dict[str, int] = {}
         self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
@@ -283,7 +289,6 @@ class Simulation:
 
     def _on_tick(self) -> None:
         now = self.queue.now_us
-        active = self._active
         if self._world_idle(now):
             self.world.skip(1)
         else:
@@ -295,24 +300,11 @@ class Simulation:
             if attempts and attempts[0][0] <= now
             else []
         )
-        beacons = self._beacons_due
-        plain = (
-            _take_due(beacons, now, active.__contains__, self._next_beacon)
-            if beacons and beacons[0][0] <= now
-            else []
-        )
         due_beacons = self._take_planned(now)
-        if plain:
-            bits = self.cfg.radio.beacon_payload_bits
-            for vid in plain:
-                owner = self._owner_of(vid)
-                if owner is not None:  # an uncovered beacon does nothing
-                    due_beacons.append((vid, owner, Beacon(vid, bits)))
-            due_beacons.sort(key=lambda entry: active[entry[0]])
         queue = self.queue
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
-            if not (due_attempts or plain or due_beacons):
+            if not (due_attempts or due_beacons):
                 next_tick = self._skip_idle_ticks(now)
             queue.schedule(next_tick, self._on_tick)
         if due_attempts or due_beacons:
@@ -352,7 +344,7 @@ class Simulation:
                 # beacon phases staggered by spawn order; synchronized phases
                 # (all spawns sit on tick boundaries) would pile beacon bursts
                 # onto the channel right when responses need it
-                self._arm_beacons(now, (spawned % 100) * self.tick_us, spawned, vid)
+                self._arm_beacons(now, (spawned % 100) * self.tick_us, vid)
                 if tracing:
                     self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
         self._world_due = self._world_work_at(now)
@@ -397,9 +389,6 @@ class Simulation:
         first = self._first_attempt_due()
         if first is not None and first < due:
             due = first
-        beacons = self._beacons_due
-        if beacons and beacons[0][0] < due:
-            due = beacons[0][0]
         planned_at = self._planned_at
         if planned_at and planned_at[0] < due:
             due = planned_at[0]
@@ -428,44 +417,31 @@ class Simulation:
     def _next_attempt(self, due_us: int, vehicle_id: str) -> int | None:
         return self._first_due(due_us + self.request_interval_us, vehicle_id)
 
-    def _next_beacon(self, due_us: int, vehicle_id: str) -> int:
-        return due_us + self.beacon_interval_us
-
     def _first_due(self, from_us: int, vehicle_id: str) -> int | None:
         """The first of from_us, from_us + interval, ... (the request
         interval) at which the vehicle's attempt can act; None when it
         exits first.
 
-        Only a vehicle that rides its track is planned ahead (and only for
-        an interval of at least one tick, _first_acting_due); any other due
-        time is from_us itself. An attempt can act from the first age at
-        which a zone covers the vehicle (see the module docstring). Runs
-        inside the tick at now, before idle ticks are skipped, so the
-        world's latest tick is the one at now.
+        Only an interval of at least one tick is planned ahead
+        (_first_acting_due); a shorter one gives from_us itself. An attempt
+        can act from the first age at which a zone covers the vehicle (see
+        the module docstring). Runs inside the tick at now, before idle
+        ticks are skipped, so the world's latest tick is the one at now.
         """
-        riding = self.world.riding(vehicle_id)
-        if riding is None:
-            return from_us
-        road, track, age = riding
+        road, track, age = self.world.riding(vehicle_id)
         ages = self._ages(road, track)
-        tick_us = self.tick_us
+        spawn_tick = self.queue.now_us // self.tick_us - age  # on the grid
         return _first_acting_due(
-            from_us,
-            self.request_interval_us,
-            tick_us,
-            self.queue.now_us // tick_us - age,  # the grid tick of its spawn
-            ages.exit_age,
-            ages.covered_since,
+            from_us, self.request_interval_us, self.tick_us, spawn_tick,
+            ages.exit_age, ages.covered_since,
         )
 
-    def _arm_beacons(self, now: int, stagger_us: int, seq: int, vehicle_id: str) -> None:
-        """Queue the beacons of a vehicle spawned at now, the first due
-        stagger_us later: planned up to the last tick instant when it rides
-        its track (_beacon_plan), else as one plainly re-armed heap entry."""
-        plan = self._beacon_plan(vehicle_id, stagger_us)
-        if plan is None:
-            heappush(self._beacons_due, (now + stagger_us, seq, vehicle_id))
-            return
+    def _arm_beacons(self, now: int, stagger_us: int, vehicle_id: str) -> None:
+        """Plan the beacons of a vehicle spawned at now, the first due
+        stagger_us later, up to the last tick instant (_TrackAges.beacon_plan)."""
+        road, track, _ = self.world.riding(vehicle_id)
+        ages = self._ages(road, track)
+        plan = ages.beacon_plan(stagger_us, self.beacon_interval_us, self.tick_us)
         beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
         planned = self._planned
         last_us = self.last_tick_us
@@ -480,20 +456,6 @@ class Simulation:
             else:  # later spawns append later, so a bucket is in spawn order
                 bucket.append((vehicle_id, owner, beacon))
 
-    def _beacon_plan(self, vehicle_id: str, stagger_us: int) -> list[tuple[int, str]] | None:
-        """(run offset from the spawn instant, channel owner) of every beacon
-        of a vehicle that has just spawned onto its track; None when its
-        beacons take the plain re-arm instead: a stepped vehicle, or an
-        interval below one tick (see the module docstring)."""
-        interval_us = self.beacon_interval_us
-        if interval_us < self.tick_us:
-            return None
-        riding = self.world.riding(vehicle_id)
-        if riding is None:
-            return None
-        road, track, _ = riding
-        return self._ages(road, track).beacon_plan(stagger_us, interval_us, self.tick_us)
-
     def _take_planned(self, now: int) -> list[tuple[str, str, Beacon]]:
         """Pop the beacons planned to run at now, in spawn order."""
         planned_at = self._planned_at
@@ -502,19 +464,20 @@ class Simulation:
         heappop(planned_at)
         return self._planned.pop(now)
 
-    def _ages(self, road: RoadSegment, track: FreeTrack) -> _TrackAges:
-        # a road's vehicles ride one track, which changes only while the road is empty
-        ages = self._track_ages.get(road.id)
-        if ages is None or ages.track is not track:
-            ages = self._track_ages[road.id] = _TrackAges(road, track, self._zone_owner_at)
+    def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
+        by_road = self._track_ages.get(track)
+        if by_road is None:
+            by_road = self._track_ages[track] = {}
+        ages = by_road.get(road.id)
+        if ages is None:
+            ages = by_road[road.id] = _TrackAges(
+                road, track, self._owner_at, self._covered_from.get(road.id)
+            )
         return ages
 
     def _owner_of(self, vehicle_id: str) -> str | None:
-        """Owner of the zone covering an active vehicle now (_zone_owner_at)."""
-        riding = self.world.riding(vehicle_id)
-        if riding is None:
-            return self._zone_owner_at(self.world.world_xy(vehicle_id))
-        road, track, age = riding
+        """Owner of the nearest zone covering an active vehicle now (_zone_owner_at)."""
+        road, track, age = self.world.riding(vehicle_id)
         return self._ages(road, track).owner(age)
 
     def _run_due(self, attempts: list[str], beacons: list[tuple[str, str, Beacon]]) -> None:
@@ -600,8 +563,8 @@ class Simulation:
         ignore requests, and a satisfied vehicle does nothing with content
         (the status is terminal, and its cache is read only by on_attempt,
         which returns first for it). Only the zone's own RSU sends content,
-        so a vehicle riding its track gets its range test and delay from
-        its age (_TrackAges.delay).
+        so a vehicle gets its range test and delay from its track and age
+        (_TrackAges.delay).
         """
         request = isinstance(frame, Request)
         if not request and sender != zone_id:
@@ -630,13 +593,7 @@ class Simulation:
         for vid in candidates:
             if vehicles[vid].status == SATISFIED:
                 continue
-            riding = world.riding(vid)
-            if riding is None:
-                x, y = world.world_xy(vid)
-                if in_range(zone, (x, y)):
-                    found.append((vid, propagation_us(math.hypot(x - sender_x, y - sender_y))))
-                continue
-            road, track, age = riding
+            road, track, age = world.riding(vid)
             delay = self._ages(road, track).delay(zone, age)
             if delay >= 0:
                 found.append((vid, delay))
@@ -647,17 +604,6 @@ class Simulation:
         if zone is not None:
             return zone.center
         return self.world.world_xy(node_id)
-
-    def _zone_owner_at(self, point: tuple[float, float]) -> str | None:
-        """Owner of the nearest covering zone; id order breaks exact ties."""
-        best: tuple[float, str] | None = None
-        for rsu_id, zone in self.zones.items():
-            distance = math.hypot(point[0] - zone.center[0], point[1] - zone.center[1])
-            if distance <= zone.radius_m:
-                key = (distance, rsu_id)
-                if best is None or key < best:
-                    best = key
-        return best[1] if best else None
 
     # -- backhaul ------------------------------------------------------------
 
@@ -713,6 +659,18 @@ class Simulation:
             self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
 
 
+def _zone_owner_at(zones: dict[str, CoverageZone], point: tuple[float, float]) -> str | None:
+    """Owner of the nearest zone covering point; id order breaks exact ties."""
+    best: tuple[float, str] | None = None
+    for rsu_id, zone in zones.items():
+        distance = math.hypot(point[0] - zone.center[0], point[1] - zone.center[1])
+        if distance <= zone.radius_m:
+            key = (distance, rsu_id)
+            if best is None or key < best:
+                best = key
+    return best[1] if best else None
+
+
 def _take_due(heap: list[tuple[int, int, str]], now_us: int, keep, rearm) -> list[str]:
     """Pop every entry due by now_us; returns the kept vehicle ids in spawn order.
 
@@ -761,23 +719,33 @@ def _first_acting_due(
 class _TrackAges:
     """What a vehicle riding one track on one road meets at each age.
 
-    Such a vehicle is at road.world_position(track.pos[age]) at every tick
-    of its age, so the zone that covers it, and the range test and delay of
-    a frame a zone's RSU sends it, are functions of the age. Each is filled
-    lazily, one age when first asked for, with the calls the engine makes
-    for a vehicle off its track. So are the beacon plans built from them.
+    Such a vehicle is at road.world_position(pos[age]) at every tick of its
+    age, so the zone that covers it, and the range test and delay of a
+    frame a zone's RSU sends it, are functions of the age, filled lazily,
+    one age when first asked for; so are the beacon plans built from them.
+    The track itself is not kept, so that the engine's weak key on it lets
+    an own track and its memos go at the vehicle's exit.
     """
 
     __slots__ = (
-        "road", "track", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays", "_plans"
+        "road", "pos", "exit_age", "_owner_at", "_owners", "_uncovered_before", "_first_covered",
+        "_delays", "_plans",
     )
 
-    def __init__(self, road: RoadSegment, track: FreeTrack, owner_at) -> None:
+    def __init__(
+        self, road: RoadSegment, track: Track, owner_at, covered_from: float | None
+    ) -> None:
         self.road = road
-        self.track = track
+        self.pos = track.pos
         self.exit_age = track.exit_age(road.length_m)
         self._owner_at = owner_at  # point -> owner of the nearest covering zone, or None
         self._owners: list = [_UNFILLED] * self.exit_age
+        # no zone covers a position below covered_from (the lowest lo of the
+        # zones' spans on the road, each a superset of its zone), nor any
+        # when it is None; positions along a track never fall
+        self._uncovered_before = (
+            self.exit_age if covered_from is None else bisect_left(self.pos, covered_from)
+        )
         self._first_covered: int | None = None
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
@@ -787,17 +755,13 @@ class _TrackAges:
     def owner(self, age: int) -> str | None:
         owner = self._owners[age]
         if owner is _UNFILLED:
-            point = self.road.world_position(self.track.pos[age])
-            owner = self._owners[age] = self._owner_at(point)
+            owner = self._owners[age] = self._owner_at(self.road.world_position(self.pos[age]))
         return owner
-
-    def covered(self, age: int) -> bool:
-        return self.owner(age) is not None
 
     def covered_since(self, age: int) -> bool:
         """Has a zone covered the vehicle at this age or before?"""
         if self._first_covered is None:
-            first = 0
+            first = self._uncovered_before
             while first < self.exit_age and self.owner(first) is None:
                 first += 1
             self._first_covered = first
@@ -808,12 +772,15 @@ class _TrackAges:
     ) -> list[tuple[int, str]]:
         """(run offset, channel owner) of every beacon that can act, for a
         vehicle spawned at a tick instant whose first beacon is due first_us
-        after it, at interval_us >= tick_us.
+        after it.
 
-        The due times are those the plain chain first_us, first_us +
-        interval_us, ... gives, skipping the uncovered ones up to the exit
-        age (_first_acting_due); each runs at its grid tick, age * tick_us
-        after the spawn, on the channel of the zone covering that age.
+        The due times are first_us, first_us + interval_us, ... A due time d
+        runs at the first tick at or after it, but a beacon runs once per
+        tick at most, for the next due time is armed only after the tick's
+        due ones are taken: the k-th runs at age max(ceil(d_k / tick_us),
+        previous age + 1), age * tick_us after the spawn, on the channel of
+        the zone covering that age; an uncovered one does nothing, and none
+        runs from the exit age on. From one tick up the max never binds.
         Relative to an on-grid spawn nothing else enters, so plans are kept.
         """
         key = (first_us, interval_us, tick_us)
@@ -821,14 +788,15 @@ class _TrackAges:
         if plan is None:
             plan = self._plans[key] = []
             exit_age = self.exit_age
-            covered = self.covered
-            due_us = _first_acting_due(first_us, interval_us, tick_us, 0, exit_age, covered)
-            while due_us is not None:
-                age = -(-due_us // tick_us)
-                plan.append((age * tick_us, self.owner(age)))
-                due_us = _first_acting_due(
-                    due_us + interval_us, interval_us, tick_us, 0, exit_age, covered
-                )
+            due_us = first_us
+            age = -(-due_us // tick_us)
+            while age < exit_age:
+                if self.covered_since(age):
+                    owner = self.owner(age)
+                    if owner is not None:
+                        plan.append((age * tick_us, owner))
+                due_us += interval_us
+                age = max(-(-due_us // tick_us), age + 1)
         return plan
 
     def delay(self, zone: CoverageZone, age: int) -> int:
@@ -838,7 +806,7 @@ class _TrackAges:
             delays = self._delays[zone.owner] = [None] * self.exit_age
         delay = delays[age]
         if delay is None:
-            x, y = self.road.world_position(self.track.pos[age])
+            x, y = self.road.world_position(self.pos[age])
             center_x, center_y = zone.center
             delay = delays[age] = (
                 propagation_us(math.hypot(x - center_x, y - center_y))

@@ -6,20 +6,24 @@ under acceleration/deceleration limits with a hard minimum-gap floor, so
 each road's vehicles, front to back, are also in spawn order and in
 non-increasing position order.
 
-Most vehicles never brake, so the world does not step them. For each entry
-speed it builds one free-flow track, once: the positions and speeds that the
-free step gives tick after tick from (0, entry speed). A vehicle that rides
-a track is at track.pos[age] with track.speed[age], age being the ticks since
-its spawn, and it exits at the road's exit age, the first age whose position
-reaches the road's length. A spawning vehicle rides its track only when
-every vehicle on its road rides the same track and the lag test shows it
-never brakes behind the rear one (FreeTrack.clears). Each road is therefore
-a tracked front prefix, which the tick touches only to take exits, and
-stepped vehicles behind it, which run the car-following step. Tracks are
-built by a pure function of their inputs and cached process-wide, so a sweep
-builds each one once. state_of hands out a state its caller may write, so it
-first writes the road's track values into the states and steps that road's
-vehicles from then on; it is the only way off a track before the exit.
+Every vehicle's whole path is fixed at its spawn, as a track: its position
+and speed at each age (ticks since spawn) up to its exit. This is exact.
+The world steps each road front to back, and a step reads only the
+vehicle's own state and its leader's state after the leader's step in that
+tick; from the leader's exit tick on there is no leader. The leader is the
+rear vehicle at spawn, for no vehicle overtakes and only front ones exit.
+So a path depends only on the spawn state and the leader's path, which is
+fixed already, and the same floating-point operations run ahead of time
+give the same bits. Nothing moves a vehicle later (place, for tests,
+rebuilds tracks), so the path holds until the exit: the first tick at which
+the vehicle has no leader and its position reaches the road's length.
+
+Most vehicles never brake and share a track: for each entry speed the world
+builds, once, the free-flow track that the free step gives from (0, entry
+speed) up to the longest road, through a process-wide cache. A spawning
+vehicle rides it when every vehicle on its road does and the lag test shows
+it never brakes behind the rear one (Track.clears). Any other vehicle gets
+its own track behind its leader's (MobilityWorld._follow).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import attrgetter, sub
 from typing import TYPE_CHECKING
 
@@ -54,8 +57,8 @@ URBAN_RANDOM = "urban-random"
 HIGHWAY_UNIFORM = "highway-uniform"
 
 SPAN_SLACK = 1e-6  # widening of RoadSegment.span_within, relative and in metres
-# A free path longer than this many ticks (a tiny tick on a long road) is
-# stepped rather than stored: 2**18 ticks of two floats take about 17 MB.
+# A path longer than this many ticks (a tiny tick on a long road) is refused
+# (PathTooLong) rather than stored: 2**18 ticks of two floats take about 17 MB.
 MAX_TRACK_TICKS = 1 << 18
 
 
@@ -123,17 +126,19 @@ class KinematicParams:
 
 @dataclass(slots=True)
 class VehicleState:
-    """One vehicle. While track is set, pos_m and speed_mps are not kept up
-    to date: the vehicle is at track.pos/speed[ticks since spawn_tick]."""
+    """One vehicle. On its road it is at track.pos/speed[ticks since
+    spawn_tick] and leaves at exit_tick; at its exit it drops the track,
+    and pos_m and speed_mps keep where it left."""
 
     id: str
     road_id: str
-    pos_m: float
-    speed_mps: float
     entered_at_us: int
+    spawn_tick: int  # the world's tick count at spawn
+    track: Track | None = None
+    exit_tick: int = 0
+    pos_m: float = 0.0
+    speed_mps: float = 0.0
     exited_at_us: int | None = None
-    spawn_tick: int = 0  # the world's tick count at spawn
-    track: FreeTrack | None = None
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,9 @@ def advance_kinematics(
     leader's, absorbed at decel); then brake. A final no-pass clamp
     guarantees the minimum gap outright, whatever the discretization did.
 
-    This is the reference form of the model. MobilityWorld.tick inlines the
-    same floating-point operations in the same order, and a test holds the
-    two bit-identical.
+    This is the reference form of the model. MobilityWorld._follow inlines
+    the same floating-point operations in the same order, and a test holds
+    the two bit-identical.
     """
     v_cand = min(speed_mps + p.accel_mps2 * dt_s, p.max_speed_mps)
     pos_cand = pos_m + 0.5 * (speed_mps + v_cand) * dt_s
@@ -243,15 +248,16 @@ def advance_kinematics(
     return pos_brake, v_brake
 
 
-class FreeTrack:
-    """Where a vehicle that never brakes is, age ticks after its spawn.
+class Track:
+    """Where a vehicle is, age ticks after its spawn: pos[age], speed[age].
 
-    pos[age] and speed[age] come from applying the free step of
-    advance_kinematics (no leader) age times to (0.0, entry speed); the
-    lists run until the position reaches the world's longest road.
+    A free-flow track (free_track) is shared by every vehicle that rides
+    it and runs until its position reaches the world's longest road; an
+    own track (MobilityWorld._follow) is one vehicle's and ends at its exit.
+    Speeds along a track never fall below zero, so positions never fall.
     """
 
-    __slots__ = ("pos", "speed", "_clear", "_open_age")
+    __slots__ = ("pos", "speed", "_clear", "_open_age", "__weakref__")
 
     def __init__(self, pos: list[float], speed: list[float]) -> None:
         self.pos = pos
@@ -262,7 +268,9 @@ class FreeTrack:
         self._open_age: dict[float, int] = {}
 
     def exit_age(self, length_m: float) -> int:
-        """The age at which a vehicle on this track leaves a road this long."""
+        """The age at which a vehicle on this track leaves a road this long:
+        the first whose position reaches it. A vehicle never reaches the
+        road's end behind its leader, so this holds for own tracks too."""
         return bisect_left(self.pos, length_m)
 
     def open_age(self, min_gap_m: float) -> int:
@@ -275,13 +283,13 @@ class FreeTrack:
 
     def clears(self, length_m: float, lag: int, min_gap_m: float) -> bool:
         """The lag test: does a vehicle spawned lag ticks after its leader,
-        both on this track, keep min_gap_m to it on every tick?
+        both on this free-flow track, keep min_gap_m to it on every tick?
 
-        This is the tick's own braking test. At its age a >= 1 the follower
+        This is the step's own braking test. At its age a >= 1 the follower
         is at pos[a] and its leader at pos[a + lag], up to the leader's exit
-        at the exit age. Speed along a track never falls from age 1 on, so
-        the follower's speed surplus over the leader is never positive and
-        the gap the tick needs is min_gap_m itself.
+        at the exit age. Speed along a free-flow track never falls from age
+        1 on, so the follower's speed surplus over the leader is never
+        positive and the gap the step needs is min_gap_m itself.
         """
         key = (length_m, lag, min_gap_m)
         clear = self._clear.get(key)
@@ -293,10 +301,14 @@ class FreeTrack:
         return clear
 
 
+class PathTooLong(ValueError):
+    """A vehicle would stay on its road for more than MAX_TRACK_TICKS ticks."""
+
+
 @lru_cache(maxsize=16)
 def free_track(
     speed_hex: str, tick_s: float, params: KinematicParams, longest_m: float, max_ticks: int
-) -> FreeTrack | None:
+) -> Track | None:
     """The free-flow track from entry speed float.fromhex(speed_hex), cached.
 
     None for a NaN or negative entry speed (from below zero, speed would
@@ -315,25 +327,11 @@ def free_track(
         positions.append(pos)
         speeds.append(speed)
         if pos >= longest_m:
-            return FreeTrack(positions, speeds)
+            return Track(positions, speeds)
     return None
 
 
 _SPAWN_TICK = attrgetter("spawn_tick")
-
-
-class _Lane:
-    """One road's active vehicles, front to back; the first `tracked` of
-    them ride `track` and leave the road at `exit_age`."""
-
-    __slots__ = ("road", "order", "track", "tracked", "exit_age")
-
-    def __init__(self, road: RoadSegment) -> None:
-        self.road = road
-        self.order: list[VehicleState] = []
-        self.track: FreeTrack | None = None
-        self.tracked = 0
-        self.exit_age = 0
 
 
 class MobilityWorld:
@@ -356,12 +354,13 @@ class MobilityWorld:
         self.tick_s = tick_s
         self._states: dict[str, VehicleState] = {}
         self._registered: dict[str, str] = {}  # vehicle id -> road id
-        self._lanes = {road.id: _Lane(road) for road in roads}
+        # road id -> its active vehicles, front to back
+        self._lanes: dict[str, list[VehicleState]] = {road.id: [] for road in roads}
         self._longest_m = max(road.length_m for road in roads)
         # entry speed as float.hex() -> its track, or None when it has none;
         # hex keys keep -0.0 apart from 0.0 (their speeds at age 0 differ in
         # sign) and give every NaN one key
-        self._tracks: dict[str, FreeTrack | None] = {}
+        self._tracks: dict[str, Track | None] = {}
         self._ticks = 0
         self.spawned_total = 0
         self.exited_total = 0
@@ -373,51 +372,45 @@ class MobilityWorld:
 
     def can_spawn(self, road_id: str) -> bool:
         """True when the entry point is at least min_gap behind the rear car."""
-        order = self._lanes[road_id].order
+        order = self._lanes[road_id]
         return not order or self._pos(order[-1]) >= self.params.min_gap_m
 
     def spawn(self, vehicle_id: str, road_id: str, speed_mps: float, now_us: int) -> None:
+        """Put a vehicle at the road's entry and fix its whole path.
+
+        It rides the entry speed's free-flow track when every vehicle on
+        the road rides that track (the rear does only then) and the lag test
+        clears it behind the rear one; otherwise it gets its own track
+        behind the rear one, its leader.
+        """
         if vehicle_id in self._states:
             raise ValueError(f"vehicle already spawned: {vehicle_id}")
         if not self.can_spawn(road_id):
             raise ValueError(f"entry of road {road_id} is blocked")
+        order = self._lanes[road_id]
+        leader = order[-1] if order else None
+        ticks = self._ticks
+        state = VehicleState(vehicle_id, road_id, now_us, ticks)
+        track = self._track(speed_mps)
+        length = self.roads[road_id].length_m
+        if track is not None and (
+            leader is None
+            or leader.track is track
+            and track.clears(length, ticks - leader.spawn_tick, self.params.min_gap_m)
+        ):
+            state.track = track
+            state.exit_tick = ticks + track.exit_age(length)
+        else:
+            self._follow(state, [0.0], [speed_mps], leader)
         self._registered.setdefault(vehicle_id, road_id)
-        state = VehicleState(
-            id=vehicle_id,
-            road_id=road_id,
-            pos_m=0.0,
-            speed_mps=speed_mps,
-            entered_at_us=now_us,
-            spawn_tick=self._ticks,
-        )
-        lane = self._lanes[road_id]
-        if lane.tracked == len(lane.order):  # no stepped vehicle on the road
-            self._join_track(lane, state)
         self._states[vehicle_id] = state
-        lane.order.append(state)
+        order.append(state)
         self.spawned_total += 1
 
-    def _join_track(self, lane: _Lane, state: VehicleState) -> None:
-        track = self._track(state.speed_mps)
-        if track is None:
-            return
-        length = lane.road.length_m
-        if lane.order:
-            if lane.track is not track:
-                return
-            lag = state.spawn_tick - lane.order[-1].spawn_tick
-            if not track.clears(length, lag, self.params.min_gap_m):
-                return
-        else:
-            lane.track = track
-            lane.exit_age = track.exit_age(length)
-        state.track = track
-        lane.tracked += 1
-
-    def _track(self, speed_mps: float) -> FreeTrack | None:
-        """The entry speed's track (free_track), fetched on first use and
-        kept, so that the world's vehicles share one track object whatever
-        the process-wide cache evicts meanwhile."""
+    def _track(self, speed_mps: float) -> Track | None:
+        """The entry speed's free-flow track (free_track), fetched on first
+        use and kept, so that the world's vehicles share one track object
+        whatever the process-wide cache evicts meanwhile."""
         key = float(speed_mps).hex()
         if key not in self._tracks:
             self._tracks[key] = free_track(
@@ -425,102 +418,20 @@ class MobilityWorld:
             )
         return self._tracks[key]
 
-    def quiet_ticks(self) -> int | None:
-        """How many ticks from now until the first that changes more than the
-        tick count: one that steps a vehicle (every tick does while a road
-        has a stepped vehicle) or takes a tracked exit. None when no vehicle
-        is on any road."""
-        ticks = self._ticks
-        quiet = None
-        for lane in self._lanes.values():
-            order = lane.order
-            if not order:
-                continue
-            if lane.tracked < len(order):
-                return 1
-            n = order[0].spawn_tick + lane.exit_age - ticks
-            if quiet is None or n < quiet:
-                quiet = n
-        return quiet
-
-    def ticks_to_open(self, road_id: str) -> int:
-        """How many ticks from now until can_spawn(road_id) holds behind a
-        tracked rear vehicle (0 if it holds already). An empty road gives 0,
-        and a stepped rear vehicle 1: it may get there at the next tick."""
-        order = self._lanes[road_id].order
-        if not order:
-            return 0
-        rear = order[-1]
-        if rear.track is None:
-            return 1
-        return max(0, rear.spawn_tick + rear.track.open_age(self.params.min_gap_m) - self._ticks)
-
-    def skip(self, ticks: int) -> None:
-        """Let ticks ticks pass that step no vehicle and take no exit; only
-        the tick count, and with it every tracked vehicle's age, moves."""
-        self._ticks += ticks
-
-    def tick(self, now_us: int) -> list[str]:
-        """Advance every active vehicle one tick; returns exit ids.
-
-        On each road, the tracked front prefix is not stepped: its vehicles
-        move along their track by aging one tick, and the front ones whose
-        age reaches the road's exit age exit. The stepped vehicles behind
-        the prefix then run the car-following step, the first of them
-        following the last tracked vehicle at its new age. Only a prefix of
-        a road can exit: a vehicle behind one that stays on the road stays
-        strictly behind it.
-        """
-        self._ticks += 1
-        ticks = self._ticks
-        exited: list[str] = []
-        for lane in self._lanes.values():
-            order = lane.order
-            if not order:
-                continue
-            exits = 0
-            tracked = lane.tracked
-            leader = None
-            if tracked:
-                track = lane.track
-                exit_age = lane.exit_age
-                while exits < tracked and ticks - order[exits].spawn_tick == exit_age:
-                    state = order[exits]
-                    state.pos_m = track.pos[exit_age]
-                    state.speed_mps = track.speed[exit_age]
-                    state.track = None
-                    state.exited_at_us = now_us
-                    exited.append(state.id)
-                    exits += 1
-                tracked -= exits
-                lane.tracked = tracked
-                if tracked:
-                    age = ticks - order[exits + tracked - 1].spawn_tick
-                    leader = (track.pos[age], track.speed[age])
-            if exits + tracked < len(order):
-                exits += self._step(
-                    order, exits + tracked, leader, lane.road.length_m, now_us, exited
-                )
-            if exits:
-                del order[:exits]
-                self.exited_total += exits
-        return exited
-
-    def _step(
-        self,
-        order: list[VehicleState],
-        start: int,
-        leader: tuple[float, float] | None,
-        length: float,
-        now_us: int,
-        exited: list[str],
-    ) -> int:
-        """Step order[start:] front to back behind leader; returns its exits.
+    def _follow(
+        self, state: VehicleState, pos: list[float], speed: list[float], leader: VehicleState | None
+    ) -> None:
+        """Give state its own track: pos and speed, its path up to its
+        latest age, continued tick by tick behind leader up to its exit.
 
         Each step is advance_kinematics inlined: the same floating-point
         operations in the same order, with the loop invariants hoisted. A
         vehicle already at the cap takes the folded cruise step, which is
         the free step's own arithmetic with speed == v_cand == max_speed.
+        The leader, at its age on its track, constrains every tick before
+        its exit tick, and the vehicle cannot exit then; from then on it
+        takes the free step and exits at the first tick at which its
+        position reaches the road's length.
         """
         p = self.params
         dt_s = self.tick_s
@@ -530,61 +441,151 @@ class MobilityWorld:
         cruise_step = 0.5 * (max_speed + max_speed) * dt_s
         min_gap = p.min_gap_m
         two_decel = 2.0 * p.decel_mps2
-        leader_pos, leader_speed = leader if leader is not None else (None, 0.0)
-        exits = 0
-        for state in islice(order, start, None):
-            pos_m = state.pos_m
-            speed = state.speed_mps
-            if speed == max_speed:
-                new_speed = max_speed
-                new_pos = pos_m + cruise_step
-            else:
-                new_speed = speed + accel_dt
-                if new_speed > max_speed:
+        length = self.roads[state.road_id].length_m
+        max_ticks = MAX_TRACK_TICKS
+        latest = state.spawn_tick + len(pos) - 1  # the tick of the latest age
+        stop = state.spawn_tick + max_ticks + 1  # no age past max_ticks
+        add_pos = pos.append
+        add_speed = speed.append
+        pos_m = pos[-1]
+        speed_mps = speed[-1]
+        free_from = latest + 1  # the first tick with no leader
+        if leader is not None:
+            free_from = min(max(leader.exit_tick, free_from), stop)
+            first = latest + 1 - leader.spawn_tick
+            last = free_from - leader.spawn_tick
+            ahead_track = leader.track
+            for ahead, ahead_speed in zip(
+                ahead_track.pos[first:last], ahead_track.speed[first:last]
+            ):
+                if speed_mps == max_speed:
                     new_speed = max_speed
-                new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
-            if leader_pos is not None:
-                surplus = new_speed * new_speed - leader_speed * leader_speed
+                    new_pos = pos_m + cruise_step
+                else:
+                    new_speed = speed_mps + accel_dt
+                    if new_speed > max_speed:
+                        new_speed = max_speed
+                    new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
+                surplus = new_speed * new_speed - ahead_speed * ahead_speed
                 need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
-                if not leader_pos - new_pos >= need:
-                    new_speed = speed - decel_dt
+                if not ahead - new_pos >= need:
+                    new_speed = speed_mps - decel_dt
                     if new_speed < 0.0:
                         new_speed = 0.0
-                    new_pos = pos_m + 0.5 * (speed + new_speed) * dt_s
-                    limit = leader_pos - min_gap
+                    new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
+                    limit = ahead - min_gap
                     if new_pos > limit:
                         new_pos = max(limit, pos_m)
                         new_speed = min(
-                            max(2.0 * (new_pos - pos_m) / dt_s - speed, 0.0), new_speed
+                            max(2.0 * (new_pos - pos_m) / dt_s - speed_mps, 0.0), new_speed
                         )
-            state.pos_m = new_pos
-            state.speed_mps = new_speed
-            if leader_pos is None and new_pos >= length:
-                state.exited_at_us = now_us
-                exits += 1
-                exited.append(state.id)
-                # an exited leader no longer constrains anyone on the road
+                add_pos(new_pos)
+                add_speed(new_speed)
+                pos_m = new_pos
+                speed_mps = new_speed
+        for tick in range(free_from, stop):
+            if speed_mps == max_speed:
+                new_speed = max_speed
+                new_pos = pos_m + cruise_step
             else:
-                leader_pos = new_pos
-                leader_speed = new_speed
-        return exits
+                new_speed = speed_mps + accel_dt
+                if new_speed > max_speed:
+                    new_speed = max_speed
+                new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
+            add_pos(new_pos)
+            add_speed(new_speed)
+            if new_pos >= length:
+                break
+            pos_m = new_pos
+            speed_mps = new_speed
+        else:
+            raise PathTooLong(
+                f"vehicle {state.id} would stay on road {state.road_id} for more "
+                f"than {max_ticks} ticks of {dt_s} s"
+            )
+        state.track = Track(pos, speed)
+        state.exit_tick = tick
+
+    def place(self, vehicle_id: str, pos_m: float, speed_mps: float | None = None) -> None:
+        """Move an active vehicle to pos_m, and to speed_mps when given, as
+        of the latest tick; for tests. It and every vehicle behind it get
+        their own tracks, rebuilt front to back from where they are now; the
+        paths of the vehicles in front do not depend on it."""
+        try:
+            state = self._states[vehicle_id]
+        except KeyError:
+            raise UnknownVehicle(vehicle_id) from None
+        order = self._lanes[state.road_id]
+        at = order.index(state)
+        leader = order[at - 1] if at else None
+        for other in order[at:]:
+            age = self._ticks - other.spawn_tick
+            pos = other.track.pos[:age + 1]
+            speed = other.track.speed[:age + 1]
+            if other is state:
+                pos[-1] = pos_m
+                if speed_mps is not None:
+                    speed[-1] = speed_mps
+            self._follow(other, pos, speed, leader)
+            leader = other
+
+    def quiet_ticks(self) -> int | None:
+        """How many ticks from now until the first that takes an exit; None
+        when no vehicle is on any road. A road's front vehicle exits first."""
+        ticks = self._ticks
+        exits = [order[0].exit_tick for order in self._lanes.values() if order]
+        return min(exits) - ticks if exits else None
+
+    def ticks_to_open(self, road_id: str) -> int:
+        """How many ticks from now until can_spawn(road_id) holds (0 if it
+        holds already, or the road is empty), read off the rear's track."""
+        order = self._lanes[road_id]
+        if not order:
+            return 0
+        rear = order[-1]
+        return max(0, rear.spawn_tick + rear.track.open_age(self.params.min_gap_m) - self._ticks)
+
+    def skip(self, ticks: int) -> None:
+        """Let ticks ticks pass that take no exit; only the tick count, and
+        with it every vehicle's age, moves."""
+        self._ticks += ticks
+
+    def tick(self, now_us: int) -> list[str]:
+        """Advance every active vehicle one tick along its track; returns
+        exit ids: the front vehicles whose exit tick it is (none exits before
+        its leader). An exited vehicle drops its track and keeps where it left."""
+        self._ticks += 1
+        ticks = self._ticks
+        exited: list[str] = []
+        for order in self._lanes.values():
+            exits = 0
+            while exits < len(order) and order[exits].exit_tick == ticks:
+                state = order[exits]
+                age = ticks - state.spawn_tick
+                state.pos_m = state.track.pos[age]
+                state.speed_mps = state.track.speed[age]
+                state.track = None
+                state.exited_at_us = now_us
+                exited.append(state.id)
+                exits += 1
+            if exits:
+                del order[:exits]
+                self.exited_total += exits
+        return exited
 
     def _pos(self, state: VehicleState) -> float:
-        """A vehicle's position as of the latest tick, tracked or stepped."""
+        """A vehicle's position as of the latest tick."""
         track = state.track
         if track is None:
             return state.pos_m
         return track.pos[self._ticks - state.spawn_tick]
 
-    def riding(self, vehicle_id: str) -> tuple[RoadSegment, FreeTrack, int] | None:
-        """(road, track, age) of a spawned vehicle that rides its track: it
-        is at road.world_position(track.pos[age]), age being its ticks since
-        spawn as of the latest tick. None for a stepped or exited vehicle."""
+    def riding(self, vehicle_id: str) -> tuple[RoadSegment, Track, int]:
+        """(road, track, age) of an active vehicle: it is at
+        road.world_position(track.pos[age]), age being its ticks since spawn
+        as of the latest tick."""
         state = self._states[vehicle_id]
-        track = state.track
-        if track is None:
-            return None
-        return self.roads[state.road_id], track, self._ticks - state.spawn_tick
+        return self.roads[state.road_id], state.track, self._ticks - state.spawn_tick
 
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
@@ -601,16 +602,14 @@ class MobilityWorld:
     def in_span(self, road_id: str, lo_m: float, hi_m: float) -> list[str]:
         """Ids of the active vehicles with lo_m <= pos <= hi_m, front to back.
 
-        One bisected slice of the road's front-to-back order. When every
-        vehicle on the road rides its track, a vehicle spawn_tick ticks old
-        is at track.pos[ticks - spawn_tick], and positions along a track
-        never fall, so the span is a range of ages, and so of spawn ticks,
-        which rise front to back.
+        One bisected slice of the road's front-to-back order. When the front
+        and rear ride one track, every vehicle does (only a prefix rides the
+        shared one), and positions along a track never fall, so the span is
+        a range of ages, and so of spawn ticks, which rise front to back.
         """
-        lane = self._lanes[road_id]
-        order = lane.order
-        if order and lane.tracked == len(order):
-            track_pos = lane.track.pos
+        order = self._lanes[road_id]
+        if order and order[0].track is order[-1].track:
+            track_pos = order[0].track.pos
             ticks = self._ticks
             # ages bisect_left(track_pos, lo_m) .. bisect_right(track_pos, hi_m) - 1
             start = bisect_right(order, ticks - bisect_right(track_pos, hi_m), key=_SPAWN_TICK)
@@ -634,15 +633,12 @@ class MobilityWorld:
                 return VehicleFix(status=NOT_YET_ENTERED)
             raise UnknownVehicle(vehicle_id)
         road = self.roads[state.road_id]
-        if state.exited_at_us is not None:
-            status = EXITED
-            pos = min(state.pos_m, road.length_m)
+        track = state.track
+        if track is None:
+            status, pos, speed = EXITED, min(state.pos_m, road.length_m), state.speed_mps
         else:
-            status = ACTIVE
-            pos = self._pos(state)
-        speed = state.speed_mps
-        if state.track is not None:
-            speed = state.track.speed[self._ticks - state.spawn_tick]
+            age = self._ticks - state.spawn_tick
+            status, pos, speed = ACTIVE, track.pos[age], track.speed[age]
         return VehicleFix(
             status=status,
             road_id=state.road_id,
@@ -650,28 +646,3 @@ class MobilityWorld:
             speed_mps=speed,
             world_xy=road.world_position(pos),
         )
-
-    def state_of(self, vehicle_id: str) -> VehicleState:
-        """The vehicle's state, which the caller may write.
-
-        A tracked vehicle's state is not kept up to date, and writing it
-        would not move the vehicle, so the vehicle's road first leaves its
-        track: each tracked vehicle there gets its track values written into
-        its state and is stepped from then on. This is the only way off a
-        track before the exit, and the engine never calls it: the engine
-        plans a tracked vehicle's attempts and beacons from its track
-        (riding), and a state written mid-run would not move those plans.
-        """
-        try:
-            state = self._states[vehicle_id]
-        except KeyError:
-            raise UnknownVehicle(vehicle_id) from None
-        if state.track is not None:
-            lane = self._lanes[state.road_id]
-            for tracked in islice(lane.order, lane.tracked):
-                age = self._ticks - tracked.spawn_tick
-                tracked.pos_m = tracked.track.pos[age]
-                tracked.speed_mps = tracked.track.speed[age]
-                tracked.track = None
-            lane.tracked = 0
-        return state

@@ -16,10 +16,11 @@ highway_multi cases leave most ticks with nothing to do while every relay
 announce lands on a tick instant, so a tick that takes another place among
 the events of its instant shows in trace.log. The min-gap cases set the gap
 to a track position at the spawn lag, so float rounding makes vehicles brake
-and the world steps nearly all of them: every tick has work there, and the
-stepping loop and its brake branch run. The beacon-edge cases set a beacon
-interval below the tick (with a request interval below it too) and one equal
-to it, on both sides of the shortest interval a beacon plan is made for.
+and nearly all of them get their own track, built by the car-following step
+with its brake branch. The beacon-edge cases set a beacon interval below the
+tick (with a request interval below it too) and one equal to it, on both
+sides of the shortest interval at which a beacon's due time alone gives the
+tick it runs at.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ OFF_GRID = [
         ),
     ),
 ]
-STEPPED = [
+MIN_GAP = [
     (name, True, 1, None, (("kinematics.min_gap_m", 14.0),))
     for name in ("highway_single", "highway_multi")
 ]
-# beacon intervals below and equal to the tick, the boundary between the
-# plain one-interval re-arm and beacons planned at spawn
+# beacon intervals below and equal to the tick: below it a beacon runs once
+# per tick at most, which holds back its run ages (_TrackAges.beacon_plan)
 BEACON_EDGES = [
     (
         "urban_single", True, 1, None,
@@ -83,7 +84,7 @@ CASES = (
     + [("highway_single", True, 1, 1200, ())]
     + [("highway_multi", True, seed, 20, ()) for seed in SEEDS]
     + OFF_GRID
-    + STEPPED
+    + MIN_GAP
     + BEACON_EDGES
 )
 

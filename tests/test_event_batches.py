@@ -1,26 +1,27 @@
 """Only state-changing work on the event heap.
 
 One receive event per frame and arrival instant, no frame end for beacons,
-due-time heaps for request attempts and beacons whose due work runs inside
-the tick, due times planned past work that cannot act, and a tick only at
-the instants with due work. Each must keep the order that one event per
-receiver, one event per due attempt or beacon, a full per-tick scan and a
-tick every tick_s gave, because the event queue breaks same-instant ties
-first in, first out.
+a due-time heap for request attempts and beacons planned at spawn, whose due
+work runs inside the tick, due times planned past work that cannot act, and
+a tick only at the instants with due work. Each must keep the order that one
+event per receiver, one event per due attempt or beacon, a full per-tick
+scan, a beacon re-armed one interval at a time and a tick every tick_s gave,
+because the event queue breaks same-instant ties first in, first out.
 """
 
 import dataclasses
 import heapq
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import parse_name
-from vcachesim.engine import Simulation, _first_acting_due, _take_due
+from vcachesim.engine import Simulation, _TrackAges, _first_acting_due, _take_due
 from vcachesim.metrics import SOURCE_RSU_HIT
-from vcachesim.mobility import URBAN_RANDOM, RoadSegment
+from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
 from vcachesim.protocol import IDLE, Beacon, Response
 from vcachesim.radio import tx_duration_us
 from vcachesim.scenarios import (
@@ -70,7 +71,7 @@ def layout(log, on_hear=None):
     sim.rsus["r1"] = Recorder("r1", log, on_hear.get("r1"))
     for seq, (vid, pos) in enumerate(VEHICLES):
         sim.world.spawn(vid, "a", 0.0, 0)
-        sim.world.state_of(vid).pos_m = pos
+        sim.world.place(vid, pos)
         sim._active[vid] = seq
         sim.vehicles[vid] = Recorder(vid, log, on_hear.get(vid))
     return sim
@@ -179,7 +180,7 @@ def test_an_interval_shorter_than_the_tick_rearms_by_exactly_one_interval():
     sim = Simulation(dataclasses.replace(highway_single(count=1), request_interval_s=0.05))
     sim.queue.schedule(0, sim._on_tick)
     sim.queue.run_until(0)
-    assert sim.world.riding("v000") is not None
+    assert sim.world.riding("v000")[1] is sim.world._track(sim.cfg.entry_speed_mps)
     assert sim._next_attempt(0, "v000") == 50_000
     assert sim._next_attempt(10**9, "v000") == 10**9 + 50_000  # past its exit
 
@@ -203,6 +204,49 @@ def test_a_beacon_rearm_jumps_over_uncovered_ages():
     assert _first_acting_due(200, 300, 100, 2, 20, acts) == 1400  # age 12
     assert _first_acting_due(250, 300, 100, 2, 20, acts) == 1150  # runs at 1200, age 10
     assert _first_acting_due(1500, 300, 100, 2, 20, acts) is None  # exits uncovered
+
+
+def rearmed_beacons(first_us, interval_us, tick_us, owners, exit_age):
+    """The one-interval re-arm, tick by tick: (run offset, channel owner) of
+    every beacon of a vehicle spawned at a tick instant that acts. A beacon
+    due by a tick runs there and is re-armed one interval later, after the
+    tick's due beacons are taken; an uncovered one does nothing; none runs
+    from the exit age on."""
+    runs = []
+    due_us = first_us
+    for age in range(exit_age):
+        if due_us <= age * tick_us:
+            if owners[age] is not None:
+                runs.append((age * tick_us, owners[age]))
+            due_us += interval_us
+    return runs
+
+
+@pytest.mark.parametrize("interval", ["below", "equal", "above"])
+@given(data=st.data())
+def test_beacon_plans_match_the_one_interval_rearm(interval, data):
+    tick_us = data.draw(st.integers(1, 40))
+    interval_us = {
+        "below": st.integers(1, tick_us - 1) if tick_us > 1 else st.just(1),
+        "equal": st.just(tick_us),
+        "above": st.integers(tick_us + 1, 5 * tick_us),
+    }[interval]
+    interval_us = data.draw(interval_us)
+    first_us = data.draw(st.integers(0, 3 * tick_us))
+    # owners[age]: the zone covering the vehicle at that age, None for none
+    owners = data.draw(st.lists(st.sampled_from([None, None, "r0", "r1"]), min_size=1, max_size=80))
+    exit_age = len(owners)
+    # the vehicle is at position age, and the road ends at the exit age
+    track = Track([float(age) for age in range(exit_age + 1)], [1.0] * (exit_age + 1))
+    road = RoadSegment(id="r", length_m=float(exit_age))
+    # a lower bound on the covered positions, as the zones' spans give it
+    covered = [age for age, owner in enumerate(owners) if owner is not None]
+    covered_from = None
+    if covered or data.draw(st.booleans()):
+        covered_from = min(covered, default=exit_age) - data.draw(st.floats(0.0, 10.0))
+    ages = _TrackAges(road, track, lambda point: owners[int(point[0])], covered_from)
+    plan = ages.beacon_plan(first_us, interval_us, tick_us)
+    assert plan == rearmed_beacons(first_us, interval_us, tick_us, owners, exit_age)
 
 
 # -- the sparse tick ---------------------------------------------------------------
@@ -239,22 +283,22 @@ SMALL_RUNS = [
 
 
 @pytest.mark.parametrize("cfg", SMALL_RUNS, ids=lambda cfg: cfg.name)
-def test_stepped_vehicles_give_the_same_outputs_as_tracked_ones(cfg, tmp_path, monkeypatch):
-    # without tracks every vehicle is stepped, so every tick with a vehicle
-    # on the road has work; with them, those ticks are mostly skipped
-    spawns = {True: 0, False: 0}  # on a track at spawn -> count
+def test_own_tracks_give_the_same_outputs_as_the_shared_one(cfg, tmp_path, monkeypatch):
+    # without free-flow tracks every vehicle gets its own, so the engine
+    # keeps its memos and beacon plans per vehicle
+    spawns = {True: 0, False: 0}  # on the shared track -> count
     spawn = mobility.MobilityWorld.spawn
 
-    def counted_spawn(world, vehicle_id, *args):
-        spawn(world, vehicle_id, *args)
-        spawns[world.riding(vehicle_id) is not None] += 1
+    def counted_spawn(world, vehicle_id, road_id, speed_mps, now_us):
+        spawn(world, vehicle_id, road_id, speed_mps, now_us)
+        spawns[world.riding(vehicle_id)[1] is world._track(speed_mps)] += 1
 
     monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
-    tracked = outputs(cfg, tmp_path / "tracked")
+    shared = outputs(cfg, tmp_path / "shared")
     assert spawns[True] > 0
     spawns[True] = 0
-    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
-    assert outputs(cfg, tmp_path / "stepped") == tracked
+    monkeypatch.setattr(mobility.MobilityWorld, "_track", lambda world, speed_mps: None)
+    assert outputs(cfg, tmp_path / "own") == shared
     assert spawns[True] == 0 and spawns[False] > 0, spawns
 
 

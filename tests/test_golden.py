@@ -8,6 +8,7 @@ why in CHANGES.md.
 
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -32,67 +33,66 @@ def test_outputs_match_golden_digests(case, tmp_path):
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
 
 
-def counting_steps(monkeypatch):
-    """Count stepped spawns and brake-branch steps of every world built after.
+def counting_tracks(monkeypatch):
+    """Count spawns onto the shared free-flow track and onto own tracks, and
+    braked steps of own tracks, in every world built after.
 
-    A step took the brake branch exactly when its result differs from the
-    free step's: braking never raises the speed, the free step never lowers
-    it, and accelerating from rest always moves.
+    A step braked exactly when its result differs from the free step's from
+    the same state: braking never raises the speed, the free step never
+    lowers it, and accelerating from rest always moves.
     """
-    counts = {"stepped spawns": 0, "tracked spawns": 0, "brakes": 0}
+    counts = {"shared spawns": 0, "own spawns": 0, "brakes": 0}
+    own = weakref.WeakSet()  # every track _follow built
     spawn = mobility.MobilityWorld.spawn
-    step = mobility.MobilityWorld._step
+    follow = mobility.MobilityWorld._follow
 
     def counted_spawn(world, vehicle_id, *args):
         spawn(world, vehicle_id, *args)
-        tracked = world.riding(vehicle_id) is not None
-        counts["tracked spawns" if tracked else "stepped spawns"] += 1
+        counts["own spawns" if world._states[vehicle_id].track in own else "shared spawns"] += 1
 
-    def counted_step(world, order, start, *args):
-        before = [(state.pos_m, state.speed_mps) for state in order[start:]]
-        exits = step(world, order, start, *args)
-        for (pos, speed), state in zip(before, order[start:]):
-            free = mobility.advance_kinematics(pos, speed, None, world.tick_s, world.params)
-            counts["brakes"] += (state.pos_m, state.speed_mps) != free
-        return exits
+    def counted_follow(world, state, pos, speed, leader):
+        start = len(pos)
+        follow(world, state, pos, speed, leader)
+        track = state.track
+        own.add(track)
+        for age in range(start, len(track.pos)):
+            free = mobility.advance_kinematics(
+                track.pos[age - 1], track.speed[age - 1], None, world.tick_s, world.params
+            )
+            counts["brakes"] += (track.pos[age], track.speed[age]) != free
 
     monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
-    monkeypatch.setattr(mobility.MobilityWorld, "_step", counted_step)
+    monkeypatch.setattr(mobility.MobilityWorld, "_follow", counted_follow)
     return counts
 
 
-@pytest.mark.parametrize("case", make_golden.STEPPED, ids=lambda case: make_golden.case_id(*case))
-def test_min_gap_cases_step_and_brake_with_tracks_on_and_off(case, tmp_path, monkeypatch):
-    counts = counting_steps(monkeypatch)
-    make_golden.digest_case(*case, tmp_path / "tracked")
-    assert counts["stepped spawns"] >= 100 and counts["brakes"] >= 100, counts
-    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)  # no tracks: every vehicle is stepped
-    counts["tracked spawns"] = 0
-    assert make_golden.digest_case(*case, tmp_path / "stepped") == GOLDEN[make_golden.case_id(*case)]
-    assert counts["tracked spawns"] == 0, counts
+def own_tracks_only(monkeypatch):
+    """Tracks off: no free-flow track, so every vehicle gets its own at spawn."""
+    monkeypatch.setattr(mobility.MobilityWorld, "_track", lambda world, speed_mps: None)
 
 
-# the two slowest cases, about half the time of the table with tracks off;
-# the min-gap cases run with tracks off in the test above
-TRACKS_OFF_SLOW = {
-    "highway_single/cached/seed1/n1200",
-    make_golden.case_id(*make_golden.OFF_GRID[2]),
-}
-TRACKS_OFF = [
-    case
-    for case in make_golden.CASES
-    if make_golden.case_id(*case) not in TRACKS_OFF_SLOW and case not in make_golden.STEPPED
-]
+@pytest.mark.parametrize("case", make_golden.MIN_GAP, ids=lambda case: make_golden.case_id(*case))
+def test_min_gap_cases_brake_with_tracks_on_and_off(case, tmp_path, monkeypatch):
+    counts = counting_tracks(monkeypatch)
+    make_golden.digest_case(*case, tmp_path / "shared")
+    assert counts["own spawns"] >= 100 and counts["brakes"] >= 100, counts
+    own_tracks_only(monkeypatch)  # tracks off
+    counts["shared spawns"] = 0
+    assert make_golden.digest_case(*case, tmp_path / "own") == GOLDEN[make_golden.case_id(*case)]
+    assert counts["shared spawns"] == 0, counts
+
+
+TRACKS_OFF = [case for case in make_golden.CASES if case not in make_golden.MIN_GAP]
 
 
 @pytest.mark.parametrize("case", TRACKS_OFF, ids=lambda case: make_golden.case_id(*case))
 def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatch):
-    # every vehicle is stepped, so the engine takes the per-event path for
-    # coverage, receivers and delays, and plans no due work by track age
-    counts = counting_steps(monkeypatch)
-    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
+    # no vehicle shares a track, so the engine keeps memos and beacon plans
+    # per vehicle, and a road slices its vehicles by position
+    counts = counting_tracks(monkeypatch)
+    own_tracks_only(monkeypatch)
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
-    assert counts["tracked spawns"] == 0 and counts["stepped spawns"] > 0, counts
+    assert counts["shared spawns"] == 0 and counts["own spawns"] > 0, counts
 
 
 def digest_and_count(case, out_dir, monkeypatch):
@@ -113,20 +113,13 @@ def digest_and_count(case, out_dir, monkeypatch):
 
 
 @pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
-def test_beacon_only_ticks_and_beacon_plans_change_no_output(case, tmp_path, monkeypatch):
+def test_beacon_only_ticks_change_no_output(case, tmp_path, monkeypatch):
     digests, events = digest_and_count(case, tmp_path / "as-is", monkeypatch)
     assert digests == GOLDEN[make_golden.case_id(*case)]
     with monkeypatch.context() as patched:
         # every tick advances the world and looks for spawns
         patched.setattr(Simulation, "_world_idle", lambda sim, now: False)
         assert digest_and_count(case, tmp_path / "full", patched) == (digests, events)
-    with monkeypatch.context() as patched:
-        # every beacon takes the plain one-interval re-arm; a tracked
-        # vehicle's uncovered beacons then still pop, and a tick runs for
-        # them, so only the event count may grow
-        patched.setattr(Simulation, "_beacon_plan", lambda sim, vehicle_id, stagger_us: None)
-        plain_digests, plain_events = digest_and_count(case, tmp_path / "plain", patched)
-        assert plain_digests == digests and plain_events >= events
 
 
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):

@@ -20,6 +20,7 @@ from vcachesim.mobility import (
     URBAN_RANDOM,
     UnknownVehicle,
     MAX_TRACK_TICKS,
+    PathTooLong,
     advance_kinematics,
     free_track,
     generate_arrivals,
@@ -203,7 +204,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
         vid = f"v{i:02d}"
         speed = fraction * params.max_speed_mps
         world.spawn(vid, "r", speed, 0)
-        world.state_of(vid).pos_m = pos
+        world.place(vid, pos)
         reference[vid] = (pos, speed)
     road_length = world.roads["r"].length_m
     for step in range(1, ticks + 1):
@@ -211,8 +212,8 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
         assert exited == reference_tick(reference, road_length, dt, params)
         assert world.in_span("r", -math.inf, math.inf) == list(reference)
         for vid, (pos, speed) in reference.items():
-            state = world.state_of(vid)
-            assert (state.pos_m.hex(), state.speed_mps.hex()) == (pos.hex(), speed.hex())
+            fix = world.fix(vid)
+            assert (fix.pos_m.hex(), fix.speed_mps.hex()) == (pos.hex(), speed.hex())
 
 
 def hexes(pos, speed):
@@ -227,10 +228,10 @@ ENTRY_FRACTIONS = (0.0, 0.5, 1.0, 1.5)
 def test_driven_world_is_bit_identical_to_stepping_the_reference():
     """Drive a world as the engine does: tick, then spawn what is due and fits.
 
-    Entry speeds mix, so tracked and stepped vehicles share roads and some
-    brake; midway one road's front vehicle is taken with state_of and slowed
-    down. Every vehicle, active or exited, must match stepping
-    advance_kinematics for all vehicles, bit for bit.
+    Entry speeds mix, so vehicles on the shared track and on their own
+    tracks share roads and some brake; midway one road's front vehicle is
+    placed at half its speed. Every vehicle, active or exited, must match
+    stepping advance_kinematics for all vehicles, bit for bit.
     """
     seen = set()
 
@@ -262,6 +263,7 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
             due += wait
             pending[roads[road].id].append((due, f"v{i:02d}", speeds[pick % len(speeds)]))
         reference = {road.id: {} for road in roads}  # front to back: (pos, speed)
+        entry = {}  # vehicle id -> entry speed
         final = {}
         for step in range(ticks + 1):
             if step:
@@ -284,15 +286,15 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                     _, vid, speed = queue.popleft()
                     world.spawn(vid, road.id, speed, step)
                     ref[vid] = (0.0, speed)
-                    seen.add("tracked" if world._states[vid].track else "stepped")
+                    entry[vid] = speed
+                    seen.add("shared" if rides_the_shared_track(world, vid, speed) else "own")
             if step == touch_at and reference["r"]:
                 vid = next(iter(reference["r"]))
-                if world._states[vid].track:
-                    seen.add("left its track")
-                state = world.state_of(vid)
-                assert hexes(state.pos_m, state.speed_mps) == hexes(*reference["r"][vid])
-                state.speed_mps *= 0.5
-                reference["r"][vid] = (state.pos_m, state.speed_mps)
+                pos, speed = reference["r"][vid]
+                if rides_the_shared_track(world, vid, entry[vid]):
+                    seen.add("left the shared track")
+                world.place(vid, pos, speed * 0.5)
+                reference["r"][vid] = (pos, speed * 0.5)
             for road in roads:
                 assert world.in_span(road.id, -math.inf, math.inf) == list(reference[road.id])
                 for vid, (pos, speed) in reference[road.id].items():
@@ -306,10 +308,14 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                 assert hexes(fix.pos_m, fix.speed_mps) == hexes(min(pos, length), speed)
 
     drive()
-    assert {"tracked", "stepped", "braked", "left its track"} <= seen
+    assert {"shared", "own", "braked", "left the shared track"} <= seen
 
 
-def test_a_vehicle_that_would_brake_behind_its_track_leader_is_stepped():
+def rides_the_shared_track(world, vehicle_id, entry_speed_mps):
+    return world.riding(vehicle_id)[1] is world._track(entry_speed_mps)
+
+
+def test_a_vehicle_that_would_brake_behind_its_track_leader_gets_its_own_track():
     # both enter at 40 m/s and slow to the 14 m/s cap on their first tick;
     # v1 may enter once v0 is 2.7 m in, but its first tick would leave it
     # 1.4 m behind v0, below the 2.5 m minimum gap, so the lag test refuses
@@ -318,8 +324,8 @@ def test_a_vehicle_that_would_brake_behind_its_track_leader_is_stepped():
     world.tick(1)
     assert world.fix("v0").pos_m == advance_kinematics(0.0, 40.0, None, 0.1, P)[0]
     world.spawn("v1", "r", 40.0, 1)
-    assert world._states["v0"].track is not None
-    assert world._states["v1"].track is None
+    assert rides_the_shared_track(world, "v0", 40.0)
+    assert not rides_the_shared_track(world, "v1", 40.0)
     world.tick(2)
     v0 = advance_kinematics(*advance_kinematics(0.0, 40.0, None, 0.1, P), None, 0.1, P)
     v1 = advance_kinematics(0.0, 40.0, v0, 0.1, P)
@@ -350,14 +356,30 @@ def test_a_shared_track_keys_its_answers_by_the_min_gap():
     assert track.clears(1000.0, 10, 2.5)
 
 
-def test_no_track_is_built_past_max_track_ticks(monkeypatch):
+def test_a_path_longer_than_max_track_ticks_raises(monkeypatch):
     roads = [straight_road(1000.0)]
     assert MobilityWorld(roads, P, 0.1)._track(14.0) is not None  # cached now
-    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 1)
+    # from 14 m/s, 1000 m take 715 ticks of 0.1 s
+    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 714)
     world = MobilityWorld(roads, P, 0.1)
     assert world._track(14.0) is None
-    world.spawn("v0", "r", 14.0, 0)
-    assert world.riding("v0") is None
+    lengths = []
+    follow = MobilityWorld._follow
+
+    def measured(world, state, pos, speed, leader):
+        try:
+            follow(world, state, pos, speed, leader)
+        finally:
+            lengths.append(len(pos))
+
+    monkeypatch.setattr(MobilityWorld, "_follow", measured)
+    with pytest.raises(PathTooLong, match="more than 714 ticks"):
+        world.spawn("v0", "r", 14.0, 0)
+    assert lengths == [715]  # ages 0 to 714, none past the bound
+    assert not world.is_active("v0") and world.can_spawn("r")
+    monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 715)
+    world.spawn("v0", "r", 14.0, 0)  # the world keeps its None for 14 m/s
+    assert lengths[-1] == 716
 
 
 # -- arrival schedules -----------------------------------------------------------
@@ -507,13 +529,15 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
     assert spawned == 50
 
 
-def test_in_span_slices_tracked_mixed_and_stepped_lanes_like_the_positions():
-    # road t: every vehicle on its track, sliced by spawn tick; m: a
-    # tracked front and stepped vehicles behind it (a slower entry speed);
-    # s: every vehicle taken off its track; the last two bisect positions
+def test_in_span_slices_shared_mixed_and_own_lanes_like_the_positions():
+    # road t: every vehicle on the shared track, sliced by spawn tick; m:
+    # shared-track vehicles in front, own tracks behind them (a slower entry
+    # speed); s: every vehicle on its own track, placed where it is; the
+    # last two bisect positions
     roads = [RoadSegment(id=road_id, length_m=300.0) for road_id in "tms"]
     world = MobilityWorld(roads, P, 0.1)
-    lanes = {"tracked": 0, "mixed": 0, "stepped": 0}
+    shared_tracks = {world._track(14.0), world._track(7.0)}
+    lanes = {"shared": 0, "mixed": 0, "own": 0}
     for step in range(400):
         if step:
             world.tick(step)
@@ -521,15 +545,15 @@ def test_in_span_slices_tracked_mixed_and_stepped_lanes_like_the_positions():
             for road_id, speed in (("t", 14.0), ("m", 14.0 if step % 34 else 7.0), ("s", 14.0)):
                 if world.can_spawn(road_id):
                     world.spawn(f"{road_id}{step}", road_id, speed, step)
-            if world.in_span("s", -math.inf, math.inf):
-                world.state_of(world.in_span("s", -math.inf, math.inf)[0])
+            front = world.in_span("s", -math.inf, math.inf)[:1]
+            for vid in front:
+                world.place(vid, world.fix(vid).pos_m)
         for road in roads if step % 4 == 0 else ():
-            lane = world._lanes[road.id]
-            order = lane.order
+            order = world._lanes[road.id]
             if not order:
                 continue
-            tracked = lane.tracked
-            lanes[("stepped", "mixed", "tracked")[(tracked > 0) + (tracked == len(order))]] += 1
+            shared = sum(state.track in shared_tracks for state in order)
+            lanes[("own", "mixed", "shared")[(shared > 0) + (shared == len(order))]] += 1
             positions = [world._pos(state) for state in order]
             bounds = {-math.inf, math.inf, -1.0, 1e3}
             for pos in positions:
@@ -544,10 +568,10 @@ def test_in_span_slices_tracked_mixed_and_stepped_lanes_like_the_positions():
     assert min(lanes.values()) >= 40, lanes
 
 
-def test_state_of_unknown_vehicle():
+def test_place_unknown_vehicle():
     world = make_world()
     with pytest.raises(UnknownVehicle):
-        world.state_of("nobody")
+        world.place("nobody", 1.0)
 
 
 def test_duplicate_road_ids_rejected():

@@ -29,7 +29,7 @@ CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
 def place(sim, seq, vid, road_id, pos):
     """Spawn an idle caching vehicle that wants ITEM at pos, as spawn number seq."""
     sim.world.spawn(vid, road_id, 0.0, 0)
-    sim.world.state_of(vid).pos_m = pos
+    sim.world.place(vid, pos)
     sim._active[vid] = seq
     sim.vehicles[vid] = VehicleAgent(vid, ITEM, caching=True)
 
@@ -164,13 +164,15 @@ def wide_twins():
 )
 def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     # the receivers of each zone's content at instants through a highway
-    # run, most vehicles on their track, against the oracle on world positions
+    # run, most vehicles on the shared track, against the oracle on world
+    # positions
     sim = Simulation(cfg)
-    seen = {"tracked": 0, "receivers": 0}
+    seen = {"shared": 0, "receivers": 0}
+    shared = sim.world._track(cfg.entry_speed_mps)
 
     def probe():
         for vid in sim._active:
-            seen["tracked"] += sim.world.riding(vid) is not None
+            seen["shared"] += sim.world.riding(vid)[1] is shared
         for zone_id in sim.zones:
             got = sim._receivers(zone_id, zone_id, CONTENT)
             assert got == oracle(sim, zone_id, zone_id, CONTENT)
@@ -179,7 +181,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     for at_us in range(0, sim.duration_us, 1_700_000):  # off the tick grid too
         sim.queue.schedule(at_us, probe)
     sim.run()
-    assert seen["tracked"] >= 2000 and seen["receivers"] >= 400, seen
+    assert seen["shared"] >= 2000 and seen["receivers"] >= 400, seen
 
 
 def crossing():

@@ -284,12 +284,13 @@ def test_a_sweep_keeps_the_track_cache_within_its_bound():
 def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone():
     # highway_single: one zone over x = 650..1450 m of a 2100 m road
     sim = Simulation(highway_single(count=20, seed=1))
+    shared = sim.world._track(sim.cfg.entry_speed_mps)
     runs = {"attempt": [], "beacon": []}
     for kind, log in runs.items():
         handler = getattr(sim, f"_on_{kind}")
 
         def logged(vehicle_id, *rest, log=log, handler=handler):
-            tracked = sim.world.riding(vehicle_id) is not None
+            tracked = sim.world.riding(vehicle_id)[1] is shared
             owner = sim._owner_of(vehicle_id)
             log.append((tracked, sim.world.world_xy(vehicle_id)[0], owner))
             if rest:  # a beacon's planned owner is the one its position gives
