@@ -590,11 +590,14 @@ class Simulation:
             candidates.sort(key=self._active.__getitem__)
         vehicles = self.vehicles
         world = self.world
+        memo = None  # (road, track, its _TrackAges) of the previous candidate
         for vid in candidates:
             if vehicles[vid].status == SATISFIED:
                 continue
             road, track, age = world.riding(vid)
-            delay = self._ages(road, track).delay(zone, age)
+            if memo is None or memo[1] is not track or memo[0] is not road:
+                memo = road, track, self._ages(road, track)
+            delay = memo[2].delay(zone, age)
             if delay >= 0:
                 found.append((vid, delay))
         return found

@@ -532,9 +532,8 @@ class MobilityWorld:
     def quiet_ticks(self) -> int | None:
         """How many ticks from now until the first that takes an exit; None
         when no vehicle is on any road. A road's front vehicle exits first."""
-        ticks = self._ticks
         exits = [order[0].exit_tick for order in self._lanes.values() if order]
-        return min(exits) - ticks if exits else None
+        return min(exits) - self._ticks if exits else None
 
     def ticks_to_open(self, road_id: str) -> int:
         """How many ticks from now until can_spawn(road_id) holds (0 if it
@@ -546,8 +545,7 @@ class MobilityWorld:
         return max(0, rear.spawn_tick + rear.track.open_age(self.params.min_gap_m) - self._ticks)
 
     def skip(self, ticks: int) -> None:
-        """Let ticks ticks pass that take no exit; only the tick count, and
-        with it every vehicle's age, moves."""
+        """Let ticks ticks pass that take no exit: only every vehicle's age moves."""
         self._ticks += ticks
 
     def tick(self, now_us: int) -> list[str]:
@@ -581,9 +579,8 @@ class MobilityWorld:
         return track.pos[self._ticks - state.spawn_tick]
 
     def riding(self, vehicle_id: str) -> tuple[RoadSegment, Track, int]:
-        """(road, track, age) of an active vehicle: it is at
-        road.world_position(track.pos[age]), age being its ticks since spawn
-        as of the latest tick."""
+        """(road, track, age) of an active vehicle, at road.world_position(
+        track.pos[age]), age being its ticks since spawn as of the latest tick."""
         state = self._states[vehicle_id]
         return self.roads[state.road_id], state.track, self._ticks - state.spawn_tick
 
