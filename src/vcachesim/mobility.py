@@ -251,10 +251,10 @@ def advance_kinematics(
 class Track:
     """Where a vehicle is, age ticks after its spawn: pos[age], speed[age].
 
-    A free-flow track (free_track) is shared by every vehicle that rides
-    it and runs until its position reaches the world's longest road; an
-    own track (MobilityWorld._follow) is one vehicle's and ends at its exit.
-    Speeds along a track never fall below zero, so positions never fall.
+    A free-flow track (free_track), shared by the vehicles that ride it,
+    runs until its position reaches the world's longest road; an own track
+    (MobilityWorld._follow) is one vehicle's and ends at its exit. From a
+    non-negative entry speed no speed falls below zero, so no position falls.
     """
 
     __slots__ = ("pos", "speed", "_clear", "_open_age", "__weakref__")
