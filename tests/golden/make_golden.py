@@ -20,7 +20,9 @@ and nearly all of them get their own track, built by the car-following step
 with its brake branch. The beacon-edge cases set a beacon interval below the
 tick (with a request interval below it too) and one equal to it, on both
 sides of the shortest interval at which a beacon's due time alone gives the
-tick it runs at.
+tick it runs at. The small-cache case has a 100-item catalog and 16-item RSU
+caches, so RSU caches evict and most content on the air is for items its
+listeners do not want.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ BEACON_EDGES = [
     ),
     ("highway_multi", True, 1, 20, (("radio.beacon_interval_s", 0.1),)),
 ]
+# the relay_storm benchmark workload: 100 names, so most content a vehicle
+# hears is for an item it does not want, and 16-item RSU caches that evict
+SMALL_CACHES = [
+    (
+        "highway_multi", True, 1, None,
+        (("catalog_size", 100), ("rsu_cache_capacity", 16), ("relay_announce_interval_s", 3.0)),
+    ),
+]
 # (builder, caching, seed, vehicle count, field overrides); a None count keeps
 # the builder's default; the overrides are resolve_config's, so a key
 # "radio.x" or "kinematics.x" sets field x of cfg.radio or cfg.kinematics
@@ -86,6 +96,7 @@ CASES = (
     + OFF_GRID
     + MIN_GAP
     + BEACON_EDGES
+    + SMALL_CACHES
 )
 
 
