@@ -38,12 +38,13 @@ everything after it is unchanged.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
-spawned. An index of active vehicles (vehicle id -> spawn sequence) is
-added to at spawn and dropped from at exit. Attempts wait in a due-time
-heap keyed (due time, spawn sequence, vehicle id); each tick pops the
-entries due by now and re-arms each one at its next due time. Exited and
-satisfied vehicles leave the heap when next popped. Beacons are planned at
-spawn (below) and wait in lists keyed by the instant they run at. The tick
+spawned. An index of active vehicles (vehicle id -> spawn sequence), and
+one of them by wanted item, are added to at spawn and dropped from at exit
+(_enter, _leave). Attempts wait in a due-time heap keyed (due time, spawn
+sequence, vehicle id); each tick pops the entries due by now and re-arms
+each one at its next due time. Exited and satisfied vehicles leave the heap
+when next popped. Beacons are planned at spawn (below) and wait in lists
+keyed by the instant they run at. The tick
 takes its instant's beacons, then queues the next tick and runs the due
 attempts, then the due beacons, each in spawn order, inside itself; when
 another event already waits at its instant, it schedules them as one batch
@@ -53,12 +54,8 @@ held consecutive places among the events of their instant, after any event
 already waiting there; what they scheduled for that instant ran after the
 last of them anyway; the next tick was queued before anything they
 scheduled; and exits happen only in the tick, so every due vehicle is still
-active when it runs. At frame end the receivers come from the road
-geometry: each zone meets each road in one position interval, computed
-once, and the vehicles inside it are one bisected slice of the road's
-front-to-back order. The exact closed-ball range test still decides every
-candidate. A beacon occupies airtime but carries nothing receivers keep, so
-it has no frame-end event.
+active when it runs. A beacon occupies airtime but carries nothing receivers
+keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -95,12 +92,19 @@ which the sparse-tick argument above covers.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
-Frames go only to nodes that act on them. Before the range test, a request
-leaves out every vehicle (vehicles ignore requests) and content leaves out
-satisfied vehicles: the status is terminal, and a satisfied vehicle's cache
-is read only by its attempt handler, which returns first. Picking at frame
-end is exact, because a vehicle satisfied then is still satisfied when the
-frame arrives. A frame that no node acts on schedules no receive event.
+Frames go only to nodes that act on them, picked before the range test. A
+request goes to its target RSU only: every other RSU drops a request not
+addressed to it, and vehicles ignore requests. Content goes to the other
+RSUs whose centres are in the zone, a list with delays made once per zone
+because only the zone's own RSU sends content, and to the active vehicles
+that want its item and are not satisfied. A vehicle reads its cache for one
+item only, its wanted one, in its attempt handler, which returns first once
+it is satisfied; the cache is unbounded, so an item it does not want evicts
+nothing, and SATISFIED is terminal. So content for another item, or for a
+satisfied vehicle, changes nothing any output reads. Picking at frame end
+is exact, because a vehicle satisfied then is still satisfied when the
+frame arrives. A frame that no node acts on schedules no receive event, and
+leaving a node out of a batch keeps the others in their order.
 
 Receivers are taken RSUs first, in zone order, then vehicles in spawn
 order, and grouped by arrival instant: one receive event per frame and
@@ -122,7 +126,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from weakref import WeakKeyDictionary
 
-from .content import Catalog
+from .content import Catalog, ContentName
 from .metrics import DeliveryRecord, MetricsLedger
 from .mobility import MobilityWorld, RoadSegment, Track, generate_arrivals
 from .protocol import (
@@ -187,23 +191,30 @@ class Simulation:
             for spec in cfg.rsus
         }
         self.channels = {rsu_id: Channel(zone) for rsu_id, zone in self.zones.items()}
-        # zone id -> (road id, lo, hi) for every road the zone meets
-        self._road_spans: dict[str, list[tuple[str, float, float]]] = {
-            zone_id: [
-                (road.id, *span)
-                for road in cfg.roads
-                if (span := road.span_within(zone.center, zone.radius_m)) is not None
-            ]
-            for zone_id, zone in self.zones.items()
-        }
+        # zone id -> (rsu id, delay) of every other RSU whose centre is in the
+        # zone, in zone order, with the delay of a frame from the zone's
+        # centre: the RSUs that hear content, which only the zone's RSU sends
+        self._content_rsus: dict[str, list[tuple[str, int]]] = {}
+        for zone_id, zone in self.zones.items():
+            center_x, center_y = zone.center
+            self._content_rsus[zone_id] = hearing = []
+            for rsu_id, other in self.zones.items():
+                if rsu_id != zone_id and in_range(zone, other.center):
+                    x, y = other.center
+                    delay = propagation_us(math.hypot(x - center_x, y - center_y))
+                    hearing.append((rsu_id, delay))
         # not a method: memos that referred to the engine would keep a
         # finished run's tracks alive until a cyclic collection
         self._owner_at = partial(_zone_owner_at, self.zones)
-        # road id -> the lowest position at which a zone may cover it
+        # road id -> the lowest position at which a zone may cover it: the
+        # lowest end of the spans the zones cut from the road
         self._covered_from: dict[str, float] = {}
-        for spans in self._road_spans.values():
-            for road_id, lo, _ in spans:
-                self._covered_from[road_id] = min(lo, self._covered_from.get(road_id, lo))
+        for zone in self.zones.values():
+            for road in cfg.roads:
+                span = road.span_within(zone.center, zone.radius_m)
+                if span is not None:
+                    lo = span[0]
+                    self._covered_from[road.id] = min(lo, self._covered_from.get(road.id, lo))
         self.backhaul = {
             spec.id: BackhaulLink(backhaul_latency_us)
             for spec in cfg.rsus
@@ -242,6 +253,8 @@ class Simulation:
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
+        # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
+        self._wanting: dict[ContentName, dict[str, VehicleAgent]] = {}
         # heap of (due time, spawn sequence, vehicle id)
         self._attempts_due: list[tuple[int, int, str]] = []
         # run instant -> planned beacons (vehicle id, channel owner, frame) in
@@ -323,10 +336,9 @@ class Simulation:
     def _advance_world(self, now: int) -> None:
         """Tick the world, take its exits, spawn the arrivals that are due and
         fit, and arm their due work; then find the world's next work."""
-        active = self._active
         tracing = self.tracing
         for vid in self.world.tick(now):
-            del active[vid]  # its heap entries left, if any, go when next popped
+            self._leave(vid)  # its heap entries left, if any, go when next popped
             if tracing:
                 self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
@@ -335,9 +347,7 @@ class Simulation:
                 arrival = pending.popleft()
                 vid = arrival.vehicle_id
                 self.world.spawn(vid, road.id, self.cfg.entry_speed_mps, now)
-                spawned = len(self.vehicles)
-                self.vehicles[vid] = VehicleAgent(vid, arrival.wanted, self.cfg.caching)
-                active[vid] = spawned
+                spawned = self._enter(VehicleAgent(vid, arrival.wanted, self.cfg.caching))
                 first = self._first_due(now, vid)
                 if first is not None:
                     heappush(self._attempts_due, (first, spawned, vid))
@@ -348,6 +358,22 @@ class Simulation:
                 if tracing:
                     self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
         self._world_due = self._world_work_at(now)
+
+    def _enter(self, agent: VehicleAgent) -> int:
+        """Index the agent of a vehicle the world has just spawned: every
+        agent ever spawned, the active vehicles and the vehicles wanting its
+        item. Returns its spawn sequence."""
+        vid = agent.id
+        spawned = len(self.vehicles)
+        self.vehicles[vid] = agent
+        self._active[vid] = spawned
+        self._wanting.setdefault(agent.wanted, {})[vid] = agent
+        return spawned
+
+    def _leave(self, vehicle_id: str) -> None:
+        """Drop a vehicle that exits from the active indexes."""
+        del self._active[vehicle_id]
+        del self._wanting[self.vehicles[vehicle_id].wanted][vehicle_id]
 
     def _world_work_at(self, now: int) -> int:
         """The first instant after the tick at now at which the world changes
@@ -558,41 +584,38 @@ class Simulation:
         """In-range nodes that act on frame, with their propagation delays
         from the sender, in receive-scheduling order.
 
-        RSUs in zone order, then active vehicles in spawn order; the sender
-        is excluded. Listeners are picked before the range test: vehicles
-        ignore requests, and a satisfied vehicle does nothing with content
-        (the status is terminal, and its cache is read only by on_attempt,
-        which returns first for it). Only the zone's own RSU sends content,
-        so a vehicle gets its range test and delay from its track and age
-        (_TrackAges.delay).
+        A request goes to its target only, when the target's centre is in
+        the zone and it is not the sender: an RSU drops a request addressed
+        to another, and vehicles ignore requests. Content goes to the other
+        RSUs in the zone (_content_rsus), in zone order, then to the active
+        vehicles that want its name and are not satisfied, in spawn order: a
+        vehicle reads its cache for its wanted item only, in on_attempt,
+        which returns first once it is satisfied (the status is terminal).
+        Only the zone's own RSU sends content, so a vehicle gets its range
+        test and delay from its track and age (_TrackAges.delay).
         """
-        request = isinstance(frame, Request)
-        if not request and sender != zone_id:
+        zone = self.zones[zone_id]
+        if isinstance(frame, Request):
+            target = frame.target
+            other = self.zones.get(target)
+            if target == sender or other is None or not in_range(zone, other.center):
+                return []
+            sender_x, sender_y = self._node_xy(sender)
+            x, y = other.center
+            return [(target, propagation_us(math.hypot(x - sender_x, y - sender_y)))]
+        if sender != zone_id:
             raise RuntimeError(
                 f"{sender} sent a {type(frame).__name__} on {zone_id}'s channel; "
                 f"only {zone_id} sends content there"
             )
-        zone = self.zones[zone_id]
-        sender_x, sender_y = self._node_xy(sender)
-        found = []
-        for rsu_id, other in self.zones.items():
-            if rsu_id != sender and in_range(zone, other.center):
-                x, y = other.center
-                found.append((rsu_id, propagation_us(math.hypot(x - sender_x, y - sender_y))))
-        if request:
+        found = list(self._content_rsus[zone_id])
+        wanting = self._wanting.get(frame.name)
+        if not wanting:
             return found
-        spans = self._road_spans[zone_id]
-        candidates = [
-            vid for road_id, lo, hi in spans for vid in self.world.in_span(road_id, lo, hi)
-        ]
-        if len(spans) > 1:
-            # each road's slice is in spawn order already; merge them
-            candidates.sort(key=self._active.__getitem__)
-        vehicles = self.vehicles
         world = self.world
-        memo = None  # (road, track, its _TrackAges) of the previous candidate
-        for vid in candidates:
-            if vehicles[vid].status == SATISFIED:
+        memo = None  # (road, track, its _TrackAges) of the previous vehicle
+        for vid, agent in wanting.items():
+            if agent.status == SATISFIED:
                 continue
             road, track, age = world.riding(vid)
             if memo is None or memo[1] is not track or memo[0] is not road:

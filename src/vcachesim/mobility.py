@@ -29,10 +29,10 @@ its own track behind its leader's (MobilityWorld._follow).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, sub
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .simcore import US_PER_SECOND, RandomSource
@@ -331,9 +331,6 @@ def free_track(
     return None
 
 
-_SPAWN_TICK = attrgetter("spawn_tick")
-
-
 class MobilityWorld:
     """All vehicles on all roads, advanced one fixed tick of tick_s at a time.
 
@@ -595,33 +592,6 @@ class MobilityWorld:
         if state.exited_at_us is None:
             return road.world_position(self._pos(state))
         return road.world_position(min(state.pos_m, road.length_m))
-
-    def in_span(self, road_id: str, lo_m: float, hi_m: float) -> list[str]:
-        """Ids of the active vehicles with lo_m <= pos <= hi_m, front to back.
-
-        One bisected slice of the road's front-to-back order. When the front
-        and rear ride one track, every vehicle does (only a prefix rides the
-        shared one), and positions along a track never fall, so the span is
-        a range of ages, and so of spawn ticks, which rise front to back.
-        """
-        order = self._lanes[road_id]
-        if order and order[0].track is order[-1].track:
-            track_pos = order[0].track.pos
-            ticks = self._ticks
-            # ages bisect_left(track_pos, lo_m) .. bisect_right(track_pos, hi_m) - 1
-            start = bisect_right(order, ticks - bisect_right(track_pos, hi_m), key=_SPAWN_TICK)
-            stop = bisect_right(
-                order, ticks - bisect_left(track_pos, lo_m), lo=start, key=_SPAWN_TICK
-            )
-            return [state.id for state in order[start:stop]]
-        pos = self._pos
-
-        def behind(state: VehicleState) -> float:  # ascending along the order
-            return -pos(state)
-
-        start = bisect_left(order, -hi_m, key=behind)
-        stop = bisect_right(order, -lo_m, lo=start, key=behind)
-        return [state.id for state in order[start:stop]]
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)

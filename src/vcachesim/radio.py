@@ -109,20 +109,3 @@ class BackhaulLink:
         if self.latency_us < 0:
             raise ValueError(f"latency must be >= 0: {self.latency_us}")
 
-
-def receivers_in_zone(
-    zone: CoverageZone,
-    positions: list[tuple[str, tuple[float, float]]],
-    exclude: str,
-) -> list[str]:
-    """Node ids (input order preserved) inside the zone, sender excluded.
-
-    The engine no longer calls this: it slices receivers out of the road
-    geometry instead. Tests keep it as the oracle that slicing must match,
-    applied to every node, RSUs first and then vehicles in spawn order.
-    """
-    return [
-        node_id
-        for node_id, point in positions
-        if node_id != exclude and in_range(zone, point)
-    ]

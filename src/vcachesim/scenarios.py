@@ -12,7 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
+from .mobility import (
+    HIGHWAY_UNIFORM,
+    MAX_TRACK_TICKS,
+    URBAN_RANDOM,
+    KinematicParams,
+    RoadSegment,
+    free_track,
+)
 from .radio import RadioParams
 from .simcore import seconds_to_us
 
@@ -76,16 +83,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ValidationError listing every violated field."""
     problems: list[str] = []
 
-    def check(ok: bool, message: str) -> None:
+    def check(ok: bool, message: str, *values) -> None:
+        # the values are formatted into the message only when it is kept
         if not ok:
-            problems.append(message)
+            problems.append(message % values)
 
-    check(cfg.vehicle_count >= 1, f"vehicle_count must be >= 1: {cfg.vehicle_count}")
-    check(cfg.duration_s > 0, f"duration_s must be positive: {cfg.duration_s}")
-    check(cfg.arrival_window_s > 0, f"arrival_window_s must be positive: {cfg.arrival_window_s}")
+    check(cfg.vehicle_count >= 1, "vehicle_count must be >= 1: %s", cfg.vehicle_count)
+    check(cfg.duration_s > 0, "duration_s must be positive: %s", cfg.duration_s)
+    check(cfg.arrival_window_s > 0, "arrival_window_s must be positive: %s", cfg.arrival_window_s)
     check(
         cfg.duration_s >= cfg.arrival_window_s,
-        f"duration_s {cfg.duration_s} shorter than arrival_window_s {cfg.arrival_window_s}",
+        "duration_s %s shorter than arrival_window_s %s",
+        cfg.duration_s,
+        cfg.arrival_window_s,
     )
     # periodic work steps on the microsecond clock: an interval that rounds
     # to 0 us would reschedule an event at one instant forever (tick,
@@ -99,22 +109,33 @@ def validate_config(cfg: ScenarioConfig) -> None:
     ):
         check(
             math.isfinite(seconds) and seconds_to_us(seconds) >= 1,
-            f"{name} must be at least 1 us once quantized: {seconds}",
+            "%s must be at least 1 us once quantized: %s",
+            name,
+            seconds,
         )
-    check(cfg.catalog_size >= 1, f"catalog_size must be >= 1: {cfg.catalog_size}")
-    check(cfg.payload_bits >= 1, f"payload_bits must be >= 1: {cfg.payload_bits}")
-    check(cfg.rsu_cache_capacity >= 1, f"rsu_cache_capacity must be >= 1: {cfg.rsu_cache_capacity}")
-    check(cfg.backhaul_latency_s >= 0, f"backhaul_latency_s must be >= 0: {cfg.backhaul_latency_s}")
-    check(cfg.processing_delay_s >= 0, f"processing_delay_s must be >= 0: {cfg.processing_delay_s}")
-    check(
-        0 <= cfg.entry_speed_mps <= cfg.kinematics.max_speed_mps,
-        f"entry_speed_mps must lie in [0, max speed]: {cfg.entry_speed_mps}",
-    )
-    check(cfg.seed >= 0, f"seed must be >= 0: {cfg.seed}")
+    check(cfg.catalog_size >= 1, "catalog_size must be >= 1: %s", cfg.catalog_size)
+    check(cfg.payload_bits >= 1, "payload_bits must be >= 1: %s", cfg.payload_bits)
+    check(cfg.rsu_cache_capacity >= 1, "rsu_cache_capacity must be >= 1: %s", cfg.rsu_cache_capacity)
+    check(cfg.backhaul_latency_s >= 0, "backhaul_latency_s must be >= 0: %s", cfg.backhaul_latency_s)
+    check(cfg.processing_delay_s >= 0, "processing_delay_s must be >= 0: %s", cfg.processing_delay_s)
+    speed_ok = 0 <= cfg.entry_speed_mps <= cfg.kinematics.max_speed_mps
+    check(speed_ok, "entry_speed_mps must lie in [0, max speed]: %s", cfg.entry_speed_mps)
+    check(cfg.seed >= 0, "seed must be >= 0: %s", cfg.seed)
 
     check(bool(cfg.roads), "at least one road is required")
+    tick_ok = math.isfinite(cfg.tick_s) and seconds_to_us(cfg.tick_s) >= 1
+    if tick_ok and speed_ok and cfg.roads:
+        # the free-flow path must fit the world's tracks; the world's own
+        # key (MobilityWorld._track), so that its call is a cache hit
+        longest_m = max(road.length_m for road in cfg.roads)
+        speed_hex = float(cfg.entry_speed_mps).hex()
+        if free_track(speed_hex, cfg.tick_s, cfg.kinematics, longest_m, MAX_TRACK_TICKS) is None:
+            problems.append(
+                f"tick_s {cfg.tick_s} too short: from {cfg.entry_speed_mps} m/s a vehicle takes"
+                f" more than {MAX_TRACK_TICKS} ticks to cross the longest road ({longest_m} m)"
+            )
     road_ids = [road.id for road in cfg.roads]
-    check(len(set(road_ids)) == len(road_ids), f"duplicate road ids: {road_ids}")
+    check(len(set(road_ids)) == len(road_ids), "duplicate road ids: %s", road_ids)
 
     if cfg.arrival_pattern not in (URBAN_RANDOM, HIGHWAY_UNIFORM):
         problems.append(f"unknown arrival_pattern: {cfg.arrival_pattern!r}")
@@ -123,7 +144,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     check(bool(cfg.rsus), "at least one RSU is required")
     rsu_ids = [spec.id for spec in cfg.rsus]
-    check(len(set(rsu_ids)) == len(rsu_ids), f"duplicate rsu ids: {rsu_ids}")
+    check(len(set(rsu_ids)) == len(rsu_ids), "duplicate rsu ids: %s", rsu_ids)
     known = set(rsu_ids)
     gateways = [spec for spec in cfg.rsus if spec.role == ROLE_GATEWAY]
     check(bool(gateways), "at least one gateway RSU is required")
@@ -135,7 +156,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if spec.radius_m <= 0:
             problems.append(f"rsu {spec.id}: radius_m must be positive: {spec.radius_m}")
         if spec.role == ROLE_GATEWAY:
-            check(spec.next_hop is None, f"rsu {spec.id}: gateways take no next_hop")
+            check(spec.next_hop is None, "rsu %s: gateways take no next_hop", spec.id)
         elif spec.role == ROLE_RELAY:
             if spec.next_hop is None:
                 problems.append(f"rsu {spec.id}: relay requires a next_hop")

@@ -39,17 +39,21 @@ from vcachesim.simcore import seconds_to_us
 VEHICLES = [("v0", 500.0), ("v1", 450.0), ("v2", 200.0), ("v3", 100.0), ("v4", 0.0)]
 
 
+ITEM = parse_name("/traffic/1")
+
+
 class Recorder:
     """Stands in for an agent; logs (instant, id) for every frame it hears."""
 
     def __init__(self, node_id, log, on_hear=None):
-        self.node_id = node_id
+        self.id = node_id
         self.log = log
         self.on_hear = on_hear
         self.status = IDLE  # a listener: not yet satisfied
+        self.wanted = ITEM  # the item broadcast sends
 
     def on_frame(self, frame, now_us, services):
-        self.log.append((now_us, self.node_id))
+        self.log.append((now_us, self.id))
         if self.on_hear is not None:
             self.on_hear(now_us, services)
 
@@ -69,17 +73,16 @@ def layout(log, on_hear=None):
     sim = Simulation(cfg)
     on_hear = on_hear or {}
     sim.rsus["r1"] = Recorder("r1", log, on_hear.get("r1"))
-    for seq, (vid, pos) in enumerate(VEHICLES):
+    for vid, pos in VEHICLES:
         sim.world.spawn(vid, "a", 0.0, 0)
         sim.world.place(vid, pos)
-        sim._active[vid] = seq
-        sim.vehicles[vid] = Recorder(vid, log, on_hear.get(vid))
+        sim._enter(Recorder(vid, log, on_hear.get(vid)))
     return sim
 
 
 def broadcast(sim):
     """Send one response from r0; returns the instant its airtime ends."""
-    sim.transmit("r0", Response(parse_name("/traffic/1"), 2000, "v9.0", SOURCE_RSU_HIT), "r0")
+    sim.transmit("r0", Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT), "r0")
     (end, _, _), = sim.queue._heap
     sim.queue.run_until(sim.duration_us)
     return end

@@ -87,8 +87,8 @@ TRACKS_OFF = [case for case in make_golden.CASES if case not in make_golden.MIN_
 
 @pytest.mark.parametrize("case", TRACKS_OFF, ids=lambda case: make_golden.case_id(*case))
 def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatch):
-    # no vehicle shares a track, so the engine keeps memos and beacon plans
-    # per vehicle, and a road slices its vehicles by position
+    # no vehicle shares a track, so the engine keeps memos and beacon plans,
+    # and with them the range tests and delays of frame receivers, per vehicle
     counts = counting_tracks(monkeypatch)
     own_tracks_only(monkeypatch)
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]

@@ -35,6 +35,11 @@ def straight_road(length=1000.0):
     return RoadSegment(id="r", length_m=length)
 
 
+def lane(world, road_id):
+    """Ids of the road's active vehicles, front to back."""
+    return [state.id for state in world._lanes[road_id]]
+
+
 # -- geometry ------------------------------------------------------------------
 
 
@@ -210,7 +215,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
     for step in range(1, ticks + 1):
         exited = world.tick(step)
         assert exited == reference_tick(reference, road_length, dt, params)
-        assert world.in_span("r", -math.inf, math.inf) == list(reference)
+        assert lane(world, "r") == list(reference)
         for vid, (pos, speed) in reference.items():
             fix = world.fix(vid)
             assert (fix.pos_m.hex(), fix.speed_mps.hex()) == (pos.hex(), speed.hex())
@@ -296,7 +301,7 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                 world.place(vid, pos, speed * 0.5)
                 reference["r"][vid] = (pos, speed * 0.5)
             for road in roads:
-                assert world.in_span(road.id, -math.inf, math.inf) == list(reference[road.id])
+                assert lane(world, road.id) == list(reference[road.id])
                 for vid, (pos, speed) in reference[road.id].items():
                     fix = world.fix(vid)
                     assert fix.status == ACTIVE
@@ -489,7 +494,7 @@ def test_exit_reports_once_and_freezes_position():
     assert fix.pos_m == 10.0  # clamped to the road end
     assert not world.is_active("v0")
     assert world.exited_total == 1
-    assert world.in_span("r", -math.inf, math.inf) == []
+    assert lane(world, "r") == []
 
 
 def test_exited_leader_releases_the_road():
@@ -519,7 +524,7 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
         if step % 10 == 0 and spawned < 50 and world.can_spawn("r"):
             world.spawn(f"v{spawned:03d}", "r", 14.0, now)
             spawned += 1
-        order = world.in_span("r", -math.inf, math.inf)
+        order = lane(world, "r")
         positions = [world.fix(v).pos_m for v in order]
         speeds = [world.fix(v).speed_mps for v in order]
         assert positions == sorted(positions, reverse=True)
@@ -527,45 +532,6 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
             assert front - back >= P.min_gap_m - 1e-9
         assert all(0.0 <= s <= P.max_speed_mps + 1e-9 for s in speeds)
     assert spawned == 50
-
-
-def test_in_span_slices_shared_mixed_and_own_lanes_like_the_positions():
-    # road t: every vehicle on the shared track, sliced by spawn tick; m:
-    # shared-track vehicles in front, own tracks behind them (a slower entry
-    # speed); s: every vehicle on its own track, placed where it is; the
-    # last two bisect positions
-    roads = [RoadSegment(id=road_id, length_m=300.0) for road_id in "tms"]
-    world = MobilityWorld(roads, P, 0.1)
-    shared_tracks = {world._track(14.0), world._track(7.0)}
-    lanes = {"shared": 0, "mixed": 0, "own": 0}
-    for step in range(400):
-        if step:
-            world.tick(step)
-        if step % 17 == 0 and step < 300:
-            for road_id, speed in (("t", 14.0), ("m", 14.0 if step % 34 else 7.0), ("s", 14.0)):
-                if world.can_spawn(road_id):
-                    world.spawn(f"{road_id}{step}", road_id, speed, step)
-            front = world.in_span("s", -math.inf, math.inf)[:1]
-            for vid in front:
-                world.place(vid, world.fix(vid).pos_m)
-        for road in roads if step % 4 == 0 else ():
-            order = world._lanes[road.id]
-            if not order:
-                continue
-            shared = sum(state.track in shared_tracks for state in order)
-            lanes[("own", "mixed", "shared")[(shared > 0) + (shared == len(order))]] += 1
-            positions = [world._pos(state) for state in order]
-            bounds = {-math.inf, math.inf, -1.0, 1e3}
-            for pos in positions:
-                bounds |= {pos, math.nextafter(pos, -math.inf), math.nextafter(pos, math.inf)}
-            bounds = sorted(bounds)
-            for lo in bounds[::3]:
-                for hi in bounds:
-                    expected = [
-                        state.id for state, pos in zip(order, positions) if lo <= pos <= hi
-                    ]
-                    assert world.in_span(road.id, lo, hi) == expected, (road.id, step, lo, hi)
-    assert min(lanes.values()) >= 40, lanes
 
 
 def test_place_unknown_vehicle():

@@ -10,7 +10,6 @@ from vcachesim.radio import (
     RadioParams,
     in_range,
     propagation_us,
-    receivers_in_zone,
     tx_duration_us,
 )
 
@@ -84,18 +83,6 @@ def test_in_range_diagonal_boundary():
 def test_zone_radius_validation():
     with pytest.raises(ValueError):
         CoverageZone("r0", (0.0, 0.0), 0.0)
-
-
-def test_receivers_in_zone_preserves_order_and_excludes_sender():
-    zone = CoverageZone("r0", (0.0, 0.0), 10.0)
-    positions = [
-        ("r0", (0.0, 0.0)),
-        ("v1", (5.0, 0.0)),
-        ("v2", (10.0, 0.0)),
-        ("v3", (10.5, 0.0)),
-        ("v4", (-3.0, 0.0)),
-    ]
-    assert receivers_in_zone(zone, positions, exclude="v1") == ["r0", "v2", "v4"]
 
 
 # -- channel -------------------------------------------------------------------

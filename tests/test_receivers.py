@@ -1,12 +1,11 @@
 """Receiver selection at frame end against the per-node range test.
 
-The engine finds a frame's receivers by slicing each road's front-to-back
-order with the interval the zone cuts from that road. radio.receivers_in_zone
-applied to every node (RSUs in zone order, then active vehicles in spawn
-order) is the oracle: the two must agree on membership and on order, because
-the event queue breaks same-instant ties first in, first out. The oracle
-layouts let every vehicle listen (idle vehicles hearing content), so that
-they check the geometry; the listener filter has tests of its own.
+The engine picks a frame's receivers from the nodes that act on it: a
+request's target RSU, or, for content, the other RSUs in the zone and the
+active vehicles that want its name. receivers_in_zone below, applied to
+every node (RSUs in zone order, then unsatisfied vehicles in spawn order),
+is the oracle: the two must agree on membership and on order, because the
+event queue breaks same-instant ties first in, first out.
 """
 
 import math
@@ -18,20 +17,50 @@ from vcachesim.content import parse_name
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
 from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
-from vcachesim.protocol import SATISFIED, Request, Response, VehicleAgent
-from vcachesim.radio import propagation_us, receivers_in_zone
+from vcachesim.protocol import IDLE, SATISFIED, WAITING, Request, Response, VehicleAgent
+from vcachesim.radio import CoverageZone, in_range, propagation_us
 from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
 ITEM = parse_name("/traffic/1")
+OTHER = parse_name("/traffic/2")
 CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
 
 
-def place(sim, seq, vid, road_id, pos):
-    """Spawn an idle caching vehicle that wants ITEM at pos, as spawn number seq."""
+def receivers_in_zone(zone, frame, rsus, vehicles, sender):
+    """Ids of the nodes inside the zone that act on frame, sender excluded,
+    in input order: rsus as (id, point), then vehicles as (id, point,
+    wanted name). A request goes to its target only; content goes to every
+    RSU and to the vehicles that want its name."""
+    if isinstance(frame, Request):
+        listeners = [(node_id, point) for node_id, point in rsus if node_id == frame.target]
+    else:
+        listeners = rsus + [(vid, point) for vid, point, wanted in vehicles if wanted == frame.name]
+    return [node_id for node_id, point in listeners if node_id != sender and in_range(zone, point)]
+
+
+def test_receivers_in_zone_preserves_order_and_excludes_sender():
+    zone = CoverageZone("r0", (0.0, 0.0), 10.0)
+    rsus = [("r0", (0.0, 0.0)), ("r1", (4.0, 0.0)), ("r2", (30.0, 0.0))]
+    vehicles = [
+        ("v1", (5.0, 0.0), ITEM),
+        ("v2", (10.0, 0.0), ITEM),
+        ("v3", (10.5, 0.0), ITEM),
+        ("v4", (-3.0, 0.0), ITEM),
+        ("v5", (1.0, 0.0), OTHER),
+    ]
+    assert receivers_in_zone(zone, CONTENT, rsus, vehicles, "v1") == ["r0", "r1", "v2", "v4"]
+    request = Request(ITEM, "v1", "v1.0", "r1")
+    assert receivers_in_zone(zone, request, rsus, vehicles, "v1") == ["r1"]
+    assert receivers_in_zone(zone, request, rsus, vehicles, "r1") == []
+    assert receivers_in_zone(zone, Request(ITEM, "v1", "v1.0", "r2"), rsus, vehicles, "v1") == []
+
+
+def place(sim, vid, road_id, pos, wanted=ITEM):
+    """Spawn an idle caching vehicle that wants an item (ITEM unless told) at pos."""
     sim.world.spawn(vid, road_id, 0.0, 0)
     sim.world.place(vid, pos)
-    sim._active[vid] = seq
-    sim.vehicles[vid] = VehicleAgent(vid, ITEM, caching=True)
+    sim._enter(VehicleAgent(vid, wanted, caching=True))
+
 
 coords = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -59,7 +88,8 @@ def roads(draw):
 
 @st.composite
 def layouts(draw):
-    """A Simulation with vehicles placed on its roads, a zone and a sender."""
+    """A Simulation with vehicles placed on its roads, each wanting ITEM or
+    OTHER, idle, waiting or satisfied; a zone, a sender and a request target."""
     layout_roads = draw(roads())
     # per road, positions front to back; spawn order interleaves the roads
     # but keeps each road's own front-to-back order, as real spawns do
@@ -106,38 +136,42 @@ def layouts(draw):
     for seq, road_id in enumerate(spawn_roads):
         vid = f"x{seq:02d}"
         assume(sim.world.can_spawn(road_id))  # a tiny float can sit below min_gap
-        place(sim, seq, vid, road_id, placed[road_id][taken[road_id]])
+        wanted = draw(st.sampled_from([ITEM, OTHER]))
+        place(sim, vid, road_id, placed[road_id][taken[road_id]], wanted)
+        sim.vehicles[vid].status = draw(st.sampled_from([IDLE, WAITING, SATISFIED]))
         taken[road_id] += 1
-    nodes = [spec.id for spec in cfg.rsus] + list(sim._active)
-    sender = draw(st.sampled_from(nodes))
-    zone_id = draw(st.sampled_from([spec.id for spec in cfg.rsus]))
-    return sim, zone_id, sender
+    rsu_ids = [spec.id for spec in cfg.rsus]
+    sender = draw(st.sampled_from(rsu_ids + list(sim._active)))
+    zone_id = draw(st.sampled_from(rsu_ids))
+    target = draw(st.sampled_from(rsu_ids))
+    return sim, zone_id, sender, target
 
 
 def oracle(sim, zone_id, sender, frame):
-    """receivers_in_zone over every node that acts on frame, with each one's
-    propagation delay from the sender."""
+    """receivers_in_zone over every node, with each receiver's propagation
+    delay from the sender."""
     rsus = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
     vehicles = [
-        (vid, sim.world.fix(vid).world_xy)
+        (vid, sim.world.world_xy(vid), sim.vehicles[vid].wanted)
         for vid in sim._active
         if sim.vehicles[vid].status != SATISFIED
     ]
-    xy = dict(rsus + vehicles)
-    listeners = rsus if isinstance(frame, Request) else rsus + vehicles
+    xy = dict(rsus) | {vid: sim.world.world_xy(vid) for vid in sim._active}
     sender_x, sender_y = xy[sender]
     return [
         (node_id, propagation_us(math.hypot(xy[node_id][0] - sender_x, xy[node_id][1] - sender_y)))
-        for node_id in receivers_in_zone(sim.zones[zone_id], listeners, exclude=sender)
+        for node_id in receivers_in_zone(sim.zones[zone_id], frame, rsus, vehicles, sender)
     ]
 
 
 @given(layouts())
-def test_sliced_receivers_match_the_range_test_on_every_node(layout):
-    sim, zone_id, sender = layout
+def test_receivers_match_the_range_test_on_every_node(layout):
+    sim, zone_id, sender, target = layout
     # content comes from the zone's own RSU; a request from anyone in it
-    assert sim._receivers(zone_id, zone_id, CONTENT) == oracle(sim, zone_id, zone_id, CONTENT)
-    request = Request(ITEM, sender, "x.0", zone_id)
+    for name in (ITEM, OTHER):
+        content = Response(name, 2000, "v9.0", SOURCE_RSU_HIT)
+        assert sim._receivers(zone_id, zone_id, content) == oracle(sim, zone_id, zone_id, content)
+    request = Request(ITEM, sender, "x.0", target)
     assert sim._receivers(zone_id, sender, request) == oracle(sim, zone_id, sender, request)
 
 
@@ -163,20 +197,23 @@ def wide_twins():
     "cfg", [highway_multi(count=30, seed=1), wide_twins()], ids=lambda cfg: cfg.name
 )
 def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
-    # the receivers of each zone's content at instants through a highway
-    # run, most vehicles on the shared track, against the oracle on world
-    # positions
+    # the receivers of each zone's content for every catalog name at
+    # instants through a highway run, most vehicles on the shared track,
+    # against the oracle on world positions; each vehicle wants one name,
+    # so every listener is counted once per zone
     sim = Simulation(cfg)
     seen = {"shared": 0, "receivers": 0}
     shared = sim.world._track(cfg.entry_speed_mps)
+    frames = [Response(name, cfg.payload_bits, "v9.0", SOURCE_RSU_HIT) for name in sim.catalog.names()]
 
     def probe():
         for vid in sim._active:
             seen["shared"] += sim.world.riding(vid)[1] is shared
         for zone_id in sim.zones:
-            got = sim._receivers(zone_id, zone_id, CONTENT)
-            assert got == oracle(sim, zone_id, zone_id, CONTENT)
-            seen["receivers"] += len(got)
+            for frame in frames:
+                got = sim._receivers(zone_id, zone_id, frame)
+                assert got == oracle(sim, zone_id, zone_id, frame)
+                seen["receivers"] += len(got)
 
     for at_us in range(0, sim.duration_us, 1_700_000):  # off the tick grid too
         sim.queue.schedule(at_us, probe)
@@ -184,7 +221,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     assert seen["shared"] >= 2000 and seen["receivers"] >= 400, seen
 
 
-def crossing():
+def crossing(extra_rsus=(), b0_wants=ITEM):
     """Roads a and b cross zone r0; a0, b0 and a1 are inside it, b1 is not."""
     cfg = ScenarioConfig(
         name="crossing",
@@ -192,7 +229,7 @@ def crossing():
             RoadSegment(id="a", length_m=200.0, origin=(0.0, 0.0)),
             RoadSegment(id="b", length_m=200.0, origin=(200.0, 10.0), direction=(-1.0, 0.0)),
         ],
-        rsus=[RsuSpec("r0", (100.0, 5.0), 50.0)],
+        rsus=[RsuSpec("r0", (100.0, 5.0), 50.0), *extra_rsus],
         arrival_pattern=URBAN_RANDOM,
         vehicle_count=1,
         arrival_window_s=1.0,
@@ -200,11 +237,22 @@ def crossing():
         duration_s=1.0,
     )
     sim = Simulation(cfg)
-    for seq, (vid, road_id, pos) in enumerate(
-        [("a0", "a", 120.0), ("b0", "b", 130.0), ("a1", "a", 90.0), ("b1", "b", 20.0)]
-    ):
-        place(sim, seq, vid, road_id, pos)
+    place(sim, "a0", "a", 120.0)
+    place(sim, "b0", "b", 130.0, b0_wants)
+    place(sim, "a1", "a", 90.0)
+    place(sim, "b1", "b", 20.0)
     return sim
+
+
+def logging_frames(sim, node_ids):
+    """Replace the nodes' on_frame with a log of (node id, frame type)."""
+    log = []
+    for node_id in node_ids:
+        agent = sim.rsus.get(node_id) or sim.vehicles[node_id]
+        agent.on_frame = lambda frame, now_us, services, node_id=node_id: log.append(
+            (node_id, type(frame))
+        )
+    return log
 
 
 def heard(sim, exclude, frame):
@@ -213,7 +261,6 @@ def heard(sim, exclude, frame):
 
 def test_zone_meeting_two_roads_merges_by_spawn_order():
     sim = crossing()
-    assert sim._road_spans["r0"][0][0] == "a" and sim._road_spans["r0"][1][0] == "b"
     # b1 sits at x = 180, outside the zone
     assert heard(sim, "r0", CONTENT) == ["a0", "b0", "a1"]
 
@@ -230,14 +277,41 @@ def test_a_request_is_heard_by_rsus_only():
     sim = crossing()
     request = Request(ITEM, "a1", "a1.0", "r0")
     assert heard(sim, "a1", request) == ["r0"]
-    heard_by_vehicles = []
-    for agent in sim.vehicles.values():
-        agent.on_frame = lambda frame, now_us, services: heard_by_vehicles.append(frame)
+    log = logging_frames(sim, list(sim.vehicles))
     sim.transmit("r0", request, "a1")
     sim.queue.run_until(sim.duration_us)
     assert sim.rsus["r0"].requests_received == 1
     # the gateway's answer reaches the vehicles; the request did not
-    assert [type(frame) for frame in heard_by_vehicles] == [Response] * 3
+    assert [kind for _, kind in log] == [Response] * 3
+
+
+def test_a_request_reaches_only_its_target_among_the_rsus_in_its_zone():
+    # r1's centre is inside r0's zone and r0's inside r1's
+    sim = crossing(extra_rsus=[RsuSpec("r1", (110.0, 5.0), 50.0)])
+    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r0")) == ["r0"]
+    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r1")) == ["r1"]
+    assert heard(sim, "r1", Request(ITEM, "r1", "a1.0", "r1")) == []  # the sender itself
+    assert heard(sim, "r0", CONTENT) == ["r1", "a0", "b0", "a1"]
+    log = logging_frames(sim, ["r1"])
+    sim.transmit("r0", Request(ITEM, "a1", "a1.0", "r0"), "a1")
+    sim.queue.run_until(sim.duration_us)
+    assert sim.rsus["r0"].requests_received == 1
+    assert log == [("r1", Response)]  # r0's answer, not the request
+
+
+def test_a_vehicle_that_wants_another_item_hears_none_of_it():
+    sim = crossing(b0_wants=OTHER)
+    assert heard(sim, "r0", CONTENT) == ["a0", "a1"]
+    assert heard(sim, "r0", Response(OTHER, 2000, "v9.0", SOURCE_RSU_HIT)) == ["b0"]
+    b0 = sim.vehicles["b0"]
+    sim.transmit("r0", CONTENT, "r0")
+    sim.queue.run_until(sim.duration_us)
+    assert len(b0.cache) == 0 and b0.status == IDLE
+    assert sim.vehicles["a0"].cache.peek(ITEM) is not None
+    log = logging_frames(sim, ["a0", "b0", "a1"])
+    sim.transmit("r0", CONTENT, "r0")
+    sim.queue.run_until(sim.duration_us)
+    assert sorted(log) == [("a0", Response), ("a1", Response)]
 
 
 def test_a_satisfied_vehicle_hears_no_content():

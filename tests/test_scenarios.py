@@ -6,7 +6,13 @@ import math
 import pytest
 
 from vcachesim.engine import Simulation
-from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams
+from vcachesim.mobility import (
+    HIGHWAY_UNIFORM,
+    URBAN_RANDOM,
+    KinematicParams,
+    MobilityWorld,
+    free_track,
+)
 from vcachesim.radio import RadioParams
 from vcachesim.scenarios import (
     BUILDERS,
@@ -156,7 +162,30 @@ def test_validation_rejects_intervals_below_one_microsecond(name, seconds):
 
 @pytest.mark.parametrize("name", INTERVAL_FIELDS + ["radio.beacon_interval_s"])
 def test_validation_accepts_intervals_that_quantize_to_one_microsecond(name):
-    validate_config(with_interval(name, 5.1e-7))
+    cfg = with_interval(name, 5.1e-7)
+    if name == "tick_s":  # a path that fits MAX_TRACK_TICKS ticks of 0.51 us
+        cfg.roads = [dataclasses.replace(road, length_m=1.0) for road in cfg.roads]
+        cfg.entry_speed_mps = cfg.kinematics.max_speed_mps
+    validate_config(cfg)
+
+
+def test_validation_rejects_a_tick_too_short_for_a_path_to_fit():
+    # from rest, 800 m take more than MAX_TRACK_TICKS ticks of 10 us; the
+    # run used to fail with PathTooLong at the first spawn
+    with pytest.raises(ValidationError, match="tick_s 1e-05 too short"):
+        validate_config(broken(tick_s=1e-5))
+    with pytest.raises(ValidationError, match="tick_s"):
+        Simulation(broken(tick_s=1e-5))
+
+
+def test_the_path_check_fills_the_track_cache_the_world_reads():
+    cfg = broken(tick_s=0.0997)  # a tick no other test uses
+    validate_config(cfg)
+    before = free_track.cache_info()
+    world = MobilityWorld(cfg.roads, cfg.kinematics, cfg.tick_s)
+    assert world._track(cfg.entry_speed_mps) is not None
+    after = free_track.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 @pytest.mark.parametrize("name", ["tick_s", "sample_interval_s"])
