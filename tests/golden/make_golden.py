@@ -22,7 +22,10 @@ tick (with a request interval below it too) and one equal to it, on both
 sides of the shortest interval at which a beacon's due time alone gives the
 tick it runs at. The small-cache case has a 100-item catalog and 16-item RSU
 caches, so RSU caches evict and most content on the air is for items its
-listeners do not want.
+listeners do not want. The slow-backhaul cases fetch so slowly that no
+server answer arrives before the run ends, so vehicles stay unsatisfied and
+request every cycle, and the order of the attempts within one instant shows
+in trace.log.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ SMALL_CACHES = [
         (("catalog_size", 100), ("rsu_cache_capacity", 16), ("relay_announce_interval_s", 3.0)),
     ),
 ]
+# vehicles that stay unsatisfied attempt every cycle until they exit
+SLOW_BACKHAUL = [
+    ("highway_single", True, 1, 100, (("backhaul_latency_s", 500.0),)),
+    ("urban_single", True, 1, None, (("backhaul_latency_s", 300.0),)),
+]
 # (builder, caching, seed, vehicle count, field overrides); a None count keeps
 # the builder's default; the overrides are resolve_config's, so a key
 # "radio.x" or "kinematics.x" sets field x of cfg.radio or cfg.kinematics
@@ -97,6 +105,7 @@ CASES = (
     + MIN_GAP
     + BEACON_EDGES
     + SMALL_CACHES
+    + SLOW_BACKHAUL
 )
 
 
