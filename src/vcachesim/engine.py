@@ -17,12 +17,12 @@ at most the last tick instant of the run, and the idle ticks skipped on the
 way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
 a tick creates tick work (exits and satisfied vehicles only remove it, and
-the attempt entries of spawned vehicles that want no more attempts are
-popped off the heap's top before its due time is read); no event runs
-between now and the heap top, so the new tick is scheduled with the same
-events ahead of it, and takes the same FIFO place among the events of its
-instant, as a tick scheduled one tick earlier; and the last tick instant
-still ends the run, so the clock ends where it did.
+the due work a tick runs files attempts no sooner than the next tick, which
+is then one tick later); no event runs between now and the heap top, so the
+new tick is scheduled with the same events ahead of it, and takes the same
+FIFO place among the events of its instant, as a tick scheduled one tick
+earlier; and the last tick instant still ends the run, so the clock ends
+where it did.
 
 Most ticks that run have only beacons due, or nothing (after due work the
 next tick is always one tick later). Each time the tick advances the world
@@ -40,22 +40,19 @@ Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles (vehicle id -> spawn sequence), and
 one of them by wanted item, are added to at spawn and dropped from at exit
-(_enter, _leave). Attempts wait in a due-time heap keyed (due time, spawn
-sequence, vehicle id); each tick pops the entries due by now and re-arms
-each one at its next due time. Exited and satisfied vehicles leave the heap
-when next popped. Beacons are planned at spawn (below) and wait in lists
-keyed by the instant they run at. The tick
-takes its instant's beacons, then queues the next tick and runs the due
-attempts, then the due beacons, each in spawn order, inside itself; when
-another event already waits at its instant, it schedules them as one batch
-event at that instant instead. This is exactly one event per attempt and
-beacon, for the same reasons as the receive batches below: those events
-held consecutive places among the events of their instant, after any event
-already waiting there; what they scheduled for that instant ran after the
-last of them anyway; the next tick was queued before anything they
-scheduled; and exits happen only in the tick, so every due vehicle is still
-active when it runs. A beacon occupies airtime but carries nothing receivers
-keep, so it has no frame-end event.
+(_enter, _leave). All due work waits on one queue: per run instant, the
+attempts and the beacons planned to run there (_planned), with a heap of
+those instants. The tick takes its instant's work, then queues the next
+tick and runs the attempts of unsatisfied vehicles, then the beacons, each
+in spawn order, inside itself; when another event already waits at its
+instant, it schedules them as one batch event at that instant instead. This
+is exactly one event per attempt and beacon, for the same reasons as the
+receive batches below: those events held consecutive places among the
+events of their instant, after any event already waiting there; what they
+scheduled for that instant ran after the last of them anyway; the next tick
+was queued before anything they scheduled; and exits happen only in the
+tick, so every due vehicle is still active when it runs. A beacon occupies
+airtime but carries nothing receivers keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -66,29 +63,34 @@ Each entry is filled with the very call a lookup at the event would make,
 on road.world_position(track.pos[age]), the value world_xy gives; for the
 range test and delay of content at frame end too, because only the
 channel's own RSU sends content, so the sender sits at the zone's centre
-(content from anyone else raises). An attempt does nothing before the first
-age at which a zone covers the vehicle: it is idle with an empty cache and
-no target. No age before the lowest position where a zone's span (which
-holds the whole zone) meets the road is covered, so the search starts
-there. A later attempt outside every zone stays queued, because it may find
-an item the vehicle overheard inside one (a pre-cache hit). With an
-interval of at least one tick, due time d runs at grid tick ceil(d /
-tick_us), at an age known in advance (_first_acting_due), so arming an
-attempt entry jumps over the due times before the first covered age and
-drops the entry once the run age reaches the exit age; a shorter interval
-re-arms behind its run instant, one interval later. A beacon does nothing
-where no zone covers the vehicle. Its whole plan is made at spawn: every
-due time d, d + interval, ... that can act before the exit age, with the
-owner of the zone covering its run age and the vehicle's one Beacon frame,
-filed under its run instant. A due time runs at the first tick at or after
-it, but once per tick at most, as when a beacon was re-armed one interval
-later after the tick had taken its due ones: the k-th runs at age
-max(ceil(d_k / tick_us), previous age + 1), and from one tick up the max
-never binds (_TrackAges.beacon_plan). Later spawns file later, so each
-instant's list is in spawn order. Relative to an on-grid spawn a plan
-depends only on the first due offset (the stagger), so plans are kept per
-track, road and stagger. The ticks that no longer run had no work left,
-which the sparse-tick argument above covers.
+(content from anyone else raises).
+
+Attempts and beacons follow one run-age rule (_TrackAges.plan). A due time
+runs at the first tick at or after it, but once per tick at most, as when
+it was re-armed one interval later after the tick had taken its due ones:
+the k-th runs at age max(ceil(d_k / tick_us), previous age + 1); from one
+tick up the max never binds, and none runs from the exit age on. Neither
+kind does anything before the first age at which a zone covers the
+vehicle: an attempt is idle with an empty cache and no target, and a beacon
+has no channel. No age before the lowest position where a zone's span
+(which holds the whole zone) meets the road is covered, so the search
+starts there. A later beacon outside every zone does nothing, but a later
+attempt there still runs, because it may find an item the vehicle overheard
+inside one (a pre-cache hit). Relative to an on-grid spawn a plan depends
+only on its first due offset and its interval, so plans are kept per track,
+road, offset and interval.
+
+A beacon's whole plan is filed at spawn, each with the owner of the zone
+covering its run age and the vehicle's one Beacon frame; later spawns file
+later, so each instant's beacons are in spawn order. Attempts are filed
+lazily: at spawn the first, as (spawn sequence, vehicle id, iterator over
+the later run instants), and each attempt that leaves its vehicle
+unsatisfied files the next. An instant's attempts are thus filed at
+different times, and the tick sorts them by spawn sequence. SATISFIED is
+terminal, so the attempts of satisfied vehicles are dropped when taken, and
+an instant with no other work is dropped before it can set the next tick.
+The ticks that no longer run had no work left, which the sparse-tick
+argument above covers.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
@@ -120,10 +122,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .content import Catalog, ContentName
@@ -248,18 +250,15 @@ class Simulation:
         )
         self._pending_arrivals = {road.id: deque() for road in cfg.roads}
         for arrival in arrivals:
-            self.world.register(arrival.vehicle_id, arrival.road_id)
             self._pending_arrivals[arrival.road_id].append(arrival)
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
         # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
         self._wanting: dict[ContentName, dict[str, VehicleAgent]] = {}
-        # heap of (due time, spawn sequence, vehicle id)
-        self._attempts_due: list[tuple[int, int, str]] = []
-        # run instant -> planned beacons (vehicle id, channel owner, frame) in
-        # spawn order, and a heap of those instants
-        self._planned: dict[int, list[tuple[str, str, Beacon]]] = {}
+        # run instant -> (attempts, beacons) planned to run there, attempts in
+        # filing order and beacons in spawn order, and a heap of those instants
+        self._planned: dict[int, tuple[list[_Attempt], list[_PlannedBeacon]]] = {}
         self._planned_at: list[int] = []
         # the first instant at which the world changes more than its tick
         # count or an arrival spawns (_world_work_at)
@@ -306,14 +305,7 @@ class Simulation:
             self.world.skip(1)
         else:
             self._advance_world(now)
-        # most ticks find nothing due; the heap tops say so without a call
-        attempts = self._attempts_due
-        due_attempts = (
-            _take_due(attempts, now, self._wants_attempts, self._next_attempt)
-            if attempts and attempts[0][0] <= now
-            else []
-        )
-        due_beacons = self._take_planned(now)
+        due_attempts, due_beacons = self._take_planned(now)
         queue = self.queue
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
@@ -337,8 +329,8 @@ class Simulation:
         """Tick the world, take its exits, spawn the arrivals that are due and
         fit, and arm their due work; then find the world's next work."""
         tracing = self.tracing
-        for vid in self.world.tick(now):
-            self._leave(vid)  # its heap entries left, if any, go when next popped
+        for vid in self.world.tick():
+            self._leave(vid)  # nothing of it is planned from now on
             if tracing:
                 self._trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
@@ -346,15 +338,9 @@ class Simulation:
             while pending and pending[0].at_us <= now and self.world.can_spawn(road.id):
                 arrival = pending.popleft()
                 vid = arrival.vehicle_id
-                self.world.spawn(vid, road.id, self.cfg.entry_speed_mps, now)
+                self.world.spawn(vid, road.id, self.cfg.entry_speed_mps)
                 spawned = self._enter(VehicleAgent(vid, arrival.wanted, self.cfg.caching))
-                first = self._first_due(now, vid)
-                if first is not None:
-                    heappush(self._attempts_due, (first, spawned, vid))
-                # beacon phases staggered by spawn order; synchronized phases
-                # (all spawns sit on tick boundaries) would pile beacon bursts
-                # onto the channel right when responses need it
-                self._arm_beacons(now, (spawned % 100) * self.tick_us, vid)
+                self._arm(now, spawned, vid)
                 if tracing:
                     self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
         self._world_due = self._world_work_at(now)
@@ -403,92 +389,81 @@ class Simulation:
         event runs; adds the idle ticks before it to the world's tick count.
 
         Work is a spawn, a step or a tracked exit (_world_work_at, as of the
-        latest advance of the world), or a due attempt or beacon. The
-        instant is at least one tick after now and at most the last tick
-        instant of the run.
+        latest advance of the world), or a planned beacon or attempt of an
+        unsatisfied vehicle. An instant whose only work is attempts of
+        satisfied vehicles is dropped on the way: SATISFIED is terminal, so
+        they would be dropped when taken anyway. The instant is at least one
+        tick after now and at most the last tick instant of the run.
         """
         tick_us = self.tick_us
         due = self._world_due
         top = self.queue.peek_time()
         if top is not None and top < due:
             due = top
-        first = self._first_attempt_due()
-        if first is not None and first < due:
-            due = first
-        planned_at = self._planned_at
-        if planned_at and planned_at[0] < due:
-            due = planned_at[0]
+        planned, planned_at, vehicles = self._planned, self._planned_at, self.vehicles
+        while planned_at and planned_at[0] < due:
+            attempts, beacons = planned[planned_at[0]]
+            if beacons or any(vehicles[vid].status != SATISFIED for _, vid, _ in attempts):
+                due = planned_at[0]
+            else:
+                del planned[heappop(planned_at)]
         at = max(-(-due // tick_us) * tick_us, now + tick_us)
         self.world.skip((at - now) // tick_us - 1)
         return at
 
-    def _wants_attempts(self, vehicle_id: str) -> bool:
-        # SATISFIED is terminal, so a satisfied vehicle leaves the attempt heap
-        return vehicle_id in self._active and self.vehicles[vehicle_id].status != SATISFIED
-
-    def _first_attempt_due(self) -> int | None:
-        """Due time of the attempt heap's top, after popping the top entries
-        of spawned vehicles that want no more attempts (satisfied or exited);
-        they would be dropped when due anyway."""
-        heap = self._attempts_due
-        vehicles = self.vehicles
-        while heap:
-            vid = heap[0][2]
-            if vid in vehicles and not self._wants_attempts(vid):
-                heappop(heap)
-            else:
-                return heap[0][0]
-        return None
-
-    def _next_attempt(self, due_us: int, vehicle_id: str) -> int | None:
-        return self._first_due(due_us + self.request_interval_us, vehicle_id)
-
-    def _first_due(self, from_us: int, vehicle_id: str) -> int | None:
-        """The first of from_us, from_us + interval, ... (the request
-        interval) at which the vehicle's attempt can act; None when it
-        exits first.
-
-        Only an interval of at least one tick is planned ahead
-        (_first_acting_due); a shorter one gives from_us itself. An attempt
-        can act from the first age at which a zone covers the vehicle (see
-        the module docstring). Runs inside the tick at now, before idle
-        ticks are skipped, so the world's latest tick is the one at now.
-        """
-        road, track, age = self.world.riding(vehicle_id)
-        ages = self._ages(road, track)
-        spawn_tick = self.queue.now_us // self.tick_us - age  # on the grid
-        return _first_acting_due(
-            from_us, self.request_interval_us, self.tick_us, spawn_tick,
-            ages.exit_age, ages.covered_since,
-        )
-
-    def _arm_beacons(self, now: int, stagger_us: int, vehicle_id: str) -> None:
-        """Plan the beacons of a vehicle spawned at now, the first due
-        stagger_us later, up to the last tick instant (_TrackAges.beacon_plan)."""
+    def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
+        """Plan the due work of a vehicle spawned at now, up to the last tick
+        instant (_TrackAges.plan): file its first attempt, with an iterator
+        over the run instants of the later ones, and all its beacons."""
         road, track, _ = self.world.riding(vehicle_id)
         ages = self._ages(road, track)
-        plan = ages.beacon_plan(stagger_us, self.beacon_interval_us, self.tick_us)
+        tick_us = self.tick_us
+        attempts = ages.plan(0, self.request_interval_us, tick_us)
+        self._file_attempt((spawned, vehicle_id, (now + offset for offset, _ in attempts)))
+        # beacon phases staggered by spawn order; synchronized phases
+        # (all spawns sit on tick boundaries) would pile beacon bursts
+        # onto the channel right when responses need it
+        beacons = ages.plan((spawned % 100) * tick_us, self.beacon_interval_us, tick_us)
         beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
         planned = self._planned
         last_us = self.last_tick_us
-        for offset_us, owner in plan:
+        for offset_us, owner in beacons:
             at_us = now + offset_us
             if at_us > last_us:
                 break
-            bucket = planned.get(at_us)
-            if bucket is None:
-                planned[at_us] = [(vehicle_id, owner, beacon)]
-                heappush(self._planned_at, at_us)
-            else:  # later spawns append later, so a bucket is in spawn order
-                bucket.append((vehicle_id, owner, beacon))
+            if owner is not None:  # an uncovered beacon does nothing
+                # later spawns append later, so a bucket's beacons are in spawn order
+                (planned.get(at_us) or self._bucket(at_us))[1].append((vehicle_id, owner, beacon))
 
-    def _take_planned(self, now: int) -> list[tuple[str, str, Beacon]]:
-        """Pop the beacons planned to run at now, in spawn order."""
+    def _file_attempt(self, attempt: _Attempt) -> None:
+        """File an attempt at the next of its run instants, unless that is
+        past the last tick instant or there is none."""
+        at_us = next(attempt[2], None)
+        if at_us is not None and at_us <= self.last_tick_us:
+            self._bucket(at_us)[0].append(attempt)
+
+    def _bucket(self, at_us: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
+        """The (attempts, beacons) planned to run at at_us."""
+        bucket = self._planned.get(at_us)
+        if bucket is None:
+            bucket = self._planned[at_us] = ([], [])
+            heappush(self._planned_at, at_us)
+        return bucket
+
+    def _take_planned(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
+        """Pop the work planned to run at now: the attempts of unsatisfied
+        vehicles, sorted by spawn sequence, for they are filed at different
+        times, and the beacons, in spawn order."""
         planned_at = self._planned_at
         if not planned_at or planned_at[0] != now:
-            return []
+            return (), ()
         heappop(planned_at)
-        return self._planned.pop(now)
+        attempts, beacons = self._planned.pop(now)
+        if attempts:
+            vehicles = self.vehicles
+            attempts = [entry for entry in attempts if vehicles[entry[1]].status != SATISFIED]
+            attempts.sort()  # a vehicle is filed once per instant: no tie reaches the iterator
+        return attempts, beacons
 
     def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
         by_road = self._track_ages.get(track)
@@ -506,13 +481,18 @@ class Simulation:
         road, track, age = self.world.riding(vehicle_id)
         return self._ages(road, track).owner(age)
 
-    def _run_due(self, attempts: list[str], beacons: list[tuple[str, str, Beacon]]) -> None:
-        """One tick's due attempts, then its due beacons, each in spawn order.
+    def _run_due(self, attempts: list[_Attempt], beacons: list[_PlannedBeacon]) -> None:
+        """One tick's due attempts, then its due beacons, each in spawn order;
+        files the next attempt of each vehicle still unsatisfied after its own.
 
         Exits happen only in the tick, so every vehicle here is active.
         """
-        for vid in attempts:
+        vehicles = self.vehicles
+        for attempt in attempts:
+            vid = attempt[1]
             self._on_attempt(vid)
+            if vehicles[vid].status != SATISFIED:
+                self._file_attempt(attempt)
         for vid, owner, beacon in beacons:
             self._on_beacon(vid, owner, beacon)
 
@@ -697,58 +677,13 @@ def _zone_owner_at(zones: dict[str, CoverageZone], point: tuple[float, float]) -
     return best[1] if best else None
 
 
-def _take_due(heap: list[tuple[int, int, str]], now_us: int, keep, rearm) -> list[str]:
-    """Pop every entry due by now_us; returns the kept vehicle ids in spawn order.
-
-    Each kept entry goes back at rearm(due time, vehicle id), after the
-    popping, so an interval shorter than the tick still fires once per
-    tick; it leaves the heap when rearm gives None, and so do the entries
-    keep refuses.
-    """
-    due = []
-    while heap and heap[0][0] <= now_us:
-        entry = heappop(heap)
-        if keep(entry[2]):
-            due.append(entry)
-    due.sort(key=itemgetter(1))
-    for due_us, seq, vid in due:
-        next_us = rearm(due_us, vid)
-        if next_us is not None:
-            heappush(heap, (next_us, seq, vid))
-    return [vid for _, _, vid in due]
-
-
-def _first_acting_due(
-    from_us: int, interval_us: int, tick_us: int, spawn_tick: int, exit_age: int, acts
-) -> int | None:
-    """The first of from_us, from_us + interval_us, ... whose run age passes
-    acts; None once a run age reaches exit_age, where the vehicle has left.
-
-    A due time d runs at the first tick instant at or after it, grid tick
-    ceil(d / tick_us), where a vehicle spawned at grid tick spawn_tick is
-    ceil(d / tick_us) - spawn_tick ticks old. That holds for interval_us >=
-    tick_us only: a shorter interval re-arms behind its run instant, so
-    then from_us is returned as it is.
-    """
-    if interval_us < tick_us:
-        return from_us
-    due_us = from_us
-    while True:
-        age = -(-due_us // tick_us) - spawn_tick
-        if age >= exit_age:
-            return None
-        if acts(age):
-            return due_us
-        due_us += interval_us
-
-
 class _TrackAges:
     """What a vehicle riding one track on one road meets at each age.
 
     Such a vehicle is at road.world_position(pos[age]) at every tick of its
     age, so the zone that covers it, and the range test and delay of a
     frame a zone's RSU sends it, are functions of the age, filled lazily,
-    one age when first asked for; so are the beacon plans built from them.
+    one age when first asked for; so are the plans of due work built from them.
     The track itself is not kept, so that the engine's weak key on it lets
     an own track and its memos go at the vehicle's exit.
     """
@@ -775,8 +710,8 @@ class _TrackAges:
         self._first_covered: int | None = None
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
-        # (first due, interval, tick) -> beacon_plan
-        self._plans: dict[tuple[int, int, int], list[tuple[int, str]]] = {}
+        # (first due, interval, tick) -> plan
+        self._plans: dict[tuple[int, int, int], list[tuple[int, str | None]]] = {}
 
     def owner(self, age: int) -> str | None:
         owner = self._owners[age]
@@ -793,21 +728,22 @@ class _TrackAges:
             self._first_covered = first
         return age >= self._first_covered
 
-    def beacon_plan(
-        self, first_us: int, interval_us: int, tick_us: int
-    ) -> list[tuple[int, str]]:
-        """(run offset, channel owner) of every beacon that can act, for a
-        vehicle spawned at a tick instant whose first beacon is due first_us
-        after it.
+    def plan(self, first_us: int, interval_us: int, tick_us: int) -> list[tuple[int, str | None]]:
+        """(run offset, owner of the zone covering the vehicle or None) of
+        every due time of a periodic timer (attempts or beacons) that runs
+        from the first covered age on, for a vehicle spawned at a tick
+        instant whose first due time is first_us after it.
 
         The due times are first_us, first_us + interval_us, ... A due time d
-        runs at the first tick at or after it, but a beacon runs once per
-        tick at most, for the next due time is armed only after the tick's
-        due ones are taken: the k-th runs at age max(ceil(d_k / tick_us),
-        previous age + 1), age * tick_us after the spawn, on the channel of
-        the zone covering that age; an uncovered one does nothing, and none
-        runs from the exit age on. From one tick up the max never binds.
-        Relative to an on-grid spawn nothing else enters, so plans are kept.
+        runs at the first tick at or after it, but once per tick at most, as
+        when the next due time was armed only after the tick had taken its
+        due ones: the k-th runs at age max(ceil(d_k / tick_us), previous age
+        + 1), age * tick_us after the spawn, and none runs from the exit age
+        on. From one tick up the max never binds. Before the first covered
+        age both kinds do nothing, so those due times are left out; later an
+        uncovered beacon does nothing, but an uncovered attempt may hit the
+        pre-cache. Relative to an on-grid spawn nothing else enters, so plans
+        are kept.
         """
         key = (first_us, interval_us, tick_us)
         plan = self._plans.get(key)
@@ -818,9 +754,7 @@ class _TrackAges:
             age = -(-due_us // tick_us)
             while age < exit_age:
                 if self.covered_since(age):
-                    owner = self.owner(age)
-                    if owner is not None:
-                        plan.append((age * tick_us, owner))
+                    plan.append((age * tick_us, self.owner(age)))
                 due_us += interval_us
                 age = max(-(-due_us // tick_us), age + 1)
         return plan
@@ -843,6 +777,9 @@ class _TrackAges:
 
 
 _UNFILLED = object()
+# (spawn sequence, vehicle id, iterator over its later run instants)
+_Attempt = tuple[int, str, Iterator[int]]
+_PlannedBeacon = tuple[str, str, Beacon]  # (vehicle id, channel owner, frame)
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
 
 class UnknownVehicle(KeyError):
-    """A vehicle id the world has never been told about."""
+    """A vehicle id the world has never spawned."""
 
 
 class EmptyRoadList(ValueError):
@@ -51,7 +51,6 @@ class EmptyRoadList(ValueError):
 
 ACTIVE = "active"
 EXITED = "exited"
-NOT_YET_ENTERED = "not-yet-entered"
 
 URBAN_RANDOM = "urban-random"
 HIGHWAY_UNIFORM = "highway-uniform"
@@ -132,13 +131,11 @@ class VehicleState:
 
     id: str
     road_id: str
-    entered_at_us: int
     spawn_tick: int  # the world's tick count at spawn
     track: Track | None = None
     exit_tick: int = 0
     pos_m: float = 0.0
     speed_mps: float = 0.0
-    exited_at_us: int | None = None
 
 
 @dataclass(frozen=True)
@@ -332,12 +329,7 @@ def free_track(
 
 
 class MobilityWorld:
-    """All vehicles on all roads, advanced one fixed tick of tick_s at a time.
-
-    Vehicles must be registered before they can be queried; registration is
-    separate from spawning so position_at can distinguish "not yet entered"
-    from "no such vehicle".
-    """
+    """All vehicles on all roads, advanced one fixed tick of tick_s at a time."""
 
     def __init__(
         self, roads: list[RoadSegment], params: KinematicParams, tick_s: float
@@ -350,7 +342,6 @@ class MobilityWorld:
         self.params = params
         self.tick_s = tick_s
         self._states: dict[str, VehicleState] = {}
-        self._registered: dict[str, str] = {}  # vehicle id -> road id
         # road id -> its active vehicles, front to back
         self._lanes: dict[str, list[VehicleState]] = {road.id: [] for road in roads}
         self._longest_m = max(road.length_m for road in roads)
@@ -362,17 +353,12 @@ class MobilityWorld:
         self.spawned_total = 0
         self.exited_total = 0
 
-    def register(self, vehicle_id: str, road_id: str) -> None:
-        if road_id not in self.roads:
-            raise KeyError(f"unknown road: {road_id}")
-        self._registered[vehicle_id] = road_id
-
     def can_spawn(self, road_id: str) -> bool:
         """True when the entry point is at least min_gap behind the rear car."""
         order = self._lanes[road_id]
         return not order or self._pos(order[-1]) >= self.params.min_gap_m
 
-    def spawn(self, vehicle_id: str, road_id: str, speed_mps: float, now_us: int) -> None:
+    def spawn(self, vehicle_id: str, road_id: str, speed_mps: float) -> None:
         """Put a vehicle at the road's entry and fix its whole path.
 
         It rides the entry speed's free-flow track when every vehicle on
@@ -387,7 +373,7 @@ class MobilityWorld:
         order = self._lanes[road_id]
         leader = order[-1] if order else None
         ticks = self._ticks
-        state = VehicleState(vehicle_id, road_id, now_us, ticks)
+        state = VehicleState(vehicle_id, road_id, ticks)
         track = self._track(speed_mps)
         length = self.roads[road_id].length_m
         if track is not None and (
@@ -399,7 +385,6 @@ class MobilityWorld:
             state.exit_tick = ticks + track.exit_age(length)
         else:
             self._follow(state, [0.0], [speed_mps], leader)
-        self._registered.setdefault(vehicle_id, road_id)
         self._states[vehicle_id] = state
         order.append(state)
         self.spawned_total += 1
@@ -545,7 +530,7 @@ class MobilityWorld:
         """Let ticks ticks pass that take no exit: only every vehicle's age moves."""
         self._ticks += ticks
 
-    def tick(self, now_us: int) -> list[str]:
+    def tick(self) -> list[str]:
         """Advance every active vehicle one tick along its track; returns
         exit ids: the front vehicles whose exit tick it is (none exits before
         its leader). An exited vehicle drops its track and keeps where it left."""
@@ -560,7 +545,6 @@ class MobilityWorld:
                 state.pos_m = state.track.pos[age]
                 state.speed_mps = state.track.speed[age]
                 state.track = None
-                state.exited_at_us = now_us
                 exited.append(state.id)
                 exits += 1
             if exits:
@@ -583,21 +567,19 @@ class MobilityWorld:
 
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
-        return state is not None and state.exited_at_us is None
+        return state is not None and state.track is not None
 
     def world_xy(self, vehicle_id: str) -> tuple[float, float]:
         """fix(vehicle_id).world_xy of a spawned vehicle, without the fix."""
         state = self._states[vehicle_id]
         road = self.roads[state.road_id]
-        if state.exited_at_us is None:
+        if state.track is not None:
             return road.world_position(self._pos(state))
         return road.world_position(min(state.pos_m, road.length_m))
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)
         if state is None:
-            if vehicle_id in self._registered:
-                return VehicleFix(status=NOT_YET_ENTERED)
             raise UnknownVehicle(vehicle_id)
         road = self.roads[state.road_id]
         track = state.track

@@ -306,7 +306,6 @@ class Relay(RsuBase):
             raise ValueError(f"relay {rsu_id} needs a next hop toward the gateway")
         self.cache = LruStore(capacity)
         self.next_hop = next_hop
-        self._pending: dict[ContentName, list[str]] = {}  # name -> forwarded request ids
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         item = self.cache.get(frame.name)
@@ -317,7 +316,6 @@ class Relay(RsuBase):
                 services,
             )
             return
-        self._pending.setdefault(frame.name, []).append(frame.request_id)
         forward = replace(frame, target=self.next_hop, forwarded=True)
         services.after(
             self.proc_delay_us,
@@ -325,7 +323,6 @@ class Relay(RsuBase):
         )
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
-        self._pending.pop(frame.name, None)
         if self.cache.peek(frame.name) is not None:
             self.cache.put(ContentItem(frame.name, frame.payload_bits))  # refresh recency
             return
@@ -348,9 +345,6 @@ class Relay(RsuBase):
             self.proc_delay_us,
             lambda: services.transmit(self.id, rebroadcast, self.id),
         )
-
-    def pending_count(self) -> int:
-        return sum(map(len, self._pending.values()))
 
 
 # -- server ---------------------------------------------------------------------

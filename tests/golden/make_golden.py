@@ -72,8 +72,9 @@ MIN_GAP = [
     (name, True, 1, None, (("kinematics.min_gap_m", 14.0),))
     for name in ("highway_single", "highway_multi")
 ]
-# beacon intervals below and equal to the tick: below it a beacon runs once
-# per tick at most, which holds back its run ages (_TrackAges.beacon_plan)
+# beacon intervals below and equal to the tick, the first with a request
+# interval below it too: below the tick, due work runs once per tick at most,
+# which holds back its run ages (_TrackAges.plan)
 BEACON_EDGES = [
     (
         "urban_single", True, 1, None,

@@ -1,16 +1,15 @@
 """Only state-changing work on the event heap.
 
 One receive event per frame and arrival instant, no frame end for beacons,
-a due-time heap for request attempts and beacons planned at spawn, whose due
-work runs inside the tick, due times planned past work that cannot act, and
-a tick only at the instants with due work. Each must keep the order that one
-event per receiver, one event per due attempt or beacon, a full per-tick
-scan, a beacon re-armed one interval at a time and a tick every tick_s gave,
-because the event queue breaks same-instant ties first in, first out.
+one queue of run instants for request attempts and beacons, whose due work
+runs inside the tick, plans that skip due times that cannot act, and a tick
+only at the instants with due work. Each must keep the order that one event
+per receiver, one event per due attempt or beacon, a full per-tick scan, an
+attempt or beacon re-armed one interval at a time and a tick every tick_s
+gave, because the event queue breaks same-instant ties first in, first out.
 """
 
 import dataclasses
-import heapq
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,10 +18,10 @@ from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import parse_name
-from vcachesim.engine import Simulation, _TrackAges, _first_acting_due, _take_due
+from vcachesim.engine import Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
-from vcachesim.protocol import IDLE, Beacon, Response
+from vcachesim.protocol import IDLE, SATISFIED, Beacon, Response, VehicleAgent
 from vcachesim.radio import tx_duration_us
 from vcachesim.scenarios import (
     RsuSpec,
@@ -32,7 +31,7 @@ from vcachesim.scenarios import (
     urban_multi,
     urban_single,
 )
-from vcachesim.simcore import seconds_to_us
+from vcachesim.simcore import format_time, seconds_to_us
 
 # front to back, so also spawn order: (vehicle id, position on the road);
 # the sender r0 sits at the road's entry, and signals cover 300 m per us
@@ -74,7 +73,7 @@ def layout(log, on_hear=None):
     on_hear = on_hear or {}
     sim.rsus["r1"] = Recorder("r1", log, on_hear.get("r1"))
     for vid, pos in VEHICLES:
-        sim.world.spawn(vid, "a", 0.0, 0)
+        sim.world.spawn(vid, "a", 0.0)
         sim.world.place(vid, pos)
         sim._enter(Recorder(vid, log, on_hear.get(vid)))
     return sim
@@ -142,85 +141,53 @@ def test_a_beacon_takes_the_airtime_of_its_own_payload():
     assert channel.busy_until_us == channel.busy_time_us  # back to back from 0
 
 
-def every(interval_us):
-    """The plain re-arm: one interval later, whatever the vehicle meets."""
-    return lambda due_us, vid: due_us + interval_us
-
-
-def test_take_due_pops_due_entries_in_spawn_order_and_rearms_them():
-    heap = []
-    for entry in [(30, 0, "a"), (10, 2, "c"), (25, 1, "b"), (40, 3, "d"), (20, 4, "e")]:
-        heapq.heappush(heap, entry)
-    rearmed = []
-
-    def rearm(due_us, vid):
-        rearmed.append(vid)
-        return None if vid == "b" else due_us + 7
-
-    due = _take_due(heap, 30, keep=lambda vid: vid != "e", rearm=rearm)
-    assert due == ["a", "b", "c"]  # e was due too but is dropped
-    assert rearmed == ["a", "b", "c"]  # in spawn order, e not asked
-    # b ran, but its re-arm found nothing left for it to do
-    assert sorted(heap) == [(17, 2, "c"), (37, 0, "a"), (40, 3, "d")]
-
-
-def test_take_due_fires_a_short_interval_once_per_call():
-    heap = [(0, 0, "a")]
-    assert _take_due(heap, 100, keep=lambda vid: True, rearm=every(30)) == ["a"]
-    assert heap == [(30, 0, "a")]  # due again, but only at the next call
-    assert _take_due(heap, 200, keep=lambda vid: True, rearm=every(30)) == ["a"]
-    assert heap == [(60, 0, "a")]
-
-
 # -- planning a tracked vehicle's due work by its age ------------------------------
 
 
-def test_an_interval_shorter_than_the_tick_rearms_by_exactly_one_interval():
-    # the run-age formula does not hold below one tick, so nothing is
-    # skipped and nothing dropped, even past the exit age
-    for due_us in (0, 30, 170):
-        assert _first_acting_due(due_us + 30, 30, 100, 0, 1, lambda age: False) == due_us + 30
-    sim = Simulation(dataclasses.replace(highway_single(count=1), request_interval_s=0.05))
-    sim.queue.schedule(0, sim._on_tick)
-    sim.queue.run_until(0)
-    assert sim.world.riding("v000")[1] is sim.world._track(sim.cfg.entry_speed_mps)
-    assert sim._next_attempt(0, "v000") == 50_000
-    assert sim._next_attempt(10**9, "v000") == 10**9 + 50_000  # past its exit
+def ages_of(owners, covered_from=0.0):
+    """_TrackAges of a vehicle at position age at every age, on a road that
+    ends at the exit age len(owners), covered at each age by the zone of
+    owners[age] (None for no zone); no position below covered_from is."""
+    exit_age = len(owners)
+    track = Track([float(age) for age in range(exit_age + 1)], [1.0] * (exit_age + 1))
+    road = RoadSegment(id="r", length_m=float(exit_age))
+    return _TrackAges(road, track, lambda point: owners[int(point[0])], covered_from)
 
 
 def test_an_entry_whose_run_age_reaches_the_exit_age_is_dropped():
-    # tick 100 us, spawned at grid tick 3, exits at age 5 (grid tick 8)
-    always = lambda age: True  # noqa: E731
-    assert _first_acting_due(700, 100, 100, 3, 5, always) == 700  # runs at age 4
-    assert _first_acting_due(701, 100, 100, 3, 5, always) is None  # runs at 800: age 5
-    assert _first_acting_due(800, 100, 100, 3, 5, always) is None
-    # d runs at ceil(d / tick): 650 runs at 700 (age 4); a floor would say 600
-    assert _first_acting_due(650, 250, 100, 3, 5, lambda age: age == 4) == 650
-    assert _first_acting_due(550, 250, 100, 3, 5, lambda age: age == 2) is None
+    # tick 100 us, exit at age 5
+    ages = ages_of(["r0"] * 5)
+    assert ages.plan(400, 1000, 100) == [(400, "r0")]  # runs at age 4
+    assert ages.plan(401, 1000, 100) == []  # runs at age 5
+    # d runs at ceil(d / tick): 350 runs at age 4; a floor would say age 3
+    assert ages.plan(350, 1000, 100) == [(400, "r0")]
 
 
 def test_a_beacon_rearm_jumps_over_uncovered_ages():
-    # ages 0-9 uncovered, 10-12 covered, 13-19 uncovered, exit at age 20
-    covered = [False] * 10 + [True] * 3 + [False] * 7
-    acts = covered.__getitem__
-    # tick 100 us, interval 300 us, spawned at grid tick 2
-    assert _first_acting_due(200, 300, 100, 2, 20, acts) == 1400  # age 12
-    assert _first_acting_due(250, 300, 100, 2, 20, acts) == 1150  # runs at 1200, age 10
-    assert _first_acting_due(1500, 300, 100, 2, 20, acts) is None  # exits uncovered
+    # ages 0-9 uncovered, 10-12 covered, 13-19 uncovered, exit at age 20;
+    # tick 100 us, interval 300 us
+    ages = ages_of([None] * 10 + ["r0"] * 3 + [None] * 7)
+    # due at ages 0, 3, ..., 18: nothing before the first covered age; an
+    # attempt keeps the later uncovered ones (a pre-cache hit), a beacon not
+    assert ages.plan(0, 300, 100) == [(1200, "r0"), (1500, None), (1800, None)]
+    # due at 50, 350, ... us: runs at ages 1, 4, ..., 19
+    assert ages.plan(50, 300, 100) == [(1000, "r0"), (1300, None), (1600, None), (1900, None)]
 
 
-def rearmed_beacons(first_us, interval_us, tick_us, owners, exit_age):
-    """The one-interval re-arm, tick by tick: (run offset, channel owner) of
-    every beacon of a vehicle spawned at a tick instant that acts. A beacon
-    due by a tick runs there and is re-armed one interval later, after the
-    tick's due beacons are taken; an uncovered one does nothing; none runs
-    from the exit age on."""
+def rearmed(first_us, interval_us, tick_us, owners):
+    """The one-interval re-arm, tick by tick: (run offset, channel owner or
+    None) of every due time of a vehicle spawned at a tick instant that runs
+    from the first covered age on. A due time due by a tick runs there and
+    is re-armed one interval later, after the tick's due ones are taken;
+    none runs from the exit age len(owners) on."""
     runs = []
     due_us = first_us
-    for age in range(exit_age):
+    covered = False
+    for age, owner in enumerate(owners):
+        covered = covered or owner is not None
         if due_us <= age * tick_us:
-            if owners[age] is not None:
-                runs.append((age * tick_us, owners[age]))
+            if covered:
+                runs.append((age * tick_us, owner))
             due_us += interval_us
     return runs
 
@@ -238,18 +205,18 @@ def test_beacon_plans_match_the_one_interval_rearm(interval, data):
     first_us = data.draw(st.integers(0, 3 * tick_us))
     # owners[age]: the zone covering the vehicle at that age, None for none
     owners = data.draw(st.lists(st.sampled_from([None, None, "r0", "r1"]), min_size=1, max_size=80))
-    exit_age = len(owners)
-    # the vehicle is at position age, and the road ends at the exit age
-    track = Track([float(age) for age in range(exit_age + 1)], [1.0] * (exit_age + 1))
-    road = RoadSegment(id="r", length_m=float(exit_age))
     # a lower bound on the covered positions, as the zones' spans give it
     covered = [age for age, owner in enumerate(owners) if owner is not None]
     covered_from = None
     if covered or data.draw(st.booleans()):
-        covered_from = min(covered, default=exit_age) - data.draw(st.floats(0.0, 10.0))
-    ages = _TrackAges(road, track, lambda point: owners[int(point[0])], covered_from)
-    plan = ages.beacon_plan(first_us, interval_us, tick_us)
-    assert plan == rearmed_beacons(first_us, interval_us, tick_us, owners, exit_age)
+        covered_from = min(covered, default=len(owners)) - data.draw(st.floats(0.0, 10.0))
+    ages = ages_of(owners, covered_from)
+    # attempts are due from the spawn on and run uncovered too; beacons are
+    # due from their stagger on and run only where a zone covers them
+    assert ages.plan(0, interval_us, tick_us) == rearmed(0, interval_us, tick_us, owners)
+    beacons = [run for run in ages.plan(first_us, interval_us, tick_us) if run[1] is not None]
+    oracle = [run for run in rearmed(first_us, interval_us, tick_us, owners) if run[1] is not None]
+    assert beacons == oracle
 
 
 # -- the sparse tick ---------------------------------------------------------------
@@ -292,8 +259,8 @@ def test_own_tracks_give_the_same_outputs_as_the_shared_one(cfg, tmp_path, monke
     spawns = {True: 0, False: 0}  # on the shared track -> count
     spawn = mobility.MobilityWorld.spawn
 
-    def counted_spawn(world, vehicle_id, road_id, speed_mps, now_us):
-        spawn(world, vehicle_id, road_id, speed_mps, now_us)
+    def counted_spawn(world, vehicle_id, road_id, speed_mps):
+        spawn(world, vehicle_id, road_id, speed_mps)
         spawns[world.riding(vehicle_id)[1] is world._track(speed_mps)] += 1
 
     monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
@@ -352,33 +319,39 @@ def test_an_action_inside_an_idle_stretch_sees_dense_positions(monkeypatch):
     assert seen == dense_seen
 
 
+def entered(sim, *vehicle_ids):
+    """Index fresh agents for vehicle_ids, as spawned in this order."""
+    for vid in vehicle_ids:
+        sim._enter(VehicleAgent(vid, ITEM, sim.cfg.caching))
+
+
 def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
     sim._world_due = sim.last_tick_us  # as if the world had no work before the end
     sim.queue.schedule(0, lambda: None)  # an event due now
     assert sim._skip_idle_ticks(0) == sim.tick_us
     sim.queue.run_until(0)
-    heapq.heappush(sim._attempts_due, (0, 0, "v000"))  # an attempt due now
+    entered(sim, "v000")
+    sim._file_attempt((0, "v000", iter([0])))  # an attempt due now
     assert sim._skip_idle_ticks(0) == sim.tick_us
 
 
 def test_attempt_entries_that_cannot_act_force_no_tick():
     sim = Simulation(urban_single(count=10, seed=1))
-    sim.run()  # every vehicle has spawned, been satisfied and exited
-    heap = sim._attempts_due
-    heap.clear()
-    sim._active.update({"v001": 1, "v002": 2})  # back on the road
-    sim.vehicles["v002"].status = IDLE
-    for entry in [(10, 0, "v000"), (20, 1, "v001"), (30, 2, "v002"), (40, 9, "v999")]:
-        heapq.heappush(heap, entry)
-    # v000 has exited and v001 is satisfied: neither can act, so neither
-    # sets the next tick; v002 can, and stops the popping
-    assert sim._first_attempt_due() == 30
-    assert sorted(heap) == [(30, 2, "v002"), (40, 9, "v999")]
-    heapq.heappop(heap)
-    assert sim._first_attempt_due() == 40  # never spawned: kept
-    heapq.heappop(heap)
-    assert sim._first_attempt_due() is None
+    sim._world_due = sim.last_tick_us  # as if the world had no work before the end
+    tick_us = sim.tick_us
+    entered(sim, "v000", "v001", "v002")
+    for vid in ("v000", "v001"):
+        sim.vehicles[vid].status = SATISFIED
+    for seq, vid, ticks in [(0, "v000", 10), (1, "v001", 20), (0, "v000", 20), (2, "v002", 30)]:
+        sim._file_attempt((seq, vid, iter([ticks * tick_us])))
+    # only satisfied vehicles attempt at ticks 10 and 20: neither instant
+    # sets the next tick, and both are dropped; v002 can act at tick 30
+    assert sim._skip_idle_ticks(0) == 30 * tick_us
+    assert list(sim._planned) == sim._planned_at == [30 * tick_us]
+    # a beacon acts whatever its vehicle's status
+    sim._bucket(25 * tick_us)[1].append(("v000", "r0", Beacon("v000")))
+    assert sim._skip_idle_ticks(0) == 25 * tick_us
 
 
 # -- due work inside the tick ------------------------------------------------------
@@ -441,3 +414,58 @@ def test_the_next_tick_is_queued_before_what_due_work_schedules():
     sim.run()
     # the tick one tick later, due whenever work was due, ran before it
     assert log and log[0][-1] == at_us + sim.tick_us
+
+
+def test_attempts_filed_out_of_spawn_order_run_in_spawn_order(monkeypatch):
+    # no server answer arrives before the end, so every vehicle attempts
+    # every cycle; a vehicle spawned in a tick files its first attempt
+    # before that tick's due attempts file their next ones
+    cfg = dataclasses.replace(urban_single(count=40, seed=1), backhaul_latency_s=300.0)
+    filed = []  # spawn sequences of each instant's attempts, in filing order
+    take = Simulation._take_planned
+
+    def logged_take(sim, now):
+        bucket = sim._planned.get(now)
+        if bucket is not None:
+            filed.append([seq for seq, _, _ in bucket[0]])
+        return take(sim, now)
+
+    monkeypatch.setattr(Simulation, "_take_planned", logged_take)
+    sim = Simulation(cfg)
+    log = []
+    logged_due_work(sim, log)
+    sim.run()
+    assert any(seqs != sorted(seqs) for seqs in filed)
+    spawn_seq = {vid: seq for seq, vid in enumerate(sim.vehicles)}
+    ran = {}  # instant -> spawn sequences of its attempts, in running order
+    for at_us, what in log:
+        kind, vid = what.split()
+        if kind == "attempt":
+            ran.setdefault(at_us, []).append(spawn_seq[vid])
+    assert max(map(len, ran.values())) > 1
+    assert all(seqs == sorted(seqs) for seqs in ran.values())
+
+
+def test_a_sub_tick_interval_runs_once_per_tick():
+    # tick 0.1 s, attempts due every 0.05 s; no server answer arrives, so
+    # the vehicle attempts from its first covered tick until it exits
+    cfg = dataclasses.replace(
+        highway_single(count=1),
+        request_interval_s=0.05,
+        backhaul_latency_s=500.0,
+        duration_s=200.0,
+        trace=True,
+    )
+    sim = Simulation(cfg)
+    log = []
+    logged_due_work(sim, log)
+    lines = sim.run().trace_lines
+    instants = [at_us for at_us, what in log if what == "attempt v000"]
+    assert len(instants) > 100
+    assert {b - a for a, b in zip(instants, instants[1:])} == {sim.tick_us}
+
+    def first(text):
+        return next(line.split()[0] for line in lines if text in line)
+
+    assert first("TX kind=request") == f"t={format_time(instants[0])}"
+    assert first("EXIT vehicle=v000") == f"t={format_time(instants[-1] + sim.tick_us)}"

@@ -132,9 +132,9 @@ def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
         ticks["tick events"] += 1
         on_tick(sim)
 
-    def counted_world_tick(world, now_us):
+    def counted_world_tick(world):
         ticks["world ticks"] += 1
-        return world_tick(world, now_us)
+        return world_tick(world)
 
     monkeypatch.setattr(Simulation, "_on_tick", counted_on_tick)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)

@@ -57,7 +57,7 @@ def test_receivers_in_zone_preserves_order_and_excludes_sender():
 
 def place(sim, vid, road_id, pos, wanted=ITEM):
     """Spawn an idle caching vehicle that wants an item (ITEM unless told) at pos."""
-    sim.world.spawn(vid, road_id, 0.0, 0)
+    sim.world.spawn(vid, road_id, 0.0)
     sim.world.place(vid, pos)
     sim._enter(VehicleAgent(vid, wanted, caching=True))
 
