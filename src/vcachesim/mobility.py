@@ -32,8 +32,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
-from typing import TYPE_CHECKING
+from operator import itemgetter, sub
+from typing import TYPE_CHECKING, NamedTuple
 
 from .simcore import US_PER_SECOND, RandomSource
 
@@ -149,8 +149,7 @@ class VehicleFix:
     world_xy: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     at_us: int
     road_id: str
     vehicle_id: str
@@ -168,9 +167,13 @@ def generate_arrivals(
     """Draw the full arrival schedule up front, sorted by entry time.
 
     Highway traffic is strictly periodic (one vehicle per second on the
-    single road); urban traffic draws entry times uniformly over the window
-    and roads uniformly. All randomness happens here, in vehicle order, so a
-    seed pins the whole schedule before the event loop starts.
+    single road) and draws each vehicle's wanted item; urban traffic draws,
+    vehicle by vehicle, an entry time uniform over the window, a road and a
+    wanted item. All randomness happens here, in that order, so a seed pins
+    the whole schedule before the event loop starts, and the draws are part
+    of the output contract (tests/golden/arrivals.json records schedules of
+    both patterns). Vehicle ids are v000, v001, ... in entry order, padded
+    to the width of the largest.
     """
     if count < 1:
         raise ValueError(f"vehicle count must be >= 1: {count}")
@@ -179,28 +182,26 @@ def generate_arrivals(
     if not wanted_pool:
         raise ValueError("wanted_pool must be non-empty")
 
-    if pattern == HIGHWAY_UNIFORM:
-        drawn = [
-            (i * US_PER_SECOND, roads[0].id, wanted_pool[rng.draw(len(wanted_pool))])
-            for i in range(count)
-        ]
-    elif pattern == URBAN_RANDOM:
-        if window_s <= 0:
-            raise ValueError(f"arrival window must be positive: {window_s}")
-        window_us = int(round(window_s * US_PER_SECOND))
-        drawn = []
-        for _ in range(count):
-            at_us = rng.draw(window_us)
-            road = roads[rng.draw(len(roads))]
-            wanted = wanted_pool[rng.draw(len(wanted_pool))]
-            drawn.append((at_us, road.id, wanted))
-        drawn.sort(key=lambda entry: entry[0])
-    else:
-        raise ValueError(f"unknown arrival pattern: {pattern!r}")
-
     width = max(3, len(str(count - 1)))
+    if pattern == HIGHWAY_UNIFORM:
+        road_id = roads[0].id
+        return [
+            Arrival(i * US_PER_SECOND, road_id, "v" + str(i).zfill(width), wanted_pool[pick])
+            for i, pick in enumerate(rng.draws(len(wanted_pool), count))
+        ]
+    if pattern != URBAN_RANDOM:
+        raise ValueError(f"unknown arrival pattern: {pattern!r}")
+    if window_s <= 0:
+        raise ValueError(f"arrival window must be positive: {window_s}")
+    window_us = int(round(window_s * US_PER_SECOND))
+    draw = rng.draw
+    drawn = [
+        (draw(window_us), roads[draw(len(roads))].id, wanted_pool[draw(len(wanted_pool))])
+        for _ in range(count)
+    ]
+    drawn.sort(key=itemgetter(0))
     return [
-        Arrival(at_us, road_id, f"v{i:0{width}d}", wanted)
+        Arrival(at_us, road_id, "v" + str(i).zfill(width), wanted)
         for i, (at_us, road_id, wanted) in enumerate(drawn)
     ]
 

@@ -96,14 +96,40 @@ class EventQueue:
 
 
 class RandomSource:
-    """Seeded uniform integer draws; the only randomness in a run."""
+    """Seeded uniform integer draws; the only randomness in a run.
+
+    The draws are part of the output contract, for they pick every arrival
+    time, road and wanted item. draw(n) runs the rejection loop that
+    CPython's random.Random(seed).randrange(n) runs on getrandbits (draw
+    n.bit_length() bits until the value is below n), so it returns the same
+    values, without randrange's argument handling.
+    """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
 
     def draw(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ZeroRange(f"cannot draw from a range of size {n}")
-        return self._rng.randrange(n)
+        bits = self._bits
+        k = n.bit_length()  # not (n - 1): n may be 1
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def draws(self, n: int, count: int) -> list[int]:
+        """What count successive calls of draw(n) return, in order."""
+        if n <= 0:
+            raise ZeroRange(f"cannot draw from a range of size {n}")
+        bits = self._bits
+        k = n.bit_length()
+        out = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            out.append(r)
+        return out

@@ -239,3 +239,31 @@ def test_draw_bounds():
         src.draw(0)
     with pytest.raises(ZeroRange):
         src.draw(-4)
+    with pytest.raises(ZeroRange):
+        src.draws(0, 3)
+
+
+# range sizes: 1, 2, powers of two and their neighbours, catalog sizes, and
+# arrival windows of about 10**8 us (the urban builders' 144, 230 and 430 s)
+DRAW_SIZES = sorted(
+    {1, 2, 3, 10, 100, 144_000_000, 230_000_000, 430_000_000, 10**8}
+    | {2**k + d for k in (2, 3, 4, 7, 16, 26, 27, 31, 32, 40) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 42, 2**40 + 7])
+def test_draw_is_the_stdlib_randrange_stream(seed):
+    # the draws are part of the output contract: they pick every arrival
+    src, reference = RandomSource(seed), random.Random(seed)
+    for n in DRAW_SIZES:
+        assert [src.draw(n) for _ in range(20)] == [reference.randrange(n) for _ in range(20)], n
+    # and interleaved, as urban arrivals draw a time, a road and an item
+    interleaved = [DRAW_SIZES[i % len(DRAW_SIZES)] for i in range(7 * len(DRAW_SIZES))]
+    assert [src.draw(n) for n in interleaved] == [reference.randrange(n) for n in interleaved]
+
+
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 2**70), count=st.integers(0, 40))
+def test_draws_are_successive_draws(seed, n, count):
+    bulk, single = RandomSource(seed), RandomSource(seed)
+    assert bulk.draws(n, count) == [single.draw(n) for _ in range(count)]
+    assert bulk.draw(n) == single.draw(n)  # both streams stand at the same place
