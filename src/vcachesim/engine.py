@@ -17,15 +17,24 @@ at most the last tick instant of the run, and the idle ticks skipped on the
 way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
 a tick creates tick work (exits and satisfied vehicles only remove it, and
-the due work a tick runs files attempts no sooner than the next tick, which
-is then one tick later); no event runs between now and the heap top, so the
+the attempts a tick runs file their next ones no sooner than the next tick,
+which is then one tick later); no event runs between now and the heap top, so the
 new tick is scheduled with the same events ahead of it, and takes the same
 FIFO place among the events of its instant, as a tick scheduled one tick
 earlier; and the last tick instant still ends the run, so the clock ends
 where it did.
 
-Most ticks that run have only beacons due, or nothing (after due work the
-next tick is always one tick later). Each time the tick advances the world
+After due attempts the next tick is one tick later, for an attempt may file
+its next one there. After a tick with only beacons due, and no other event
+waiting at its instant, the tick runs the beacons first and then picks the
+next tick as after a tick with nothing due. That is exact too: a beacon
+files and schedules nothing, so the next tick is queued with the same
+events ahead of it and takes the same FIFO place; and the beacons' range
+guard reads the world before the idle ticks are added to its tick count.
+When another event waits at the instant, the beacons run after it (below)
+and the next tick is one tick later.
+
+Most ticks that run have only beacons due, or nothing. Each time the tick advances the world
 it records the first instant at which the world can do more than count a
 tick: an exit (quiet_ticks) or a spawn (ticks_to_open and the roads' front
 arrivals). A tick before that instant only adds one to the world's tick
@@ -44,14 +53,15 @@ one of them by wanted item, are added to at spawn and dropped from at exit
 attempts and the beacons planned to run there (_planned), with a heap of
 those instants. The tick takes its instant's work, then queues the next
 tick and runs the attempts of unsatisfied vehicles, then the beacons, each
-in spawn order, inside itself; when another event already waits at its
-instant, it schedules them as one batch event at that instant instead. This
-is exactly one event per attempt and beacon, for the same reasons as the
-receive batches below: those events held consecutive places among the
-events of their instant, after any event already waiting there; what they
-scheduled for that instant ran after the last of them anyway; the next tick
-was queued before anything they scheduled; and exits happen only in the
-tick, so every due vehicle is still active when it runs. A beacon occupies
+in spawn order, inside itself (beacons alone run before the next tick is
+queued, above); when another event already waits at its instant, it
+schedules them as one batch event at that instant instead. This is exactly
+one event per attempt and beacon, for the same reasons as the receive
+batches below: those events held consecutive places among the events of
+their instant, after any event already waiting there; what they scheduled
+for that instant ran after the last of them anyway; the next tick was
+queued before anything they scheduled; and exits happen only in the tick,
+so every due vehicle is still active when it runs. A beacon occupies
 airtime but carries nothing receivers keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
@@ -307,14 +317,21 @@ class Simulation:
             self._advance_world(now)
         due_attempts, due_beacons = self._take_planned(now)
         queue = self.queue
+        top = queue.peek_time()
+        alone = top is None or top > now  # nothing else waits at this instant
+        if alone and not due_attempts and due_beacons:
+            # beacons schedule nothing, so the next tick may skip the idle
+            # ticks after them; they run first, for they read the world
+            self._run_due((), due_beacons)
+            due_beacons = ()
+        due = due_attempts or due_beacons
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
-            if not (due_attempts or due_beacons):
+            if not due:
                 next_tick = self._skip_idle_ticks(now)
             queue.schedule(next_tick, self._on_tick)
-        if due_attempts or due_beacons:
-            top = queue.peek_time()
-            if top is None or top > now:  # nothing else waits at this instant
+        if due:
+            if alone:
                 self._run_due(due_attempts, due_beacons)
             else:
                 queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))

@@ -469,3 +469,30 @@ def test_a_sub_tick_interval_runs_once_per_tick():
 
     assert first("TX kind=request") == f"t={format_time(instants[0])}"
     assert first("EXIT vehicle=v000") == f"t={format_time(instants[-1] + sim.tick_us)}"
+
+
+def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
+    # beacons schedule nothing, so the tick after one with only beacons due
+    # is the next with work, as after a tick with nothing due
+    ticks = []  # (instant, events run before it, attempts due, beacons due)
+    advanced = set()  # instants of the ticks that advanced the world
+    take, advance = Simulation._take_planned, Simulation._advance_world
+
+    def logged_take(sim, now):
+        attempts, beacons = take(sim, now)
+        ticks.append((now, sim.queue.processed_total - 1, len(attempts), len(beacons)))
+        return attempts, beacons
+
+    def logged_advance(sim, now):
+        advanced.add(now)
+        advance(sim, now)
+
+    monkeypatch.setattr(Simulation, "_take_planned", logged_take)
+    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
+    Simulation(highway_single(count=20, seed=1)).run()
+    after_beacon_only = [(a, b) for a, b in zip(ticks, ticks[1:]) if a[3] and not a[2]]
+    assert len(after_beacon_only) > 100
+    for (_, ran, _, _), (at_us, ran_next, attempts, beacons) in after_beacon_only:
+        # work is due, the world has work, or an event other than the
+        # beacon-only tick ran before it
+        assert attempts or beacons or at_us in advanced or ran_next - ran > 1
