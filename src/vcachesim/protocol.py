@@ -206,9 +206,6 @@ class RsuBase:
     def on_announce(self, now_us: int, services) -> None:
         pass
 
-    def pending_count(self) -> int:
-        return 0
-
     def _respond(self, response: Response, services) -> None:
         services.after(
             self.proc_delay_us,
