@@ -18,32 +18,27 @@ way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
 a tick creates tick work (exits and satisfied vehicles only remove it, and
 the attempts a tick runs file their next ones no sooner than the next tick,
-which is then one tick later); no event runs between now and the heap top, so the
-new tick is scheduled with the same events ahead of it, and takes the same
-FIFO place among the events of its instant, as a tick scheduled one tick
-earlier; and the last tick instant still ends the run, so the clock ends
-where it did.
+which is then one tick later); no event runs between now and the heap top,
+so the new tick is scheduled with the same events ahead of it, and takes
+the same FIFO place among the events of its instant, as a tick scheduled
+one tick earlier; and the last tick instant still ends the run, so the
+clock ends where it did.
 
-After due attempts the next tick is one tick later, for an attempt may file
-its next one there. After a tick with only beacons due, and no other event
-waiting at its instant, the tick runs the beacons first and then picks the
-next tick as after a tick with nothing due. That is exact too: a beacon
-files and schedules nothing, so the next tick is queued with the same
-events ahead of it and takes the same FIFO place; and the beacons' range
-guard reads the world before the idle ticks are added to its tick count.
-When another event waits at the instant, the beacons run after it (below)
-and the next tick is one tick later.
+A tick with only beacons due, and no other event at its instant, runs them
+first and then skips idle ticks as a tick with nothing due does: a beacon
+files and schedules nothing, so the next tick takes the same FIFO place,
+and the beacons read the world before skip moves it on.
 
-Most ticks that run have only beacons due, or nothing. Each time the tick advances the world
-it records the first instant at which the world can do more than count a
-tick: an exit (quiet_ticks) or a spawn (ticks_to_open and the roads' front
-arrivals). A tick before that instant only adds one to the world's tick
-count (skip) and takes its due attempts and beacons. That is exactly what
-advancing the world would do there: the tick would take no exit, and no
-arrival would be both due and able to enter; and only advancing the world
-spawns or takes an exit, so the instant holds until the world is advanced
-again. Such a tick is the same _on_tick event at the same FIFO place, so
-everything after it is unchanged.
+Most ticks that run have only beacons due, or nothing. Each time the tick
+advances the world it records the first instant at which the world can do
+more than count a tick: an exit (quiet_ticks) or a spawn (ticks_to_open and
+the roads' front arrivals). A tick before that instant only adds one to the
+world's tick count (skip) and takes its due attempts and beacons. That is
+exactly what advancing the world would do there: the tick would take no
+exit, and no arrival would be both due and able to enter; and only
+advancing the world spawns or takes an exit, so the instant holds until the
+world is advanced again. Such a tick is the same _on_tick event at the same
+FIFO place, so everything after it is unchanged.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
@@ -424,8 +419,10 @@ class Simulation:
                 due = planned_at[0]
             else:
                 del planned[heappop(planned_at)]
-        at = max(-(-due // tick_us) * tick_us, now + tick_us)
-        self.world.skip((at - now) // tick_us - 1)
+        at = now + tick_us
+        if due > at:  # idle ticks lie before the first grid instant at or after due
+            at = -(-due // tick_us) * tick_us
+            self.world.skip((at - now) // tick_us - 1)
         return at
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
