@@ -24,11 +24,6 @@ def test_table_covers_every_case():
     assert sorted(RECORDED) == sorted(SCHEDULES)
 
 
-def test_both_patterns_are_recorded():
-    kinds = {key.split("/")[0] for key in RECORDED}
-    assert {"highway_single", "urban_single", "highway-uniform", "urban-random"} <= kinds
-
-
 @pytest.mark.parametrize("case", sorted(SCHEDULES))
 def test_schedule_matches_the_recorded_one(case):
     assert make_arrivals.record(SCHEDULES[case]) == RECORDED[case]
