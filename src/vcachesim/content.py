@@ -1,7 +1,7 @@
 """Hierarchical content names, the server catalog, and the LRU store.
 
-The same LruStore class backs RSU caches (bounded) and vehicle caches
-(unbounded). Hits and misses are not counted here: the metrics ledger
+LruStore backs the RSU caches; a vehicle keeps only a flag for its one
+wanted item. Hits and misses are not counted here: the metrics ledger
 records every RSU cache lookup and derives the hit ratios.
 """
 
@@ -59,16 +59,14 @@ class ContentItem:
 
 
 class LruStore:
-    """Name-keyed store with least-recently-used eviction.
-
-    capacity None means unbounded (vehicle caches never evict). get()
-    refreshes recency; peek() does not, for checks that must not distort
-    the eviction order.
+    """Name-keyed store of at most capacity items, with least-recently-used
+    eviction. get() refreshes recency; peek() does not, for checks that must
+    not distort the eviction order.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None: {capacity}")
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._items: OrderedDict[ContentName, ContentItem] = OrderedDict()
 
@@ -95,7 +93,7 @@ class LruStore:
             self._items.move_to_end(name)
             return None
         self._items[name] = item
-        if self.capacity is not None and len(self._items) > self.capacity:
+        if len(self._items) > self.capacity:
             evicted, _ = self._items.popitem(last=False)
             return evicted
         return None

@@ -16,13 +16,14 @@ earliest of that work and the event heap's top, at least one tick later and
 at most the last tick instant of the run, and the idle ticks skipped on the
 way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
-a tick creates tick work (exits and satisfied vehicles only remove it, and
-the attempts a tick runs file their next ones no sooner than the next tick,
-which is then one tick later); no event runs between now and the heap top,
-so the new tick is scheduled with the same events ahead of it, and takes
-the same FIFO place among the events of its instant, as a tick scheduled
-one tick earlier; and the last tick instant still ends the run, so the
-clock ends where it did.
+a tick creates tick work (a spawn files its vehicle's whole plan; exits and
+satisfied vehicles only remove work); no event runs between now and the
+heap top, so the new tick is scheduled with the same events ahead of it,
+and takes the same FIFO place among the events of its instant, as a tick
+scheduled one tick earlier; and the last tick instant still ends the run,
+so the clock ends where it did. Due attempts run after the next tick is
+queued and may schedule events before any later tick, so after them the
+next tick is one tick later.
 
 A tick with only beacons due, and no other event at its instant, runs them
 first and then skips idle ticks as a tick with nothing due does: a beacon
@@ -42,8 +43,8 @@ FIFO place, so everything after it is unchanged.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
-spawned. An index of active vehicles (vehicle id -> spawn sequence), and
-one of them by wanted item, are added to at spawn and dropped from at exit
+spawned. An index of active vehicles, and one of them by wanted item in
+spawn order, are added to at spawn and dropped from at exit
 (_enter, _leave). All due work waits on one queue: per run instant, the
 attempts and the beacons planned to run there (_planned), with a heap of
 those instants. The tick takes its instant's work, then queues the next
@@ -76,8 +77,8 @@ it was re-armed one interval later after the tick had taken its due ones:
 the k-th runs at age max(ceil(d_k / tick_us), previous age + 1); from one
 tick up the max never binds, and none runs from the exit age on. Neither
 kind does anything before the first age at which a zone covers the
-vehicle: an attempt is idle with an empty cache and no target, and a beacon
-has no channel. No age before the lowest position where a zone's span
+vehicle: an attempt is idle, with nothing pre-cached and no target, and a
+beacon has no channel. No age before the lowest position where a zone's span
 (which holds the whole zone) meets the road is covered, so the search
 starts there. A later beacon outside every zone does nothing, but a later
 attempt there still runs, because it may find an item the vehicle overheard
@@ -85,17 +86,17 @@ inside one (a pre-cache hit). Relative to an on-grid spawn a plan depends
 only on its first due offset and its interval, so plans are kept per track,
 road, offset and interval.
 
-A beacon's whole plan is filed at spawn, each with the owner of the zone
-covering its run age and the vehicle's one Beacon frame; later spawns file
-later, so each instant's beacons are in spawn order. Attempts are filed
-lazily: at spawn the first, as (spawn sequence, vehicle id, iterator over
-the later run instants), and each attempt that leaves its vehicle
-unsatisfied files the next. An instant's attempts are thus filed at
-different times, and the tick sorts them by spawn sequence. SATISFIED is
-terminal, so the attempts of satisfied vehicles are dropped when taken, and
-an instant with no other work is dropped before it can set the next tick.
-The ticks that no longer run had no work left, which the sparse-tick
-argument above covers.
+A vehicle's whole plan is filed at spawn: each attempt with the owner of
+the zone covering its run age, the RSU it addresses (None outside every
+zone), and each covered beacon with that owner, whose channel it takes,
+and the vehicle's one Beacon frame. Later spawns file later, so each
+instant's attempts and beacons are in spawn order. The track is fixed at
+spawn, so the planned owner is the one a lookup at the attempt would give
+(MobilityWorld.place, which only tests call, rebuilds tracks but not plans).
+SATISFIED is terminal, so the attempts of satisfied vehicles are dropped
+when taken, and an instant with no other work is dropped before it can set
+the next tick. The ticks that no longer run had no work left, which the
+sparse-tick argument above covers.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
@@ -104,10 +105,9 @@ request goes to its target RSU only: every other RSU drops a request not
 addressed to it, and vehicles ignore requests. Content goes to the other
 RSUs whose centres are in the zone, a list with delays made once per zone
 because only the zone's own RSU sends content, and to the active vehicles
-that want its item and are not satisfied. A vehicle reads its cache for one
-item only, its wanted one, in its attempt handler, which returns first once
-it is satisfied; the cache is unbounded, so an item it does not want evicts
-nothing, and SATISFIED is terminal. So content for another item, or for a
+that want its item and are not satisfied. A vehicle keeps only whether it
+has heard its wanted item, and its attempt handler returns first once it
+is satisfied, which is terminal. So content for another item, or for a
 satisfied vehicle, changes nothing any output reads. Picking at frame end
 is exact, because a vehicle satisfied then is still satisfied when the
 frame arrives. A frame that no node acts on schedules no receive event, and
@@ -127,7 +127,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -258,11 +257,11 @@ class Simulation:
             self._pending_arrivals[arrival.road_id].append(arrival)
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
-        self._active: dict[str, int] = {}  # vehicle id -> spawn sequence, spawn order
+        self._active: set[str] = set()  # ids of the vehicles on the road
         # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
         self._wanting: dict[ContentName, dict[str, VehicleAgent]] = {}
-        # run instant -> (attempts, beacons) planned to run there, attempts in
-        # filing order and beacons in spawn order, and a heap of those instants
+        # run instant -> (attempts, beacons) planned to run there, each in
+        # spawn order, and a heap of those instants
         self._planned: dict[int, tuple[list[_Attempt], list[_PlannedBeacon]]] = {}
         self._planned_at: list[int] = []
         # the first instant at which the world changes more than its tick
@@ -322,8 +321,8 @@ class Simulation:
         due = due_attempts or due_beacons
         next_tick = now + self.tick_us
         if next_tick <= self.duration_us:
-            if not due:
-                next_tick = self._skip_idle_ticks(now)
+            if not due:  # nothing ran, or beacons that schedule nothing
+                next_tick = self._skip_idle_ticks(now, top)
             queue.schedule(next_tick, self._on_tick)
         if due:
             if alone:
@@ -364,13 +363,13 @@ class Simulation:
         vid = agent.id
         spawned = len(self.vehicles)
         self.vehicles[vid] = agent
-        self._active[vid] = spawned
+        self._active.add(vid)
         self._wanting.setdefault(agent.wanted, {})[vid] = agent
         return spawned
 
     def _leave(self, vehicle_id: str) -> None:
         """Drop a vehicle that exits from the active indexes."""
-        del self._active[vehicle_id]
+        self._active.remove(vehicle_id)
         del self._wanting[self.vehicles[vehicle_id].wanted][vehicle_id]
 
     def _world_work_at(self, now: int) -> int:
@@ -396,9 +395,11 @@ class Simulation:
                     due = opens
         return due
 
-    def _skip_idle_ticks(self, now: int) -> int:
+    def _skip_idle_ticks(self, now: int, top: int | None) -> int:
         """The first tick instant after now with work, or before which an
-        event runs; adds the idle ticks before it to the world's tick count.
+        event runs (top, the event heap's top as the tick read it, with
+        nothing scheduled since); adds the idle ticks before it to the
+        world's tick count.
 
         Work is a spawn, a step or a tracked exit (_world_work_at, as of the
         latest advance of the world), or a planned beacon or attempt of an
@@ -409,13 +410,12 @@ class Simulation:
         """
         tick_us = self.tick_us
         due = self._world_due
-        top = self.queue.peek_time()
         if top is not None and top < due:
             due = top
         planned, planned_at, vehicles = self._planned, self._planned_at, self.vehicles
         while planned_at and planned_at[0] < due:
             attempts, beacons = planned[planned_at[0]]
-            if beacons or any(vehicles[vid].status != SATISFIED for _, vid, _ in attempts):
+            if beacons or any(vehicles[vid].status != SATISFIED for vid, _ in attempts):
                 due = planned_at[0]
             else:
                 del planned[heappop(planned_at)]
@@ -426,35 +426,31 @@ class Simulation:
         return at
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
-        """Plan the due work of a vehicle spawned at now, up to the last tick
-        instant (_TrackAges.plan): file its first attempt, with an iterator
-        over the run instants of the later ones, and all its beacons."""
+        """File all the due work of a vehicle spawned at now, up to the last
+        tick instant (_TrackAges.plan): each attempt with the RSU it
+        addresses, and each covered beacon with its channel and frame.
+        Later spawns append later, so a bucket's work is in spawn order."""
         road, track, _ = self.world.riding(vehicle_id)
         ages = self._ages(road, track)
         tick_us = self.tick_us
-        attempts = ages.plan(0, self.request_interval_us, tick_us)
-        self._file_attempt((spawned, vehicle_id, (now + offset for offset, _ in attempts)))
+        planned = self._planned
+        last_us = self.last_tick_us
+        for offset_us, target in ages.plan(0, self.request_interval_us, tick_us):
+            at_us = now + offset_us
+            if at_us > last_us:
+                break
+            (planned.get(at_us) or self._bucket(at_us))[0].append((vehicle_id, target))
         # beacon phases staggered by spawn order; synchronized phases
         # (all spawns sit on tick boundaries) would pile beacon bursts
         # onto the channel right when responses need it
         beacons = ages.plan((spawned % 100) * tick_us, self.beacon_interval_us, tick_us)
         beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
-        planned = self._planned
-        last_us = self.last_tick_us
         for offset_us, owner in beacons:
             at_us = now + offset_us
             if at_us > last_us:
                 break
             if owner is not None:  # an uncovered beacon does nothing
-                # later spawns append later, so a bucket's beacons are in spawn order
                 (planned.get(at_us) or self._bucket(at_us))[1].append((vehicle_id, owner, beacon))
-
-    def _file_attempt(self, attempt: _Attempt) -> None:
-        """File an attempt at the next of its run instants, unless that is
-        past the last tick instant or there is none."""
-        at_us = next(attempt[2], None)
-        if at_us is not None and at_us <= self.last_tick_us:
-            self._bucket(at_us)[0].append(attempt)
 
     def _bucket(self, at_us: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
         """The (attempts, beacons) planned to run at at_us."""
@@ -465,9 +461,8 @@ class Simulation:
         return bucket
 
     def _take_planned(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
-        """Pop the work planned to run at now: the attempts of unsatisfied
-        vehicles, sorted by spawn sequence, for they are filed at different
-        times, and the beacons, in spawn order."""
+        """Pop the work planned to run at now, in spawn order: the attempts
+        of unsatisfied vehicles, and the beacons."""
         planned_at = self._planned_at
         if not planned_at or planned_at[0] != now:
             return (), ()
@@ -475,8 +470,7 @@ class Simulation:
         attempts, beacons = self._planned.pop(now)
         if attempts:
             vehicles = self.vehicles
-            attempts = [entry for entry in attempts if vehicles[entry[1]].status != SATISFIED]
-            attempts.sort()  # a vehicle is filed once per instant: no tie reaches the iterator
+            attempts = [entry for entry in attempts if vehicles[entry[0]].status != SATISFIED]
         return attempts, beacons
 
     def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
@@ -490,28 +484,18 @@ class Simulation:
             )
         return ages
 
-    def _owner_of(self, vehicle_id: str) -> str | None:
-        """Owner of the nearest zone covering an active vehicle now (_zone_owner_at)."""
-        road, track, age = self.world.riding(vehicle_id)
-        return self._ages(road, track).owner(age)
-
     def _run_due(self, attempts: list[_Attempt], beacons: list[_PlannedBeacon]) -> None:
-        """One tick's due attempts, then its due beacons, each in spawn order;
-        files the next attempt of each vehicle still unsatisfied after its own.
+        """One tick's due attempts, then its due beacons, each in spawn order.
 
         Exits happen only in the tick, so every vehicle here is active.
         """
-        vehicles = self.vehicles
-        for attempt in attempts:
-            vid = attempt[1]
-            self._on_attempt(vid)
-            if vehicles[vid].status != SATISFIED:
-                self._file_attempt(attempt)
+        for vid, target in attempts:
+            self._on_attempt(vid, target)
         for vid, owner, beacon in beacons:
             self._on_beacon(vid, owner, beacon)
 
-    def _on_attempt(self, vehicle_id: str) -> None:
-        target = self._owner_of(vehicle_id)
+    def _on_attempt(self, vehicle_id: str, target: str | None) -> None:
+        """Run a due attempt, addressed to the RSU planned for its run age."""
         self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
 
     def _on_beacon(self, vehicle_id: str, owner: str, beacon: Beacon) -> None:
@@ -583,8 +567,8 @@ class Simulation:
         to another, and vehicles ignore requests. Content goes to the other
         RSUs in the zone (_content_rsus), in zone order, then to the active
         vehicles that want its name and are not satisfied, in spawn order: a
-        vehicle reads its cache for its wanted item only, in on_attempt,
-        which returns first once it is satisfied (the status is terminal).
+        vehicle keeps only its wanted item, and on_attempt returns first
+        once it is satisfied (the status is terminal).
         Only the zone's own RSU sends content, so a vehicle gets its range
         test and delay from its track and age (_TrackAges.delay).
         """
@@ -791,8 +775,7 @@ class _TrackAges:
 
 
 _UNFILLED = object()
-# (spawn sequence, vehicle id, iterator over its later run instants)
-_Attempt = tuple[int, str, Iterator[int]]
+_Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
 _PlannedBeacon = tuple[str, str, Beacon]  # (vehicle id, channel owner, frame)
 
 

@@ -493,7 +493,8 @@ class MobilityWorld:
         """Move an active vehicle to pos_m, and to speed_mps when given, as
         of the latest tick; for tests. It and every vehicle behind it get
         their own tracks, rebuilt front to back from where they are now; the
-        paths of the vehicles in front do not depend on it."""
+        paths of the vehicles in front do not depend on it. The engine's
+        plans of due work, made from the tracks at spawn, are not rebuilt."""
         try:
             state = self._states[vehicle_id]
         except KeyError:
@@ -554,11 +555,8 @@ class MobilityWorld:
         return exited
 
     def _pos(self, state: VehicleState) -> float:
-        """A vehicle's position as of the latest tick."""
-        track = state.track
-        if track is None:
-            return state.pos_m
-        return track.pos[self._ticks - state.spawn_tick]
+        """An active vehicle's position as of the latest tick."""
+        return state.track.pos[self._ticks - state.spawn_tick]
 
     def riding(self, vehicle_id: str) -> tuple[RoadSegment, Track, int]:
         """(road, track, age) of an active vehicle, at road.world_position(

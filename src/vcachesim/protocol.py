@@ -86,16 +86,17 @@ class VehicleAgent:
     """One vehicle's desire for one content item.
 
     Idle until its first transmitted request, Waiting until the content
-    arrives, Satisfied forever after. A pre-cached item found during an
-    attempt satisfies without any transmission and counts as a zero-delay
-    delivery.
+    arrives, Satisfied forever after. A caching vehicle that overhears its
+    wanted item has it pre-cached (precached); its next attempt is then
+    satisfied without any transmission and counts as a zero-delay delivery.
+    Nothing else it hears is ever read, so nothing else is kept.
     """
 
     def __init__(self, vehicle_id: str, wanted: ContentName, caching: bool) -> None:
         self.id = vehicle_id
         self.wanted = wanted
         self.caching = caching
-        self.cache = LruStore(capacity=None)
+        self.precached = False
         self.status = IDLE
         self.first_request_at_us: int | None = None
         self.requests_sent = 0
@@ -109,7 +110,7 @@ class VehicleAgent:
         """
         if self.status == SATISFIED:
             return
-        if self.caching and self.cache.get(self.wanted) is not None:
+        if self.precached:
             self._satisfy_local(now_us, services)
             return
         if target_rsu is None:
@@ -128,17 +129,17 @@ class VehicleAgent:
 
     def on_frame(self, frame, now_us: int, services) -> None:
         if isinstance(frame, Response):
-            self._on_content_frame(frame.name, frame.payload_bits, frame.origin, now_us, services)
+            self._on_content_frame(frame.name, frame.origin, now_us, services)
         elif isinstance(frame, RelayRebroadcast):
-            self._on_content_frame(frame.name, frame.payload_bits, SOURCE_RELAY_HIT, now_us, services)
+            self._on_content_frame(frame.name, SOURCE_RELAY_HIT, now_us, services)
         # requests and beacons from others carry nothing a vehicle acts on
 
-    def _on_content_frame(
-        self, name: ContentName, payload_bits: int, source: str, now_us: int, services
-    ) -> None:
+    def _on_content_frame(self, name: ContentName, source: str, now_us: int, services) -> None:
+        if name != self.wanted:
+            return
         if self.caching:
-            self.cache.put(ContentItem(name, payload_bits))
-        if self.status == WAITING and name == self.wanted:
+            self.precached = True
+        if self.status == WAITING:
             self.status = SATISFIED
             services.deliver(
                 DeliveryRecord(

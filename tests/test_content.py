@@ -109,13 +109,6 @@ def test_names_orders_least_to_most_recent():
     assert store.names() == [name("/b"), name("/c"), name("/a")]
 
 
-def test_unbounded_store_never_evicts():
-    store = LruStore(capacity=None)
-    for i in range(1000):
-        assert store.put(item(f"/n/{i}")) is None
-    assert len(store) == 1000
-
-
 def test_capacity_validation():
     with pytest.raises(ValueError):
         LruStore(capacity=0)

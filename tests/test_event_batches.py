@@ -224,7 +224,7 @@ def test_beacon_plans_match_the_one_interval_rearm(interval, data):
 
 def dense(monkeypatch):
     """Make every tick schedule the next one tick_s later, as the dense chain did."""
-    monkeypatch.setattr(Simulation, "_skip_idle_ticks", lambda self, now: now + self.tick_us)
+    monkeypatch.setattr(Simulation, "_skip_idle_ticks", lambda self, now, top: now + self.tick_us)
 
 
 def logged_ticks(sim):
@@ -329,11 +329,11 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
     sim._world_due = sim.last_tick_us  # as if the world had no work before the end
     sim.queue.schedule(0, lambda: None)  # an event due now
-    assert sim._skip_idle_ticks(0) == sim.tick_us
+    assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
     sim.queue.run_until(0)
     entered(sim, "v000")
-    sim._file_attempt((0, "v000", iter([0])))  # an attempt due now
-    assert sim._skip_idle_ticks(0) == sim.tick_us
+    sim._bucket(0)[0].append(("v000", "r0"))  # an attempt due now
+    assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
 
 
 def test_attempt_entries_that_cannot_act_force_no_tick():
@@ -343,15 +343,15 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     entered(sim, "v000", "v001", "v002")
     for vid in ("v000", "v001"):
         sim.vehicles[vid].status = SATISFIED
-    for seq, vid, ticks in [(0, "v000", 10), (1, "v001", 20), (0, "v000", 20), (2, "v002", 30)]:
-        sim._file_attempt((seq, vid, iter([ticks * tick_us])))
+    for vid, ticks in [("v000", 10), ("v000", 20), ("v001", 20), ("v002", 30)]:
+        sim._bucket(ticks * tick_us)[0].append((vid, "r0"))
     # only satisfied vehicles attempt at ticks 10 and 20: neither instant
     # sets the next tick, and both are dropped; v002 can act at tick 30
-    assert sim._skip_idle_ticks(0) == 30 * tick_us
+    assert sim._skip_idle_ticks(0, None) == 30 * tick_us
     assert list(sim._planned) == sim._planned_at == [30 * tick_us]
     # a beacon acts whatever its vehicle's status
     sim._bucket(25 * tick_us)[1].append(("v000", "r0", Beacon("v000")))
-    assert sim._skip_idle_ticks(0) == 25 * tick_us
+    assert sim._skip_idle_ticks(0, None) == 25 * tick_us
 
 
 # -- due work inside the tick ------------------------------------------------------
@@ -404,11 +404,11 @@ def test_the_next_tick_is_queued_before_what_due_work_schedules():
     ticks = logged_ticks(sim)
     on_attempt = sim._on_attempt
 
-    def attempt(vehicle_id):
+    def attempt(vehicle_id, target):
         if sim.queue.now_us == at_us and vehicle_id == "v000":
             later = at_us + sim.tick_us
             sim.queue.schedule(later, lambda: log.append(list(ticks)))
-        on_attempt(vehicle_id)
+        on_attempt(vehicle_id, target)
 
     sim._on_attempt = attempt
     sim.run()
@@ -416,18 +416,18 @@ def test_the_next_tick_is_queued_before_what_due_work_schedules():
     assert log and log[0][-1] == at_us + sim.tick_us
 
 
-def test_attempts_filed_out_of_spawn_order_run_in_spawn_order(monkeypatch):
+def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
     # no server answer arrives before the end, so every vehicle attempts
-    # every cycle; a vehicle spawned in a tick files its first attempt
-    # before that tick's due attempts file their next ones
+    # every cycle, no instant is dropped, and every bucket is taken; each
+    # vehicle files its whole plan at its spawn
     cfg = dataclasses.replace(urban_single(count=40, seed=1), backhaul_latency_s=300.0)
-    filed = []  # spawn sequences of each instant's attempts, in filing order
+    filed = []  # vehicle ids of each instant's attempts, in filing order
     take = Simulation._take_planned
 
     def logged_take(sim, now):
         bucket = sim._planned.get(now)
         if bucket is not None:
-            filed.append([seq for seq, _, _ in bucket[0]])
+            filed.append([vid for vid, _ in bucket[0]])
         return take(sim, now)
 
     monkeypatch.setattr(Simulation, "_take_planned", logged_take)
@@ -435,8 +435,9 @@ def test_attempts_filed_out_of_spawn_order_run_in_spawn_order(monkeypatch):
     log = []
     logged_due_work(sim, log)
     sim.run()
-    assert any(seqs != sorted(seqs) for seqs in filed)
     spawn_seq = {vid: seq for seq, vid in enumerate(sim.vehicles)}
+    assert max(map(len, filed)) > 1
+    assert all(vids == sorted(vids, key=spawn_seq.get) for vids in filed)
     ran = {}  # instant -> spawn sequences of its attempts, in running order
     for at_us, what in log:
         kind, vid = what.split()

@@ -64,9 +64,9 @@ def test_attempts_and_beacons_run_inside_the_tick_and_are_still_traced(monkeypat
     attempts = []
     on_attempt = Simulation._on_attempt
 
-    def counted(sim, vehicle_id):
+    def counted(sim, vehicle_id, target):
         attempts.append(vehicle_id)
-        on_attempt(sim, vehicle_id)
+        on_attempt(sim, vehicle_id, target)
 
     monkeypatch.setattr(Simulation, "_on_attempt", counted)
     small_run().run()

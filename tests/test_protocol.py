@@ -130,7 +130,7 @@ def test_vehicle_precache_then_local_hit_is_zero_cdt():
     svc = FakeServices()
     v = VehicleAgent("v0", WANT, caching=True)
     v.on_frame(response(origin=SOURCE_RSU_HIT), 5_000, svc)  # overheard while idle
-    assert v.status == IDLE
+    assert v.status == IDLE and v.precached
     v.on_attempt(10_000, None, svc)  # even out of coverage
     assert v.status == SATISFIED
     assert svc.transmitted == []
@@ -144,6 +144,7 @@ def test_vehicle_without_caching_never_precaches():
     svc = FakeServices()
     v = VehicleAgent("v0", WANT, caching=False)
     v.on_frame(response(), 5_000, svc)
+    assert not v.precached
     v.on_attempt(10_000, "r0", svc)
     assert v.status == WAITING  # had to transmit despite the overheard copy
     assert len(svc.transmitted) == 1
@@ -160,13 +161,16 @@ def test_waiting_vehicle_satisfied_by_matching_response():
     assert record.source == SOURCE_RSU_HIT
 
 
-def test_waiting_vehicle_ignores_other_names_but_caches_them():
+def test_vehicle_ignores_other_names_and_requests_its_own_again():
     svc = FakeServices()
     v = VehicleAgent("v0", WANT, caching=True)
     v.on_attempt(1_000, "r0", svc)
     v.on_frame(response(name=OTHER), 1_400, svc)
     assert v.status == WAITING
-    assert OTHER in v.cache
+    assert not v.precached
+    assert svc.delivered == []
+    v.on_attempt(10_001_000, "r0", svc)  # the next cycle asks for WANT again
+    assert [frame.name for _, frame, _ in svc.transmitted] == [WANT, WANT]
     assert svc.delivered == []
 
 
@@ -197,7 +201,7 @@ def test_vehicle_ignores_requests_and_beacons():
     v.on_frame(request(requester="v1", request_id="v1.0"), 100, svc)
     v.on_frame(Beacon("v1"), 200, svc)
     assert v.status == IDLE
-    assert len(v.cache) == 0
+    assert not v.precached
 
 
 # -- caching gateway ---------------------------------------------------------------

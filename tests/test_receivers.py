@@ -141,10 +141,15 @@ def layouts(draw):
         sim.vehicles[vid].status = draw(st.sampled_from([IDLE, WAITING, SATISFIED]))
         taken[road_id] += 1
     rsu_ids = [spec.id for spec in cfg.rsus]
-    sender = draw(st.sampled_from(rsu_ids + list(sim._active)))
+    sender = draw(st.sampled_from(rsu_ids + active(sim)))
     zone_id = draw(st.sampled_from(rsu_ids))
     target = draw(st.sampled_from(rsu_ids))
     return sim, zone_id, sender, target
+
+
+def active(sim):
+    """Ids of the vehicles on the road, in spawn order."""
+    return [vid for vid in sim.vehicles if vid in sim._active]
 
 
 def oracle(sim, zone_id, sender, frame):
@@ -153,10 +158,10 @@ def oracle(sim, zone_id, sender, frame):
     rsus = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
     vehicles = [
         (vid, sim.world.world_xy(vid), sim.vehicles[vid].wanted)
-        for vid in sim._active
+        for vid in active(sim)
         if sim.vehicles[vid].status != SATISFIED
     ]
-    xy = dict(rsus) | {vid: sim.world.world_xy(vid) for vid in sim._active}
+    xy = dict(rsus) | {vid: sim.world.world_xy(vid) for vid in active(sim)}
     sender_x, sender_y = xy[sender]
     return [
         (node_id, propagation_us(math.hypot(xy[node_id][0] - sender_x, xy[node_id][1] - sender_y)))
@@ -306,12 +311,14 @@ def test_a_vehicle_that_wants_another_item_hears_none_of_it():
     b0 = sim.vehicles["b0"]
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
-    assert len(b0.cache) == 0 and b0.status == IDLE
-    assert sim.vehicles["a0"].cache.peek(ITEM) is not None
+    assert not b0.precached and b0.status == IDLE
+    assert sim.vehicles["a0"].precached
     log = logging_frames(sim, ["a0", "b0", "a1"])
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
     assert sorted(log) == [("a0", Response), ("a1", Response)]
+    sim._on_attempt("b0", "r0")  # heard nothing of its own, so it asks
+    assert b0.status == WAITING and b0.requests_sent == 1
 
 
 def test_a_satisfied_vehicle_hears_no_content():
@@ -323,7 +330,7 @@ def test_a_satisfied_vehicle_hears_no_content():
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
     assert sim.queue.processed_total == 1  # no listener: the frame end alone
-    assert all(len(sim.vehicles[vid].cache) == 0 for vid in ("a0", "b0", "a1"))
+    assert not any(sim.vehicles[vid].precached for vid in ("a0", "b0", "a1"))
 
 
 def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():
@@ -331,9 +338,9 @@ def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():
     sim.transmit("r0", CONTENT, "r0")  # answers someone else's request
     sim.queue.run_until(sim.duration_us)
     agent = sim.vehicles["a0"]
-    assert agent.cache.peek(ITEM) is not None
+    assert agent.precached
     assert agent.status != SATISFIED
-    sim._on_attempt("a0")
+    sim._on_attempt("a0", None)  # outside every zone, or inside, alike
     (record,) = sim.ledger.deliveries
     assert (record.vehicle, record.cdt_us, record.source) == ("a0", 0, SOURCE_LOCAL_PRECACHE)
     assert agent.status == SATISFIED

@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from vcachesim.engine import Simulation, run_simulation
+from vcachesim import mobility
+from vcachesim.engine import Simulation, _zone_owner_at, run_simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
     SOURCE_RSU_HIT,
@@ -19,7 +20,14 @@ from vcachesim.metrics import (
 )
 from vcachesim.mobility import HIGHWAY_UNIFORM, RoadSegment, free_track
 from vcachesim.protocol import IDLE, CachingGateway, PlainGateway, Relay, Response, SATISFIED
-from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi, highway_single, urban_single
+from vcachesim.scenarios import (
+    RsuSpec,
+    ScenarioConfig,
+    highway_multi,
+    highway_single,
+    urban_multi,
+    urban_single,
+)
 from vcachesim.simcore import seconds_to_us
 
 
@@ -246,9 +254,10 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone()
     attempts = []
     on_attempt = sim._on_attempt
 
-    def attempt(vehicle_id):
-        attempts.append((sim.queue.now_us, sim._owner_of(vehicle_id)))
-        on_attempt(vehicle_id)
+    def attempt(vehicle_id, target):
+        assert target == _zone_owner_at(sim.zones, sim.world.world_xy(vehicle_id))
+        attempts.append((sim.queue.now_us, target))
+        on_attempt(vehicle_id, target)
 
     sim._on_attempt = attempt
     heard_at = {}
@@ -285,26 +294,56 @@ def test_a_sweep_keeps_the_track_cache_within_its_bound():
     assert after.currsize <= after.maxsize == 16
 
 
-def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone():
-    # highway_single: one zone over x = 650..1450 m of a 2100 m road
-    sim = Simulation(highway_single(count=20, seed=1))
-    shared = sim.world._track(sim.cfg.entry_speed_mps)
+def planned_runs(cfg):
+    """Run cfg; returns, for every attempt and beacon that ran, by kind:
+    (vehicle id, its track, its x, the RSU planned at spawn, and the owner
+    of the nearest zone covering its position as it runs)."""
+    sim = Simulation(cfg)
     runs = {"attempt": [], "beacon": []}
     for kind, log in runs.items():
         handler = getattr(sim, f"_on_{kind}")
 
-        def logged(vehicle_id, *rest, log=log, handler=handler):
-            tracked = sim.world.riding(vehicle_id)[1] is shared
-            owner = sim._owner_of(vehicle_id)
-            log.append((tracked, sim.world.world_xy(vehicle_id)[0], owner))
-            if rest:  # a beacon's planned owner is the one its position gives
-                assert rest[0] == owner
-            handler(vehicle_id, *rest)
+        def logged(vehicle_id, target, *rest, log=log, handler=handler):
+            xy = sim.world.world_xy(vehicle_id)
+            owner = _zone_owner_at(sim.zones, xy)
+            log.append((vehicle_id, sim.world.riding(vehicle_id)[1], xy[0], target, owner))
+            handler(vehicle_id, target, *rest)
 
         setattr(sim, f"_on_{kind}", logged)
     sim.run()
-    assert all(tracked for tracked, _, _ in runs["attempt"] + runs["beacon"])
-    # an uncovered beacon does nothing, so none runs; nor does an attempt
-    # before the vehicle has reached a zone, idle with an empty cache
-    assert len(runs["beacon"]) >= 20 and {owner for _, _, owner in runs["beacon"]} == {"r0"}
-    assert len(runs["attempt"]) >= 20 and min(x for _, x, _ in runs["attempt"]) >= 650.0
+    return sim, runs
+
+
+def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone(
+    monkeypatch,
+):
+    # highway_single: one zone over x = 650..1450 m of a 2100 m road, every
+    # vehicle on the shared track; urban_multi: two zones, and with tracks
+    # off every vehicle on its own. No server answer arrives before the
+    # end, so every vehicle attempts every cycle, in and out of the zones
+    def slow(cfg):
+        return dataclasses.replace(cfg, backhaul_latency_s=1000.0)
+
+    sim, highway = planned_runs(slow(highway_single(count=20, seed=1)))
+    shared = sim.world._track(sim.cfg.entry_speed_mps)
+    assert all(track is shared for _, track, _, _, _ in highway["attempt"] + highway["beacon"])
+    assert min(x for _, _, x, _, _ in highway["attempt"]) >= 650.0
+    monkeypatch.setattr(mobility.MobilityWorld, "_track", lambda world, speed_mps: None)
+    _, urban = planned_runs(slow(urban_multi(count=20, seed=1)))
+    # a later attempt outside every zone runs too, addressed to none; the
+    # urban zones cover the vehicles from their first zone on
+    cases = ((highway, {"r0"}, {"r0", None}), (urban, {"r0", "r1"}, {"r0", "r1"}))
+    for runs, zones, targets in cases:
+        assert len(runs["attempt"]) >= 20 and len(runs["beacon"]) >= 20
+        # each attempt and beacon addresses the zone its position gives
+        for kind in ("attempt", "beacon"):
+            assert all(target == owner for _, _, _, target, owner in runs[kind])
+        assert {target for _, _, _, target, _ in runs["attempt"]} == targets
+        # an uncovered beacon does nothing, so none runs; nor does an
+        # attempt before the vehicle has reached a zone, idle with nothing
+        # pre-cached
+        assert {owner for _, _, _, _, owner in runs["beacon"]} == zones
+        first = {}
+        for vid, _, _, _, owner in runs["attempt"]:
+            first.setdefault(vid, owner)
+        assert None not in first.values()
