@@ -9,56 +9,55 @@ attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
 
 Ticks sit on the tick_s grid from 0, but the tick runs only at instants
-with due work: a spawn (the first tick at or after a road's front arrival
-that finds its entry open), an exit, or a due attempt or beacon. After each
-tick the next one is scheduled at the first grid instant at or after the
-earliest of that work and the event heap's top, at least one tick later and
-at most the last tick instant of the run, and the idle ticks skipped on the
-way are added to the world's tick count, so vehicles read the positions
+with due work: an advance of the world, or a due attempt or beacon. After
+each tick the next one is scheduled at the first grid instant at or after
+the earliest of that work and the event heap's top, at least one tick later
+and at most the last tick instant of the run, and the idle ticks skipped on
+the way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
-a tick creates tick work (a spawn files its vehicle's whole plan; exits and
-satisfied vehicles only remove work); no event runs between now and the
-heap top, so the new tick is scheduled with the same events ahead of it,
-and takes the same FIFO place among the events of its instant, as a tick
-scheduled one tick earlier; and the last tick instant still ends the run,
-so the clock ends where it did. Due attempts run after the next tick is
-queued and may schedule events before any later tick, so after them the
-next tick is one tick later.
+a tick creates tick work (a spawn files its vehicle's whole plan and the
+world's next advances; satisfied vehicles only remove work); no event runs
+between now and the heap top, so the new tick is scheduled with the same
+events ahead of it, and takes the same FIFO place among the events of its
+instant, as a tick scheduled one tick earlier; and the last tick instant
+still ends the run, so the clock ends where it did. Due attempts run after
+the next tick is queued and may schedule events before any later tick, so
+after them the next tick is one tick later.
 
 A tick with only beacons due, and no other event at its instant, runs them
 first and then skips idle ticks as a tick with nothing due does: a beacon
 files and schedules nothing, so the next tick takes the same FIFO place,
 and the beacons read the world before skip moves it on.
 
-Most ticks that run have only beacons due, or nothing. Each time the tick
-advances the world it records the first instant at which the world can do
-more than count a tick: an exit (quiet_ticks) or a spawn (ticks_to_open and
-the roads' front arrivals). A tick before that instant only adds one to the
-world's tick count (skip) and takes its due attempts and beacons. That is
-exactly what advancing the world would do there: the tick would take no
-exit, and no arrival would be both due and able to enter; and only
-advancing the world spawns or takes an exit, so the instant holds until the
-world is advanced again. Such a tick is the same _on_tick event at the same
-FIFO place, so everything after it is unchanged.
+The world advances only at the instants filed for it: each road's first
+arrival (run), and at each spawn the vehicle's exit and, while arrivals
+wait on its road, the first tick at or after the next arrival at which the
+entry behind the vehicle is open, once it is min_gap_m in or has exited
+(_arm); until then it is the road's rear, for nothing spawns there. A tick
+at any other instant only adds one to the world's tick count (skip), which
+is exactly what advancing the world would do: it would take no exit, and no
+arrival would be both due and able to enter. Such a tick is the same
+_on_tick event at the same FIFO place, so nothing after it moves.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles, and one of them by wanted item in
-spawn order, are added to at spawn and dropped from at exit
-(_enter, _leave). All due work waits on one queue: per run instant, the
-attempts and the beacons planned to run there (_planned), with a heap of
-those instants. The tick takes its instant's work, then queues the next
-tick and runs the attempts of unsatisfied vehicles, then the beacons, each
-in spawn order, inside itself (beacons alone run before the next tick is
-queued, above); when another event already waits at its instant, it
-schedules them as one batch event at that instant instead. This is exactly
-one event per attempt and beacon, for the same reasons as the receive
-batches below: those events held consecutive places among the events of
-their instant, after any event already waiting there; what they scheduled
-for that instant ran after the last of them anyway; the next tick was
-queued before anything they scheduled; and exits happen only in the tick,
-so every due vehicle is still active when it runs. A beacon occupies
-airtime but carries nothing receivers keep, so it has no frame-end event.
+spawn order, are added to at spawn and dropped from at exit (_enter,
+_leave). All due work waits on one queue: per run instant, the attempts and
+the beacons planned to run there (_planned) and whether the world advances
+there (_advances), with a heap of those instants. The tick takes its
+instant's work, then queues the next tick and runs the attempts of
+unsatisfied vehicles, then the beacons, each in spawn order, inside itself
+(beacons alone run before the next tick is queued, above); when another
+event already waits at its instant, it schedules them as one batch event at
+that instant instead. This is exactly one event per attempt and beacon, for
+the same reasons as the receive batches below: those events held
+consecutive places among the events of their instant, after any event
+already waiting there; what they scheduled for that instant ran after the
+last of them anyway; the next tick was queued before anything they
+scheduled; and exits happen only in the tick, so every due vehicle is still
+active when it runs. A beacon occupies airtime but carries nothing
+receivers keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -92,7 +91,7 @@ zone), and each covered beacon with that owner, whose channel it takes,
 and the vehicle's one Beacon frame. Later spawns file later, so each
 instant's attempts and beacons are in spawn order. The track is fixed at
 spawn, so the planned owner is the one a lookup at the attempt would give
-(MobilityWorld.place, which only tests call, rebuilds tracks but not plans).
+(MobilityWorld.place, for tests, rebuilds tracks, not plans or advances).
 SATISFIED is terminal, so the attempts of satisfied vehicles are dropped
 when taken, and an instant with no other work is dropped before it can set
 the next tick. The ticks that no longer run had no work left, which the
@@ -264,9 +263,9 @@ class Simulation:
         # spawn order, and a heap of those instants
         self._planned: dict[int, tuple[list[_Attempt], list[_PlannedBeacon]]] = {}
         self._planned_at: list[int] = []
-        # the first instant at which the world changes more than its tick
-        # count or an arrival spawns (_world_work_at)
-        self._world_due = 0
+        # the planned instants at which the tick advances the world: exits
+        # and entry openings (_arm), and the roads' first arrivals (run)
+        self._advances: set[int] = set()
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
@@ -281,6 +280,9 @@ class Simulation:
         if self._ran:
             raise RuntimeError("a Simulation instance runs exactly once")
         self._ran = True
+        for pending in self._pending_arrivals.values():
+            if pending:
+                self._file_advance(pending[0].at_us)
         self.queue.schedule(0, self._on_tick)
         for spec in self.cfg.rsus:
             if spec.role == ROLE_RELAY and self.announce_interval_us <= self.duration_us:
@@ -305,10 +307,11 @@ class Simulation:
 
     def _on_tick(self) -> None:
         now = self.queue.now_us
-        if self._world_idle(now):
-            self.world.skip(1)
-        else:
+        if now in self._advances:
+            self._advances.remove(now)
             self._advance_world(now)
+        else:
+            self.world.skip(1)
         due_attempts, due_beacons = self._take_planned(now)
         queue = self.queue
         top = queue.peek_time()
@@ -330,15 +333,9 @@ class Simulation:
             else:
                 queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))
 
-    def _world_idle(self, now: int) -> bool:
-        """Is the tick at now before the world's next work (_world_work_at)?
-        Then it steps no vehicle, takes no exit and spawns nothing: the
-        world only counts the tick."""
-        return now < self._world_due
-
     def _advance_world(self, now: int) -> None:
         """Tick the world, take its exits, spawn the arrivals that are due and
-        fit, and arm their due work; then find the world's next work."""
+        fit, and arm their due work, the world's next advances among it."""
         tracing = self.tracing
         for vid in self.world.tick():
             self._leave(vid)  # nothing of it is planned from now on
@@ -354,7 +351,6 @@ class Simulation:
                 self._arm(now, spawned, vid)
                 if tracing:
                     self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
-        self._world_due = self._world_work_at(now)
 
     def _enter(self, agent: VehicleAgent) -> int:
         """Index the agent of a vehicle the world has just spawned: every
@@ -372,51 +368,30 @@ class Simulation:
         self._active.remove(vehicle_id)
         del self._wanting[self.vehicles[vehicle_id].wanted][vehicle_id]
 
-    def _world_work_at(self, now: int) -> int:
-        """The first instant after the tick at now at which the world changes
-        more than its tick count, or an arrival spawns: a step or a tracked
-        exit, or the first tick at or after a road's front arrival that
-        finds its entry open; at most the last tick instant of the run.
-
-        Nothing else spawns, steps or takes an exit, so the instant holds
-        until the world is advanced again.
-        """
-        tick_us = self.tick_us
-        world = self.world
-        due = self.last_tick_us
-        quiet = world.quiet_ticks()
-        if quiet is not None and now + quiet * tick_us < due:
-            due = now + quiet * tick_us
-        for road_id, pending in self._pending_arrivals.items():
-            # no spawn before the arrival, whenever the entry opens
-            if pending and pending[0].at_us < due:
-                opens = max(pending[0].at_us, now + world.ticks_to_open(road_id) * tick_us)
-                if opens < due:
-                    due = opens
-        return due
-
     def _skip_idle_ticks(self, now: int, top: int | None) -> int:
         """The first tick instant after now with work, or before which an
         event runs (top, the event heap's top as the tick read it, with
         nothing scheduled since); adds the idle ticks before it to the
         world's tick count.
 
-        Work is a spawn, a step or a tracked exit (_world_work_at, as of the
-        latest advance of the world), or a planned beacon or attempt of an
-        unsatisfied vehicle. An instant whose only work is attempts of
+        Work is an advance of the world or a planned beacon or attempt of
+        an unsatisfied vehicle. An instant whose only work is attempts of
         satisfied vehicles is dropped on the way: SATISFIED is terminal, so
         they would be dropped when taken anyway. The instant is at least one
         tick after now and at most the last tick instant of the run.
         """
         tick_us = self.tick_us
-        due = self._world_due
+        due = self.last_tick_us
         if top is not None and top < due:
             due = top
         planned, planned_at, vehicles = self._planned, self._planned_at, self.vehicles
         while planned_at and planned_at[0] < due:
-            attempts, beacons = planned[planned_at[0]]
-            if beacons or any(vehicles[vid].status != SATISFIED for vid, _ in attempts):
-                due = planned_at[0]
+            first = planned_at[0]
+            attempts, beacons = planned[first]
+            if beacons or first in self._advances or any(
+                vehicles[vid].status != SATISFIED for vid, _ in attempts
+            ):
+                due = first
             else:
                 del planned[heappop(planned_at)]
         at = now + tick_us
@@ -429,10 +404,19 @@ class Simulation:
         """File all the due work of a vehicle spawned at now, up to the last
         tick instant (_TrackAges.plan): each attempt with the RSU it
         addresses, and each covered beacon with its channel and frame.
-        Later spawns append later, so a bucket's work is in spawn order."""
+        Later spawns append later, so a bucket's work is in spawn order.
+
+        Its exit advances the world, and so does, while arrivals wait on its
+        road, the opening of the entry behind it: at its open age, or at its
+        exit on a road shorter than the gap, but not before the arrival."""
         road, track, _ = self.world.riding(vehicle_id)
         ages = self._ages(road, track)
         tick_us = self.tick_us
+        self._file_advance(now + ages.exit_age * tick_us)
+        pending = self._pending_arrivals[road.id]
+        if pending:
+            opens = min(track.open_age(self.cfg.kinematics.min_gap_m), ages.exit_age)
+            self._file_advance(max(pending[0].at_us, now + opens * tick_us))
         planned = self._planned
         last_us = self.last_tick_us
         for offset_us, target in ages.plan(0, self.request_interval_us, tick_us):
@@ -451,6 +435,14 @@ class Simulation:
                 break
             if owner is not None:  # an uncovered beacon does nothing
                 (planned.get(at_us) or self._bucket(at_us))[1].append((vehicle_id, owner, beacon))
+
+    def _file_advance(self, at_us: int) -> None:
+        """Advance the world at the first tick instant at or after at_us,
+        if the run reaches it."""
+        at_us = -(-at_us // self.tick_us) * self.tick_us
+        if at_us <= self.last_tick_us:
+            self._bucket(at_us)
+            self._advances.add(at_us)
 
     def _bucket(self, at_us: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
         """The (attempts, beacons) planned to run at at_us."""
@@ -562,25 +554,26 @@ class Simulation:
         """In-range nodes that act on frame, with their propagation delays
         from the sender, in receive-scheduling order.
 
-        A request goes to its target only, when the target's centre is in
-        the zone and it is not the sender: an RSU drops a request addressed
-        to another, and vehicles ignore requests. Content goes to the other
-        RSUs in the zone (_content_rsus), in zone order, then to the active
-        vehicles that want its name and are not satisfied, in spawn order: a
-        vehicle keeps only its wanted item, and on_attempt returns first
-        once it is satisfied (the status is terminal).
+        A request goes to its target only, which owns the channel (vehicles
+        send on their target's, relays on their next hop's): an RSU drops a
+        request addressed to another, and vehicles ignore requests; a
+        request for another RSU raises. Content goes to the other RSUs in
+        the zone (_content_rsus), in zone order, then to the active vehicles
+        that want its name and are not satisfied, in spawn order: a vehicle
+        keeps only its wanted item, and on_attempt returns first once it is
+        satisfied (the status is terminal).
         Only the zone's own RSU sends content, so a vehicle gets its range
         test and delay from its track and age (_TrackAges.delay).
         """
         zone = self.zones[zone_id]
         if isinstance(frame, Request):
-            target = frame.target
-            other = self.zones.get(target)
-            if target == sender or other is None or not in_range(zone, other.center):
-                return []
+            if frame.target != zone_id:
+                raise RuntimeError(
+                    f"{sender} sent a request for {frame.target} on {zone_id}'s channel"
+                )
             sender_x, sender_y = self._node_xy(sender)
-            x, y = other.center
-            return [(target, propagation_us(math.hypot(x - sender_x, y - sender_y)))]
+            x, y = zone.center
+            return [(zone_id, propagation_us(math.hypot(x - sender_x, y - sender_y)))]
         if sender != zone_id:
             raise RuntimeError(
                 f"{sender} sent a {type(frame).__name__} on {zone_id}'s channel; "

@@ -494,7 +494,7 @@ class MobilityWorld:
         of the latest tick; for tests. It and every vehicle behind it get
         their own tracks, rebuilt front to back from where they are now; the
         paths of the vehicles in front do not depend on it. The engine's
-        plans of due work, made from the tracks at spawn, are not rebuilt."""
+        plans, exits and entry openings, filed at spawn, are not rebuilt."""
         try:
             state = self._states[vehicle_id]
         except KeyError:
@@ -512,21 +512,6 @@ class MobilityWorld:
                     speed[-1] = speed_mps
             self._follow(other, pos, speed, leader)
             leader = other
-
-    def quiet_ticks(self) -> int | None:
-        """How many ticks from now until the first that takes an exit; None
-        when no vehicle is on any road. A road's front vehicle exits first."""
-        exits = [order[0].exit_tick for order in self._lanes.values() if order]
-        return min(exits) - self._ticks if exits else None
-
-    def ticks_to_open(self, road_id: str) -> int:
-        """How many ticks from now until can_spawn(road_id) holds (0 if it
-        holds already, or the road is empty), read off the rear's track."""
-        order = self._lanes[road_id]
-        if not order:
-            return 0
-        rear = order[-1]
-        return max(0, rear.spawn_tick + rear.track.open_age(self.params.min_gap_m) - self._ticks)
 
     def skip(self, ticks: int) -> None:
         """Let ticks ticks pass that take no exit: only every vehicle's age moves."""

@@ -153,6 +153,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         "relay RSUs require caching enabled: a layout with relays is caching-only",
     )
     for spec in cfg.rsus:
+        if spec.id[:1] == "v" and spec.id[1:].isdigit():
+            problems.append(f"rsu {spec.id}: v followed by digits names a vehicle")
         if spec.radius_m <= 0:
             problems.append(f"rsu {spec.id}: radius_m must be positive: {spec.radius_m}")
         if spec.role == ROLE_GATEWAY:

@@ -91,6 +91,10 @@ def test_broken_config_file(tmp_path, capsys):
         ),
         ("scenario = urban_single\n[road]\n", "line 2: [road] is missing field 'id'"),
         ("scenario = urban_single\n[rsu]\n", "line 2: [rsu] is missing field 'id'"),
+        (
+            "scenario = urban_single\n[rsu]\nid = v005\ncenter = 400, 100\nradius_m = 350\n",
+            "rsu v005: v followed by digits names a vehicle",
+        ),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, fragment):

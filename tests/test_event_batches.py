@@ -327,7 +327,7 @@ def entered(sim, *vehicle_ids):
 
 def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
-    sim._world_due = sim.last_tick_us  # as if the world had no work before the end
+    assert not sim._planned_at  # no work before run() files the first arrivals
     sim.queue.schedule(0, lambda: None)  # an event due now
     assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
     sim.queue.run_until(0)
@@ -338,7 +338,7 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
 
 def test_attempt_entries_that_cannot_act_force_no_tick():
     sim = Simulation(urban_single(count=10, seed=1))
-    sim._world_due = sim.last_tick_us  # as if the world had no work before the end
+    assert not sim._planned_at  # no work before run() files the first arrivals
     tick_us = sim.tick_us
     entered(sim, "v000", "v001", "v002")
     for vid in ("v000", "v001"):
@@ -490,10 +490,17 @@ def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
 
     monkeypatch.setattr(Simulation, "_take_planned", logged_take)
     monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
-    Simulation(highway_single(count=20, seed=1)).run()
+    sim = Simulation(highway_single(count=20, seed=1))
+    sim.run()
     after_beacon_only = [(a, b) for a, b in zip(ticks, ticks[1:]) if a[3] and not a[2]]
     assert len(after_beacon_only) > 100
     for (_, ran, _, _), (at_us, ran_next, attempts, beacons) in after_beacon_only:
-        # work is due, the world has work, or an event other than the
-        # beacon-only tick ran before it
-        assert attempts or beacons or at_us in advanced or ran_next - ran > 1
+        # work is due, the world has work, an event other than the
+        # beacon-only tick ran before it, or it is the last tick instant
+        assert (
+            attempts
+            or beacons
+            or at_us in advanced
+            or ran_next - ran > 1
+            or at_us == sim.last_tick_us
+        )

@@ -117,9 +117,69 @@ def test_beacon_only_ticks_change_no_output(case, tmp_path, monkeypatch):
     digests, events = digest_and_count(case, tmp_path / "as-is", monkeypatch)
     assert digests == GOLDEN[make_golden.case_id(*case)]
     with monkeypatch.context() as patched:
-        # every tick advances the world and looks for spawns
-        patched.setattr(Simulation, "_world_idle", lambda sim, now: False)
+        every_tick_advances(patched)
         assert digest_and_count(case, tmp_path / "full", patched) == (digests, events)
+
+
+def every_tick_advances(monkeypatch):
+    """Make every tick that runs advance the world and look for spawns, as
+    if an advance had been filed at its instant."""
+    on_tick = Simulation._on_tick
+
+    def advancing_tick(sim):
+        sim._advances.add(sim.queue.now_us)
+        on_tick(sim)
+
+    monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)
+
+
+# 900 m of gap on 800 m roads: the entry behind a vehicle opens at its exit
+ROAD_SHORTER_THAN_GAP = ("urban_single", True, 1, None, (("kinematics.min_gap_m", 900.0),))
+
+
+def run_logging_advances(case, monkeypatch):
+    """Run case; returns its result and, for every advance of the world,
+    (instant, spawns and exits it took)."""
+    advances = []
+    advance = Simulation._advance_world
+
+    def logged(sim, now):
+        world = sim.world
+        before = world.spawned_total + world.exited_total
+        advance(sim, now)
+        advances.append((now, world.spawned_total + world.exited_total - before))
+
+    monkeypatch.setattr(Simulation, "_advance_world", logged)
+    return Simulation(make_golden.build(*case)).run(), advances
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*make_golden.CASES, ROAD_SHORTER_THAN_GAP],
+    ids=lambda case: make_golden.case_id(*case),
+)
+def test_every_world_advance_spawns_or_takes_an_exit(case, monkeypatch):
+    # advances are filed only where the world has work: an exit, or an
+    # arrival that is due when its entry opens
+    _, advances = run_logging_advances(case, monkeypatch)
+    assert advances
+    assert [at_us for at_us, changed in advances if not changed] == []
+
+
+def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the_gap(
+    monkeypatch,
+):
+    result, advances = run_logging_advances(ROAD_SHORTER_THAN_GAP, monkeypatch)
+    assert 0 < result.spawned < result.config.vehicle_count  # the entries held vehicles back
+    every_tick_advances(monkeypatch)
+    full, _ = run_logging_advances(ROAD_SHORTER_THAN_GAP, monkeypatch)
+    assert full.trace_lines == result.trace_lines
+    assert (full.spawned, full.exited, full.satisfied, full.events_processed) == (
+        result.spawned,
+        result.exited,
+        result.satisfied,
+        result.events_processed,
+    )
 
 
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):

@@ -172,12 +172,17 @@ def oracle(sim, zone_id, sender, frame):
 @given(layouts())
 def test_receivers_match_the_range_test_on_every_node(layout):
     sim, zone_id, sender, target = layout
-    # content comes from the zone's own RSU; a request from anyone in it
+    # content comes from the zone's own RSU; a request from anyone else in
+    # it, on its target's channel; a request for another RSU raises
     for name in (ITEM, OTHER):
         content = Response(name, 2000, "v9.0", SOURCE_RSU_HIT)
         assert sim._receivers(zone_id, zone_id, content) == oracle(sim, zone_id, zone_id, content)
-    request = Request(ITEM, sender, "x.0", target)
-    assert sim._receivers(zone_id, sender, request) == oracle(sim, zone_id, sender, request)
+    if sender != zone_id:
+        request = Request(ITEM, sender, "x.0", zone_id)
+        assert sim._receivers(zone_id, sender, request) == oracle(sim, zone_id, sender, request)
+    if target != zone_id:
+        with pytest.raises(RuntimeError, match=f"request for {target} on {zone_id}'s channel"):
+            sim._receivers(zone_id, sender, Request(ITEM, sender, "x.0", target))
 
 
 def wide_twins():
@@ -294,8 +299,11 @@ def test_a_request_reaches_only_its_target_among_the_rsus_in_its_zone():
     # r1's centre is inside r0's zone and r0's inside r1's
     sim = crossing(extra_rsus=[RsuSpec("r1", (110.0, 5.0), 50.0)])
     assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r0")) == ["r0"]
-    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r1")) == ["r1"]
-    assert heard(sim, "r1", Request(ITEM, "r1", "a1.0", "r1")) == []  # the sender itself
+    assert heard(sim, "r1", Request(ITEM, "a1", "a1.0", "r0", True)) == ["r0"]  # forwarded
+    request = Request(ITEM, "a1", "a1.0", "r1")
+    assert [node for node, _ in sim._receivers("r1", "a1", request)] == ["r1"]
+    with pytest.raises(RuntimeError, match="request for r1 on r0's channel"):
+        heard(sim, "a1", request)  # a request rides its target's channel
     assert heard(sim, "r0", CONTENT) == ["r1", "a0", "b0", "a1"]
     log = logging_frames(sim, ["r1"])
     sim.transmit("r0", Request(ITEM, "a1", "a1.0", "r0"), "a1")

@@ -224,6 +224,23 @@ def test_duplicate_rsu_ids_rejected():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("rsu_id", ["v005", "v0", "v12345"])
+def test_rsu_ids_that_name_a_vehicle_are_rejected(rsu_id):
+    # vehicle ids are v and digits, and RSUs and vehicles share one id
+    # namespace: an RSU named v005 took the frames meant for vehicle v005
+    cfg = urban_single(seed=1)
+    cfg.rsus = [dataclasses.replace(cfg.rsus[0], id=rsu_id)]
+    with pytest.raises(ValidationError, match=f"rsu {rsu_id}: v followed by digits names a vehicle"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("rsu_id", ["v", "v1a", "vr0", "V005", "x005"])
+def test_rsu_ids_that_name_no_vehicle_pass(rsu_id):
+    cfg = urban_single(seed=1)
+    cfg.rsus = [dataclasses.replace(cfg.rsus[0], id=rsu_id)]
+    validate_config(cfg)
+
+
 def test_gateway_with_next_hop_rejected():
     cfg = urban_multi()
     cfg.rsus = [cfg.rsus[0], RsuSpec("r1", (670.0, 200.0), 270.0, next_hop="r0")]
