@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from vcachesim.cli import run_dir_name, write_outputs
+from vcachesim.cli import _parse_seeds, run_dir_name, write_outputs
 from vcachesim.engine import run_simulation
 from vcachesim.metrics import TARGET_ALL_RSUS
 from vcachesim.scenarios import resolve_config
@@ -39,12 +39,12 @@ def mean(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--seeds", default="1,2,3,4,5,6,7,8,9,10",
+        "--seeds", type=_parse_seeds, default=list(range(1, 11)),
         help="comma-separated seed list (default 1..10)",
     )
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args(argv)
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    seeds = args.seeds
 
     stats = {}
     for name, caching in EXPERIMENTS:

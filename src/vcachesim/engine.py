@@ -43,9 +43,9 @@ Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. An index of active vehicles, and one of them by wanted item in
 spawn order, are added to at spawn and dropped from at exit (_enter,
-_leave). All due work waits on one queue: per run instant, the attempts and
-the beacons planned to run there (_planned) and whether the world advances
-there (_advances), with a heap of those instants. The tick takes its
+_leave). All due work waits on one queue: per run instant, a bucket of the
+attempts and the beacons planned to run there and whether the world
+advances there (_planned), with a heap of those instants. The tick takes its
 instant's work, then queues the next tick and runs the attempts of
 unsatisfied vehicles, then the beacons, each in spawn order, inside itself
 (beacons alone run before the next tick is queued, above); when another
@@ -259,13 +259,12 @@ class Simulation:
         self._active: set[str] = set()  # ids of the vehicles on the road
         # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
         self._wanting: dict[ContentName, dict[str, VehicleAgent]] = {}
-        # run instant -> (attempts, beacons) planned to run there, each in
-        # spawn order, and a heap of those instants
-        self._planned: dict[int, tuple[list[_Attempt], list[_PlannedBeacon]]] = {}
+        # run instant -> [attempts, beacons, advance]: the attempts and the
+        # beacons planned to run there, each in spawn order, and whether the
+        # tick advances the world there (exits and entry openings, _arm, and
+        # the roads' first arrivals, run); and a heap of those instants
+        self._planned: dict[int, _Bucket] = {}
         self._planned_at: list[int] = []
-        # the planned instants at which the tick advances the world: exits
-        # and entry openings (_arm), and the roads' first arrivals (run)
-        self._advances: set[int] = set()
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
@@ -307,9 +306,9 @@ class Simulation:
 
     def _on_tick(self) -> None:
         now = self.queue.now_us
-        if now in self._advances:
-            self._advances.remove(now)
-            self._advance_world(now)
+        bucket = self._planned.get(now)
+        if bucket is not None and bucket[2]:
+            self._advance_world(now)  # its spawns may file attempts in the bucket
         else:
             self.world.skip(1)
         due_attempts, due_beacons = self._take_planned(now)
@@ -340,7 +339,7 @@ class Simulation:
         for vid in self.world.tick():
             self._leave(vid)  # nothing of it is planned from now on
             if tracing:
-                self._trace(f"EXIT vehicle={vid}")
+                self.trace(f"EXIT vehicle={vid}")
         for road in self.cfg.roads:
             pending = self._pending_arrivals[road.id]
             while pending and pending[0].at_us <= now and self.world.can_spawn(road.id):
@@ -350,7 +349,7 @@ class Simulation:
                 spawned = self._enter(VehicleAgent(vid, arrival.wanted, self.cfg.caching))
                 self._arm(now, spawned, vid)
                 if tracing:
-                    self._trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
+                    self.trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
 
     def _enter(self, agent: VehicleAgent) -> int:
         """Index the agent of a vehicle the world has just spawned: every
@@ -387,8 +386,8 @@ class Simulation:
         planned, planned_at, vehicles = self._planned, self._planned_at, self.vehicles
         while planned_at and planned_at[0] < due:
             first = planned_at[0]
-            attempts, beacons = planned[first]
-            if beacons or first in self._advances or any(
+            attempts, beacons, advance = planned[first]
+            if beacons or advance or any(
                 vehicles[vid].status != SATISFIED for vid, _ in attempts
             ):
                 due = first
@@ -441,14 +440,13 @@ class Simulation:
         if the run reaches it."""
         at_us = -(-at_us // self.tick_us) * self.tick_us
         if at_us <= self.last_tick_us:
-            self._bucket(at_us)
-            self._advances.add(at_us)
+            self._bucket(at_us)[2] = True
 
-    def _bucket(self, at_us: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
-        """The (attempts, beacons) planned to run at at_us."""
+    def _bucket(self, at_us: int) -> _Bucket:
+        """The [attempts, beacons, advance] planned for at_us."""
         bucket = self._planned.get(at_us)
         if bucket is None:
-            bucket = self._planned[at_us] = ([], [])
+            bucket = self._planned[at_us] = [[], [], False]
             heappush(self._planned_at, at_us)
         return bucket
 
@@ -459,7 +457,7 @@ class Simulation:
         if not planned_at or planned_at[0] != now:
             return (), ()
         heappop(planned_at)
-        attempts, beacons = self._planned.pop(now)
+        attempts, beacons, _ = self._planned.pop(now)
         if attempts:
             vehicles = self.vehicles
             attempts = [entry for entry in attempts if vehicles[entry[0]].status != SATISFIED]
@@ -477,22 +475,17 @@ class Simulation:
         return ages
 
     def _run_due(self, attempts: list[_Attempt], beacons: list[_PlannedBeacon]) -> None:
-        """One tick's due attempts, then its due beacons, each in spawn order.
+        """One tick's due attempts, then its due beacons, each in spawn order:
+        an attempt addressed to the RSU planned for its run age, a beacon
+        sent on the channel of the zone covering its vehicle then.
 
         Exits happen only in the tick, so every vehicle here is active.
         """
+        now, vehicles = self.queue.now_us, self.vehicles
         for vid, target in attempts:
-            self._on_attempt(vid, target)
+            vehicles[vid].on_attempt(now, target, self)
         for vid, owner, beacon in beacons:
-            self._on_beacon(vid, owner, beacon)
-
-    def _on_attempt(self, vehicle_id: str, target: str | None) -> None:
-        """Run a due attempt, addressed to the RSU planned for its run age."""
-        self.vehicles[vehicle_id].on_attempt(self.queue.now_us, target, self)
-
-    def _on_beacon(self, vehicle_id: str, owner: str, beacon: Beacon) -> None:
-        """Send a due beacon on the channel of the zone covering its vehicle."""
-        self.transmit(owner, beacon, vehicle_id)
+            self.transmit(owner, beacon, vid)
 
     def _on_announce(self, rsu_id: str) -> None:
         self.rsus[rsu_id].on_announce(self.queue.now_us, self)
@@ -520,7 +513,7 @@ class Simulation:
             self.vehicle_requests_transmitted += 1
         if self.tracing:
             name = getattr(frame, "name", None)
-            self._trace(
+            self.trace(
                 f"TX kind={kind} sender={sender} channel={channel_owner} "
                 f"name={name if name is not None else '-'} "
                 f"start={format_time(start)} end={format_time(end)}"
@@ -609,7 +602,7 @@ class Simulation:
         if link is None:
             raise NoBackhaul(f"{rsu_id} has no backhaul link")
         if self.tracing:
-            self._trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
+            self.trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
         self.queue.schedule(
             self.queue.now_us + link.latency_us,
             partial(self._on_server_request, rsu_id, name, request_id),
@@ -620,7 +613,7 @@ class Simulation:
         item = self.server.fetch(name)
         self.ledger.record_server_fetch(now, str(name))
         if self.tracing:
-            self._trace(f"SERVER name={name} id={request_id}")
+            self.trace(f"SERVER name={name} id={request_id}")
         self.queue.schedule(
             now + self.proc_delay_us + self.backhaul[rsu_id].latency_us,
             partial(self._on_backhaul_return, rsu_id, item, request_id),
@@ -637,7 +630,7 @@ class Simulation:
     def deliver(self, record: DeliveryRecord) -> None:
         self.ledger.record_delivery(record)
         if self.tracing:
-            self._trace(
+            self.trace(
                 f"DELIVER vehicle={record.vehicle} name={record.name} "
                 f"source={record.source} cdt={format_time(record.cdt_us)}"
             )
@@ -649,9 +642,6 @@ class Simulation:
         self.ledger.record_cache_event(self.queue.now_us, rsu_id, hit)
 
     def trace(self, text: str) -> None:
-        self._trace(text)
-
-    def _trace(self, text: str) -> None:
         if self.trace_lines is not None:
             self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
 
@@ -674,14 +664,15 @@ class _TrackAges:
     Such a vehicle is at road.world_position(pos[age]) at every tick of its
     age, so the zone that covers it, and the range test and delay of a
     frame a zone's RSU sends it, are functions of the age, filled lazily,
-    one age when first asked for; so are the plans of due work built from them.
+    one age when first asked for; so are the plans of due work built from
+    them. The first covered age is found at construction, for _arm plans
+    every instance it makes at once.
     The track itself is not kept, so that the engine's weak key on it lets
     an own track and its memos go at the vehicle's exit.
     """
 
     __slots__ = (
-        "road", "pos", "exit_age", "_owner_at", "_owners", "_uncovered_before", "_first_covered",
-        "_delays", "_plans",
+        "road", "pos", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays", "_plans",
     )
 
     def __init__(
@@ -692,13 +683,14 @@ class _TrackAges:
         self.exit_age = track.exit_age(road.length_m)
         self._owner_at = owner_at  # point -> owner of the nearest covering zone, or None
         self._owners: list = [_UNFILLED] * self.exit_age
-        # no zone covers a position below covered_from (the lowest lo of the
-        # zones' spans on the road, each a superset of its zone), nor any
-        # when it is None; positions along a track never fall
-        self._uncovered_before = (
-            self.exit_age if covered_from is None else bisect_left(self.pos, covered_from)
-        )
-        self._first_covered: int | None = None
+        # the first age a zone covers, or the exit age: no zone covers a
+        # position below covered_from (the lowest lo of the zones' spans on
+        # the road, each a superset of its zone), nor any when it is None;
+        # positions along a track never fall
+        first = self.exit_age if covered_from is None else bisect_left(self.pos, covered_from)
+        while first < self.exit_age and self.owner(first) is None:
+            first += 1
+        self._first_covered = first
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
         # (first due, interval, tick) -> plan
@@ -709,15 +701,6 @@ class _TrackAges:
         if owner is _UNFILLED:
             owner = self._owners[age] = self._owner_at(self.road.world_position(self.pos[age]))
         return owner
-
-    def covered_since(self, age: int) -> bool:
-        """Has a zone covered the vehicle at this age or before?"""
-        if self._first_covered is None:
-            first = self._uncovered_before
-            while first < self.exit_age and self.owner(first) is None:
-                first += 1
-            self._first_covered = first
-        return age >= self._first_covered
 
     def plan(self, first_us: int, interval_us: int, tick_us: int) -> list[tuple[int, str | None]]:
         """(run offset, owner of the zone covering the vehicle or None) of
@@ -744,7 +727,7 @@ class _TrackAges:
             due_us = first_us
             age = -(-due_us // tick_us)
             while age < exit_age:
-                if self.covered_since(age):
+                if age >= self._first_covered:
                     plan.append((age * tick_us, self.owner(age)))
                 due_us += interval_us
                 age = max(-(-due_us // tick_us), age + 1)
@@ -770,6 +753,7 @@ class _TrackAges:
 _UNFILLED = object()
 _Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
 _PlannedBeacon = tuple[str, str, Beacon]  # (vehicle id, channel owner, frame)
+_Bucket = list  # [list[_Attempt], list[_PlannedBeacon], advance: bool]
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

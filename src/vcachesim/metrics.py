@@ -71,6 +71,9 @@ def sample_grid(duration_us: int, interval_us: int) -> list[int]:
     return grid
 
 
+_AFTER_ALL = (2**63 - 1,)  # one sample instant, after every event a run can record
+
+
 class MetricsLedger:
     """Append-only event log for one run; series are derived views."""
 
@@ -175,37 +178,23 @@ class MetricsLedger:
         return out
 
     # -- run totals ----------------------------------------------------------
+    # the last point of a series sampled once, after every event
 
     def final_avg_cdt_us(self) -> float | None:
-        if not self.deliveries:
-            return None
-        return sum(r.cdt_us for r in self.deliveries) / len(self.deliveries)
+        series = self.avg_cdt_series(_AFTER_ALL)
+        return series[-1][2] if series else None
 
     def total_server_fetches(self) -> int:
         return len(self.server_events)
 
     def total_rsu_requests(self, target: str = TARGET_ALL_RSUS) -> int:
-        if target == TARGET_ALL_RSUS:
-            return len(self.rsu_events)
-        if target not in self._rsu_id_set:
+        if target == TARGET_SERVER:  # not an RSU; see total_server_fetches
             raise UnknownRsu(target)
-        return sum(1 for _, rid in self.rsu_events if rid == target)
+        return self.request_count_series(_AFTER_ALL, target)[-1][1]
 
     def final_chr(self, scope: str = TARGET_ALL_RSUS) -> float | None:
-        if scope != TARGET_ALL_RSUS and scope not in self._rsu_id_set:
-            raise UnknownRsu(scope)
-        hits = 0
-        misses = 0
-        for _, rid, hit in self.cache_events:
-            if scope != TARGET_ALL_RSUS and rid != scope:
-                continue
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-        if hits + misses == 0:
-            return None
-        return hits / (hits + misses)
+        series = self.chr_series(_AFTER_ALL, scope)
+        return series[-1][3] if series else None
 
     def deliveries_by_source(self) -> dict[str, int]:
         out = {source: 0 for source in DELIVERY_SOURCES}
@@ -271,16 +260,11 @@ def write_chr_csv(stream: IO[str], ledger: MetricsLedger, times_us: list[int]) -
     out = _writer(stream)
     out.writerow(["time_s", "scope", "hits", "misses", "chr"])
     scopes = [TARGET_ALL_RSUS] + list(ledger.rsu_ids)
-    series = {scope: dict_by_time(ledger.chr_series(times_us, scope)) for scope in scopes}
+    series = {scope: {p[0]: p for p in ledger.chr_series(times_us, scope)} for scope in scopes}
     for t in times_us:
         for scope in scopes:
             point = series[scope].get(t)
             if point is not None:
-                hits, misses, ratio = point
+                _, hits, misses, ratio = point
                 out.writerow([format_time(t), scope, hits, misses, _fmt_ratio(ratio)])
 
-
-def dict_by_time(
-    series: list[tuple[int, int, int, float]],
-) -> dict[int, tuple[int, int, float]]:
-    return {t: (hits, misses, ratio) for t, hits, misses, ratio in series}

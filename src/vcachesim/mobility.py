@@ -554,12 +554,9 @@ class MobilityWorld:
         return state is not None and state.track is not None
 
     def world_xy(self, vehicle_id: str) -> tuple[float, float]:
-        """fix(vehicle_id).world_xy of a spawned vehicle, without the fix."""
+        """fix(vehicle_id).world_xy of an active vehicle (none other is asked for)."""
         state = self._states[vehicle_id]
-        road = self.roads[state.road_id]
-        if state.track is not None:
-            return road.world_position(self._pos(state))
-        return road.world_position(min(state.pos_m, road.length_m))
+        return self.roads[state.road_id].world_position(self._pos(state))
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)

@@ -102,16 +102,16 @@ class VehicleAgent:
         self.requests_sent = 0
 
     def on_attempt(self, now_us: int, target_rsu: str | None, services) -> None:
-        """One 10-second-cycle request attempt.
+        """One request attempt, made every request_interval_s.
 
         target_rsu is the RSU whose zone covers the vehicle (nearest when
         several do), or None when out of all coverage, in which case the
-        cycle passes silently.
+        attempt passes silently.
         """
         if self.status == SATISFIED:
             return
         if self.precached:
-            self._satisfy_local(now_us, services)
+            self._deliver(now_us, SOURCE_LOCAL_PRECACHE, services)
             return
         if target_rsu is None:
             return
@@ -140,19 +140,12 @@ class VehicleAgent:
         if self.caching:
             self.precached = True
         if self.status == WAITING:
-            self.status = SATISFIED
-            services.deliver(
-                DeliveryRecord(
-                    vehicle=self.id,
-                    name=name,
-                    first_request_at_us=self.first_request_at_us,
-                    delivered_at_us=now_us,
-                    cdt_us=now_us - self.first_request_at_us,
-                    source=source,
-                )
-            )
+            self._deliver(now_us, source, services)
 
-    def _satisfy_local(self, now_us: int, services) -> None:
+    def _deliver(self, now_us: int, source: str, services) -> None:
+        """Satisfied now. A pre-cache hit comes before any request is sent
+        (a waiting vehicle is satisfied by the content it hears), so it is
+        its own first request and takes no time."""
         self.status = SATISFIED
         if self.first_request_at_us is None:
             self.first_request_at_us = now_us
@@ -162,8 +155,8 @@ class VehicleAgent:
                 name=self.wanted,
                 first_request_at_us=self.first_request_at_us,
                 delivered_at_us=now_us,
-                cdt_us=0,
-                source=SOURCE_LOCAL_PRECACHE,
+                cdt_us=now_us - self.first_request_at_us,
+                source=source,
             )
         )
 
@@ -207,11 +200,22 @@ class RsuBase:
     def on_announce(self, now_us: int, services) -> None:
         pass
 
-    def _respond(self, response: Response, services) -> None:
+    def _send_later(self, channel_owner: str, frame, services) -> None:
+        """Send frame on channel_owner's channel after the processing delay."""
         services.after(
             self.proc_delay_us,
-            lambda: services.transmit(self.id, response, self.id),
+            lambda: services.transmit(channel_owner, frame, self.id),
         )
+
+    def _answer_from_cache(self, frame: Request, services) -> bool:
+        """Count the cache lookup and answer a hit; False on a miss."""
+        item = self.cache.get(frame.name)
+        services.cache_event(self.id, hit=item is not None)
+        if item is None:
+            return False
+        response = Response(frame.name, item.payload_bits, frame.request_id, SOURCE_RSU_HIT)
+        self._send_later(self.id, response, services)
+        return True
 
 
 class CachingGateway(RsuBase):
@@ -227,13 +231,7 @@ class CachingGateway(RsuBase):
         self._pending: dict[ContentName, list[str]] = {}
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
-        item = self.cache.get(frame.name)
-        services.cache_event(self.id, hit=item is not None)
-        if item is not None:
-            self._respond(
-                Response(frame.name, item.payload_bits, frame.request_id, SOURCE_RSU_HIT),
-                services,
-            )
+        if self._answer_from_cache(frame, services):
             return
         waiting = self._pending.get(frame.name)
         if waiting is None:
@@ -244,21 +242,20 @@ class CachingGateway(RsuBase):
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
         # overheard neighbor traffic is free cache warm-up; never rebroadcast
-        evicted = self.cache.put(ContentItem(frame.name, frame.payload_bits))
-        if evicted is not None and services.tracing:
-            services.trace(f"EVICT rsu={self.id} name={evicted}")
+        self._store(ContentItem(frame.name, frame.payload_bits), services)
 
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
         if item.name not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request for {item.name}")
         del self._pending[item.name]
+        self._store(item, services)
+        response = Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH)
+        self._send_later(self.id, response, services)
+
+    def _store(self, item: ContentItem, services) -> None:
         evicted = self.cache.put(item)
         if evicted is not None and services.tracing:
             services.trace(f"EVICT rsu={self.id} name={evicted}")
-        self._respond(
-            Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH),
-            services,
-        )
 
     def pending_count(self) -> int:
         return len(self._pending)
@@ -279,10 +276,8 @@ class PlainGateway(RsuBase):
         if request_id not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request {request_id}")
         self._pending.remove(request_id)
-        self._respond(
-            Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH),
-            services,
-        )
+        response = Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH)
+        self._send_later(self.id, response, services)
 
     def pending_count(self) -> int:
         return len(self._pending)
@@ -306,26 +301,15 @@ class Relay(RsuBase):
         self.next_hop = next_hop
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
-        item = self.cache.get(frame.name)
-        services.cache_event(self.id, hit=item is not None)
-        if item is not None:
-            self._respond(
-                Response(frame.name, item.payload_bits, frame.request_id, SOURCE_RSU_HIT),
-                services,
-            )
-            return
-        forward = replace(frame, target=self.next_hop, forwarded=True)
-        services.after(
-            self.proc_delay_us,
-            lambda: services.transmit(self.next_hop, forward, self.id),
-        )
+        if not self._answer_from_cache(frame, services):
+            forward = replace(frame, target=self.next_hop, forwarded=True)
+            self._send_later(self.next_hop, forward, services)
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
-        if self.cache.peek(frame.name) is not None:
-            self.cache.put(ContentItem(frame.name, frame.payload_bits))  # refresh recency
-            return
-        self.cache.put(ContentItem(frame.name, frame.payload_bits))
-        self._respond_rebroadcast(frame.name, frame.payload_bits, services)
+        held = self.cache.peek(frame.name) is not None
+        self.cache.put(ContentItem(frame.name, frame.payload_bits))  # a held name gains recency
+        if not held:
+            self._send_later(self.id, RelayRebroadcast(frame.name, frame.payload_bits), services)
 
     def on_announce(self, now_us: int, services) -> None:
         """Rebroadcast the whole cache, least recently used first."""
@@ -336,13 +320,6 @@ class Relay(RsuBase):
         for name in self.cache.names():
             item = self.cache.peek(name)
             services.transmit(self.id, RelayRebroadcast(name, item.payload_bits), self.id)
-
-    def _respond_rebroadcast(self, name: ContentName, payload_bits: int, services) -> None:
-        rebroadcast = RelayRebroadcast(name, payload_bits)
-        services.after(
-            self.proc_delay_us,
-            lambda: services.transmit(self.id, rebroadcast, self.id),
-        )
 
 
 # -- server ---------------------------------------------------------------------

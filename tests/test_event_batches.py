@@ -357,35 +357,41 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
 # -- due work inside the tick ------------------------------------------------------
 
 
-def logged_due_work(sim, log):
+def logged_due_work(sim, log, monkeypatch):
     """Record (instant, what) for every attempt and beacon sim runs."""
-    for kind in ("attempt", "beacon"):
-        handler = getattr(sim, f"_on_{kind}")
+    on_attempt, transmit = VehicleAgent.on_attempt, sim.transmit
 
-        def logged(vehicle_id, *rest, kind=kind, handler=handler):
-            log.append((sim.queue.now_us, f"{kind} {vehicle_id}"))
-            handler(vehicle_id, *rest)  # a beacon also gets its owner and frame
+    def attempt(agent, now_us, target, services):
+        log.append((now_us, f"attempt {agent.id}"))
+        on_attempt(agent, now_us, target, services)
 
-        setattr(sim, f"_on_{kind}", logged)
+    def logged_transmit(channel_owner, frame, sender):
+        if isinstance(frame, Beacon):
+            log.append((sim.queue.now_us, f"beacon {sender}"))
+        transmit(channel_owner, frame, sender)
+
+    monkeypatch.setattr(VehicleAgent, "on_attempt", attempt)
+    sim.transmit = logged_transmit
 
 
 def first_due_instant(cfg):
     sim = Simulation(cfg)
     log = []
-    logged_due_work(sim, log)
-    sim.run()
+    with pytest.MonkeyPatch.context() as patched:
+        logged_due_work(sim, log, patched)
+        sim.run()
     at_us = log[0][0]
     # the first vehicle's attempt and its unstaggered beacon, in that order
     assert log[:2] == [(at_us, "attempt v000"), (at_us, "beacon v000")]
     return at_us
 
 
-def test_due_work_runs_after_an_event_already_waiting_at_its_instant():
+def test_due_work_runs_after_an_event_already_waiting_at_its_instant(monkeypatch):
     cfg = urban_single(count=10, seed=1)
     at_us = first_due_instant(cfg)
     sim = Simulation(cfg)
     log = []
-    logged_due_work(sim, log)
+    logged_due_work(sim, log, monkeypatch)
     # the probe is queued after the tick at at_us and before anything the
     # tick schedules, so it runs before the due work
     sim.queue.schedule(
@@ -396,21 +402,21 @@ def test_due_work_runs_after_an_event_already_waiting_at_its_instant():
     assert log[:3] == [(at_us, "probe"), (at_us, "attempt v000"), (at_us, "beacon v000")]
 
 
-def test_the_next_tick_is_queued_before_what_due_work_schedules():
+def test_the_next_tick_is_queued_before_what_due_work_schedules(monkeypatch):
     cfg = urban_single(count=10, seed=1)
     at_us = first_due_instant(cfg)
     sim = Simulation(cfg)
     log = []
     ticks = logged_ticks(sim)
-    on_attempt = sim._on_attempt
+    on_attempt = VehicleAgent.on_attempt
 
-    def attempt(vehicle_id, target):
-        if sim.queue.now_us == at_us and vehicle_id == "v000":
+    def attempt(agent, now_us, target, services):
+        if now_us == at_us and agent.id == "v000":
             later = at_us + sim.tick_us
             sim.queue.schedule(later, lambda: log.append(list(ticks)))
-        on_attempt(vehicle_id, target)
+        on_attempt(agent, now_us, target, services)
 
-    sim._on_attempt = attempt
+    monkeypatch.setattr(VehicleAgent, "on_attempt", attempt)
     sim.run()
     # the tick one tick later, due whenever work was due, ran before it
     assert log and log[0][-1] == at_us + sim.tick_us
@@ -433,7 +439,7 @@ def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
     monkeypatch.setattr(Simulation, "_take_planned", logged_take)
     sim = Simulation(cfg)
     log = []
-    logged_due_work(sim, log)
+    logged_due_work(sim, log, monkeypatch)
     sim.run()
     spawn_seq = {vid: seq for seq, vid in enumerate(sim.vehicles)}
     assert max(map(len, filed)) > 1
@@ -447,7 +453,7 @@ def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
     assert all(seqs == sorted(seqs) for seqs in ran.values())
 
 
-def test_a_sub_tick_interval_runs_once_per_tick():
+def test_a_sub_tick_interval_runs_once_per_tick(monkeypatch):
     # tick 0.1 s, attempts due every 0.05 s; no server answer arrives, so
     # the vehicle attempts from its first covered tick until it exits
     cfg = dataclasses.replace(
@@ -459,7 +465,7 @@ def test_a_sub_tick_interval_runs_once_per_tick():
     )
     sim = Simulation(cfg)
     log = []
-    logged_due_work(sim, log)
+    logged_due_work(sim, log, monkeypatch)
     lines = sim.run().trace_lines
     instants = [at_us for at_us, what in log if what == "attempt v000"]
     assert len(instants) > 100

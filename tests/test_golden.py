@@ -127,7 +127,7 @@ def every_tick_advances(monkeypatch):
     on_tick = Simulation._on_tick
 
     def advancing_tick(sim):
-        sim._advances.add(sim.queue.now_us)
+        sim._bucket(sim.queue.now_us)[2] = True
         on_tick(sim)
 
     monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)

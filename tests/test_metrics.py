@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vcachesim.content import parse_name
 from vcachesim.metrics import (
@@ -174,6 +175,51 @@ def test_run_totals():
     by_source = led.deliveries_by_source()
     assert by_source[SOURCE_RSU_HIT] == 2
     assert by_source[SOURCE_SERVER_FETCH] == 0
+
+
+def check_totals(ledger, cdts, rsu_events, cache_events):
+    """The ledger's run totals against counts made here, for every scope."""
+    expected_cdt = sum(cdts) / len(cdts) if cdts else None
+    assert ledger.final_avg_cdt_us() == expected_cdt
+    for scope in (TARGET_ALL_RSUS, *ledger.rsu_ids):
+        requests = 0
+        for _, rid in rsu_events:
+            if scope in (TARGET_ALL_RSUS, rid):
+                requests += 1
+        assert ledger.total_rsu_requests(scope) == requests
+        hits = misses = 0
+        for _, rid, hit in cache_events:
+            if scope in (TARGET_ALL_RSUS, rid):
+                if hit:
+                    hits += 1
+                else:
+                    misses += 1
+        assert ledger.final_chr(scope) == (hits / (hits + misses) if hits + misses else None)
+    unknown = [rid for rid in ("r0", "r1", "r2", "r3") if rid not in ledger.rsu_ids]
+    for scope in (*unknown, TARGET_SERVER):
+        with pytest.raises(UnknownRsu):
+            ledger.total_rsu_requests(scope)
+        with pytest.raises(UnknownRsu):
+            ledger.final_chr(scope)
+
+
+@given(data=st.data())
+def test_run_totals_count_every_recorded_event(data):
+    rsu_ids = ["r0", "r1", "r2"][: data.draw(st.integers(1, 3), label="rsus")]
+    times = st.integers(0, 10**9)
+    rsu = st.sampled_from(rsu_ids)
+    deliveries = data.draw(st.lists(st.tuples(times, st.integers(0, 10**6))), label="deliveries")
+    rsu_events = data.draw(st.lists(st.tuples(times, rsu)), label="rsu requests")
+    cache_events = data.draw(st.lists(st.tuples(times, rsu, st.booleans())), label="lookups")
+    ledger = MetricsLedger(rsu_ids)
+    check_totals(ledger, [], [], [])  # an empty ledger
+    for first, cdt in sorted(deliveries, key=sum):  # in delivery-time order
+        ledger.record_delivery(delivery(first=first, at=first + cdt))
+    for t_us, rid in rsu_events:
+        ledger.record_rsu_request(t_us, rid)
+    for t_us, rid, hit in cache_events:
+        ledger.record_cache_event(t_us, rid, hit)
+    check_totals(ledger, [cdt for _, cdt in deliveries], rsu_events, cache_events)
 
 
 # -- CSV rendering ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from vcachesim.engine import Simulation
+from vcachesim.protocol import VehicleAgent
 from vcachesim.scenarios import urban_single
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -62,12 +63,12 @@ def test_attempts_and_beacons_run_inside_the_tick_and_are_still_traced(monkeypat
     traced_run(spans)
 
     attempts = []
-    on_attempt = Simulation._on_attempt
+    on_attempt = VehicleAgent.on_attempt
 
-    def counted(sim, vehicle_id, target):
-        attempts.append(vehicle_id)
-        on_attempt(sim, vehicle_id, target)
+    def counted(agent, now_us, target, services):
+        attempts.append(agent.id)
+        on_attempt(agent, now_us, target, services)
 
-    monkeypatch.setattr(Simulation, "_on_attempt", counted)
+    monkeypatch.setattr(VehicleAgent, "on_attempt", counted)
     small_run().run()
     assert spans.totals()["protocol.on_attempt"][0] == len(attempts) > 0

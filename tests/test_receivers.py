@@ -325,7 +325,7 @@ def test_a_vehicle_that_wants_another_item_hears_none_of_it():
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
     assert sorted(log) == [("a0", Response), ("a1", Response)]
-    sim._on_attempt("b0", "r0")  # heard nothing of its own, so it asks
+    b0.on_attempt(sim.queue.now_us, "r0", sim)  # heard nothing of its own, so it asks
     assert b0.status == WAITING and b0.requests_sent == 1
 
 
@@ -348,7 +348,7 @@ def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():
     agent = sim.vehicles["a0"]
     assert agent.precached
     assert agent.status != SATISFIED
-    sim._on_attempt("a0", None)  # outside every zone, or inside, alike
+    agent.on_attempt(sim.queue.now_us, None, sim)  # outside every zone, or inside, alike
     (record,) = sim.ledger.deliveries
     assert (record.vehicle, record.cdt_us, record.source) == ("a0", 0, SOURCE_LOCAL_PRECACHE)
     assert agent.status == SATISFIED

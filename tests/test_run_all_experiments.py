@@ -1,7 +1,9 @@
-"""Smoke test of scripts/run_all_experiments.py on one seed."""
+"""Smoke test of scripts/run_all_experiments.py on one seed, and its seed-list parsing."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
 _spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
@@ -28,3 +30,17 @@ def test_one_seed_writes_every_run_and_prints_the_ratios(tmp_path, capsys):
     ]
     for line in ratios:
         assert float(line.split(":")[1]) > 0
+
+
+@pytest.mark.parametrize(
+    ("seeds", "message"), [("", "seed list is empty"), ("1,x", "bad seed list '1,x'")]
+)
+def test_a_bad_seed_list_is_a_usage_error_before_any_run(seeds, message, tmp_path, capsys):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exit_info:
+        run_all_experiments.main(["--seeds", seeds, "--out", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --seeds: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

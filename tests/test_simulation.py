@@ -19,7 +19,16 @@ from vcachesim.metrics import (
     sample_grid,
 )
 from vcachesim.mobility import HIGHWAY_UNIFORM, RoadSegment, free_track
-from vcachesim.protocol import IDLE, CachingGateway, PlainGateway, Relay, Response, SATISFIED
+from vcachesim.protocol import (
+    IDLE,
+    SATISFIED,
+    Beacon,
+    CachingGateway,
+    PlainGateway,
+    Relay,
+    Response,
+    VehicleAgent,
+)
 from vcachesim.scenarios import (
     RsuSpec,
     ScenarioConfig,
@@ -226,12 +235,12 @@ def test_an_untraced_run_builds_no_trace_text(monkeypatch):
     def refuse(sim, text):
         raise AssertionError(f"trace text built with the trace off: {text}")
 
-    monkeypatch.setattr(Simulation, "_trace", refuse)
+    monkeypatch.setattr(Simulation, "trace", refuse)
     for cfg in runs:
         assert Simulation(cfg).run().trace_lines is None
 
 
-def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone():
+def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(monkeypatch):
     """Pre-caching on a track: the zone is shorter than one request interval
     of travel, so the vehicle makes no attempt inside it. It overhears its
     item there while idle, and its next attempt, outside every zone, is a
@@ -252,14 +261,14 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone()
     sim = Simulation(cfg)
     (item,) = sim.catalog.names()
     attempts = []
-    on_attempt = sim._on_attempt
+    on_attempt = VehicleAgent.on_attempt
 
-    def attempt(vehicle_id, target):
-        assert target == _zone_owner_at(sim.zones, sim.world.world_xy(vehicle_id))
-        attempts.append((sim.queue.now_us, target))
-        on_attempt(vehicle_id, target)
+    def attempt(agent, now_us, target, services):
+        assert target == _zone_owner_at(sim.zones, sim.world.world_xy(agent.id))
+        attempts.append((now_us, target))
+        on_attempt(agent, now_us, target, services)
 
-    sim._on_attempt = attempt
+    monkeypatch.setattr(VehicleAgent, "on_attempt", attempt)
     heard_at = {}
 
     def answer_someone_else():
@@ -300,17 +309,27 @@ def planned_runs(cfg):
     of the nearest zone covering its position as it runs)."""
     sim = Simulation(cfg)
     runs = {"attempt": [], "beacon": []}
-    for kind, log in runs.items():
-        handler = getattr(sim, f"_on_{kind}")
 
-        def logged(vehicle_id, target, *rest, log=log, handler=handler):
-            xy = sim.world.world_xy(vehicle_id)
-            owner = _zone_owner_at(sim.zones, xy)
-            log.append((vehicle_id, sim.world.riding(vehicle_id)[1], xy[0], target, owner))
-            handler(vehicle_id, target, *rest)
+    def log(kind, vehicle_id, target):
+        xy = sim.world.world_xy(vehicle_id)
+        owner = _zone_owner_at(sim.zones, xy)
+        runs[kind].append((vehicle_id, sim.world.riding(vehicle_id)[1], xy[0], target, owner))
 
-        setattr(sim, f"_on_{kind}", logged)
-    sim.run()
+    on_attempt, transmit = VehicleAgent.on_attempt, sim.transmit
+
+    def attempt(agent, now_us, target, services):
+        log("attempt", agent.id, target)
+        on_attempt(agent, now_us, target, services)
+
+    def logged_transmit(channel_owner, frame, sender):
+        if isinstance(frame, Beacon):
+            log("beacon", sender, channel_owner)
+        transmit(channel_owner, frame, sender)
+
+    sim.transmit = logged_transmit
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(VehicleAgent, "on_attempt", attempt)
+        sim.run()
     return sim, runs
 
 
