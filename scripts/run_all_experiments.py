@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from vcachesim.cli import _parse_seeds, run_dir_name, write_outputs
+from vcachesim.cli import parse_seeds, run_dir_name, write_outputs
 from vcachesim.engine import run_simulation
 from vcachesim.metrics import TARGET_ALL_RSUS
 from vcachesim.scenarios import resolve_config
@@ -39,7 +39,7 @@ def mean(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--seeds", type=_parse_seeds, default=list(range(1, 11)),
+        "--seeds", type=parse_seeds, default=list(range(1, 11)),
         help="comma-separated seed list (default 1..10)",
     )
     parser.add_argument("--out", type=Path, default=Path("results"))

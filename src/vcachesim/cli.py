@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(sweep_p)
     sweep_p.add_argument(
         "--seeds",
-        type=_parse_seeds,
+        type=parse_seeds,
         default=list(range(1, 11)),
         help="comma-separated seed list (default: 1,2,...,10)",
     )
@@ -81,7 +81,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="store_true", help="write a protocol event log")
 
 
-def _parse_seeds(text: str) -> list[int]:
+def parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:

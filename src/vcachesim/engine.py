@@ -307,7 +307,7 @@ class Simulation:
     def _on_tick(self) -> None:
         now = self.queue.now_us
         bucket = self._planned.get(now)
-        if bucket is not None and bucket[2]:
+        if bucket is not None and bucket[_ADVANCE]:
             self._advance_world(now)  # its spawns may file attempts in the bucket
         else:
             self.world.skip(1)
@@ -422,7 +422,7 @@ class Simulation:
             at_us = now + offset_us
             if at_us > last_us:
                 break
-            (planned.get(at_us) or self._bucket(at_us))[0].append((vehicle_id, target))
+            (planned.get(at_us) or self._bucket(at_us))[_ATTEMPTS].append((vehicle_id, target))
         # beacon phases staggered by spawn order; synchronized phases
         # (all spawns sit on tick boundaries) would pile beacon bursts
         # onto the channel right when responses need it
@@ -433,14 +433,14 @@ class Simulation:
             if at_us > last_us:
                 break
             if owner is not None:  # an uncovered beacon does nothing
-                (planned.get(at_us) or self._bucket(at_us))[1].append((vehicle_id, owner, beacon))
+                (planned.get(at_us) or self._bucket(at_us))[_BEACONS].append((vehicle_id, owner, beacon))
 
     def _file_advance(self, at_us: int) -> None:
         """Advance the world at the first tick instant at or after at_us,
         if the run reaches it."""
         at_us = -(-at_us // self.tick_us) * self.tick_us
         if at_us <= self.last_tick_us:
-            self._bucket(at_us)[2] = True
+            self._bucket(at_us)[_ADVANCE] = True
 
     def _bucket(self, at_us: int) -> _Bucket:
         """The [attempts, beacons, advance] planned for at_us."""
@@ -753,7 +753,8 @@ class _TrackAges:
 _UNFILLED = object()
 _Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
 _PlannedBeacon = tuple[str, str, Beacon]  # (vehicle id, channel owner, frame)
-_Bucket = list  # [list[_Attempt], list[_PlannedBeacon], advance: bool]
+_Bucket = list  # [list[_Attempt], list[_PlannedBeacon], advance: bool], indexed by:
+_ATTEMPTS, _BEACONS, _ADVANCE = range(3)
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

@@ -129,7 +129,7 @@ class MetricsLedger:
     def request_count_series(
         self, times_us: list[int], target: str
     ) -> list[tuple[int, int]]:
-        """Cumulative request count at each sample time for one target."""
+        """Cumulative requests of one RSU, all RSUs or the server at each sample time."""
         if target == TARGET_SERVER:
             events = [t for t, _ in self.server_events]
         elif target == TARGET_ALL_RSUS:
@@ -188,7 +188,7 @@ class MetricsLedger:
         return len(self.server_events)
 
     def total_rsu_requests(self, target: str = TARGET_ALL_RSUS) -> int:
-        if target == TARGET_SERVER:  # not an RSU; see total_server_fetches
+        if target == TARGET_SERVER:  # the series takes it, but it is no RSU: total_server_fetches
             raise UnknownRsu(target)
         return self.request_count_series(_AFTER_ALL, target)[-1][1]
 

@@ -554,9 +554,13 @@ class MobilityWorld:
         return state is not None and state.track is not None
 
     def world_xy(self, vehicle_id: str) -> tuple[float, float]:
-        """fix(vehicle_id).world_xy of an active vehicle (none other is asked for)."""
+        """fix(vehicle_id).world_xy of a spawned vehicle, without the fix; a
+        request on a busy channel can end after its sender exited."""
         state = self._states[vehicle_id]
-        return self.roads[state.road_id].world_position(self._pos(state))
+        road = self.roads[state.road_id]
+        if state.track is not None:
+            return road.world_position(self._pos(state))
+        return road.world_position(min(state.pos_m, road.length_m))
 
     def fix(self, vehicle_id: str) -> VehicleFix:
         state = self._states.get(vehicle_id)

@@ -128,18 +128,13 @@ class VehicleAgent:
         services.transmit(target_rsu, request, self.id)
 
     def on_frame(self, frame, now_us: int, services) -> None:
-        if isinstance(frame, Response):
-            self._on_content_frame(frame.name, frame.origin, now_us, services)
-        elif isinstance(frame, RelayRebroadcast):
-            self._on_content_frame(frame.name, SOURCE_RELAY_HIT, now_us, services)
         # requests and beacons from others carry nothing a vehicle acts on
-
-    def _on_content_frame(self, name: ContentName, source: str, now_us: int, services) -> None:
-        if name != self.wanted:
+        if not isinstance(frame, (Response, RelayRebroadcast)) or frame.name != self.wanted:
             return
         if self.caching:
             self.precached = True
         if self.status == WAITING:
+            source = frame.origin if isinstance(frame, Response) else SOURCE_RELAY_HIT
             self._deliver(now_us, source, services)
 
     def _deliver(self, now_us: int, source: str, services) -> None:
@@ -208,7 +203,7 @@ class RsuBase:
         )
 
     def _answer_from_cache(self, frame: Request, services) -> bool:
-        """Count the cache lookup and answer a hit; False on a miss."""
+        """Look up a caching RSU's cache, count it and answer a hit; False on a miss."""
         item = self.cache.get(frame.name)
         services.cache_event(self.id, hit=item is not None)
         if item is None:

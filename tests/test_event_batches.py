@@ -18,7 +18,7 @@ from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import parse_name
-from vcachesim.engine import Simulation, _TrackAges
+from vcachesim.engine import _ATTEMPTS, _BEACONS, Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
 from vcachesim.protocol import IDLE, SATISFIED, Beacon, Response, VehicleAgent
@@ -332,7 +332,7 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
     assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
     sim.queue.run_until(0)
     entered(sim, "v000")
-    sim._bucket(0)[0].append(("v000", "r0"))  # an attempt due now
+    sim._bucket(0)[_ATTEMPTS].append(("v000", "r0"))  # an attempt due now
     assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
 
 
@@ -344,13 +344,13 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     for vid in ("v000", "v001"):
         sim.vehicles[vid].status = SATISFIED
     for vid, ticks in [("v000", 10), ("v000", 20), ("v001", 20), ("v002", 30)]:
-        sim._bucket(ticks * tick_us)[0].append((vid, "r0"))
+        sim._bucket(ticks * tick_us)[_ATTEMPTS].append((vid, "r0"))
     # only satisfied vehicles attempt at ticks 10 and 20: neither instant
     # sets the next tick, and both are dropped; v002 can act at tick 30
     assert sim._skip_idle_ticks(0, None) == 30 * tick_us
     assert list(sim._planned) == sim._planned_at == [30 * tick_us]
     # a beacon acts whatever its vehicle's status
-    sim._bucket(25 * tick_us)[1].append(("v000", "r0", Beacon("v000")))
+    sim._bucket(25 * tick_us)[_BEACONS].append(("v000", "r0", Beacon("v000")))
     assert sim._skip_idle_ticks(0, None) == 25 * tick_us
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from vcachesim import mobility
-from vcachesim.engine import Simulation
+from vcachesim.engine import _ADVANCE, Simulation
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -127,7 +127,7 @@ def every_tick_advances(monkeypatch):
     on_tick = Simulation._on_tick
 
     def advancing_tick(sim):
-        sim._bucket(sim.queue.now_us)[2] = True
+        sim._bucket(sim.queue.now_us)[_ADVANCE] = True
         on_tick(sim)
 
     monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)

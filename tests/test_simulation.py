@@ -5,6 +5,7 @@ pin the invariants the experiment metrics rely on.
 """
 
 import dataclasses
+import hashlib
 import re
 
 import pytest
@@ -26,6 +27,7 @@ from vcachesim.protocol import (
     CachingGateway,
     PlainGateway,
     Relay,
+    Request,
     Response,
     VehicleAgent,
 )
@@ -238,6 +240,34 @@ def test_an_untraced_run_builds_no_trace_text(monkeypatch):
     monkeypatch.setattr(Simulation, "trace", refuse)
     for cfg in runs:
         assert Simulation(cfg).run().trace_lines is None
+
+
+def test_a_request_can_end_after_its_sender_exited():
+    """A channel carries one frame at a time, so with 30 Mbit content
+    frames a request queued behind one ends after its vehicle left the
+    road; its propagation delay is then measured from where the vehicle
+    exited. The figures are those the run gave before world_xy served
+    only active vehicles."""
+    cfg = dataclasses.replace(
+        urban_single(count=40, caching=False, seed=1), payload_bits=30_000_000, trace=True
+    )
+    sim = Simulation(cfg)
+    late = []
+    receivers = sim._receivers
+
+    def logged(zone_id, sender, frame):
+        if isinstance(frame, Request) and sender in sim.vehicles and sender not in sim._active:
+            late.append(sender)
+        return receivers(zone_id, sender, frame)
+
+    sim._receivers = logged
+    result = sim.run()
+    assert len(late) == 19
+    assert (result.events_processed, result.satisfied, result.exited) == (946, 39, 40)
+    assert result.ledger.final_avg_cdt_us() == 13_727_531.0
+    assert hashlib.sha256("\n".join(result.trace_lines).encode()).hexdigest() == (
+        "8e8b32d3ea3a9a36ea131d67d46ae2c66873eb8b8b3db93be02c02f2f142f1ff"
+    )
 
 
 def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(monkeypatch):
