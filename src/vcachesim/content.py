@@ -38,16 +38,6 @@ class ContentName:
         return "/" + "/".join(self.segments)
 
 
-def parse_name(text: str) -> ContentName:
-    """Parse canonical text form; round-trips with str()."""
-    if not text or not text.startswith("/"):
-        raise MalformedName(f"content name must start with '/': {text!r}")
-    body = text[1:]
-    if not body:
-        raise MalformedName("empty content name")
-    return ContentName(tuple(body.split("/")))
-
-
 @dataclass(frozen=True)
 class ContentItem:
     name: ContentName

@@ -142,19 +142,10 @@ from .protocol import (
     Request,
     RsuBase,
     SATISFIED,
-    ServerAgent,
     VehicleAgent,
 )
-from .radio import (
-    BackhaulLink,
-    Channel,
-    CoverageZone,
-    NoBackhaul,
-    in_range,
-    propagation_us,
-    tx_duration_us,
-)
-from .scenarios import ROLE_GATEWAY, ROLE_RELAY, ScenarioConfig, validate_config
+from .radio import Channel, CoverageZone, in_range, propagation_us, tx_duration_us
+from .scenarios import ROLE_RELAY, ScenarioConfig, validate_config
 from .simcore import EventQueue, RandomSource, format_time, seconds_to_us
 
 
@@ -188,14 +179,14 @@ class Simulation:
         self.beacon_interval_us = seconds_to_us(cfg.radio.beacon_interval_s)
         self.announce_interval_us = seconds_to_us(cfg.relay_announce_interval_s)
         self.proc_delay_us = seconds_to_us(cfg.processing_delay_s)
-        backhaul_latency_us = seconds_to_us(cfg.backhaul_latency_s)
+        self.backhaul_latency_us = seconds_to_us(cfg.backhaul_latency_s)
 
         self.world = MobilityWorld(cfg.roads, cfg.kinematics, cfg.tick_s)
         self.zones: dict[str, CoverageZone] = {
             spec.id: CoverageZone(spec.id, spec.center, spec.radius_m)
             for spec in cfg.rsus
         }
-        self.channels = {rsu_id: Channel(zone) for rsu_id, zone in self.zones.items()}
+        self.channels = {rsu_id: Channel() for rsu_id in self.zones}
         # zone id -> (rsu id, delay) of every other RSU whose centre is in the
         # zone, in zone order, with the delay of a frame from the zone's
         # centre: the RSUs that hear content, which only the zone's RSU sends
@@ -220,11 +211,6 @@ class Simulation:
                 if span is not None:
                     lo = span[0]
                     self._covered_from[road.id] = min(lo, self._covered_from.get(road.id, lo))
-        self.backhaul = {
-            spec.id: BackhaulLink(backhaul_latency_us)
-            for spec in cfg.rsus
-            if spec.role == ROLE_GATEWAY
-        }
 
         self.rsus: dict[str, RsuBase] = {}
         for spec in cfg.rsus:
@@ -238,7 +224,6 @@ class Simulation:
                 agent = PlainGateway(spec.id, self.proc_delay_us)
             self.rsus[spec.id] = agent
 
-        self.server = ServerAgent(self.catalog)
         self.ledger = MetricsLedger([spec.id for spec in cfg.rsus])
         self.trace_lines: list[str] | None = [] if cfg.trace else None
         self.tracing = self.trace_lines is not None  # build trace text only then
@@ -268,7 +253,6 @@ class Simulation:
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
-        self.vehicle_requests_transmitted = 0
         self.frames_transmitted: dict[str, int] = {}
         self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
         self._ran = False
@@ -296,7 +280,9 @@ class Simulation:
             spawned=self.world.spawned_total,
             exited=self.world.exited_total,
             satisfied=satisfied,
-            vehicle_requests_transmitted=self.vehicle_requests_transmitted,
+            vehicle_requests_transmitted=sum(
+                agent.requests_sent for agent in self.vehicles.values()
+            ),
             server_fetches=self.ledger.total_server_fetches(),
             events_processed=self.queue.processed_total,
             trace_lines=self.trace_lines,
@@ -496,12 +482,11 @@ class Simulation:
     # -- radio pipeline ------------------------------------------------------
 
     def transmit(self, channel_owner: str, frame, sender: str) -> None:
+        """Put frame on the air of channel_owner's zone. The sender is in the
+        zone: an RSU sends from its centre on its own channel, or a relay on
+        its next hop's (validate_config), and a vehicle on the zone that
+        covers it (the owner planned at spawn, _TrackAges.owner)."""
         channel = self.channels[channel_owner]
-        sender_xy = self._node_xy(sender)
-        if not in_range(channel.zone, sender_xy):
-            raise RuntimeError(
-                f"{sender} transmitted on {channel_owner}'s channel from outside its zone"
-            )
         bits = frame.payload_bits
         duration = self._airtime_us.get(bits)
         if duration is None:
@@ -509,8 +494,6 @@ class Simulation:
         start, end = channel.reserve(self.queue.now_us, duration)
         kind = type(frame).__name__.lower()
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
-        if isinstance(frame, Request) and not frame.forwarded:
-            self.vehicle_requests_transmitted += 1
         if self.tracing:
             name = getattr(frame, "name", None)
             self.trace(
@@ -564,7 +547,10 @@ class Simulation:
                 raise RuntimeError(
                     f"{sender} sent a request for {frame.target} on {zone_id}'s channel"
                 )
-            sender_x, sender_y = self._node_xy(sender)
+            sender_zone = self.zones.get(sender)  # a relay forwards from its centre
+            sender_x, sender_y = (
+                sender_zone.center if sender_zone is not None else self.world.world_xy(sender)
+            )
             x, y = zone.center
             return [(zone_id, propagation_us(math.hypot(x - sender_x, y - sender_y)))]
         if sender != zone_id:
@@ -589,33 +575,26 @@ class Simulation:
                 found.append((vid, delay))
         return found
 
-    def _node_xy(self, node_id: str) -> tuple[float, float]:
-        zone = self.zones.get(node_id)
-        if zone is not None:
-            return zone.center
-        return self.world.world_xy(node_id)
-
     # -- backhaul ------------------------------------------------------------
 
     def backhaul_fetch(self, rsu_id: str, name, request_id: str) -> None:
-        link = self.backhaul.get(rsu_id)
-        if link is None:
-            raise NoBackhaul(f"{rsu_id} has no backhaul link")
+        """Every gateway has the same link; content fetched by an RSU with
+        none (a relay) raises OrphanResponse at its on_content."""
         if self.tracing:
             self.trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
         self.queue.schedule(
-            self.queue.now_us + link.latency_us,
+            self.queue.now_us + self.backhaul_latency_us,
             partial(self._on_server_request, rsu_id, name, request_id),
         )
 
     def _on_server_request(self, rsu_id: str, name, request_id: str) -> None:
         now = self.queue.now_us
-        item = self.server.fetch(name)
+        item = self.catalog.lookup(name)
         self.ledger.record_server_fetch(now, str(name))
         if self.tracing:
             self.trace(f"SERVER name={name} id={request_id}")
         self.queue.schedule(
-            now + self.proc_delay_us + self.backhaul[rsu_id].latency_us,
+            now + self.proc_delay_us + self.backhaul_latency_us,
             partial(self._on_backhaul_return, rsu_id, item, request_id),
         )
 

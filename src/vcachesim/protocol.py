@@ -1,4 +1,4 @@
-"""Node state machines: vehicles, the three RSU roles, and the edge server.
+"""Node state machines: vehicles and the three RSU roles.
 
 Agents are pure protocol logic. Everything environmental (channels, clocks,
 backhaul wiring, metric recording) is reached through a services object the
@@ -315,18 +315,3 @@ class Relay(RsuBase):
         for name in self.cache.names():
             item = self.cache.peek(name)
             services.transmit(self.id, RelayRebroadcast(name, item.payload_bits), self.id)
-
-
-# -- server ---------------------------------------------------------------------
-
-
-class ServerAgent:
-    """The edge server: holds the whole catalog, answers every fetch."""
-
-    def __init__(self, catalog) -> None:
-        self.catalog = catalog
-        self.requests_received = 0
-
-    def fetch(self, name: ContentName) -> ContentItem:
-        self.requests_received += 1
-        return self.catalog.lookup(name)

@@ -1,4 +1,4 @@
-"""Range-based broadcast zones, per-zone FIFO channel contention, backhaul.
+"""Range-based broadcast zones and per-zone FIFO channel contention.
 
 Reception is a deterministic closed-ball range test; there is no path-loss
 model, so radio configuration is only airtime (header size, bitrate) and
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .simcore import US_PER_SECOND
 
 PROPAGATION_MPS = 300_000_000.0  # meters per second; 300 m per microsecond
-
-
-class NoBackhaul(RuntimeError):
-    """A node without a wired server link tried to use one."""
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,7 @@ class Channel:
     at frame end, not at enqueue time.
     """
 
-    def __init__(self, zone: CoverageZone) -> None:
-        self.zone = zone
+    def __init__(self) -> None:
         self.busy_until_us = 0
         self.frames_carried = 0
         self.busy_time_us = 0
@@ -97,15 +92,3 @@ class Channel:
         self.frames_carried += 1
         self.busy_time_us += duration_us
         return start, end
-
-
-@dataclass(frozen=True)
-class BackhaulLink:
-    """Wired RSU-to-server link: fixed one-way latency, no contention."""
-
-    latency_us: int = 300
-
-    def __post_init__(self) -> None:
-        if self.latency_us < 0:
-            raise ValueError(f"latency must be >= 0: {self.latency_us}")
-

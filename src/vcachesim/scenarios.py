@@ -118,13 +118,25 @@ def validate_config(cfg: ScenarioConfig) -> None:
     check(cfg.rsu_cache_capacity >= 1, "rsu_cache_capacity must be >= 1: %s", cfg.rsu_cache_capacity)
     check(cfg.backhaul_latency_s >= 0, "backhaul_latency_s must be >= 0: %s", cfg.backhaul_latency_s)
     check(cfg.processing_delay_s >= 0, "processing_delay_s must be >= 0: %s", cfg.processing_delay_s)
+    # an infinite duration or delay cannot be put on the microsecond clock
+    for name, seconds in (
+        ("duration_s", cfg.duration_s),
+        ("arrival_window_s", cfg.arrival_window_s),
+        ("backhaul_latency_s", cfg.backhaul_latency_s),
+        ("processing_delay_s", cfg.processing_delay_s),
+    ):
+        check(math.isfinite(seconds), "%s must be finite: %s", name, seconds)
     speed_ok = 0 <= cfg.entry_speed_mps <= cfg.kinematics.max_speed_mps
     check(speed_ok, "entry_speed_mps must lie in [0, max speed]: %s", cfg.entry_speed_mps)
     check(cfg.seed >= 0, "seed must be >= 0: %s", cfg.seed)
 
     check(bool(cfg.roads), "at least one road is required")
+    bad_roads = [
+        road for road in cfg.roads if not all(map(math.isfinite, (road.length_m, *road.origin)))
+    ]
+    check(not bad_roads, "road length_m and origin must be finite: %s", bad_roads)
     tick_ok = math.isfinite(cfg.tick_s) and seconds_to_us(cfg.tick_s) >= 1
-    if tick_ok and speed_ok and cfg.roads:
+    if tick_ok and speed_ok and cfg.roads and not bad_roads:
         # the free-flow path must fit the world's tracks; the world's own
         # key (MobilityWorld._track), so that its call is a cache hit
         longest_m = max(road.length_m for road in cfg.roads)
@@ -146,6 +158,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     rsu_ids = [spec.id for spec in cfg.rsus]
     check(len(set(rsu_ids)) == len(rsu_ids), "duplicate rsu ids: %s", rsu_ids)
     known = set(rsu_ids)
+    by_id = {spec.id: spec for spec in cfg.rsus}
     gateways = [spec for spec in cfg.rsus if spec.role == ROLE_GATEWAY]
     check(bool(gateways), "at least one gateway RSU is required")
     check(
@@ -155,8 +168,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for spec in cfg.rsus:
         if spec.id[:1] == "v" and spec.id[1:].isdigit():
             problems.append(f"rsu {spec.id}: v followed by digits names a vehicle")
-        if spec.radius_m <= 0:
-            problems.append(f"rsu {spec.id}: radius_m must be positive: {spec.radius_m}")
+        if not all(map(math.isfinite, spec.center)):
+            problems.append(f"rsu {spec.id}: center must be finite: {spec.center}")
+        if not (math.isfinite(spec.radius_m) and spec.radius_m > 0):
+            problems.append(f"rsu {spec.id}: radius_m must be finite and positive: {spec.radius_m}")
         if spec.role == ROLE_GATEWAY:
             check(spec.next_hop is None, "rsu %s: gateways take no next_hop", spec.id)
         elif spec.role == ROLE_RELAY:
@@ -166,11 +181,17 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 problems.append(f"rsu {spec.id}: unknown next_hop {spec.next_hop!r}")
             elif spec.next_hop == spec.id:
                 problems.append(f"rsu {spec.id}: next_hop must differ from the relay itself")
+            else:
+                # it forwards from its centre on its next hop's channel; the
+                # engine's closed-ball test (radio.in_range), done here once
+                hop = by_id[spec.next_hop]
+                dx, dy = spec.center[0] - hop.center[0], spec.center[1] - hop.center[1]
+                if not math.hypot(dx, dy) <= hop.radius_m:
+                    problems.append(f"rsu {spec.id}: centre outside the zone of its next_hop {hop.id}")
         else:
             problems.append(f"rsu {spec.id}: unknown role {spec.role!r}")
 
     # every relay chain must terminate at a gateway without looping
-    by_id = {spec.id: spec for spec in cfg.rsus}
     for spec in cfg.rsus:
         if spec.role != ROLE_RELAY or spec.next_hop not in known:
             continue

@@ -95,11 +95,20 @@ def test_broken_config_file(tmp_path, capsys):
             "scenario = urban_single\n[rsu]\nid = v005\ncenter = 400, 100\nradius_m = 350\n",
             "rsu v005: v followed by digits names a vehicle",
         ),
+        ("scenario = urban_single\nduration_s = inf\n", "duration_s must be finite"),
+        (
+            "scenario = urban_single\n"
+            "[rsu]\nid = r0\ncenter = 180, 100\nradius_m = 250\nrole = relay\nnext_hop = r1\n"
+            "[rsu]\nid = r1\ncenter = 620, 100\nradius_m = 250\n",
+            "rsu r0: centre outside the zone of its next_hop r1",
+        ),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, fragment):
     # a parameter block's own check, and an empty section, used to escape
-    # as "runtime error: ValueError" with exit code 2
+    # as "runtime error: ValueError" with exit code 2; an infinite duration
+    # as an OverflowError, and a relay out of its next hop's reach as a
+    # RuntimeError at its first forward
     cfg = tmp_path / "s.cfg"
     cfg.write_text(text)
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_USAGE

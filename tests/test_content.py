@@ -10,8 +10,17 @@ from vcachesim.content import (
     LruStore,
     MalformedName,
     UnknownContent,
-    parse_name,
 )
+
+
+def parse_name(text):
+    """The inverse of str(ContentName): only tests read names from text."""
+    if not text or not text.startswith("/"):
+        raise MalformedName(f"content name must start with '/': {text!r}")
+    body = text[1:]
+    if not body:
+        raise MalformedName("empty content name")
+    return ContentName(tuple(body.split("/")))
 
 
 def name(text):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcachesim import mobility
-from vcachesim.content import parse_name
+from vcachesim.content import ContentName
 from vcachesim.mobility import (
     ACTIVE,
     EXITED,
@@ -27,7 +27,7 @@ from vcachesim.mobility import (
 from vcachesim.simcore import RandomSource, US_PER_SECOND
 
 P = KinematicParams()
-POOL = [parse_name(f"/traffic/{i}") for i in range(1, 11)]
+POOL = [ContentName(("traffic", str(i))) for i in range(1, 11)]
 
 
 def straight_road(length=1000.0):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from vcachesim.content import Catalog, ContentItem, UnknownContent, parse_name
+from vcachesim.content import ContentItem, ContentName, UnknownContent
+from vcachesim.engine import Simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
     SOURCE_RELAY_HIT,
@@ -20,13 +21,14 @@ from vcachesim.protocol import (
     Request,
     Response,
     SATISFIED,
-    ServerAgent,
     VehicleAgent,
     WAITING,
 )
+from vcachesim.scenarios import urban_single
+from vcachesim.simcore import US_PER_SECOND
 
-WANT = parse_name("/traffic/3")
-OTHER = parse_name("/traffic/9")
+WANT = ContentName(("traffic", "3"))
+OTHER = ContentName(("traffic", "9"))
 
 
 class FakeServices:
@@ -83,7 +85,7 @@ def response(name=WANT, origin=SOURCE_SERVER_FETCH, request_id="v0.0", bits=2000
 
 
 def test_request_payload_is_name_text_bytes():
-    req = request(name=parse_name("/traffic/10"))
+    req = request(name=ContentName(("traffic", "10")))
     assert req.payload_bits == 8 * len("/traffic/10")
 
 
@@ -417,9 +419,14 @@ def test_relay_has_no_backhaul_content_path():
 
 
 def test_server_fetch_counts_and_looks_up():
-    server = ServerAgent(Catalog.default(10))
-    item = server.fetch(parse_name("/traffic/1"))
-    assert item.payload_bits == 2000
-    assert server.requests_received == 1
+    # the server is the engine's catalog: a gateway's miss comes back one
+    # round trip later as the catalog's item, counted once in the ledger
+    sim = Simulation(urban_single(count=1))
+    gateway = sim.rsus["r0"]
+    gateway.on_frame(request(), 0, sim)
+    sim.queue.run_until(US_PER_SECOND)
+    assert sim.ledger.server_events == [(400, str(WANT))]  # 400 us one way
+    assert gateway.cache.peek(WANT) == sim.catalog.lookup(WANT)
+    assert sim.frames_transmitted == {"response": 1}
     with pytest.raises(UnknownContent):
-        server.fetch(parse_name("/other/1"))
+        sim._on_server_request("r0", ContentName(("other", "1")), "v0.1")

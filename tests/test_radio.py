@@ -1,10 +1,9 @@
-"""Zones, airtime math, FIFO channel reservations, backhaul."""
+"""Zones, airtime math and FIFO channel reservations."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from vcachesim.radio import (
-    BackhaulLink,
     Channel,
     CoverageZone,
     RadioParams,
@@ -89,13 +88,13 @@ def test_zone_radius_validation():
 
 
 def test_reserve_idle_starts_now():
-    chan = Channel(CoverageZone("r0", (0.0, 0.0), 100.0))
+    chan = Channel()
     assert chan.reserve(1000, 347) == (1000, 1347)
     assert chan.busy_until_us == 1347
 
 
 def test_reserve_busy_queues_fifo():
-    chan = Channel(CoverageZone("r0", (0.0, 0.0), 100.0))
+    chan = Channel()
     chan.reserve(0, 100)
     assert chan.reserve(10, 50) == (100, 150)
     assert chan.reserve(10, 50) == (150, 200)
@@ -104,7 +103,7 @@ def test_reserve_busy_queues_fifo():
 
 
 def test_reserve_counts_frames_and_busy_time():
-    chan = Channel(CoverageZone("r0", (0.0, 0.0), 100.0))
+    chan = Channel()
     for _ in range(40):
         chan.reserve(0, 67)
     assert chan.frames_carried == 40
@@ -113,7 +112,7 @@ def test_reserve_counts_frames_and_busy_time():
 
 
 def test_reserve_requires_positive_duration():
-    chan = Channel(CoverageZone("r0", (0.0, 0.0), 100.0))
+    chan = Channel()
     with pytest.raises(ValueError):
         chan.reserve(0, 0)
 
@@ -129,7 +128,7 @@ def test_reserve_requires_positive_duration():
     )
 )
 def test_reservations_never_overlap_and_never_run_backward(requests):
-    chan = Channel(CoverageZone("r0", (0.0, 0.0), 100.0))
+    chan = Channel()
     requests.sort(key=lambda r: r[0])  # callers ask in clock order
     slots = []
     for now, duration in requests:
@@ -140,15 +139,3 @@ def test_reservations_never_overlap_and_never_run_backward(requests):
     for (s1, e1), (s2, e2) in zip(slots, slots[1:]):
         assert s2 >= e1  # FIFO, no overlap
     assert chan.busy_time_us == sum(d for _, d in requests)
-
-
-# -- backhaul ------------------------------------------------------------------
-
-
-def test_backhaul_default_latency():
-    assert BackhaulLink().latency_us == 300
-
-
-def test_backhaul_rejects_negative_latency():
-    with pytest.raises(ValueError):
-        BackhaulLink(latency_us=-1)

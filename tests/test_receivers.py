@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from vcachesim.content import parse_name
+from vcachesim.content import ContentName
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
 from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
@@ -21,8 +21,8 @@ from vcachesim.protocol import IDLE, SATISFIED, WAITING, Request, Response, Vehi
 from vcachesim.radio import CoverageZone, in_range, propagation_us
 from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
-ITEM = parse_name("/traffic/1")
-OTHER = parse_name("/traffic/2")
+ITEM = ContentName(("traffic", "1"))
+OTHER = ContentName(("traffic", "2"))
 CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
 
 

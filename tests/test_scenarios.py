@@ -11,6 +11,7 @@ from vcachesim.mobility import (
     URBAN_RANDOM,
     KinematicParams,
     MobilityWorld,
+    RoadSegment,
     free_track,
 )
 from vcachesim.radio import RadioParams
@@ -135,6 +136,25 @@ def broken(**changes):
         ({"roads": []}, "at least one road"),
         ({"rsus": []}, "at least one RSU"),
         ({"arrival_pattern": "tidal"}, "unknown arrival_pattern"),
+        # non-finite values used to fail in Simulation.__init__ (inf) or run
+        # covering nothing (nan); an infinite road read as a too-short tick
+        ({"duration_s": math.inf}, "duration_s must be finite"),
+        ({"backhaul_latency_s": math.inf}, "backhaul_latency_s must be finite"),
+        ({"processing_delay_s": math.inf}, "processing_delay_s must be finite"),
+        ({"rsus": [RsuSpec("r0", (math.nan, 100.0), 400.0)]}, "r0: center must be finite"),
+        ({"rsus": [RsuSpec("r0", (400.0, 100.0), math.nan)]}, "r0: radius_m must be finite"),
+        ({"roads": [RoadSegment("a", 800.0, (math.nan, 0.0))]}, "^road length_m and origin"),
+        ({"roads": [RoadSegment("a", math.inf)]}, "^road length_m and origin must be finite"),
+        # a relay forwards from its centre on its next hop's channel
+        (
+            {
+                "rsus": [
+                    RsuSpec("r0", (180.0, 100.0), 250.0, ROLE_RELAY, next_hop="r1"),
+                    RsuSpec("r1", (620.0, 100.0), 250.0),
+                ]
+            },
+            "r0: centre outside the zone of its next_hop r1",
+        ),
     ],
 )
 def test_validation_rejects_bad_fields(changes, fragment):

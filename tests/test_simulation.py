@@ -31,6 +31,7 @@ from vcachesim.protocol import (
     Response,
     VehicleAgent,
 )
+from vcachesim.radio import in_range
 from vcachesim.scenarios import (
     RsuSpec,
     ScenarioConfig,
@@ -361,6 +362,32 @@ def planned_runs(cfg):
         patched.setattr(VehicleAgent, "on_attempt", attempt)
         sim.run()
     return sim, runs
+
+
+@pytest.mark.parametrize("builder", [highway_multi, urban_multi])
+def test_every_sender_is_inside_the_zone_whose_channel_it_takes(builder):
+    # transmit does not test range: an RSU sends from its centre on its own
+    # channel, or a relay on its next hop's, which validate_config checks;
+    # a vehicle on the owner planned at spawn (the test below)
+    sim = Simulation(dataclasses.replace(builder(count=20, seed=1), trace=True))
+    transmit, sent = sim.transmit, set()
+
+    def checked_transmit(channel_owner, frame, sender):
+        zone = sim.zones.get(sender)
+        xy = zone.center if zone is not None else sim.world.world_xy(sender)
+        assert in_range(sim.zones[channel_owner], xy), (channel_owner, frame, sender)
+        role = "vehicle" if zone is None else type(sim.rsus[sender]).__name__
+        forward = " forward" if getattr(frame, "forwarded", False) else ""
+        sent.add((role, type(frame).__name__ + forward, channel_owner == sender))
+        transmit(channel_owner, frame, sender)
+
+    sim.transmit = checked_transmit
+    sim.run()
+    assert {("vehicle", "Request", False), ("vehicle", "Beacon", False)} <= sent
+    assert ("CachingGateway", "Response", True) in sent
+    if builder is highway_multi:  # relays forward misses, rebroadcast and announce
+        assert {("Relay", "Request forward", False), ("Relay", "RelayRebroadcast", True)} <= sent
+        assert any(" ANNOUNCE " in line for line in sim.trace_lines)
 
 
 def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone(
