@@ -2,8 +2,9 @@
 
 Two subcommands: `run` executes one scenario once and writes its CSV
 series; `sweep` repeats a scenario across seeds and compares the cached
-and uncached variants. Printed summaries are read back from the CSV
-files themselves, so the numbers on screen are the numbers on disk.
+and uncached variants. Printed summaries are the run's totals, formatted
+as the CSV writers format the last row of each series, so the numbers on
+screen are the numbers on disk.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 """
@@ -11,13 +12,14 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .engine import SimulationResult, run_simulation
-from .metrics import TARGET_ALL_RSUS, sample_grid
 from .metrics import (
+    _fmt_ratio,
+    _fmt_seconds,
+    sample_grid,
     write_cdt_csv,
     write_chr_csv,
     write_rsu_requests_csv,
@@ -30,6 +32,7 @@ from .scenarios import (
     ValidationError,
     caching_only,
     resolve_config,
+    validate_config,
 )
 from .simcore import seconds_to_us
 
@@ -141,47 +144,18 @@ def write_outputs(result: SimulationResult, out_dir: Path) -> dict[str, Path]:
     return paths
 
 
-def read_run_summary(out_dir: Path, caching: bool) -> dict[str, str]:
-    """Reconstruct the summary figures from the CSV files of one run.
-
-    Values come from the last row of each series, so the printed summary
-    is exactly what a consumer of the files would compute.
-    """
-    summary = {
-        "final_avg_cdt_s": "Undefined",
-        "deliveries": "0",
-        "server_requests": "0",
-        "rsu_requests": "0",
-        "chr": "Undefined",
+def run_summary(result: SimulationResult) -> dict[str, str]:
+    """The run's totals, in the writers' formats of its CSV files' last rows."""
+    ledger = result.ledger
+    avg_cdt_us = ledger.final_avg_cdt_us()
+    hit_ratio = ledger.final_chr() if result.config.caching else None
+    return {
+        "final_avg_cdt_s": "Undefined" if avg_cdt_us is None else _fmt_seconds(avg_cdt_us),
+        "deliveries": str(len(ledger.deliveries)),
+        "server_requests": str(ledger.total_server_fetches()),
+        "rsu_requests": str(ledger.total_rsu_requests()),
+        "chr": "Undefined" if hit_ratio is None else _fmt_ratio(hit_ratio),
     }
-    cdt_rows = _read_rows(out_dir / "cdt.csv")
-    if cdt_rows:
-        summary["final_avg_cdt_s"] = cdt_rows[-1]["avg_cdt_s"]
-        summary["deliveries"] = cdt_rows[-1]["deliveries"]
-    server_rows = _read_rows(out_dir / "requests_server.csv")
-    if server_rows:
-        summary["server_requests"] = server_rows[-1]["cumulative"]
-    rsu_rows = _read_rows(out_dir / "requests_rsu.csv")
-    if rsu_rows:
-        last_t = rsu_rows[-1]["time_s"]
-        total = sum(int(row["cumulative"]) for row in rsu_rows if row["time_s"] == last_t)
-        summary["rsu_requests"] = str(total)
-    if caching:
-        chr_rows = [
-            row
-            for row in _read_rows(out_dir / "chr.csv")
-            if row["scope"] == TARGET_ALL_RSUS
-        ]
-        if chr_rows:
-            summary["chr"] = chr_rows[-1]["chr"]
-    return summary
-
-
-def _read_rows(path: Path) -> list[dict[str, str]]:
-    if not path.exists():
-        return []
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        return list(csv.DictReader(stream))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -192,7 +166,7 @@ def _cmd_run(args) -> int:
     result = run_simulation(cfg)
     out_dir = args.out / run_dir_name(cfg)
     write_outputs(result, out_dir)
-    summary = read_run_summary(out_dir, cfg.caching)
+    summary = run_summary(result)
     print(f"scenario: {cfg.name}")
     print(f"seed: {cfg.seed}")
     print(f"caching: {'on' if cfg.caching else 'off'}")
@@ -209,14 +183,16 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.caching is not None:
         variants = [args.caching]
-    elif caching_only(cfg := _resolve_config(args, None, None)):
-        variants = [True]
-        print(
-            f"note: {cfg.name} has relay RSUs and runs caching-only; "
-            "skipping the no-cache variant"
-        )
     else:
+        cfg = _resolve_config(args, None, None)
+        validate_config(cfg)  # a config error prints nothing, not even the note
         variants = [True, False]
+        if caching_only(cfg):
+            variants = [True]
+            print(
+                f"note: {cfg.name} has relay RSUs and runs caching-only; "
+                "skipping the no-cache variant"
+            )
 
     rows: list[dict[str, str]] = []
     failures: list[str] = []
@@ -226,9 +202,8 @@ def _cmd_sweep(args) -> int:
             try:
                 cfg = _resolve_config(args, caching, seed)
                 result = run_simulation(cfg)
-                out_dir = args.out / run_dir_name(cfg)
-                write_outputs(result, out_dir)
-                summary = read_run_summary(out_dir, cfg.caching)
+                write_outputs(result, args.out / run_dir_name(cfg))
+                summary = run_summary(result)
             except (ParseError, ValidationError) as exc:
                 raise  # config problems abort the whole sweep
             except Exception as exc:  # noqa: BLE001 - isolate per-run failures

@@ -55,8 +55,6 @@ class LruStore:
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._items: OrderedDict[ContentName, ContentItem] = OrderedDict()
 
@@ -97,13 +95,7 @@ class Catalog:
     """The fixed content universe held by the edge server."""
 
     def __init__(self, items: list[ContentItem]) -> None:
-        if not items:
-            raise ValueError("catalog needs at least one item")
-        self._by_name: dict[ContentName, ContentItem] = {}
-        for item in items:
-            if item.name in self._by_name:
-                raise ValueError(f"duplicate catalog name: {item.name}")
-            self._by_name[item.name] = item
+        self._by_name = {item.name: item for item in items}
         self.items = list(items)
 
     def __len__(self) -> int:

@@ -2,7 +2,9 @@
 
 Owns the event queue and all node state, implements the services interface
 the protocol agents call, and drives the kinematics tick that everything
-else hangs off. One instance runs one scenario once.
+else hangs off. One instance runs one scenario once. It validates its config
+first, the only place a config is validated, so nothing below that gate
+re-checks what validate_config rejects.
 
 Per-tick ordering: kinematics advance, then arrivals spawn, then due request
 attempts, then due beacons. Requests go on the air before same-instant

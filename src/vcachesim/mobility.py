@@ -45,10 +45,6 @@ class UnknownVehicle(KeyError):
     """A vehicle id the world has never spawned."""
 
 
-class EmptyRoadList(ValueError):
-    """Arrival generation needs at least one road."""
-
-
 ACTIVE = "active"
 EXITED = "exited"
 
@@ -173,15 +169,10 @@ def generate_arrivals(
     the whole schedule before the event loop starts, and the draws are part
     of the output contract (tests/golden/arrivals.json records schedules of
     both patterns). Vehicle ids are v000, v001, ... in entry order, padded
-    to the width of the largest.
+    to the width of the largest. The arguments are those of a validated
+    config (scenarios.validate_config): count, roads, pool and window hold at
+    least one each, the window in whole microseconds.
     """
-    if count < 1:
-        raise ValueError(f"vehicle count must be >= 1: {count}")
-    if not roads:
-        raise EmptyRoadList("at least one road is required")
-    if not wanted_pool:
-        raise ValueError("wanted_pool must be non-empty")
-
     width = max(3, len(str(count - 1)))
     if pattern == HIGHWAY_UNIFORM:
         road_id = roads[0].id
@@ -189,10 +180,6 @@ def generate_arrivals(
             Arrival(i * US_PER_SECOND, road_id, "v" + str(i).zfill(width), wanted_pool[pick])
             for i, pick in enumerate(rng.draws(len(wanted_pool), count))
         ]
-    if pattern != URBAN_RANDOM:
-        raise ValueError(f"unknown arrival pattern: {pattern!r}")
-    if window_s <= 0:
-        raise ValueError(f"arrival window must be positive: {window_s}")
     window_us = int(round(window_s * US_PER_SECOND))
     draw = rng.draw
     drawn = [
@@ -335,11 +322,7 @@ class MobilityWorld:
     def __init__(
         self, roads: list[RoadSegment], params: KinematicParams, tick_s: float
     ) -> None:
-        if not roads:
-            raise EmptyRoadList("world needs at least one road")
         self.roads = {road.id: road for road in roads}
-        if len(self.roads) != len(roads):
-            raise ValueError("duplicate road ids")
         self.params = params
         self.tick_s = tick_s
         self._states: dict[str, VehicleState] = {}

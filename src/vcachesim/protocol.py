@@ -290,8 +290,6 @@ class Relay(RsuBase):
 
     def __init__(self, rsu_id: str, next_hop: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
-        if not next_hop:
-            raise ValueError(f"relay {rsu_id} needs a next hop toward the gateway")
         self.cache = LruStore(capacity)
         self.next_hop = next_hop
 

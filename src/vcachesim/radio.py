@@ -24,18 +24,12 @@ class RadioParams:
     beacon_payload_bits: int = 320
 
     def __post_init__(self) -> None:
-        if self.header_bits <= 0:
-            raise ValueError(f"header_bits must be positive: {self.header_bits}")
-        if self.bitrate_bps <= 0:
-            raise ValueError(f"bitrate_bps must be positive: {self.bitrate_bps}")
-        if self.beacon_interval_s <= 0:
-            raise ValueError(
-                f"beacon_interval_s must be positive: {self.beacon_interval_s}"
-            )
-        if self.beacon_payload_bits <= 0:
-            raise ValueError(
-                f"beacon_payload_bits must be positive: {self.beacon_payload_bits}"
-            )
+        # beacon_interval_s is validate_config's, with the other intervals;
+        # the chained test takes ints of any size without a float conversion
+        for field_name in ("header_bits", "bitrate_bps", "beacon_payload_bits"):
+            value = getattr(self, field_name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field_name} must be positive and finite: {value}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +38,6 @@ class CoverageZone:
     center: tuple[float, float]
     radius_m: float
 
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError(f"coverage radius must be positive: {self.radius_m}")
-
 
 def in_range(zone: CoverageZone, point: tuple[float, float]) -> bool:
     """Closed-ball membership: the boundary itself counts as covered."""
@@ -55,17 +45,14 @@ def in_range(zone: CoverageZone, point: tuple[float, float]) -> bool:
 
 
 def tx_duration_us(params: RadioParams, payload_bits: int) -> int:
-    """Airtime quantized up to whole microseconds for the event clock."""
-    if payload_bits < 0:
-        raise ValueError(f"payload_bits must be >= 0: {payload_bits}")
+    """Airtime quantized up to whole microseconds for the event clock; at
+    least 1 us, for every frame has a header."""
     bits = params.header_bits + payload_bits
     return (bits * US_PER_SECOND + params.bitrate_bps - 1) // params.bitrate_bps
 
 
 def propagation_us(distance_m: float) -> int:
     """Signal flight time, rounded up to the microsecond clock."""
-    if distance_m < 0:
-        raise ValueError(f"distance must be >= 0: {distance_m}")
     return math.ceil(distance_m * US_PER_SECOND / PROPAGATION_MPS)
 
 
@@ -84,8 +71,6 @@ class Channel:
 
     def reserve(self, now_us: int, duration_us: int) -> tuple[int, int]:
         """Claim the next free slot; returns (start, end) of the airtime."""
-        if duration_us <= 0:
-            raise ValueError(f"duration must be positive: {duration_us}")
         start = max(now_us, self.busy_until_us)
         end = start + duration_us
         self.busy_until_us = end

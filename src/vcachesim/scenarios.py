@@ -1,10 +1,12 @@
 """Scenario builders for the canonical experiments, and the one config resolver.
 
-Builders return fully validated configs. resolve_config is the one place
-that turns a builder name or a config file, plus overrides, into a validated
-config. The file format is flat key=value lines with optional [scenario],
-repeatable [road] and [rsu] sections, and '#' comments; a file may start from
-a named builder and override fields, or describe a layout from scratch.
+Builders and resolve_config return configs unchecked: validate_config holds
+every config rule, and Simulation runs it before anything else, so a config
+is validated once, where it runs. resolve_config is the one place that turns
+a builder name or a config file, plus overrides, into a config. The file
+format is flat key=value lines with optional [scenario], repeatable [road]
+and [rsu] sections, and '#' comments; a file may start from a named builder
+and override fields, or describe a layout from scratch.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     check(cfg.vehicle_count >= 1, "vehicle_count must be >= 1: %s", cfg.vehicle_count)
     check(cfg.duration_s > 0, "duration_s must be positive: %s", cfg.duration_s)
-    check(cfg.arrival_window_s > 0, "arrival_window_s must be positive: %s", cfg.arrival_window_s)
     check(
         cfg.duration_s >= cfg.arrival_window_s,
         "duration_s %s shorter than arrival_window_s %s",
@@ -99,8 +100,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     )
     # periodic work steps on the microsecond clock: an interval that rounds
     # to 0 us would reschedule an event at one instant forever (tick,
-    # requests, announces, beacons) or fail after the run (sampling)
+    # requests, announces, beacons) or fail after the run (sampling); arrival
+    # times are drawn from a window of whole microseconds
     for name, seconds in (
+        ("arrival_window_s", cfg.arrival_window_s),
         ("tick_s", cfg.tick_s),
         ("sample_interval_s", cfg.sample_interval_s),
         ("request_interval_s", cfg.request_interval_s),
@@ -121,7 +124,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     # an infinite duration or delay cannot be put on the microsecond clock
     for name, seconds in (
         ("duration_s", cfg.duration_s),
-        ("arrival_window_s", cfg.arrival_window_s),
         ("backhaul_latency_s", cfg.backhaul_latency_s),
         ("processing_delay_s", cfg.processing_delay_s),
     ):
@@ -222,7 +224,7 @@ def _urban(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: int)
     """Two opposite 800 m city roads under the given RSUs."""
     # windows for other vehicle counts extrapolate the 40-vehicle density
     window = _URBAN_WINDOWS.get(count, round(count * 5.75))
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         roads=[
             RoadSegment(id="a", length_m=800.0, origin=(0.0, 0.0), direction=(1.0, 0.0)),
@@ -237,13 +239,11 @@ def _urban(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: int)
         seed=seed,
         backhaul_latency_s=0.0004,
     )
-    validate_config(cfg)
-    return cfg
 
 
 def _highway(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: int):
     """One 2100 m highway, one vehicle per second, under the given RSUs."""
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         roads=[RoadSegment(id="h", length_m=2100.0)],
         rsus=rsus,
@@ -255,8 +255,6 @@ def _highway(name: str, rsus: list[RsuSpec], count: int, caching: bool, seed: in
         seed=seed,
         entry_speed_mps=14.0,
     )
-    validate_config(cfg)
-    return cfg
 
 
 def urban_single(count: int = 40, caching: bool = True, seed: int = 1) -> ScenarioConfig:
@@ -290,7 +288,7 @@ def highway_multi(count: int = 300, caching: bool = True, seed: int = 1) -> Scen
     Two relays sit upstream of the gateway (each RSU inside its neighbor's
     zone) so content broadcast at the gateway cascades backward along the
     chain and meets vehicles before their first request. The relays make
-    it caching-only: caching=False fails validation.
+    it caching-only: with caching=False the config fails validation.
     """
     rsus = [
         RsuSpec(id="r0", center=(628.0, 0.0), radius_m=200.0, role=ROLE_RELAY, next_hop="r1"),
@@ -446,7 +444,7 @@ def _apply(cfg: ScenarioConfig, settings: dict) -> None:
 
 
 def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
-    """The validated config of a builder name or a config file path.
+    """The config of a builder name or a config file path, not yet validated.
 
     overrides maps count, caching, seed or any field the file grammar
     accepts (radio.x and kinematics.x included) to a typed value.
@@ -456,7 +454,7 @@ def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
     sets vehicle_count last. [road]/[rsu] sections replace the builder's layout,
     and a file without a scenario key starts from an empty one. A
     ValueError that a parameter block, road or RSU raises becomes a
-    ValidationError.
+    ValidationError; Simulation validates the rest.
     """
     overrides = overrides or {}
     try:
@@ -476,5 +474,4 @@ def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
         raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    validate_config(cfg)
     return cfg

@@ -35,10 +35,6 @@ class SchedulingInPast(ValueError):
     """An event was scheduled before the current clock."""
 
 
-class ZeroRange(ValueError):
-    """A uniform draw was requested from an empty range."""
-
-
 class EventQueue:
     """Min-heap of timed callbacks; ties resolved by insertion order.
 
@@ -110,9 +106,7 @@ class RandomSource:
         self._bits = random.Random(seed).getrandbits
 
     def draw(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ZeroRange(f"cannot draw from a range of size {n}")
+        """Uniform integer in [0, n), n >= 1."""
         bits = self._bits
         k = n.bit_length()  # not (n - 1): n may be 1
         r = bits(k)
@@ -122,8 +116,6 @@ class RandomSource:
 
     def draws(self, n: int, count: int) -> list[int]:
         """What count successive calls of draw(n) return, in order."""
-        if n <= 0:
-            raise ZeroRange(f"cannot draw from a range of size {n}")
         bits = self._bits
         k = n.bit_length()
         out = []

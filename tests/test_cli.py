@@ -97,6 +97,10 @@ def test_broken_config_file(tmp_path, capsys):
         ),
         ("scenario = urban_single\nduration_s = inf\n", "duration_s must be finite"),
         (
+            "scenario = urban_single\narrival_window_s = 0.0000001\n",
+            "arrival_window_s must be at least 1 us once quantized",
+        ),
+        (
             "scenario = urban_single\n"
             "[rsu]\nid = r0\ncenter = 180, 100\nradius_m = 250\nrole = relay\nnext_hop = r1\n"
             "[rsu]\nid = r1\ncenter = 620, 100\nradius_m = 250\n",
@@ -107,8 +111,9 @@ def test_broken_config_file(tmp_path, capsys):
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, fragment):
     # a parameter block's own check, and an empty section, used to escape
     # as "runtime error: ValueError" with exit code 2; an infinite duration
-    # as an OverflowError, and a relay out of its next hop's reach as a
-    # RuntimeError at its first forward
+    # as an OverflowError, a relay out of its next hop's reach as a
+    # RuntimeError at its first forward, and a sub-microsecond arrival window
+    # as a draw from an empty range
     cfg = tmp_path / "s.cfg"
     cfg.write_text(text)
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_USAGE
@@ -313,6 +318,18 @@ def test_sweep_config_with_relays_runs_caching_only(tmp_path, capsys):
     assert "caching-only" in out
     rows = [line for line in out.splitlines() if line.startswith(("cached", "nocache"))]
     assert len(rows) == 1 and rows[0].startswith("cached 1")
+
+
+def test_sweep_config_error_prints_nothing(tmp_path, capsys):
+    # the caching-only note is printed only for a config that passes the gate
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("scenario = highway_multi\ncount = 20\nrelay_announce_interval_s = 0.0000001\n")
+    code = run_cli(["sweep", "--config", cfg, "--seeds", "1", "--out", tmp_path / "out"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "relay_announce_interval_s must be at least 1 us" in captured.err
 
 
 # -- module entry ----------------------------------------------------------------

@@ -118,12 +118,6 @@ def test_names_orders_least_to_most_recent():
     assert store.names() == [name("/b"), name("/c"), name("/a")]
 
 
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        LruStore(capacity=0)
-    LruStore(capacity=1)  # smallest legal cache
-
-
 class ReferenceLru:
     """Brute-force model: a plain list ordered least to most recent."""
 
@@ -189,13 +183,6 @@ def test_catalog_lookup_unknown_raises():
     cat = Catalog.default(3)
     with pytest.raises(UnknownContent):
         cat.lookup(name("/traffic/99"))
-
-
-def test_catalog_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
-        Catalog([item("/a"), item("/a")])
-    with pytest.raises(ValueError):
-        Catalog([])
 
 
 def test_catalog_contains():

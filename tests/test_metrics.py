@@ -75,13 +75,6 @@ def test_sample_grid_interval_larger_than_duration():
     assert sample_grid(3, 10) == [0, 3]
 
 
-def test_sample_grid_validation():
-    with pytest.raises(ValueError):
-        sample_grid(10, 0)
-    with pytest.raises(ValueError):
-        sample_grid(-1, 5)
-
-
 # -- series ----------------------------------------------------------------------
 
 

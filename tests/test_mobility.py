@@ -11,7 +11,6 @@ from vcachesim.content import ContentName
 from vcachesim.mobility import (
     ACTIVE,
     EXITED,
-    EmptyRoadList,
     HIGHWAY_UNIFORM,
     KinematicParams,
     MobilityWorld,
@@ -417,19 +416,6 @@ def test_arrivals_are_deterministic_per_seed():
     assert a1 == a2
 
 
-def test_arrival_validation():
-    with pytest.raises(ValueError):
-        generate_arrivals(HIGHWAY_UNIFORM, 0, 1.0, [straight_road()], POOL, RandomSource(1))
-    with pytest.raises(EmptyRoadList):
-        generate_arrivals(HIGHWAY_UNIFORM, 1, 1.0, [], POOL, RandomSource(1))
-    with pytest.raises(ValueError):
-        generate_arrivals(HIGHWAY_UNIFORM, 1, 1.0, [straight_road()], [], RandomSource(1))
-    with pytest.raises(ValueError):
-        generate_arrivals(URBAN_RANDOM, 2, 0.0, [straight_road()], POOL, RandomSource(1))
-    with pytest.raises(ValueError):
-        generate_arrivals("platoon", 2, 1.0, [straight_road()], POOL, RandomSource(1))
-
-
 def test_vehicle_ids_pad_for_large_fleets():
     arrivals = generate_arrivals(
         HIGHWAY_UNIFORM, 1200, 1200.0, [straight_road()], POOL, RandomSource(1)
@@ -528,10 +514,3 @@ def test_place_unknown_vehicle():
     world = make_world()
     with pytest.raises(UnknownVehicle):
         world.place("nobody", 1.0)
-
-
-def test_duplicate_road_ids_rejected():
-    with pytest.raises(ValueError):
-        MobilityWorld([straight_road(), straight_road()], P, 0.1)
-    with pytest.raises(EmptyRoadList):
-        MobilityWorld([], P, 0.1)

@@ -336,11 +336,6 @@ def make_relay():
     return Relay("r0", next_hop="r1", capacity=8, proc_delay_us=10)
 
 
-def test_relay_requires_next_hop():
-    with pytest.raises(ValueError):
-        Relay("r0", next_hop="", capacity=8, proc_delay_us=10)
-
-
 def test_relay_hit_responds_locally():
     svc = FakeServices()
     relay = make_relay()

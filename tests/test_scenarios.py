@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from vcachesim import engine, scenarios
+from vcachesim.cli import main, write_outputs
 from vcachesim.engine import Simulation
 from vcachesim.mobility import (
     HIGHWAY_UNIFORM,
@@ -108,7 +113,7 @@ def test_highway_multi_chain_reaches_gateway_with_overlap():
 def test_highway_multi_builder_has_no_caching_knob():
     # the relays make the layout caching-only, so caching=False cannot run
     with pytest.raises(ValidationError, match="caching-only"):
-        highway_multi(caching=False)
+        validate_config(highway_multi(caching=False))
 
 
 # -- validation ----------------------------------------------------------------
@@ -155,6 +160,20 @@ def broken(**changes):
             },
             "r0: centre outside the zone of its next_hop r1",
         ),
+        # nothing below the gate checks that a relay has a next hop
+        (
+            {
+                "rsus": [
+                    RsuSpec("r0", (400.0, 100.0), 250.0, ROLE_RELAY),
+                    RsuSpec("r1", (620.0, 100.0), 250.0),
+                ]
+            },
+            "r0: relay requires a next_hop",
+        ),
+        # nor do the world, the zones and the airtime arithmetic
+        ({"roads": [RoadSegment("a", 800.0), RoadSegment("a", 800.0)]}, "duplicate road ids"),
+        ({"rsus": [RsuSpec("r0", (400.0, 100.0), 0.0)]}, "r0: radius_m must be finite and positive"),
+        ({"payload_bits": 0}, "payload_bits must be >= 1"),
     ],
 )
 def test_validation_rejects_bad_fields(changes, fragment):
@@ -162,7 +181,13 @@ def test_validation_rejects_bad_fields(changes, fragment):
         validate_config(broken(**changes))
 
 
-INTERVAL_FIELDS = ["tick_s", "request_interval_s", "sample_interval_s", "relay_announce_interval_s"]
+INTERVAL_FIELDS = [
+    "arrival_window_s",
+    "tick_s",
+    "request_interval_s",
+    "sample_interval_s",
+    "relay_announce_interval_s",
+]
 
 
 def with_interval(name, seconds):
@@ -172,10 +197,11 @@ def with_interval(name, seconds):
 
 
 @pytest.mark.parametrize("name", INTERVAL_FIELDS + ["radio.beacon_interval_s"])
-@pytest.mark.parametrize("seconds", [1e-7, 4.9e-7, math.inf, math.nan])
+@pytest.mark.parametrize("seconds", [1e-7, 4.9e-7, math.inf, math.nan, 0.0])
 def test_validation_rejects_intervals_below_one_microsecond(name, seconds):
     # 1e-7 s passes a "> 0" test but quantizes to 0 us: a zero tick would
-    # reschedule itself at the same instant forever
+    # reschedule itself at the same instant forever, and a zero window left
+    # arrival times an empty range to be drawn from
     with pytest.raises(ValidationError, match=name.split(".")[-1]):
         validate_config(with_interval(name, seconds))
 
@@ -214,6 +240,14 @@ def test_sub_microsecond_interval_is_rejected_before_the_run(name):
     # only when the finished run's outputs were written
     with pytest.raises(ValidationError, match=name):
         Simulation(broken(**{name: 1e-7}))
+
+
+@pytest.mark.parametrize("name", ["header_bits", "bitrate_bps", "beacon_payload_bits"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0])
+def test_radio_override_must_be_positive_and_finite(name, value):
+    # an infinite bitrate used to validate and run with NaN airtimes
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        resolve_config("urban_single", {f"radio.{name}": value})
 
 
 @pytest.mark.parametrize("name", ["accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"])
@@ -308,6 +342,79 @@ def test_unknown_role_rejected():
     cfg.rsus = [cfg.rsus[0], RsuSpec("r9", (0.0, 0.0), 50.0, role="repeater")]
     with pytest.raises(ValidationError, match="unknown role"):
         validate_config(cfg)
+
+
+# -- the gate ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["builder", "resolve_config", "file", "command line"])
+def test_a_run_validates_its_config_once(monkeypatch, tmp_path, capsys, source):
+    calls = []
+    for module in (scenarios, engine):  # the one function, under both names
+        real = module.validate_config
+        monkeypatch.setattr(
+            module, "validate_config", lambda cfg, real=real: calls.append(cfg) or real(cfg)
+        )
+    if source == "command line":
+        argv = ["run", "--scenario", "highway_multi", "--count", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        return
+    if source == "builder":
+        cfg = urban_single(5)
+    elif source == "resolve_config":
+        cfg = resolve_config("highway_multi", {"count": 5})
+    else:
+        cfg = resolve_config(write(tmp_path, "scenario = urban_single\ncount = 5\n"))
+    assert calls == []
+    Simulation(cfg).run()
+    assert calls == [cfg]
+
+
+# boundary values of the fields the gate checks; no sample or announce
+# interval that passes is tiny, for it would run a grid or announces of
+# millions of points
+EDGE_VALUES = {
+    "caching": [True, False],
+    "seed": [-1, 0],
+    "arrival_window_s": [1e-7, 4.9e-7, 5.1e-7, 0.0, -1.0, math.inf, math.nan, 2.0],
+    "duration_s": [0.0, 1e-7, math.inf, math.nan, 30.0],
+    "tick_s": [1e-7, 0.0, math.nan, 0.25],
+    "request_interval_s": [1e-7, 5.1e-7, math.inf, 2.0],
+    "radio.beacon_interval_s": [4.9e-7, 5.1e-7, math.nan, 3.0],
+    "sample_interval_s": [1e-7, 0.0, math.inf, 7.0],
+    "relay_announce_interval_s": [1e-7, math.nan, 4.0],
+    "radio.bitrate_bps": [math.inf, math.nan, 0, 1000],
+    "radio.header_bits": [0, math.inf, 1],
+    "radio.beacon_payload_bits": [math.nan, 1],
+    "backhaul_latency_s": [math.inf, -1e-3, 0.0],
+    "processing_delay_s": [math.nan, 0.0],
+    "catalog_size": [0, 1],
+    "rsu_cache_capacity": [0, 1],
+    "payload_bits": [0, 1],
+}
+# up to three edges at a time, so that many configs pass
+GATE_EDGES = st.lists(
+    st.one_of(st.tuples(st.just(key), st.sampled_from(v)) for key, v in EDGE_VALUES.items()),
+    max_size=3,
+).map(dict)
+
+
+@settings(max_examples=500, deadline=None)
+@example("urban_single", 3, {"arrival_window_s": 1e-7})  # used to die drawing arrival times
+@given(st.sampled_from(sorted(BUILDERS)), st.sampled_from([0, 1, 3]), GATE_EDGES)
+def test_every_config_is_rejected_up_front_or_runs_to_its_files(name, count, edges):
+    try:
+        cfg = resolve_config(name, {"count": count, **edges})
+        validate_config(cfg)
+    except ValidationError:
+        return
+    result = Simulation(cfg).run()
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_outputs(result, Path(out))
+        assert "cdt.csv" in paths
+        assert all(path.stat().st_size > 0 for path in paths.values())
 
 
 # -- config files ---------------------------------------------------------------
@@ -448,8 +555,9 @@ def test_from_scratch_relay_chain(tmp_path):
 def test_highway_multi_file_rejects_caching_false(tmp_path):
     # a relay layout is caching-only; the file's caching = false used to be
     # dropped without a word
+    cfg = resolve_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
     with pytest.raises(ValidationError, match="caching-only"):
-        resolve_config(write(tmp_path, "scenario = highway_multi\ncaching = false\n"))
+        Simulation(cfg)
 
 
 def test_resolve_config_takes_a_builder_name_and_typed_overrides():
@@ -467,7 +575,7 @@ def test_resolve_config_takes_a_builder_name_and_typed_overrides():
     with pytest.raises(ValidationError, match="unknown field 'radio.tx_power_mw'"):
         resolve_config("urban_single", {"radio.tx_power_mw": 20.0})
     with pytest.raises(ValidationError, match="caching-only"):
-        resolve_config("highway_multi", {"caching": False})
+        validate_config(resolve_config("highway_multi", {"caching": False}))
 
 
 def test_from_scratch_without_rsus_fails_validation(tmp_path):
@@ -481,7 +589,7 @@ def test_from_scratch_without_rsus_fails_validation(tmp_path):
     length_m = 100
     """
     with pytest.raises(ValidationError, match="at least one RSU"):
-        resolve_config(write(tmp_path, text))
+        validate_config(resolve_config(write(tmp_path, text)))
 
 
 @pytest.mark.parametrize(
