@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import SimulationResult, run_simulation
@@ -91,6 +92,8 @@ def parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
     if not seeds:
         raise argparse.ArgumentTypeError("seed list is empty")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0: {text!r}")
     return seeds
 
 
@@ -181,16 +184,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # resolved once, each run replacing caching and seed; a config error ends
+    # the sweep before any run and prints nothing, not even the note
+    base = _resolve_config(args, args.caching, None)
     if args.caching is not None:
         variants = [args.caching]
+        validate_config(replace(base, seed=args.seeds[0]))  # the file's seed is not run
     else:
-        cfg = _resolve_config(args, None, None)
-        validate_config(cfg)  # a config error prints nothing, not even the note
+        validate_config(base)
         variants = [True, False]
-        if caching_only(cfg):
+        if caching_only(base):
             variants = [True]
             print(
-                f"note: {cfg.name} has relay RSUs and runs caching-only; "
+                f"note: {base.name} has relay RSUs and runs caching-only; "
                 "skipping the no-cache variant"
             )
 
@@ -200,12 +206,10 @@ def _cmd_sweep(args) -> int:
         for seed in args.seeds:
             label = f"{'cached' if caching else 'nocache'} seed={seed}"
             try:
-                cfg = _resolve_config(args, caching, seed)
+                cfg = replace(base, caching=caching, seed=seed)
                 result = run_simulation(cfg)
                 write_outputs(result, args.out / run_dir_name(cfg))
                 summary = run_summary(result)
-            except (ParseError, ValidationError) as exc:
-                raise  # config problems abort the whole sweep
             except Exception as exc:  # noqa: BLE001 - isolate per-run failures
                 failures.append(f"{label}: {exc}")
                 continue
@@ -267,10 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
+        # a config file that is missing, unreadable or not UTF-8 text too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic

@@ -43,10 +43,6 @@ class ContentItem:
     name: ContentName
     payload_bits: int
 
-    def __post_init__(self) -> None:
-        if self.payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive: {self.payload_bits}")
-
 
 class LruStore:
     """Name-keyed store of at most capacity items, with least-recently-used

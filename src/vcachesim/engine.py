@@ -89,9 +89,9 @@ road, offset and interval.
 
 A vehicle's whole plan is filed at spawn: each attempt with the owner of
 the zone covering its run age, the RSU it addresses (None outside every
-zone), and each covered beacon with that owner, whose channel it takes,
-and the vehicle's one Beacon frame. Later spawns file later, so each
-instant's attempts and beacons are in spawn order. The track is fixed at
+zone), and each covered beacon with that owner, whose channel it takes;
+every beacon sends the run's one Beacon frame. Later spawns file later, so
+each instant's attempts and beacons are in spawn order. The track is fixed at
 spawn, so the planned owner is the one a lookup at the attempt would give
 (MobilityWorld.place, for tests, rebuilds tracks, not plans or advances).
 SATISFIED is terminal, so the attempts of satisfied vehicles are dropped
@@ -101,15 +101,15 @@ sparse-tick argument above covers.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
-Frames go only to nodes that act on them, picked before the range test. A
-request goes to its target RSU only: every other RSU drops a request not
-addressed to it, and vehicles ignore requests. Content goes to the other
-RSUs whose centres are in the zone, a list with delays made once per zone
-because only the zone's own RSU sends content, and to the active vehicles
-that want its item and are not satisfied. A vehicle keeps only whether it
-has heard its wanted item, and its attempt handler returns first once it
-is satisfied, which is terminal. So content for another item, or for a
-satisfied vehicle, changes nothing any output reads. Picking at frame end
+Only the engine decides which node hears a frame, and the agents take
+every frame they get as theirs; frames go only to nodes that act on them,
+picked before the range test. A request goes to its target RSU only.
+Content goes to the other RSUs whose centres are in the zone, a list with
+delays made once per zone because only the zone's own RSU sends content,
+and to the active vehicles that want its item and are not satisfied. A
+beacon has no frame end. No other node would act: a vehicle keeps only
+whether it has heard its wanted item, and its attempt handler returns
+first once it is satisfied, which is terminal. Picking at frame end
 is exact, because a vehicle satisfied then is still satisfied when the
 frame arrives. A frame that no node acts on schedules no receive event, and
 leaving a node out of a batch keeps the others in their order.
@@ -256,6 +256,7 @@ class Simulation:
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
         self.frames_transmitted: dict[str, int] = {}
+        self._beacon = Beacon(cfg.radio.beacon_payload_bits)  # airtime only: one for all
         self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
         self._ran = False
 
@@ -415,13 +416,12 @@ class Simulation:
         # (all spawns sit on tick boundaries) would pile beacon bursts
         # onto the channel right when responses need it
         beacons = ages.plan((spawned % 100) * tick_us, self.beacon_interval_us, tick_us)
-        beacon = Beacon(vehicle_id, self.cfg.radio.beacon_payload_bits)
         for offset_us, owner in beacons:
             at_us = now + offset_us
             if at_us > last_us:
                 break
             if owner is not None:  # an uncovered beacon does nothing
-                (planned.get(at_us) or self._bucket(at_us))[_BEACONS].append((vehicle_id, owner, beacon))
+                (planned.get(at_us) or self._bucket(at_us))[_BEACONS].append((vehicle_id, owner))
 
     def _file_advance(self, at_us: int) -> None:
         """Advance the world at the first tick instant at or after at_us,
@@ -472,7 +472,8 @@ class Simulation:
         now, vehicles = self.queue.now_us, self.vehicles
         for vid, target in attempts:
             vehicles[vid].on_attempt(now, target, self)
-        for vid, owner, beacon in beacons:
+        beacon = self._beacon
+        for vid, owner in beacons:
             self.transmit(owner, beacon, vid)
 
     def _on_announce(self, rsu_id: str) -> None:
@@ -533,12 +534,11 @@ class Simulation:
         from the sender, in receive-scheduling order.
 
         A request goes to its target only, which owns the channel (vehicles
-        send on their target's, relays on their next hop's): an RSU drops a
-        request addressed to another, and vehicles ignore requests; a
-        request for another RSU raises. Content goes to the other RSUs in
-        the zone (_content_rsus), in zone order, then to the active vehicles
-        that want its name and are not satisfied, in spawn order: a vehicle
-        keeps only its wanted item, and on_attempt returns first once it is
+        send on their target's, relays on their next hop's); a request for
+        another RSU raises. Content goes to the other RSUs in the zone
+        (_content_rsus), in zone order, then to the active vehicles that
+        want its name and are not satisfied, in spawn order: a vehicle keeps
+        only its wanted item, and on_attempt returns first once it is
         satisfied (the status is terminal).
         Only the zone's own RSU sends content, so a vehicle gets its range
         test and delay from its track and age (_TrackAges.delay).
@@ -733,7 +733,7 @@ class _TrackAges:
 
 _UNFILLED = object()
 _Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
-_PlannedBeacon = tuple[str, str, Beacon]  # (vehicle id, channel owner, frame)
+_PlannedBeacon = tuple[str, str]  # (vehicle id, channel owner)
 _Bucket = list  # [list[_Attempt], list[_PlannedBeacon], advance: bool], indexed by:
 _ATTEMPTS, _BEACONS, _ADVANCE = range(3)
 

@@ -66,13 +66,6 @@ class RoadSegment:
     origin: tuple[float, float] = (0.0, 0.0)
     direction: tuple[float, float] = (1.0, 0.0)
 
-    def __post_init__(self) -> None:
-        if self.length_m <= 0:
-            raise ValueError(f"road length must be positive: {self.length_m}")
-        norm = math.hypot(*self.direction)
-        if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"road direction must be a unit vector: {self.direction}")
-
     def world_position(self, pos_m: float) -> tuple[float, float]:
         return (
             self.origin[0] + self.direction[0] * pos_m,
@@ -111,12 +104,6 @@ class KinematicParams:
     decel_mps2: float = 4.5
     max_speed_mps: float = 14.0
     min_gap_m: float = 2.5
-
-    def __post_init__(self) -> None:
-        for field_name in ("accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"):
-            value = getattr(self, field_name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field_name} must be finite and positive: {value}")
 
 
 @dataclass(slots=True)

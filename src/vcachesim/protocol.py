@@ -2,7 +2,9 @@
 
 Agents are pure protocol logic. Everything environmental (channels, clocks,
 backhaul wiring, metric recording) is reached through a services object the
-engine provides, which keeps each handler unit-testable with a stub.
+engine provides, which keeps each handler unit-testable with a stub. Only
+the engine decides who hears a frame (Simulation._receivers), so a handler
+takes every frame it gets as its own.
 
 Services interface used by agents:
     transmit(channel_owner, frame, sender_id)   queue a frame on a zone channel
@@ -44,7 +46,6 @@ class OrphanResponse(RuntimeError):
 @dataclass(frozen=True)
 class Request:
     name: ContentName
-    requester: str
     request_id: str
     target: str
     forwarded: bool = False
@@ -69,8 +70,7 @@ class Response:
 
 @dataclass(frozen=True)
 class Beacon:
-    sender: str
-    payload_bits: int = 320
+    payload_bits: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class VehicleAgent:
     arrives, Satisfied forever after. A caching vehicle that overhears its
     wanted item has it pre-cached (precached); its next attempt is then
     satisfied without any transmission and counts as a zero-delay delivery.
-    Nothing else it hears is ever read, so nothing else is kept.
+    It hears only content for that item, so nothing else is kept.
     """
 
     def __init__(self, vehicle_id: str, wanted: ContentName, caching: bool) -> None:
@@ -118,19 +118,12 @@ class VehicleAgent:
         if self.first_request_at_us is None:
             self.first_request_at_us = now_us
         self.status = WAITING
-        request = Request(
-            name=self.wanted,
-            requester=self.id,
-            request_id=f"{self.id}.{self.requests_sent}",
-            target=target_rsu,
-        )
+        request = Request(self.wanted, f"{self.id}.{self.requests_sent}", target_rsu)
         self.requests_sent += 1
         services.transmit(target_rsu, request, self.id)
 
     def on_frame(self, frame, now_us: int, services) -> None:
-        # requests and beacons from others carry nothing a vehicle acts on
-        if not isinstance(frame, (Response, RelayRebroadcast)) or frame.name != self.wanted:
-            return
+        """Content for the wanted item: a Response or a RelayRebroadcast."""
         if self.caching:
             self.precached = True
         if self.status == WAITING:
@@ -160,40 +153,27 @@ class VehicleAgent:
 
 
 class RsuBase:
-    """Shared request dispatch: RSUs only handle requests addressed to them."""
+    """Frame dispatch to each role's _on_request and _on_broadcast. The
+    engine routes to an RSU only requests addressed to it and content from
+    another RSU whose zone holds it."""
 
     def __init__(self, rsu_id: str, proc_delay_us: int) -> None:
         self.id = rsu_id
         self.proc_delay_us = proc_delay_us
-        self.cache: LruStore | None = None
-        self.next_hop: str | None = None
-        self.requests_received = 0  # vehicle-originated only
-        self.forwarded_received = 0
 
     def on_frame(self, frame, now_us: int, services) -> None:
         if isinstance(frame, Request):
-            if frame.target != self.id:
-                return
-            if frame.forwarded:
-                self.forwarded_received += 1
-            else:
-                self.requests_received += 1
+            if not frame.forwarded:  # the ledger counts vehicle-originated ones
                 services.rsu_request(self.id)
             self._on_request(frame, now_us, services)
-        elif isinstance(frame, (Response, RelayRebroadcast)):
+        else:
             self._on_broadcast(frame, now_us, services)
-
-    def _on_request(self, frame: Request, now_us: int, services) -> None:
-        raise NotImplementedError
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
         pass
 
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
         raise OrphanResponse(f"{self.id} has no backhaul and expected no content")
-
-    def on_announce(self, now_us: int, services) -> None:
-        pass
 
     def _send_later(self, channel_owner: str, frame, services) -> None:
         """Send frame on channel_owner's channel after the processing delay."""
@@ -252,9 +232,6 @@ class CachingGateway(RsuBase):
         if evicted is not None and services.tracing:
             services.trace(f"EVICT rsu={self.id} name={evicted}")
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
 
 class PlainGateway(RsuBase):
     """No-cache baseline: every request goes to the server, one response each."""
@@ -273,9 +250,6 @@ class PlainGateway(RsuBase):
         self._pending.remove(request_id)
         response = Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH)
         self._send_later(self.id, response, services)
-
-    def pending_count(self) -> int:
-        return len(self._pending)
 
 
 class Relay(RsuBase):

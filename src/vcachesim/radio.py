@@ -23,14 +23,6 @@ class RadioParams:
     beacon_interval_s: float = 10.0
     beacon_payload_bits: int = 320
 
-    def __post_init__(self) -> None:
-        # beacon_interval_s is validate_config's, with the other intervals;
-        # the chained test takes ints of any size without a float conversion
-        for field_name in ("header_bits", "bitrate_bps", "beacon_payload_bits"):
-            value = getattr(self, field_name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{field_name} must be positive and finite: {value}")
-
 
 @dataclass(frozen=True)
 class CoverageZone:

@@ -1,12 +1,13 @@
 """Scenario builders for the canonical experiments, and the one config resolver.
 
 Builders and resolve_config return configs unchecked: validate_config holds
-every config rule, and Simulation runs it before anything else, so a config
-is validated once, where it runs. resolve_config is the one place that turns
-a builder name or a config file, plus overrides, into a config. The file
-format is flat key=value lines with optional [scenario], repeatable [road]
-and [rsu] sections, and '#' comments; a file may start from a named builder
-and override fields, or describe a layout from scratch.
+every config rule, the roads' and parameter blocks' too, and Simulation runs
+it before anything else, so a config is validated once, where it runs.
+resolve_config is the one place that turns a builder name or a config
+file, plus overrides, into a config. The file format is flat key=value
+lines with optional [scenario], repeatable [road] and [rsu] sections, and
+'#' comments; a file may start from a named builder and override fields, or
+describe a layout from scratch.
 """
 
 from __future__ import annotations
@@ -128,26 +129,35 @@ def validate_config(cfg: ScenarioConfig) -> None:
         ("processing_delay_s", cfg.processing_delay_s),
     ):
         check(math.isfinite(seconds), "%s must be finite: %s", name, seconds)
-    speed_ok = 0 <= cfg.entry_speed_mps <= cfg.kinematics.max_speed_mps
-    check(speed_ok, "entry_speed_mps must lie in [0, max speed]: %s", cfg.entry_speed_mps)
+    # the parameter blocks: anything else makes NaN airtimes or tracks; the
+    # chained test takes ints of any size without a float conversion
+    for name in ("header_bits", "bitrate_bps", "beacon_payload_bits"):
+        value = getattr(cfg.radio, name)
+        check(0 < value < math.inf, "%s must be positive and finite: %s", name, value)
+    for name in ("accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"):
+        value = getattr(cfg.kinematics, name)
+        check(math.isfinite(value) and value > 0, "%s must be finite and positive: %s", name, value)
+    max_speed = cfg.kinematics.max_speed_mps  # a bad one is reported just above
+    check(
+        not 0 < max_speed < math.inf or 0 <= cfg.entry_speed_mps <= max_speed,
+        "entry_speed_mps must lie in [0, max speed]: %s",
+        cfg.entry_speed_mps,
+    )
     check(cfg.seed >= 0, "seed must be >= 0: %s", cfg.seed)
 
     check(bool(cfg.roads), "at least one road is required")
+    for road in cfg.roads:
+        # a NaN length is the finite rule's
+        check(not road.length_m <= 0, "road length must be positive: %s", road.length_m)
+        check(
+            math.isclose(math.hypot(*road.direction), 1.0, rel_tol=0, abs_tol=1e-9),
+            "road direction must be a unit vector: %s",
+            road.direction,
+        )
     bad_roads = [
         road for road in cfg.roads if not all(map(math.isfinite, (road.length_m, *road.origin)))
     ]
     check(not bad_roads, "road length_m and origin must be finite: %s", bad_roads)
-    tick_ok = math.isfinite(cfg.tick_s) and seconds_to_us(cfg.tick_s) >= 1
-    if tick_ok and speed_ok and cfg.roads and not bad_roads:
-        # the free-flow path must fit the world's tracks; the world's own
-        # key (MobilityWorld._track), so that its call is a cache hit
-        longest_m = max(road.length_m for road in cfg.roads)
-        speed_hex = float(cfg.entry_speed_mps).hex()
-        if free_track(speed_hex, cfg.tick_s, cfg.kinematics, longest_m, MAX_TRACK_TICKS) is None:
-            problems.append(
-                f"tick_s {cfg.tick_s} too short: from {cfg.entry_speed_mps} m/s a vehicle takes"
-                f" more than {MAX_TRACK_TICKS} ticks to cross the longest road ({longest_m} m)"
-            )
     road_ids = [road.id for road in cfg.roads]
     check(len(set(road_ids)) == len(road_ids), "duplicate road ids: %s", road_ids)
 
@@ -209,6 +219,17 @@ def validate_config(cfg: ScenarioConfig) -> None:
             if cursor.role != ROLE_GATEWAY:
                 problems.append(f"rsu {spec.id}: relay chain never reaches a gateway")
 
+    if not problems:
+        # the free-flow path must fit the world's tracks; last, for it is
+        # built from fields the rules above pass; the world's own key
+        # (MobilityWorld._track), so that its call is a cache hit
+        longest_m = max(road.length_m for road in cfg.roads)
+        speed_hex = float(cfg.entry_speed_mps).hex()
+        if free_track(speed_hex, cfg.tick_s, cfg.kinematics, longest_m, MAX_TRACK_TICKS) is None:
+            problems.append(
+                f"tick_s {cfg.tick_s} too short: from {cfg.entry_speed_mps} m/s a vehicle takes"
+                f" more than {MAX_TRACK_TICKS} ticks to cross the longest road ({longest_m} m)"
+            )
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -452,26 +473,21 @@ def resolve_config(source, overrides: dict | None = None) -> ScenarioConfig:
     over the file's; the file's other fields win over what the builder
     derived; the overrides' other fields come next; an override's count
     sets vehicle_count last. [road]/[rsu] sections replace the builder's layout,
-    and a file without a scenario key starts from an empty one. A
-    ValueError that a parameter block, road or RSU raises becomes a
-    ValidationError; Simulation validates the rest.
+    and a file without a scenario key starts from an empty one. A value the
+    file grammar cannot parse is a ParseError; every other rule is
+    validate_config's, which Simulation runs.
     """
     overrides = overrides or {}
-    try:
-        if source in BUILDERS:
-            builder, settings, roads, rsus = BUILDERS[source], {}, [], []
-        else:
-            builder, settings, roads, rsus = _read_config_file(source)
-        args = {k: v for k, v in {**settings, **overrides}.items() if k in _BUILDER_ARGS}
-        cfg = builder(**args)
-        cfg.roads = roads or cfg.roads
-        cfg.rsus = rsus or cfg.rsus
-        _apply(cfg, settings)
-        _apply(cfg, overrides)
-        if "count" in overrides:
-            cfg.vehicle_count = overrides["count"]
-    except (ParseError, ValidationError):
-        raise
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    if source in BUILDERS:
+        builder, settings, roads, rsus = BUILDERS[source], {}, [], []
+    else:
+        builder, settings, roads, rsus = _read_config_file(source)
+    args = {k: v for k, v in {**settings, **overrides}.items() if k in _BUILDER_ARGS}
+    cfg = builder(**args)
+    cfg.roads = roads or cfg.roads
+    cfg.rsus = rsus or cfg.rsus
+    _apply(cfg, settings)
+    _apply(cfg, overrides)
+    if "count" in overrides:
+        cfg.vehicle_count = overrides["count"]
     return cfg

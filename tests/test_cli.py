@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import vcachesim
+from vcachesim import scenarios
 from vcachesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -122,6 +123,13 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, text, fragment):
     assert fragment in err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(b"scenario = urban_single\n\xff\n")
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_highway_multi_refuses_no_caching(capsys):
     code = run_cli(["run", "--scenario", "highway_multi", "--no-caching"])
     assert code == EXIT_USAGE
@@ -132,6 +140,16 @@ def test_bad_seed_list(capsys):
     code = run_cli(["sweep", "--scenario", "urban_single", "--seeds", "1,two"])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_negative_seed_is_a_usage_error_before_any_run(tmp_path, capsys):
+    # seed 1 used to run and write its files before seed -1 failed validation
+    args = ["sweep", "--scenario", "urban_single", "--count", 5, "--seeds", "1,-1"]
+    assert run_cli(args + ["--out", tmp_path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seeds must be >= 0" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 # -- run ----------------------------------------------------------------------
@@ -318,6 +336,28 @@ def test_sweep_config_with_relays_runs_caching_only(tmp_path, capsys):
     assert "caching-only" in out
     rows = [line for line in out.splitlines() if line.startswith(("cached", "nocache"))]
     assert len(rows) == 1 and rows[0].startswith("cached 1")
+
+
+def test_sweep_reads_its_config_file_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    read = scenarios._read_config_file
+
+    def counted_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(scenarios, "_read_config_file", counted_read)
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("scenario = urban_single\ncount = 5\nseed = 7\n")
+    code = run_cli(["sweep", "--config", cfg, "--seeds", "1,2", "--out", tmp_path / "out"])
+    assert code == EXIT_OK
+    assert reads == [cfg]
+    out = capsys.readouterr().out
+    rows = [line.split()[:2] for line in out.splitlines() if line.startswith(("cached", "nocache"))]
+    assert rows == [["cached", "1"], ["cached", "2"], ["nocache", "1"], ["nocache", "2"]]
+    for variant in ("cached", "nocache"):
+        for seed in (1, 2):
+            assert (tmp_path / "out" / f"urban_single_{variant}_s{seed}" / "cdt.csv").exists()
 
 
 def test_sweep_config_error_prints_nothing(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Content names, the catalog, and LRU store semantics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from vcachesim.content import (
     MalformedName,
     UnknownContent,
 )
+from vcachesim.scenarios import ValidationError, urban_single, validate_config
 
 
 def parse_name(text):
@@ -63,10 +66,11 @@ def test_names_are_hashable_value_objects():
 
 
 def test_content_item_requires_positive_payload():
-    with pytest.raises(ValueError):
-        ContentItem(name("/a"), 0)
-    with pytest.raises(ValueError):
-        ContentItem(name("/a"), -5)
+    # every item carries the config's payload_bits (Catalog.default), so the
+    # rule is validate_config's
+    for bits in (0, -5):
+        with pytest.raises(ValidationError, match="payload_bits must be >= 1"):
+            validate_config(dataclasses.replace(urban_single(count=5), payload_bits=bits))
 
 
 # -- LRU store -----------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_same_instant_follow_up_runs_after_the_rest_of_the_batch():
 def test_beacon_takes_airtime_but_schedules_nothing():
     sim = layout([])
     queued = len(sim.queue)
-    sim.transmit("r0", Beacon("v4"), "v4")
+    sim.transmit("r0", Beacon(320), "v4")
     assert len(sim.queue) == queued
     assert sim.channels["r0"].frames_carried == 1
     assert sim.channels["r0"].busy_until_us > 0
@@ -133,8 +133,9 @@ def test_beacon_takes_airtime_but_schedules_nothing():
 def test_a_beacon_takes_the_airtime_of_its_own_payload():
     sim = layout([])
     assert sim.cfg.radio.beacon_payload_bits == 320
+    assert sim._beacon == Beacon(320)  # every vehicle's beacon, from the radio block
     channel = sim.channels["r0"]
-    for beacon in (Beacon("v4", 640), Beacon("v4")):
+    for beacon in (Beacon(640), sim._beacon):
         busy = channel.busy_time_us
         sim.transmit("r0", beacon, "v4")
         assert channel.busy_time_us - busy == tx_duration_us(sim.cfg.radio, beacon.payload_bits)
@@ -350,7 +351,7 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     assert sim._skip_idle_ticks(0, None) == 30 * tick_us
     assert list(sim._planned) == sim._planned_at == [30 * tick_us]
     # a beacon acts whatever its vehicle's status
-    sim._bucket(25 * tick_us)[_BEACONS].append(("v000", "r0", Beacon("v000")))
+    sim._bucket(25 * tick_us)[_BEACONS].append(("v000", "r0"))
     assert sim._skip_idle_ticks(0, None) == 25 * tick_us
 
 

@@ -1,5 +1,6 @@
 """Roads, car-following kinematics, arrival schedules, and the world."""
 
+import dataclasses
 import math
 from collections import deque
 
@@ -23,6 +24,7 @@ from vcachesim.mobility import (
     free_track,
     generate_arrivals,
 )
+from vcachesim.scenarios import ValidationError, urban_single, validate_config
 from vcachesim.simcore import RandomSource, US_PER_SECOND
 
 P = KinematicParams()
@@ -47,31 +49,38 @@ def test_world_position_follows_direction():
     assert road.world_position(300.0) == (500.0, 200.0)
 
 
+# the rules of roads and kinematics are validate_config's, like every config rule
+
+
+def validate_with(**changes):
+    validate_config(dataclasses.replace(urban_single(count=5), **changes))
+
+
 def test_direction_must_be_unit():
-    with pytest.raises(ValueError):
-        RoadSegment(id="x", length_m=10.0, direction=(1.0, 1.0))
+    with pytest.raises(ValidationError, match="direction must be a unit vector"):
+        validate_with(roads=[RoadSegment(id="x", length_m=10.0, direction=(1.0, 1.0))])
     diag = 1.0 / math.sqrt(2.0)
-    RoadSegment(id="ok", length_m=10.0, direction=(diag, diag))
+    validate_with(roads=[RoadSegment(id="ok", length_m=10.0, direction=(diag, diag))])
 
 
 def test_road_length_positive():
-    with pytest.raises(ValueError):
-        RoadSegment(id="x", length_m=0.0)
+    with pytest.raises(ValidationError, match="road length must be positive"):
+        validate_with(roads=[RoadSegment(id="x", length_m=0.0)])
 
 
 def test_kinematic_params_positive():
-    with pytest.raises(ValueError):
-        KinematicParams(accel_mps2=0.0)
-    with pytest.raises(ValueError):
-        KinematicParams(min_gap_m=-1.0)
+    with pytest.raises(ValidationError, match="accel_mps2"):
+        validate_with(kinematics=KinematicParams(accel_mps2=0.0))
+    with pytest.raises(ValidationError, match="min_gap_m"):
+        validate_with(kinematics=KinematicParams(min_gap_m=-1.0))
 
 
 @pytest.mark.parametrize("name", ["accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_kinematic_params_finite(name, value):
     # NaN passes a "<= 0" test, and a NaN accel ran to the end with NaN positions
-    with pytest.raises(ValueError, match=name):
-        KinematicParams(**{name: value})
+    with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+        validate_with(kinematics=KinematicParams(**{name: value}))
 
 
 # -- single-step kinematics ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Zones, airtime math and FIFO channel reservations."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from vcachesim.radio import (
     propagation_us,
     tx_duration_us,
 )
+from vcachesim.scenarios import ValidationError, urban_single, validate_config
 
 RADIO = RadioParams()
 
@@ -50,16 +52,20 @@ def test_propagation_rounds_up():
 
 
 def test_radio_params_validation():
-    with pytest.raises(ValueError):
-        RadioParams(bitrate_bps=0)
-    with pytest.raises(ValueError):
-        RadioParams(header_bits=-1)
+    # the radio block's rules are validate_config's, like every config rule
+    def validate_with(**changes):
+        validate_config(dataclasses.replace(urban_single(count=5), radio=RadioParams(**changes)))
+
+    with pytest.raises(ValidationError, match="bitrate_bps must be positive"):
+        validate_with(bitrate_bps=0)
+    with pytest.raises(ValidationError, match="header_bits must be positive"):
+        validate_with(header_bits=-1)
     # an infinite bitrate used to run with NaN airtimes
     for name in ("header_bits", "bitrate_bps", "beacon_payload_bits"):
         for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-                RadioParams(**{name: value})
-    RadioParams(bitrate_bps=10**400)  # any int, without a float conversion
+            with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+                validate_with(**{name: value})
+    validate_with(bitrate_bps=10**400)  # any int, without a float conversion
 
 
 # -- zones ---------------------------------------------------------------------

@@ -49,10 +49,10 @@ def test_receivers_in_zone_preserves_order_and_excludes_sender():
         ("v5", (1.0, 0.0), OTHER),
     ]
     assert receivers_in_zone(zone, CONTENT, rsus, vehicles, "v1") == ["r0", "r1", "v2", "v4"]
-    request = Request(ITEM, "v1", "v1.0", "r1")
+    request = Request(ITEM, "v1.0", "r1")
     assert receivers_in_zone(zone, request, rsus, vehicles, "v1") == ["r1"]
     assert receivers_in_zone(zone, request, rsus, vehicles, "r1") == []
-    assert receivers_in_zone(zone, Request(ITEM, "v1", "v1.0", "r2"), rsus, vehicles, "v1") == []
+    assert receivers_in_zone(zone, Request(ITEM, "v1.0", "r2"), rsus, vehicles, "v1") == []
 
 
 def place(sim, vid, road_id, pos, wanted=ITEM):
@@ -178,11 +178,11 @@ def test_receivers_match_the_range_test_on_every_node(layout):
         content = Response(name, 2000, "v9.0", SOURCE_RSU_HIT)
         assert sim._receivers(zone_id, zone_id, content) == oracle(sim, zone_id, zone_id, content)
     if sender != zone_id:
-        request = Request(ITEM, sender, "x.0", zone_id)
+        request = Request(ITEM, "x.0", zone_id)
         assert sim._receivers(zone_id, sender, request) == oracle(sim, zone_id, sender, request)
     if target != zone_id:
         with pytest.raises(RuntimeError, match=f"request for {target} on {zone_id}'s channel"):
-            sim._receivers(zone_id, sender, Request(ITEM, sender, "x.0", target))
+            sim._receivers(zone_id, sender, Request(ITEM, "x.0", target))
 
 
 def wide_twins():
@@ -280,17 +280,17 @@ def test_only_the_zones_own_rsu_sends_content_on_its_channel():
     for sender in ("a1", "nobody"):
         with pytest.raises(RuntimeError, match="only r0 sends content"):
             heard(sim, sender, CONTENT)
-    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r0")) == ["r0"]
+    assert heard(sim, "a1", Request(ITEM, "a1.0", "r0")) == ["r0"]
 
 
 def test_a_request_is_heard_by_rsus_only():
     sim = crossing()
-    request = Request(ITEM, "a1", "a1.0", "r0")
+    request = Request(ITEM, "a1.0", "r0")
     assert heard(sim, "a1", request) == ["r0"]
     log = logging_frames(sim, list(sim.vehicles))
     sim.transmit("r0", request, "a1")
     sim.queue.run_until(sim.duration_us)
-    assert sim.rsus["r0"].requests_received == 1
+    assert [rsu for _, rsu in sim.ledger.rsu_events] == ["r0"]
     # the gateway's answer reaches the vehicles; the request did not
     assert [kind for _, kind in log] == [Response] * 3
 
@@ -298,17 +298,17 @@ def test_a_request_is_heard_by_rsus_only():
 def test_a_request_reaches_only_its_target_among_the_rsus_in_its_zone():
     # r1's centre is inside r0's zone and r0's inside r1's
     sim = crossing(extra_rsus=[RsuSpec("r1", (110.0, 5.0), 50.0)])
-    assert heard(sim, "a1", Request(ITEM, "a1", "a1.0", "r0")) == ["r0"]
-    assert heard(sim, "r1", Request(ITEM, "a1", "a1.0", "r0", True)) == ["r0"]  # forwarded
-    request = Request(ITEM, "a1", "a1.0", "r1")
+    assert heard(sim, "a1", Request(ITEM, "a1.0", "r0")) == ["r0"]
+    assert heard(sim, "r1", Request(ITEM, "a1.0", "r0", True)) == ["r0"]  # forwarded
+    request = Request(ITEM, "a1.0", "r1")
     assert [node for node, _ in sim._receivers("r1", "a1", request)] == ["r1"]
     with pytest.raises(RuntimeError, match="request for r1 on r0's channel"):
         heard(sim, "a1", request)  # a request rides its target's channel
     assert heard(sim, "r0", CONTENT) == ["r1", "a0", "b0", "a1"]
     log = logging_frames(sim, ["r1"])
-    sim.transmit("r0", Request(ITEM, "a1", "a1.0", "r0"), "a1")
+    sim.transmit("r0", Request(ITEM, "a1.0", "r0"), "a1")
     sim.queue.run_until(sim.duration_us)
-    assert sim.rsus["r0"].requests_received == 1
+    assert [rsu for _, rsu in sim.ledger.rsu_events] == ["r0"]
     assert log == [("r1", Response)]  # r0's answer, not the request
 
 

@@ -174,6 +174,25 @@ def broken(**changes):
         ({"roads": [RoadSegment("a", 800.0), RoadSegment("a", 800.0)]}, "duplicate road ids"),
         ({"rsus": [RsuSpec("r0", (400.0, 100.0), 0.0)]}, "r0: radius_m must be finite and positive"),
         ({"payload_bits": 0}, "payload_bits must be >= 1"),
+        # the roads' and parameter blocks' own rules are here too
+        ({"roads": [RoadSegment("a", 0.0)]}, "road length must be positive: 0.0"),
+        (
+            {"roads": [RoadSegment("a", 800.0, direction=(1.0, 1.0))]},
+            r"road direction must be a unit vector: \(1.0, 1.0\)",
+        ),
+        ({"kinematics": KinematicParams(accel_mps2=0.0)}, "accel_mps2 must be finite and positive"),
+        ({"kinematics": KinematicParams(decel_mps2=-1.0)}, "decel_mps2 must be finite and positive"),
+        (
+            {"kinematics": KinematicParams(max_speed_mps=math.inf)},
+            "max_speed_mps must be finite and positive",
+        ),
+        ({"kinematics": KinematicParams(min_gap_m=math.nan)}, "min_gap_m must be finite and positive"),
+        ({"radio": RadioParams(header_bits=0)}, "header_bits must be positive and finite"),
+        ({"radio": RadioParams(bitrate_bps=math.inf)}, "bitrate_bps must be positive and finite"),
+        (
+            {"radio": RadioParams(beacon_payload_bits=math.nan)},
+            "beacon_payload_bits must be positive and finite",
+        ),
     ],
 )
 def test_validation_rejects_bad_fields(changes, fragment):
@@ -234,6 +253,20 @@ def test_the_path_check_fills_the_track_cache_the_world_reads():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("accel_mps2", math.nan), ("max_speed_mps", 0.0), ("max_speed_mps", math.nan)]
+)
+def test_no_path_is_built_for_a_config_another_rule_rejects(name, value):
+    # the path check used to run on these too, build MAX_TRACK_TICKS steps
+    # of a path that never crosses the road, and report a too-short tick;
+    # nor is the entry speed measured against a max speed that is rejected
+    before = free_track.cache_info()
+    with pytest.raises(ValidationError) as exc:
+        validate_config(broken(kinematics=KinematicParams(**{name: value})))
+    assert str(exc.value) == f"{name} must be finite and positive: {value}"
+    assert free_track.cache_info().misses == before.misses
+
+
 @pytest.mark.parametrize("name", ["tick_s", "sample_interval_s"])
 def test_sub_microsecond_interval_is_rejected_before_the_run(name):
     # tick_s used to hang the event loop; sample_interval_s used to fail
@@ -247,7 +280,7 @@ def test_sub_microsecond_interval_is_rejected_before_the_run(name):
 def test_radio_override_must_be_positive_and_finite(name, value):
     # an infinite bitrate used to validate and run with NaN airtimes
     with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
-        resolve_config("urban_single", {f"radio.{name}": value})
+        validate_config(resolve_config("urban_single", {f"radio.{name}": value}))
 
 
 @pytest.mark.parametrize("name", ["accel_mps2", "decel_mps2", "max_speed_mps", "min_gap_m"])
@@ -255,7 +288,7 @@ def test_radio_override_must_be_positive_and_finite(name, value):
 def test_kinematics_override_must_be_finite_and_positive(tmp_path, name, value):
     path = write(tmp_path, f"scenario = urban_single\nkinematics.{name} = {value}\n")
     with pytest.raises(ValidationError, match=name):
-        resolve_config(path)
+        validate_config(resolve_config(path))
 
 
 def test_validation_collects_multiple_problems():
@@ -393,6 +426,9 @@ EDGE_VALUES = {
     "catalog_size": [0, 1],
     "rsu_cache_capacity": [0, 1],
     "payload_bits": [0, 1],
+    "kinematics.accel_mps2": [math.nan, 0.0],
+    "kinematics.max_speed_mps": [0.0, math.inf],
+    "kinematics.min_gap_m": [math.nan],
 }
 # up to three edges at a time, so that many configs pass
 GATE_EDGES = st.lists(
