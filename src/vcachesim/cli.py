@@ -187,11 +187,10 @@ def _cmd_sweep(args) -> int:
     # resolved once, each run replacing caching and seed; a config error ends
     # the sweep before any run and prints nothing, not even the note
     base = _resolve_config(args, args.caching, None)
+    validate_config(replace(base, seed=args.seeds[0]))  # the file's seed is not run
     if args.caching is not None:
         variants = [args.caching]
-        validate_config(replace(base, seed=args.seeds[0]))  # the file's seed is not run
     else:
-        validate_config(base)
         variants = [True, False]
         if caching_only(base):
             variants = [True]

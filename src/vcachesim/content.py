@@ -19,23 +19,31 @@ class UnknownContent(KeyError):
     """A name was requested that the catalog does not hold."""
 
 
-@dataclass(frozen=True)
-class ContentName:
-    """A hierarchical name such as /traffic/7, stored as its segments."""
+class ContentName(str):
+    """A hierarchical name such as /traffic/7, built from its segments.
 
-    segments: tuple[str, ...]
+    The value is the canonical text, so hashing and equality are str's own.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    __slots__ = ()  # no instance dict: a name is as immutable as its text
+
+    def __new__(cls, segments: tuple[str, ...]) -> "ContentName":
+        if not segments:
             raise MalformedName("content name needs at least one segment")
-        for seg in self.segments:
-            if not seg:
-                raise MalformedName("content name has an empty segment")
-            if "/" in seg:
-                raise MalformedName(f"segment may not contain '/': {seg!r}")
+        if "" in segments or "/" in "".join(segments):  # C-level checks; the loop names the fault
+            for seg in segments:
+                if not seg:
+                    raise MalformedName("content name has an empty segment")
+                if "/" in seg:
+                    raise MalformedName(f"segment may not contain '/': {seg!r}")
+        return str.__new__(cls, "/" + "/".join(segments))
 
-    def __str__(self) -> str:
-        return "/" + "/".join(self.segments)
+    @property
+    def segments(self) -> tuple[str, ...]:
+        return tuple(self[1:].split("/"))
+
+    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
+        return (self.segments,)
 
 
 @dataclass(frozen=True)

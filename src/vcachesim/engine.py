@@ -592,7 +592,7 @@ class Simulation:
     def _on_server_request(self, rsu_id: str, name, request_id: str) -> None:
         now = self.queue.now_us
         item = self.catalog.lookup(name)
-        self.ledger.record_server_fetch(now, str(name))
+        self.ledger.record_server_fetch(now, name)
         if self.tracing:
             self.trace(f"SERVER name={name} id={request_id}")
         self.queue.schedule(

@@ -20,7 +20,7 @@ Services interface used by agents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .content import ContentItem, ContentName, LruStore
 from .metrics import (
@@ -53,7 +53,7 @@ class Request:
     @property
     def payload_bits(self) -> int:
         # the canonical name text at 8 bits per character
-        return 8 * len(str(self.name))
+        return 8 * len(self.name)
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ class Relay(RsuBase):
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         if not self._answer_from_cache(frame, services):
-            forward = replace(frame, target=self.next_hop, forwarded=True)
+            forward = Request(frame.name, frame.request_id, self.next_hop, True)
             self._send_later(self.next_hop, forward, services)
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:

@@ -147,8 +147,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     check(bool(cfg.roads), "at least one road is required")
     for road in cfg.roads:
-        # a NaN length is the finite rule's
-        check(not road.length_m <= 0, "road length must be positive: %s", road.length_m)
+        # a non-finite length (NaN, -inf) is the finite rule's
+        check(not -math.inf < road.length_m <= 0, "road length must be positive: %s", road.length_m)
         check(
             math.isclose(math.hypot(*road.direction), 1.0, rel_tol=0, abs_tol=1e-9),
             "road direction must be a unit vector: %s",

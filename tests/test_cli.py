@@ -360,6 +360,21 @@ def test_sweep_reads_its_config_file_once(tmp_path, capsys, monkeypatch):
             assert (tmp_path / "out" / f"urban_single_{variant}_s{seed}" / "cdt.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--caching"]])
+def test_sweep_ignores_the_config_files_own_seed(tmp_path, capsys, flags):
+    # every run takes its seed from --seeds, so a bad seed in the file is
+    # never run and must not stop the sweep, with or without a variant flag
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("scenario = urban_single\ncount = 5\nseed = -1\n")
+    code = run_cli(["sweep", "--config", cfg, "--seeds", "1,2", *flags, "--out", tmp_path / "out"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split()[:2] for line in captured.out.splitlines() if line.startswith(("cached", "nocache"))]
+    variants = ["cached"] if flags else ["cached", "nocache"]
+    assert rows == [[v, s] for v in variants for s in ("1", "2")]
+
+
 def test_sweep_config_error_prints_nothing(tmp_path, capsys):
     # the caching-only note is printed only for a config that passes the gate
     cfg = tmp_path / "m.cfg"

@@ -1,6 +1,8 @@
 """Content names, the catalog, and LRU store semantics."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +65,43 @@ def test_malformed_names_rejected():
 def test_names_are_hashable_value_objects():
     assert parse_name("/a/b") == ContentName(("a", "b"))
     assert len({parse_name("/x"), parse_name("/x")}) == 1
+
+
+def test_malformed_name_reports_its_first_bad_segment():
+    with pytest.raises(MalformedName, match="at least one segment"):
+        ContentName(())
+    with pytest.raises(MalformedName, match="may not contain '/': 'a/b'"):
+        ContentName(("a/b", ""))
+    with pytest.raises(MalformedName, match="empty segment"):
+        ContentName(("", "a/b"))
+
+
+def test_names_hash_and_compare_in_c():
+    # every cache, pending table and receiver index is keyed by names, so a
+    # Python-level __hash__ or __eq__ would run on every lookup
+    n = ContentName(("traffic", "7"))
+    assert type(n).__hash__ is str.__hash__
+    assert "__eq__" not in vars(ContentName) and "__hash__" not in vars(ContentName)
+    assert n == "/traffic/7" and hash(n) == hash("/traffic/7")
+    assert n.segments == ("traffic", "7")
+    assert ContentName(n.segments) == n
+
+
+def test_separately_built_equal_names_are_one_store_key():
+    store = LruStore(capacity=2)
+    store.put(ContentItem(ContentName(("traffic", "7")), 2000))
+    other = ContentName(("traffic", "7"))
+    assert store.get(other) is not None
+    assert store.put(ContentItem(other, 2000)) is None  # a refresh, not a second entry
+    assert len(store) == 1
+
+
+def test_names_survive_pickle_and_copy():
+    n = ContentName(("traffic", "7"))
+    pickled = [pickle.loads(pickle.dumps(n, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*pickled, copy.copy(n), copy.deepcopy(n)):
+        assert type(back) is ContentName
+        assert back == n and back.segments == ("traffic", "7")
 
 
 def test_content_item_requires_positive_payload():

@@ -200,6 +200,16 @@ def test_validation_rejects_bad_fields(changes, fragment):
         validate_config(broken(**changes))
 
 
+@pytest.mark.parametrize("length", [-math.inf, math.nan, math.inf])
+def test_a_non_finite_road_length_is_reported_once(length):
+    # a non-finite length is the finite rule's alone, -inf included
+    with pytest.raises(ValidationError) as exc:
+        validate_config(broken(roads=[RoadSegment("a", length)]))
+    road_problems = [p for p in str(exc.value).split("; ") if p.startswith("road ")]
+    assert len(road_problems) == 1
+    assert road_problems[0].startswith("road length_m and origin must be finite")
+
+
 INTERVAL_FIELDS = [
     "arrival_window_s",
     "tick_s",
