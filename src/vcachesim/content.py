@@ -65,9 +65,6 @@ class LruStore:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, name: ContentName) -> bool:
-        return name in self._items
-
     def get(self, name: ContentName) -> ContentItem | None:
         item = self._items.get(name)
         if item is not None:
@@ -79,20 +76,20 @@ class LruStore:
 
     def put(self, item: ContentItem) -> ContentName | None:
         """Insert or refresh as most recent; returns the evicted name if any."""
-        name = item.name
-        if name in self._items:
-            self._items[name] = item
-            self._items.move_to_end(name)
-            return None
-        self._items[name] = item
-        if len(self._items) > self.capacity:
-            evicted, _ = self._items.popitem(last=False)
-            return evicted
+        items = self._items
+        items[item.name] = item
+        items.move_to_end(item.name)
+        if len(items) > self.capacity:
+            return items.popitem(last=False)[0]
         return None
 
     def names(self) -> list[ContentName]:
         """Names from least to most recently used."""
         return list(self._items)
+
+    def items(self) -> list[ContentItem]:
+        """Items from least to most recently used."""
+        return list(self._items.values())
 
 
 class Catalog:
@@ -100,13 +97,6 @@ class Catalog:
 
     def __init__(self, items: list[ContentItem]) -> None:
         self._by_name = {item.name: item for item in items}
-        self.items = list(items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, name: ContentName) -> bool:
-        return name in self._by_name
 
     def lookup(self, name: ContentName) -> ContentItem:
         try:
@@ -115,7 +105,7 @@ class Catalog:
             raise UnknownContent(str(name)) from None
 
     def names(self) -> list[ContentName]:
-        return [item.name for item in self.items]
+        return list(self._by_name)
 
     @classmethod
     def default(

@@ -4,7 +4,8 @@ Agents are pure protocol logic. Everything environmental (channels, clocks,
 backhaul wiring, metric recording) is reached through a services object the
 engine provides, which keeps each handler unit-testable with a stub. Only
 the engine decides who hears a frame (Simulation._receivers), so a handler
-takes every frame it gets as its own.
+takes every frame it gets as its own. Content frames carry the catalog's
+ContentItem, which RSUs cache as it is; a relay sends one frame per item.
 
 Services interface used by agents:
     transmit(channel_owner, frame, sender_id)   queue a frame on a zone channel
@@ -21,6 +22,7 @@ Services interface used by agents:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .content import ContentItem, ContentName, LruStore
 from .metrics import (
@@ -41,10 +43,13 @@ class OrphanResponse(RuntimeError):
 
 
 # -- frames -------------------------------------------------------------------
+# kind is the lower-cased class name: the trace's kind= and the key of
+# Simulation.frames_transmitted
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Request:
+    kind = "request"
     name: ContentName
     request_id: str
     target: str
@@ -56,27 +61,28 @@ class Request:
         return 8 * len(self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
-    name: ContentName
-    payload_bits: int
+    kind = "response"
+    name = property(attrgetter("item.name"))
+    payload_bits = property(attrgetter("item.payload_bits"))
+    item: ContentItem
     request_id: str
     origin: str  # rsu-hit | server-fetch
 
-    def __post_init__(self) -> None:
-        if self.origin not in (SOURCE_RSU_HIT, SOURCE_SERVER_FETCH):
-            raise ValueError(f"bad response origin: {self.origin!r}")
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Beacon:
+    kind = "beacon"
     payload_bits: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RelayRebroadcast:
-    name: ContentName
-    payload_bits: int
+    kind = "relayrebroadcast"
+    name = property(attrgetter("item.name"))
+    payload_bits = property(attrgetter("item.payload_bits"))
+    item: ContentItem
 
 
 # -- vehicle ------------------------------------------------------------------
@@ -188,8 +194,7 @@ class RsuBase:
         services.cache_event(self.id, hit=item is not None)
         if item is None:
             return False
-        response = Response(frame.name, item.payload_bits, frame.request_id, SOURCE_RSU_HIT)
-        self._send_later(self.id, response, services)
+        self._send_later(self.id, Response(item, frame.request_id, SOURCE_RSU_HIT), services)
         return True
 
 
@@ -217,15 +222,14 @@ class CachingGateway(RsuBase):
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
         # overheard neighbor traffic is free cache warm-up; never rebroadcast
-        self._store(ContentItem(frame.name, frame.payload_bits), services)
+        self._store(frame.item, services)
 
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
         if item.name not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request for {item.name}")
         del self._pending[item.name]
         self._store(item, services)
-        response = Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH)
-        self._send_later(self.id, response, services)
+        self._send_later(self.id, Response(item, request_id, SOURCE_SERVER_FETCH), services)
 
     def _store(self, item: ContentItem, services) -> None:
         evicted = self.cache.put(item)
@@ -248,8 +252,7 @@ class PlainGateway(RsuBase):
         if request_id not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request {request_id}")
         self._pending.remove(request_id)
-        response = Response(item.name, item.payload_bits, request_id, SOURCE_SERVER_FETCH)
-        self._send_later(self.id, response, services)
+        self._send_later(self.id, Response(item, request_id, SOURCE_SERVER_FETCH), services)
 
 
 class Relay(RsuBase):
@@ -260,12 +263,14 @@ class Relay(RsuBase):
     rebroadcast exactly once; a name already held is never rebroadcast
     again, which is what stops echo between overlapping relays. A periodic
     announcement rebroadcasts the full cache to seed approaching traffic.
+    Each item goes out as one frame object, built when it is first sent.
     """
 
     def __init__(self, rsu_id: str, next_hop: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
         self.cache = LruStore(capacity)
         self.next_hop = next_hop
+        self._frames: dict[ContentName, RelayRebroadcast] = {}  # name -> its frame
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         if not self._answer_from_cache(frame, services):
@@ -273,10 +278,11 @@ class Relay(RsuBase):
             self._send_later(self.next_hop, forward, services)
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
-        held = self.cache.peek(frame.name) is not None
-        self.cache.put(ContentItem(frame.name, frame.payload_bits))  # a held name gains recency
+        item = frame.item
+        held = self.cache.peek(item.name) is not None
+        self.cache.put(item)  # a held name gains recency
         if not held:
-            self._send_later(self.id, RelayRebroadcast(frame.name, frame.payload_bits), services)
+            self._send_later(self.id, self._frame(item), services)
 
     def on_announce(self, now_us: int, services) -> None:
         """Rebroadcast the whole cache, least recently used first."""
@@ -284,6 +290,10 @@ class Relay(RsuBase):
             return
         if services.tracing:
             services.trace(f"ANNOUNCE rsu={self.id} items={len(self.cache)}")
-        for name in self.cache.names():
-            item = self.cache.peek(name)
-            services.transmit(self.id, RelayRebroadcast(name, item.payload_bits), self.id)
+        for item in self.cache.items():
+            services.transmit(self.id, self._frame(item), self.id)
+
+    def _frame(self, item: ContentItem) -> RelayRebroadcast:
+        if item.name not in self._frames:
+            self._frames[item.name] = RelayRebroadcast(item)
+        return self._frames[item.name]

@@ -122,8 +122,8 @@ def test_lru_evicts_least_recently_used():
     assert store.get(name("/a")) is not None  # /a becomes most recent
     evicted = store.put(item("/c"))
     assert evicted == name("/b")
-    assert name("/a") in store
-    assert name("/c") in store
+    assert store.peek(name("/a")) is not None
+    assert store.peek(name("/c")) is not None
     assert len(store) == 2
 
 
@@ -159,6 +159,7 @@ def test_names_orders_least_to_most_recent():
     store.put(item("/c"))
     store.get(name("/a"))
     assert store.names() == [name("/b"), name("/c"), name("/a")]
+    assert store.items() == [store.peek(n) for n in store.names()]  # same order
 
 
 class ReferenceLru:
@@ -217,7 +218,7 @@ def test_lru_matches_reference_model(capacity, ops):
 
 def test_default_catalog_names_and_payload():
     cat = Catalog.default(10, 2000, "traffic")
-    assert len(cat) == 10
+    assert len(cat.names()) == 10
     assert [str(n) for n in cat.names()][:3] == ["/traffic/1", "/traffic/2", "/traffic/3"]
     assert all(cat.lookup(n).payload_bits == 2000 for n in cat.names())
 
@@ -230,5 +231,6 @@ def test_catalog_lookup_unknown_raises():
 
 def test_catalog_contains():
     cat = Catalog.default(2)
-    assert name("/traffic/1") in cat
-    assert name("/traffic/3") not in cat
+    assert cat.names() == [name("/traffic/1"), name("/traffic/2")]
+    assert cat.lookup(name("/traffic/1")).name == name("/traffic/1")
+    assert name("/traffic/3") not in cat.names()

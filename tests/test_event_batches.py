@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
-from vcachesim.content import ContentName
+from vcachesim.content import ContentItem, ContentName
 from vcachesim.engine import _ATTEMPTS, _BEACONS, Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
@@ -81,7 +81,7 @@ def layout(log, on_hear=None):
 
 def broadcast(sim):
     """Send one response from r0; returns the instant its airtime ends."""
-    sim.transmit("r0", Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT), "r0")
+    sim.transmit("r0", Response(ContentItem(ITEM, 2000), "v9.0", SOURCE_RSU_HIT), "r0")
     (end, _, _), = sim.queue._heap
     sim.queue.run_until(sim.duration_us)
     return end

@@ -28,6 +28,8 @@ from vcachesim.simcore import US_PER_SECOND
 
 WANT = ContentName(("traffic", "3"))
 OTHER = ContentName(("traffic", "9"))
+WANT_ITEM = ContentItem(WANT, 2000)
+OTHER_ITEM = ContentItem(OTHER, 2000)
 
 
 class FakeServices:
@@ -77,7 +79,7 @@ def request(name=WANT, request_id="v0.0", target="r0", forwarded=False):
 
 
 def response(name=WANT, origin=SOURCE_SERVER_FETCH, request_id="v0.0", bits=2000):
-    return Response(name, bits, request_id, origin)
+    return Response(ContentItem(name, bits), request_id, origin)
 
 
 # -- frames ----------------------------------------------------------------------
@@ -88,9 +90,11 @@ def test_request_payload_is_name_text_bytes():
     assert req.payload_bits == 8 * len("/traffic/10")
 
 
-def test_response_validates_origin():
-    with pytest.raises(ValueError):
-        Response(WANT, 2000, "x", SOURCE_LOCAL_PRECACHE)
+def test_content_frames_take_name_and_size_from_their_item():
+    item = ContentItem(WANT, 1234)
+    for frame in (Response(item, "v0.0", SOURCE_RSU_HIT), RelayRebroadcast(item)):
+        assert frame.item is item
+        assert frame.name == WANT and frame.payload_bits == 1234
 
 
 # -- vehicle ---------------------------------------------------------------------
@@ -166,7 +170,7 @@ def test_relay_rebroadcast_satisfies_as_relay_hit():
     svc = FakeServices()
     v = VehicleAgent("v0", WANT, caching=True)
     v.on_attempt(1_000, "r0", svc)
-    v.on_frame(RelayRebroadcast(WANT, 2000), 1_500, svc)
+    v.on_frame(RelayRebroadcast(WANT_ITEM), 1_500, svc)
     assert v.status == SATISFIED
     assert svc.delivered[0].source == SOURCE_RELAY_HIT
 
@@ -249,16 +253,16 @@ def test_gateway_orphan_response_raises():
 def test_gateway_caches_overheard_broadcasts():
     svc = FakeServices()
     gw = make_gateway()
-    gw.on_frame(RelayRebroadcast(OTHER, 2000), 500, svc)
-    assert OTHER in gw.cache
+    gw.on_frame(RelayRebroadcast(OTHER_ITEM), 500, svc)
+    assert gw.cache.peek(OTHER) is OTHER_ITEM  # the frame's item, as it is
     assert svc.transmitted == []  # gateways never rebroadcast
 
 
 def test_gateway_eviction_traces():
     svc = FakeServices()
     gw = make_gateway(capacity=1)
-    gw.on_frame(RelayRebroadcast(WANT, 2000), 100, svc)
-    gw.on_frame(RelayRebroadcast(OTHER, 2000), 200, svc)
+    gw.on_frame(RelayRebroadcast(WANT_ITEM), 100, svc)
+    gw.on_frame(RelayRebroadcast(OTHER_ITEM), 200, svc)
     assert svc.traces == [f"EVICT rsu=r0 name={WANT}"]
 
 
@@ -290,7 +294,7 @@ def test_plain_gateway_orphan_raises():
 def test_plain_gateway_ignores_broadcasts():
     svc = FakeServices()
     gw = PlainGateway("r0", proc_delay_us=10)
-    gw.on_frame(RelayRebroadcast(WANT, 2000), 100, svc)
+    gw.on_frame(RelayRebroadcast(WANT_ITEM), 100, svc)
     assert not hasattr(gw, "cache")
     assert svc.transmitted == []
 
@@ -335,7 +339,7 @@ def test_relay_overheard_broadcast_clears_pending_and_rebroadcasts_new_names():
     svc.transmitted.clear()
 
     relay.on_frame(response(), 2_000, svc)  # gateway's answer passes by
-    assert WANT in relay.cache
+    assert relay.cache.peek(WANT) is not None
     svc.run_deferred()
     assert len(svc.transmitted) == 1
     rebroadcast = svc.transmitted[0][1]
@@ -348,7 +352,7 @@ def test_relay_suppresses_rebroadcast_of_known_names():
     relay = make_relay()
     relay.cache.put(ContentItem(OTHER, 2000))
     relay.cache.put(ContentItem(WANT, 2000))
-    relay.on_frame(RelayRebroadcast(WANT, 2000), 2_000, svc)
+    relay.on_frame(RelayRebroadcast(WANT_ITEM), 2_000, svc)
     svc.run_deferred()
     assert svc.transmitted == []  # echo suppressed
     # but the overheard copy refreshed recency
@@ -369,6 +373,21 @@ def test_relay_announce_rebroadcasts_whole_cache_lru_first():
     assert svc.traces == ["ANNOUNCE rsu=r0 items=2"]
 
 
+def test_relay_sends_one_frame_object_per_item():
+    svc = FakeServices()
+    relay = make_relay()
+    relay.on_frame(response(), 1_000, svc)  # new names: cached and rebroadcast
+    relay.on_frame(RelayRebroadcast(OTHER_ITEM), 1_500, svc)
+    svc.run_deferred()
+    relay.on_announce(2_000, svc)
+    relay.on_announce(3_000, svc)
+    sent = [frame for _, frame, _ in svc.transmitted]
+    assert [frame.name for frame in sent] == [WANT, OTHER] * 3
+    for first, *again in (sent[0::2], sent[1::2]):  # per name
+        assert all(frame is first for frame in again)
+    assert sent[1].item is OTHER_ITEM
+
+
 def test_relay_has_no_backhaul_content_path():
     svc = FakeServices()
     relay = make_relay()
@@ -387,7 +406,7 @@ def test_server_fetch_counts_and_looks_up():
     gateway.on_frame(request(), 0, sim)
     sim.queue.run_until(US_PER_SECOND)
     assert sim.ledger.server_events == [(400, str(WANT))]  # 400 us one way
-    assert gateway.cache.peek(WANT) == sim.catalog.lookup(WANT)
+    assert gateway.cache.peek(WANT) is sim.catalog.lookup(WANT)
     assert sim.frames_transmitted == {"response": 1}
     with pytest.raises(UnknownContent):
         sim._on_server_request("r0", ContentName(("other", "1")), "v0.1")

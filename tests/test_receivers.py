@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from vcachesim.content import ContentName
+from vcachesim.content import ContentItem, ContentName
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
 from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
@@ -23,7 +23,7 @@ from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
 ITEM = ContentName(("traffic", "1"))
 OTHER = ContentName(("traffic", "2"))
-CONTENT = Response(ITEM, 2000, "v9.0", SOURCE_RSU_HIT)
+CONTENT = Response(ContentItem(ITEM, 2000), "v9.0", SOURCE_RSU_HIT)
 
 
 def receivers_in_zone(zone, frame, rsus, vehicles, sender):
@@ -175,7 +175,7 @@ def test_receivers_match_the_range_test_on_every_node(layout):
     # content comes from the zone's own RSU; a request from anyone else in
     # it, on its target's channel; a request for another RSU raises
     for name in (ITEM, OTHER):
-        content = Response(name, 2000, "v9.0", SOURCE_RSU_HIT)
+        content = Response(ContentItem(name, 2000), "v9.0", SOURCE_RSU_HIT)
         assert sim._receivers(zone_id, zone_id, content) == oracle(sim, zone_id, zone_id, content)
     if sender != zone_id:
         request = Request(ITEM, "x.0", zone_id)
@@ -214,7 +214,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     sim = Simulation(cfg)
     seen = {"shared": 0, "receivers": 0}
     shared = sim.world._track(cfg.entry_speed_mps)
-    frames = [Response(name, cfg.payload_bits, "v9.0", SOURCE_RSU_HIT) for name in sim.catalog.names()]
+    frames = [Response(sim.catalog.lookup(name), "v9.0", SOURCE_RSU_HIT) for name in sim.catalog.names()]
 
     def probe():
         for vid in sim._active:
@@ -315,7 +315,7 @@ def test_a_request_reaches_only_its_target_among_the_rsus_in_its_zone():
 def test_a_vehicle_that_wants_another_item_hears_none_of_it():
     sim = crossing(b0_wants=OTHER)
     assert heard(sim, "r0", CONTENT) == ["a0", "a1"]
-    assert heard(sim, "r0", Response(OTHER, 2000, "v9.0", SOURCE_RSU_HIT)) == ["b0"]
+    assert heard(sim, "r0", Response(ContentItem(OTHER, 2000), "v9.0", SOURCE_RSU_HIT)) == ["b0"]
     b0 = sim.vehicles["b0"]
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)

@@ -7,6 +7,8 @@ pin the invariants the experiment metrics rely on.
 import dataclasses
 import hashlib
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from vcachesim.protocol import (
     CachingGateway,
     PlainGateway,
     Relay,
+    RelayRebroadcast,
     Request,
     Response,
     RsuBase,
@@ -42,6 +45,9 @@ from vcachesim.scenarios import (
     urban_single,
 )
 from vcachesim.simcore import seconds_to_us
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402 - the benchmark's tracer, found through the path entry above
 
 
 def run_pair(cfg):
@@ -62,6 +68,17 @@ def urban_nocache():
 @pytest.fixture(scope="module")
 def chain():
     return run_pair(highway_multi(count=60, seed=3))
+
+
+@pytest.fixture(scope="module")
+def storm():
+    """The benchmark's relay_storm layout, small and traced: a 100-item
+    catalog, 16-item caches and a relay announce every 3 s."""
+    cfg = dataclasses.replace(
+        highway_multi(count=60, seed=1),
+        catalog_size=100, rsu_cache_capacity=16, relay_announce_interval_s=3.0, trace=True,
+    )
+    return run_pair(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +223,34 @@ def test_relay_chain_seeds_upstream_caches(chain):
     assert result.satisfied == result.spawned
 
 
+def test_rsu_caches_hold_the_catalogs_own_items(storm):
+    # content frames carry the catalog's item and RSUs cache it as it is;
+    # each relay builds at most one frame per item
+    sim, result = storm
+    assert any("EVICT" in line for line in result.trace_lines)  # caches turned over
+    relays = [rsu for rsu in sim.rsus.values() if isinstance(rsu, Relay)]
+    assert len(relays) == 2
+    for rsu in sim.rsus.values():
+        assert len(rsu.cache) == 16
+        assert all(item is sim.catalog.lookup(item.name) for item in rsu.cache.items())
+    for relay in relays:
+        assert 0 < len(relay._frames) <= sim.cfg.catalog_size
+        for name, frame in relay._frames.items():
+            assert frame.item is sim.catalog.lookup(name)
+
+
+def test_frame_kinds_are_the_class_names_the_benchmark_counts(storm):
+    # the trace's kind=, the frames_transmitted keys and the benchmark
+    # tracer's FRAME_KINDS are the lower-cased class names
+    for cls in (Request, Response, Beacon, RelayRebroadcast):
+        assert cls.kind == cls.__name__.lower()
+    sim, result = storm
+    counted = set(tracing.FRAME_KINDS) - {"other"}
+    sent = {re.search(r" TX kind=(\S+) ", line).group(1) for line in result.trace_lines
+            if " TX " in line}
+    assert sent == set(sim.frames_transmitted) == counted  # every kind sent here
+
+
 def test_server_requests_never_outrun_rsu_requests(urban_cached, urban_nocache, chain):
     for sim, result in (urban_cached, urban_nocache, chain):
         grid = sample_grid(sim.duration_us, seconds_to_us(sim.cfg.sample_interval_s))
@@ -327,7 +372,7 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(m
         # inside r0's zone, on its track, idle
         _, _, age = sim.world.riding("v000")
         heard_at.update(age=age, status=sim.vehicles["v000"].status)
-        sim.transmit("r0", Response(item, cfg.payload_bits, "x.0", SOURCE_RSU_HIT), "r0")
+        sim.transmit("r0", Response(sim.catalog.lookup(item), "x.0", SOURCE_RSU_HIT), "r0")
 
     sim.queue.schedule(seconds_to_us(15.0), answer_someone_else)
     result = sim.run()
