@@ -10,13 +10,6 @@ generated method is named by the function that holds its code, such as
 Request.__init__; builtins keep cProfile's own label.
 
     PYTHONPATH=src python3 scripts/profile_run.py highway_multi --count 300 --seed 1
-
---set KEY=VALUE, repeatable, sets any field a config file may set, typed as
-the file grammar types it; the benchmark's relay_storm run, for example:
-
-    PYTHONPATH=src python3 scripts/profile_run.py highway_multi --count 300 \
-        --set catalog_size=100 --set rsu_cache_capacity=16 \
-        --set relay_announce_interval_s=3.0
 """
 
 import argparse
@@ -25,18 +18,7 @@ import sys
 from pathlib import Path
 
 from vcachesim.engine import run_simulation
-from vcachesim.scenarios import _SETTINGS, ParseError, _coerce, resolve_config
-
-
-def setting(text):
-    """One --set KEY=VALUE as (key, typed value)."""
-    key, sep, raw = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    try:
-        return key.strip(), _coerce(_SETTINGS, key.strip(), raw.strip(), 0)
-    except ParseError as exc:  # its text leads with a line number, here none
-        raise argparse.ArgumentTypeError(str(exc).partition(": ")[2]) from None
+from vcachesim.scenarios import resolve_config
 
 
 def function_names(package="vcachesim"):
@@ -79,15 +61,10 @@ def main(argv=None):
     parser.add_argument("--count", type=int, help="vehicle count")
     parser.add_argument("--seed", type=int, default=1, help="default 1")
     parser.add_argument("--top", type=int, default=30, help="rows to print (default 30)")
-    parser.add_argument(
-        "--set", type=setting, action="append", default=[], metavar="KEY=VALUE",
-        help="set a config field, typed as in a config file (repeatable)",
-    )
     args = parser.parse_args(argv)
     overrides = {"seed": args.seed}
     if args.count is not None:
         overrides["count"] = args.count
-    overrides.update(args.set)
     cfg = resolve_config(args.source, overrides)
 
     profile = cProfile.Profile()

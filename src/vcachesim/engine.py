@@ -495,7 +495,7 @@ class Simulation:
         if duration is None:
             duration = self._airtime_us[bits] = tx_duration_us(self.cfg.radio, bits)
         start, end = channel.reserve(self.queue.now_us, duration)
-        kind = frame.kind
+        kind = type(frame).__name__.lower()
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
         if self.tracing:
             name = getattr(frame, "name", None)

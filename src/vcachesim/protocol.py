@@ -43,13 +43,13 @@ class OrphanResponse(RuntimeError):
 
 
 # -- frames -------------------------------------------------------------------
-# kind is the lower-cased class name: the trace's kind= and the key of
-# Simulation.frames_transmitted
+# Frames are shared, not copied: one object reaches every receiver, and a
+# relay sends the same RelayRebroadcast on every announce. Never assign to a
+# frame's fields.
 
 
 @dataclass(slots=True)
 class Request:
-    kind = "request"
     name: ContentName
     request_id: str
     target: str
@@ -63,7 +63,6 @@ class Request:
 
 @dataclass(slots=True)
 class Response:
-    kind = "response"
     name = property(attrgetter("item.name"))
     payload_bits = property(attrgetter("item.payload_bits"))
     item: ContentItem
@@ -73,13 +72,11 @@ class Response:
 
 @dataclass(slots=True)
 class Beacon:
-    kind = "beacon"
     payload_bits: int
 
 
 @dataclass(slots=True)
 class RelayRebroadcast:
-    kind = "relayrebroadcast"
     name = property(attrgetter("item.name"))
     payload_bits = property(attrgetter("item.payload_bits"))
     item: ContentItem

@@ -3,8 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile_run.py"
 _spec = importlib.util.spec_from_file_location("profile_run", SCRIPT)
 profile_run = importlib.util.module_from_spec(_spec)
@@ -23,17 +21,3 @@ def test_five_vehicle_urban_run_prints_the_tick_handler(capsys):
     # generated dataclass methods keep a row each, named by their class
     assert any(line.endswith(" <string>:2 ContentItem.__init__") for line in lines)
     assert lines[-1].endswith("code objects")
-
-
-def test_set_overrides_fields_typed_as_in_a_config_file(capsys):
-    assert profile_run.setting("catalog_size=3") == ("catalog_size", 3)
-    assert profile_run.setting("caching = off") == ("caching", False)
-    assert profile_run.setting("kinematics.min_gap_m=14") == ("kinematics.min_gap_m", 14.0)
-    argv = ["highway_multi", "--count", "5", "--top", "1000", "--set", "catalog_size=3"]
-    assert profile_run.main([*argv, "--set", "relay_announce_interval_s=3.0"]) == 0
-    rows = {line.split()[-1]: line.split() for line in capsys.readouterr().out.splitlines()}
-    assert rows["ContentItem.__init__"][1] == "3"  # the catalog's items
-    assert rows["Simulation._on_announce"][1] == str(2 * 41)  # 2 relays, every 3 s of 125 s
-    for bad in ("catalog_size", "catalog_size=x", "no_such_field=1"):
-        with pytest.raises(SystemExit):
-            profile_run.main(["urban_single", "--set", bad])
