@@ -94,6 +94,8 @@ def parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("seed list is empty")
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be >= 0: {text!r}")
+    if len(set(seeds)) < len(seeds):  # a repeat would run twice into one directory
+        raise argparse.ArgumentTypeError(f"seeds must be distinct: {text!r}")
     return seeds
 
 

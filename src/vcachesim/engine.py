@@ -133,7 +133,7 @@ from functools import partial
 from heapq import heappop, heappush
 from weakref import WeakKeyDictionary
 
-from .content import Catalog, ContentName
+from .content import catalog
 from .metrics import DeliveryRecord, MetricsLedger
 from .mobility import MobilityWorld, RoadSegment, Track, generate_arrivals
 from .protocol import (
@@ -146,8 +146,8 @@ from .protocol import (
     SATISFIED,
     VehicleAgent,
 )
-from .radio import Channel, CoverageZone, in_range, propagation_us, tx_duration_us
-from .scenarios import ROLE_RELAY, ScenarioConfig, validate_config
+from .radio import Channel, in_range, propagation_us, tx_duration_us
+from .scenarios import ROLE_RELAY, RsuSpec, ScenarioConfig, validate_config
 from .simcore import EventQueue, RandomSource, format_time, seconds_to_us
 
 
@@ -172,7 +172,7 @@ class Simulation:
         self.cfg = cfg
         self.queue = EventQueue()
         self.rng = RandomSource(cfg.seed)
-        self.catalog = Catalog.default(cfg.catalog_size, cfg.payload_bits)
+        self.catalog = catalog(cfg.catalog_size, cfg.payload_bits)
 
         self.duration_us = seconds_to_us(cfg.duration_s)
         self.tick_us = seconds_to_us(cfg.tick_s)
@@ -184,10 +184,8 @@ class Simulation:
         self.backhaul_latency_us = seconds_to_us(cfg.backhaul_latency_s)
 
         self.world = MobilityWorld(cfg.roads, cfg.kinematics, cfg.tick_s)
-        self.zones: dict[str, CoverageZone] = {
-            spec.id: CoverageZone(spec.id, spec.center, spec.radius_m)
-            for spec in cfg.rsus
-        }
+        # rsu id -> its spec, whose center and radius_m are its zone
+        self.zones: dict[str, RsuSpec] = {spec.id: spec for spec in cfg.rsus}
         self.channels = {rsu_id: Channel() for rsu_id in self.zones}
         # zone id -> (rsu id, delay) of every other RSU whose centre is in the
         # zone, in zone order, with the delay of a frame from the zone's
@@ -235,7 +233,7 @@ class Simulation:
             cfg.vehicle_count,
             cfg.arrival_window_s,
             cfg.roads,
-            self.catalog.names(),
+            list(self.catalog),
             self.rng,
         )
         self._pending_arrivals = {road.id: deque() for road in cfg.roads}
@@ -245,7 +243,7 @@ class Simulation:
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: set[str] = set()  # ids of the vehicles on the road
         # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
-        self._wanting: dict[ContentName, dict[str, VehicleAgent]] = {}
+        self._wanting: dict[str, dict[str, VehicleAgent]] = {}
         # run instant -> [attempts, beacons, advance]: the attempts and the
         # beacons planned to run there, each in spawn order, and whether the
         # tick advances the world there (exits and entry openings, _arm, and
@@ -591,7 +589,7 @@ class Simulation:
 
     def _on_server_request(self, rsu_id: str, name, request_id: str) -> None:
         now = self.queue.now_us
-        item = self.catalog.lookup(name)
+        item = self.catalog[name]
         self.ledger.record_server_fetch(now, name)
         if self.tracing:
             self.trace(f"SERVER name={name} id={request_id}")
@@ -627,7 +625,7 @@ class Simulation:
             self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
 
 
-def _zone_owner_at(zones: dict[str, CoverageZone], point: tuple[float, float]) -> str | None:
+def _zone_owner_at(zones: dict[str, RsuSpec], point: tuple[float, float]) -> str | None:
     """Owner of the nearest zone covering point; id order breaks exact ties."""
     best: tuple[float, str] | None = None
     for rsu_id, zone in zones.items():
@@ -714,11 +712,11 @@ class _TrackAges:
                 age = max(-(-due_us // tick_us), age + 1)
         return plan
 
-    def delay(self, zone: CoverageZone, age: int) -> int:
+    def delay(self, zone: RsuSpec, age: int) -> int:
         """Propagation delay of a frame from the zone's centre, or -1 out of range."""
-        delays = self._delays.get(zone.owner)
+        delays = self._delays.get(zone.id)
         if delays is None:
-            delays = self._delays[zone.owner] = [None] * self.exit_age
+            delays = self._delays[zone.id] = [None] * self.exit_age
         delay = delays[age]
         if delay is None:
             x, y = self.road.world_position(self.pos[age])

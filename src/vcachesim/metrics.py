@@ -12,7 +12,6 @@ import csv
 from dataclasses import dataclass
 from typing import IO
 
-from .content import ContentName
 from .simcore import format_time
 
 SOURCE_RSU_HIT = "rsu-hit"
@@ -41,7 +40,7 @@ class UnknownRsu(KeyError):
 @dataclass(frozen=True)
 class DeliveryRecord:
     vehicle: str
-    name: ContentName
+    name: str
     first_request_at_us: int
     delivered_at_us: int
     cdt_us: int

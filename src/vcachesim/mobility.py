@@ -33,12 +33,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .simcore import US_PER_SECOND, RandomSource
-
-if TYPE_CHECKING:
-    from .content import ContentName
 
 
 class UnknownVehicle(KeyError):
@@ -136,7 +133,7 @@ class Arrival(NamedTuple):
     at_us: int
     road_id: str
     vehicle_id: str
-    wanted: "ContentName"
+    wanted: str
 
 
 def generate_arrivals(
@@ -144,7 +141,7 @@ def generate_arrivals(
     count: int,
     window_s: float,
     roads: list[RoadSegment],
-    wanted_pool: list["ContentName"],
+    wanted_pool: list[str],
     rng: RandomSource,
 ) -> list[Arrival]:
     """Draw the full arrival schedule up front, sorted by entry time.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .content import ContentItem, ContentName, LruStore
+from .content import ContentItem, LruStore
 from .metrics import (
     DeliveryRecord,
     SOURCE_LOCAL_PRECACHE,
@@ -50,7 +50,7 @@ class OrphanResponse(RuntimeError):
 
 @dataclass(slots=True)
 class Request:
-    name: ContentName
+    name: str
     request_id: str
     target: str
     forwarded: bool = False
@@ -95,7 +95,7 @@ class VehicleAgent:
     It hears only content for that item, so nothing else is kept.
     """
 
-    def __init__(self, vehicle_id: str, wanted: ContentName, caching: bool) -> None:
+    def __init__(self, vehicle_id: str, wanted: str, caching: bool) -> None:
         self.id = vehicle_id
         self.wanted = wanted
         self.caching = caching
@@ -205,7 +205,7 @@ class CachingGateway(RsuBase):
     def __init__(self, rsu_id: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
         self.cache = LruStore(capacity)
-        self._pending: dict[ContentName, list[str]] = {}
+        self._pending: dict[str, list[str]] = {}
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         if self._answer_from_cache(frame, services):
@@ -267,7 +267,7 @@ class Relay(RsuBase):
         super().__init__(rsu_id, proc_delay_us)
         self.cache = LruStore(capacity)
         self.next_hop = next_hop
-        self._frames: dict[ContentName, RelayRebroadcast] = {}  # name -> its frame
+        self._frames: dict[str, RelayRebroadcast] = {}  # name -> its frame
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         if not self._answer_from_cache(frame, services):

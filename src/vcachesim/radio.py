@@ -24,15 +24,9 @@ class RadioParams:
     beacon_payload_bits: int = 320
 
 
-@dataclass(frozen=True)
-class CoverageZone:
-    owner: str
-    center: tuple[float, float]
-    radius_m: float
-
-
-def in_range(zone: CoverageZone, point: tuple[float, float]) -> bool:
-    """Closed-ball membership: the boundary itself counts as covered."""
+def in_range(zone, point: tuple[float, float]) -> bool:
+    """Closed-ball membership of an RSU's zone (its spec's center and
+    radius_m): the boundary itself counts as covered."""
     return math.hypot(point[0] - zone.center[0], point[1] - zone.center[1]) <= zone.radius_m
 
 

@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from vcachesim.content import Catalog
+from vcachesim.content import catalog
 from vcachesim.mobility import RoadSegment, generate_arrivals
 from vcachesim.scenarios import resolve_config
 from vcachesim.simcore import RandomSource
@@ -75,7 +75,7 @@ def scenario_schedule(name: str, seed: int, count: int | None, overrides=()) -> 
         cfg.vehicle_count,
         cfg.arrival_window_s,
         cfg.roads,
-        Catalog.default(cfg.catalog_size, cfg.payload_bits).names(),
+        list(catalog(cfg.catalog_size, cfg.payload_bits)),
         RandomSource(cfg.seed),
     )
     return render(arrivals)
@@ -89,7 +89,7 @@ def edge_schedule(
         count,
         window_s,
         [RoadSegment(id=f"r{i}", length_m=100.0) for i in range(roads)],
-        Catalog.default(pool).names(),
+        list(catalog(pool, 2000)),
         RandomSource(seed),
     )
     return render(arrivals)

@@ -14,7 +14,7 @@ from collections import namedtuple
 import pytest
 
 from vcachesim.cli import main
-from vcachesim.content import ContentItem, ContentName, LruStore
+from vcachesim.content import ContentItem, LruStore
 from vcachesim.engine import Simulation
 from vcachesim.metrics import (
     TARGET_ALL_RSUS,
@@ -258,7 +258,7 @@ def test_acceptance_09_lru_matches_brute_force_oracle(acceptance):
     for trial in range(trials):
         rng = random.Random(20_000 + trial)
         capacity = rng.randint(1, 8)
-        pool = [ContentName(("n", str(i))) for i in range(rng.randint(1, 20))]
+        pool = [f"/n/{i}" for i in range(rng.randint(1, 20))]
         items = {name: ContentItem(name, 8) for name in pool}
         store = LruStore(capacity)
         oracle = ReferenceLru(capacity)

@@ -152,6 +152,17 @@ def test_negative_seed_is_a_usage_error_before_any_run(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_repeated_seed_is_a_usage_error_before_any_run(tmp_path, capsys):
+    # a repeated seed used to run twice into one directory and count twice
+    # in the sweep's means
+    args = ["sweep", "--scenario", "urban_single", "--count", 5, "--seeds", "1,1,2"]
+    assert run_cli(args + ["--out", tmp_path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seeds must be distinct: '1,1,2'" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 # -- run ----------------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
-from vcachesim.content import ContentItem, ContentName
+from vcachesim.content import ContentItem
 from vcachesim.engine import _ATTEMPTS, _BEACONS, Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
@@ -38,7 +38,7 @@ from vcachesim.simcore import format_time, seconds_to_us
 VEHICLES = [("v0", 500.0), ("v1", 450.0), ("v2", 200.0), ("v3", 100.0), ("v4", 0.0)]
 
 
-ITEM = ContentName(("traffic", "1"))
+ITEM = "/traffic/1"
 
 
 class Recorder:

@@ -5,7 +5,6 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from vcachesim.content import ContentName
 from vcachesim.metrics import (
     DeliveryRecord,
     MetricsLedger,
@@ -23,7 +22,7 @@ from vcachesim.metrics import (
     write_server_requests_csv,
 )
 
-NAME = ContentName(("traffic", "1"))
+NAME = "/traffic/1"
 
 
 def delivery(vehicle="v0", first=100, at=500, source=SOURCE_RSU_HIT):

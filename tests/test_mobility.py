@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcachesim import mobility
-from vcachesim.content import ContentName
 from vcachesim.mobility import (
     ACTIVE,
     EXITED,
@@ -28,7 +27,7 @@ from vcachesim.scenarios import ValidationError, urban_single, validate_config
 from vcachesim.simcore import RandomSource, US_PER_SECOND
 
 P = KinematicParams()
-POOL = [ContentName(("traffic", str(i))) for i in range(1, 11)]
+POOL = [f"/traffic/{i}" for i in range(1, 11)]
 
 
 def straight_road(length=1000.0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from vcachesim.content import ContentItem, ContentName, UnknownContent
+from vcachesim.content import ContentItem
 from vcachesim.engine import Simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
@@ -26,8 +26,8 @@ from vcachesim.protocol import (
 from vcachesim.scenarios import urban_single
 from vcachesim.simcore import US_PER_SECOND
 
-WANT = ContentName(("traffic", "3"))
-OTHER = ContentName(("traffic", "9"))
+WANT = "/traffic/3"
+OTHER = "/traffic/9"
 WANT_ITEM = ContentItem(WANT, 2000)
 OTHER_ITEM = ContentItem(OTHER, 2000)
 
@@ -86,7 +86,7 @@ def response(name=WANT, origin=SOURCE_SERVER_FETCH, request_id="v0.0", bits=2000
 
 
 def test_request_payload_is_name_text_bytes():
-    req = request(name=ContentName(("traffic", "10")))
+    req = request(name="/traffic/10")
     assert req.payload_bits == 8 * len("/traffic/10")
 
 
@@ -405,8 +405,8 @@ def test_server_fetch_counts_and_looks_up():
     gateway = sim.rsus["r0"]
     gateway.on_frame(request(), 0, sim)
     sim.queue.run_until(US_PER_SECOND)
-    assert sim.ledger.server_events == [(400, str(WANT))]  # 400 us one way
-    assert gateway.cache.peek(WANT) is sim.catalog.lookup(WANT)
+    assert sim.ledger.server_events == [(400, WANT)]  # 400 us one way
+    assert gateway.cache.peek(WANT) is sim.catalog[WANT]
     assert sim.frames_transmitted == {"response": 1}
-    with pytest.raises(UnknownContent):
-        sim._on_server_request("r0", ContentName(("other", "1")), "v0.1")
+    with pytest.raises(KeyError):
+        sim._on_server_request("r0", "/other/1", "v0.1")

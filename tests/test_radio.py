@@ -8,13 +8,12 @@ from hypothesis import given, strategies as st
 
 from vcachesim.radio import (
     Channel,
-    CoverageZone,
     RadioParams,
     in_range,
     propagation_us,
     tx_duration_us,
 )
-from vcachesim.scenarios import ValidationError, urban_single, validate_config
+from vcachesim.scenarios import RsuSpec, ValidationError, urban_single, validate_config
 
 RADIO = RadioParams()
 
@@ -72,14 +71,14 @@ def test_radio_params_validation():
 
 
 def test_in_range_is_a_closed_ball():
-    zone = CoverageZone("r0", (0.0, 0.0), 400.0)
+    zone = RsuSpec("r0", (0.0, 0.0), 400.0)
     assert in_range(zone, (400.0, 0.0))  # boundary counts
     assert in_range(zone, (0.0, -400.0))
     assert not in_range(zone, (400.0001, 0.0))
 
 
 def test_in_range_diagonal_boundary():
-    zone = CoverageZone("r0", (0.0, 0.0), 5.0)
+    zone = RsuSpec("r0", (0.0, 0.0), 5.0)
     assert in_range(zone, (3.0, 4.0))  # 3-4-5 triangle, exactly on boundary
     assert not in_range(zone, (3.0, 4.001))
 

@@ -13,16 +13,16 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from vcachesim.content import ContentItem, ContentName
+from vcachesim.content import ContentItem
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
 from vcachesim.mobility import HIGHWAY_UNIFORM, URBAN_RANDOM, KinematicParams, RoadSegment
 from vcachesim.protocol import IDLE, SATISFIED, WAITING, Request, Response, VehicleAgent
-from vcachesim.radio import CoverageZone, in_range, propagation_us
+from vcachesim.radio import in_range, propagation_us
 from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
-ITEM = ContentName(("traffic", "1"))
-OTHER = ContentName(("traffic", "2"))
+ITEM = "/traffic/1"
+OTHER = "/traffic/2"
 CONTENT = Response(ContentItem(ITEM, 2000), "v9.0", SOURCE_RSU_HIT)
 
 
@@ -39,7 +39,7 @@ def receivers_in_zone(zone, frame, rsus, vehicles, sender):
 
 
 def test_receivers_in_zone_preserves_order_and_excludes_sender():
-    zone = CoverageZone("r0", (0.0, 0.0), 10.0)
+    zone = RsuSpec("r0", (0.0, 0.0), 10.0)
     rsus = [("r0", (0.0, 0.0)), ("r1", (4.0, 0.0)), ("r2", (30.0, 0.0))]
     vehicles = [
         ("v1", (5.0, 0.0), ITEM),
@@ -214,7 +214,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     sim = Simulation(cfg)
     seen = {"shared": 0, "receivers": 0}
     shared = sim.world._track(cfg.entry_speed_mps)
-    frames = [Response(sim.catalog.lookup(name), "v9.0", SOURCE_RSU_HIT) for name in sim.catalog.names()]
+    frames = [Response(item, "v9.0", SOURCE_RSU_HIT) for item in sim.catalog.values()]
 
     def probe():
         for vid in sim._active:

@@ -33,7 +33,12 @@ def test_one_seed_writes_every_run_and_prints_the_ratios(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("seeds", "message"), [("", "seed list is empty"), ("1,x", "bad seed list '1,x'")]
+    ("seeds", "message"),
+    [
+        ("", "seed list is empty"),
+        ("1,x", "bad seed list '1,x'"),
+        ("1,2,1", "seeds must be distinct: '1,2,1'"),
+    ],
 )
 def test_a_bad_seed_list_is_a_usage_error_before_any_run(seeds, message, tmp_path, capsys):
     out = tmp_path / "results"

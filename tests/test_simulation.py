@@ -6,6 +6,7 @@ pin the invariants the experiment metrics rely on.
 
 import dataclasses
 import hashlib
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from vcachesim import mobility
+from vcachesim.cli import write_outputs
 from vcachesim.engine import Simulation, _zone_owner_at, run_simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
@@ -133,6 +135,24 @@ def test_run_simulation_helper():
     assert result.satisfied == 20
 
 
+def test_a_finished_run_pickles_whole(tmp_path):
+    # a result must cross a process boundary intact: its copy renders the
+    # very bytes of the original, trace and CHR included
+    cfg = highway_multi(count=30, seed=1)
+    cfg.trace = True
+    result = run_simulation(cfg)
+    written = write_outputs(result, tmp_path / "original")
+    assert sorted(written) == [
+        "cdt.csv", "chr.csv", "requests_rsu.csv", "requests_server.csv", "trace.log",
+    ]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(result, protocol))
+        copied = write_outputs(back, tmp_path / f"p{protocol}")
+        assert set(copied) == set(written)
+        for filename, path in written.items():
+            assert copied[filename].read_bytes() == path.read_bytes()
+
+
 def run_counting_requests(monkeypatch, cfg):
     """Run cfg, counting the requests that reach an RSU: (sim, result,
     vehicle-originated arrivals, forwarded arrivals)."""
@@ -231,11 +251,26 @@ def test_rsu_caches_hold_the_catalogs_own_items(storm):
     assert len(relays) == 2
     for rsu in sim.rsus.values():
         assert len(rsu.cache) == 16
-        assert all(item is sim.catalog.lookup(item.name) for item in rsu.cache.items())
+        assert all(item is sim.catalog[item.name] for item in rsu.cache.items())
     for relay in relays:
         assert 0 < len(relay._frames) <= sim.cfg.catalog_size
         for name, frame in relay._frames.items():
-            assert frame.item is sim.catalog.lookup(name)
+            assert frame.item is sim.catalog[name]
+
+
+def test_every_name_in_a_run_is_one_of_the_catalogs_str_keys(storm):
+    # names are exact str, built once by the catalog: what the vehicles
+    # want, ask for and get, and what the RSUs cache, are those very objects
+    sim, result = storm
+    assert all(type(name) is str for name in sim.catalog)
+    keys = {id(name) for name in sim.catalog}
+    names = [agent.wanted for agent in sim.vehicles.values()]
+    names += [name for _, name in result.ledger.server_events]
+    names += [record.name for record in result.ledger.deliveries]
+    for rsu in sim.rsus.values():
+        names += rsu.cache.names()
+    assert len(names) > len(sim.vehicles)
+    assert all(id(name) in keys for name in names)
 
 
 def test_frame_kinds_are_the_names_the_benchmark_counts(storm):
@@ -352,7 +387,7 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(m
         entry_speed_mps=14.0,
     )
     sim = Simulation(cfg)
-    (item,) = sim.catalog.names()
+    (item,) = sim.catalog
     attempts = []
     on_attempt = VehicleAgent.on_attempt
 
@@ -369,7 +404,7 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(m
         # inside r0's zone, on its track, idle
         _, _, age = sim.world.riding("v000")
         heard_at.update(age=age, status=sim.vehicles["v000"].status)
-        sim.transmit("r0", Response(sim.catalog.lookup(item), "x.0", SOURCE_RSU_HIT), "r0")
+        sim.transmit("r0", Response(sim.catalog[item], "x.0", SOURCE_RSU_HIT), "r0")
 
     sim.queue.schedule(seconds_to_us(15.0), answer_someone_else)
     result = sim.run()
