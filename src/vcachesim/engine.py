@@ -17,19 +17,18 @@ the earliest of that work and the event heap's top, at least one tick later
 and at most the last tick instant of the run, and the idle ticks skipped on
 the way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
-a tick creates tick work (a spawn files its vehicle's whole plan and the
-world's next advances; satisfied vehicles only remove work); no event runs
-between now and the heap top, so the new tick is scheduled with the same
-events ahead of it, and takes the same FIFO place among the events of its
-instant, as a tick scheduled one tick earlier; and the last tick instant
-still ends the run, so the clock ends where it did. Due attempts run after
-the next tick is queued and may schedule events before any later tick, so
-after them the next tick is one tick later.
-
-A tick with only beacons due, and no other event at its instant, runs them
-first and then skips idle ticks as a tick with nothing due does: a beacon
-files and schedules nothing, so the next tick takes the same FIFO place,
-and the beacons read the world before skip moves it on.
+a tick creates tick work (spawns and taken entries put work on the due
+heap; satisfied vehicles only remove work); no event runs between now and
+the heap top, so the new tick takes the same FIFO place among the events of
+its instant as a tick scheduled one tick earlier; and the last tick instant
+still ends the run. Due attempts run after the next tick is queued and may
+schedule events before any later tick, so after them the next tick is one
+tick later. Beacons schedule nothing, so a tick with only beacons due, and
+no other event at its instant, runs them first and picks the next tick as
+a tick with nothing due does. A next tick strictly before the heap top
+would be the next event, so the tick runs it itself (EventQueue.advance_to)
+and loops: the same work runs in the same order, and only the count of
+events processed, which is no output, falls.
 
 The world advances only at the instants filed for it: each road's first
 arrival (run), and at each spawn the vehicle's exit and, while arrivals
@@ -38,28 +37,26 @@ entry behind the vehicle is open, once it is min_gap_m in or has exited
 (_arm); until then it is the road's rear, for nothing spawns there. A tick
 at any other instant only adds one to the world's tick count (skip), which
 is exactly what advancing the world would do: it would take no exit, and no
-arrival would be both due and able to enter. Such a tick is the same
-_on_tick event at the same FIFO place, so nothing after it moves.
+arrival would be both due and able to enter.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
-spawned. An index of active vehicles, and one of them by wanted item in
-spawn order, are added to at spawn and dropped from at exit (_enter,
-_leave). All due work waits on one queue: per run instant, a bucket of the
-attempts and the beacons planned to run there and whether the world
-advances there (_planned), with a heap of those instants. The tick takes its
-instant's work, then queues the next tick and runs the attempts of
-unsatisfied vehicles, then the beacons, each in spawn order, inside itself
-(beacons alone run before the next tick is queued, above); when another
-event already waits at its instant, it schedules them as one batch event at
-that instant instead. This is exactly one event per attempt and beacon, for
-the same reasons as the receive batches below: those events held
-consecutive places among the events of their instant, after any event
-already waiting there; what they scheduled for that instant ran after the
-last of them anyway; the next tick was queued before anything they
-scheduled; and exits happen only in the tick, so every due vehicle is still
-active when it runs. A beacon occupies airtime but carries nothing
-receivers keep, so it has no frame-end event.
+spawned. The active vehicles, and the unsatisfied ones by wanted item in
+spawn order, are indexed (_enter, _leave, deliver). All due work waits on
+one heap (_due) keyed (instant, kind, spawn sequence), kinds in the order
+advance, attempt, beacon: the world's advances, and each active vehicle's
+next attempt and next covered beacon. The tick takes its instant's entries,
+then queues the next tick and runs the attempts of unsatisfied vehicles,
+then the beacons, each in spawn order, inside itself (beacons alone run
+before, above); when another event already waits at its instant, it
+schedules them as one batch event at that instant instead. This is exactly
+one event per attempt and beacon, for the same reasons as the receive
+batches below: those events held consecutive places among the events of
+their instant, after any event already waiting there; what they scheduled
+for that instant ran after the last of them anyway; the next tick was
+queued before anything they scheduled; and exits happen only in the tick,
+so every due vehicle is still active when it runs. A beacon occupies
+airtime but carries nothing receivers keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -87,17 +84,17 @@ inside one (a pre-cache hit). Relative to an on-grid spawn a plan depends
 only on its first due offset and its interval, so plans are kept per track,
 road, offset and interval.
 
-A vehicle's whole plan is filed at spawn: each attempt with the owner of
-the zone covering its run age, the RSU it addresses (None outside every
-zone), and each covered beacon with that owner, whose channel it takes;
-every beacon sends the run's one Beacon frame. Later spawns file later, so
-each instant's attempts and beacons are in spawn order. The track is fixed at
-spawn, so the planned owner is the one a lookup at the attempt would give
-(MobilityWorld.place, for tests, rebuilds tracks, not plans or advances).
-SATISFIED is terminal, so the attempts of satisfied vehicles are dropped
-when taken, and an instant with no other work is dropped before it can set
-the next tick. The ticks that no longer run had no work left, which the
-sparse-tick argument above covers.
+A vehicle walks its plans with two cursors: its first attempt and first
+covered beacon go on the due heap at spawn with an iterator over the rest,
+and each entry taken is replaced by its next, up to the last tick instant
+(_arm, _take_due). An attempt carries the owner of the zone covering its
+run age, the RSU it addresses (None outside every zone), and a beacon that
+owner, whose channel it takes; every beacon sends the run's one Beacon
+frame. The track is fixed at spawn, so the planned owner is the one a
+lookup at the attempt would give (MobilityWorld.place, for tests, rebuilds
+tracks, not plans or advances). SATISFIED is terminal, so a satisfied
+vehicle's attempt entry is dropped when taken or skipped over, with nothing
+in its place, and forces no tick: those ticks had no work left.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
@@ -130,7 +127,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from weakref import WeakKeyDictionary
 
 from .content import catalog
@@ -242,14 +239,14 @@ class Simulation:
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: set[str] = set()  # ids of the vehicles on the road
-        # wanted name -> {vehicle id: agent} of its active vehicles, spawn order
+        # wanted name -> {vehicle id: agent} of its unsatisfied active vehicles, spawn order
         self._wanting: dict[str, dict[str, VehicleAgent]] = {}
-        # run instant -> [attempts, beacons, advance]: the attempts and the
-        # beacons planned to run there, each in spawn order, and whether the
-        # tick advances the world there (exits and entry openings, _arm, and
-        # the roads' first arrivals, run); and a heap of those instants
-        self._planned: dict[int, _Bucket] = {}
-        self._planned_at: list[int] = []
+        # the due heap: each active vehicle's next attempt and next covered
+        # beacon, (instant, kind, spawn sequence, vehicle id, target or
+        # channel owner, spawn instant, iterator over the rest of its plan),
+        # and the instants at which the world advances, (instant, _ADVANCE):
+        # exits and entry openings (_arm) and the roads' first arrivals (run)
+        self._due: list[tuple] = []
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
@@ -292,28 +289,32 @@ class Simulation:
     # -- periodic events -----------------------------------------------------
 
     def _on_tick(self) -> None:
-        now = self.queue.now_us
-        bucket = self._planned.get(now)
-        if bucket is not None and bucket[_ADVANCE]:
-            self._advance_world(now)  # its spawns may file attempts in the bucket
-        else:
-            self.world.skip(1)
-        due_attempts, due_beacons = self._take_planned(now)
-        queue = self.queue
-        top = queue.peek_time()
-        alone = top is None or top > now  # nothing else waits at this instant
-        if alone and not due_attempts and due_beacons:
-            # beacons schedule nothing, so the next tick may skip the idle
-            # ticks after them; they run first, for they read the world
-            self._run_due((), due_beacons)
-            due_beacons = ()
-        due = due_attempts or due_beacons
-        next_tick = now + self.tick_us
-        if next_tick <= self.duration_us:
-            if not due:  # nothing ran, or beacons that schedule nothing
-                next_tick = self._skip_idle_ticks(now, top)
-            queue.schedule(next_tick, self._on_tick)
-        if due:
+        queue, due, tick_us = self.queue, self._due, self.tick_us
+        now, top = queue.now_us, queue.peek_time()  # the loop schedules nothing till the next tick
+        while True:
+            advance = False
+            while due and due[0][0] == now and due[0][1] == _ADVANCE:
+                heappop(due)  # one entry per filing
+                advance = True
+            if advance:
+                self._advance_world(now)  # its spawns may put due work at now
+            else:
+                self.world.skip(1)
+            due_attempts, due_beacons = self._take_due(now)
+            alone = top is None or top > now  # nothing else waits at this instant
+            if alone and not due_attempts and due_beacons:
+                self._run_due((), due_beacons)  # they schedule nothing: skip idle ticks after
+                due_beacons = ()
+            work = due_attempts or due_beacons
+            if now + tick_us > self.duration_us:
+                break
+            at = now + tick_us if work else self._skip_idle_ticks(now, top)
+            if work or (top is not None and at >= top):
+                queue.schedule(at, self._on_tick)
+                break
+            queue.advance_to(at)  # the tick there would be the next event to run
+            now = at
+        if work:
             if alone:
                 self._run_due(due_attempts, due_beacons)
             else:
@@ -350,47 +351,38 @@ class Simulation:
         return spawned
 
     def _leave(self, vehicle_id: str) -> None:
-        """Drop a vehicle that exits from the active indexes."""
+        """Drop a vehicle that exits from the indexes that still hold it."""
         self._active.remove(vehicle_id)
-        del self._wanting[self.vehicles[vehicle_id].wanted][vehicle_id]
+        self._wanting[self.vehicles[vehicle_id].wanted].pop(vehicle_id, None)
 
     def _skip_idle_ticks(self, now: int, top: int | None) -> int:
         """The first tick instant after now with work, or before which an
         event runs (top, the event heap's top as the tick read it, with
-        nothing scheduled since); adds the idle ticks before it to the
-        world's tick count.
-
-        Work is an advance of the world or a planned beacon or attempt of
-        an unsatisfied vehicle. An instant whose only work is attempts of
-        satisfied vehicles is dropped on the way: SATISFIED is terminal, so
-        they would be dropped when taken anyway. The instant is at least one
-        tick after now and at most the last tick instant of the run.
-        """
+        nothing scheduled since), at least one tick after now and at most the
+        last tick instant; adds the idle ticks before it to the world's tick
+        count. Work is an advance or a due beacon or attempt of an
+        unsatisfied vehicle; a satisfied vehicle's attempt entry is dropped
+        on the way, as it would be when taken (SATISFIED is terminal)."""
         tick_us = self.tick_us
-        due = self.last_tick_us
-        if top is not None and top < due:
-            due = top
-        planned, planned_at, vehicles = self._planned, self._planned_at, self.vehicles
-        while planned_at and planned_at[0] < due:
-            first = planned_at[0]
-            attempts, beacons, advance = planned[first]
-            if beacons or advance or any(
-                vehicles[vid].status != SATISFIED for vid, _ in attempts
-            ):
-                due = first
+        until = self.last_tick_us
+        if top is not None and top < until:
+            until = top
+        due, vehicles = self._due, self.vehicles
+        while due and due[0][0] < until:
+            entry = due[0]
+            if entry[1] == _ATTEMPT and vehicles[entry[3]].status == SATISFIED:
+                heappop(due)
             else:
-                del planned[heappop(planned_at)]
+                until = entry[0]
         at = now + tick_us
-        if due > at:  # idle ticks lie before the first grid instant at or after due
-            at = -(-due // tick_us) * tick_us
+        if until > at:  # idle ticks lie before the first grid instant at or after until
+            at = -(-until // tick_us) * tick_us
             self.world.skip((at - now) // tick_us - 1)
         return at
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
-        """File all the due work of a vehicle spawned at now, up to the last
-        tick instant (_TrackAges.plan): each attempt with the RSU it
-        addresses, and each covered beacon with its channel and frame.
-        Later spawns append later, so a bucket's work is in spawn order.
+        """Put the first attempt and first covered beacon of a vehicle spawned
+        at now on the due heap, each with the rest of its plan (_take_due).
 
         Its exit advances the world, and so does, while arrivals wait on its
         road, the opening of the entry behind it: at its open age, or at its
@@ -403,50 +395,45 @@ class Simulation:
         if pending:
             opens = min(track.open_age(self.cfg.kinematics.min_gap_m), ages.exit_age)
             self._file_advance(max(pending[0].at_us, now + opens * tick_us))
-        planned = self._planned
-        last_us = self.last_tick_us
-        for offset_us, target in ages.plan(0, self.request_interval_us, tick_us):
-            at_us = now + offset_us
-            if at_us > last_us:
-                break
-            (planned.get(at_us) or self._bucket(at_us))[_ATTEMPTS].append((vehicle_id, target))
         # beacon phases staggered by spawn order; synchronized phases
         # (all spawns sit on tick boundaries) would pile beacon bursts
         # onto the channel right when responses need it
-        beacons = ages.plan((spawned % 100) * tick_us, self.beacon_interval_us, tick_us)
-        for offset_us, owner in beacons:
-            at_us = now + offset_us
-            if at_us > last_us:
-                break
-            if owner is not None:  # an uncovered beacon does nothing
-                (planned.get(at_us) or self._bucket(at_us))[_BEACONS].append((vehicle_id, owner))
+        for kind, plan in (
+            (_ATTEMPT, ages.plan(0, self.request_interval_us, tick_us)),
+            (_BEACON, ages.plan((spawned % 100) * tick_us, self.beacon_interval_us, tick_us, True)),
+        ):
+            runs = iter(plan)
+            run = next(runs, None)
+            if run is not None and now + run[0] <= self.last_tick_us:
+                heappush(self._due, (now + run[0], kind, spawned, vehicle_id, run[1], now, runs))
 
     def _file_advance(self, at_us: int) -> None:
-        """Advance the world at the first tick instant at or after at_us,
-        if the run reaches it."""
+        """Advance the world at the first tick instant at or after at_us, if the run has it."""
         at_us = -(-at_us // self.tick_us) * self.tick_us
         if at_us <= self.last_tick_us:
-            self._bucket(at_us)[_ADVANCE] = True
+            heappush(self._due, (at_us, _ADVANCE))
 
-    def _bucket(self, at_us: int) -> _Bucket:
-        """The [attempts, beacons, advance] planned for at_us."""
-        bucket = self._planned.get(at_us)
-        if bucket is None:
-            bucket = self._planned[at_us] = [[], [], False]
-            heappush(self._planned_at, at_us)
-        return bucket
-
-    def _take_planned(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
-        """Pop the work planned to run at now, in spawn order: the attempts
-        of unsatisfied vehicles, and the beacons."""
-        planned_at = self._planned_at
-        if not planned_at or planned_at[0] != now:
-            return (), ()
-        heappop(planned_at)
-        attempts, beacons, _ = self._planned.pop(now)
-        if attempts:
-            vehicles = self.vehicles
-            attempts = [entry for entry in attempts if vehicles[entry[0]].status != SATISFIED]
+    def _take_due(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
+        """Pop the attempts of unsatisfied vehicles, then the beacons, due at
+        now, each in spawn order; each is replaced by its vehicle's next run
+        of its kind up to the last tick instant, a satisfied vehicle's
+        attempt entry by nothing."""
+        due, vehicles, last_us = self._due, self.vehicles, self.last_tick_us
+        attempts, beacons = [], []
+        while due and due[0][0] == now:
+            _, kind, seq, vid, owner, spawned_us, runs = due[0]
+            if kind == _ATTEMPT:
+                if vehicles[vid].status == SATISFIED:
+                    heappop(due)
+                    continue
+                attempts.append((vid, owner))
+            else:
+                beacons.append((vid, owner))
+            run = next(runs, None)
+            if run is not None and spawned_us + run[0] <= last_us:
+                heapreplace(due, (spawned_us + run[0], kind, seq, vid, run[1], spawned_us, runs))
+            else:
+                heappop(due)
         return attempts, beacons
 
     def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
@@ -607,6 +594,7 @@ class Simulation:
         self.queue.schedule(self.queue.now_us + delay_us, action)
 
     def deliver(self, record: DeliveryRecord) -> None:
+        del self._wanting[record.name][record.vehicle]  # SATISFIED is terminal
         self.ledger.record_delivery(record)
         if self.tracing:
             self.trace(
@@ -672,8 +660,8 @@ class _TrackAges:
         self._first_covered = first
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
-        # (first due, interval, tick) -> plan
-        self._plans: dict[tuple[int, int, int], list[tuple[int, str | None]]] = {}
+        # (first due, interval, tick, covered only) -> plan
+        self._plans: dict[tuple[int, int, int, bool], list[tuple[int, str | None]]] = {}
 
     def owner(self, age: int) -> str | None:
         owner = self._owners[age]
@@ -681,11 +669,14 @@ class _TrackAges:
             owner = self._owners[age] = self._owner_at(self.road.world_position(self.pos[age]))
         return owner
 
-    def plan(self, first_us: int, interval_us: int, tick_us: int) -> list[tuple[int, str | None]]:
+    def plan(
+        self, first_us: int, interval_us: int, tick_us: int, covered: bool = False
+    ) -> list[tuple[int, str | None]]:
         """(run offset, owner of the zone covering the vehicle or None) of
         every due time of a periodic timer (attempts or beacons) that runs
         from the first covered age on, for a vehicle spawned at a tick
-        instant whose first due time is first_us after it.
+        instant whose first due time is first_us after it; only the covered
+        ones if covered, kept apart (the beacons' plans).
 
         The due times are first_us, first_us + interval_us, ... A due time d
         runs at the first tick at or after it, but once per tick at most, as
@@ -698,7 +689,7 @@ class _TrackAges:
         pre-cache. Relative to an on-grid spawn nothing else enters, so plans
         are kept.
         """
-        key = (first_us, interval_us, tick_us)
+        key = (first_us, interval_us, tick_us, covered)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = []
@@ -706,7 +697,7 @@ class _TrackAges:
             due_us = first_us
             age = -(-due_us // tick_us)
             while age < exit_age:
-                if age >= self._first_covered:
+                if age >= self._first_covered and (self.owner(age) is not None or not covered):
                     plan.append((age * tick_us, self.owner(age)))
                 due_us += interval_us
                 age = max(-(-due_us // tick_us), age + 1)
@@ -732,8 +723,7 @@ class _TrackAges:
 _UNFILLED = object()
 _Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
 _PlannedBeacon = tuple[str, str]  # (vehicle id, channel owner)
-_Bucket = list  # [list[_Attempt], list[_PlannedBeacon], advance: bool], indexed by:
-_ATTEMPTS, _BEACONS, _ADVANCE = range(3)
+_ADVANCE, _ATTEMPT, _BEACON = range(3)  # due heap entry kinds, in their order at an instant
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

@@ -32,7 +32,7 @@ def format_time(t_us: int) -> str:
 
 
 class SchedulingInPast(ValueError):
-    """An event was scheduled before the current clock."""
+    """An event was scheduled before the clock, or the clock moved back or past an event."""
 
 
 class EventQueue:
@@ -67,6 +67,16 @@ class EventQueue:
     def peek_time(self) -> int | None:
         """The time of the earliest pending event; None when none is pending."""
         return self._heap[0][0] if self._heap else None
+
+    def advance_to(self, at_us: int) -> None:
+        """Move the clock forward to at_us, before every pending event, and
+        process none: for a handler that runs a later instant itself."""
+        if at_us < self.now_us or (self._heap and self._heap[0][0] <= at_us):
+            raise SchedulingInPast(
+                f"cannot move the clock from t={format_time(self.now_us)} to "
+                f"t={format_time(at_us)}: back, or at or past a pending event"
+            )
+        self.now_us = at_us
 
     def run_until(self, horizon_us: int) -> int:
         """Process every event due at or before the horizon, in time order.

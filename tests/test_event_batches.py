@@ -1,15 +1,17 @@
 """Only state-changing work on the event heap.
 
 One receive event per frame and arrival instant, no frame end for beacons,
-one queue of run instants for request attempts and beacons, whose due work
-runs inside the tick, plans that skip due times that cannot act, and a tick
-only at the instants with due work. Each must keep the order that one event
-per receiver, one event per due attempt or beacon, a full per-tick scan, an
-attempt or beacon re-armed one interval at a time and a tick every tick_s
-gave, because the event queue breaks same-instant ties first in, first out.
+one due heap holding each vehicle's next request attempt and next beacon,
+whose due work runs inside the tick, plans that skip due times that cannot
+act, and a tick only at the instants with due work, run inline when no event
+comes first. Each must keep the order that one event per receiver, one
+event per due attempt or beacon, a full per-tick scan, an attempt or beacon
+re-armed one interval at a time and a tick event every tick_s gave, because
+the event queue breaks same-instant ties first in, first out.
 """
 
 import dataclasses
+import heapq
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import ContentItem
-from vcachesim.engine import _ATTEMPTS, _BEACONS, Simulation, _TrackAges
+from vcachesim.engine import _ADVANCE, _ATTEMPT, _BEACON, Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
 from vcachesim.protocol import IDLE, SATISFIED, Beacon, Response, VehicleAgent
@@ -229,15 +231,16 @@ def dense(monkeypatch):
 
 
 def logged_ticks(sim):
-    """Record the instant of every tick sim runs."""
+    """Record the instant of every tick sim runs, as its own event or inline
+    in the tick before; each takes its instant's due work once."""
     instants = []
-    on_tick = sim._on_tick
+    take = sim._take_due
 
-    def logged():
-        instants.append(sim.queue.now_us)
-        on_tick()
+    def logged(now):
+        instants.append(now)
+        return take(now)
 
-    sim._on_tick = logged  # the tick schedules itself through this attribute
+    sim._take_due = logged  # the tick takes its due work through this attribute
     return instants
 
 
@@ -326,33 +329,60 @@ def entered(sim, *vehicle_ids):
         sim._enter(VehicleAgent(vid, ITEM, sim.cfg.caching))
 
 
+def put_due(sim, kind, vid, *ticks):
+    """Put vid's entry of kind at the first of ticks on the due heap, as
+    _arm does, with the others as the rest of its plan; spawned at 0."""
+    runs = iter([(at * sim.tick_us, "r0") for at in ticks[1:]])
+    spawned = list(sim.vehicles).index(vid)
+    heapq.heappush(sim._due, (ticks[0] * sim.tick_us, kind, spawned, vid, "r0", 0, runs))
+
+
 def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
-    assert not sim._planned_at  # no work before run() files the first arrivals
+    assert not sim._due  # no work before run() files the first arrivals
     sim.queue.schedule(0, lambda: None)  # an event due now
     assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
     sim.queue.run_until(0)
     entered(sim, "v000")
-    sim._bucket(0)[_ATTEMPTS].append(("v000", "r0"))  # an attempt due now
+    put_due(sim, _ATTEMPT, "v000", 0)  # an attempt due now
     assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
 
 
 def test_attempt_entries_that_cannot_act_force_no_tick():
     sim = Simulation(urban_single(count=10, seed=1))
-    assert not sim._planned_at  # no work before run() files the first arrivals
+    assert not sim._due  # no work before run() files the first arrivals
     tick_us = sim.tick_us
     entered(sim, "v000", "v001", "v002")
     for vid in ("v000", "v001"):
         sim.vehicles[vid].status = SATISFIED
-    for vid, ticks in [("v000", 10), ("v000", 20), ("v001", 20), ("v002", 30)]:
-        sim._bucket(ticks * tick_us)[_ATTEMPTS].append((vid, "r0"))
+    put_due(sim, _ATTEMPT, "v000", 10, 20)
+    put_due(sim, _ATTEMPT, "v001", 20)
+    put_due(sim, _ATTEMPT, "v002", 30)
     # only satisfied vehicles attempt at ticks 10 and 20: neither instant
-    # sets the next tick, and both are dropped; v002 can act at tick 30
+    # sets the next tick, and both entries are dropped, v000's with nothing
+    # in its place; v002 can act at tick 30
     assert sim._skip_idle_ticks(0, None) == 30 * tick_us
-    assert list(sim._planned) == sim._planned_at == [30 * tick_us]
+    assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
     # a beacon acts whatever its vehicle's status
-    sim._bucket(25 * tick_us)[_BEACONS].append(("v000", "r0"))
+    put_due(sim, _BEACON, "v000", 25)
     assert sim._skip_idle_ticks(0, None) == 25 * tick_us
+
+
+def test_taking_an_entry_puts_its_vehicles_next_in_its_place():
+    sim = Simulation(urban_single(count=10, seed=1))
+    tick_us = sim.tick_us
+    entered(sim, "v000", "v001")
+    sim.vehicles["v000"].status = SATISFIED
+    put_due(sim, _ATTEMPT, "v000", 0, 10)
+    put_due(sim, _ATTEMPT, "v001", 0, 10)
+    put_due(sim, _BEACON, "v000", 0, 5)
+    # a satisfied vehicle's attempt is dropped with nothing in its place;
+    # a beacon runs whatever its vehicle's status
+    assert sim._take_due(0) == ([("v001", "r0")], [("v000", "r0")])
+    assert sorted(entry[:4] for entry in sim._due) == [
+        (5 * tick_us, _BEACON, 0, "v000"),
+        (10 * tick_us, _ATTEMPT, 1, "v001"),
+    ]
 
 
 # -- due work inside the tick ------------------------------------------------------
@@ -425,26 +455,26 @@ def test_the_next_tick_is_queued_before_what_due_work_schedules(monkeypatch):
 
 def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
     # no server answer arrives before the end, so every vehicle attempts
-    # every cycle, no instant is dropped, and every bucket is taken; each
-    # vehicle files its whole plan at its spawn
+    # every cycle and no attempt entry is dropped; each vehicle's next
+    # attempt waits on the due heap, keyed by its spawn sequence
     cfg = dataclasses.replace(urban_single(count=40, seed=1), backhaul_latency_s=300.0)
-    filed = []  # vehicle ids of each instant's attempts, in filing order
-    take = Simulation._take_planned
+    taken = []  # vehicle ids of each instant's attempts, in the order taken off the heap
+    take = Simulation._take_due
 
     def logged_take(sim, now):
-        bucket = sim._planned.get(now)
-        if bucket is not None:
-            filed.append([vid for vid, _ in bucket[0]])
-        return take(sim, now)
+        attempts, beacons = take(sim, now)
+        if attempts:
+            taken.append([vid for vid, _ in attempts])
+        return attempts, beacons
 
-    monkeypatch.setattr(Simulation, "_take_planned", logged_take)
+    monkeypatch.setattr(Simulation, "_take_due", logged_take)
     sim = Simulation(cfg)
     log = []
     logged_due_work(sim, log, monkeypatch)
     sim.run()
     spawn_seq = {vid: seq for seq, vid in enumerate(sim.vehicles)}
-    assert max(map(len, filed)) > 1
-    assert all(vids == sorted(vids, key=spawn_seq.get) for vids in filed)
+    assert max(map(len, taken)) > 1
+    assert all(vids == sorted(vids, key=spawn_seq.get) for vids in taken)
     ran = {}  # instant -> spawn sequences of its attempts, in running order
     for at_us, what in log:
         kind, vid = what.split()
@@ -452,6 +482,44 @@ def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
             ran.setdefault(at_us, []).append(spawn_seq[vid])
     assert max(map(len, ran.values())) > 1
     assert all(seqs == sorted(seqs) for seqs in ran.values())
+
+
+@pytest.mark.parametrize(
+    "cfg", [highway_single(count=60, seed=1), *SMALL_RUNS], ids=lambda cfg: cfg.name
+)
+def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, monkeypatch):
+    # filing whole plans kept every run of every vehicle until its instant;
+    # the cursors keep at most the next of each kind, and a satisfied
+    # vehicle's attempt entry waits only until its instant is taken or skipped
+    satisfied = {}  # vehicle id -> instant of its attempt entry when satisfied, or None
+    instants = []  # every instant taken
+    deliver, take = Simulation.deliver, Simulation._take_due
+
+    def logged_deliver(sim, record):
+        entries = [e[0] for e in sim._due if e[1] == _ATTEMPT and e[3] == record.vehicle]
+        assert len(entries) <= 1
+        satisfied[record.vehicle] = entries[0] if entries else None
+        deliver(sim, record)
+
+    def checked_take(sim, now):
+        entries = [e for e in sim._due if e[1] != _ADVANCE]
+        keys = [(e[3], e[1]) for e in entries]
+        assert len(keys) == len(set(keys)), "two entries of one kind for one vehicle"
+        assert {vid for vid, _ in keys} <= sim._active
+        assert all(e[0] >= now for e in sim._due), "an earlier instant was neither taken nor skipped"
+        for e in entries:
+            if e[1] == _ATTEMPT and e[3] in satisfied:
+                # still the entry it had when satisfied, and not yet passed
+                assert e[0] == satisfied[e[3]] and e[0] >= now, (e[:4], now)
+        instants.append(now)
+        return take(sim, now)
+
+    monkeypatch.setattr(Simulation, "deliver", logged_deliver)
+    monkeypatch.setattr(Simulation, "_take_due", checked_take)
+    result = Simulation(cfg).run()
+    assert result.satisfied > 0 and len(instants) > 50
+    # satisfied vehicles' attempt entries were waiting, and some left
+    assert any(at is not None for at in satisfied.values())
 
 
 def test_a_sub_tick_interval_runs_once_per_tick(monkeypatch):
@@ -484,7 +552,7 @@ def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
     # is the next with work, as after a tick with nothing due
     ticks = []  # (instant, events run before it, attempts due, beacons due)
     advanced = set()  # instants of the ticks that advanced the world
-    take, advance = Simulation._take_planned, Simulation._advance_world
+    take, advance = Simulation._take_due, Simulation._advance_world
 
     def logged_take(sim, now):
         attempts, beacons = take(sim, now)
@@ -495,7 +563,7 @@ def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
         advanced.add(now)
         advance(sim, now)
 
-    monkeypatch.setattr(Simulation, "_take_planned", logged_take)
+    monkeypatch.setattr(Simulation, "_take_due", logged_take)
     monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     sim = Simulation(highway_single(count=20, seed=1))
     sim.run()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from vcachesim import mobility
-from vcachesim.engine import _ADVANCE, Simulation
+from vcachesim.engine import Simulation
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -123,11 +123,21 @@ def test_beacon_only_ticks_change_no_output(case, tmp_path, monkeypatch):
 
 def every_tick_advances(monkeypatch):
     """Make every tick that runs advance the world and look for spawns, as
-    if an advance had been filed at its instant."""
+    if an advance had been filed at its instant: a tick event's, and each
+    instant the tick runs inline after moving the clock there."""
     on_tick = Simulation._on_tick
 
     def advancing_tick(sim):
-        sim._bucket(sim.queue.now_us)[_ADVANCE] = True
+        queue = sim.queue
+        if "advance_to" not in vars(queue):
+            advance_to = queue.advance_to
+
+            def advancing(at_us):
+                advance_to(at_us)
+                sim._file_advance(at_us)
+
+            queue.advance_to = advancing
+        sim._file_advance(queue.now_us)
         on_tick(sim)
 
     monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)
@@ -183,20 +193,50 @@ def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the
 
 
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
-    # the oracle test above means something only if the shortcut is taken
-    ticks = {"tick events": 0, "world ticks": 0}
-    on_tick = Simulation._on_tick
+    # the oracle test above means something only if the shortcut is taken;
+    # a tick runs each instant once, as its own event or inline in the tick
+    # before, and takes its due work there
+    ticks = {"tick events": 0, "instants run": 0, "world ticks": 0}
+    on_tick, take = Simulation._on_tick, Simulation._take_due
     world_tick = mobility.MobilityWorld.tick
 
     def counted_on_tick(sim):
         ticks["tick events"] += 1
         on_tick(sim)
 
+    def counted_take(sim, now):
+        ticks["instants run"] += 1
+        return take(sim, now)
+
     def counted_world_tick(world):
         ticks["world ticks"] += 1
         return world_tick(world)
 
     monkeypatch.setattr(Simulation, "_on_tick", counted_on_tick)
+    monkeypatch.setattr(Simulation, "_take_due", counted_take)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
     Simulation(make_golden.build("highway_single", True, 1, 100)).run()
-    assert 0 < ticks["world ticks"] < ticks["tick events"] // 2, ticks
+    assert 0 < ticks["world ticks"] < ticks["instants run"] // 2, ticks
+    assert ticks["tick events"] < ticks["instants run"], ticks  # some instants ran inline
+
+
+def test_every_tick_advances_covers_the_instants_run_inline(monkeypatch):
+    # the oracle above must advance the world at every instant a tick runs,
+    # as its own event or inline in the tick before
+    counts = {"instants run": 0, "world ticks": 0}
+    take = Simulation._take_due
+    world_tick = mobility.MobilityWorld.tick
+
+    def counted_take(sim, now):
+        counts["instants run"] += 1
+        return take(sim, now)
+
+    def counted_world_tick(world):
+        counts["world ticks"] += 1
+        return world_tick(world)
+
+    every_tick_advances(monkeypatch)
+    monkeypatch.setattr(Simulation, "_take_due", counted_take)
+    monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
+    Simulation(make_golden.build("highway_single", True, 1, 100)).run()
+    assert counts["instants run"] == counts["world ticks"] > 0, counts

@@ -132,6 +132,28 @@ def test_horizon_before_clock_raises():
         q.run_until(9)
 
 
+def test_advance_to_moves_the_clock_forward_before_the_next_event_only():
+    q = EventQueue()
+    log = []
+    q.schedule(5, lambda: (q.advance_to(8), log.append(q.now_us)))
+    q.schedule(10, lambda: log.append(q.now_us))
+    assert q.run_until(20) == 2
+    assert log == [8, 10]  # the handler ran on at 8; the clock reached 10 at its event
+    assert q.processed_total == 2  # moving the clock is no event
+    q.advance_to(10)  # staying put is not going back
+    q.advance_to(15)  # nothing pending
+    assert q.now_us == 15
+    with pytest.raises(SchedulingInPast):
+        q.advance_to(14)  # back
+    q.schedule(20, lambda: None)
+    for at in (20, 21):  # at or past a pending event
+        with pytest.raises(SchedulingInPast):
+            q.advance_to(at)
+    assert q.now_us == 15 and len(q) == 1 and q.processed_total == 2
+    q.advance_to(19)
+    assert q.now_us == 19 and q.processed_total == 2
+
+
 def test_counters_track_scheduled_and_processed():
     q = EventQueue()
     for at in (5, 15, 25):

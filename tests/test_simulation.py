@@ -345,7 +345,9 @@ def test_a_request_can_end_after_its_sender_exited():
     frames a request queued behind one ends after its vehicle left the
     road; its propagation delay is then measured from where the vehicle
     exited. The figures are those the run gave before world_xy served
-    only active vehicles."""
+    only active vehicles, but for the events processed, which are not an
+    output: 946 then, fewer since a tick runs the next tick instant itself
+    when no event comes before it."""
     cfg = dataclasses.replace(
         urban_single(count=40, caching=False, seed=1), payload_bits=30_000_000, trace=True
     )
@@ -361,7 +363,7 @@ def test_a_request_can_end_after_its_sender_exited():
     sim._receivers = logged
     result = sim.run()
     assert len(late) == 19
-    assert (result.events_processed, result.satisfied, result.exited) == (946, 39, 40)
+    assert (result.events_processed, result.satisfied, result.exited) == (618, 39, 40)
     assert result.ledger.final_avg_cdt_us() == 13_727_531.0
     assert hashlib.sha256("\n".join(result.trace_lines).encode()).hexdigest() == (
         "8e8b32d3ea3a9a36ea131d67d46ae2c66873eb8b8b3db93be02c02f2f142f1ff"
