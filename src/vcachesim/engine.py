@@ -23,12 +23,13 @@ the heap top, so the new tick takes the same FIFO place among the events of
 its instant as a tick scheduled one tick earlier; and the last tick instant
 still ends the run. Due attempts run after the next tick is queued and may
 schedule events before any later tick, so after them the next tick is one
-tick later. Beacons schedule nothing, so a tick with only beacons due, and
-no other event at its instant, runs them first and picks the next tick as
-a tick with nothing due does. A next tick strictly before the heap top
-would be the next event, so the tick runs it itself (EventQueue.advance_to)
-and loops: the same work runs in the same order, and only the count of
-events processed, which is no output, falls.
+tick later. A tick strictly before the heap top would be the next event, so
+the tick runs it itself (EventQueue.advance_to) and loops. Beacons schedule
+nothing, and an instant's advance and attempts come before its beacons on
+the due heap, so beacons on its top before the heap top are sent on the
+walk to the next tick (_skip_idle_ticks), each at its instant, with the
+world's tick count brought up to it. The same work runs in the same order;
+only the count of events processed, which is no output, falls.
 
 The world advances only at the instants filed for it: each road's first
 arrival (run), and at each spawn the vehicle's exit and, while arrivals
@@ -47,8 +48,8 @@ one heap (_due) keyed (instant, kind, spawn sequence), kinds in the order
 advance, attempt, beacon: the world's advances, and each active vehicle's
 next attempt and next covered beacon. The tick takes its instant's entries,
 then queues the next tick and runs the attempts of unsatisfied vehicles,
-then the beacons, each in spawn order, inside itself (beacons alone run
-before, above); when another event already waits at its instant, it
+then the beacons, each in spawn order, inside itself (beacons alone run on
+the walk, above); when another event already waits at its instant, it
 schedules them as one batch event at that instant instead. This is exactly
 one event per attempt and beacon, for the same reasons as the receive
 batches below: those events held consecutive places among the events of
@@ -87,7 +88,7 @@ road, offset and interval.
 A vehicle walks its plans with two cursors: its first attempt and first
 covered beacon go on the due heap at spawn with an iterator over the rest,
 and each entry taken is replaced by its next, up to the last tick instant
-(_arm, _take_due). An attempt carries the owner of the zone covering its
+(_arm, _next_run). An attempt carries the owner of the zone covering its
 run age, the RSU it addresses (None outside every zone), and a beacon that
 owner, whose channel it takes; every beacon sends the run's one Beacon
 frame. The track is fixed at spawn, so the planned owner is the one a
@@ -247,10 +248,12 @@ class Simulation:
         # and the instants at which the world advances, (instant, _ADVANCE):
         # exits and entry openings (_arm) and the roads' first arrivals (run)
         self._due: list[tuple] = []
+        self._advances: set[int] = set()  # the instants of its advances
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
         self.frames_transmitted: dict[str, int] = {}
+        self._kinds: dict[type, str] = {}  # frame class -> kind
         self._beacon = Beacon(cfg.radio.beacon_payload_bits)  # airtime only: one for all
         self._airtime_us: dict[int, int] = {}  # payload bits -> airtime
         self._ran = False
@@ -292,30 +295,24 @@ class Simulation:
         queue, due, tick_us = self.queue, self._due, self.tick_us
         now, top = queue.now_us, queue.peek_time()  # the loop schedules nothing till the next tick
         while True:
-            advance = False
-            while due and due[0][0] == now and due[0][1] == _ADVANCE:
-                heappop(due)  # one entry per filing
-                advance = True
-            if advance:
+            if due and due[0][0] == now and due[0][1] == _ADVANCE:
+                heappop(due)
+                self._advances.remove(now)
                 self._advance_world(now)  # its spawns may put due work at now
             else:
                 self.world.skip(1)
-            due_attempts, due_beacons = self._take_due(now)
-            alone = top is None or top > now  # nothing else waits at this instant
-            if alone and not due_attempts and due_beacons:
-                self._run_due((), due_beacons)  # they schedule nothing: skip idle ticks after
-                due_beacons = ()
+            at = self._skip_idle_ticks(now, top)  # sends the beacons due alone
+            due_attempts, due_beacons = self._take_due(now)  # what is left
             work = due_attempts or due_beacons
             if now + tick_us > self.duration_us:
                 break
-            at = now + tick_us if work else self._skip_idle_ticks(now, top)
             if work or (top is not None and at >= top):
                 queue.schedule(at, self._on_tick)
                 break
             queue.advance_to(at)  # the tick there would be the next event to run
             now = at
         if work:
-            if alone:
+            if top is None or top > now:  # nothing else waits at this instant
                 self._run_due(due_attempts, due_beacons)
             else:
                 queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))
@@ -356,28 +353,33 @@ class Simulation:
         self._wanting[self.vehicles[vehicle_id].wanted].pop(vehicle_id, None)
 
     def _skip_idle_ticks(self, now: int, top: int | None) -> int:
-        """The first tick instant after now with work, or before which an
-        event runs (top, the event heap's top as the tick read it, with
-        nothing scheduled since), at least one tick after now and at most the
-        last tick instant; adds the idle ticks before it to the world's tick
-        count. Work is an advance or a due beacon or attempt of an
-        unsatisfied vehicle; a satisfied vehicle's attempt entry is dropped
-        on the way, as it would be when taken (SATISFIED is terminal)."""
-        tick_us = self.tick_us
-        until = self.last_tick_us
-        if top is not None and top < until:
-            until = top
-        due, vehicles = self._due, self.vehicles
+        """The first tick instant after now, and after the beacons it sends,
+        with an advance or a live attempt, or before which an event runs
+        (top, the event heap's top as the tick read it), at most the last
+        tick instant. On the way it drops satisfied vehicles' attempt
+        entries and sends the beacons due before top, each at its instant,
+        and counts the world's ticks up to the instant returned."""
+        due, vehicles, tick_us, last_us = self._due, self.vehicles, self.tick_us, self.last_tick_us
+        until = last_us if top is None or top > last_us else top
+        counted = now  # the instant the world's tick count is at
         while due and due[0][0] < until:
             entry = due[0]
-            if entry[1] == _ATTEMPT and vehicles[entry[3]].status == SATISFIED:
+            if entry[1] == _BEACON:
+                at_us = entry[0]
+                if at_us > counted:
+                    self.queue.advance_to(at_us)
+                    self.world.skip((at_us - counted) // tick_us)
+                    counted = at_us
+                self.transmit(entry[4], self._beacon, entry[3])
+                _next_run(due, last_us)
+            elif entry[1] == _ATTEMPT and vehicles[entry[3]].status == SATISFIED:
                 heappop(due)
             else:
                 until = entry[0]
-        at = now + tick_us
+        at = counted + tick_us
         if until > at:  # idle ticks lie before the first grid instant at or after until
             at = -(-until // tick_us) * tick_us
-            self.world.skip((at - now) // tick_us - 1)
+        self.world.skip((at - counted) // tick_us - 1)
         return at
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
@@ -408,32 +410,28 @@ class Simulation:
                 heappush(self._due, (now + run[0], kind, spawned, vehicle_id, run[1], now, runs))
 
     def _file_advance(self, at_us: int) -> None:
-        """Advance the world at the first tick instant at or after at_us, if the run has it."""
+        """Advance the world once at the first tick instant at or after at_us, if the run has it."""
         at_us = -(-at_us // self.tick_us) * self.tick_us
-        if at_us <= self.last_tick_us:
+        if at_us <= self.last_tick_us and at_us not in self._advances:
+            self._advances.add(at_us)
             heappush(self._due, (at_us, _ADVANCE))
 
     def _take_due(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
-        """Pop the attempts of unsatisfied vehicles, then the beacons, due at
-        now, each in spawn order; each is replaced by its vehicle's next run
-        of its kind up to the last tick instant, a satisfied vehicle's
-        attempt entry by nothing."""
+        """Take the attempts of unsatisfied vehicles, then the beacons, due at
+        now, each in spawn order and replaced by its next (_next_run); a
+        satisfied vehicle's attempt entry is dropped."""
         due, vehicles, last_us = self._due, self.vehicles, self.last_tick_us
         attempts, beacons = [], []
         while due and due[0][0] == now:
-            _, kind, seq, vid, owner, spawned_us, runs = due[0]
-            if kind == _ATTEMPT:
-                if vehicles[vid].status == SATISFIED:
+            entry = due[0]
+            if entry[1] == _ATTEMPT:
+                if vehicles[entry[3]].status == SATISFIED:
                     heappop(due)
                     continue
-                attempts.append((vid, owner))
+                attempts.append((entry[3], entry[4]))
             else:
-                beacons.append((vid, owner))
-            run = next(runs, None)
-            if run is not None and spawned_us + run[0] <= last_us:
-                heapreplace(due, (spawned_us + run[0], kind, seq, vid, run[1], spawned_us, runs))
-            else:
-                heappop(due)
+                beacons.append((entry[3], entry[4]))
+            _next_run(due, last_us)
         return attempts, beacons
 
     def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
@@ -448,12 +446,9 @@ class Simulation:
         return ages
 
     def _run_due(self, attempts: list[_Attempt], beacons: list[_PlannedBeacon]) -> None:
-        """One tick's due attempts, then its due beacons, each in spawn order:
-        an attempt addressed to the RSU planned for its run age, a beacon
-        sent on the channel of the zone covering its vehicle then.
-
-        Exits happen only in the tick, so every vehicle here is active.
-        """
+        """One tick's due attempts, then its due beacons, each in spawn order,
+        to the target or on the channel planned for its run age. Exits
+        happen only in the tick, so every vehicle here is active."""
         now, vehicles = self.queue.now_us, self.vehicles
         for vid, target in attempts:
             vehicles[vid].on_attempt(now, target, self)
@@ -480,7 +475,9 @@ class Simulation:
         if duration is None:
             duration = self._airtime_us[bits] = tx_duration_us(self.cfg.radio, bits)
         start, end = channel.reserve(self.queue.now_us, duration)
-        kind = type(frame).__name__.lower()
+        kind = self._kinds.get(type(frame))
+        if kind is None:
+            kind = self._kinds[type(frame)] = type(frame).__name__.lower()
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
         if self.tracing:
             name = getattr(frame, "name", None)
@@ -673,22 +670,12 @@ class _TrackAges:
         self, first_us: int, interval_us: int, tick_us: int, covered: bool = False
     ) -> list[tuple[int, str | None]]:
         """(run offset, owner of the zone covering the vehicle or None) of
-        every due time of a periodic timer (attempts or beacons) that runs
-        from the first covered age on, for a vehicle spawned at a tick
-        instant whose first due time is first_us after it; only the covered
-        ones if covered, kept apart (the beacons' plans).
-
-        The due times are first_us, first_us + interval_us, ... A due time d
-        runs at the first tick at or after it, but once per tick at most, as
-        when the next due time was armed only after the tick had taken its
-        due ones: the k-th runs at age max(ceil(d_k / tick_us), previous age
-        + 1), age * tick_us after the spawn, and none runs from the exit age
-        on. From one tick up the max never binds. Before the first covered
-        age both kinds do nothing, so those due times are left out; later an
-        uncovered beacon does nothing, but an uncovered attempt may hit the
-        pre-cache. Relative to an on-grid spawn nothing else enters, so plans
-        are kept.
-        """
+        every run of a periodic timer (attempts or beacons) due at first_us,
+        first_us + interval_us, ... after a spawn at a tick instant, by the
+        run-age rule (module docstring): the k-th runs at age
+        max(ceil(d_k / tick_us), previous age + 1), and none before the
+        first covered age or from the exit age on; only the covered ones if
+        covered (the beacons' plans)."""
         key = (first_us, interval_us, tick_us, covered)
         plan = self._plans.get(key)
         if plan is None:
@@ -718,6 +705,17 @@ class _TrackAges:
                 else -1
             )
         return delay
+
+
+def _next_run(due: list[tuple], last_us: int) -> None:
+    """Replace the due heap's top entry by its vehicle's next run of its
+    kind up to the last tick instant last_us, or drop it if there is none."""
+    _, kind, seq, vid, _, spawned_us, runs = due[0]
+    run = next(runs, None)
+    if run is not None and spawned_us + run[0] <= last_us:
+        heapreplace(due, (spawned_us + run[0], kind, seq, vid, run[1], spawned_us, runs))
+    else:
+        heappop(due)
 
 
 _UNFILLED = object()

@@ -4,10 +4,11 @@ One receive event per frame and arrival instant, no frame end for beacons,
 one due heap holding each vehicle's next request attempt and next beacon,
 whose due work runs inside the tick, plans that skip due times that cannot
 act, and a tick only at the instants with due work, run inline when no event
-comes first. Each must keep the order that one event per receiver, one
-event per due attempt or beacon, a full per-tick scan, an attempt or beacon
-re-armed one interval at a time and a tick event every tick_s gave, because
-the event queue breaks same-instant ties first in, first out.
+comes first, with beacons due alone sent on the walk to the next tick. Each
+must keep the order that one event per receiver, one event per due attempt
+or beacon, a full per-tick scan, an attempt or beacon re-armed one interval
+at a time and a tick event every tick_s gave, because the event queue
+breaks same-instant ties first in, first out.
 """
 
 import dataclasses
@@ -363,9 +364,103 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     # in its place; v002 can act at tick 30
     assert sim._skip_idle_ticks(0, None) == 30 * tick_us
     assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
-    # a beacon acts whatever its vehicle's status
+    # a beacon acts whatever its vehicle's status: it forces a tick at its
+    # instant when an event comes first there, and is sent on the walk
+    # (replaced by nothing, its plan is done) when none does
     put_due(sim, _BEACON, "v000", 25)
-    assert sim._skip_idle_ticks(0, None) == 25 * tick_us
+    assert sim._skip_idle_ticks(0, 25 * tick_us) == 25 * tick_us
+    assert sim.frames_transmitted == {}
+    sent = []
+    transmit = sim.transmit
+
+    def logged_transmit(channel_owner, frame, sender):
+        sent.append((sim.queue.now_us, channel_owner, type(frame).__name__, sender))
+        transmit(channel_owner, frame, sender)
+
+    sim.transmit = logged_transmit
+    assert sim._skip_idle_ticks(0, None) == 30 * tick_us
+    assert sent == [(25 * tick_us, "r0", "Beacon", "v000")]
+    assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
+
+
+def beacons_on_the_walk(monkeypatch):
+    """Log every beacon sent on the walk to the next tick as (instant, the
+    walk's now and top, the world's tick count, the kinds of the due
+    entries left at the instant)."""
+    log, walking = [], []  # walking: (now, top) of the walk running
+    walk, transmit = Simulation._skip_idle_ticks, Simulation.transmit
+
+    def logged_walk(sim, now, top):
+        walking.append((now, top))
+        try:
+            return walk(sim, now, top)
+        finally:
+            walking.pop()
+
+    def logged_transmit(sim, channel_owner, frame, sender):
+        if walking and isinstance(frame, Beacon):
+            at_us = sim.queue.now_us
+            kinds = [e[1] for e in sim._due if e[0] == at_us]
+            log.append((at_us, *walking[-1], sim.world._ticks, kinds))
+        transmit(sim, channel_owner, frame, sender)
+
+    monkeypatch.setattr(Simulation, "_skip_idle_ticks", logged_walk)
+    monkeypatch.setattr(Simulation, "transmit", logged_transmit)
+    return log
+
+
+def beacon_every_tick(cfg):
+    return dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, beacon_interval_s=0.1))
+
+
+# with a beacon due every tick, beacons fall on the instants of relay announces
+WALK_RUNS = [
+    highway_single(count=60, seed=1),
+    *SMALL_RUNS,
+    pytest.param(beacon_every_tick(SMALL_RUNS[0]), id="highway_multi_beacon_every_tick"),
+]
+
+
+@pytest.mark.parametrize("cfg", WALK_RUNS, ids=lambda cfg: cfg.name)
+def test_every_beacon_on_the_walk_sees_the_tick_count_of_its_instant(cfg, monkeypatch):
+    # vehicles read the positions the ticks up to the beacon's would have
+    # left, as if the tick at its instant sent it
+    log = beacons_on_the_walk(monkeypatch)
+    sim = Simulation(cfg)
+    sim.run()
+    assert any(at_us > now for at_us, now, _, _, _ in log)  # the walk passes instants
+    assert [
+        (at_us, ticks) for at_us, _, _, ticks, _ in log if ticks != at_us // sim.tick_us + 1
+    ] == []
+
+
+@pytest.mark.parametrize("cfg", WALK_RUNS, ids=lambda cfg: cfg.name)
+def test_the_walk_sends_no_beacon_at_the_heap_top_or_with_other_work_at_its_instant(
+    cfg, monkeypatch
+):
+    # a beacon at or after the event heap's top runs after that event, and
+    # one at an instant with an advance or a live attempt runs after them
+    log = beacons_on_the_walk(monkeypatch)
+    attempted, advanced = set(), set()
+    on_attempt, advance = VehicleAgent.on_attempt, Simulation._advance_world
+
+    def logged_attempt(agent, now_us, target, services):
+        attempted.add(now_us)
+        on_attempt(agent, now_us, target, services)
+
+    def logged_advance(sim, now):
+        advanced.add(now)
+        advance(sim, now)
+
+    monkeypatch.setattr(VehicleAgent, "on_attempt", logged_attempt)
+    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
+    Simulation(cfg).run()
+    assert log and attempted and advanced
+    for at_us, now, top, _, kinds in log:
+        assert top is None or at_us < top, (at_us, top)
+        assert set(kinds) <= {_BEACON}, (at_us, kinds)  # satisfied attempts are dropped first
+        assert at_us == now or at_us not in advanced, (at_us, now)  # the tick's own advance ran
+    assert not attempted & {at_us for at_us, _, _, _, _ in log}
 
 
 def test_taking_an_entry_puts_its_vehicles_next_in_its_place():
@@ -492,8 +587,8 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
     # the cursors keep at most the next of each kind, and a satisfied
     # vehicle's attempt entry waits only until its instant is taken or skipped
     satisfied = {}  # vehicle id -> instant of its attempt entry when satisfied, or None
-    instants = []  # every instant taken
-    deliver, take = Simulation.deliver, Simulation._take_due
+    instants = set()  # every instant taken, or passed on the walk sending a beacon
+    deliver, take, transmit = Simulation.deliver, Simulation._take_due, Simulation.transmit
 
     def logged_deliver(sim, record):
         entries = [e[0] for e in sim._due if e[1] == _ATTEMPT and e[3] == record.vehicle]
@@ -501,7 +596,7 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
         satisfied[record.vehicle] = entries[0] if entries else None
         deliver(sim, record)
 
-    def checked_take(sim, now):
+    def check(sim, now):
         entries = [e for e in sim._due if e[1] != _ADVANCE]
         keys = [(e[3], e[1]) for e in entries]
         assert len(keys) == len(set(keys)), "two entries of one kind for one vehicle"
@@ -511,11 +606,20 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
             if e[1] == _ATTEMPT and e[3] in satisfied:
                 # still the entry it had when satisfied, and not yet passed
                 assert e[0] == satisfied[e[3]] and e[0] >= now, (e[:4], now)
-        instants.append(now)
+        instants.add(now)
+
+    def checked_take(sim, now):
+        check(sim, now)
         return take(sim, now)
+
+    def checked_transmit(sim, channel_owner, frame, sender):
+        if isinstance(frame, Beacon):
+            check(sim, sim.queue.now_us)
+        transmit(sim, channel_owner, frame, sender)
 
     monkeypatch.setattr(Simulation, "deliver", logged_deliver)
     monkeypatch.setattr(Simulation, "_take_due", checked_take)
+    monkeypatch.setattr(Simulation, "transmit", checked_transmit)
     result = Simulation(cfg).run()
     assert result.satisfied > 0 and len(instants) > 50
     # satisfied vehicles' attempt entries were waiting, and some left
@@ -548,25 +652,36 @@ def test_a_sub_tick_interval_runs_once_per_tick(monkeypatch):
 
 
 def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
-    # beacons schedule nothing, so the tick after one with only beacons due
-    # is the next with work, as after a tick with nothing due
-    ticks = []  # (instant, events run before it, attempts due, beacons due)
+    # beacons schedule nothing, so the tick after an instant with only
+    # beacons due is the next with work, as after a tick with nothing due;
+    # most such instants run on the walk to the next tick, not taken
+    runs = {}  # instant -> [events run before it, attempts due, beacons sent]
     advanced = set()  # instants of the ticks that advanced the world
-    take, advance = Simulation._take_due, Simulation._advance_world
+    take, advance, transmit = Simulation._take_due, Simulation._advance_world, Simulation.transmit
+
+    def run_at(sim):
+        return runs.setdefault(sim.queue.now_us, [sim.queue.processed_total - 1, 0, 0])
 
     def logged_take(sim, now):
         attempts, beacons = take(sim, now)
-        ticks.append((now, sim.queue.processed_total - 1, len(attempts), len(beacons)))
+        run_at(sim)[1] += len(attempts)
         return attempts, beacons
+
+    def logged_transmit(sim, channel_owner, frame, sender):
+        if isinstance(frame, Beacon):
+            run_at(sim)[2] += 1
+        transmit(sim, channel_owner, frame, sender)
 
     def logged_advance(sim, now):
         advanced.add(now)
         advance(sim, now)
 
     monkeypatch.setattr(Simulation, "_take_due", logged_take)
+    monkeypatch.setattr(Simulation, "transmit", logged_transmit)
     monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     sim = Simulation(highway_single(count=20, seed=1))
     sim.run()
+    ticks = [(at_us, *run) for at_us, run in sorted(runs.items())]
     after_beacon_only = [(a, b) for a, b in zip(ticks, ticks[1:]) if a[3] and not a[2]]
     assert len(after_beacon_only) > 100
     for (_, ran, _, _), (at_us, ran_next, attempts, beacons) in after_beacon_only:

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from vcachesim import mobility
+from vcachesim import engine, mobility
 from vcachesim.engine import Simulation
+from vcachesim.protocol import Beacon
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -122,25 +123,33 @@ def test_beacon_only_ticks_change_no_output(case, tmp_path, monkeypatch):
 
 
 def every_tick_advances(monkeypatch):
-    """Make every tick that runs advance the world and look for spawns, as
-    if an advance had been filed at its instant: a tick event's, and each
-    instant the tick runs inline after moving the clock there."""
+    """Make the world advance, and look for spawns, at every instant at
+    which a tick runs, as if an advance had been filed there: each tick
+    event's, the last tick instant, and each instant that gets due work.
+    An instant's advance comes before its due work on the due heap, so the
+    walk to the next tick stops there and the tick runs the instant itself,
+    its beacons included; the due work put on the heap at the instant being
+    advanced runs in that advance."""
     on_tick = Simulation._on_tick
+    running = []  # the simulation whose tick is running
 
     def advancing_tick(sim):
-        queue = sim.queue
-        if "advance_to" not in vars(queue):
-            advance_to = queue.advance_to
-
-            def advancing(at_us):
-                advance_to(at_us)
-                sim._file_advance(at_us)
-
-            queue.advance_to = advancing
-        sim._file_advance(queue.now_us)
+        running[:] = [sim]
+        sim._file_advance(sim.queue.now_us)
+        sim._file_advance(sim.last_tick_us)
         on_tick(sim)
 
+    def filing(put):
+        def filed(heap, entry):
+            put(heap, entry)
+            if entry[1] != engine._ADVANCE and entry[0] > running[0].queue.now_us:
+                running[0]._file_advance(entry[0])
+
+        return filed
+
     monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)
+    monkeypatch.setattr(engine, "heappush", filing(engine.heappush))
+    monkeypatch.setattr(engine, "heapreplace", filing(engine.heapreplace))
 
 
 # 900 m of gap on 800 m roads: the entry behind a vehicle opens at its exit
@@ -192,51 +201,69 @@ def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the
     )
 
 
+def logged_instants(monkeypatch):
+    """Record the instants at which the tick takes due work, each once, and
+    those at which a beacon is sent, on the walk to the next tick or not."""
+    taken, sent = [], set()
+    take, transmit = Simulation._take_due, Simulation.transmit
+
+    def logged_take(sim, now):
+        taken.append(now)
+        return take(sim, now)
+
+    def logged_transmit(sim, channel_owner, frame, sender):
+        if isinstance(frame, Beacon):
+            sent.add(sim.queue.now_us)
+        transmit(sim, channel_owner, frame, sender)
+
+    monkeypatch.setattr(Simulation, "_take_due", logged_take)
+    monkeypatch.setattr(Simulation, "transmit", logged_transmit)
+    return taken, sent
+
+
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
-    # the oracle test above means something only if the shortcut is taken;
-    # a tick runs each instant once, as its own event or inline in the tick
-    # before, and takes its due work there
-    ticks = {"tick events": 0, "instants run": 0, "world ticks": 0}
-    on_tick, take = Simulation._on_tick, Simulation._take_due
+    # the oracle test above means something only if the shortcuts are taken;
+    # a tick runs each instant once, as its own event, inline in the tick
+    # before or on the walk to the next tick, which sends the beacons of the
+    # instants it passes without taking them
+    ticks = {"tick events": 0, "world ticks": 0}
+    on_tick = Simulation._on_tick
     world_tick = mobility.MobilityWorld.tick
 
     def counted_on_tick(sim):
         ticks["tick events"] += 1
         on_tick(sim)
 
-    def counted_take(sim, now):
-        ticks["instants run"] += 1
-        return take(sim, now)
-
     def counted_world_tick(world):
         ticks["world ticks"] += 1
         return world_tick(world)
 
     monkeypatch.setattr(Simulation, "_on_tick", counted_on_tick)
-    monkeypatch.setattr(Simulation, "_take_due", counted_take)
+    taken, sent = logged_instants(monkeypatch)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
     Simulation(make_golden.build("highway_single", True, 1, 100)).run()
+    assert len(taken) == len(set(taken))
+    ticks["instants run"] = len(set(taken) | sent)
     assert 0 < ticks["world ticks"] < ticks["instants run"] // 2, ticks
-    assert ticks["tick events"] < ticks["instants run"], ticks  # some instants ran inline
+    assert ticks["tick events"] < len(taken), ticks  # some instants ran inline
+    assert len(sent - set(taken)) > len(sent) // 2, ticks  # most beacon instants ran on the walk
 
 
 def test_every_tick_advances_covers_the_instants_run_inline(monkeypatch):
     # the oracle above must advance the world at every instant a tick runs,
-    # as its own event or inline in the tick before
-    counts = {"instants run": 0, "world ticks": 0}
-    take = Simulation._take_due
+    # as its own event, inline in the tick before or on the walk: under it
+    # the walk passes no instant, so the tick takes every one
+    counts = {"world ticks": 0}
     world_tick = mobility.MobilityWorld.tick
-
-    def counted_take(sim, now):
-        counts["instants run"] += 1
-        return take(sim, now)
 
     def counted_world_tick(world):
         counts["world ticks"] += 1
         return world_tick(world)
 
     every_tick_advances(monkeypatch)
-    monkeypatch.setattr(Simulation, "_take_due", counted_take)
+    taken, sent = logged_instants(monkeypatch)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
     Simulation(make_golden.build("highway_single", True, 1, 100)).run()
-    assert counts["instants run"] == counts["world ticks"] > 0, counts
+    counts["instants run"] = len(set(taken) | sent)
+    assert sent <= set(taken)
+    assert counts["instants run"] == len(taken) == counts["world ticks"] > 0, counts
