@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Profile one simulation run and print self time per code object.
+"""Profile one simulation run and its output files; print self time per code object.
 
 pstats keys its rows by (file, first line, function name). Every method that
 dataclasses generates is compiled from a string and labelled <string>:2, so
@@ -7,7 +7,9 @@ pstats keeps one of them and drops the calls of all the others. This script
 reads cProfile's raw entries (Profile.getstats()) instead and keeps one row
 per code object: file, first line, qualified name, self time and calls. A
 generated method is named by the function that holds its code, such as
-Request.__init__; builtins keep cProfile's own label.
+Request.__init__; builtins keep cProfile's own label. The run's CSV files
+(and trace) are written with cli.write_outputs into a temporary directory
+under the same profile, so the rendering shows too.
 
     PYTHONPATH=src python3 scripts/profile_run.py highway_multi --count 300 --seed 1
 """
@@ -15,8 +17,10 @@ Request.__init__; builtins keep cProfile's own label.
 import argparse
 import cProfile
 import sys
+import tempfile
 from pathlib import Path
 
+from vcachesim.cli import write_outputs
 from vcachesim.engine import run_simulation
 from vcachesim.scenarios import resolve_config
 
@@ -68,7 +72,9 @@ def main(argv=None):
     cfg = resolve_config(args.source, overrides)
 
     profile = cProfile.Profile()
-    profile.runcall(run_simulation, cfg)
+    result = profile.runcall(run_simulation, cfg)
+    with tempfile.TemporaryDirectory() as out:
+        profile.runcall(write_outputs, result, Path(out))
     rows = rows_by_code(profile)
     print(f"{'self_s':>9} {'calls':>9}  code")
     for self_s, calls, label in rows[: args.top]:

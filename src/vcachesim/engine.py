@@ -234,9 +234,15 @@ class Simulation:
             list(self.catalog),
             self.rng,
         )
-        self._pending_arrivals = {road.id: deque() for road in cfg.roads}
-        for arrival in arrivals:
-            self._pending_arrivals[arrival.road_id].append(arrival)
+        # each road's arrivals in entry order: a single road's are the whole
+        # schedule; on several roads this loop beats any C-level split of a
+        # few dozen arrivals
+        if len(cfg.roads) == 1:
+            self._pending_arrivals = {cfg.roads[0].id: deque(arrivals)}
+        else:
+            self._pending_arrivals = {road.id: deque() for road in cfg.roads}
+            for arrival in arrivals:
+                self._pending_arrivals[arrival.road_id].append(arrival)
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         self._active: set[str] = set()  # ids of the vehicles on the road

@@ -9,7 +9,9 @@ disagree.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 from .simcore import format_time
@@ -204,8 +206,10 @@ class MetricsLedger:
 
 
 # -- CSV rendering -----------------------------------------------------------
-# Times print as exact fixed-point seconds; derived ratios and averages use a
-# fixed 6-digit format so identical runs are byte-identical.
+# One string per file, from the ledger's series, in one write. Times print as
+# exact fixed-point seconds, once per grid point, and derived ratios and
+# averages with 6 digits (_fmt_*, inlined), so identical runs are
+# byte-identical; only RSU ids and scopes can need CSV quoting.
 
 
 def _fmt_seconds(value_us: float) -> str:
@@ -216,50 +220,63 @@ def _fmt_ratio(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _writer(stream: IO[str]) -> csv.writer:
-    return csv.writer(stream, lineterminator="\n")
+def _between(field: str) -> str:
+    """",field," as csv.writer writes the field inside a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(("", field, ""))
+    return buffer.getvalue()[:-1]
+
+
+def _by_time(columns: list[list[str]]) -> str:
+    """The rows of each sample time in column order, as one string."""
+    return "".join(chain.from_iterable(zip(*columns)))
 
 
 def write_cdt_csv(stream: IO[str], ledger: MetricsLedger, times_us: list[int]) -> None:
-    out = _writer(stream)
-    out.writerow(["time_s", "avg_cdt_s", "deliveries"])
-    for t, count, avg_us in ledger.avg_cdt_series(times_us):
-        out.writerow([format_time(t), _fmt_seconds(avg_us), count])
+    rows = [
+        f"{format_time(t)},{avg_us / 1_000_000:.6f},{count}\n"
+        for t, count, avg_us in ledger.avg_cdt_series(times_us)
+    ]
+    stream.write("time_s,avg_cdt_s,deliveries\n" + "".join(rows))
 
 
 def write_server_requests_csv(
     stream: IO[str], ledger: MetricsLedger, times_us: list[int]
 ) -> None:
-    out = _writer(stream)
-    out.writerow(["time_s", "cumulative"])
-    for t, count in ledger.request_count_series(times_us, TARGET_SERVER):
-        out.writerow([format_time(t), count])
+    rows = [
+        f"{format_time(t)},{count}\n"
+        for t, count in ledger.request_count_series(times_us, TARGET_SERVER)
+    ]
+    stream.write("time_s,cumulative\n" + "".join(rows))
 
 
 def write_rsu_requests_csv(
     stream: IO[str], ledger: MetricsLedger, times_us: list[int]
 ) -> None:
-    out = _writer(stream)
-    out.writerow(["time_s", "rsu_id", "cumulative"])
-    per_rsu = {
-        rsu_id: ledger.request_count_series(times_us, rsu_id)
-        for rsu_id in ledger.rsu_ids
-    }
-    for i, t in enumerate(times_us):
-        for rsu_id in ledger.rsu_ids:
-            out.writerow([format_time(t), rsu_id, per_rsu[rsu_id][i][1]])
+    """One row per RSU at each sample time, in the ledger's RSU order."""
+    times = list(map(format_time, times_us))
+    columns = []
+    for rsu_id in ledger.rsu_ids:
+        between = _between(rsu_id)
+        columns.append([
+            f"{time}{between}{count}\n"
+            for time, (_, count) in zip(times, ledger.request_count_series(times_us, rsu_id))
+        ])
+    stream.write("time_s,rsu_id,cumulative\n" + _by_time(columns))
 
 
 def write_chr_csv(stream: IO[str], ledger: MetricsLedger, times_us: list[int]) -> None:
     """Aggregate rows first, then one row per RSU, at each sample time."""
-    out = _writer(stream)
-    out.writerow(["time_s", "scope", "hits", "misses", "chr"])
-    scopes = [TARGET_ALL_RSUS] + list(ledger.rsu_ids)
-    series = {scope: {p[0]: p for p in ledger.chr_series(times_us, scope)} for scope in scopes}
-    for t in times_us:
-        for scope in scopes:
-            point = series[scope].get(t)
-            if point is not None:
-                _, hits, misses, ratio = point
-                out.writerow([format_time(t), scope, hits, misses, _fmt_ratio(ratio)])
-
+    times = list(map(format_time, times_us))
+    columns = []
+    for scope in (TARGET_ALL_RSUS, *ledger.rsu_ids):
+        series = ledger.chr_series(times_us, scope)
+        # a series omits only its undefined prefix: its points are the
+        # last len(series) sample times
+        skipped = len(times) - len(series)
+        between = _between(scope)
+        columns.append([""] * skipped + [
+            f"{time}{between}{hits},{misses},{ratio:.6f}\n"
+            for time, (_, hits, misses, ratio) in zip(times[skipped:], series)
+        ])
+    stream.write("time_s,scope,hits,misses,chr\n" + _by_time(columns))

@@ -32,6 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -157,24 +158,24 @@ def generate_arrivals(
     config (scenarios.validate_config): count, roads, pool and window hold at
     least one each, the window in whole microseconds.
     """
+    # instances by tuple.__new__, which skips the NamedTuple's Python-level
+    # __new__, and the rest by C-level iteration where it can be
     width = max(3, len(str(count - 1)))
+    ids = ["v" + str(i).zfill(width) for i in range(count)]
     if pattern == HIGHWAY_UNIFORM:
-        road_id = roads[0].id
-        return [
-            Arrival(i * US_PER_SECOND, road_id, "v" + str(i).zfill(width), wanted_pool[pick])
-            for i, pick in enumerate(rng.draws(len(wanted_pool), count))
+        times = range(0, count * US_PER_SECOND, US_PER_SECOND)
+        road_ids = repeat(roads[0].id, count)
+        wanted = map(wanted_pool.__getitem__, rng.draws(len(wanted_pool), count))
+    else:
+        window_us = int(round(window_s * US_PER_SECOND))
+        draw = rng.draw
+        drawn = [
+            (draw(window_us), roads[draw(len(roads))].id, wanted_pool[draw(len(wanted_pool))])
+            for _ in range(count)
         ]
-    window_us = int(round(window_s * US_PER_SECOND))
-    draw = rng.draw
-    drawn = [
-        (draw(window_us), roads[draw(len(roads))].id, wanted_pool[draw(len(wanted_pool))])
-        for _ in range(count)
-    ]
-    drawn.sort(key=itemgetter(0))
-    return [
-        Arrival(at_us, road_id, "v" + str(i).zfill(width), wanted)
-        for i, (at_us, road_id, wanted) in enumerate(drawn)
-    ]
+        drawn.sort(key=itemgetter(0))
+        times, road_ids, wanted = zip(*drawn)
+    return list(map(tuple.__new__, repeat(Arrival), zip(times, road_ids, ids, wanted)))
 
 
 def advance_kinematics(

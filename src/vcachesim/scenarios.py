@@ -77,6 +77,11 @@ class ScenarioConfig:
     trace: bool = False
 
 
+# the CSVs write a row per sample point (and RSU): 3 vehicles sampled every
+# 1 us for 2 s wrote 50 MB; the 1 200-vehicle highway samples 265 points
+MAX_SAMPLE_POINTS = 100_000
+
+
 def caching_only(cfg: ScenarioConfig) -> bool:
     """A layout with a relay RSU runs only with caching: relays are caches."""
     return any(spec.role == ROLE_RELAY for spec in cfg.rsus)
@@ -117,6 +122,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
             name,
             seconds,
         )
+    if all(map(math.isfinite, (cfg.duration_s, cfg.sample_interval_s))):
+        duration_us, interval_us = map(seconds_to_us, (cfg.duration_s, cfg.sample_interval_s))
+        if interval_us >= 1:  # the points of metrics.sample_grid
+            points = duration_us // interval_us + 1 + (duration_us % interval_us > 0)
+            check(
+                points <= MAX_SAMPLE_POINTS,
+                "sample_interval_s %s gives %s sample points over duration_s %s, more than"
+                " MAX_SAMPLE_POINTS = %s",
+                cfg.sample_interval_s,
+                points,
+                cfg.duration_s,
+                MAX_SAMPLE_POINTS,
+            )
     check(cfg.catalog_size >= 1, "catalog_size must be >= 1: %s", cfg.catalog_size)
     check(cfg.payload_bits >= 1, "payload_bits must be >= 1: %s", cfg.payload_bits)
     check(cfg.rsu_cache_capacity >= 1, "rsu_cache_capacity must be >= 1: %s", cfg.rsu_cache_capacity)

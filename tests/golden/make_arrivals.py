@@ -64,13 +64,13 @@ def edge_id(pattern: str, count: int, window_s: float, roads: int, pool: int, se
     return f"{pattern}/seed{seed}/n{count}/window{window_s}/roads{roads}/pool{pool}"
 
 
-def scenario_schedule(name: str, seed: int, count: int | None, overrides=()) -> list[str]:
+def scenario_arrivals(name: str, seed: int, count: int | None, overrides=()) -> list:
     """The schedule a run of the builder draws, as the engine draws it."""
     settings = {"seed": seed, **dict(overrides)}
     if count is not None:
         settings["count"] = count
     cfg = resolve_config(name, settings)
-    arrivals = generate_arrivals(
+    return generate_arrivals(
         cfg.arrival_pattern,
         cfg.vehicle_count,
         cfg.arrival_window_s,
@@ -78,13 +78,12 @@ def scenario_schedule(name: str, seed: int, count: int | None, overrides=()) -> 
         list(catalog(cfg.catalog_size, cfg.payload_bits)),
         RandomSource(cfg.seed),
     )
-    return render(arrivals)
 
 
-def edge_schedule(
+def edge_arrivals(
     pattern: str, count: int, window_s: float, roads: int, pool: int, seed: int
-) -> list[str]:
-    arrivals = generate_arrivals(
+) -> list:
+    return generate_arrivals(
         pattern,
         count,
         window_s,
@@ -92,7 +91,6 @@ def edge_schedule(
         list(catalog(pool, 2000)),
         RandomSource(seed),
     )
-    return render(arrivals)
 
 
 def render(arrivals) -> list[str]:
@@ -108,11 +106,16 @@ def record(lines: list[str]) -> dict:
     }
 
 
+def arrivals() -> dict[str, list]:
+    """Case id -> drawn schedule, for every case."""
+    table = {scenario_id(*case): scenario_arrivals(*case) for case in SCENARIO_CASES}
+    table.update({edge_id(*case): edge_arrivals(*case) for case in EDGE_CASES})
+    return table
+
+
 def schedules() -> dict[str, list[str]]:
     """Case id -> rendered schedule, for every case."""
-    table = {scenario_id(*case): scenario_schedule(*case) for case in SCENARIO_CASES}
-    table.update({edge_id(*case): edge_schedule(*case) for case in EDGE_CASES})
-    return table
+    return {key: render(drawn) for key, drawn in arrivals().items()}
 
 
 def main() -> int:

@@ -20,4 +20,6 @@ def test_five_vehicle_urban_run_prints_the_tick_handler(capsys):
     assert where.startswith("engine.py:")
     # generated dataclass methods keep a row each, named by their class
     assert any(line.endswith(" <string>:2 ContentItem.__init__") for line in lines)
+    # the output files are profiled too
+    assert any(line.endswith(" write_cdt_csv") and "metrics.py:" in line for line in lines)
     assert lines[-1].endswith("code objects")

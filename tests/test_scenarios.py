@@ -1,7 +1,9 @@
 """Builder geometry, config validation, and the config-file loader."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from vcachesim.mobility import (
     RoadSegment,
     free_track,
 )
+from vcachesim.metrics import sample_grid
 from vcachesim.radio import RadioParams
 from vcachesim.scenarios import (
     BUILDERS,
@@ -36,6 +39,17 @@ from vcachesim.scenarios import (
     urban_single,
     validate_config,
 )
+from vcachesim.simcore import seconds_to_us
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # -- builders ------------------------------------------------------------------
 
@@ -241,6 +255,8 @@ def test_validation_accepts_intervals_that_quantize_to_one_microsecond(name):
     if name == "tick_s":  # a path that fits MAX_TRACK_TICKS ticks of 0.51 us
         cfg.roads = [dataclasses.replace(road, length_m=1.0) for road in cfg.roads]
         cfg.entry_speed_mps = cfg.kinematics.max_speed_mps
+    if name == "sample_interval_s":  # a grid within MAX_SAMPLE_POINTS points of 1 us
+        cfg.arrival_window_s = cfg.duration_s = 0.09
     validate_config(cfg)
 
 
@@ -283,6 +299,67 @@ def test_sub_microsecond_interval_is_rejected_before_the_run(name):
     # only when the finished run's outputs were written
     with pytest.raises(ValidationError, match=name):
         Simulation(broken(**{name: 1e-7}))
+
+
+def test_a_grid_of_more_sample_points_than_the_bound_is_rejected_before_the_run(monkeypatch):
+    # it used to pass the gate, run, and write 50 MB of CSV rows
+    settings = {"count": 3, "duration_s": 2.0, "arrival_window_s": 1.0}
+    validate_config(resolve_config("urban_single", settings))
+    cfg = resolve_config("urban_single", {**settings, "sample_interval_s": 1e-6})
+    monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("the run started"))
+    with pytest.raises(ValidationError) as exc:
+        Simulation(cfg).run()
+    assert str(exc.value) == (
+        "sample_interval_s 1e-06 gives 2000001 sample points over duration_s 2.0,"
+        f" more than MAX_SAMPLE_POINTS = {scenarios.MAX_SAMPLE_POINTS}"
+    )
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_the_sample_bound_counts_the_grid_that_is_written(extra):
+    # 100 000 points at 10 us are 0 .. 999 990 us; one more microsecond adds
+    # the final off-grid instant, one point over
+    points = scenarios.MAX_SAMPLE_POINTS
+    cfg = urban_single(3)
+    cfg.arrival_window_s = 0.5
+    cfg.sample_interval_s = 1e-5
+    cfg.duration_s = ((points - 1) * 10 + extra) / 1e6
+    assert len(sample_grid(seconds_to_us(cfg.duration_s), 10)) == points + extra
+    if extra:
+        with pytest.raises(ValidationError, match="MAX_SAMPLE_POINTS"):
+            validate_config(cfg)
+    else:
+        validate_config(cfg)
+
+
+def _shipped_configs():
+    """(label, config) of every golden case, acceptance run and benchmark run."""
+    sys.path.insert(0, str(_REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    golden = _load(_REPO / "tests" / "golden" / "make_golden.py")
+    yield from ((golden.case_id(*case), golden.build(*case)) for case in golden.CASES)
+    for builder, count in ((urban_single, 40), (urban_multi, 40), (highway_single, 300),
+                           (highway_multi, 300)):
+        yield f"acceptance {builder.__name__}/n{count}", builder(count)
+    for name, workload in workloads.WORKLOADS.items():
+        for spec in workload(1):
+            yield f"benchmark {name} {spec.run_id}", spec.build()
+
+
+def test_every_shipped_config_lies_below_the_sample_bound(capsys):
+    margins = []
+    for label, cfg in _shipped_configs():
+        validate_config(cfg)
+        points = len(sample_grid(seconds_to_us(cfg.duration_s), seconds_to_us(cfg.sample_interval_s)))
+        margins.append((scenarios.MAX_SAMPLE_POINTS / points, points, label))
+    with capsys.disabled():
+        print(f"\nsample points per grid, bound {scenarios.MAX_SAMPLE_POINTS}:")
+        for factor, points, label in sorted(margins):
+            print(f"  {points:6d} ({factor:7.0f}x below)  {label}")
+    assert min(margins)[0] > 100
 
 
 @pytest.mark.parametrize("name", ["header_bits", "bitrate_bps", "beacon_payload_bits"])
