@@ -63,7 +63,8 @@ Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
 track.pos[age] at every tick of its age, and what it meets is a function of
 (road, track, age), memoized lazily per track and road (_TrackAges) under a
-weak key, so that an own track's memos go with it at the vehicle's exit.
+weak key, so that an own track's memos go with it at the exit of the last
+vehicle riding it.
 Each entry is filled with the very call a lookup at the event would make,
 on road.world_position(track.pos[age]), the value world_xy gives; for the
 range test and delay of content at frame end too, because only the
@@ -638,7 +639,7 @@ class _TrackAges:
     them. The first covered age is found at construction, for _arm plans
     every instance it makes at once.
     The track itself is not kept, so that the engine's weak key on it lets
-    an own track and its memos go at the vehicle's exit.
+    an own track and its memos go at the exit of its last rider.
     """
 
     __slots__ = (

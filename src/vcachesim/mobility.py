@@ -23,7 +23,9 @@ builds, once, the free-flow track that the free step gives from (0, entry
 speed) up to the longest road, through a process-wide cache. A spawning
 vehicle rides it when every vehicle on its road does and the lag test shows
 it never brakes behind the rear one (Track.clears). Any other vehicle gets
-its own track behind its leader's (MobilityWorld._follow).
+an own track behind its leader's (MobilityWorld._follow). Equal own paths
+are one track, found in a memo on the leader's track while a vehicle rides
+it (MobilityWorld._own_track), so each distinct path is built once.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from .simcore import US_PER_SECOND, RandomSource
 
@@ -193,9 +196,8 @@ def advance_kinematics(
     leader's, absorbed at decel); then brake. A final no-pass clamp
     guarantees the minimum gap outright, whatever the discretization did.
 
-    This is the reference form of the model. MobilityWorld._follow inlines
-    the same floating-point operations in the same order, and a test holds
-    the two bit-identical.
+    This is the one implementation of the model: free_track and
+    MobilityWorld._follow build every track with it.
     """
     v_cand = min(speed_mps + p.accel_mps2 * dt_s, p.max_speed_mps)
     pos_cand = pos_m + 0.5 * (speed_mps + v_cand) * dt_s
@@ -221,13 +223,14 @@ def advance_kinematics(
 class Track:
     """Where a vehicle is, age ticks after its spawn: pos[age], speed[age].
 
-    A free-flow track (free_track), shared by the vehicles that ride it,
-    runs until its position reaches the world's longest road; an own track
-    (MobilityWorld._follow) is one vehicle's and ends at its exit. From a
-    non-negative entry speed no speed falls below zero, so no position falls.
+    A free-flow track (free_track) runs until its position reaches the
+    world's longest road; an own track (MobilityWorld._follow) ends at the
+    exit of the vehicles that ride it. Either is shared by every vehicle
+    whose path it is. From a non-negative entry speed no speed falls below
+    zero, so no position falls.
     """
 
-    __slots__ = ("pos", "speed", "_clear", "_open_age", "__weakref__")
+    __slots__ = ("pos", "speed", "_clear", "_open_age", "_behind", "__weakref__")
 
     def __init__(self, pos: list[float], speed: list[float]) -> None:
         self.pos = pos
@@ -236,6 +239,10 @@ class Track:
         # track serves every world whose inputs build it (free_track)
         self._clear: dict[tuple[float, int, float], bool] = {}
         self._open_age: dict[float, int] = {}
+        # (lag in ticks, entry speed as float.hex(), road length) -> the own
+        # track of a vehicle spawned that far behind one riding this track
+        # (MobilityWorld._own_track), held weakly: it goes with its last rider
+        self._behind: WeakValueDictionary[tuple[int, str, float], Track] = WeakValueDictionary()
 
     def exit_age(self, length_m: float) -> int:
         """The age at which a vehicle on this track leaves a road this long:
@@ -318,6 +325,10 @@ class MobilityWorld:
         # hex keys keep -0.0 apart from 0.0 (their speeds at age 0 differ in
         # sign) and give every NaN one key
         self._tracks: dict[str, Track | None] = {}
+        # (entry speed as float.hex(), positions, speeds) -> the own track
+        # _own_track built with them, while a vehicle rides it; made at the
+        # first build, for most runs build none
+        self._interned: WeakValueDictionary[tuple, Track] | None = None
         self._ticks = 0
         self.spawned_total = 0
         self.exited_total = 0
@@ -352,8 +363,10 @@ class MobilityWorld:
         ):
             state.track = track
             state.exit_tick = ticks + track.exit_age(length)
+        elif leader is None:
+            self._follow(state, [0.0], [speed_mps], None)
         else:
-            self._follow(state, [0.0], [speed_mps], leader)
+            self._own_track(state, speed_mps, leader)
         self._states[vehicle_id] = state
         order.append(state)
         self.spawned_total += 1
@@ -369,35 +382,50 @@ class MobilityWorld:
             )
         return self._tracks[key]
 
+    def _own_track(self, state: VehicleState, speed_mps: float, leader: VehicleState) -> None:
+        """Give state, spawning behind leader, its own track: the one the
+        memo on the leader's track keeps for the same lag, entry speed and
+        road length while a vehicle rides it, else a new one (_follow),
+        interned by content so that equal paths are one track.
+
+        Those and the leader's track are every input of _follow that the
+        world does not fix. Every memo hangs off a free-flow track, which
+        only worlds with the same tick, kinematics and MAX_TRACK_TICKS share
+        (free_track), or off a track of one world, so a track found here is
+        the one _follow would build.
+        """
+        speed_hex = float(speed_mps).hex()
+        length = self.roads[state.road_id].length_m
+        key = (state.spawn_tick - leader.spawn_tick, speed_hex, length)
+        memo = leader.track._behind
+        track = memo.get(key)
+        if track is None:
+            self._follow(state, [0.0], [speed_mps], leader)
+            # the entry speed's hex keeps -0.0 apart from 0.0, which compare equal
+            content = (speed_hex, tuple(state.track.pos), tuple(state.track.speed))
+            if self._interned is None:
+                self._interned = WeakValueDictionary()
+            track = memo[key] = self._interned.setdefault(content, state.track)
+        state.track = track
+        state.exit_tick = state.spawn_tick + len(track.pos) - 1  # an own track ends at its exit
+
     def _follow(
         self, state: VehicleState, pos: list[float], speed: list[float], leader: VehicleState | None
     ) -> None:
         """Give state its own track: pos and speed, its path up to its
         latest age, continued tick by tick behind leader up to its exit.
 
-        Each step is advance_kinematics inlined: the same floating-point
-        operations in the same order, with the loop invariants hoisted. A
-        vehicle already at the cap takes the folded cruise step, which is
-        the free step's own arithmetic with speed == v_cand == max_speed.
-        The leader, at its age on its track, constrains every tick before
-        its exit tick, and the vehicle cannot exit then; from then on it
-        takes the free step and exits at the first tick at which its
-        position reaches the road's length.
+        Each step is advance_kinematics. The leader, at its age on its
+        track, constrains every tick before its exit tick, and the vehicle
+        cannot exit then; from then on it takes the free step and exits at
+        the first tick at which its position reaches the road's length.
         """
         p = self.params
         dt_s = self.tick_s
-        accel_dt = p.accel_mps2 * dt_s
-        decel_dt = p.decel_mps2 * dt_s
-        max_speed = p.max_speed_mps
-        cruise_step = 0.5 * (max_speed + max_speed) * dt_s
-        min_gap = p.min_gap_m
-        two_decel = 2.0 * p.decel_mps2
         length = self.roads[state.road_id].length_m
         max_ticks = MAX_TRACK_TICKS
         latest = state.spawn_tick + len(pos) - 1  # the tick of the latest age
         stop = state.spawn_tick + max_ticks + 1  # no age past max_ticks
-        add_pos = pos.append
-        add_speed = speed.append
         pos_m = pos[-1]
         speed_mps = speed[-1]
         free_from = latest + 1  # the first tick with no leader
@@ -405,50 +433,17 @@ class MobilityWorld:
             free_from = min(max(leader.exit_tick, free_from), stop)
             first = latest + 1 - leader.spawn_tick
             last = free_from - leader.spawn_tick
-            ahead_track = leader.track
-            for ahead, ahead_speed in zip(
-                ahead_track.pos[first:last], ahead_track.speed[first:last]
-            ):
-                if speed_mps == max_speed:
-                    new_speed = max_speed
-                    new_pos = pos_m + cruise_step
-                else:
-                    new_speed = speed_mps + accel_dt
-                    if new_speed > max_speed:
-                        new_speed = max_speed
-                    new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
-                surplus = new_speed * new_speed - ahead_speed * ahead_speed
-                need = min_gap + surplus / two_decel if surplus > 0.0 else min_gap
-                if not ahead - new_pos >= need:
-                    new_speed = speed_mps - decel_dt
-                    if new_speed < 0.0:
-                        new_speed = 0.0
-                    new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
-                    limit = ahead - min_gap
-                    if new_pos > limit:
-                        new_pos = max(limit, pos_m)
-                        new_speed = min(
-                            max(2.0 * (new_pos - pos_m) / dt_s - speed_mps, 0.0), new_speed
-                        )
-                add_pos(new_pos)
-                add_speed(new_speed)
-                pos_m = new_pos
-                speed_mps = new_speed
+            ahead = leader.track
+            for ahead_at in zip(ahead.pos[first:last], ahead.speed[first:last]):
+                pos_m, speed_mps = advance_kinematics(pos_m, speed_mps, ahead_at, dt_s, p)
+                pos.append(pos_m)
+                speed.append(speed_mps)
         for tick in range(free_from, stop):
-            if speed_mps == max_speed:
-                new_speed = max_speed
-                new_pos = pos_m + cruise_step
-            else:
-                new_speed = speed_mps + accel_dt
-                if new_speed > max_speed:
-                    new_speed = max_speed
-                new_pos = pos_m + 0.5 * (speed_mps + new_speed) * dt_s
-            add_pos(new_pos)
-            add_speed(new_speed)
-            if new_pos >= length:
+            pos_m, speed_mps = advance_kinematics(pos_m, speed_mps, None, dt_s, p)
+            pos.append(pos_m)
+            speed.append(speed_mps)
+            if pos_m >= length:
                 break
-            pos_m = new_pos
-            speed_mps = new_speed
         else:
             raise PathTooLong(
                 f"vehicle {state.id} would stay on road {state.road_id} for more "

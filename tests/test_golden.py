@@ -34,53 +34,94 @@ def test_outputs_match_golden_digests(case, tmp_path):
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
 
 
-def counting_tracks(monkeypatch):
-    """Count spawns onto the shared free-flow track and onto own tracks, and
-    braked steps of own tracks, in every world built after.
+def counting_tracks(monkeypatch, brakes=True):
+    """Count spawns onto the shared free-flow track, spawns onto own tracks
+    and the distinct own tracks spawned onto, in every world built after;
+    when brakes is true, count the braked steps of own spawns too.
 
-    A step braked exactly when its result differs from the free step's from
-    the same state: braking never raises the speed, the free step never
-    lowers it, and accelerating from rest always moves.
+    A track's braked steps are counted once, at the first spawn onto it,
+    and each spawn onto it adds them: the count that building one track per
+    vehicle would give. A step braked exactly when its result differs from
+    the free step's from the same state: braking never raises the speed,
+    the free step never lowers it, and accelerating from rest always moves.
     """
-    counts = {"shared spawns": 0, "own spawns": 0, "brakes": 0}
-    own = weakref.WeakSet()  # every track _follow built
+    counts = {"shared spawns": 0, "own spawns": 0, "own tracks": 0, "brakes": 0}
+    own = weakref.WeakKeyDictionary()  # own track -> its braked steps
     spawn = mobility.MobilityWorld.spawn
-    follow = mobility.MobilityWorld._follow
 
-    def counted_spawn(world, vehicle_id, *args):
-        spawn(world, vehicle_id, *args)
-        counts["own spawns" if world._states[vehicle_id].track in own else "shared spawns"] += 1
-
-    def counted_follow(world, state, pos, speed, leader):
-        start = len(pos)
-        follow(world, state, pos, speed, leader)
-        track = state.track
-        own.add(track)
-        for age in range(start, len(track.pos)):
-            free = mobility.advance_kinematics(
-                track.pos[age - 1], track.speed[age - 1], None, world.tick_s, world.params
+    def counted_spawn(world, vehicle_id, road_id, speed_mps):
+        spawn(world, vehicle_id, road_id, speed_mps)
+        track = world._states[vehicle_id].track
+        if track is world._track(speed_mps):
+            counts["shared spawns"] += 1
+            return
+        if track not in own:
+            counts["own tracks"] += 1
+            own[track] = brakes and sum(
+                (track.pos[age], track.speed[age])
+                != mobility.advance_kinematics(
+                    track.pos[age - 1], track.speed[age - 1], None, world.tick_s, world.params
+                )
+                for age in range(1, len(track.pos))
             )
-            counts["brakes"] += (track.pos[age], track.speed[age]) != free
+        counts["own spawns"] += 1
+        counts["brakes"] += own[track]
 
     monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
-    monkeypatch.setattr(mobility.MobilityWorld, "_follow", counted_follow)
     return counts
 
 
 def own_tracks_only(monkeypatch):
-    """Tracks off: no free-flow track, so every vehicle gets its own at spawn."""
+    """Tracks off: no free-flow track and no memo of own tracks, so every
+    vehicle gets its own at spawn, built by _follow."""
     monkeypatch.setattr(mobility.MobilityWorld, "_track", lambda world, speed_mps: None)
+    monkeypatch.setattr(
+        mobility.MobilityWorld,
+        "_own_track",
+        lambda world, state, speed_mps, leader: world._follow(
+            state, [0.0], [speed_mps], leader
+        ),
+    )
 
 
 @pytest.mark.parametrize("case", make_golden.MIN_GAP, ids=lambda case: make_golden.case_id(*case))
 def test_min_gap_cases_brake_with_tracks_on_and_off(case, tmp_path, monkeypatch):
-    counts = counting_tracks(monkeypatch)
-    make_golden.digest_case(*case, tmp_path / "shared")
+    with monkeypatch.context() as patched:
+        counts = counting_tracks(patched)
+        make_golden.digest_case(*case, tmp_path / "shared")
     assert counts["own spawns"] >= 100 and counts["brakes"] >= 100, counts
-    own_tracks_only(monkeypatch)  # tracks off
-    counts["shared spawns"] = 0
+    counts = counting_tracks(monkeypatch, brakes=False)
+    own_tracks_only(monkeypatch)  # tracks off: _follow builds every vehicle's track
     assert make_golden.digest_case(*case, tmp_path / "own") == GOLDEN[make_golden.case_id(*case)]
-    assert counts["shared spawns"] == 0, counts
+    assert counts["shared spawns"] == 0 and counts["own tracks"] == counts["own spawns"], counts
+
+
+def counting_follows(monkeypatch):
+    """Count the own tracks _follow builds, in every world built after."""
+    calls = [0]
+    follow = mobility.MobilityWorld._follow
+
+    def counted_follow(world, *args):
+        calls[0] += 1
+        follow(world, *args)
+
+    monkeypatch.setattr(mobility.MobilityWorld, "_follow", counted_follow)
+    return calls
+
+
+def test_min_gap_highway_builds_each_distinct_own_track_once(monkeypatch):
+    # 1199 of 1200 vehicles ride own tracks, and those hold 2 distinct paths
+    calls = counting_follows(monkeypatch)
+    overrides = (("kinematics.min_gap_m", 14.0),)
+    result = Simulation(make_golden.build("highway_single", True, 1, 1200, overrides)).run()
+    assert result.spawned == 1200 and calls[0] <= 3, calls
+
+
+@pytest.mark.parametrize("name, caching", make_golden.EXPERIMENTS)
+def test_canonical_experiments_build_no_own_track(name, caching, monkeypatch):
+    calls = counting_follows(monkeypatch)
+    Simulation(make_golden.build(name, caching, 1, None)).run()
+    assert calls == [0]
 
 
 TRACKS_OFF = [case for case in make_golden.CASES if case not in make_golden.MIN_GAP]
@@ -90,10 +131,11 @@ TRACKS_OFF = [case for case in make_golden.CASES if case not in make_golden.MIN_
 def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatch):
     # no vehicle shares a track, so the engine keeps memos and beacon plans,
     # and with them the range tests and delays of frame receivers, per vehicle
-    counts = counting_tracks(monkeypatch)
+    counts = counting_tracks(monkeypatch, brakes=False)
     own_tracks_only(monkeypatch)
     assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
     assert counts["shared spawns"] == 0 and counts["own spawns"] > 0, counts
+    assert counts["own tracks"] == counts["own spawns"], counts
 
 
 def digest_and_count(case, out_dir, monkeypatch):

@@ -149,7 +149,32 @@ def test_free_step_speed_bounds(speed, dt):
     assert pos >= 0.0
 
 
-# -- the inlined tick against the reference step -----------------------------------
+# exact in binary: every step below is computed without rounding
+BRAKING = KinematicParams(accel_mps2=2.0, decel_mps2=4.0, max_speed_mps=14.0, min_gap_m=2.0)
+
+
+@pytest.mark.parametrize(
+    "follower, leader, expected",
+    [
+        # free step (5.25, 11.0) leaves 14.75 m, below 2 + (11^2 - 0) / 8 =
+        # 17.125: brake to 10 - 4 * 0.5 = 8 m/s, covering 0.5 * (10 + 8) * 0.5
+        ((0.0, 10.0), (20.0, 0.0), (4.5, 8.0)),
+        # the brake floor: 1 - 2 is clamped at 0, covering 0.5 * (1 + 0) * 0.5
+        ((0.0, 1.0), (2.5, 0.0), (0.25, 0.0)),
+        # braking to 4.5 m passes 5 - 2 = 3 m: stop there, at the speed whose
+        # trapezoid covers 3 m, 2 * 3 / 0.5 - 10 = 2 m/s
+        ((0.0, 10.0), (5.0, 0.0), (3.0, 2.0)),
+        # already 1 m behind, closer than the gap: hold station at 10 m, the
+        # speed 2 * 0 / 0.5 - 4 clamped at 0
+        ((10.0, 4.0), (11.0, 0.0), (10.0, 0.0)),
+    ],
+)
+def test_braking_step_by_hand(follower, leader, expected):
+    assert hexes(*advance_kinematics(*follower, leader, 0.5, BRAKING)) == hexes(*expected)
+    assert advance_kinematics(*follower, None, 0.5, BRAKING) != expected  # it braked
+
+
+# -- the world's tracks against the reference step ---------------------------------
 
 
 def reference_tick(vehicles, length, dt, params, final=None):
@@ -202,7 +227,7 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
 ):
     # spacings below min_gap plus braking distance reach the braking branch,
     # spacings below min_gap itself the terminal clamp; one vehicle always
-    # starts at exactly the cap, where the tick takes its cruise step
+    # starts at exactly the cap, where the speed candidate is clamped
     fractions = [fraction for _, fraction in platoon]
     fractions[cruiser % len(platoon)] = 1.0
     positions = []
@@ -244,7 +269,8 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
     Entry speeds mix, so vehicles on the shared track and on their own
     tracks share roads and some brake; midway one road's front vehicle is
     placed at half its speed. Every vehicle, active or exited, must match
-    stepping advance_kinematics for all vehicles, bit for bit.
+    stepping advance_kinematics for all vehicles, bit for bit. Some own
+    tracks must be ridden by two vehicles at once, found in the memo.
     """
     seen = set()
 
@@ -252,7 +278,9 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
     @given(
         params=kinematic_params,
         dt=st.floats(min_value=0.05, max_value=0.5),
-        lengths=st.tuples(st.floats(20.0, 300.0), st.floats(20.0, 300.0)),
+        # equal lengths let vehicles on the two roads share own tracks
+        lengths=st.tuples(st.floats(20.0, 300.0), st.floats(20.0, 300.0))
+        | st.floats(20.0, 300.0).map(lambda length: (length, length)),
         fractions=st.lists(
             st.sampled_from(ENTRY_FRACTIONS), min_size=2, max_size=3, unique=True
         ),
@@ -300,7 +328,18 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                     world.spawn(vid, road.id, speed)
                     ref[vid] = (0.0, speed)
                     entry[vid] = speed
-                    seen.add("shared" if rides_the_shared_track(world, vid, speed) else "own")
+                    if rides_the_shared_track(world, vid, speed):
+                        seen.add("shared")
+                    else:
+                        seen.add("own")
+                        track = world.riding(vid)[1]
+                        if any(
+                            world.riding(other)[1] is track
+                            for refs in reference.values()
+                            for other in refs
+                            if other != vid
+                        ):
+                            seen.add("two on one own track")
             if step == touch_at and reference["r"]:
                 vid = next(iter(reference["r"]))
                 pos, speed = reference["r"][vid]
@@ -321,7 +360,7 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
                 assert hexes(fix.pos_m, fix.speed_mps) == hexes(min(pos, length), speed)
 
     drive()
-    assert {"shared", "own", "braked", "left the shared track"} <= seen
+    assert {"shared", "own", "two on one own track", "braked", "left the shared track"} <= seen
 
 
 def rides_the_shared_track(world, vehicle_id, entry_speed_mps):
@@ -344,6 +383,44 @@ def test_a_vehicle_that_would_brake_behind_its_track_leader_gets_its_own_track()
     v1 = advance_kinematics(0.0, 40.0, v0, 0.1, P)
     assert v1 != advance_kinematics(0.0, 40.0, None, 0.1, P)  # it brakes
     assert (world.fix("v1").pos_m, world.fix("v1").speed_mps) == v1
+
+
+def test_own_tracks_behind_one_track_are_kept_apart_by_road_length():
+    # at the rounding edge (14 m/s entry, 0.1 s tick, 14 m gap) a vehicle
+    # spawned behind one on the free-flow track as soon as the entry opens
+    # brakes once and gets its own track; on a 30 m and a 100 m road the two
+    # followers spawn at the same lag behind fronts on one free-flow track,
+    # so only the road length tells their tracks apart
+    params = KinematicParams(min_gap_m=14.0)
+    roads = [RoadSegment(id="s", length_m=30.0), RoadSegment(id="r", length_m=100.0)]
+    world = MobilityWorld(roads, params, 0.1)
+    reference = {road.id: {} for road in roads}
+    for road in roads:
+        world.spawn(f"{road.id}0", road.id, 14.0)
+        reference[road.id][f"{road.id}0"] = (0.0, 14.0)
+    braked = set()
+    while reference["r"]:
+        if not world.can_spawn("r"):
+            assert not world.can_spawn("s")
+        elif "r1" not in world._states:
+            assert world.can_spawn("s")
+            for road in roads:
+                world.spawn(f"{road.id}1", road.id, 14.0)
+                reference[road.id][f"{road.id}1"] = (0.0, 14.0)
+                assert not rides_the_shared_track(world, f"{road.id}1", 14.0)
+            assert world.riding("s1")[1] is not world.riding("r1")[1]
+        exited = []
+        for road in roads:
+            ref = reference[road.id]
+            free = {vid: advance_kinematics(*ref[vid], None, 0.1, params) for vid in ref}
+            exited += reference_tick(ref, road.length_m, 0.1, params)
+            braked |= {vid for vid in ref if ref[vid] != free[vid]}
+        assert world.tick() == exited
+        for road in roads:
+            for vid, (pos, speed) in reference[road.id].items():
+                fix = world.fix(vid)
+                assert hexes(fix.pos_m, fix.speed_mps) == hexes(pos, speed)
+    assert braked == {"s1", "r1"}
 
 
 def test_worlds_built_from_the_same_inputs_share_one_track():
