@@ -48,10 +48,6 @@ class LruStore:
             return items.popitem(last=False)[0]
         return None
 
-    def names(self) -> list[str]:
-        """Names from least to most recently used."""
-        return list(self._items)
-
     def items(self) -> list[ContentItem]:
         """Items from least to most recently used."""
         return list(self._items.values())

@@ -11,25 +11,31 @@ attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
 
 Ticks sit on the tick_s grid from 0, but the tick runs only at instants
-with due work: an advance of the world, or a due attempt or beacon. After
-each tick the next one is scheduled at the first grid instant at or after
-the earliest of that work and the event heap's top, at least one tick later
-and at most the last tick instant of the run, and the idle ticks skipped on
-the way are added to the world's tick count, so vehicles read the positions
+with due work: an advance of the world, or a due attempt or beacon. The
+next tick instant is the first grid instant at or after the earliest of
+that work and the event heap's top, at least one tick later and at most the
+last tick instant of the run (_next_tick), and the idle ticks skipped on the
+way are added to the world's tick count, so vehicles read the positions
 that the ticks would have left. This is exactly the tick every tick_s: only
 a tick creates tick work (spawns and taken entries put work on the due
 heap; satisfied vehicles only remove work); no event runs between now and
-the heap top, so the new tick takes the same FIFO place among the events of
-its instant as a tick scheduled one tick earlier; and the last tick instant
-still ends the run. Due attempts run after the next tick is queued and may
-schedule events before any later tick, so after them the next tick is one
-tick later. A tick strictly before the heap top would be the next event, so
-the tick runs it itself (EventQueue.advance_to) and loops. Beacons schedule
-nothing, and an instant's advance and attempts come before its beacons on
-the due heap, so beacons on its top before the heap top are sent on the
-walk to the next tick (_skip_idle_ticks), each at its instant, with the
-world's tick count brought up to it. The same work runs in the same order;
-only the count of events processed, which is no output, falls.
+the heap top, so a tick scheduled there takes the same FIFO place among the
+events of its instant as one scheduled one tick earlier; and the last tick
+instant still ends the run.
+
+One loop (_on_tick) runs the tick instants, from the tick event's own up to
+the heap top. At each it advances the world or counts one tick, drops the
+attempt entries of satisfied vehicles, collects the live attempts, and
+sends each beacon at once, unless it collected attempts at the instant or
+another event already waits there: then the beacon is collected too, to
+run after them. An instant strictly before the heap top would hold the
+next event, so the loop runs it itself (EventQueue.advance_to); at or after
+the top, the loop schedules the tick there and stops. It also stops after
+an instant with collected work, and queues the next tick one tick later
+before that work runs, because attempts may schedule events before any
+later tick; beacons schedule nothing. The same work runs in the same order
+as with one tick event per instant; only the count of events processed,
+which is no output, falls.
 
 The world advances only at the instants filed for it: each road's first
 arrival (run), and at each spawn the vehicle's exit and, while arrivals
@@ -46,18 +52,18 @@ spawned. The active vehicles, and the unsatisfied ones by wanted item in
 spawn order, are indexed (_enter, _leave, deliver). All due work waits on
 one heap (_due) keyed (instant, kind, spawn sequence), kinds in the order
 advance, attempt, beacon: the world's advances, and each active vehicle's
-next attempt and next covered beacon. The tick takes its instant's entries,
-then queues the next tick and runs the attempts of unsatisfied vehicles,
-then the beacons, each in spawn order, inside itself (beacons alone run on
-the walk, above); when another event already waits at its instant, it
-schedules them as one batch event at that instant instead. This is exactly
-one event per attempt and beacon, for the same reasons as the receive
-batches below: those events held consecutive places among the events of
-their instant, after any event already waiting there; what they scheduled
-for that instant ran after the last of them anyway; the next tick was
-queued before anything they scheduled; and exits happen only in the tick,
-so every due vehicle is still active when it runs. A beacon occupies
-airtime but carries nothing receivers keep, so it has no frame-end event.
+next attempt and next covered beacon. The tick takes its instant's entries
+and runs the attempts of unsatisfied vehicles, then the beacons, each in
+spawn order, inside itself (above); when another event already waits at
+its instant, it schedules the collected ones as one batch event at that
+instant instead. This is exactly one event per attempt and beacon, for the
+same reasons as the receive batches below: those events held consecutive
+places among the events of their instant, after any event already waiting
+there; what they scheduled for that instant ran after the last of them
+anyway; the next tick was queued before anything they scheduled; and exits
+happen only in the tick, so every due vehicle is still active when it runs.
+A beacon occupies airtime but carries nothing receivers keep, so it has no
+frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -157,7 +163,6 @@ class SimulationResult:
     spawned: int
     exited: int
     satisfied: int
-    vehicle_requests_transmitted: int
     server_fetches: int
     events_processed: int
     trace_lines: list[str] | None
@@ -288,9 +293,6 @@ class Simulation:
             spawned=self.world.spawned_total,
             exited=self.world.exited_total,
             satisfied=satisfied,
-            vehicle_requests_transmitted=sum(
-                agent.requests_sent for agent in self.vehicles.values()
-            ),
             server_fetches=self.ledger.total_server_fetches(),
             events_processed=self.queue.processed_total,
             trace_lines=self.trace_lines,
@@ -299,30 +301,48 @@ class Simulation:
     # -- periodic events -----------------------------------------------------
 
     def _on_tick(self) -> None:
-        queue, due, tick_us = self.queue, self._due, self.tick_us
+        """Run this tick instant, then each later one before the event heap's
+        top (module docstring)."""
+        queue, world, due, vehicles = self.queue, self.world, self._due, self.vehicles
+        tick_us, last_us = self.tick_us, self.last_tick_us
         now, top = queue.now_us, queue.peek_time()  # the loop schedules nothing till the next tick
+        attempts, beacons = [], []  # the work collected at the instant the loop stops at
         while True:
             if due and due[0][0] == now and due[0][1] == _ADVANCE:
                 heappop(due)
                 self._advances.remove(now)
                 self._advance_world(now)  # its spawns may put due work at now
             else:
-                self.world.skip(1)
-            at = self._skip_idle_ticks(now, top)  # sends the beacons due alone
-            due_attempts, due_beacons = self._take_due(now)  # what is left
-            work = due_attempts or due_beacons
-            if now + tick_us > self.duration_us:
+                world.skip(1)
+            while due and due[0][0] == now:
+                entry = due[0]
+                if entry[1] == _ATTEMPT:
+                    if vehicles[entry[3]].status == SATISFIED:
+                        heappop(due)
+                        continue
+                    attempts.append((entry[3], entry[4]))
+                elif attempts or top == now:  # runs after the attempts, or after that event
+                    beacons.append((entry[3], entry[4]))
+                else:
+                    self.transmit(entry[4], self._beacon, entry[3])
+                _next_run(due, last_us)
+            if now == last_us:
                 break
-            if work or (top is not None and at >= top):
+            if attempts or beacons:  # what they schedule may come before any later tick
+                queue.schedule(now + tick_us, self._on_tick)
+                break
+            at = self._next_tick(now, top)
+            world.skip((at - now) // tick_us - 1)  # the idle ticks before at
+            if top is not None and at >= top:
                 queue.schedule(at, self._on_tick)
                 break
             queue.advance_to(at)  # the tick there would be the next event to run
             now = at
-        if work:
+        if attempts or beacons:
             if top is None or top > now:  # nothing else waits at this instant
-                self._run_due(due_attempts, due_beacons)
+                self._run_due(attempts, beacons)
             else:
-                queue.schedule(now, partial(self._run_due, due_attempts, due_beacons))
+                queue.schedule(now, partial(self._run_due, attempts, beacons))
 
     def _advance_world(self, now: int) -> None:
         """Tick the world, take its exits, spawn the arrivals that are due and
@@ -359,39 +379,9 @@ class Simulation:
         self._active.remove(vehicle_id)
         self._wanting[self.vehicles[vehicle_id].wanted].pop(vehicle_id, None)
 
-    def _skip_idle_ticks(self, now: int, top: int | None) -> int:
-        """The first tick instant after now, and after the beacons it sends,
-        with an advance or a live attempt, or before which an event runs
-        (top, the event heap's top as the tick read it), at most the last
-        tick instant. On the way it drops satisfied vehicles' attempt
-        entries and sends the beacons due before top, each at its instant,
-        and counts the world's ticks up to the instant returned."""
-        due, vehicles, tick_us, last_us = self._due, self.vehicles, self.tick_us, self.last_tick_us
-        until = last_us if top is None or top > last_us else top
-        counted = now  # the instant the world's tick count is at
-        while due and due[0][0] < until:
-            entry = due[0]
-            if entry[1] == _BEACON:
-                at_us = entry[0]
-                if at_us > counted:
-                    self.queue.advance_to(at_us)
-                    self.world.skip((at_us - counted) // tick_us)
-                    counted = at_us
-                self.transmit(entry[4], self._beacon, entry[3])
-                _next_run(due, last_us)
-            elif entry[1] == _ATTEMPT and vehicles[entry[3]].status == SATISFIED:
-                heappop(due)
-            else:
-                until = entry[0]
-        at = counted + tick_us
-        if until > at:  # idle ticks lie before the first grid instant at or after until
-            at = -(-until // tick_us) * tick_us
-        self.world.skip((at - counted) // tick_us - 1)
-        return at
-
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
         """Put the first attempt and first covered beacon of a vehicle spawned
-        at now on the due heap, each with the rest of its plan (_take_due).
+        at now on the due heap, each with the rest of its plan (_next_run).
 
         Its exit advances the world, and so does, while arrivals wait on its
         road, the opening of the entry behind it: at its open age, or at its
@@ -423,23 +413,21 @@ class Simulation:
             self._advances.add(at_us)
             heappush(self._due, (at_us, _ADVANCE))
 
-    def _take_due(self, now: int) -> tuple[list[_Attempt], list[_PlannedBeacon]]:
-        """Take the attempts of unsatisfied vehicles, then the beacons, due at
-        now, each in spawn order and replaced by its next (_next_run); a
-        satisfied vehicle's attempt entry is dropped."""
-        due, vehicles, last_us = self._due, self.vehicles, self.last_tick_us
-        attempts, beacons = [], []
-        while due and due[0][0] == now:
-            entry = due[0]
-            if entry[1] == _ATTEMPT:
-                if vehicles[entry[3]].status == SATISFIED:
-                    heappop(due)
-                    continue
-                attempts.append((entry[3], entry[4]))
-            else:
-                beacons.append((entry[3], entry[4]))
-            _next_run(due, last_us)
-        return attempts, beacons
+    def _next_tick(self, now: int, top: int | None) -> int:
+        """The first tick instant after now with due work, or at or after top
+        (the event heap's top as the tick read it), at least one tick later
+        and at most the last tick instant. Drops the satisfied vehicles'
+        attempt entries on the due heap's top: they can do nothing."""
+        due, vehicles, tick_us = self._due, self.vehicles, self.tick_us
+        while due and due[0][1] == _ATTEMPT and vehicles[due[0][3]].status == SATISFIED:
+            heappop(due)
+        until = self.last_tick_us
+        if due and due[0][0] < until:
+            until = due[0][0]
+        if top is not None and top < until:
+            until = top
+        at = -(-until // tick_us) * tick_us
+        return at if at > now else now + tick_us
 
     def _ages(self, road: RoadSegment, track: Track) -> _TrackAges:
         by_road = self._track_ages.get(track)

@@ -23,7 +23,7 @@ from .mobility import (
     RoadSegment,
     free_track,
 )
-from .radio import RadioParams
+from .radio import RadioParams, in_range
 from .simcore import seconds_to_us
 
 ROLE_GATEWAY = "gateway"
@@ -212,11 +212,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
             elif spec.next_hop == spec.id:
                 problems.append(f"rsu {spec.id}: next_hop must differ from the relay itself")
             else:
-                # it forwards from its centre on its next hop's channel; the
-                # engine's closed-ball test (radio.in_range), done here once
+                # it forwards from its centre on its next hop's channel
                 hop = by_id[spec.next_hop]
-                dx, dy = spec.center[0] - hop.center[0], spec.center[1] - hop.center[1]
-                if not math.hypot(dx, dy) <= hop.radius_m:
+                if not in_range(hop, spec.center):
                     problems.append(f"rsu {spec.id}: centre outside the zone of its next_hop {hop.id}")
         else:
             problems.append(f"rsu {spec.id}: unknown role {spec.role!r}")

@@ -272,7 +272,7 @@ def test_acceptance_09_lru_matches_brute_force_oracle(acceptance):
                 evicted = store.put(items[name])
                 expected = oracle.put(items[name])
                 assert evicted == expected, (trial, op)
-        assert store.names() == oracle.names(), trial
+        assert [item.name for item in store.items()] == oracle.names(), trial
     acceptance(9, True, f"{trials} randomized trials, contents and eviction order agree")
 
 

@@ -13,6 +13,11 @@ def item(name, bits=2000):
     return ContentItem(name, bits)
 
 
+def names(store):
+    """The store's names from least to most recently used."""
+    return [it.name for it in store.items()]
+
+
 # -- names ---------------------------------------------------------------------
 
 
@@ -68,7 +73,7 @@ def test_put_existing_refreshes_without_eviction():
     store.put(item("/a"))
     store.put(item("/b"))
     assert store.put(item("/a", bits=2000)) is None  # refresh, no eviction
-    assert store.names() == ["/b", "/a"]
+    assert names(store) == ["/b", "/a"]
     evicted = store.put(item("/c"))
     assert evicted == "/b"
 
@@ -79,7 +84,7 @@ def test_peek_changes_nothing():
     store.put(item("/b"))
     assert store.peek("/a") is not None
     assert store.peek("/zz") is None
-    assert store.names() == ["/a", "/b"]  # order untouched
+    assert names(store) == ["/a", "/b"]  # order untouched
 
 
 def test_names_orders_least_to_most_recent():
@@ -88,8 +93,8 @@ def test_names_orders_least_to_most_recent():
     store.put(item("/b"))
     store.put(item("/c"))
     store.get("/a")
-    assert store.names() == ["/b", "/c", "/a"]
-    assert store.items() == [store.peek(n) for n in store.names()]  # same order
+    assert names(store) == ["/b", "/c", "/a"]
+    assert store.items() == [store.peek(n) for n in names(store)]  # same order
 
 
 class ReferenceLru:
@@ -140,7 +145,7 @@ def test_lru_matches_reference_model(capacity, ops):
             assert (got is None) == (expected is None)
         else:
             assert store.put(pool[idx]) == ref.put(pool[idx])
-        assert store.names() == ref.names()
+        assert names(store) == ref.names()
 
 
 # -- catalog -------------------------------------------------------------------

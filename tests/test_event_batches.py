@@ -4,11 +4,11 @@ One receive event per frame and arrival instant, no frame end for beacons,
 one due heap holding each vehicle's next request attempt and next beacon,
 whose due work runs inside the tick, plans that skip due times that cannot
 act, and a tick only at the instants with due work, run inline when no event
-comes first, with beacons due alone sent on the walk to the next tick. Each
-must keep the order that one event per receiver, one event per due attempt
-or beacon, a full per-tick scan, an attempt or beacon re-armed one interval
-at a time and a tick event every tick_s gave, because the event queue
-breaks same-instant ties first in, first out.
+comes first, which sends the beacons due alone at once. Each must keep the
+order that one event per receiver, one event per due attempt or beacon, a
+full per-tick scan, an attempt or beacon re-armed one interval at a time
+and a tick event every tick_s gave, because the event queue breaks
+same-instant ties first in, first out.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from vcachesim.scenarios import (
     urban_multi,
     urban_single,
 )
-from vcachesim.simcore import format_time, seconds_to_us
+from vcachesim.simcore import EventQueue, format_time, seconds_to_us
 
 # front to back, so also spawn order: (vehicle id, position on the road);
 # the sender r0 sits at the road's entry, and signals cover 300 m per us
@@ -228,20 +228,25 @@ def test_beacon_plans_match_the_one_interval_rearm(interval, data):
 
 def dense(monkeypatch):
     """Make every tick schedule the next one tick_s later, as the dense chain did."""
-    monkeypatch.setattr(Simulation, "_skip_idle_ticks", lambda self, now, top: now + self.tick_us)
+    monkeypatch.setattr(Simulation, "_next_tick", lambda self, now, top: now + self.tick_us)
 
 
 def logged_ticks(sim):
     """Record the instant of every tick sim runs, as its own event or inline
-    in the tick before; each takes its instant's due work once."""
+    in the tick before; each runs its instant's due work once."""
     instants = []
-    take = sim._take_due
+    on_tick, advance_to = sim._on_tick, sim.queue.advance_to
 
-    def logged(now):
-        instants.append(now)
-        return take(now)
+    def logged_tick():
+        instants.append(sim.queue.now_us)
+        on_tick()
 
-    sim._take_due = logged  # the tick takes its due work through this attribute
+    def logged_advance_to(at_us):
+        advance_to(at_us)  # the tick runs the instant at_us itself
+        instants.append(at_us)
+
+    # the tick queues itself and moves the clock through these attributes
+    sim._on_tick, sim.queue.advance_to = logged_tick, logged_advance_to
     return instants
 
 
@@ -296,6 +301,33 @@ def test_the_clock_ends_at_the_last_tick_instant(tick_s, extra_s, monkeypatch):
     assert set(ticks) <= set(dense_ticks)
 
 
+def instant_of(line):
+    """The instant of a trace line, in us."""
+    return int(line[len("t="):line.index(" ")].replace(".", ""))
+
+
+def test_due_work_at_exactly_the_last_tick_instant_runs():
+    # cut a run at the instant of a vehicle's second beacon, an entry
+    # re-armed from its plan: the shorter run ends at that tick instant,
+    # and its trace is the longer run's up to the cut, that beacon included
+    cfg = dataclasses.replace(highway_single(count=20, seed=1), trace=True)
+    lines = Simulation(cfg).run().trace_lines
+    beaconed, rearmed = set(), []  # senders seen; (instant, line) of their later beacons
+    for line in lines:
+        if " TX kind=beacon " in line:
+            sender = line.split()[3]
+            if sender in beaconed:
+                rearmed.append((instant_of(line), line))
+            beaconed.add(sender)
+    window_us = seconds_to_us(cfg.arrival_window_s)
+    at_us, line = next((at_us, line) for at_us, line in rearmed if at_us >= window_us)
+    short = Simulation(dataclasses.replace(cfg, duration_s=at_us / 1_000_000))
+    cut = short.run().trace_lines
+    assert short.last_tick_us == at_us
+    assert line in cut
+    assert cut == [line for line in lines if instant_of(line) <= at_us]
+
+
 def probe(cfg, at_us):
     """Run cfg with an action at at_us that reads world_xy of every active
     vehicle; returns what it read and the tick instants."""
@@ -342,11 +374,11 @@ def test_the_next_tick_is_never_before_one_tick_from_now():
     sim = Simulation(urban_single(count=10, seed=1))
     assert not sim._due  # no work before run() files the first arrivals
     sim.queue.schedule(0, lambda: None)  # an event due now
-    assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
+    assert sim._next_tick(0, sim.queue.peek_time()) == sim.tick_us
     sim.queue.run_until(0)
     entered(sim, "v000")
     put_due(sim, _ATTEMPT, "v000", 0)  # an attempt due now
-    assert sim._skip_idle_ticks(0, sim.queue.peek_time()) == sim.tick_us
+    assert sim._next_tick(0, sim.queue.peek_time()) == sim.tick_us
 
 
 def test_attempt_entries_that_cannot_act_force_no_tick():
@@ -362,13 +394,14 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     # only satisfied vehicles attempt at ticks 10 and 20: neither instant
     # sets the next tick, and both entries are dropped, v000's with nothing
     # in its place; v002 can act at tick 30
-    assert sim._skip_idle_ticks(0, None) == 30 * tick_us
+    assert sim._next_tick(0, None) == 30 * tick_us
     assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
     # a beacon acts whatever its vehicle's status: it forces a tick at its
-    # instant when an event comes first there, and is sent on the walk
-    # (replaced by nothing, its plan is done) when none does
+    # instant, whether an event comes first there or none does, and that
+    # tick sends it (replaced by nothing, its plan is done)
     put_due(sim, _BEACON, "v000", 25)
-    assert sim._skip_idle_ticks(0, 25 * tick_us) == 25 * tick_us
+    assert sim._next_tick(0, 25 * tick_us) == 25 * tick_us
+    assert sim._next_tick(0, None) == 25 * tick_us
     assert sim.frames_transmitted == {}
     sent = []
     transmit = sim.transmit
@@ -378,35 +411,55 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
         transmit(channel_owner, frame, sender)
 
     sim.transmit = logged_transmit
-    assert sim._skip_idle_ticks(0, None) == 30 * tick_us
+    # the tick at 0 runs the beacon's instant itself; the event at tick 26
+    # stops it there, before v002's attempt
+    sim.queue.schedule(26 * tick_us, lambda: None)
+    sim.queue.schedule(0, sim._on_tick)
+    sim.queue.run_until(25 * tick_us)
     assert sent == [(25 * tick_us, "r0", "Beacon", "v000")]
     assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
 
 
-def beacons_on_the_walk(monkeypatch):
-    """Log every beacon sent on the walk to the next tick as (instant, the
-    walk's now and top, the world's tick count, the kinds of the due
-    entries left at the instant)."""
-    log, walking = [], []  # walking: (now, top) of the walk running
-    walk, transmit = Simulation._skip_idle_ticks, Simulation.transmit
+def beacons_sent_at_once(monkeypatch):
+    """Log every beacon the tick sends at once, not collected to run after
+    its instant's attempts or after an event waiting there, as (instant,
+    the tick event's instant and heap top, the world's tick count, the
+    kinds of the due entries left at the instant, whether the world had
+    advanced at the instant); returns the log and the advanced instants."""
+    log, advanced, ticking = [], set(), []  # ticking: (now, top) of the tick running
+    on_tick, run_due = Simulation._on_tick, Simulation._run_due
+    transmit, advance = Simulation.transmit, Simulation._advance_world
 
-    def logged_walk(sim, now, top):
-        walking.append((now, top))
+    def logged_tick(sim):
+        ticking.append((sim.queue.now_us, sim.queue.peek_time()))
         try:
-            return walk(sim, now, top)
+            on_tick(sim)
         finally:
-            walking.pop()
+            ticking.pop()
+
+    def logged_run_due(sim, attempts, beacons):
+        ticking.append(None)  # collected work: not sent at once
+        try:
+            run_due(sim, attempts, beacons)
+        finally:
+            ticking.pop()
 
     def logged_transmit(sim, channel_owner, frame, sender):
-        if walking and isinstance(frame, Beacon):
+        if ticking and ticking[-1] is not None and isinstance(frame, Beacon):
             at_us = sim.queue.now_us
             kinds = [e[1] for e in sim._due if e[0] == at_us]
-            log.append((at_us, *walking[-1], sim.world._ticks, kinds))
+            log.append((at_us, *ticking[-1], sim.world._ticks, kinds, at_us in advanced))
         transmit(sim, channel_owner, frame, sender)
 
-    monkeypatch.setattr(Simulation, "_skip_idle_ticks", logged_walk)
+    def logged_advance(sim, now):
+        advanced.add(now)
+        advance(sim, now)
+
+    monkeypatch.setattr(Simulation, "_on_tick", logged_tick)
+    monkeypatch.setattr(Simulation, "_run_due", logged_run_due)
     monkeypatch.setattr(Simulation, "transmit", logged_transmit)
-    return log
+    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
+    return log, advanced
 
 
 def beacon_every_tick(cfg):
@@ -414,53 +467,50 @@ def beacon_every_tick(cfg):
 
 
 # with a beacon due every tick, beacons fall on the instants of relay announces
-WALK_RUNS = [
+TICK_RUNS = [
     highway_single(count=60, seed=1),
     *SMALL_RUNS,
     pytest.param(beacon_every_tick(SMALL_RUNS[0]), id="highway_multi_beacon_every_tick"),
 ]
 
 
-@pytest.mark.parametrize("cfg", WALK_RUNS, ids=lambda cfg: cfg.name)
-def test_every_beacon_on_the_walk_sees_the_tick_count_of_its_instant(cfg, monkeypatch):
+@pytest.mark.parametrize("cfg", TICK_RUNS, ids=lambda cfg: cfg.name)
+def test_every_beacon_the_tick_sends_at_once_sees_the_tick_count_of_its_instant(
+    cfg, monkeypatch
+):
     # vehicles read the positions the ticks up to the beacon's would have
-    # left, as if the tick at its instant sent it
-    log = beacons_on_the_walk(monkeypatch)
+    # left, also at the later instants the tick runs itself
+    log, _ = beacons_sent_at_once(monkeypatch)
     sim = Simulation(cfg)
     sim.run()
-    assert any(at_us > now for at_us, now, _, _, _ in log)  # the walk passes instants
+    assert any(at_us > now for at_us, now, _, _, _, _ in log)  # the tick runs later instants
     assert [
-        (at_us, ticks) for at_us, _, _, ticks, _ in log if ticks != at_us // sim.tick_us + 1
+        (at_us, ticks) for at_us, _, _, ticks, _, _ in log if ticks != at_us // sim.tick_us + 1
     ] == []
 
 
-@pytest.mark.parametrize("cfg", WALK_RUNS, ids=lambda cfg: cfg.name)
-def test_the_walk_sends_no_beacon_at_the_heap_top_or_with_other_work_at_its_instant(
+@pytest.mark.parametrize("cfg", TICK_RUNS, ids=lambda cfg: cfg.name)
+def test_the_tick_sends_no_beacon_at_once_at_the_heap_top_or_with_other_work_at_its_instant(
     cfg, monkeypatch
 ):
-    # a beacon at or after the event heap's top runs after that event, and
-    # one at an instant with an advance or a live attempt runs after them
-    log = beacons_on_the_walk(monkeypatch)
-    attempted, advanced = set(), set()
-    on_attempt, advance = VehicleAgent.on_attempt, Simulation._advance_world
+    # a beacon at the event heap's top runs after that event, and one at an
+    # instant with an advance or a live attempt runs after them
+    log, advanced = beacons_sent_at_once(monkeypatch)
+    attempted = set()
+    on_attempt = VehicleAgent.on_attempt
 
     def logged_attempt(agent, now_us, target, services):
         attempted.add(now_us)
         on_attempt(agent, now_us, target, services)
 
-    def logged_advance(sim, now):
-        advanced.add(now)
-        advance(sim, now)
-
     monkeypatch.setattr(VehicleAgent, "on_attempt", logged_attempt)
-    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     Simulation(cfg).run()
     assert log and attempted and advanced
-    for at_us, now, top, _, kinds in log:
+    for at_us, now, top, _, kinds, advanced_first in log:
         assert top is None or at_us < top, (at_us, top)
         assert set(kinds) <= {_BEACON}, (at_us, kinds)  # satisfied attempts are dropped first
-        assert at_us == now or at_us not in advanced, (at_us, now)  # the tick's own advance ran
-    assert not attempted & {at_us for at_us, _, _, _, _ in log}
+        assert advanced_first or at_us not in advanced, (at_us, now)  # the instant's advance ran
+    assert not attempted & {at_us for at_us, _, _, _, _, _ in log}
 
 
 def test_taking_an_entry_puts_its_vehicles_next_in_its_place():
@@ -473,7 +523,11 @@ def test_taking_an_entry_puts_its_vehicles_next_in_its_place():
     put_due(sim, _BEACON, "v000", 0, 5)
     # a satisfied vehicle's attempt is dropped with nothing in its place;
     # a beacon runs whatever its vehicle's status
-    assert sim._take_due(0) == ([("v001", "r0")], [("v000", "r0")])
+    taken = []
+    sim._run_due = lambda attempts, beacons: taken.append((attempts, beacons))
+    sim.queue.schedule(0, sim._on_tick)
+    sim.queue.run_until(0)
+    assert taken == [([("v001", "r0")], [("v000", "r0")])]
     assert sorted(entry[:4] for entry in sim._due) == [
         (5 * tick_us, _BEACON, 0, "v000"),
         (10 * tick_us, _ATTEMPT, 1, "v001"),
@@ -554,15 +608,14 @@ def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
     # attempt waits on the due heap, keyed by its spawn sequence
     cfg = dataclasses.replace(urban_single(count=40, seed=1), backhaul_latency_s=300.0)
     taken = []  # vehicle ids of each instant's attempts, in the order taken off the heap
-    take = Simulation._take_due
+    run_due = Simulation._run_due
 
-    def logged_take(sim, now):
-        attempts, beacons = take(sim, now)
+    def logged_run_due(sim, attempts, beacons):
         if attempts:
             taken.append([vid for vid, _ in attempts])
-        return attempts, beacons
+        run_due(sim, attempts, beacons)
 
-    monkeypatch.setattr(Simulation, "_take_due", logged_take)
+    monkeypatch.setattr(Simulation, "_run_due", logged_run_due)
     sim = Simulation(cfg)
     log = []
     logged_due_work(sim, log, monkeypatch)
@@ -585,10 +638,11 @@ def test_attempts_are_filed_and_run_in_spawn_order(monkeypatch):
 def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, monkeypatch):
     # filing whole plans kept every run of every vehicle until its instant;
     # the cursors keep at most the next of each kind, and a satisfied
-    # vehicle's attempt entry waits only until its instant is taken or skipped
+    # vehicle's attempt entry waits only until its instant runs or is skipped
     satisfied = {}  # vehicle id -> instant of its attempt entry when satisfied, or None
-    instants = set()  # every instant taken, or passed on the walk sending a beacon
-    deliver, take, transmit = Simulation.deliver, Simulation._take_due, Simulation.transmit
+    instants = set()  # every instant with collected work, a beacon sent or no work left
+    deliver, transmit = Simulation.deliver, Simulation.transmit
+    run_due, next_tick = Simulation._run_due, Simulation._next_tick
 
     def logged_deliver(sim, record):
         entries = [e[0] for e in sim._due if e[1] == _ATTEMPT and e[3] == record.vehicle]
@@ -601,16 +655,20 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
         keys = [(e[3], e[1]) for e in entries]
         assert len(keys) == len(set(keys)), "two entries of one kind for one vehicle"
         assert {vid for vid, _ in keys} <= sim._active
-        assert all(e[0] >= now for e in sim._due), "an earlier instant was neither taken nor skipped"
+        assert all(e[0] >= now for e in sim._due), "an earlier instant was neither run nor skipped"
         for e in entries:
             if e[1] == _ATTEMPT and e[3] in satisfied:
                 # still the entry it had when satisfied, and not yet passed
                 assert e[0] == satisfied[e[3]] and e[0] >= now, (e[:4], now)
         instants.add(now)
 
-    def checked_take(sim, now):
+    def checked_run_due(sim, attempts, beacons):
+        check(sim, sim.queue.now_us)
+        run_due(sim, attempts, beacons)
+
+    def checked_next_tick(sim, now, top):
         check(sim, now)
-        return take(sim, now)
+        return next_tick(sim, now, top)
 
     def checked_transmit(sim, channel_owner, frame, sender):
         if isinstance(frame, Beacon):
@@ -618,7 +676,8 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
         transmit(sim, channel_owner, frame, sender)
 
     monkeypatch.setattr(Simulation, "deliver", logged_deliver)
-    monkeypatch.setattr(Simulation, "_take_due", checked_take)
+    monkeypatch.setattr(Simulation, "_run_due", checked_run_due)
+    monkeypatch.setattr(Simulation, "_next_tick", checked_next_tick)
     monkeypatch.setattr(Simulation, "transmit", checked_transmit)
     result = Simulation(cfg).run()
     assert result.satisfied > 0 and len(instants) > 50
@@ -654,29 +713,39 @@ def test_a_sub_tick_interval_runs_once_per_tick(monkeypatch):
 def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
     # beacons schedule nothing, so the tick after an instant with only
     # beacons due is the next with work, as after a tick with nothing due;
-    # most such instants run on the walk to the next tick, not taken
+    # most such instants run inline, in the tick before
     runs = {}  # instant -> [events run before it, attempts due, beacons sent]
     advanced = set()  # instants of the ticks that advanced the world
-    take, advance, transmit = Simulation._take_due, Simulation._advance_world, Simulation.transmit
+    on_tick, advance_to, run_due = Simulation._on_tick, EventQueue.advance_to, Simulation._run_due
+    advance, transmit = Simulation._advance_world, Simulation.transmit
 
-    def run_at(sim):
-        return runs.setdefault(sim.queue.now_us, [sim.queue.processed_total - 1, 0, 0])
+    def run_at(queue):
+        return runs.setdefault(queue.now_us, [queue.processed_total - 1, 0, 0])
 
-    def logged_take(sim, now):
-        attempts, beacons = take(sim, now)
-        run_at(sim)[1] += len(attempts)
-        return attempts, beacons
+    def logged_tick(sim):
+        run_at(sim.queue)
+        on_tick(sim)
+
+    def logged_advance_to(queue, at_us):
+        advance_to(queue, at_us)
+        run_at(queue)  # the tick runs the instant at_us itself
+
+    def logged_run_due(sim, attempts, beacons):
+        run_at(sim.queue)[1] += len(attempts)
+        run_due(sim, attempts, beacons)
 
     def logged_transmit(sim, channel_owner, frame, sender):
         if isinstance(frame, Beacon):
-            run_at(sim)[2] += 1
+            run_at(sim.queue)[2] += 1
         transmit(sim, channel_owner, frame, sender)
 
     def logged_advance(sim, now):
         advanced.add(now)
         advance(sim, now)
 
-    monkeypatch.setattr(Simulation, "_take_due", logged_take)
+    monkeypatch.setattr(Simulation, "_on_tick", logged_tick)
+    monkeypatch.setattr(EventQueue, "advance_to", logged_advance_to)
+    monkeypatch.setattr(Simulation, "_run_due", logged_run_due)
     monkeypatch.setattr(Simulation, "transmit", logged_transmit)
     monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     sim = Simulation(highway_single(count=20, seed=1))

@@ -8,14 +8,17 @@ why in CHANGES.md.
 
 import importlib.util
 import json
+import tempfile
 import weakref
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from vcachesim import engine, mobility
 from vcachesim.engine import Simulation
 from vcachesim.protocol import Beacon
+from vcachesim.simcore import EventQueue
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -29,9 +32,55 @@ def test_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(make_golden.case_id(*case) for case in make_golden.CASES)
 
 
+class CaseRun(NamedTuple):
+    digests: dict[str, str]
+    events: int  # events processed
+    world_ticks: int  # the ticks the world counted
+    grid_ticks: int  # the grid ticks up to the last tick instant
+    advances: list[tuple[int, int]]  # (instant, spawns and exits taken) of every world advance
+
+
+def run_case(case, out_dir, monkeypatch) -> CaseRun:
+    """Run case into out_dir, recording what the tests below check."""
+    sims, advances = [], []
+    run, advance = Simulation.run, Simulation._advance_world
+
+    def kept_run(sim):
+        sims.append(sim)
+        return run(sim)
+
+    def logged_advance(sim, now):
+        world = sim.world
+        before = world.spawned_total + world.exited_total
+        advance(sim, now)
+        advances.append((now, world.spawned_total + world.exited_total - before))
+
+    monkeypatch.setattr(Simulation, "run", kept_run)
+    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
+    digests = make_golden.digest_case(*case, out_dir)
+    (sim,) = sims
+    grid_ticks = sim.last_tick_us // sim.tick_us + 1
+    return CaseRun(digests, sim.queue.processed_total, sim.world._ticks, grid_ticks, advances)
+
+
+@pytest.fixture(scope="session")
+def as_is():
+    """case -> its one run as it is in this session, which the digest, the
+    beacon-only and the world-advance tests all read."""
+    runs = {}
+
+    def run(case) -> CaseRun:
+        if case not in runs:
+            with pytest.MonkeyPatch.context() as patched, tempfile.TemporaryDirectory() as tmp:
+                runs[case] = run_case(case, Path(tmp), patched)
+        return runs[case]
+
+    return run
+
+
 @pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
-def test_outputs_match_golden_digests(case, tmp_path):
-    assert make_golden.digest_case(*case, tmp_path) == GOLDEN[make_golden.case_id(*case)]
+def test_outputs_match_golden_digests(case, as_is):
+    assert as_is(case).digests == GOLDEN[make_golden.case_id(*case)]
 
 
 def counting_tracks(monkeypatch, brakes=True):
@@ -138,40 +187,27 @@ def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatc
     assert counts["own tracks"] == counts["own spawns"], counts
 
 
-def digest_and_count(case, out_dir, monkeypatch):
-    """The case's digests and events processed; checks that the world
+def digest_and_count(run: CaseRun) -> tuple[dict[str, str], int]:
+    """The run's digests and events processed; checks that the world
     counted every grid tick up to the last tick instant, run or skipped."""
-    sims = []
-    run = Simulation.run
-
-    def kept_run(sim):
-        sims.append(sim)
-        return run(sim)
-
-    monkeypatch.setattr(Simulation, "run", kept_run)
-    digests = make_golden.digest_case(*case, out_dir)
-    (sim,) = sims
-    assert sim.world._ticks == sim.last_tick_us // sim.tick_us + 1
-    return digests, sim.queue.processed_total
+    assert run.world_ticks == run.grid_ticks
+    return run.digests, run.events
 
 
 @pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
-def test_beacon_only_ticks_change_no_output(case, tmp_path, monkeypatch):
-    digests, events = digest_and_count(case, tmp_path / "as-is", monkeypatch)
+def test_beacon_only_ticks_change_no_output(case, as_is, tmp_path, monkeypatch):
+    digests, events = digest_and_count(as_is(case))
     assert digests == GOLDEN[make_golden.case_id(*case)]
-    with monkeypatch.context() as patched:
-        every_tick_advances(patched)
-        assert digest_and_count(case, tmp_path / "full", patched) == (digests, events)
+    every_tick_advances(monkeypatch)
+    assert digest_and_count(run_case(case, tmp_path, monkeypatch)) == (digests, events)
 
 
 def every_tick_advances(monkeypatch):
     """Make the world advance, and look for spawns, at every instant at
     which a tick runs, as if an advance had been filed there: each tick
-    event's, the last tick instant, and each instant that gets due work.
-    An instant's advance comes before its due work on the due heap, so the
-    walk to the next tick stops there and the tick runs the instant itself,
-    its beacons included; the due work put on the heap at the instant being
-    advanced runs in that advance."""
+    event's, the last tick instant, and each instant that gets due work,
+    which are all the instants the tick runs inline; the due work put on
+    the heap at the instant being advanced runs in that advance."""
     on_tick = Simulation._on_tick
     running = []  # the simulation whose tick is running
 
@@ -198,31 +234,15 @@ def every_tick_advances(monkeypatch):
 ROAD_SHORTER_THAN_GAP = ("urban_single", True, 1, None, (("kinematics.min_gap_m", 900.0),))
 
 
-def run_logging_advances(case, monkeypatch):
-    """Run case; returns its result and, for every advance of the world,
-    (instant, spawns and exits it took)."""
-    advances = []
-    advance = Simulation._advance_world
-
-    def logged(sim, now):
-        world = sim.world
-        before = world.spawned_total + world.exited_total
-        advance(sim, now)
-        advances.append((now, world.spawned_total + world.exited_total - before))
-
-    monkeypatch.setattr(Simulation, "_advance_world", logged)
-    return Simulation(make_golden.build(*case)).run(), advances
-
-
 @pytest.mark.parametrize(
     "case",
     [*make_golden.CASES, ROAD_SHORTER_THAN_GAP],
     ids=lambda case: make_golden.case_id(*case),
 )
-def test_every_world_advance_spawns_or_takes_an_exit(case, monkeypatch):
+def test_every_world_advance_spawns_or_takes_an_exit(case, as_is):
     # advances are filed only where the world has work: an exit, or an
     # arrival that is due when its entry opens
-    _, advances = run_logging_advances(case, monkeypatch)
+    advances = as_is(case).advances
     assert advances
     assert [at_us for at_us, changed in advances if not changed] == []
 
@@ -230,10 +250,10 @@ def test_every_world_advance_spawns_or_takes_an_exit(case, monkeypatch):
 def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the_gap(
     monkeypatch,
 ):
-    result, advances = run_logging_advances(ROAD_SHORTER_THAN_GAP, monkeypatch)
+    result = Simulation(make_golden.build(*ROAD_SHORTER_THAN_GAP)).run()
     assert 0 < result.spawned < result.config.vehicle_count  # the entries held vehicles back
     every_tick_advances(monkeypatch)
-    full, _ = run_logging_advances(ROAD_SHORTER_THAN_GAP, monkeypatch)
+    full = Simulation(make_golden.build(*ROAD_SHORTER_THAN_GAP)).run()
     assert full.trace_lines == result.trace_lines
     assert (full.spawned, full.exited, full.satisfied, full.events_processed) == (
         result.spawned,
@@ -244,57 +264,58 @@ def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the
 
 
 def logged_instants(monkeypatch):
-    """Record the instants at which the tick takes due work, each once, and
-    those at which a beacon is sent, on the walk to the next tick or not."""
-    taken, sent = [], set()
-    take, transmit = Simulation._take_due, Simulation.transmit
+    """Record each instant a tick runs, as its own event or inline in the
+    tick before, the instants of the tick events, and those at which a
+    beacon is sent."""
+    run, events, sent = [], [], set()
+    on_tick, advance_to, transmit = Simulation._on_tick, EventQueue.advance_to, Simulation.transmit
 
-    def logged_take(sim, now):
-        taken.append(now)
-        return take(sim, now)
+    def logged_tick(sim):
+        run.append(sim.queue.now_us)
+        events.append(sim.queue.now_us)
+        on_tick(sim)
+
+    def logged_advance_to(queue, at_us):
+        advance_to(queue, at_us)
+        run.append(at_us)  # the tick runs the instant at_us itself
 
     def logged_transmit(sim, channel_owner, frame, sender):
         if isinstance(frame, Beacon):
             sent.add(sim.queue.now_us)
         transmit(sim, channel_owner, frame, sender)
 
-    monkeypatch.setattr(Simulation, "_take_due", logged_take)
+    monkeypatch.setattr(Simulation, "_on_tick", logged_tick)
+    monkeypatch.setattr(EventQueue, "advance_to", logged_advance_to)
     monkeypatch.setattr(Simulation, "transmit", logged_transmit)
-    return taken, sent
+    return run, events, sent
 
 
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
     # the oracle test above means something only if the shortcuts are taken;
-    # a tick runs each instant once, as its own event, inline in the tick
-    # before or on the walk to the next tick, which sends the beacons of the
-    # instants it passes without taking them
-    ticks = {"tick events": 0, "world ticks": 0}
-    on_tick = Simulation._on_tick
+    # a tick runs each instant once, as its own event or inline in the tick
+    # before, which sends the beacons of the instants it runs
+    ticks = {"world ticks": 0}
     world_tick = mobility.MobilityWorld.tick
-
-    def counted_on_tick(sim):
-        ticks["tick events"] += 1
-        on_tick(sim)
 
     def counted_world_tick(world):
         ticks["world ticks"] += 1
         return world_tick(world)
 
-    monkeypatch.setattr(Simulation, "_on_tick", counted_on_tick)
-    taken, sent = logged_instants(monkeypatch)
+    run, events, sent = logged_instants(monkeypatch)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
     Simulation(make_golden.build("highway_single", True, 1, 100)).run()
-    assert len(taken) == len(set(taken))
-    ticks["instants run"] = len(set(taken) | sent)
+    assert len(run) == len(set(run))
+    ticks["tick events"] = len(events)
+    ticks["instants run"] = len(set(run) | sent)
     assert 0 < ticks["world ticks"] < ticks["instants run"] // 2, ticks
-    assert ticks["tick events"] < len(taken), ticks  # some instants ran inline
-    assert len(sent - set(taken)) > len(sent) // 2, ticks  # most beacon instants ran on the walk
+    assert ticks["tick events"] < len(run), ticks  # some instants ran inline
+    # most beacon instants ran without their own tick event
+    assert len(sent - set(events)) > len(sent) // 2, ticks
 
 
 def test_every_tick_advances_covers_the_instants_run_inline(monkeypatch):
     # the oracle above must advance the world at every instant a tick runs,
-    # as its own event, inline in the tick before or on the walk: under it
-    # the walk passes no instant, so the tick takes every one
+    # as its own event or inline in the tick before
     counts = {"world ticks": 0}
     world_tick = mobility.MobilityWorld.tick
 
@@ -303,9 +324,9 @@ def test_every_tick_advances_covers_the_instants_run_inline(monkeypatch):
         return world_tick(world)
 
     every_tick_advances(monkeypatch)
-    taken, sent = logged_instants(monkeypatch)
+    run, _, sent = logged_instants(monkeypatch)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
     Simulation(make_golden.build("highway_single", True, 1, 100)).run()
-    counts["instants run"] = len(set(taken) | sent)
-    assert sent <= set(taken)
-    assert counts["instants run"] == len(taken) == counts["world ticks"] > 0, counts
+    counts["instants run"] = len(set(run) | sent)
+    assert sent <= set(run)
+    assert counts["instants run"] == len(run) == counts["world ticks"] > 0, counts

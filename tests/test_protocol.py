@@ -356,7 +356,7 @@ def test_relay_suppresses_rebroadcast_of_known_names():
     svc.run_deferred()
     assert svc.transmitted == []  # echo suppressed
     # but the overheard copy refreshed recency
-    assert relay.cache.names()[-1] == WANT
+    assert relay.cache.items()[-1].name == WANT
 
 
 def test_relay_announce_rebroadcasts_whole_cache_lru_first():

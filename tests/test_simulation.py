@@ -153,6 +153,11 @@ def test_a_finished_run_pickles_whole(tmp_path):
             assert copied[filename].read_bytes() == path.read_bytes()
 
 
+def requests_sent(sim):
+    """The requests every vehicle of sim's run has sent."""
+    return sum(agent.requests_sent for agent in sim.vehicles.values())
+
+
 def run_counting_requests(monkeypatch, cfg):
     """Run cfg, counting the requests that reach an RSU: (sim, result,
     vehicle-originated arrivals, forwarded arrivals)."""
@@ -170,10 +175,10 @@ def run_counting_requests(monkeypatch, cfg):
 
 
 def test_request_conservation_urban(monkeypatch):
-    _, result, received, forwarded = run_counting_requests(
+    sim, result, received, forwarded = run_counting_requests(
         monkeypatch, urban_single(count=20, seed=3)
     )
-    assert result.vehicle_requests_transmitted == received
+    assert requests_sent(sim) == received
     assert received == len(result.ledger.rsu_events)
     assert received == result.ledger.total_rsu_requests(TARGET_ALL_RSUS)
     assert forwarded == 0
@@ -183,7 +188,7 @@ def test_request_conservation_with_relays(monkeypatch):
     sim, result, received, forwarded = run_counting_requests(
         monkeypatch, highway_multi(count=60, seed=3)
     )
-    assert result.vehicle_requests_transmitted == received == len(result.ledger.rsu_events)
+    assert requests_sent(sim) == received == len(result.ledger.rsu_events)
     # forwarded hops reach an RSU too, but never touch the ledger
     assert forwarded > 0
     assert forwarded == sim.frames_transmitted.get("request", 0) - received
@@ -217,12 +222,12 @@ def test_zero_cdt_only_from_local_cache(urban_cached, chain):
 
 
 def test_nocache_run_always_pays_the_server_trip(urban_nocache):
-    _, result = urban_nocache
+    sim, result = urban_nocache
     assert result.ledger.deliveries  # sanity
     for record in result.ledger.deliveries:
         assert record.source == "server-fetch"
         assert record.cdt_us > 0
-    assert result.server_fetches == result.vehicle_requests_transmitted
+    assert result.server_fetches == requests_sent(sim)
 
 
 def test_caching_reduces_server_fetches(urban_cached, urban_nocache):
@@ -268,7 +273,7 @@ def test_every_name_in_a_run_is_one_of_the_catalogs_str_keys(storm):
     names += [name for _, name in result.ledger.server_events]
     names += [record.name for record in result.ledger.deliveries]
     for rsu in sim.rsus.values():
-        names += rsu.cache.names()
+        names += [item.name for item in rsu.cache.items()]
     assert len(names) > len(sim.vehicles)
     assert all(id(name) in keys for name in names)
 
