@@ -48,22 +48,22 @@ arrival would be both due and able to enter.
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
-spawned. The active vehicles, and the unsatisfied ones by wanted item in
-spawn order, are indexed (_enter, _leave, deliver). All due work waits on
-one heap (_due) keyed (instant, kind, spawn sequence), kinds in the order
-advance, attempt, beacon: the world's advances, and each active vehicle's
-next attempt and next covered beacon. The tick takes its instant's entries
-and runs the attempts of unsatisfied vehicles, then the beacons, each in
-spawn order, inside itself (above); when another event already waits at
-its instant, it schedules the collected ones as one batch event at that
-instant instead. This is exactly one event per attempt and beacon, for the
-same reasons as the receive batches below: those events held consecutive
-places among the events of their instant, after any event already waiting
-there; what they scheduled for that instant ran after the last of them
-anyway; the next tick was queued before anything they scheduled; and exits
-happen only in the tick, so every due vehicle is still active when it runs.
-A beacon occupies airtime but carries nothing receivers keep, so it has no
-frame-end event.
+spawned. _wanting, the unsatisfied active vehicles by wanted item in spawn
+order, is the one index of those that can act on content (_enter, _leave,
+deliver). All due work waits on one heap (_due) keyed (instant, kind, spawn
+sequence), kinds in the order advance, attempt, beacon: the world's
+advances, and each active vehicle's next attempt and next covered beacon.
+The tick takes its instant's entries and runs the attempts of unsatisfied
+vehicles, then the beacons, each in spawn order, inside itself (above);
+when another event already waits at its instant, it schedules the collected
+ones as one batch event at that instant instead. This is exactly one event
+per attempt and beacon, for the same reasons as the receive batches below:
+those events held consecutive places among the events of their instant,
+after any event already waiting there; what they scheduled for that instant
+ran after the last of them anyway; the next tick was queued before anything
+they scheduled; and exits happen only in the tick, so every due vehicle is
+still active when it runs. A beacon occupies airtime but carries nothing
+receivers keep, so it has no frame-end event.
 
 Only due work that can act is queued. The engine never moves a vehicle, so
 the path fixed at its spawn (see mobility) holds until its exit: it is at
@@ -94,15 +94,16 @@ road, offset and interval.
 
 A vehicle walks its plans with two cursors: its first attempt and first
 covered beacon go on the due heap at spawn with an iterator over the rest,
-and each entry taken is replaced by its next, up to the last tick instant
-(_arm, _next_run). An attempt carries the owner of the zone covering its
-run age, the RSU it addresses (None outside every zone), and a beacon that
-owner, whose channel it takes; every beacon sends the run's one Beacon
-frame. The track is fixed at spawn, so the planned owner is the one a
-lookup at the attempt would give (MobilityWorld.place, for tests, rebuilds
-tracks, not plans or advances). SATISFIED is terminal, so a satisfied
-vehicle's attempt entry is dropped when taken or skipped over, with nothing
-in its place, and forces no tick: those ticks had no work left.
+and each entry taken is replaced by its next (_arm, _next_run). Only the
+tick loop and run_until stop at the run's end; work filed past it stays on
+its heap. An attempt carries the owner of the zone covering its run age,
+the RSU it addresses (None outside every zone), and a beacon that owner,
+whose channel it takes; every beacon sends the run's one Beacon frame. The
+track is fixed at spawn, so the planned owner is the one a lookup at the
+attempt would give (MobilityWorld.place, for tests, rebuilds tracks, not
+plans or advances). SATISFIED is terminal, so a satisfied vehicle's attempt
+entry is dropped when taken or skipped over, with nothing in its place, and
+forces no tick: those ticks had no work left.
 
 Trace text is built only when the trace is on (Simulation.tracing).
 
@@ -111,13 +112,14 @@ every frame they get as theirs; frames go only to nodes that act on them,
 picked before the range test. A request goes to its target RSU only.
 Content goes to the other RSUs whose centres are in the zone, a list with
 delays made once per zone because only the zone's own RSU sends content,
-and to the active vehicles that want its item and are not satisfied. A
-beacon has no frame end. No other node would act: a vehicle keeps only
-whether it has heard its wanted item, and its attempt handler returns
-first once it is satisfied, which is terminal. Picking at frame end
-is exact, because a vehicle satisfied then is still satisfied when the
-frame arrives. A frame that no node acts on schedules no receive event, and
-leaving a node out of a batch keeps the others in their order.
+and to the vehicles in _wanting for its item. A beacon has no frame end. No
+other node would act: a vehicle keeps only whether it has heard its wanted
+item, and its attempt handler returns first once it is satisfied, which is
+terminal. Picking at frame end is exact, because a vehicle satisfied then
+is still satisfied when the frame arrives; a vehicle that leaves _wanting
+before the frame arrives, by its exit or by being satisfied, is skipped
+then (_on_receive). A frame that no node acts on schedules no receive
+event, and leaving a node out of a batch keeps the others in their order.
 
 Receivers are taken RSUs first, in zone order, then vehicles in spawn
 order, and grouped by arrival instant: one receive event per frame and
@@ -175,7 +177,6 @@ class Simulation:
         validate_config(cfg)
         self.cfg = cfg
         self.queue = EventQueue()
-        self.rng = RandomSource(cfg.seed)
         self.catalog = catalog(cfg.catalog_size, cfg.payload_bits)
 
         self.duration_us = seconds_to_us(cfg.duration_s)
@@ -238,7 +239,7 @@ class Simulation:
             cfg.arrival_window_s,
             cfg.roads,
             list(self.catalog),
-            self.rng,
+            RandomSource(cfg.seed),
         )
         # each road's arrivals in entry order: a single road's are the whole
         # schedule; on several roads this loop beats any C-level split of a
@@ -251,7 +252,6 @@ class Simulation:
                 self._pending_arrivals[arrival.road_id].append(arrival)
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
-        self._active: set[str] = set()  # ids of the vehicles on the road
         # wanted name -> {vehicle id: agent} of its unsatisfied active vehicles, spawn order
         self._wanting: dict[str, dict[str, VehicleAgent]] = {}
         # the due heap: each active vehicle's next attempt and next covered
@@ -281,18 +281,17 @@ class Simulation:
                 self._file_advance(pending[0].at_us)
         self.queue.schedule(0, self._on_tick)
         for spec in self.cfg.rsus:
-            if spec.role == ROLE_RELAY and self.announce_interval_us <= self.duration_us:
+            if spec.role == ROLE_RELAY:
                 self.queue.schedule(
                     self.announce_interval_us, partial(self._on_announce, spec.id)
                 )
         self.queue.run_until(self.duration_us)
-        satisfied = sum(1 for agent in self.vehicles.values() if agent.status == SATISFIED)
         return SimulationResult(
             config=self.cfg,
             ledger=self.ledger,
             spawned=self.world.spawned_total,
             exited=self.world.exited_total,
-            satisfied=satisfied,
+            satisfied=len(self.ledger.deliveries),  # one each, as it becomes SATISFIED
             server_fetches=self.ledger.total_server_fetches(),
             events_processed=self.queue.processed_total,
             trace_lines=self.trace_lines,
@@ -325,7 +324,7 @@ class Simulation:
                     beacons.append((entry[3], entry[4]))
                 else:
                     self.transmit(entry[4], self._beacon, entry[3])
-                _next_run(due, last_us)
+                _next_run(due)
             if now == last_us:
                 break
             if attempts or beacons:  # what they schedule may come before any later tick
@@ -365,18 +364,16 @@ class Simulation:
 
     def _enter(self, agent: VehicleAgent) -> int:
         """Index the agent of a vehicle the world has just spawned: every
-        agent ever spawned, the active vehicles and the vehicles wanting its
-        item. Returns its spawn sequence."""
+        agent ever spawned, and the vehicles wanting its item. Returns its
+        spawn sequence."""
         vid = agent.id
         spawned = len(self.vehicles)
         self.vehicles[vid] = agent
-        self._active.add(vid)
         self._wanting.setdefault(agent.wanted, {})[vid] = agent
         return spawned
 
     def _leave(self, vehicle_id: str) -> None:
-        """Drop a vehicle that exits from the indexes that still hold it."""
-        self._active.remove(vehicle_id)
+        """Drop a vehicle that exits from the vehicles wanting its item."""
         self._wanting[self.vehicles[vehicle_id].wanted].pop(vehicle_id, None)
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
@@ -403,13 +400,13 @@ class Simulation:
         ):
             runs = iter(plan)
             run = next(runs, None)
-            if run is not None and now + run[0] <= self.last_tick_us:
+            if run is not None:
                 heappush(self._due, (now + run[0], kind, spawned, vehicle_id, run[1], now, runs))
 
     def _file_advance(self, at_us: int) -> None:
-        """Advance the world once at the first tick instant at or after at_us, if the run has it."""
+        """Advance the world once at the first tick instant at or after at_us."""
         at_us = -(-at_us // self.tick_us) * self.tick_us
-        if at_us <= self.last_tick_us and at_us not in self._advances:
+        if at_us not in self._advances:
             self._advances.add(at_us)
             heappush(self._due, (at_us, _ADVANCE))
 
@@ -453,9 +450,9 @@ class Simulation:
 
     def _on_announce(self, rsu_id: str) -> None:
         self.rsus[rsu_id].on_announce(self.queue.now_us, self)
-        next_at = self.queue.now_us + self.announce_interval_us
-        if next_at <= self.duration_us:
-            self.queue.schedule(next_at, partial(self._on_announce, rsu_id))
+        self.queue.schedule(
+            self.queue.now_us + self.announce_interval_us, partial(self._on_announce, rsu_id)
+        )
 
     # -- radio pipeline ------------------------------------------------------
 
@@ -499,12 +496,15 @@ class Simulation:
 
     def _on_receive(self, node_ids: list[str], frame) -> None:
         now = self.queue.now_us
+        wanting = self._wanting.get(frame.name)  # a vehicle here was in it at frame end
         for node_id in node_ids:
             rsu = self.rsus.get(node_id)
             if rsu is not None:
                 rsu.on_frame(frame, now, self)
-            elif node_id in self._active:
-                self.vehicles[node_id].on_frame(frame, now, self)
+            else:
+                agent = wanting.get(node_id)
+                if agent is not None:
+                    agent.on_frame(frame, now, self)
 
     def _receivers(self, zone_id: str, sender: str, frame) -> list[tuple[str, int]]:
         """In-range nodes that act on frame, with their propagation delays
@@ -513,10 +513,10 @@ class Simulation:
         A request goes to its target only, which owns the channel (vehicles
         send on their target's, relays on their next hop's); a request for
         another RSU raises. Content goes to the other RSUs in the zone
-        (_content_rsus), in zone order, then to the active vehicles that
-        want its name and are not satisfied, in spawn order: a vehicle keeps
-        only its wanted item, and on_attempt returns first once it is
-        satisfied (the status is terminal).
+        (_content_rsus), in zone order, then to the vehicles in _wanting for
+        its name, in spawn order: a vehicle keeps only its wanted item, and
+        on_attempt returns first once it is satisfied (the status is
+        terminal).
         Only the zone's own RSU sends content, so a vehicle gets its range
         test and delay from its track and age (_TrackAges.delay).
         """
@@ -543,9 +543,7 @@ class Simulation:
             return found
         world = self.world
         memo = None  # (road, track, its _TrackAges) of the previous vehicle
-        for vid, agent in wanting.items():
-            if agent.status == SATISFIED:
-                continue
+        for vid in wanting:
             road, track, age = world.riding(vid)
             if memo is None or memo[1] is not track or memo[0] is not road:
                 memo = road, track, self._ages(road, track)
@@ -702,12 +700,12 @@ class _TrackAges:
         return delay
 
 
-def _next_run(due: list[tuple], last_us: int) -> None:
+def _next_run(due: list[tuple]) -> None:
     """Replace the due heap's top entry by its vehicle's next run of its
-    kind up to the last tick instant last_us, or drop it if there is none."""
+    kind, or drop it if there is none."""
     _, kind, seq, vid, _, spawned_us, runs = due[0]
     run = next(runs, None)
-    if run is not None and spawned_us + run[0] <= last_us:
+    if run is not None:
         heapreplace(due, (spawned_us + run[0], kind, seq, vid, run[1], spawned_us, runs))
     else:
         heappop(due)

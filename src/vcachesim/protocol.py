@@ -205,17 +205,14 @@ class CachingGateway(RsuBase):
     def __init__(self, rsu_id: str, capacity: int, proc_delay_us: int) -> None:
         super().__init__(rsu_id, proc_delay_us)
         self.cache = LruStore(capacity)
-        self._pending: dict[str, list[str]] = {}
+        self._pending: set[str] = set()  # names with a backhaul fetch in flight
 
     def _on_request(self, frame: Request, now_us: int, services) -> None:
         if self._answer_from_cache(frame, services):
             return
-        waiting = self._pending.get(frame.name)
-        if waiting is None:
-            self._pending[frame.name] = [frame.request_id]
+        if frame.name not in self._pending:
+            self._pending.add(frame.name)
             services.backhaul_fetch(self.id, frame.name, frame.request_id)
-        else:
-            waiting.append(frame.request_id)
 
     def _on_broadcast(self, frame, now_us: int, services) -> None:
         # overheard neighbor traffic is free cache warm-up; never rebroadcast
@@ -224,7 +221,7 @@ class CachingGateway(RsuBase):
     def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
         if item.name not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request for {item.name}")
-        del self._pending[item.name]
+        self._pending.remove(item.name)
         self._store(item, services)
         self._send_later(self.id, Response(item, request_id, SOURCE_SERVER_FETCH), services)
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: acceptance verdict recording and end-of-run reporting."""
+"""Shared fixtures and helpers: acceptance verdict recording, end-of-run
+reporting, and the ids of a simulation's active vehicles."""
 
 import pytest
 
@@ -17,6 +18,12 @@ def acceptance():
             pytest.fail(line, pytrace=False)
 
     return record
+
+
+def active_ids(sim):
+    """Ids of the vehicles on the road, in spawn order: an exited vehicle
+    has dropped its track."""
+    return [vid for vid in sim.vehicles if sim.world.riding(vid)[1] is not None]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -17,6 +17,7 @@ import heapq
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import active_ids
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
@@ -334,7 +335,7 @@ def probe(cfg, at_us):
     sim = Simulation(cfg)
     seen = {}
     sim.queue.schedule(
-        at_us, lambda: seen.update({vid: sim.world.world_xy(vid) for vid in sim._active})
+        at_us, lambda: seen.update({vid: sim.world.world_xy(vid) for vid in active_ids(sim)})
     )
     ticks = logged_ticks(sim)
     sim.run()
@@ -654,7 +655,7 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
         entries = [e for e in sim._due if e[1] != _ADVANCE]
         keys = [(e[3], e[1]) for e in entries]
         assert len(keys) == len(set(keys)), "two entries of one kind for one vehicle"
-        assert {vid for vid, _ in keys} <= sim._active
+        assert {vid for vid, _ in keys} <= set(active_ids(sim))
         assert all(e[0] >= now for e in sim._due), "an earlier instant was neither run nor skipped"
         for e in entries:
             if e[1] == _ATTEMPT and e[3] in satisfied:

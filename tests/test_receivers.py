@@ -13,6 +13,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import active_ids
 from vcachesim.content import ContentItem
 from vcachesim.engine import Simulation
 from vcachesim.metrics import SOURCE_LOCAL_PRECACHE, SOURCE_RSU_HIT
@@ -60,6 +61,12 @@ def place(sim, vid, road_id, pos, wanted=ITEM):
     sim.world.spawn(vid, road_id, 0.0)
     sim.world.place(vid, pos)
     sim._enter(VehicleAgent(vid, wanted, caching=True))
+
+
+def satisfy(sim, vid):
+    """Satisfy a vehicle through a delivery, as a run does: SATISFIED, and
+    out of the engine's vehicles wanting its item."""
+    sim.vehicles[vid]._deliver(sim.queue.now_us, SOURCE_RSU_HIT, sim)
 
 
 coords = st.floats(min_value=-300.0, max_value=300.0)
@@ -138,18 +145,17 @@ def layouts(draw):
         assume(sim.world.can_spawn(road_id))  # a tiny float can sit below min_gap
         wanted = draw(st.sampled_from([ITEM, OTHER]))
         place(sim, vid, road_id, placed[road_id][taken[road_id]], wanted)
-        sim.vehicles[vid].status = draw(st.sampled_from([IDLE, WAITING, SATISFIED]))
+        status = draw(st.sampled_from([IDLE, WAITING, SATISFIED]))
+        if status == SATISFIED:
+            satisfy(sim, vid)
+        else:
+            sim.vehicles[vid].status = status
         taken[road_id] += 1
     rsu_ids = [spec.id for spec in cfg.rsus]
-    sender = draw(st.sampled_from(rsu_ids + active(sim)))
+    sender = draw(st.sampled_from(rsu_ids + active_ids(sim)))
     zone_id = draw(st.sampled_from(rsu_ids))
     target = draw(st.sampled_from(rsu_ids))
     return sim, zone_id, sender, target
-
-
-def active(sim):
-    """Ids of the vehicles on the road, in spawn order."""
-    return [vid for vid in sim.vehicles if vid in sim._active]
 
 
 def oracle(sim, zone_id, sender, frame):
@@ -158,10 +164,10 @@ def oracle(sim, zone_id, sender, frame):
     rsus = [(rsu_id, other.center) for rsu_id, other in sim.zones.items()]
     vehicles = [
         (vid, sim.world.world_xy(vid), sim.vehicles[vid].wanted)
-        for vid in active(sim)
+        for vid in active_ids(sim)
         if sim.vehicles[vid].status != SATISFIED
     ]
-    xy = dict(rsus) | {vid: sim.world.world_xy(vid) for vid in active(sim)}
+    xy = dict(rsus) | {vid: sim.world.world_xy(vid) for vid in active_ids(sim)}
     sender_x, sender_y = xy[sender]
     return [
         (node_id, propagation_us(math.hypot(xy[node_id][0] - sender_x, xy[node_id][1] - sender_y)))
@@ -217,7 +223,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     frames = [Response(item, "v9.0", SOURCE_RSU_HIT) for item in sim.catalog.values()]
 
     def probe():
-        for vid in sim._active:
+        for vid in active_ids(sim):
             seen["shared"] += sim.world.riding(vid)[1] is shared
         for zone_id in sim.zones:
             for frame in frames:
@@ -331,14 +337,27 @@ def test_a_vehicle_that_wants_another_item_hears_none_of_it():
 
 def test_a_satisfied_vehicle_hears_no_content():
     sim = crossing()
-    sim.vehicles["b0"].status = SATISFIED
+    satisfy(sim, "b0")
     assert heard(sim, "r0", CONTENT) == ["a0", "a1"]
     for vid in ("a0", "a1"):
-        sim.vehicles[vid].status = SATISFIED
+        satisfy(sim, vid)
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
     assert sim.queue.processed_total == 1  # no listener: the frame end alone
     assert not any(sim.vehicles[vid].precached for vid in ("a0", "b0", "a1"))
+
+
+def test_a_vehicle_that_stops_wanting_before_the_frame_arrives_hears_nothing():
+    # all three are picked at frame end; before the receive event b0 exits
+    # and a1 is satisfied, so only a0 still wants the item when it arrives
+    sim = crossing()
+    log = logging_frames(sim, ["a0", "b0", "a1"])
+    sim.transmit("r0", CONTENT, "r0")
+    sim.queue.run_until(sim.queue.peek_time())  # the frame end
+    sim._leave("b0")  # as the exit does
+    satisfy(sim, "a1")
+    sim.queue.run_until(sim.duration_us)
+    assert log == [("a0", Response)]
 
 
 def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():

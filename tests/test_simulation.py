@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import active_ids
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 from vcachesim.engine import Simulation, _zone_owner_at, run_simulation
@@ -361,7 +362,7 @@ def test_a_request_can_end_after_its_sender_exited():
     receivers = sim._receivers
 
     def logged(zone_id, sender, frame):
-        if isinstance(frame, Request) and sender in sim.vehicles and sender not in sim._active:
+        if isinstance(frame, Request) and sender in sim.vehicles and sender not in active_ids(sim):
             late.append(sender)
         return receivers(zone_id, sender, frame)
 
