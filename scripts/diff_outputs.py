@@ -8,13 +8,17 @@ caching, and overrides of the request, beacon, announce and sample
 intervals, the tick, kinematics.min_gap_m (the 7.0 and 14.0 m rounding
 edges among them), the catalog size, the RSU cache capacity and the drain
 (the duration past the arrival window), which cuts runs where work is still
-due. The trace is on. The base revision is extracted with `git archive`, as
-scripts/bench_pairs.py does. One subprocess per tree, the base tree and the
-working tree, runs every draw and writes its files under a temporary
-directory. Draws the base rejects are skipped and counted. For each other
-draw every output file must be byte-identical; for each draw that differs
-the script prints the config and the first differing line. Exits 1 on any
-difference.
+due. Half the highway_single and urban_single draws also replace the RSU
+layout with 1-3 gateways: 40 % of their zones are exactly tangent to a
+road's line, 20 % within 1e-12 to 1e-7 (relative) of tangent, and the rest
+cross or miss it, so that the runs reach the edges of the zone test that
+decides coverage. The trace is on. The base revision is extracted with
+`git archive`, as scripts/bench_pairs.py does. One subprocess per tree, the
+base tree and the working tree, runs every draw and writes its files under
+a temporary directory. Draws the base rejects are skipped and counted. For
+each other draw every output file must be byte-identical; for each draw
+that differs the script prints the config, its layout included, and the
+first differing line. Exits 1 on any difference.
 """
 
 import argparse
@@ -31,6 +35,12 @@ from bench_pairs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILDER_NAMES = ("highway_multi", "highway_single", "urban_multi", "urban_single")
+# builder -> (the y of each of its roads' lines, the roads' x extent), for
+# the builders whose RSU layout may be drawn: all their roads run along x
+LAYOUT_ROADS = {
+    "highway_single": ((0.0,), (0.0, 2100.0)),
+    "urban_single": ((0.0, 200.0), (0.0, 800.0)),
+}
 REJECTED = "rejected"
 
 # runs in each tree, with that tree's src first on the path: the draws come
@@ -40,13 +50,15 @@ import json, sys
 from pathlib import Path
 from vcachesim.cli import write_outputs
 from vcachesim.engine import run_simulation
-from vcachesim.scenarios import ValidationError, resolve_config
+from vcachesim.scenarios import RsuSpec, ValidationError, resolve_config
 statuses = []
 for i, draw in enumerate(json.load(sys.stdin)):
     try:
         cfg = resolve_config(draw["builder"], {**draw["overrides"], "trace": True})
         if draw["drain_s"] is not None:
             cfg.duration_s = cfg.arrival_window_s + draw["drain_s"]
+        if draw["rsus"] is not None:
+            cfg.rsus = [RsuSpec(z["id"], tuple(z["center"]), z["radius_m"]) for z in draw["rsus"]]
         write_outputs(run_simulation(cfg), Path(sys.argv[1]) / str(i))
         statuses.append("ok")
     except ValidationError:
@@ -57,9 +69,34 @@ print(json.dumps(statuses))
 """
 
 
+def draw_layout(
+    rng: random.Random, lines: tuple[float, ...], extent: tuple[float, float]
+) -> list[dict]:
+    """1-3 gateways over roads along x at the given line ys, each
+    {"id", "center": [x, y], "radius_m"}: 40 % of the zones exactly tangent
+    to a road's line, 20 % within 1e-12 to 1e-7 (relative) of tangent, and
+    the rest crossing or missing it."""
+    rsus = []
+    for i in range(rng.randint(1, 3)):
+        line_y = rng.choice(lines)
+        x = rng.uniform(extent[0] - 100.0, extent[1] + 100.0)
+        kind = rng.random()
+        if kind < 0.6:
+            y = line_y + rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 400.0)
+            radius = abs(y - line_y)  # the zone test's distance at the foot, exactly
+            if kind >= 0.4:
+                radius *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -7.0)
+        else:
+            y = line_y + rng.uniform(-400.0, 400.0)
+            radius = rng.uniform(20.0, 500.0)
+        rsus.append({"id": f"g{i}", "center": [x, y], "radius_m": radius})
+    return rsus
+
+
 def draw_configs(count: int, seed: int) -> list[dict]:
     """count configs, each {"builder": name, "overrides": {field: value},
-    "drain_s": the duration past the arrival window, or None for the builder's}."""
+    "drain_s": the duration past the arrival window, or None for the builder's,
+    "rsus": a drawn layout (draw_layout), or None for the builder's}."""
     rng = random.Random(seed)
 
     def interval(choices, low, high):
@@ -86,8 +123,12 @@ def draw_configs(count: int, seed: int) -> list[dict]:
             if rng.random() < 0.4:
                 overrides[field] = value()
         drain_s = interval([0, 10, 30, 60], 0.0, 120.0) if rng.random() < 0.4 else None
+        builder = rng.choice(BUILDER_NAMES)
+        rsus = None
+        if builder in LAYOUT_ROADS and rng.random() < 0.5:
+            rsus = draw_layout(rng, *LAYOUT_ROADS[builder])
         draws.append(
-            {"builder": rng.choice(BUILDER_NAMES), "overrides": overrides, "drain_s": drain_s}
+            {"builder": builder, "overrides": overrides, "drain_s": drain_s, "rsus": rsus}
         )
     return draws
 

@@ -84,13 +84,13 @@ the k-th runs at age max(ceil(d_k / tick_us), previous age + 1); from one
 tick up the max never binds, and none runs from the exit age on. Neither
 kind does anything before the first age at which a zone covers the
 vehicle: an attempt is idle, with nothing pre-cached and no target, and a
-beacon has no channel. No age before the lowest position where a zone's span
-(which holds the whole zone) meets the road is covered, so the search
-starts there. A later beacon outside every zone does nothing, but a later
-attempt there still runs, because it may find an item the vehicle overheard
-inside one (a pre-cache hit). Relative to an on-grid spawn a plan depends
-only on its first due offset and its interval, so plans are kept per track,
-road, offset and interval.
+beacon has no channel. That age is found by the zone test itself, asked
+age by age from 0, so coverage is decided in one place. A later beacon
+outside every zone does nothing, but a later attempt there still runs,
+because it may find an item the vehicle overheard inside one (a pre-cache
+hit). Relative to an on-grid spawn a plan depends only on its first due
+offset and its interval, so plans are kept per track, road, offset and
+interval.
 
 A vehicle walks its plans with two cursors: its first attempt and first
 covered beacon go on the due heap at spawn with an iterator over the rest,
@@ -133,7 +133,6 @@ instant runs after the last member either way.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -207,15 +206,6 @@ class Simulation:
         # not a method: memos that referred to the engine would keep a
         # finished run's tracks alive until a cyclic collection
         self._owner_at = partial(_zone_owner_at, self.zones)
-        # road id -> the lowest position at which a zone may cover it: the
-        # lowest end of the spans the zones cut from the road
-        self._covered_from: dict[str, float] = {}
-        for zone in self.zones.values():
-            for road in cfg.roads:
-                span = road.span_within(zone.center, zone.radius_m)
-                if span is not None:
-                    lo = span[0]
-                    self._covered_from[road.id] = min(lo, self._covered_from.get(road.id, lo))
 
         self.rsus: dict[str, RsuBase] = {}
         for spec in cfg.rsus:
@@ -432,9 +422,7 @@ class Simulation:
             by_road = self._track_ages[track] = {}
         ages = by_road.get(road.id)
         if ages is None:
-            ages = by_road[road.id] = _TrackAges(
-                road, track, self._owner_at, self._covered_from.get(road.id)
-            )
+            ages = by_road[road.id] = _TrackAges(road, track, self._owner_at)
         return ages
 
     def _run_due(self, attempts: list[_Attempt], beacons: list[_PlannedBeacon]) -> None:
@@ -622,8 +610,8 @@ class _TrackAges:
     age, so the zone that covers it, and the range test and delay of a
     frame a zone's RSU sends it, are functions of the age, filled lazily,
     one age when first asked for; so are the plans of due work built from
-    them. The first covered age is found at construction, for _arm plans
-    every instance it makes at once.
+    them. The first covered age is found at construction, by asking owner()
+    from age 0, for _arm plans every instance it makes at once.
     The track itself is not kept, so that the engine's weak key on it lets
     an own track and its memos go at the exit of its last rider.
     """
@@ -632,22 +620,16 @@ class _TrackAges:
         "road", "pos", "exit_age", "_owner_at", "_owners", "_first_covered", "_delays", "_plans",
     )
 
-    def __init__(
-        self, road: RoadSegment, track: Track, owner_at, covered_from: float | None
-    ) -> None:
+    def __init__(self, road: RoadSegment, track: Track, owner_at) -> None:
         self.road = road
         self.pos = track.pos
         self.exit_age = track.exit_age(road.length_m)
         self._owner_at = owner_at  # point -> owner of the nearest covering zone, or None
         self._owners: list = [_UNFILLED] * self.exit_age
-        # the first age a zone covers, or the exit age: no zone covers a
-        # position below covered_from (the lowest lo of the zones' spans on
-        # the road, each a superset of its zone), nor any when it is None;
-        # positions along a track never fall
-        first = self.exit_age if covered_from is None else bisect_left(self.pos, covered_from)
-        while first < self.exit_age and self.owner(first) is None:
-            first += 1
-        self._first_covered = first
+        # the first age a zone covers, or the exit age: owner() from age 0
+        self._first_covered = next(
+            (age for age in range(self.exit_age) if self.owner(age) is not None), self.exit_age
+        )
         # zone id -> delay of a frame from the zone's RSU by age, -1 out of range
         self._delays: dict[str, list[int | None]] = {}
         # (first due, interval, tick, covered only) -> plan

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import IO
 
 from .simcore import format_time
@@ -71,6 +72,11 @@ def sample_grid(duration_us: int, interval_us: int) -> list[int]:
 _AFTER_ALL = (2**63 - 1,)  # one sample instant, after every event a run can record
 
 
+def _counts(stamps: list[int], times_us: list[int]) -> list[int]:
+    """How many of the time-ordered stamps lie at or before each sample time."""
+    return [bisect_right(stamps, t) for t in times_us]
+
+
 class MetricsLedger:
     """Append-only event log for one run; series are derived views."""
 
@@ -110,18 +116,10 @@ class MetricsLedger:
         Sample points before the first delivery are omitted: a running
         average over nothing is undefined, not zero.
         """
-        out: list[tuple[int, int, float]] = []
-        idx = 0
-        count = 0
-        total_us = 0
-        for t in times_us:
-            while idx < len(self.deliveries) and self.deliveries[idx].delivered_at_us <= t:
-                count += 1
-                total_us += self.deliveries[idx].cdt_us
-                idx += 1
-            if count:
-                out.append((t, count, total_us / count))
-        return out
+        deliveries = self.deliveries
+        totals = list(accumulate((r.cdt_us for r in deliveries), initial=0))
+        counts = _counts([r.delivered_at_us for r in deliveries], times_us)
+        return [(t, count, totals[count] / count) for t, count in zip(times_us, counts) if count]
 
     def request_count_series(
         self, times_us: list[int], target: str
@@ -136,13 +134,7 @@ class MetricsLedger:
         else:
             raise UnknownRsu(target)
         events.sort()
-        out: list[tuple[int, int]] = []
-        idx = 0
-        for t in times_us:
-            while idx < len(events) and events[idx] <= t:
-                idx += 1
-            out.append((t, idx))
-        return out
+        return list(zip(times_us, _counts(events, times_us)))
 
     def chr_series(
         self, times_us: list[int], scope: str = TARGET_ALL_RSUS
@@ -154,25 +146,14 @@ class MetricsLedger:
         """
         if scope != TARGET_ALL_RSUS and scope not in self._rsu_id_set:
             raise UnknownRsu(scope)
-        events = [
-            (t, hit)
-            for t, rid, hit in self.cache_events
-            if scope == TARGET_ALL_RSUS or rid == scope
+        events = [(t, hit) for t, rid, hit in self.cache_events if scope in (TARGET_ALL_RSUS, rid)]
+        hits_so_far = list(accumulate((hit for _, hit in events), initial=0))
+        counts = _counts([t for t, _ in events], times_us)
+        return [
+            (t, hits_so_far[n], n - hits_so_far[n], hits_so_far[n] / n)
+            for t, n in zip(times_us, counts)
+            if n
         ]
-        out: list[tuple[int, int, int, float]] = []
-        idx = 0
-        hits = 0
-        misses = 0
-        for t in times_us:
-            while idx < len(events) and events[idx][0] <= t:
-                if events[idx][1]:
-                    hits += 1
-                else:
-                    misses += 1
-                idx += 1
-            if hits + misses:
-                out.append((t, hits, misses, hits / (hits + misses)))
-        return out
 
     # -- run totals ----------------------------------------------------------
     # the last point of a series sampled once, after every event

@@ -52,7 +52,6 @@ EXITED = "exited"
 URBAN_RANDOM = "urban-random"
 HIGHWAY_UNIFORM = "highway-uniform"
 
-SPAN_SLACK = 1e-6  # widening of RoadSegment.span_within, relative and in metres
 # A path longer than this many ticks (a tiny tick on a long road) is refused
 # (PathTooLong) rather than stored: 2**18 ticks of two floats take about 17 MB.
 MAX_TRACK_TICKS = 1 << 18
@@ -72,31 +71,6 @@ class RoadSegment:
             self.origin[0] + self.direction[0] * pos_m,
             self.origin[1] + self.direction[1] * pos_m,
         )
-
-    def span_within(
-        self, center: tuple[float, float], radius_m: float
-    ) -> tuple[float, float] | None:
-        """Positions whose world point may lie within radius_m of center.
-
-        A superset of the exact answer: the disc is widened by a hair
-        (SPAN_SLACK, relative and in metres) so that rounding here never
-        drops a point a closed-ball test on world_position accepts. None
-        when even the widened disc misses the road's line. Not clipped to
-        [0, length].
-        """
-        ux, uy = self.direction
-        dx = center[0] - self.origin[0]
-        dy = center[1] - self.origin[1]
-        norm2 = ux * ux + uy * uy
-        foot = (ux * dx + uy * dy) / norm2  # position nearest the center
-        ex = ux * foot - dx
-        ey = uy * foot - dy
-        reach = radius_m * (1.0 + SPAN_SLACK) + SPAN_SLACK
-        slack = reach * reach - (ex * ex + ey * ey)
-        if slack < 0.0:
-            return None
-        half = math.sqrt(slack / norm2)
-        return foot - half, foot + half
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,9 @@ class ScenarioConfig:
 # the CSVs write a row per sample point (and RSU): 3 vehicles sampled every
 # 1 us for 2 s wrote 50 MB; the 1 200-vehicle highway samples 265 points
 MAX_SAMPLE_POINTS = 100_000
+# 5 vehicles on highway_multi whose relays announced every 1e-4 s ran 3.5 M
+# events in 52 s; relay_storm, the busiest shipped config, sends 4 480 frames
+MAX_ANNOUNCE_FRAMES = 100_000
 
 
 def caching_only(cfg: ScenarioConfig) -> bool:
@@ -134,6 +137,24 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 points,
                 cfg.duration_s,
                 MAX_SAMPLE_POINTS,
+            )
+    relays = sum(spec.role == ROLE_RELAY for spec in cfg.rsus)
+    if relays and all(map(math.isfinite, (cfg.duration_s, cfg.relay_announce_interval_s))):
+        duration_us, interval_us = map(
+            seconds_to_us, (cfg.duration_s, cfg.relay_announce_interval_s)
+        )
+        if interval_us >= 1:  # announces at interval, 2 * interval, ... up to the duration
+            held = min(cfg.rsu_cache_capacity, cfg.catalog_size)  # items a relay can hold
+            frames = relays * (duration_us // interval_us) * held
+            check(
+                frames <= MAX_ANNOUNCE_FRAMES,
+                "relay_announce_interval_s %s gives up to %s announce frames from %s relays over"
+                " duration_s %s, more than MAX_ANNOUNCE_FRAMES = %s",
+                cfg.relay_announce_interval_s,
+                frames,
+                relays,
+                cfg.duration_s,
+                MAX_ANNOUNCE_FRAMES,
             )
     check(cfg.catalog_size >= 1, "catalog_size must be >= 1: %s", cfg.catalog_size)
     check(cfg.payload_bits >= 1, "payload_bits must be >= 1: %s", cfg.payload_bits)

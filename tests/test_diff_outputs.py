@@ -1,8 +1,11 @@
 """The comparison of scripts/diff_outputs.py on fixed files; it runs no subprocess."""
 
 import json
+import random
 import sys
 from pathlib import Path
+
+from vcachesim.scenarios import BUILDERS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))  # the script imports bench_pairs from beside it
@@ -79,3 +82,30 @@ def test_the_draws_are_seeded_and_reach_the_rounding_edges():
     gaps = {draw["overrides"].get("kinematics.min_gap_m") for draw in draws}
     assert {7.0, 14.0} <= gaps
     assert any(draw["drain_s"] is not None for draw in draws)
+
+
+def tangent(zone, road):
+    """Whether the zone's circle touches the road's line at exactly one
+    point, by the distance the zone test computes at the foot."""
+    (x, y), (origin_x, origin_y), (ux, uy) = zone["center"], road.origin, road.direction
+    return abs((x - origin_x) * uy - (y - origin_y) * ux) == zone["radius_m"]
+
+
+def test_the_layout_draws_depend_on_the_seed_alone_and_reach_a_tangent_zone():
+    random.seed(0)
+    draws = diff_outputs.draw_configs(200, 1)
+    random.seed(1)  # the module's generator is not the one drawn from
+    assert diff_outputs.draw_configs(200, 1) == draws
+    laid = [draw for draw in draws if draw["rsus"] is not None]
+    assert {draw["builder"] for draw in laid} == set(diff_outputs.LAYOUT_ROADS)
+    for draw in laid:
+        lines, (low, high) = diff_outputs.LAYOUT_ROADS[draw["builder"]]
+        roads = BUILDERS[draw["builder"]]().roads
+        assert {road.origin[1] for road in roads} == set(lines)
+        assert all(road.direction[1] == 0.0 for road in roads)
+        ends = [road.origin[0] + road.direction[0] * at for road in roads for at in (0, road.length_m)]
+        assert (min(ends), max(ends)) == (low, high)
+        assert 1 <= len(draw["rsus"]) <= 3
+    zones = [(zone, BUILDERS[draw["builder"]]().roads) for draw in laid for zone in draw["rsus"]]
+    assert any(tangent(zone, road) for zone, roads in zones for road in roads)
+    assert not all(any(tangent(zone, road) for road in roads) for zone, roads in zones)

@@ -149,14 +149,14 @@ def test_a_beacon_takes_the_airtime_of_its_own_payload():
 # -- planning a tracked vehicle's due work by its age ------------------------------
 
 
-def ages_of(owners, covered_from=0.0):
+def ages_of(owners):
     """_TrackAges of a vehicle at position age at every age, on a road that
     ends at the exit age len(owners), covered at each age by the zone of
-    owners[age] (None for no zone); no position below covered_from is."""
+    owners[age] (None for no zone)."""
     exit_age = len(owners)
     track = Track([float(age) for age in range(exit_age + 1)], [1.0] * (exit_age + 1))
     road = RoadSegment(id="r", length_m=float(exit_age))
-    return _TrackAges(road, track, lambda point: owners[int(point[0])], covered_from)
+    return _TrackAges(road, track, lambda point: owners[int(point[0])])
 
 
 def test_an_entry_whose_run_age_reaches_the_exit_age_is_dropped():
@@ -208,14 +208,12 @@ def test_beacon_plans_match_the_one_interval_rearm(interval, data):
     }[interval]
     interval_us = data.draw(interval_us)
     first_us = data.draw(st.integers(0, 3 * tick_us))
-    # owners[age]: the zone covering the vehicle at that age, None for none
-    owners = data.draw(st.lists(st.sampled_from([None, None, "r0", "r1"]), min_size=1, max_size=80))
-    # a lower bound on the covered positions, as the zones' spans give it
-    covered = [age for age, owner in enumerate(owners) if owner is not None]
-    covered_from = None
-    if covered or data.draw(st.booleans()):
-        covered_from = min(covered, default=len(owners)) - data.draw(st.floats(0.0, 10.0))
-    ages = ages_of(owners, covered_from)
+    # owners[age]: the zone covering the vehicle at that age, None for none;
+    # an uncovered prefix draws late first coverage, or none at all
+    owners = [None] * data.draw(st.integers(0, 40)) + data.draw(
+        st.lists(st.sampled_from([None, None, "r0", "r1"]), min_size=1, max_size=80)
+    )
+    ages = ages_of(owners)
     # attempts are due from the spawn on and run uncovered too; beacons are
     # due from their stagger on and run only where a zone covers them
     assert ages.plan(0, interval_us, tick_us) == rearmed(0, interval_us, tick_us, owners)

@@ -7,6 +7,13 @@ up to the shorter duration D, and the same CSV rows at every sample instant
 up to D that both grids share. The duration only cuts work off: the tick
 loop stops at the last tick instant and the event loop at the duration, so
 what either run does up to D cannot depend on where it ends.
+
+Caching does not move traffic: caching on and off give the same SPAWN and
+EXIT lines in the same order, because the kinematics read nothing from the
+radio. Later arrivals do not reach back: a highway builder at counts n < m
+with the same vehicle id width gives the same trace lines before the
+(n+1)-th spawn of the larger run, because highway arrivals are one a second
+in id order and no vehicle acts on one that has not spawned.
 """
 
 import dataclasses
@@ -93,3 +100,56 @@ def test_a_longer_run_extends_a_shorter_one(case):
         assert short_header == header
         for time in shared:
             assert short_by_time.get(time) == by_time.get(time), (file_name, time)
+
+
+def traced(name, **changes):
+    """The trace lines of one run of builder name, built with changes."""
+    cfg = dataclasses.replace(BUILDERS[name](**changes), trace=True)
+    return Simulation(cfg).run().trace_lines
+
+
+def kind_of(line):
+    """The kind of a trace line: SPAWN, EXIT, TX, ..."""
+    return line.split(" ", 2)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # highway_multi has relays, and a layout with a relay runs only with caching
+    st.sampled_from(sorted(name for name in BUILDERS if name != "highway_multi")),
+    st.integers(2, 12),
+    st.integers(1, 3),
+)
+def test_caching_does_not_move_traffic(name, count, seed):
+    on, off = (
+        [line for line in traced(name, count=count, seed=seed, caching=caching)
+         if kind_of(line) in ("SPAWN", "EXIT")]
+        for caching in (True, False)
+    )
+    assert on == off
+    assert sum(kind_of(line) == "SPAWN" for line in on) == count
+
+
+@st.composite
+def highway_counts(draw):
+    """(highway builder name, seed, n, m): 60 <= n < m <= 120, so that the
+    vehicle ids of both runs are three digits wide and the lines before the
+    (n+1)-th spawn, n s in, hold the first vehicles' traffic, which starts
+    about 37 s (highway_multi) or 50 s (highway_single) in."""
+    name = draw(st.sampled_from(["highway_single", "highway_multi"]))
+    n = draw(st.integers(60, 119))
+    return name, draw(st.integers(1, 3)), n, draw(st.integers(n + 1, 120))
+
+
+@settings(max_examples=50, deadline=None)
+@given(highway_counts())
+@example(("highway_single", 1, 60, 80))
+@example(("highway_multi", 2, 120, 200))
+def test_later_arrivals_do_not_reach_back(case):
+    name, seed, n, m = case
+    smaller, larger = (traced(name, count=count, seed=seed) for count in (n, m))
+    spawns = [i for i, line in enumerate(larger) if kind_of(line) == "SPAWN"]
+    assert len(spawns) == m
+    before = spawns[n]  # the lines before the larger run's (n+1)-th spawn
+    assert smaller[:before] == larger[:before]
+    assert {kind_of(line) for line in larger[:before]} > {"SPAWN"}

@@ -362,6 +362,54 @@ def test_every_shipped_config_lies_below_the_sample_bound(capsys):
     assert min(margins)[0] > 100
 
 
+def test_announces_of_more_frames_than_the_bound_are_rejected_before_the_run(monkeypatch):
+    # it used to pass the gate and run 3.5 M events in 52 s
+    validate_config(resolve_config("highway_multi", {"count": 5}))
+    cfg = resolve_config("highway_multi", {"count": 5, "relay_announce_interval_s": 1e-4})
+    monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("the run started"))
+    with pytest.raises(ValidationError) as exc:
+        Simulation(cfg).run()
+    assert str(exc.value) == (
+        "relay_announce_interval_s 0.0001 gives up to 25000000 announce frames from 2 relays"
+        f" over duration_s 125.0, more than MAX_ANNOUNCE_FRAMES = {scenarios.MAX_ANNOUNCE_FRAMES}"
+    )
+
+
+@pytest.mark.parametrize("duration_s, passes", [(5.0, True), (5.000999, True), (5.001, False)])
+def test_the_announce_bound_counts_the_announces_that_fit_the_duration(duration_s, passes):
+    # 2 relays that hold at most 10 items each, announcing every 1 ms: the
+    # 5 000 announces of 5 s make exactly the bound, 999 us more add none,
+    # and one more interval adds one announce, 20 frames over
+    cfg = highway_multi(5)
+    cfg.catalog_size, cfg.rsu_cache_capacity = 10, 64
+    cfg.relay_announce_interval_s = 1e-3
+    cfg.arrival_window_s = 0.5
+    cfg.duration_s = duration_s
+    assert 5_000 * 2 * 10 == scenarios.MAX_ANNOUNCE_FRAMES
+    if passes:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ValidationError, match="gives up to 100020 announce frames"):
+            validate_config(cfg)
+
+
+def test_every_shipped_config_lies_below_the_announce_bound(capsys):
+    margins = []
+    for label, cfg in _shipped_configs():
+        validate_config(cfg)
+        relays = sum(spec.role == ROLE_RELAY for spec in cfg.rsus)
+        if relays:  # a layout with no relay announces nothing
+            announces = seconds_to_us(cfg.duration_s) // seconds_to_us(cfg.relay_announce_interval_s)
+            frames = relays * announces * min(cfg.rsu_cache_capacity, cfg.catalog_size)
+            margins.append((scenarios.MAX_ANNOUNCE_FRAMES / frames, frames, label))
+    with capsys.disabled():
+        print(f"\nannounce frames per run at most, bound {scenarios.MAX_ANNOUNCE_FRAMES}:")
+        for factor, frames, label in sorted(margins):
+            print(f"  {frames:6d} ({factor:7.0f}x below)  {label}")
+    assert max(frames for _, frames, _ in margins) == 4480  # relay_storm's
+    assert min(margins)[0] > 20
+
+
 @pytest.mark.parametrize("name", ["header_bits", "bitrate_bps", "beacon_payload_bits"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0])
 def test_radio_override_must_be_positive_and_finite(name, value):
@@ -492,9 +540,9 @@ def test_a_run_validates_its_config_once(monkeypatch, tmp_path, capsys, source):
     assert calls == [cfg]
 
 
-# boundary values of the fields the gate checks; no sample or announce
-# interval that passes is tiny, for it would run a grid or announces of
-# millions of points
+# boundary values of the fields the gate checks; a sample or announce
+# interval of 1 us passes only where its bound holds (MAX_SAMPLE_POINTS,
+# MAX_ANNOUNCE_FRAMES), as for announces in a layout with no relay
 EDGE_VALUES = {
     "caching": [True, False],
     "seed": [-1, 0],
@@ -503,8 +551,8 @@ EDGE_VALUES = {
     "tick_s": [1e-7, 0.0, math.nan, 0.25],
     "request_interval_s": [1e-7, 5.1e-7, math.inf, 2.0],
     "radio.beacon_interval_s": [4.9e-7, 5.1e-7, math.nan, 3.0],
-    "sample_interval_s": [1e-7, 0.0, math.inf, 7.0],
-    "relay_announce_interval_s": [1e-7, math.nan, 4.0],
+    "sample_interval_s": [1e-7, 1e-6, 0.0, math.inf, 7.0],
+    "relay_announce_interval_s": [1e-7, 1e-6, math.nan, 4.0],
     "radio.bitrate_bps": [math.inf, math.nan, 0, 1000],
     "radio.header_bits": [0, math.inf, 1],
     "radio.beacon_payload_bits": [math.nan, 1],
