@@ -67,6 +67,11 @@ def main(argv=None):
                     f"{result.spawned} vehicles satisfied",
                     file=sys.stderr,
                 )
+            if result.never_spawned:
+                print(
+                    f"warning: {key} seed {seed}: {result.never_spawned} arrivals never spawned",
+                    file=sys.stderr,
+                )
         stats[key] = {
             "cdt_s": mean(cdt),
             "server": mean(server),

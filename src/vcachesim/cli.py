@@ -181,6 +181,8 @@ def _cmd_run(args) -> int:
     print(f"rsu_requests: {summary['rsu_requests']}")
     print(f"chr: {summary['chr']}")
     print(f"satisfied: {result.satisfied}/{result.spawned}")
+    if result.never_spawned:
+        print(f"never_spawned: {result.never_spawned}")
     print(f"out: {out_dir}")
     return EXIT_OK
 
@@ -203,6 +205,7 @@ def _cmd_sweep(args) -> int:
 
     rows: list[dict[str, str]] = []
     failures: list[str] = []
+    never_spawned: list[str] = []  # the runs whose road entries held arrivals back
     for caching in variants:
         for seed in args.seeds:
             label = f"{'cached' if caching else 'nocache'} seed={seed}"
@@ -214,6 +217,8 @@ def _cmd_sweep(args) -> int:
             except Exception as exc:  # noqa: BLE001 - isolate per-run failures
                 failures.append(f"{label}: {exc}")
                 continue
+            if result.never_spawned:
+                never_spawned.append(f"never_spawned[{label}]: {result.never_spawned}")
             rows.append(
                 {
                     "variant": "cached" if caching else "nocache",
@@ -240,6 +245,8 @@ def _cmd_sweep(args) -> int:
     print(" ".join(header))
     for row in rows:
         print(" ".join(row[col] for col in header))
+    for line in never_spawned:
+        print(line)
 
     means: dict[str, float] = {}
     for variant in ("cached", "nocache"):

@@ -11,20 +11,21 @@ attempts, then due beacons. Requests go on the air before same-instant
 beacon chatter; FIFO channel contention does the rest.
 
 Ticks sit on the tick_s grid from 0, but the tick runs only at instants
-with due work: an advance of the world, or a due attempt or beacon. The
-next tick instant is the first grid instant at or after the earliest of
-that work and the event heap's top, at least one tick later and at most the
-last tick instant of the run (_next_tick), and the idle ticks skipped on the
-way are added to the world's tick count, so vehicles read the positions
-that the ticks would have left. This is exactly the tick every tick_s: only
-a tick creates tick work (spawns and taken entries put work on the due
-heap; satisfied vehicles only remove work); no event runs between now and
-the heap top, so a tick scheduled there takes the same FIFO place among the
-events of its instant as one scheduled one tick earlier; and the last tick
-instant still ends the run.
+with due work: traffic, or a due attempt or beacon. The next tick instant
+is the first grid instant at or after the earliest of that work and the
+event heap's top, at least one tick later and at most the last tick
+instant of the run (_next_tick). Every age is read from one number, the
+world's latest tick counted (MobilityWorld.now), and the idle ticks a jump
+passes count, so vehicles read the positions that the ticks would have
+left. This is exactly the tick every tick_s: only a tick creates tick work
+(spawns and taken entries put work on the due heap; satisfied vehicles only
+remove work); no event runs between now and the heap top, so a tick
+scheduled there takes the same FIFO place among the events of its instant
+as one scheduled one tick earlier; and the last tick instant still ends the
+run.
 
 One loop (_on_tick) runs the tick instants, from the tick event's own up to
-the heap top. At each it advances the world or counts one tick, drops the
+the heap top. At each it counts the tick and takes its traffic, drops the
 attempt entries of satisfied vehicles, collects the live attempts, and
 sends each beacon at once, unless it collected attempts at the instant or
 another event already waits there: then the beacon is collected too, to
@@ -37,22 +38,21 @@ later tick; beacons schedule nothing. The same work runs in the same order
 as with one tick event per instant; only the count of events processed,
 which is no output, falls.
 
-The world advances only at the instants filed for it: each road's first
-arrival (run), and at each spawn the vehicle's exit and, while arrivals
-wait on its road, the first tick at or after the next arrival at which the
-entry behind the vehicle is open, once it is min_gap_m in or has exited
-(_arm); until then it is the road's rear, for nothing spawns there. A tick
-at any other instant only adds one to the world's tick count (skip), which
-is exactly what advancing the world would do: it would take no exit, and no
-arrival would be both due and able to enter.
+Traffic reads nothing from the radio, so run() fixes all of it before the
+first tick (MobilityWorld.admit): every spawn and exit tick up to the last
+tick instant, in trace order, and every vehicle's track. The tick loop
+walks that schedule with a cursor, the last entry of the reversed list, and
+takes each tick's traffic at its instant (_advance_world): the exits leave
+_wanting, and the spawns enter it with their due work armed. Arrivals that
+cannot enter by the last tick instant never spawn (never_spawned).
 
 Only work that changes state goes on the event heap, and per-tick and
 per-frame work is proportional to the work due, not to every vehicle ever
 spawned. _wanting, the unsatisfied active vehicles by wanted item in spawn
 order, is the one index of those that can act on content (_enter, _leave,
 deliver). All due work waits on one heap (_due) keyed (instant, kind, spawn
-sequence), kinds in the order advance, attempt, beacon: the world's
-advances, and each active vehicle's next attempt and next covered beacon.
+sequence), kinds in the order attempt, beacon: each active vehicle's next
+attempt and next covered beacon.
 The tick takes its instant's entries and runs the attempts of unsatisfied
 vehicles, then the beacons, each in spawn order, inside itself (above);
 when another event already waits at its instant, it schedules the collected
@@ -101,7 +101,7 @@ the RSU it addresses (None outside every zone), and a beacon that owner,
 whose channel it takes; every beacon sends the run's one Beacon frame. The
 track is fixed at spawn, so the planned owner is the one a lookup at the
 attempt would give (MobilityWorld.place, for tests, rebuilds tracks, not
-plans or advances). SATISFIED is terminal, so a satisfied vehicle's attempt
+plans or traffic). SATISFIED is terminal, so a satisfied vehicle's attempt
 entry is dropped when taken or skipped over, with nothing in its place, and
 forces no tick: those ticks had no work left.
 
@@ -133,7 +133,6 @@ instant runs after the last member either way.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush, heapreplace
@@ -141,7 +140,7 @@ from weakref import WeakKeyDictionary
 
 from .content import catalog
 from .metrics import DeliveryRecord, MetricsLedger
-from .mobility import MobilityWorld, RoadSegment, Track, generate_arrivals
+from .mobility import MobilityWorld, RoadSegment, Track, Traffic, generate_arrivals
 from .protocol import (
     Beacon,
     CachingGateway,
@@ -163,6 +162,7 @@ class SimulationResult:
     ledger: MetricsLedger
     spawned: int
     exited: int
+    never_spawned: int  # arrivals that could not enter by the last tick instant
     satisfied: int
     server_fetches: int
     events_processed: int
@@ -223,7 +223,7 @@ class Simulation:
         self.trace_lines: list[str] | None = [] if cfg.trace else None
         self.tracing = self.trace_lines is not None  # build trace text only then
 
-        arrivals = generate_arrivals(
+        self._arrivals = generate_arrivals(
             cfg.arrival_pattern,
             cfg.vehicle_count,
             cfg.arrival_window_s,
@@ -231,26 +231,17 @@ class Simulation:
             list(self.catalog),
             RandomSource(cfg.seed),
         )
-        # each road's arrivals in entry order: a single road's are the whole
-        # schedule; on several roads this loop beats any C-level split of a
-        # few dozen arrivals
-        if len(cfg.roads) == 1:
-            self._pending_arrivals = {cfg.roads[0].id: deque(arrivals)}
-        else:
-            self._pending_arrivals = {road.id: deque() for road in cfg.roads}
-            for arrival in arrivals:
-                self._pending_arrivals[arrival.road_id].append(arrival)
+        # the run's traffic still to come (MobilityWorld.admit), latest
+        # first, so that the next is the last entry; filled by run()
+        self._traffic: list[Traffic] = []
 
         self.vehicles: dict[str, VehicleAgent] = {}  # every agent ever spawned
         # wanted name -> {vehicle id: agent} of its unsatisfied active vehicles, spawn order
         self._wanting: dict[str, dict[str, VehicleAgent]] = {}
         # the due heap: each active vehicle's next attempt and next covered
         # beacon, (instant, kind, spawn sequence, vehicle id, target or
-        # channel owner, spawn instant, iterator over the rest of its plan),
-        # and the instants at which the world advances, (instant, _ADVANCE):
-        # exits and entry openings (_arm) and the roads' first arrivals (run)
+        # channel owner, spawn instant, iterator over the rest of its plan)
         self._due: list[tuple] = []
-        self._advances: set[int] = set()  # the instants of its advances
         # track -> road id -> what a vehicle riding the track on the road
         # meets at each age; an own track's entry goes with the track
         self._track_ages: WeakKeyDictionary[Track, dict[str, _TrackAges]] = WeakKeyDictionary()
@@ -266,9 +257,9 @@ class Simulation:
         if self._ran:
             raise RuntimeError("a Simulation instance runs exactly once")
         self._ran = True
-        for pending in self._pending_arrivals.values():
-            if pending:
-                self._file_advance(pending[0].at_us)
+        self._traffic = self.world.admit(
+            self._arrivals, self.cfg.entry_speed_mps, self.tick_us, self.last_tick_us // self.tick_us
+        )[::-1]
         self.queue.schedule(0, self._on_tick)
         for spec in self.cfg.rsus:
             if spec.role == ROLE_RELAY:
@@ -281,6 +272,7 @@ class Simulation:
             ledger=self.ledger,
             spawned=self.world.spawned_total,
             exited=self.world.exited_total,
+            never_spawned=len(self._arrivals) - self.world.spawned_total,
             satisfied=len(self.ledger.deliveries),  # one each, as it becomes SATISFIED
             server_fetches=self.ledger.total_server_fetches(),
             events_processed=self.queue.processed_total,
@@ -293,16 +285,13 @@ class Simulation:
         """Run this tick instant, then each later one before the event heap's
         top (module docstring)."""
         queue, world, due, vehicles = self.queue, self.world, self._due, self.vehicles
-        tick_us, last_us = self.tick_us, self.last_tick_us
+        traffic, tick_us, last_us = self._traffic, self.tick_us, self.last_tick_us
         now, top = queue.now_us, queue.peek_time()  # the loop schedules nothing till the next tick
         attempts, beacons = [], []  # the work collected at the instant the loop stops at
         while True:
-            if due and due[0][0] == now and due[0][1] == _ADVANCE:
-                heappop(due)
-                self._advances.remove(now)
-                self._advance_world(now)  # its spawns may put due work at now
-            else:
-                world.skip(1)
+            world.now = now // tick_us  # the tick at now counts
+            if traffic and traffic[-1].tick == world.now:
+                self._advance_world(traffic.pop())  # its spawns may put due work at now
             while due and due[0][0] == now:
                 entry = due[0]
                 if entry[1] == _ATTEMPT:
@@ -321,7 +310,7 @@ class Simulation:
                 queue.schedule(now + tick_us, self._on_tick)
                 break
             at = self._next_tick(now, top)
-            world.skip((at - now) // tick_us - 1)  # the idle ticks before at
+            world.now = at // tick_us - 1  # the idle ticks before at count
             if top is not None and at >= top:
                 queue.schedule(at, self._on_tick)
                 break
@@ -333,24 +322,20 @@ class Simulation:
             else:
                 queue.schedule(now, partial(self._run_due, attempts, beacons))
 
-    def _advance_world(self, now: int) -> None:
-        """Tick the world, take its exits, spawn the arrivals that are due and
-        fit, and arm their due work, the world's next advances among it."""
-        tracing = self.tracing
-        for vid in self.world.tick():
-            self._leave(vid)  # nothing of it is planned from now on
+    def _advance_world(self, traffic: Traffic) -> None:
+        """Take one tick's traffic at its instant, in trace order: the exits
+        leave, and the spawns enter with their due work armed."""
+        self.world.tick(traffic)
+        now, tracing, caching = self.queue.now_us, self.tracing, self.cfg.caching
+        for state in traffic.exits:
+            self._leave(state.id)  # nothing of it is planned from now on
             if tracing:
-                self.trace(f"EXIT vehicle={vid}")
-        for road in self.cfg.roads:
-            pending = self._pending_arrivals[road.id]
-            while pending and pending[0].at_us <= now and self.world.can_spawn(road.id):
-                arrival = pending.popleft()
-                vid = arrival.vehicle_id
-                self.world.spawn(vid, road.id, self.cfg.entry_speed_mps)
-                spawned = self._enter(VehicleAgent(vid, arrival.wanted, self.cfg.caching))
-                self._arm(now, spawned, vid)
-                if tracing:
-                    self.trace(f"SPAWN vehicle={vid} road={road.id} wanted={arrival.wanted}")
+                self.trace(f"EXIT vehicle={state.id}")
+        for state, arrival in traffic.spawns:
+            vid = state.id
+            self._arm(now, self._enter(VehicleAgent(vid, arrival.wanted, caching)), vid)
+            if tracing:
+                self.trace(f"SPAWN vehicle={vid} road={state.road_id} wanted={arrival.wanted}")
 
     def _enter(self, agent: VehicleAgent) -> int:
         """Index the agent of a vehicle the world has just spawned: every
@@ -368,19 +353,10 @@ class Simulation:
 
     def _arm(self, now: int, spawned: int, vehicle_id: str) -> None:
         """Put the first attempt and first covered beacon of a vehicle spawned
-        at now on the due heap, each with the rest of its plan (_next_run).
-
-        Its exit advances the world, and so does, while arrivals wait on its
-        road, the opening of the entry behind it: at its open age, or at its
-        exit on a road shorter than the gap, but not before the arrival."""
+        at now on the due heap, each with the rest of its plan (_next_run)."""
         road, track, _ = self.world.riding(vehicle_id)
         ages = self._ages(road, track)
         tick_us = self.tick_us
-        self._file_advance(now + ages.exit_age * tick_us)
-        pending = self._pending_arrivals[road.id]
-        if pending:
-            opens = min(track.open_age(self.cfg.kinematics.min_gap_m), ages.exit_age)
-            self._file_advance(max(pending[0].at_us, now + opens * tick_us))
         # beacon phases staggered by spawn order; synchronized phases
         # (all spawns sit on tick boundaries) would pile beacon bursts
         # onto the channel right when responses need it
@@ -393,24 +369,19 @@ class Simulation:
             if run is not None:
                 heappush(self._due, (now + run[0], kind, spawned, vehicle_id, run[1], now, runs))
 
-    def _file_advance(self, at_us: int) -> None:
-        """Advance the world once at the first tick instant at or after at_us."""
-        at_us = -(-at_us // self.tick_us) * self.tick_us
-        if at_us not in self._advances:
-            self._advances.add(at_us)
-            heappush(self._due, (at_us, _ADVANCE))
-
     def _next_tick(self, now: int, top: int | None) -> int:
-        """The first tick instant after now with due work, or at or after top
-        (the event heap's top as the tick read it), at least one tick later
-        and at most the last tick instant. Drops the satisfied vehicles'
-        attempt entries on the due heap's top: they can do nothing."""
+        """The first tick instant after now with traffic or due work, or at or
+        after top (the event heap's top as the tick read it), at least one
+        tick later and at most the last tick instant. Drops the satisfied
+        vehicles' attempt entries on the due heap's top: they can do nothing."""
         due, vehicles, tick_us = self._due, self.vehicles, self.tick_us
         while due and due[0][1] == _ATTEMPT and vehicles[due[0][3]].status == SATISFIED:
             heappop(due)
         until = self.last_tick_us
         if due and due[0][0] < until:
             until = due[0][0]
+        if self._traffic and self._traffic[-1].tick * tick_us < until:
+            until = self._traffic[-1].tick * tick_us
         if top is not None and top < until:
             until = top
         at = -(-until // tick_us) * tick_us
@@ -696,7 +667,7 @@ def _next_run(due: list[tuple]) -> None:
 _UNFILLED = object()
 _Attempt = tuple[str, str | None]  # (vehicle id, target RSU or None outside every zone)
 _PlannedBeacon = tuple[str, str]  # (vehicle id, channel owner)
-_ADVANCE, _ATTEMPT, _BEACON = range(3)  # due heap entry kinds, in their order at an instant
+_ATTEMPT, _BEACON = range(2)  # due heap entry kinds, in their order at an instant
 
 
 def run_simulation(cfg: ScenarioConfig) -> SimulationResult:

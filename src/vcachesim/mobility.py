@@ -18,6 +18,9 @@ give the same bits. Nothing moves a vehicle later (place, for tests,
 rebuilds tracks), so the path holds until the exit: the first tick at which
 the vehicle has no leader and its position reaches the road's length.
 
+Traffic reads nothing else, so a run's whole traffic is fixed before its
+first tick (MobilityWorld.admit): every spawn and exit tick and every track.
+
 Most vehicles never brake and share a track: for each entry speed the world
 builds, once, the free-flow track that the free step gives from (0, entry
 speed) up to the longest road, through a process-wide cache. A spawning
@@ -89,7 +92,7 @@ class VehicleState:
 
     id: str
     road_id: str
-    spawn_tick: int  # the world's tick count at spawn
+    spawn_tick: int
     track: Track | None = None
     exit_tick: int = 0
     pos_m: float = 0.0
@@ -112,6 +115,16 @@ class Arrival(NamedTuple):
     road_id: str
     vehicle_id: str
     wanted: str
+
+
+class Traffic(NamedTuple):
+    """One tick's traffic, in trace order: the vehicles that exit (road
+    order, then lane order), then those that spawn (road order), each with
+    its arrival."""
+
+    tick: int
+    exits: list[VehicleState]
+    spawns: list[tuple[VehicleState, Arrival]]
 
 
 def generate_arrivals(
@@ -226,7 +239,7 @@ class Track:
 
     def open_age(self, min_gap_m: float) -> int:
         """The first age at which a vehicle on this track is min_gap_m past
-        the entry, so that the next vehicle may spawn behind it (can_spawn)."""
+        the entry, so that the next vehicle may spawn behind it (admit)."""
         age = self._open_age.get(min_gap_m)
         if age is None:
             age = self._open_age[min_gap_m] = bisect_left(self.pos, min_gap_m)
@@ -283,7 +296,7 @@ def free_track(
 
 
 class MobilityWorld:
-    """All vehicles on all roads, advanced one fixed tick of tick_s at a time."""
+    """All vehicles on all roads, as of one tick (now)."""
 
     def __init__(
         self, roads: list[RoadSegment], params: KinematicParams, tick_s: float
@@ -291,9 +304,7 @@ class MobilityWorld:
         self.roads = {road.id: road for road in roads}
         self.params = params
         self.tick_s = tick_s
-        self._states: dict[str, VehicleState] = {}
-        # road id -> its active vehicles, front to back
-        self._lanes: dict[str, list[VehicleState]] = {road.id: [] for road in roads}
+        self._states: dict[str, VehicleState] = {}  # every vehicle spawned, in spawn order
         self._longest_m = max(road.length_m for road in roads)
         # entry speed as float.hex() -> its track, or None when it has none;
         # hex keys keep -0.0 apart from 0.0 (their speeds at age 0 differ in
@@ -303,47 +314,83 @@ class MobilityWorld:
         # _own_track built with them, while a vehicle rides it; made at the
         # first build, for most runs build none
         self._interned: WeakValueDictionary[tuple, Track] | None = None
-        self._ticks = 0
+        # the latest tick counted, set by whoever walks the ticks: every age
+        # is the ticks since a vehicle's spawn as of it
+        self.now = 0
         self.spawned_total = 0
         self.exited_total = 0
 
-    def can_spawn(self, road_id: str) -> bool:
-        """True when the entry point is at least min_gap behind the rear car."""
-        order = self._lanes[road_id]
-        return not order or self._pos(order[-1]) >= self.params.min_gap_m
+    def admit(
+        self, arrivals: list[Arrival], speed_mps: float, tick_us: int, last_tick: int
+    ) -> list[Traffic]:
+        """Fix the path of every arrival that spawns by last_tick, entering
+        at speed_mps; returns the traffic of each tick up to last_tick that
+        has any, in tick order. Arrivals are in entry order, at_us on the
+        grid of tick_us from tick 0.
 
-    def spawn(self, vehicle_id: str, road_id: str, speed_mps: float) -> None:
-        """Put a vehicle at the road's entry and fix its whole path.
-
-        It rides the entry speed's free-flow track when every vehicle on
-        the road rides that track (the rear does only then) and the lag test
-        clears it behind the rear one; otherwise it gets its own track
-        behind the rear one, its leader.
+        Each road takes its arrivals in order, one a tick at most: the i-th
+        spawns at the first tick at or after its arrival at which the entry
+        behind the (i-1)-th is open, once that one is min_gap_m in or has
+        exited, whichever comes first. Its leader is the (i-1)-th, unless
+        that one exits by then: the ones in front of it have exited before.
+        An arrival that cannot spawn by last_tick never does, nor does any
+        later one on its road.
         """
-        if vehicle_id in self._states:
-            raise ValueError(f"vehicle already spawned: {vehicle_id}")
-        if not self.can_spawn(road_id):
-            raise ValueError(f"entry of road {road_id} is blocked")
-        order = self._lanes[road_id]
-        leader = order[-1] if order else None
-        ticks = self._ticks
-        state = VehicleState(vehicle_id, road_id, ticks)
+        traffic: dict[int, Traffic] = {}
+        min_gap_m = self.params.min_gap_m
+        for road_id in self.roads:
+            leader, opens = None, 0
+            for arrival in arrivals:
+                if arrival.road_id != road_id:
+                    continue
+                tick = max(-(-arrival.at_us // tick_us), opens)
+                if tick > last_tick:
+                    break
+                if leader is not None and leader.exit_tick <= tick:
+                    leader = None
+                state = VehicleState(arrival.vehicle_id, road_id, tick)
+                self._fix_path(state, speed_mps, leader)
+                traffic.setdefault(tick, Traffic(tick, [], [])).spawns.append((state, arrival))
+                exit_tick = state.exit_tick
+                if exit_tick <= last_tick:
+                    traffic.setdefault(exit_tick, Traffic(exit_tick, [], [])).exits.append(state)
+                opens = tick + min(state.track.open_age(min_gap_m), state.exit_tick - tick)
+                leader = state
+        return [traffic[tick] for tick in sorted(traffic)]
+
+    def tick(self, traffic: Traffic) -> None:
+        """Take one tick's traffic (admit): its exits leave their roads,
+        each dropping its track and keeping where it left, and its spawns
+        enter theirs."""
+        for state in traffic.exits:
+            age = traffic.tick - state.spawn_tick
+            state.pos_m = state.track.pos[age]
+            state.speed_mps = state.track.speed[age]
+            state.track = None
+        for state, _ in traffic.spawns:
+            self._states[state.id] = state
+        self.exited_total += len(traffic.exits)
+        self.spawned_total += len(traffic.spawns)
+
+    def _fix_path(self, state: VehicleState, speed_mps: float, leader: VehicleState | None) -> None:
+        """Give state, spawning behind leader (None on an empty road), its
+        whole path. It rides the entry speed's free-flow track when the
+        leader rides that track too (then every vehicle in front does) and
+        the lag test clears it; otherwise it gets its own track behind the
+        leader."""
         track = self._track(speed_mps)
-        length = self.roads[road_id].length_m
+        length = self.roads[state.road_id].length_m
         if track is not None and (
             leader is None
             or leader.track is track
-            and track.clears(length, ticks - leader.spawn_tick, self.params.min_gap_m)
+            and track.clears(length, state.spawn_tick - leader.spawn_tick, self.params.min_gap_m)
         ):
             state.track = track
-            state.exit_tick = ticks + track.exit_age(length)
+            state.exit_tick = state.spawn_tick + track.exit_age(length)
         elif leader is None:
             self._follow(state, [0.0], [speed_mps], None)
         else:
             self._own_track(state, speed_mps, leader)
-        self._states[vehicle_id] = state
-        order.append(state)
-        self.spawned_total += 1
 
     def _track(self, speed_mps: float) -> Track | None:
         """The entry speed's free-flow track (free_track), fetched on first
@@ -428,19 +475,21 @@ class MobilityWorld:
 
     def place(self, vehicle_id: str, pos_m: float, speed_mps: float | None = None) -> None:
         """Move an active vehicle to pos_m, and to speed_mps when given, as
-        of the latest tick; for tests. It and every vehicle behind it get
-        their own tracks, rebuilt front to back from where they are now; the
-        paths of the vehicles in front do not depend on it. The engine's
-        plans, exits and entry openings, filed at spawn, are not rebuilt."""
+        of now; for tests. It and every vehicle behind it get their own
+        tracks, rebuilt front to back from where they are now; the paths of
+        the vehicles in front do not depend on it. Exit ticks change with
+        the tracks; the ticks of the traffic admitted do not."""
         try:
             state = self._states[vehicle_id]
         except KeyError:
             raise UnknownVehicle(vehicle_id) from None
-        order = self._lanes[state.road_id]
+        # the road's active vehicles, front to back, which is spawn order
+        road_id = state.road_id
+        order = [s for s in self._states.values() if s.road_id == road_id and s.track is not None]
         at = order.index(state)
         leader = order[at - 1] if at else None
         for other in order[at:]:
-            age = self._ticks - other.spawn_tick
+            age = self.now - other.spawn_tick
             pos = other.track.pos[:age + 1]
             speed = other.track.speed[:age + 1]
             if other is state:
@@ -450,41 +499,11 @@ class MobilityWorld:
             self._follow(other, pos, speed, leader)
             leader = other
 
-    def skip(self, ticks: int) -> None:
-        """Let ticks ticks pass that take no exit: only every vehicle's age moves."""
-        self._ticks += ticks
-
-    def tick(self) -> list[str]:
-        """Advance every active vehicle one tick along its track; returns
-        exit ids: the front vehicles whose exit tick it is (none exits before
-        its leader). An exited vehicle drops its track and keeps where it left."""
-        self._ticks += 1
-        ticks = self._ticks
-        exited: list[str] = []
-        for order in self._lanes.values():
-            exits = 0
-            while exits < len(order) and order[exits].exit_tick == ticks:
-                state = order[exits]
-                age = ticks - state.spawn_tick
-                state.pos_m = state.track.pos[age]
-                state.speed_mps = state.track.speed[age]
-                state.track = None
-                exited.append(state.id)
-                exits += 1
-            if exits:
-                del order[:exits]
-                self.exited_total += exits
-        return exited
-
-    def _pos(self, state: VehicleState) -> float:
-        """An active vehicle's position as of the latest tick."""
-        return state.track.pos[self._ticks - state.spawn_tick]
-
     def riding(self, vehicle_id: str) -> tuple[RoadSegment, Track, int]:
         """(road, track, age) of an active vehicle, at road.world_position(
-        track.pos[age]), age being its ticks since spawn as of the latest tick."""
+        track.pos[age]), age being its ticks since spawn as of now."""
         state = self._states[vehicle_id]
-        return self.roads[state.road_id], state.track, self._ticks - state.spawn_tick
+        return self.roads[state.road_id], state.track, self.now - state.spawn_tick
 
     def is_active(self, vehicle_id: str) -> bool:
         state = self._states.get(vehicle_id)
@@ -496,7 +515,7 @@ class MobilityWorld:
         state = self._states[vehicle_id]
         road = self.roads[state.road_id]
         if state.track is not None:
-            return road.world_position(self._pos(state))
+            return road.world_position(state.track.pos[self.now - state.spawn_tick])
         return road.world_position(min(state.pos_m, road.length_m))
 
     def fix(self, vehicle_id: str) -> VehicleFix:
@@ -508,7 +527,7 @@ class MobilityWorld:
         if track is None:
             status, pos, speed = EXITED, min(state.pos_m, road.length_m), state.speed_mps
         else:
-            age = self._ticks - state.spawn_tick
+            age = self.now - state.spawn_tick
             status, pos, speed = ACTIVE, track.pos[age], track.speed[age]
         return VehicleFix(
             status=status,

@@ -1,7 +1,10 @@
 """Shared fixtures and helpers: acceptance verdict recording, end-of-run
-reporting, and the ids of a simulation's active vehicles."""
+reporting, the ids of a simulation's active vehicles, and vehicles put on
+a road by hand."""
 
 import pytest
+
+from vcachesim.mobility import Traffic, VehicleState
 
 _acceptance_lines = []
 
@@ -24,6 +27,24 @@ def active_ids(sim):
     """Ids of the vehicles on the road, in spawn order: an exited vehicle
     has dropped its track."""
     return [vid for vid in sim.vehicles if sim.world.riding(vid)[1] is not None]
+
+
+def lane(world, road_id):
+    """The road's active vehicles, front to back, which is spawn order."""
+    states = world._states.values()
+    return [state for state in states if state.road_id == road_id and state.track is not None]
+
+
+def spawn(world, vehicle_id, road_id, speed_mps):
+    """Put a vehicle at the road's entry as of world.now, behind the road's
+    rear vehicle, with the path admit would fix for it there; for tests
+    that then place it."""
+    if vehicle_id in world._states:
+        raise ValueError(f"vehicle already spawned: {vehicle_id}")
+    rear = lane(world, road_id)[-1:]
+    state = VehicleState(vehicle_id, road_id, world.now)
+    world._fix_path(state, speed_mps, rear[0] if rear else None)
+    world.tick(Traffic(world.now, [], [(state, None)]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -193,10 +193,21 @@ def test_acceptance_06_twin_rsus_share_the_load(twin_rsu, acceptance):
     acceptance(6, ok, f"minimum per-RSU share across seeds={worst:.3f} (floor 0.25)")
 
 
+def test_every_acceptance_run_spawns_every_arrival(urban40, highway, chain, twin_rsu):
+    # so no printed text of these runs changes: never_spawned shows only when nonzero
+    runs = [
+        *urban40[0].values(), *highway[0].values(), *chain.values(), *twin_rsu.values()
+    ]
+    assert len(runs) == 60
+    assert [run.result.never_spawned for run in runs] == [0] * 60
+    assert all(run.result.spawned == run.sim.cfg.vehicle_count for run in runs)
+
+
 def test_acceptance_07_worst_case_delay_improves_too(acceptance):
     seed = 13
     cached = timed_run(urban_single(40, caching=True, seed=seed))
     plain = timed_run(urban_single(40, caching=False, seed=seed))
+    assert cached.result.never_spawned == plain.result.never_spawned == 0
     cached_max = cached.result.ledger.max_cdt_us()
     plain_max = plain.result.ledger.max_cdt_us()
     ok = plain_max > cached_max

@@ -192,6 +192,21 @@ def test_run_writes_series_and_prints_what_it_wrote(tmp_path, capsys):
     assert summary["chr"] == chr_rows[-1]["chr"]
 
 
+def test_run_prints_the_arrivals_that_never_spawned_only_when_there_are_some(tmp_path, capsys):
+    config = tmp_path / "crowded.cfg"
+    config.write_text("scenario = urban_single\narrival_window_s = 230\nduration_s = 350\n")
+    for count, line in ((20, None), (2560, "never_spawned: 2060")):
+        code = run_cli(["run", "--config", config, "--count", count, "--out", tmp_path])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [text for text in out if text.startswith("never_spawned")] == (
+            [line] if line else []
+        )
+    sweep = ["sweep", "--config", config, "--count", 2560, "--seeds", "1", "--caching"]
+    assert run_cli([*sweep, "--out", tmp_path]) == EXIT_OK
+    assert "never_spawned[cached seed=1]: 2060" in capsys.readouterr().out.splitlines()
+
+
 def test_run_without_caching_skips_chr(tmp_path, capsys):
     code = run_cli(
         [

@@ -17,12 +17,12 @@ import heapq
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import active_ids
+from conftest import active_ids, spawn
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
 
 from vcachesim.content import ContentItem
-from vcachesim.engine import _ADVANCE, _ATTEMPT, _BEACON, Simulation, _TrackAges
+from vcachesim.engine import _ATTEMPT, _BEACON, Simulation, _TrackAges
 from vcachesim.metrics import SOURCE_RSU_HIT
 from vcachesim.mobility import URBAN_RANDOM, RoadSegment, Track
 from vcachesim.protocol import IDLE, SATISFIED, Beacon, Response, VehicleAgent
@@ -77,7 +77,7 @@ def layout(log, on_hear=None):
     on_hear = on_hear or {}
     sim.rsus["r1"] = Recorder("r1", log, on_hear.get("r1"))
     for vid, pos in VEHICLES:
-        sim.world.spawn(vid, "a", 0.0)
+        spawn(sim.world, vid, "a", 0.0)
         sim.world.place(vid, pos)
         sim._enter(Recorder(vid, log, on_hear.get(vid)))
     return sim
@@ -266,13 +266,13 @@ def test_own_tracks_give_the_same_outputs_as_the_shared_one(cfg, tmp_path, monke
     # without free-flow tracks every vehicle gets its own, so the engine
     # keeps its memos and beacon plans per vehicle
     spawns = {True: 0, False: 0}  # on the shared track -> count
-    spawn = mobility.MobilityWorld.spawn
+    fix_path = mobility.MobilityWorld._fix_path
 
-    def counted_spawn(world, vehicle_id, road_id, speed_mps):
-        spawn(world, vehicle_id, road_id, speed_mps)
-        spawns[world.riding(vehicle_id)[1] is world._track(speed_mps)] += 1
+    def counted_spawn(world, state, speed_mps, leader):
+        fix_path(world, state, speed_mps, leader)
+        spawns[state.track is world._track(speed_mps)] += 1
 
-    monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
+    monkeypatch.setattr(mobility.MobilityWorld, "_fix_path", counted_spawn)
     shared = outputs(cfg, tmp_path / "shared")
     assert spawns[True] > 0
     spawns[True] = 0
@@ -419,15 +419,34 @@ def test_attempt_entries_that_cannot_act_force_no_tick():
     assert [entry[:4] for entry in sim._due] == [(30 * tick_us, _ATTEMPT, 2, "v002")]
 
 
+def admitted_instants(monkeypatch):
+    """Record, for every run after, each instant with traffic that
+    MobilityWorld.admit returns, with the spawns and exits up to it."""
+    taken = {}  # instant -> spawns and exits by then
+    admit = mobility.MobilityWorld.admit
+
+    def logged_admit(world, arrivals, speed_mps, tick_us, last_tick):
+        traffic = admit(world, arrivals, speed_mps, tick_us, last_tick)
+        total = 0
+        for step in traffic:
+            total += len(step.exits) + len(step.spawns)
+            taken[step.tick * tick_us] = total
+        return traffic
+
+    monkeypatch.setattr(mobility.MobilityWorld, "admit", logged_admit)
+    return taken
+
+
 def beacons_sent_at_once(monkeypatch):
     """Log every beacon the tick sends at once, not collected to run after
     its instant's attempts or after an event waiting there, as (instant,
-    the tick event's instant and heap top, the world's tick count, the
-    kinds of the due entries left at the instant, whether the world had
-    advanced at the instant); returns the log and the advanced instants."""
-    log, advanced, ticking = [], set(), []  # ticking: (now, top) of the tick running
-    on_tick, run_due = Simulation._on_tick, Simulation._run_due
-    transmit, advance = Simulation.transmit, Simulation._advance_world
+    the tick event's instant and heap top, the world's latest tick counted,
+    the kinds of the due entries left at the instant, the spawns and exits
+    the world had taken); returns the log and the instants with traffic
+    (admitted_instants)."""
+    log, ticking = [], []  # ticking: (now, top) of the tick running
+    admitted = admitted_instants(monkeypatch)
+    on_tick, run_due, transmit = Simulation._on_tick, Simulation._run_due, Simulation.transmit
 
     def logged_tick(sim):
         ticking.append((sim.queue.now_us, sim.queue.peek_time()))
@@ -447,18 +466,14 @@ def beacons_sent_at_once(monkeypatch):
         if ticking and ticking[-1] is not None and isinstance(frame, Beacon):
             at_us = sim.queue.now_us
             kinds = [e[1] for e in sim._due if e[0] == at_us]
-            log.append((at_us, *ticking[-1], sim.world._ticks, kinds, at_us in advanced))
+            moved = sim.world.spawned_total + sim.world.exited_total
+            log.append((at_us, *ticking[-1], sim.world.now, kinds, moved))
         transmit(sim, channel_owner, frame, sender)
-
-    def logged_advance(sim, now):
-        advanced.add(now)
-        advance(sim, now)
 
     monkeypatch.setattr(Simulation, "_on_tick", logged_tick)
     monkeypatch.setattr(Simulation, "_run_due", logged_run_due)
     monkeypatch.setattr(Simulation, "transmit", logged_transmit)
-    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
-    return log, advanced
+    return log, admitted
 
 
 def beacon_every_tick(cfg):
@@ -484,7 +499,7 @@ def test_every_beacon_the_tick_sends_at_once_sees_the_tick_count_of_its_instant(
     sim.run()
     assert any(at_us > now for at_us, now, _, _, _, _ in log)  # the tick runs later instants
     assert [
-        (at_us, ticks) for at_us, _, _, ticks, _, _ in log if ticks != at_us // sim.tick_us + 1
+        (at_us, tick) for at_us, _, _, tick, _, _ in log if tick != at_us // sim.tick_us
     ] == []
 
 
@@ -493,8 +508,8 @@ def test_the_tick_sends_no_beacon_at_once_at_the_heap_top_or_with_other_work_at_
     cfg, monkeypatch
 ):
     # a beacon at the event heap's top runs after that event, and one at an
-    # instant with an advance or a live attempt runs after them
-    log, advanced = beacons_sent_at_once(monkeypatch)
+    # instant with traffic or a live attempt runs after them
+    log, admitted = beacons_sent_at_once(monkeypatch)
     attempted = set()
     on_attempt = VehicleAgent.on_attempt
 
@@ -504,11 +519,13 @@ def test_the_tick_sends_no_beacon_at_once_at_the_heap_top_or_with_other_work_at_
 
     monkeypatch.setattr(VehicleAgent, "on_attempt", logged_attempt)
     Simulation(cfg).run()
-    assert log and attempted and advanced
-    for at_us, now, top, _, kinds, advanced_first in log:
+    assert log and attempted and admitted
+    for at_us, now, top, _, kinds, moved in log:
         assert top is None or at_us < top, (at_us, top)
         assert set(kinds) <= {_BEACON}, (at_us, kinds)  # satisfied attempts are dropped first
-        assert advanced_first or at_us not in advanced, (at_us, now)  # the instant's advance ran
+        # the world has taken the traffic up to the instant, its own included
+        due = max((instant for instant in admitted if instant <= at_us), default=None)
+        assert moved == (admitted[due] if due is not None else 0), (at_us, now)
     assert not attempted & {at_us for at_us, _, _, _, _, _ in log}
 
 
@@ -650,7 +667,7 @@ def test_the_due_heap_holds_one_attempt_and_one_beacon_per_active_vehicle(cfg, m
         deliver(sim, record)
 
     def check(sim, now):
-        entries = [e for e in sim._due if e[1] != _ADVANCE]
+        entries = sim._due
         keys = [(e[3], e[1]) for e in entries]
         assert len(keys) == len(set(keys)), "two entries of one kind for one vehicle"
         assert {vid for vid, _ in keys} <= set(active_ids(sim))
@@ -714,9 +731,9 @@ def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
     # beacons due is the next with work, as after a tick with nothing due;
     # most such instants run inline, in the tick before
     runs = {}  # instant -> [events run before it, attempts due, beacons sent]
-    advanced = set()  # instants of the ticks that advanced the world
+    admitted = admitted_instants(monkeypatch)  # the instants with traffic
     on_tick, advance_to, run_due = Simulation._on_tick, EventQueue.advance_to, Simulation._run_due
-    advance, transmit = Simulation._advance_world, Simulation.transmit
+    transmit = Simulation.transmit
 
     def run_at(queue):
         return runs.setdefault(queue.now_us, [queue.processed_total - 1, 0, 0])
@@ -738,27 +755,22 @@ def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):
             run_at(sim.queue)[2] += 1
         transmit(sim, channel_owner, frame, sender)
 
-    def logged_advance(sim, now):
-        advanced.add(now)
-        advance(sim, now)
-
     monkeypatch.setattr(Simulation, "_on_tick", logged_tick)
     monkeypatch.setattr(EventQueue, "advance_to", logged_advance_to)
     monkeypatch.setattr(Simulation, "_run_due", logged_run_due)
     monkeypatch.setattr(Simulation, "transmit", logged_transmit)
-    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     sim = Simulation(highway_single(count=20, seed=1))
     sim.run()
     ticks = [(at_us, *run) for at_us, run in sorted(runs.items())]
     after_beacon_only = [(a, b) for a, b in zip(ticks, ticks[1:]) if a[3] and not a[2]]
     assert len(after_beacon_only) > 100
     for (_, ran, _, _), (at_us, ran_next, attempts, beacons) in after_beacon_only:
-        # work is due, the world has work, an event other than the
-        # beacon-only tick ran before it, or it is the last tick instant
+        # work is due, traffic is, an event other than the beacon-only tick
+        # ran before it, or it is the last tick instant
         assert (
             attempts
             or beacons
-            or at_us in advanced
+            or at_us in admitted
             or ran_next - ran > 1
             or at_us == sim.last_tick_us
         )

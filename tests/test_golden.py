@@ -6,8 +6,11 @@ regenerate the table with tests/golden/make_golden.py on purpose and say
 why in CHANGES.md.
 """
 
+import dataclasses
+import hashlib
 import importlib.util
 import json
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -15,10 +18,14 @@ from typing import NamedTuple
 
 import pytest
 
-from vcachesim import engine, mobility
+from vcachesim import mobility
 from vcachesim.engine import Simulation
 from vcachesim.protocol import Beacon
-from vcachesim.simcore import EventQueue
+from vcachesim.simcore import EventQueue, format_time
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "reference"))
+import vcachesim_ref  # noqa: E402 - found through the path entry above
+from vcachesim_ref import cli as ref_cli, engine as ref_engine  # noqa: E402
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -34,39 +41,61 @@ def test_table_covers_every_case():
 
 class CaseRun(NamedTuple):
     digests: dict[str, str]
-    events: int  # events processed
-    world_ticks: int  # the ticks the world counted
-    grid_ticks: int  # the grid ticks up to the last tick instant
-    advances: list[tuple[int, int]]  # (instant, spawns and exits taken) of every world advance
+    taken: list[str]  # the run's SPAWN and EXIT lines
+    admitted: list[str]  # those lines as the traffic admitted before the run gives them
+    world_ticks: int  # the calls that took traffic into the world
+    never_spawned: int
+
+
+def traffic_lines(traffic, tick_us) -> list[str]:
+    """The SPAWN and EXIT lines of the traffic MobilityWorld.admit returned."""
+    lines = []
+    for step in traffic:
+        at = f"t={format_time(step.tick * tick_us)}"
+        lines += [f"{at} EXIT vehicle={state.id}" for state in step.exits]
+        lines += [
+            f"{at} SPAWN vehicle={state.id} road={state.road_id} wanted={arrival.wanted}"
+            for state, arrival in step.spawns
+        ]
+    return lines
 
 
 def run_case(case, out_dir, monkeypatch) -> CaseRun:
     """Run case into out_dir, recording what the tests below check."""
-    sims, advances = [], []
-    run, advance = Simulation.run, Simulation._advance_world
+    admitted, world_ticks, results = [], [0], []
+    admit, world_tick = mobility.MobilityWorld.admit, mobility.MobilityWorld.tick
+    run = Simulation.run
+
+    def logged_admit(world, arrivals, speed_mps, tick_us, last_tick):
+        traffic = admit(world, arrivals, speed_mps, tick_us, last_tick)
+        assert all(step.exits or step.spawns for step in traffic)
+        assert [step.tick for step in traffic] == sorted({step.tick for step in traffic})
+        assert traffic[-1].tick <= last_tick
+        admitted.extend(traffic_lines(traffic, tick_us))
+        return traffic
+
+    def counted_tick(world, traffic):
+        world_ticks[0] += 1
+        world_tick(world, traffic)
 
     def kept_run(sim):
-        sims.append(sim)
-        return run(sim)
+        results.append(run(sim))
+        return results[-1]
 
-    def logged_advance(sim, now):
-        world = sim.world
-        before = world.spawned_total + world.exited_total
-        advance(sim, now)
-        advances.append((now, world.spawned_total + world.exited_total - before))
-
+    monkeypatch.setattr(mobility.MobilityWorld, "admit", logged_admit)
+    monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_tick)
     monkeypatch.setattr(Simulation, "run", kept_run)
-    monkeypatch.setattr(Simulation, "_advance_world", logged_advance)
     digests = make_golden.digest_case(*case, out_dir)
-    (sim,) = sims
-    grid_ticks = sim.last_tick_us // sim.tick_us + 1
-    return CaseRun(digests, sim.queue.processed_total, sim.world._ticks, grid_ticks, advances)
+    trace = (out_dir / "trace.log").read_text().splitlines()
+    taken = [line for line in trace if " SPAWN " in line or " EXIT " in line]
+    (result,) = results
+    return CaseRun(digests, taken, admitted, world_ticks[0], result.never_spawned)
 
 
 @pytest.fixture(scope="session")
 def as_is():
-    """case -> its one run as it is in this session, which the digest, the
-    beacon-only and the world-advance tests all read."""
+    """case -> its one run as it is in this session, which the digest and
+    the traffic tests both read."""
     runs = {}
 
     def run(case) -> CaseRun:
@@ -83,6 +112,12 @@ def test_outputs_match_golden_digests(case, as_is):
     assert as_is(case).digests == GOLDEN[make_golden.case_id(*case)]
 
 
+@pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
+def test_every_golden_case_spawns_every_arrival(case, as_is):
+    # so the CLI prints no never_spawned line for any of them
+    assert as_is(case).never_spawned == 0
+
+
 def counting_tracks(monkeypatch, brakes=True):
     """Count spawns onto the shared free-flow track, spawns onto own tracks
     and the distinct own tracks spawned onto, in every world built after;
@@ -96,11 +131,11 @@ def counting_tracks(monkeypatch, brakes=True):
     """
     counts = {"shared spawns": 0, "own spawns": 0, "own tracks": 0, "brakes": 0}
     own = weakref.WeakKeyDictionary()  # own track -> its braked steps
-    spawn = mobility.MobilityWorld.spawn
+    fix_path = mobility.MobilityWorld._fix_path
 
-    def counted_spawn(world, vehicle_id, road_id, speed_mps):
-        spawn(world, vehicle_id, road_id, speed_mps)
-        track = world._states[vehicle_id].track
+    def counted_spawn(world, state, speed_mps, leader):
+        fix_path(world, state, speed_mps, leader)
+        track = state.track
         if track is world._track(speed_mps):
             counts["shared spawns"] += 1
             return
@@ -116,7 +151,7 @@ def counting_tracks(monkeypatch, brakes=True):
         counts["own spawns"] += 1
         counts["brakes"] += own[track]
 
-    monkeypatch.setattr(mobility.MobilityWorld, "spawn", counted_spawn)
+    monkeypatch.setattr(mobility.MobilityWorld, "_fix_path", counted_spawn)
     return counts
 
 
@@ -187,47 +222,46 @@ def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatc
     assert counts["own tracks"] == counts["own spawns"], counts
 
 
-def digest_and_count(run: CaseRun) -> tuple[dict[str, str], int]:
-    """The run's digests and events processed; checks that the world
-    counted every grid tick up to the last tick instant, run or skipped."""
-    assert run.world_ticks == run.grid_ticks
-    return run.digests, run.events
+def reference_digests(name, caching, seed, count, overrides=()) -> dict[str, str]:
+    """The digests of a case's outputs from the frozen dense engine
+    (tests/reference), which advances the world at every tick."""
+    args = {"seed": seed}
+    if name != "highway_multi":  # its relays need caching, always on there
+        args["caching"] = caching
+    if count is not None:
+        args["count"] = count
+    cfg = vcachesim_ref.BUILDERS[name](**args)
+    blocks = {"radio": {}, "kinematics": {}}
+    for key, value in overrides:
+        block, _, field = key.rpartition(".")
+        if block:
+            blocks[block][field] = value
+        else:
+            setattr(cfg, key, value)
+    for block, fields in blocks.items():
+        setattr(cfg, block, dataclasses.replace(getattr(cfg, block), **fields))
+    cfg.trace = True
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = ref_cli.write_outputs(ref_engine.run_simulation(cfg), Path(tmp))
+        return {
+            filename: hashlib.sha256(path.read_bytes()).hexdigest()
+            for filename, path in sorted(paths.items())
+        }
 
 
-@pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
-def test_beacon_only_ticks_change_no_output(case, as_is, tmp_path, monkeypatch):
-    digests, events = digest_and_count(as_is(case))
-    assert digests == GOLDEN[make_golden.case_id(*case)]
-    every_tick_advances(monkeypatch)
-    assert digest_and_count(run_case(case, tmp_path, monkeypatch)) == (digests, events)
+# the cases whose dense run takes under about 0.3 s; the dense engine gives
+# the other ten cases' digests too, in about 15 s more
+DENSE_CASES = [
+    case for case in make_golden.CASES if case[0].startswith("urban") or (case[3] or 300) <= 100
+]
 
 
-def every_tick_advances(monkeypatch):
-    """Make the world advance, and look for spawns, at every instant at
-    which a tick runs, as if an advance had been filed there: each tick
-    event's, the last tick instant, and each instant that gets due work,
-    which are all the instants the tick runs inline; the due work put on
-    the heap at the instant being advanced runs in that advance."""
-    on_tick = Simulation._on_tick
-    running = []  # the simulation whose tick is running
-
-    def advancing_tick(sim):
-        running[:] = [sim]
-        sim._file_advance(sim.queue.now_us)
-        sim._file_advance(sim.last_tick_us)
-        on_tick(sim)
-
-    def filing(put):
-        def filed(heap, entry):
-            put(heap, entry)
-            if entry[1] != engine._ADVANCE and entry[0] > running[0].queue.now_us:
-                running[0]._file_advance(entry[0])
-
-        return filed
-
-    monkeypatch.setattr(Simulation, "_on_tick", advancing_tick)
-    monkeypatch.setattr(engine, "heappush", filing(engine.heappush))
-    monkeypatch.setattr(engine, "heapreplace", filing(engine.heapreplace))
+@pytest.mark.parametrize("case", DENSE_CASES, ids=lambda case: make_golden.case_id(*case))
+def test_the_frozen_dense_engine_gives_the_golden_digests(case):
+    # the dense engine ticks the world at every tick instant, so traffic
+    # admitted before the run, jumps over idle ticks and instants run inline
+    # change no output byte
+    assert reference_digests(*case) == GOLDEN[make_golden.case_id(*case)]
 
 
 # 900 m of gap on 800 m roads: the entry behind a vehicle opens at its exit
@@ -239,27 +273,23 @@ ROAD_SHORTER_THAN_GAP = ("urban_single", True, 1, None, (("kinematics.min_gap_m"
     [*make_golden.CASES, ROAD_SHORTER_THAN_GAP],
     ids=lambda case: make_golden.case_id(*case),
 )
-def test_every_world_advance_spawns_or_takes_an_exit(case, as_is):
-    # advances are filed only where the world has work: an exit, or an
-    # arrival that is due when its entry opens
-    advances = as_is(case).advances
-    assert advances
-    assert [at_us for at_us, changed in advances if not changed] == []
+def test_the_run_takes_the_admitted_traffic_at_its_instants(case, as_is):
+    # every spawn and exit, and nothing else, is taken into the world at
+    # the instant admit gave it, in admit's order, once per tick with traffic
+    run = as_is(case)
+    assert run.taken and run.taken == run.admitted
+    instants = {line.split()[0] for line in run.taken}
+    assert run.world_ticks == len(instants)
 
 
 def test_the_entry_behind_a_vehicle_opens_at_its_exit_on_a_road_shorter_than_the_gap(
-    monkeypatch,
+    tmp_path,
 ):
     result = Simulation(make_golden.build(*ROAD_SHORTER_THAN_GAP)).run()
     assert 0 < result.spawned < result.config.vehicle_count  # the entries held vehicles back
-    every_tick_advances(monkeypatch)
-    full = Simulation(make_golden.build(*ROAD_SHORTER_THAN_GAP)).run()
-    assert full.trace_lines == result.trace_lines
-    assert (full.spawned, full.exited, full.satisfied, full.events_processed) == (
-        result.spawned,
-        result.exited,
-        result.satisfied,
-        result.events_processed,
+    assert result.never_spawned == result.config.vehicle_count - result.spawned
+    assert make_golden.digest_case(*ROAD_SHORTER_THAN_GAP, tmp_path) == reference_digests(
+        *ROAD_SHORTER_THAN_GAP
     )
 
 
@@ -291,15 +321,15 @@ def logged_instants(monkeypatch):
 
 
 def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
-    # the oracle test above means something only if the shortcuts are taken;
-    # a tick runs each instant once, as its own event or inline in the tick
-    # before, which sends the beacons of the instants it runs
+    # the shortcuts are taken: a tick runs each instant once, as its own
+    # event or inline in the tick before, which sends the beacons of the
+    # instants it runs, and takes traffic into the world at few of them
     ticks = {"world ticks": 0}
     world_tick = mobility.MobilityWorld.tick
 
-    def counted_world_tick(world):
+    def counted_world_tick(world, traffic):
         ticks["world ticks"] += 1
-        return world_tick(world)
+        world_tick(world, traffic)
 
     run, events, sent = logged_instants(monkeypatch)
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
@@ -307,26 +337,29 @@ def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
     assert len(run) == len(set(run))
     ticks["tick events"] = len(events)
     ticks["instants run"] = len(set(run) | sent)
+    assert sent <= set(run)
     assert 0 < ticks["world ticks"] < ticks["instants run"] // 2, ticks
     assert ticks["tick events"] < len(run), ticks  # some instants ran inline
     # most beacon instants ran without their own tick event
     assert len(sent - set(events)) > len(sent) // 2, ticks
 
 
-def test_every_tick_advances_covers_the_instants_run_inline(monkeypatch):
-    # the oracle above must advance the world at every instant a tick runs,
-    # as its own event or inline in the tick before
-    counts = {"world ticks": 0}
-    world_tick = mobility.MobilityWorld.tick
+def instant_us(line: str) -> int:
+    """The instant of a trace line, in us."""
+    return int(line[len("t="):line.index(" ")].replace(".", ""))
 
-    def counted_world_tick(world):
-        counts["world ticks"] += 1
-        return world_tick(world)
 
-    every_tick_advances(monkeypatch)
-    run, _, sent = logged_instants(monkeypatch)
-    monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_world_tick)
-    Simulation(make_golden.build("highway_single", True, 1, 100)).run()
-    counts["instants run"] = len(set(run) | sent)
-    assert sent <= set(run)
-    assert counts["instants run"] == len(run) == counts["world ticks"] > 0, counts
+@pytest.mark.parametrize("duration_s", [100.0, 175.05, 210.0])
+def test_the_admitted_traffic_stops_at_the_last_tick_instant(duration_s, as_is):
+    # a shorter run admits a prefix of the longer run's traffic: whatever
+    # spawns or exits by its last tick instant, and nothing after it
+    case = ("highway_single", True, 1, 100, ())
+    full = as_is(case)
+    sim = Simulation(dataclasses.replace(make_golden.build(*case), duration_s=duration_s))
+    result = sim.run()
+    kept = [line for line in full.taken if instant_us(line) <= sim.last_tick_us]
+    assert len(kept) < len(full.taken)
+    spawns = sum(" SPAWN " in line for line in kept)
+    assert [line for line in result.trace_lines if " SPAWN " in line or " EXIT " in line] == kept
+    assert (result.spawned, result.exited) == (spawns, len(kept) - spawns)
+    assert result.never_spawned == 100 - spawns

@@ -5,16 +5,19 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import lane as active_lane, spawn
 from vcachesim import mobility
 from vcachesim.mobility import (
     ACTIVE,
     EXITED,
     HIGHWAY_UNIFORM,
+    Arrival,
     KinematicParams,
     MobilityWorld,
     RoadSegment,
+    Traffic,
     URBAN_RANDOM,
     UnknownVehicle,
     MAX_TRACK_TICKS,
@@ -36,7 +39,41 @@ def straight_road(length=1000.0):
 
 def lane(world, road_id):
     """Ids of the road's active vehicles, front to back."""
-    return [state.id for state in world._lanes[road_id]]
+    return [state.id for state in active_lane(world, road_id)]
+
+
+def step(world):
+    """Count one more tick and take its exits, road by road and front to
+    back, as a run takes admitted traffic; returns their ids. For worlds
+    whose vehicles tests spawned and placed by hand."""
+    world.now += 1
+    exits = [
+        state
+        for road_id in world.roads
+        for state in active_lane(world, road_id)
+        if state.exit_tick == world.now
+    ]
+    world.tick(Traffic(world.now, exits, []))
+    return [state.id for state in exits]
+
+
+def arrivals_at(*entries):
+    """Arrivals v0, v1, ... at (tick, road id) each, on a grid of 1 us a tick."""
+    return [
+        Arrival(tick, road_id, f"v{i}", POOL[0]) for i, (tick, road_id) in enumerate(entries)
+    ]
+
+
+def taking(world, traffic, ticks):
+    """Count ticks 0 to ticks, taking the admitted traffic of each; yields
+    (tick, exit ids, spawn ids) after each."""
+    by_tick = {step.tick: step for step in traffic}
+    for tick in range(ticks + 1):
+        world.now = tick
+        taken = by_tick.pop(tick, Traffic(tick, [], []))
+        world.tick(taken)
+        yield tick, [state.id for state in taken.exits], [state.id for state, _ in taken.spawns]
+    assert not by_tick, "traffic past the last tick"
 
 
 # -- geometry ------------------------------------------------------------------
@@ -241,12 +278,12 @@ def test_tick_is_bit_identical_to_stepping_the_reference(
     for i, (pos, fraction) in enumerate(zip(positions, fractions)):
         vid = f"v{i:02d}"
         speed = fraction * params.max_speed_mps
-        world.spawn(vid, "r", speed)
+        spawn(world, vid, "r", speed)
         world.place(vid, pos)
         reference[vid] = (pos, speed)
     road_length = world.roads["r"].length_m
     for _ in range(ticks):
-        exited = world.tick()
+        exited = step(world)
         assert exited == reference_tick(reference, road_length, dt, params)
         assert lane(world, "r") == list(reference)
         for vid, (pos, speed) in reference.items():
@@ -264,13 +301,17 @@ ENTRY_FRACTIONS = (0.0, 0.5, 1.0, 1.5)
 
 
 def test_driven_world_is_bit_identical_to_stepping_the_reference():
-    """Drive a world as the engine does: tick, then spawn what is due and fits.
+    """Admit arrivals and take the traffic tick by tick, as a run does.
 
-    Entry speeds mix, so vehicles on the shared track and on their own
-    tracks share roads and some brake; midway one road's front vehicle is
-    placed at half its speed. Every vehicle, active or exited, must match
-    stepping advance_kinematics for all vehicles, bit for bit. Some own
-    tracks must be ridden by two vehicles at once, found in the memo.
+    The reference steps advance_kinematics for all vehicles and spawns an
+    arrival once it is due and the rear vehicle on its road is min_gap in:
+    each tick's exits and spawns must be the traffic admitted for it. The
+    entry speed may exceed the cap, so vehicles on the shared track and on
+    their own tracks share roads and some brake; at one tick one road's
+    front vehicle is placed at half its speed, and from then on nothing
+    spawns. Every vehicle, active or exited, must match the reference bit
+    for bit. Some own tracks must be ridden by two vehicles at once, found
+    in the memo.
     """
     seen = set()
 
@@ -281,83 +322,98 @@ def test_driven_world_is_bit_identical_to_stepping_the_reference():
         # equal lengths let vehicles on the two roads share own tracks
         lengths=st.tuples(st.floats(20.0, 300.0), st.floats(20.0, 300.0))
         | st.floats(20.0, 300.0).map(lambda length: (length, length)),
-        fractions=st.lists(
-            st.sampled_from(ENTRY_FRACTIONS), min_size=2, max_size=3, unique=True
-        ),
-        # (ticks after the previous arrival, road, entry speed); arrivals
-        # that queue up spawn as soon as the rear vehicle is min_gap in
+        fraction=st.sampled_from(ENTRY_FRACTIONS),
+        # (ticks after the previous arrival, road); arrivals that queue up
+        # spawn as soon as the rear vehicle is min_gap in
         arrivals=st.lists(
-            st.tuples(st.just(0) | st.integers(0, 30), st.integers(0, 1), st.integers(0, 2)),
+            st.tuples(st.just(0) | st.integers(0, 30), st.integers(0, 1)),
             min_size=1,
             max_size=14,
         ),
         touch_at=st.integers(1, 120),
         ticks=st.integers(20, 160),
     )
-    def drive(params, dt, lengths, fractions, arrivals, touch_at, ticks):
+    # at the rounding edge (14 m/s entry, 0.1 s tick, 14 m gap) the second
+    # vehicles on two equal roads brake behind the first ones at one lag,
+    # so they share one own track
+    @example(
+        params=KinematicParams(min_gap_m=14.0),
+        dt=0.1,
+        lengths=(100.0, 100.0),
+        fraction=1.0,
+        arrivals=[(0, 0), (0, 1), (0, 0), (0, 1)],
+        touch_at=60,
+        ticks=100,
+    )
+    def drive(params, dt, lengths, fraction, arrivals, touch_at, ticks):
         roads = [RoadSegment(id="r", length_m=lengths[0]), RoadSegment(id="s", length_m=lengths[1])]
         world = MobilityWorld(roads, params, dt)
-        speeds = [fraction * params.max_speed_mps for fraction in fractions]
-        pending = {road.id: deque() for road in roads}
-        due = 0
-        for i, (wait, road, pick) in enumerate(arrivals):
+        speed = fraction * params.max_speed_mps
+        due, entries = 0, []
+        for wait, road in arrivals:
             due += wait
-            pending[roads[road].id].append((due, f"v{i:02d}", speeds[pick % len(speeds)]))
+            entries.append((due, roads[road].id))
+        entries = arrivals_at(*entries)
+        # nothing spawns after the touch: the vehicles behind the placed one
+        # would not follow the tracks admitted for them
+        traffic = world.admit(entries, speed, 1, touch_at)
+        pending = {road.id: deque(a for a in entries if a.road_id == road.id) for road in roads}
         reference = {road.id: {} for road in roads}  # front to back: (pos, speed)
-        entry = {}  # vehicle id -> entry speed
         final = {}
-        for step in range(ticks + 1):
-            if step:
-                exited = []
+        taken = taking(world, traffic, touch_at)
+        for tick in range(ticks + 1):
+            exited, spawned = [], []
+            if tick:
                 for road in roads:
                     ref = reference[road.id]
                     free = {vid: advance_kinematics(*ref[vid], None, dt, params) for vid in ref}
                     exited += reference_tick(ref, road.length_m, dt, params, final)
                     if any(ref[vid] != free[vid] for vid in ref):
                         seen.add("braked")
-                assert world.tick() == exited
-            for road in roads:
-                queue, ref = pending[road.id], reference[road.id]
-                while queue and queue[0][0] <= step:
-                    rear = next(reversed(ref.values()), None)
-                    fits = rear is None or rear[0] >= params.min_gap_m
-                    assert world.can_spawn(road.id) == fits
-                    if not fits:
-                        break
-                    _, vid, speed = queue.popleft()
-                    world.spawn(vid, road.id, speed)
-                    ref[vid] = (0.0, speed)
-                    entry[vid] = speed
+            if tick > touch_at:
+                assert step(world) == exited
+            else:
+                for road in roads:
+                    queue, ref = pending[road.id], reference[road.id]
+                    while queue and queue[0].at_us <= tick:
+                        rear = next(reversed(ref.values()), None)
+                        if not (rear is None or rear[0] >= params.min_gap_m):
+                            break
+                        vid = queue.popleft().vehicle_id
+                        ref[vid] = (0.0, speed)
+                        spawned.append(vid)
+                assert next(taken) == (tick, exited, spawned)
+                for vid in spawned:
                     if rides_the_shared_track(world, vid, speed):
                         seen.add("shared")
-                    else:
-                        seen.add("own")
-                        track = world.riding(vid)[1]
-                        if any(
-                            world.riding(other)[1] is track
-                            for refs in reference.values()
-                            for other in refs
-                            if other != vid
-                        ):
-                            seen.add("two on one own track")
-            if step == touch_at and reference["r"]:
+                        continue
+                    seen.add("own")
+                    track = world.riding(vid)[1]
+                    if any(
+                        world.riding(other)[1] is track
+                        for refs in reference.values()
+                        for other in refs
+                        if other != vid
+                    ):
+                        seen.add("two on one own track")
+            if tick == touch_at and reference["r"]:
                 vid = next(iter(reference["r"]))
-                pos, speed = reference["r"][vid]
-                if rides_the_shared_track(world, vid, entry[vid]):
+                pos, speed_now = reference["r"][vid]
+                if rides_the_shared_track(world, vid, speed):
                     seen.add("left the shared track")
-                world.place(vid, pos, speed * 0.5)
-                reference["r"][vid] = (pos, speed * 0.5)
+                world.place(vid, pos, speed_now * 0.5)
+                reference["r"][vid] = (pos, speed_now * 0.5)
             for road in roads:
                 assert lane(world, road.id) == list(reference[road.id])
-                for vid, (pos, speed) in reference[road.id].items():
+                for vid, (pos, speed_now) in reference[road.id].items():
                     fix = world.fix(vid)
                     assert fix.status == ACTIVE
-                    assert hexes(fix.pos_m, fix.speed_mps) == hexes(pos, speed)
-            for vid, (pos, speed) in final.items():
+                    assert hexes(fix.pos_m, fix.speed_mps) == hexes(pos, speed_now)
+            for vid, (pos, speed_now) in final.items():
                 fix = world.fix(vid)
                 assert fix.status == EXITED
                 length = world.roads[fix.road_id].length_m
-                assert hexes(fix.pos_m, fix.speed_mps) == hexes(min(pos, length), speed)
+                assert hexes(fix.pos_m, fix.speed_mps) == hexes(min(pos, length), speed_now)
 
     drive()
     assert {"shared", "own", "two on one own track", "braked", "left the shared track"} <= seen
@@ -372,13 +428,13 @@ def test_a_vehicle_that_would_brake_behind_its_track_leader_gets_its_own_track()
     # v1 may enter once v0 is 2.7 m in, but its first tick would leave it
     # 1.4 m behind v0, below the 2.5 m minimum gap, so the lag test refuses
     world = MobilityWorld([straight_road(1000.0)], P, 0.1)
-    world.spawn("v0", "r", 40.0)
-    world.tick()
+    spawn(world, "v0", "r", 40.0)
+    step(world)
     assert world.fix("v0").pos_m == advance_kinematics(0.0, 40.0, None, 0.1, P)[0]
-    world.spawn("v1", "r", 40.0)
+    spawn(world, "v1", "r", 40.0)
     assert rides_the_shared_track(world, "v0", 40.0)
     assert not rides_the_shared_track(world, "v1", 40.0)
-    world.tick()
+    step(world)
     v0 = advance_kinematics(*advance_kinematics(0.0, 40.0, None, 0.1, P), None, 0.1, P)
     v1 = advance_kinematics(0.0, 40.0, v0, 0.1, P)
     assert v1 != advance_kinematics(0.0, 40.0, None, 0.1, P)  # it brakes
@@ -394,33 +450,34 @@ def test_own_tracks_behind_one_track_are_kept_apart_by_road_length():
     params = KinematicParams(min_gap_m=14.0)
     roads = [RoadSegment(id="s", length_m=30.0), RoadSegment(id="r", length_m=100.0)]
     world = MobilityWorld(roads, params, 0.1)
+    # v0 and v2 enter s, v1 and v3 enter r, all due at once
+    traffic = world.admit(arrivals_at((0, "s"), (0, "r"), (0, "s"), (0, "r")), 14.0, 1, 200)
     reference = {road.id: {} for road in roads}
-    for road in roads:
-        world.spawn(f"{road.id}0", road.id, 14.0)
-        reference[road.id][f"{road.id}0"] = (0.0, 14.0)
     braked = set()
-    while reference["r"]:
-        if not world.can_spawn("r"):
-            assert not world.can_spawn("s")
-        elif "r1" not in world._states:
-            assert world.can_spawn("s")
-            for road in roads:
-                world.spawn(f"{road.id}1", road.id, 14.0)
-                reference[road.id][f"{road.id}1"] = (0.0, 14.0)
-                assert not rides_the_shared_track(world, f"{road.id}1", 14.0)
-            assert world.riding("s1")[1] is not world.riding("r1")[1]
+    for tick, exits, spawns in taking(world, traffic, 200):
         exited = []
-        for road in roads:
-            ref = reference[road.id]
-            free = {vid: advance_kinematics(*ref[vid], None, 0.1, params) for vid in ref}
-            exited += reference_tick(ref, road.length_m, 0.1, params)
-            braked |= {vid for vid in ref if ref[vid] != free[vid]}
-        assert world.tick() == exited
+        if tick:
+            for road in roads:
+                ref = reference[road.id]
+                free = {vid: advance_kinematics(*ref[vid], None, 0.1, params) for vid in ref}
+                exited += reference_tick(ref, road.length_m, 0.1, params)
+                braked |= {vid for vid in ref if ref[vid] != free[vid]}
+        assert exits == exited
+        for vid in spawns:
+            reference[world._states[vid].road_id][vid] = (0.0, 14.0)
+        if tick == 0:
+            assert spawns == ["v0", "v1"]
+        elif spawns:
+            # both entries open once the fronts are 14 m in, at one tick
+            assert spawns == ["v2", "v3"] and tick == 10
+            for vid in spawns:
+                assert not rides_the_shared_track(world, vid, 14.0)
+            assert world.riding("v2")[1] is not world.riding("v3")[1]
         for road in roads:
             for vid, (pos, speed) in reference[road.id].items():
                 fix = world.fix(vid)
                 assert hexes(fix.pos_m, fix.speed_mps) == hexes(pos, speed)
-    assert braked == {"s1", "r1"}
+    assert not reference["r"] and braked == {"v2", "v3"}
 
 
 def test_worlds_built_from_the_same_inputs_share_one_track():
@@ -464,11 +521,11 @@ def test_a_path_longer_than_max_track_ticks_raises(monkeypatch):
 
     monkeypatch.setattr(MobilityWorld, "_follow", measured)
     with pytest.raises(PathTooLong, match="more than 714 ticks"):
-        world.spawn("v0", "r", 14.0)
+        spawn(world, "v0", "r", 14.0)
     assert lengths == [715]  # ages 0 to 714, none past the bound
-    assert not world.is_active("v0") and world.can_spawn("r")
+    assert not world.is_active("v0") and lane(world, "r") == []
     monkeypatch.setattr(mobility, "MAX_TRACK_TICKS", 715)
-    world.spawn("v0", "r", 14.0)  # the world keeps its None for 14 m/s
+    spawn(world, "v0", "r", 14.0)  # the world keeps its None for 14 m/s
     assert lengths[-1] == 716
 
 
@@ -520,7 +577,7 @@ def test_fix_distinguishes_unknown_and_active():
     world = make_world()
     with pytest.raises(UnknownVehicle):
         world.fix("v0")  # not spawned yet
-    world.spawn("v0", "r", 14.0)
+    spawn(world, "v0", "r", 14.0)
     fix = world.fix("v0")
     assert fix.status == ACTIVE
     assert fix.pos_m == 0.0
@@ -528,32 +585,33 @@ def test_fix_distinguishes_unknown_and_active():
 
 
 def test_spawn_gate_requires_min_gap_behind_rear_vehicle():
+    # two arrivals at once: the second enters at the first tick at which
+    # the first, accelerating from rest, is min_gap in, and not before
     world = make_world()
-    world.spawn("v0", "r", 0.0)
-    assert not world.can_spawn("r")
-    with pytest.raises(ValueError):
-        world.spawn("v1", "r", 0.0)
-    # let the first vehicle accelerate away
-    while not world.can_spawn("r"):
-        world.tick()
-    assert world.fix("v0").pos_m >= P.min_gap_m
-    world.spawn("v1", "r", 0.0)
+    traffic = world.admit(arrivals_at((0, "r"), (0, "r")), 0.0, 1, 1000)
+    assert [(len(step.exits), len(step.spawns)) for step in traffic] == [(0, 1), (0, 1), (1, 0), (1, 0)]
+    first, second = (state for step in traffic for state, _ in step.spawns)
+    opens = second.spawn_tick
+    assert first.spawn_tick == 0 and opens > 1
+    assert first.track.pos[opens - 1] < P.min_gap_m <= first.track.pos[opens]
 
 
-def test_duplicate_spawn_rejected():
-    world = make_world()
-    world.spawn("v0", "r", 14.0)
-    world.tick()
-    with pytest.raises(ValueError):
-        world.spawn("v0", "r", 14.0)
+def test_each_admitted_arrival_spawns_once_and_exits_once():
+    # ten arrivals in one second on a 30 m road: each spawns once, in entry
+    # order, and each exits once, in the same order
+    world = make_world(length=30.0)
+    traffic = world.admit(arrivals_at(*[(tick, "r") for tick in range(10)]), 14.0, 1, 500)
+    spawns = [state.id for step in traffic for state, _ in step.spawns]
+    exits = [state.id for step in traffic for state in step.exits]
+    assert spawns == exits == [f"v{i}" for i in range(10)]
 
 
 def test_exit_reports_once_and_freezes_position():
     world = make_world(length=10.0)
-    world.spawn("v0", "r", 14.0)
+    spawn(world, "v0", "r", 14.0)
     exited = []
     for _ in range(20):
-        exited += world.tick()
+        exited += step(world)
     assert exited == ["v0"]
     fix = world.fix("v0")
     assert fix.status == EXITED
@@ -564,27 +622,28 @@ def test_exit_reports_once_and_freezes_position():
 
 
 def test_exited_leader_releases_the_road():
+    # on a 30 m road v1 enters behind v0 and both exit by tick 40; v2,
+    # due then, enters at once behind nobody: the frozen end positions of
+    # the exited vehicles trap no follower
     world = make_world(length=30.0)
-    world.spawn("v0", "r", 14.0)
-    while not world.can_spawn("r"):
-        world.tick()
-    world.spawn("v1", "r", 14.0)
-    for _ in range(40):
-        world.tick()
-    assert world.fix("v0").status == EXITED
-    # the frozen end position of the exited leader must not trap followers
-    assert world.fix("v1").status == EXITED
-    assert world.can_spawn("r")
+    traffic = world.admit(arrivals_at((0, "r"), (0, "r"), (40, "r")), 14.0, 1, 100)
+    spawns = {state.id: (step.tick, state) for step in traffic for state, _ in step.spawns}
+    exits = {state.id: step.tick for step in traffic for state in step.exits}
+    assert exits["v0"] < exits["v1"] <= 40 == spawns["v2"][0]
+    assert spawns["v2"][1].track is world._track(14.0)  # no leader: the shared track
+    for tick, _, _ in taking(world, traffic, 100):
+        if tick == 40:
+            assert world.fix("v0").status == world.fix("v1").status == EXITED
+            assert lane(world, "r") == ["v2"]
 
 
 def test_highway_platoon_keeps_order_gaps_and_speed_limits():
     world = make_world(length=2100.0)
+    due = arrivals_at(*[(tick, "r") for tick in range(10, 510, 10)])
+    traffic = world.admit(due, 14.0, 1, 3000)
     spawned = 0
-    for step in range(1, 3000):
-        world.tick()
-        if step % 10 == 0 and spawned < 50 and world.can_spawn("r"):
-            world.spawn(f"v{spawned:03d}", "r", 14.0)
-            spawned += 1
+    for _, _, spawns in taking(world, traffic, 3000):
+        spawned += len(spawns)
         order = lane(world, "r")
         positions = [world.fix(v).pos_m for v in order]
         speeds = [world.fix(v).speed_mps for v in order]
@@ -592,7 +651,7 @@ def test_highway_platoon_keeps_order_gaps_and_speed_limits():
         for front, back in zip(positions, positions[1:]):
             assert front - back >= P.min_gap_m - 1e-9
         assert all(0.0 <= s <= P.max_speed_mps + 1e-9 for s in speeds)
-    assert spawned == 50
+    assert spawned == 50 and lane(world, "r") == []
 
 
 def test_place_unknown_vehicle():

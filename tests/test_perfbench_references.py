@@ -27,3 +27,11 @@ def test_runs_match_the_reference_digests(workload, seed, tmp_path):
     expected = REFERENCES["digests"][workload]
     for spec in workloads.WORKLOADS[workload](seed):
         assert workloads.execute(spec, tmp_path).digests == expected[spec.run_id], spec.run_id
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_run_spawns_every_arrival(workload, tmp_path):
+    # so the benchmark's runs print nothing new
+    for spec in workloads.WORKLOADS[workload](REFERENCES["default_seed"]):
+        result = workloads.execute(spec, tmp_path).result
+        assert (result.spawned, result.never_spawned) == (spec.count, 0), spec.run_id

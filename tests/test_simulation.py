@@ -98,6 +98,33 @@ def test_everyone_spawns_exits_and_is_satisfied(urban_cached):
     assert result.events_processed == sim.queue.processed_total
 
 
+@pytest.mark.parametrize(
+    "cfg, spawned",
+    [
+        # 2 560 arrivals in 230 s on two 800 m roads: each entry admits one
+        # vehicle every few ticks, about 500 in the 350 s
+        (
+            dataclasses.replace(urban_single(count=2560), arrival_window_s=230.0, duration_s=350.0),
+            500,
+        ),
+        # a 30 m gap at 14 m/s holds each arrival back a little more than
+        # the one before, until the queue reaches past the end of the run
+        (
+            dataclasses.replace(
+                highway_single(count=300),
+                kinematics=dataclasses.replace(highway_single().kinematics, min_gap_m=30.0),
+            ),
+            191,
+        ),
+    ],
+    ids=["urban_single_2560", "highway_single_min_gap_30"],
+)
+def test_arrivals_that_cannot_enter_by_the_end_never_spawn(cfg, spawned):
+    result = run_simulation(cfg)
+    assert (result.spawned, result.never_spawned) == (spawned, cfg.vehicle_count - spawned)
+    assert result.exited <= result.spawned
+
+
 def test_one_delivery_per_satisfied_vehicle(urban_cached):
     sim, result = urban_cached
     vehicles = [record.vehicle for record in result.ledger.deliveries]
