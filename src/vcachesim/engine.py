@@ -6,9 +6,9 @@ else hangs off. One instance runs one scenario once. It validates its config
 first, the only place a config is validated, so nothing below that gate
 re-checks what validate_config rejects.
 
-Per-tick ordering: kinematics advance, then arrivals spawn, then due request
-attempts, then due beacons. Requests go on the air before same-instant
-beacon chatter; FIFO channel contention does the rest.
+Per-tick ordering: exits, then spawns, then due request attempts, then due
+beacons. Requests go on the air before same-instant beacon chatter; FIFO
+channel contention does the rest.
 
 Ticks sit on the tick_s grid from 0, but the tick runs only at instants
 with due work: traffic, or a due attempt or beacon. The next tick instant
@@ -42,7 +42,7 @@ Traffic reads nothing from the radio, so run() fixes all of it before the
 first tick (MobilityWorld.admit): every spawn and exit tick up to the last
 tick instant, in trace order, and every vehicle's track. The tick loop
 walks that schedule with a cursor, the last entry of the reversed list, and
-takes each tick's traffic at its instant (_advance_world): the exits leave
+takes each tick's traffic at its instant (_take_traffic): the exits leave
 _wanting, and the spawns enter it with their due work armed. Arrivals that
 cannot enter by the last tick instant never spawn (never_spawned).
 
@@ -291,7 +291,7 @@ class Simulation:
         while True:
             world.now = now // tick_us  # the tick at now counts
             if traffic and traffic[-1].tick == world.now:
-                self._advance_world(traffic.pop())  # its spawns may put due work at now
+                self._take_traffic(traffic.pop())  # its spawns may put due work at now
             while due and due[0][0] == now:
                 entry = due[0]
                 if entry[1] == _ATTEMPT:
@@ -322,7 +322,7 @@ class Simulation:
             else:
                 queue.schedule(now, partial(self._run_due, attempts, beacons))
 
-    def _advance_world(self, traffic: Traffic) -> None:
+    def _take_traffic(self, traffic: Traffic) -> None:
         """Take one tick's traffic at its instant, in trace order: the exits
         leave, and the spawns enter with their due work armed."""
         self.world.tick(traffic)

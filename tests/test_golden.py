@@ -250,7 +250,7 @@ def reference_digests(name, caching, seed, count, overrides=()) -> dict[str, str
 
 
 # the cases whose dense run takes under about 0.3 s; the dense engine gives
-# the other ten cases' digests too, in about 15 s more
+# the other eleven cases' digests too, in about 15 s more
 DENSE_CASES = [
     case for case in make_golden.CASES if case[0].startswith("urban") or (case[3] or 300) <= 100
 ]

@@ -74,7 +74,7 @@ def test_attempts_and_beacons_run_inside_the_tick_and_are_still_traced(monkeypat
     assert spans.totals()["protocol.on_attempt"][0] == len(attempts) > 0
 
 
-# every span the small run recorded before the traffic was admitted up front
+# every span name the small run records, each of a layer the benchmark reports
 RECORDED = (
     "engine.backhaul",
     "engine.deferred",
