@@ -1,10 +1,18 @@
 """Shared fixtures and helpers: acceptance verdict recording, end-of-run
-reporting, the ids of a simulation's active vehicles, and vehicles put on
-a road by hand."""
+reporting, the ids of a simulation's active vehicles, vehicles put on a
+road by hand, and runs of the frozen dense engine."""
+
+import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
 from vcachesim.mobility import Traffic, VehicleState
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "reference"))
+import vcachesim_ref  # noqa: E402 - found through the path entry above
+from vcachesim_ref import cli as ref_cli, engine as ref_engine  # noqa: E402
 
 _acceptance_lines = []
 
@@ -45,6 +53,31 @@ def spawn(world, vehicle_id, road_id, speed_mps):
     state = VehicleState(vehicle_id, road_id, world.now)
     world._fix_path(state, speed_mps, rear[0] if rear else None)
     world.tick(Traffic(world.now, [], [(state, None)]))
+
+
+def reference_outputs(builder, overrides, drain_s, out_dir):
+    """File name -> bytes of every output of the frozen dense engine
+    (tests/reference), traced, for a builder and the overrides that
+    resolve_config takes; drain_s, unless None, is the duration past the
+    arrival window."""
+    args = {k: v for k, v in overrides.items() if k in ("count", "caching", "seed")}
+    if builder == "highway_multi":
+        args.pop("caching", None)  # its relays need caching, always on there
+    cfg = vcachesim_ref.BUILDERS[builder](**args)
+    blocks = {"radio": {}, "kinematics": {}}
+    for key, value in overrides.items():
+        block, _, field = key.rpartition(".")
+        if block:
+            blocks[block][field] = value
+        elif key not in ("count", "caching", "seed"):
+            setattr(cfg, key, value)
+    for block, fields in blocks.items():
+        setattr(cfg, block, dataclasses.replace(getattr(cfg, block), **fields))
+    if drain_s is not None:
+        cfg.duration_s = cfg.arrival_window_s + drain_s
+    cfg.trace = True
+    paths = ref_cli.write_outputs(ref_engine.run_simulation(cfg), out_dir)
+    return {name: path.read_bytes() for name, path in paths.items()}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

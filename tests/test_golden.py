@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -18,14 +17,11 @@ from typing import NamedTuple
 
 import pytest
 
+from conftest import reference_outputs
 from vcachesim import mobility
 from vcachesim.engine import Simulation
 from vcachesim.protocol import Beacon
 from vcachesim.simcore import EventQueue, format_time
-
-sys.path.insert(0, str(Path(__file__).resolve().parent / "reference"))
-import vcachesim_ref  # noqa: E402 - found through the path entry above
-from vcachesim_ref import cli as ref_cli, engine as ref_engine  # noqa: E402
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -225,28 +221,12 @@ def test_outputs_match_golden_digests_with_tracks_off(case, tmp_path, monkeypatc
 def reference_digests(name, caching, seed, count, overrides=()) -> dict[str, str]:
     """The digests of a case's outputs from the frozen dense engine
     (tests/reference), which advances the world at every tick."""
-    args = {"seed": seed}
-    if name != "highway_multi":  # its relays need caching, always on there
-        args["caching"] = caching
+    settings = {"caching": caching, "seed": seed, **dict(overrides)}
     if count is not None:
-        args["count"] = count
-    cfg = vcachesim_ref.BUILDERS[name](**args)
-    blocks = {"radio": {}, "kinematics": {}}
-    for key, value in overrides:
-        block, _, field = key.rpartition(".")
-        if block:
-            blocks[block][field] = value
-        else:
-            setattr(cfg, key, value)
-    for block, fields in blocks.items():
-        setattr(cfg, block, dataclasses.replace(getattr(cfg, block), **fields))
-    cfg.trace = True
+        settings["count"] = count
     with tempfile.TemporaryDirectory() as tmp:
-        paths = ref_cli.write_outputs(ref_engine.run_simulation(cfg), Path(tmp))
-        return {
-            filename: hashlib.sha256(path.read_bytes()).hexdigest()
-            for filename, path in sorted(paths.items())
-        }
+        outputs = reference_outputs(name, settings, None, Path(tmp))
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
 
 
 # the cases whose dense run takes under about 0.3 s; the dense engine gives

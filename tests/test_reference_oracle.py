@@ -9,20 +9,13 @@ the trace on and with it off.
 """
 
 import dataclasses
-import sys
-from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import reference_outputs
 from vcachesim.cli import write_outputs
 from vcachesim.engine import run_simulation
 from vcachesim.scenarios import resolve_config, validate_config
-
-sys.path.insert(0, str(Path(__file__).resolve().parent / "reference"))
-import vcachesim_ref  # noqa: E402 - found through the path entry above
-from vcachesim_ref import cli as ref_cli, engine as ref_engine  # noqa: E402
-
-BLOCKS = ("radio", "kinematics")
 
 
 def interval(choices, low, high):
@@ -67,27 +60,6 @@ def draws(draw):
     return builder, overrides, drain_s
 
 
-def reference_config(builder, overrides, drain_s):
-    """The frozen package's config for the same builder and overrides."""
-    args = {k: v for k, v in overrides.items() if k in ("count", "caching", "seed")}
-    if builder == "highway_multi":
-        del args["caching"]  # always on
-    cfg = vcachesim_ref.BUILDERS[builder](**args)
-    changes = {block: {} for block in BLOCKS}
-    for key, value in overrides.items():
-        block, _, name = key.rpartition(".")
-        if block:
-            changes[block][name] = value
-        elif key not in args and key != "caching":
-            setattr(cfg, key, value)
-    for block, fields in changes.items():
-        setattr(cfg, block, dataclasses.replace(getattr(cfg, block), **fields))
-    if drain_s is not None:
-        cfg.duration_s = cfg.arrival_window_s + drain_s
-    cfg.trace = True
-    return cfg
-
-
 def output_bytes(paths):
     return {name: path.read_bytes() for name, path in paths.items()}
 
@@ -105,11 +77,7 @@ def test_outputs_match_the_frozen_dense_engine(drawn, tmp_path_factory):
     except ValueError:
         return  # only today's valid configs are drawn
     out = tmp_path_factory.mktemp("oracle")
-    reference = output_bytes(
-        ref_cli.write_outputs(
-            ref_engine.run_simulation(reference_config(builder, overrides, drain_s)), out / "ref"
-        )
-    )
+    reference = reference_outputs(builder, overrides, drain_s, out / "ref")
     traced = run_simulation(dataclasses.replace(cfg, trace=True))
     assert output_bytes(write_outputs(traced, out / "traced")) == reference
     untraced = output_bytes(write_outputs(run_simulation(cfg), out / "untraced"))
