@@ -21,6 +21,7 @@ from .metrics import (
     _fmt_ratio,
     _fmt_seconds,
     sample_grid,
+    trace_text,
     write_cdt_csv,
     write_chr_csv,
     write_rsu_requests_csv,
@@ -141,9 +142,9 @@ def write_outputs(result: SimulationResult, out_dir: Path) -> dict[str, Path]:
     _emit("requests_rsu.csv", write_rsu_requests_csv)
     if cfg.caching:
         _emit("chr.csv", write_chr_csv)
-    if result.trace_lines is not None:
+    if result.trace_records is not None:
         path = out_dir / "trace.log"
-        body = "".join(line + "\n" for line in result.trace_lines)
+        body = "".join(line + "\n" for line in trace_text(result.trace_records))
         path.write_text(body, encoding="utf-8")
         paths["trace.log"] = path
     return paths

@@ -105,7 +105,8 @@ plans or traffic). SATISFIED is terminal, so a satisfied vehicle's attempt
 entry is dropped when taken or skipped over, with nothing in its place, and
 forces no tick: those ticks had no work left.
 
-Trace text is built only when the trace is on (Simulation.tracing).
+Only a traced run (Simulation.tracing) keeps a record of each protocol event
+(Simulation.trace); write_outputs renders them (metrics.trace_text).
 
 Only the engine decides which node hears a frame, and the agents take
 every frame they get as theirs; frames go only to nodes that act on them,
@@ -153,7 +154,7 @@ from .protocol import (
 )
 from .radio import Channel, in_range, propagation_us, tx_duration_us
 from .scenarios import ROLE_RELAY, RsuSpec, ScenarioConfig, validate_config
-from .simcore import EventQueue, RandomSource, format_time, seconds_to_us
+from .simcore import EventQueue, RandomSource, seconds_to_us
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class SimulationResult:
     satisfied: int
     server_fetches: int
     events_processed: int
-    trace_lines: list[str] | None
+    trace_records: list[tuple] | None
 
 
 class Simulation:
@@ -220,8 +221,8 @@ class Simulation:
             self.rsus[spec.id] = agent
 
         self.ledger = MetricsLedger([spec.id for spec in cfg.rsus])
-        self.trace_lines: list[str] | None = [] if cfg.trace else None
-        self.tracing = self.trace_lines is not None  # build trace text only then
+        self.trace_records: list[tuple] | None = [] if cfg.trace else None
+        self.tracing = self.trace_records is not None  # call trace only then
 
         self._arrivals = generate_arrivals(
             cfg.arrival_pattern,
@@ -276,7 +277,7 @@ class Simulation:
             satisfied=len(self.ledger.deliveries),  # one each, as it becomes SATISFIED
             server_fetches=self.ledger.total_server_fetches(),
             events_processed=self.queue.processed_total,
-            trace_lines=self.trace_lines,
+            trace_records=self.trace_records,
         )
 
     # -- periodic events -----------------------------------------------------
@@ -330,12 +331,12 @@ class Simulation:
         for state in traffic.exits:
             self._leave(state.id)  # nothing of it is planned from now on
             if tracing:
-                self.trace(f"EXIT vehicle={state.id}")
+                self.trace("EXIT", state.id)
         for state, arrival in traffic.spawns:
             vid = state.id
             self._arm(now, self._enter(VehicleAgent(vid, arrival.wanted, caching)), vid)
             if tracing:
-                self.trace(f"SPAWN vehicle={vid} road={state.road_id} wanted={arrival.wanted}")
+                self.trace("SPAWN", vid, state.road_id, arrival.wanted)
 
     def _enter(self, agent: VehicleAgent) -> int:
         """Index the agent of a vehicle the world has just spawned: every
@@ -430,13 +431,8 @@ class Simulation:
         if kind is None:
             kind = self._kinds[type(frame)] = type(frame).__name__.lower()
         self.frames_transmitted[kind] = self.frames_transmitted.get(kind, 0) + 1
-        if self.tracing:
-            name = getattr(frame, "name", None)
-            self.trace(
-                f"TX kind={kind} sender={sender} channel={channel_owner} "
-                f"name={name if name is not None else '-'} "
-                f"start={format_time(start)} end={format_time(end)}"
-            )
+        if self.tracing:  # a beacon has no name
+            self.trace("TX", kind, sender, channel_owner, getattr(frame, "name", "-"), start, end)
         if not isinstance(frame, Beacon):  # airtime only; receivers keep nothing
             self.queue.schedule(end, partial(self._on_frame_end, channel_owner, frame, sender))
 
@@ -517,7 +513,7 @@ class Simulation:
         """Every gateway has the same link; content fetched by an RSU with
         none (a relay) raises OrphanResponse at its on_content."""
         if self.tracing:
-            self.trace(f"FETCH rsu={rsu_id} name={name} id={request_id}")
+            self.trace("FETCH", rsu_id, name, request_id)
         self.queue.schedule(
             self.queue.now_us + self.backhaul_latency_us,
             partial(self._on_server_request, rsu_id, name, request_id),
@@ -528,7 +524,7 @@ class Simulation:
         item = self.catalog[name]
         self.ledger.record_server_fetch(now, name)
         if self.tracing:
-            self.trace(f"SERVER name={name} id={request_id}")
+            self.trace("SERVER", name, request_id)
         self.queue.schedule(
             now + self.proc_delay_us + self.backhaul_latency_us,
             partial(self._on_backhaul_return, rsu_id, item, request_id),
@@ -546,10 +542,7 @@ class Simulation:
         del self._wanting[record.name][record.vehicle]  # SATISFIED is terminal
         self.ledger.record_delivery(record)
         if self.tracing:
-            self.trace(
-                f"DELIVER vehicle={record.vehicle} name={record.name} "
-                f"source={record.source} cdt={format_time(record.cdt_us)}"
-            )
+            self.trace("DELIVER", record.vehicle, record.name, record.source, record.cdt_us)
 
     def rsu_request(self, rsu_id: str) -> None:
         self.ledger.record_rsu_request(self.queue.now_us, rsu_id)
@@ -557,9 +550,8 @@ class Simulation:
     def cache_event(self, rsu_id: str, hit: bool) -> None:
         self.ledger.record_cache_event(self.queue.now_us, rsu_id, hit)
 
-    def trace(self, text: str) -> None:
-        if self.trace_lines is not None:
-            self.trace_lines.append(f"t={format_time(self.queue.now_us)} {text}")
+    def trace(self, kind: str, *fields) -> None:
+        self.trace_records.append((self.queue.now_us, kind, *fields))
 
 
 def _zone_owner_at(zones: dict[str, RsuSpec], point: tuple[float, float]) -> str | None:

@@ -261,3 +261,33 @@ def write_chr_csv(stream: IO[str], ledger: MetricsLedger, times_us: list[int]) -
             for time, (_, hits, misses, ratio) in zip(times[skipped:], series)
         ])
     stream.write("time_s,scope,hits,misses,chr\n" + _by_time(columns))
+
+
+
+# -- trace rendering ---------------------------------------------------------
+# A traced run keeps records (instant in us, KIND, *fields) of raw str and int
+# values. TRACE_FIELDS is the trace grammar, each kind's fields in line order.
+# The instant and the TRACE_TIMES fields print as seconds (format_time).
+
+TRACE_FIELDS = {
+    "SPAWN": ("vehicle", "road", "wanted"),
+    "EXIT": ("vehicle",),
+    "TX": ("kind", "sender", "channel", "name", "start", "end"),
+    "FETCH": ("rsu", "name", "id"),
+    "SERVER": ("name", "id"),
+    "DELIVER": ("vehicle", "name", "source", "cdt"),
+    "EVICT": ("rsu", "name"),
+    "ANNOUNCE": ("rsu", "items"),
+}
+TRACE_TIMES = ("start", "end", "cdt")
+
+
+def trace_text(records: list[tuple]) -> list[str]:
+    """The trace.log lines of a run's records: t=<instant> KIND field=value ..."""
+    lines = []
+    for at_us, kind, *values in records:
+        fields = [f"t={format_time(at_us)}", kind]
+        for name, value in zip(TRACE_FIELDS[kind], values, strict=True):
+            fields.append(f"{name}={format_time(value) if name in TRACE_TIMES else value}")
+        lines.append(" ".join(fields))
+    return lines

@@ -14,9 +14,8 @@ Services interface used by agents:
     deliver(record)                             record a completed delivery
     rsu_request(rsu_id)                         count a vehicle-originated request
     cache_event(rsu_id, hit)                    count an RSU cache lookup
-    trace(text)                                 append a trace line
-    tracing                                     True when trace lines are kept;
-                                                build trace text only then
+    trace(kind, *fields)                        record a trace event (metrics.TRACE_FIELDS)
+    tracing                                     True when the trace is kept: call trace only then
 """
 
 from __future__ import annotations
@@ -228,7 +227,7 @@ class CachingGateway(RsuBase):
     def _store(self, item: ContentItem, services) -> None:
         evicted = self.cache.put(item)
         if evicted is not None and services.tracing:
-            services.trace(f"EVICT rsu={self.id} name={evicted}")
+            services.trace("EVICT", self.id, evicted)
 
 
 class PlainGateway(RsuBase):
@@ -283,7 +282,7 @@ class Relay(RsuBase):
         if len(self.cache) == 0:
             return
         if services.tracing:
-            services.trace(f"ANNOUNCE rsu={self.id} items={len(self.cache)}")
+            services.trace("ANNOUNCE", self.id, len(self.cache))
         for item in self.cache.items():
             services.transmit(self.id, self._frame(item), self.id)
 

@@ -52,17 +52,15 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, at_us: int, action: Callable[[], None]) -> int:
-        """Enqueue an action; returns its sequence number."""
+    def schedule(self, at_us: int, action: Callable[[], None]) -> None:
+        """Enqueue an action, after those already queued at its instant."""
         if at_us < self.now_us:
             raise SchedulingInPast(
                 f"event at t={format_time(at_us)} is before the clock "
                 f"t={format_time(self.now_us)}"
             )
-        seq = self._next_seq
+        heapq.heappush(self._heap, (at_us, self._next_seq, action))
         self._next_seq += 1
-        heapq.heappush(self._heap, (at_us, seq, action))
-        return seq
 
     def peek_time(self) -> int | None:
         """The time of the earliest pending event; None when none is pending."""
@@ -78,7 +76,7 @@ class EventQueue:
             )
         self.now_us = at_us
 
-    def run_until(self, horizon_us: int) -> int:
+    def run_until(self, horizon_us: int) -> None:
         """Process every event due at or before the horizon, in time order.
 
         Events scheduled by handlers during the call are processed too when
@@ -91,14 +89,11 @@ class EventQueue:
                 f"horizon t={format_time(horizon_us)} is before the clock "
                 f"t={format_time(self.now_us)}"
             )
-        processed = 0
         while self._heap and self._heap[0][0] <= horizon_us:
             at_us, _seq, action = heapq.heappop(self._heap)
             self.now_us = at_us
             self.processed_total += 1
-            processed += 1
             action()
-        return processed
 
 
 class RandomSource:
@@ -112,7 +107,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._bits = random.Random(seed).getrandbits
 
     def draw(self, n: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 import vcachesim
 from vcachesim import scenarios
 from vcachesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from vcachesim.metrics import trace_text
 
 
 def parse_summary(text):
@@ -233,8 +234,10 @@ def test_trace_flag_writes_log(tmp_path, capsys):
     assert code == EXIT_OK
     log = tmp_path / "urban_single_cached_s3" / "trace.log"
     assert log.exists()
-    first = log.read_text().splitlines()[0]
-    assert first.startswith("t=")
+    # the run's records, rendered
+    cfg = scenarios.urban_single(count=20, seed=3)
+    cfg.trace = True
+    assert log.read_text().splitlines() == trace_text(vcachesim.run_simulation(cfg).trace_records)
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 from pathlib import Path
 
+from vcachesim.metrics import trace_text
 from vcachesim.scenarios import BUILDERS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -12,7 +13,7 @@ sys.path.insert(0, str(SCRIPTS))  # the script imports bench_pairs from beside i
 import diff_outputs  # noqa: E402
 
 CDT = "time_s,avg_cdt_s,deliveries\n0.000000,0.000000,0\n5.000000,0.001200,3\n"
-TRACE = "t=0.000000 SPAWN vehicle=v000 road=h wanted=/traffic/1\n"
+TRACE = trace_text([(0, "SPAWN", "v000", "h", "/traffic/1")])[0] + "\n"
 
 
 def outputs(root, files):

@@ -35,7 +35,7 @@ from vcachesim.scenarios import (
     urban_multi,
     urban_single,
 )
-from vcachesim.simcore import EventQueue, format_time, seconds_to_us
+from vcachesim.simcore import EventQueue, seconds_to_us
 
 # front to back, so also spawn order: (vehicle id, position on the road);
 # the sender r0 sits at the road's entry, and signals cover 300 m per us
@@ -300,31 +300,27 @@ def test_the_clock_ends_at_the_last_tick_instant(tick_s, extra_s, monkeypatch):
     assert set(ticks) <= set(dense_ticks)
 
 
-def instant_of(line):
-    """The instant of a trace line, in us."""
-    return int(line[len("t="):line.index(" ")].replace(".", ""))
-
-
 def test_due_work_at_exactly_the_last_tick_instant_runs():
     # cut a run at the instant of a vehicle's second beacon, an entry
     # re-armed from its plan: the shorter run ends at that tick instant,
     # and its trace is the longer run's up to the cut, that beacon included
     cfg = dataclasses.replace(highway_single(count=20, seed=1), trace=True)
-    lines = Simulation(cfg).run().trace_lines
-    beaconed, rearmed = set(), []  # senders seen; (instant, line) of their later beacons
-    for line in lines:
-        if " TX kind=beacon " in line:
-            sender = line.split()[3]
+    records = Simulation(cfg).run().trace_records
+    beaconed, rearmed = set(), []  # senders seen; the records of their later beacons
+    for record in records:
+        if record[1:3] == ("TX", "beacon"):
+            sender = record[3]
             if sender in beaconed:
-                rearmed.append((instant_of(line), line))
+                rearmed.append(record)
             beaconed.add(sender)
     window_us = seconds_to_us(cfg.arrival_window_s)
-    at_us, line = next((at_us, line) for at_us, line in rearmed if at_us >= window_us)
+    beacon = next(record for record in rearmed if record[0] >= window_us)
+    at_us = beacon[0]
     short = Simulation(dataclasses.replace(cfg, duration_s=at_us / 1_000_000))
-    cut = short.run().trace_lines
+    cut = short.run().trace_records
     assert short.last_tick_us == at_us
-    assert line in cut
-    assert cut == [line for line in lines if instant_of(line) <= at_us]
+    assert beacon in cut
+    assert cut == [record for record in records if record[0] <= at_us]
 
 
 def probe(cfg, at_us):
@@ -714,16 +710,17 @@ def test_a_sub_tick_interval_runs_once_per_tick(monkeypatch):
     sim = Simulation(cfg)
     log = []
     logged_due_work(sim, log, monkeypatch)
-    lines = sim.run().trace_lines
+    records = sim.run().trace_records
     instants = [at_us for at_us, what in log if what == "attempt v000"]
     assert len(instants) > 100
     assert {b - a for a, b in zip(instants, instants[1:])} == {sim.tick_us}
 
-    def first(text):
-        return next(line.split()[0] for line in lines if text in line)
+    def first(*head):
+        """The instant of the first record that starts with kind and fields head."""
+        return next(record[0] for record in records if record[1:1 + len(head)] == head)
 
-    assert first("TX kind=request") == f"t={format_time(instants[0])}"
-    assert first("EXIT vehicle=v000") == f"t={format_time(instants[-1] + sim.tick_us)}"
+    assert first("TX", "request") == instants[0]
+    assert first("EXIT", "v000") == instants[-1] + sim.tick_us
 
 
 def test_no_idle_tick_follows_a_beacon_only_tick(monkeypatch):

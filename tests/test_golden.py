@@ -12,6 +12,7 @@ import importlib.util
 import json
 import tempfile
 import weakref
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +22,8 @@ from conftest import reference_outputs
 from vcachesim import mobility
 from vcachesim.engine import Simulation
 from vcachesim.protocol import Beacon
-from vcachesim.simcore import EventQueue, format_time
+from vcachesim.scenarios import ScenarioConfig
+from vcachesim.simcore import EventQueue, seconds_to_us
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", _GOLDEN_DIR / "make_golden.py")
@@ -37,23 +39,17 @@ def test_table_covers_every_case():
 
 class CaseRun(NamedTuple):
     digests: dict[str, str]
-    taken: list[str]  # the run's SPAWN and EXIT lines
-    admitted: list[str]  # those lines as the traffic admitted before the run gives them
+    config: ScenarioConfig
+    trace: list[tuple]  # the run's trace records
+    taken: list[tuple]  # its SPAWN and EXIT records
+    admitted: list[tuple]  # those records as the traffic admitted before the run gives them
     world_ticks: int  # the calls that took traffic into the world
     never_spawned: int
 
 
-def traffic_lines(traffic, tick_us) -> list[str]:
-    """The SPAWN and EXIT lines of the traffic MobilityWorld.admit returned."""
-    lines = []
-    for step in traffic:
-        at = f"t={format_time(step.tick * tick_us)}"
-        lines += [f"{at} EXIT vehicle={state.id}" for state in step.exits]
-        lines += [
-            f"{at} SPAWN vehicle={state.id} road={state.road_id} wanted={arrival.wanted}"
-            for state, arrival in step.spawns
-        ]
-    return lines
+def traffic_records(records: list[tuple]) -> list[tuple]:
+    """The SPAWN and EXIT records among a run's trace records, in order."""
+    return [record for record in records if record[1] in ("SPAWN", "EXIT")]
 
 
 def run_case(case, out_dir, monkeypatch) -> CaseRun:
@@ -67,7 +63,13 @@ def run_case(case, out_dir, monkeypatch) -> CaseRun:
         assert all(step.exits or step.spawns for step in traffic)
         assert [step.tick for step in traffic] == sorted({step.tick for step in traffic})
         assert traffic[-1].tick <= last_tick
-        admitted.extend(traffic_lines(traffic, tick_us))
+        for step in traffic:
+            at_us = step.tick * tick_us
+            admitted.extend((at_us, "EXIT", state.id) for state in step.exits)
+            admitted.extend(
+                (at_us, "SPAWN", state.id, state.road_id, arrival.wanted)
+                for state, arrival in step.spawns
+            )
         return traffic
 
     def counted_tick(world, traffic):
@@ -82,10 +84,12 @@ def run_case(case, out_dir, monkeypatch) -> CaseRun:
     monkeypatch.setattr(mobility.MobilityWorld, "tick", counted_tick)
     monkeypatch.setattr(Simulation, "run", kept_run)
     digests = make_golden.digest_case(*case, out_dir)
-    trace = (out_dir / "trace.log").read_text().splitlines()
-    taken = [line for line in trace if " SPAWN " in line or " EXIT " in line]
     (result,) = results
-    return CaseRun(digests, taken, admitted, world_ticks[0], result.never_spawned)
+    trace = result.trace_records
+    return CaseRun(
+        digests, result.config, trace, traffic_records(trace), admitted, world_ticks[0],
+        result.never_spawned,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -112,6 +116,52 @@ def test_outputs_match_golden_digests(case, as_is):
 def test_every_golden_case_spawns_every_arrival(case, as_is):
     # so the CLI prints no never_spawned line for any of them
     assert as_is(case).never_spawned == 0
+
+
+def trace_violations(records: list[tuple], backhaul_latency_us: int) -> list[tuple]:
+    """(rule, record) for each record that breaks a timing rule of the trace:
+    every TX starts at the later of its instant and the end of the previous
+    TX on its channel; every DELIVER's cdt is its instant minus that of its
+    vehicle's first request TX, or 0 if the vehicle sent none; every SERVER
+    comes one backhaul latency after the FETCH with its id."""
+    busy, first_request, fetched, violations = {}, {}, {}, []
+    for record in records:
+        at_us, kind, *fields = record
+        if kind == "TX":
+            frame, sender, channel, _, start, end = fields
+            if start != max(at_us, busy.get(channel, 0)):
+                violations.append(("channel", record))
+            busy[channel] = end
+            if frame == "request":
+                first_request.setdefault(sender, at_us)
+        elif kind == "DELIVER":
+            vehicle, _, _, cdt = fields
+            if cdt != at_us - first_request.get(vehicle, at_us):
+                violations.append(("cdt", record))
+        elif kind == "FETCH":
+            fetched[fields[2]] = at_us
+        elif kind == "SERVER" and at_us != fetched.get(fields[1], -1) + backhaul_latency_us:
+            violations.append(("server", record))
+    return violations
+
+
+@pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
+def test_every_golden_trace_keeps_its_timing_rules(case, as_is):
+    run = as_is(case)
+    assert any(record[1] == "TX" for record in run.trace)
+    latency_us = seconds_to_us(run.config.backhaul_latency_s)
+    assert trace_violations(run.trace, latency_us) == []
+
+
+def test_a_delivery_after_a_retry_keeps_its_first_request_in_the_trace_cdt():
+    # a 6 s backhaul: a server fetch outlasts the 10 s request interval, so
+    # vehicles ask again before their content arrives; no golden case has one
+    cfg = make_golden.build("urban_single", True, 1, 20, (("backhaul_latency_s", 6.0),))
+    records = Simulation(cfg).run().trace_records
+    requests = Counter(record[3] for record in records if record[1:3] == ("TX", "request"))
+    delivered = [record[2] for record in records if record[1] == "DELIVER"]
+    assert sum(requests[vehicle] >= 2 for vehicle in delivered) == 8
+    assert trace_violations(records, 6_000_000) == []
 
 
 def counting_tracks(monkeypatch, brakes=True):
@@ -258,7 +308,7 @@ def test_the_run_takes_the_admitted_traffic_at_its_instants(case, as_is):
     # the instant admit gave it, in admit's order, once per tick with traffic
     run = as_is(case)
     assert run.taken and run.taken == run.admitted
-    instants = {line.split()[0] for line in run.taken}
+    instants = {record[0] for record in run.taken}
     assert run.world_ticks == len(instants)
 
 
@@ -324,11 +374,6 @@ def test_most_highway_ticks_only_beacon_or_idle(monkeypatch):
     assert len(sent - set(events)) > len(sent) // 2, ticks
 
 
-def instant_us(line: str) -> int:
-    """The instant of a trace line, in us."""
-    return int(line[len("t="):line.index(" ")].replace(".", ""))
-
-
 @pytest.mark.parametrize("duration_s", [100.0, 175.05, 210.0])
 def test_the_admitted_traffic_stops_at_the_last_tick_instant(duration_s, as_is):
     # a shorter run admits a prefix of the longer run's traffic: whatever
@@ -337,9 +382,9 @@ def test_the_admitted_traffic_stops_at_the_last_tick_instant(duration_s, as_is):
     full = as_is(case)
     sim = Simulation(dataclasses.replace(make_golden.build(*case), duration_s=duration_s))
     result = sim.run()
-    kept = [line for line in full.taken if instant_us(line) <= sim.last_tick_us]
+    kept = [record for record in full.taken if record[0] <= sim.last_tick_us]
     assert len(kept) < len(full.taken)
-    spawns = sum(" SPAWN " in line for line in kept)
-    assert [line for line in result.trace_lines if " SPAWN " in line or " EXIT " in line] == kept
+    spawns = sum(record[1] == "SPAWN" for record in kept)
+    assert traffic_records(result.trace_records) == kept
     assert (result.spawned, result.exited) == (spawns, len(kept) - spawns)
     assert result.never_spawned == 100 - spawns

@@ -2,16 +2,16 @@
 
 A relation needs no stored answer, so it checks any config the gate
 accepts. A longer run extends a shorter one: two configs that differ only
-in duration_s, both at least the arrival window, give the same trace lines
+in duration_s, both at least the arrival window, give the same trace records
 up to the shorter duration D, and the same CSV rows at every sample instant
 up to D that both grids share. The duration only cuts work off: the tick
 loop stops at the last tick instant and the event loop at the duration, so
 what either run does up to D cannot depend on where it ends.
 
 Caching does not move traffic: caching on and off give the same SPAWN and
-EXIT lines in the same order, because the kinematics read nothing from the
+EXIT records in the same order, because the kinematics read nothing from the
 radio. Later arrivals do not reach back: a highway builder at counts n < m
-with the same vehicle id width gives the same trace lines before the
+with the same vehicle id width gives the same trace records before the
 (n+1)-th spawn of the larger run, because highway arrivals are one a second
 in id order and no vehicle acts on one that has not spawned.
 """
@@ -33,11 +33,6 @@ from vcachesim.scenarios import BUILDERS
 from vcachesim.simcore import format_time, seconds_to_us
 
 WRITERS = (write_cdt_csv, write_server_requests_csv, write_rsu_requests_csv, write_chr_csv)
-
-
-def instant_of(line):
-    """The instant of a trace line, in us."""
-    return int(line[len("t="):line.index(" ")].replace(".", ""))
 
 
 @st.composite
@@ -89,9 +84,7 @@ def test_a_longer_run_extends_a_shorter_one(case):
     assert seconds_to_us(short_cfg.duration_s) == cut_us
     longer, shorter = Simulation(cfg).run(), Simulation(short_cfg).run()
 
-    assert shorter.trace_lines == [
-        line for line in longer.trace_lines if instant_of(line) <= cut_us
-    ]
+    assert shorter.trace_records == [r for r in longer.trace_records if r[0] <= cut_us]
     long_grid, long_files = csv_rows(longer)
     short_grid, short_files = csv_rows(shorter)
     shared = [format_time(t) for t in sorted(set(long_grid) & set(short_grid)) if t <= cut_us]
@@ -103,14 +96,9 @@ def test_a_longer_run_extends_a_shorter_one(case):
 
 
 def traced(name, **changes):
-    """The trace lines of one run of builder name, built with changes."""
+    """The trace records of one run of builder name, built with changes."""
     cfg = dataclasses.replace(BUILDERS[name](**changes), trace=True)
-    return Simulation(cfg).run().trace_lines
-
-
-def kind_of(line):
-    """The kind of a trace line: SPAWN, EXIT, TX, ..."""
-    return line.split(" ", 2)[1]
+    return Simulation(cfg).run().trace_records
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,18 +110,18 @@ def kind_of(line):
 )
 def test_caching_does_not_move_traffic(name, count, seed):
     on, off = (
-        [line for line in traced(name, count=count, seed=seed, caching=caching)
-         if kind_of(line) in ("SPAWN", "EXIT")]
+        [r for r in traced(name, count=count, seed=seed, caching=caching)
+         if r[1] in ("SPAWN", "EXIT")]
         for caching in (True, False)
     )
     assert on == off
-    assert sum(kind_of(line) == "SPAWN" for line in on) == count
+    assert sum(r[1] == "SPAWN" for r in on) == count
 
 
 @st.composite
 def highway_counts(draw):
     """(highway builder name, seed, n, m): 60 <= n < m <= 120, so that the
-    vehicle ids of both runs are three digits wide and the lines before the
+    vehicle ids of both runs are three digits wide and the records before the
     (n+1)-th spawn, n s in, hold the first vehicles' traffic, which starts
     about 37 s (highway_multi) or 50 s (highway_single) in."""
     name = draw(st.sampled_from(["highway_single", "highway_multi"]))
@@ -148,8 +136,8 @@ def highway_counts(draw):
 def test_later_arrivals_do_not_reach_back(case):
     name, seed, n, m = case
     smaller, larger = (traced(name, count=count, seed=seed) for count in (n, m))
-    spawns = [i for i, line in enumerate(larger) if kind_of(line) == "SPAWN"]
+    spawns = [i for i, r in enumerate(larger) if r[1] == "SPAWN"]
     assert len(spawns) == m
-    before = spawns[n]  # the lines before the larger run's (n+1)-th spawn
+    before = spawns[n]  # the records before the larger run's (n+1)-th spawn
     assert smaller[:before] == larger[:before]
-    assert {kind_of(line) for line in larger[:before]} > {"SPAWN"}
+    assert {r[1] for r in larger[:before]} > {"SPAWN"}

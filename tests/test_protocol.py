@@ -43,7 +43,7 @@ class FakeServices:
         self.fetches = []  # (rsu id, name, request id)
         self.rsu_requests = []
         self.cache_events = []  # (rsu id, hit)
-        self.traces = []
+        self.traces = []  # (kind, *fields)
         self.deferred = []  # (delay, action)
 
     def transmit(self, channel_owner, frame, sender):
@@ -64,8 +64,8 @@ class FakeServices:
     def cache_event(self, rsu_id, hit):
         self.cache_events.append((rsu_id, hit))
 
-    def trace(self, text):
-        self.traces.append(text)
+    def trace(self, kind, *fields):
+        self.traces.append((kind, *fields))
 
     def run_deferred(self):
         pending, self.deferred = self.deferred, []
@@ -263,7 +263,7 @@ def test_gateway_eviction_traces():
     gw = make_gateway(capacity=1)
     gw.on_frame(RelayRebroadcast(WANT_ITEM), 100, svc)
     gw.on_frame(RelayRebroadcast(OTHER_ITEM), 200, svc)
-    assert svc.traces == [f"EVICT rsu=r0 name={WANT}"]
+    assert svc.traces == [("EVICT", "r0", WANT)]
 
 
 # -- plain gateway -----------------------------------------------------------------
@@ -370,7 +370,7 @@ def test_relay_announce_rebroadcasts_whole_cache_lru_first():
     relay.on_announce(200, svc)
     names = [frame.name for _, frame, _ in svc.transmitted]
     assert names == [WANT, OTHER]
-    assert svc.traces == ["ANNOUNCE rsu=r0 items=2"]
+    assert svc.traces == [("ANNOUNCE", "r0", 2)]
 
 
 def test_relay_sends_one_frame_object_per_item():

@@ -7,7 +7,6 @@ pin the invariants the experiment metrics rely on.
 import dataclasses
 import hashlib
 import pickle
-import re
 import sys
 from pathlib import Path
 
@@ -22,7 +21,10 @@ from vcachesim.metrics import (
     SOURCE_RSU_HIT,
     TARGET_ALL_RSUS,
     TARGET_SERVER,
+    TRACE_FIELDS,
+    TRACE_TIMES,
     sample_grid,
+    trace_text,
 )
 from vcachesim.mobility import HIGHWAY_UNIFORM, RoadSegment, free_track
 from vcachesim.protocol import (
@@ -139,7 +141,7 @@ def test_same_seed_runs_are_identical():
     cfg_b.trace = True
     _, a = run_pair(cfg_a)
     _, b = run_pair(cfg_b)
-    assert a.trace_lines == b.trace_lines
+    assert a.trace_records == b.trace_records
     assert a.ledger.deliveries == b.ledger.deliveries
     assert a.ledger.server_events == b.ledger.server_events
     assert a.ledger.rsu_events == b.ledger.rsu_events
@@ -279,7 +281,7 @@ def test_rsu_caches_hold_the_catalogs_own_items(storm):
     # content frames carry the catalog's item and RSUs cache it as it is;
     # each relay builds at most one frame per item
     sim, result = storm
-    assert any("EVICT" in line for line in result.trace_lines)  # caches turned over
+    assert any(record[1] == "EVICT" for record in result.trace_records)  # caches turned over
     relays = [rsu for rsu in sim.rsus.values() if isinstance(rsu, Relay)]
     assert len(relays) == 2
     for rsu in sim.rsus.values():
@@ -307,12 +309,11 @@ def test_every_name_in_a_run_is_one_of_the_catalogs_str_keys(storm):
 
 
 def test_frame_kinds_are_the_names_the_benchmark_counts(storm):
-    # the trace's kind= and the frames_transmitted keys are the lower-cased
+    # the TX records' kind and the frames_transmitted keys are the lower-cased
     # class names, which the benchmark tracer's FRAME_KINDS lists
     sim, result = storm
     counted = set(tracing.FRAME_KINDS) - {"other"}
-    sent = {re.search(r" TX kind=(\S+) ", line).group(1) for line in result.trace_lines
-            if " TX " in line}
+    sent = {record[2] for record in result.trace_records if record[1] == "TX"}
     assert sent == set(sim.frames_transmitted) == counted  # every kind sent here
 
 
@@ -326,26 +327,26 @@ def test_server_requests_never_outrun_rsu_requests(urban_cached, urban_nocache, 
             assert n_server <= n_rsu
 
 
-TRACE_RE = re.compile(r"^t=(\d+)\.(\d{6}) (SPAWN|EXIT|TX|DELIVER|FETCH|SERVER|EVICT|ANNOUNCE) ")
-
-
 def test_trace_lines_are_ordered_and_well_formed(traced):
+    # one field per name of its kind in the grammar, times in integer us
     _, result = traced
-    assert result.trace_lines, "tracing was enabled"
+    assert result.trace_records, "tracing was enabled"
     last = 0
     seen = set()
-    for line in result.trace_lines:
-        match = TRACE_RE.match(line)
-        assert match, f"malformed trace line: {line!r}"
-        at_us = int(match.group(1)) * 1_000_000 + int(match.group(2))
-        assert at_us >= last
+    for at_us, kind, *values in result.trace_records:
+        names = TRACE_FIELDS[kind]
+        assert len(values) == len(names), (at_us, kind, values)
+        for name, value in zip(names, values):
+            assert type(value) in ((int,) if name in TRACE_TIMES else (int, str)), (kind, name)
+        assert type(at_us) is int and at_us >= last
         last = at_us
-        seen.add(match.group(3))
+        seen.add(kind)
     assert {"SPAWN", "EXIT", "TX", "DELIVER", "FETCH", "SERVER"} <= seen
+    assert len(trace_text(result.trace_records)) == len(result.trace_records)
 
 
 def test_untraced_runs_carry_no_lines(urban_cached):
-    assert urban_cached[1].trace_lines is None
+    assert urban_cached[1].trace_records is None
 
 
 def test_an_untraced_run_builds_no_trace_text(monkeypatch):
@@ -361,16 +362,16 @@ def test_an_untraced_run_builds_no_trace_text(monkeypatch):
     ]
     kinds = set()
     for cfg in runs:
-        for line in Simulation(dataclasses.replace(cfg, trace=True)).run().trace_lines:
-            kinds.add(TRACE_RE.match(line).group(3))
+        for record in Simulation(dataclasses.replace(cfg, trace=True)).run().trace_records:
+            kinds.add(record[1])
     assert kinds == {"SPAWN", "EXIT", "TX", "DELIVER", "FETCH", "SERVER", "EVICT", "ANNOUNCE"}
 
-    def refuse(sim, text):
-        raise AssertionError(f"trace text built with the trace off: {text}")
+    def refuse(sim, kind, *fields):
+        raise AssertionError(f"trace recorded with the trace off: {kind} {fields}")
 
     monkeypatch.setattr(Simulation, "trace", refuse)
     for cfg in runs:
-        assert Simulation(cfg).run().trace_lines is None
+        assert Simulation(cfg).run().trace_records is None
 
 
 def test_a_request_can_end_after_its_sender_exited():
@@ -398,7 +399,7 @@ def test_a_request_can_end_after_its_sender_exited():
     assert len(late) == 19
     assert (result.events_processed, result.satisfied, result.exited) == (618, 39, 40)
     assert result.ledger.final_avg_cdt_us() == 13_727_531.0
-    assert hashlib.sha256("\n".join(result.trace_lines).encode()).hexdigest() == (
+    assert hashlib.sha256("\n".join(trace_text(result.trace_records)).encode()).hexdigest() == (
         "8e8b32d3ea3a9a36ea131d67d46ae2c66873eb8b8b3db93be02c02f2f142f1ff"
     )
 
@@ -519,7 +520,7 @@ def test_every_sender_is_inside_the_zone_whose_channel_it_takes(builder):
     assert ("CachingGateway", "Response", True) in sent
     if builder is highway_multi:  # relays forward misses, rebroadcast and announce
         assert {("Relay", "Request forward", False), ("Relay", "RelayRebroadcast", True)} <= sent
-        assert any(" ANNOUNCE " in line for line in sim.trace_lines)
+        assert any(record[1] == "ANNOUNCE" for record in sim.trace_records)
 
 
 def test_tracked_vehicles_beacon_only_in_a_zone_and_attempt_only_from_their_first_zone(
