@@ -137,6 +137,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush, heapreplace
+from operator import attrgetter
 from weakref import WeakKeyDictionary
 
 from .content import catalog
@@ -152,7 +153,7 @@ from .protocol import (
     SATISFIED,
     VehicleAgent,
 )
-from .radio import Channel, in_range, propagation_us, tx_duration_us
+from .radio import Channel, in_range, owner_at, propagation_us, tx_duration_us
 from .scenarios import ROLE_RELAY, RsuSpec, ScenarioConfig, validate_config
 from .simcore import EventQueue, RandomSource, seconds_to_us
 
@@ -206,7 +207,7 @@ class Simulation:
                     hearing.append((rsu_id, delay))
         # not a method: memos that referred to the engine would keep a
         # finished run's tracks alive until a cyclic collection
-        self._owner_at = partial(_zone_owner_at, self.zones)
+        self._owner_at = partial(owner_at, self.zones)
 
         self.rsus: dict[str, RsuBase] = {}
         for spec in cfg.rsus:
@@ -401,15 +402,15 @@ class Simulation:
         """One tick's due attempts, then its due beacons, each in spawn order,
         to the target or on the channel planned for its run age. Exits
         happen only in the tick, so every vehicle here is active."""
-        now, vehicles = self.queue.now_us, self.vehicles
+        vehicles = self.vehicles
         for vid, target in attempts:
-            vehicles[vid].on_attempt(now, target, self)
+            vehicles[vid].on_attempt(target, self)
         beacon = self._beacon
         for vid, owner in beacons:
             self.transmit(owner, beacon, vid)
 
     def _on_announce(self, rsu_id: str) -> None:
-        self.rsus[rsu_id].on_announce(self.queue.now_us, self)
+        self.rsus[rsu_id].on_announce(self)
         self.queue.schedule(
             self.queue.now_us + self.announce_interval_us, partial(self._on_announce, rsu_id)
         )
@@ -450,16 +451,11 @@ class Simulation:
                 batch.append(node_id)
 
     def _on_receive(self, node_ids: list[str], frame) -> None:
-        now = self.queue.now_us
         wanting = self._wanting.get(frame.name)  # a vehicle here was in it at frame end
-        for node_id in node_ids:
-            rsu = self.rsus.get(node_id)
-            if rsu is not None:
-                rsu.on_frame(frame, now, self)
-            else:
-                agent = wanting.get(node_id)
-                if agent is not None:
-                    agent.on_frame(frame, now, self)
+        for node_id in node_ids:  # the RSU, or else the vehicle still wanting the item
+            agent = self.rsus.get(node_id) or wanting.get(node_id)
+            if agent is not None:
+                agent.on_frame(frame, self)
 
     def _receivers(self, zone_id: str, sender: str, frame) -> list[tuple[str, int]]:
         """In-range nodes that act on frame, with their propagation delays
@@ -531,9 +527,11 @@ class Simulation:
         )
 
     def _on_backhaul_return(self, rsu_id: str, item, request_id: str) -> None:
-        self.rsus[rsu_id].on_content(item, request_id, self.queue.now_us, self)
+        self.rsus[rsu_id].on_content(item, request_id, self)
 
     # -- services for agents ---------------------------------------------------
+
+    now_us = property(attrgetter("queue.now_us"))
 
     def after(self, delay_us: int, action) -> None:
         self.queue.schedule(self.queue.now_us + delay_us, action)
@@ -552,18 +550,6 @@ class Simulation:
 
     def trace(self, kind: str, *fields) -> None:
         self.trace_records.append((self.queue.now_us, kind, *fields))
-
-
-def _zone_owner_at(zones: dict[str, RsuSpec], point: tuple[float, float]) -> str | None:
-    """Owner of the nearest zone covering point; id order breaks exact ties."""
-    best: tuple[float, str] | None = None
-    for rsu_id, zone in zones.items():
-        distance = math.hypot(point[0] - zone.center[0], point[1] - zone.center[1])
-        if distance <= zone.radius_m:
-            key = (distance, rsu_id)
-            if best is None or key < best:
-                best = key
-    return best[1] if best else None
 
 
 class _TrackAges:

@@ -1,13 +1,14 @@
 """Node state machines: vehicles and the three RSU roles.
 
-Agents are pure protocol logic. Everything environmental (channels, clocks,
-backhaul wiring, metric recording) is reached through a services object the
-engine provides, which keeps each handler unit-testable with a stub. Only
+Agents are pure protocol logic. Every handler takes its input and services,
+the object the engine provides for all that is environmental (channels,
+the clock, backhaul wiring, metric recording), so a stub can test it. Only
 the engine decides who hears a frame (Simulation._receivers), so a handler
 takes every frame it gets as its own. Content frames carry the catalog's
 ContentItem, which RSUs cache as it is; a relay sends one frame per item.
 
 Services interface used by agents:
+    now_us                                      the current instant (read-only)
     transmit(channel_owner, frame, sender_id)   queue a frame on a zone channel
     after(delay_us, action)                     schedule a follow-up action
     backhaul_fetch(rsu_id, name, request_id)    start a server round trip
@@ -65,7 +66,6 @@ class Response:
     name = property(attrgetter("item.name"))
     payload_bits = property(attrgetter("item.payload_bits"))
     item: ContentItem
-    request_id: str
     origin: str  # rsu-hit | server-fetch
 
 
@@ -76,6 +76,7 @@ class Beacon:
 
 @dataclass(slots=True)
 class RelayRebroadcast:
+    origin = SOURCE_RELAY_HIT
     name = property(attrgetter("item.name"))
     payload_bits = property(attrgetter("item.payload_bits"))
     item: ContentItem
@@ -103,7 +104,7 @@ class VehicleAgent:
         self.first_request_at_us: int | None = None
         self.requests_sent = 0
 
-    def on_attempt(self, now_us: int, target_rsu: str | None, services) -> None:
+    def on_attempt(self, target_rsu: str | None, services) -> None:
         """One request attempt, made every request_interval_s.
 
         target_rsu is the RSU whose zone covers the vehicle (nearest when
@@ -113,30 +114,30 @@ class VehicleAgent:
         if self.status == SATISFIED:
             return
         if self.precached:
-            self._deliver(now_us, SOURCE_LOCAL_PRECACHE, services)
+            self._deliver(SOURCE_LOCAL_PRECACHE, services)
             return
         if target_rsu is None:
             return
         if self.first_request_at_us is None:
-            self.first_request_at_us = now_us
+            self.first_request_at_us = services.now_us
         self.status = WAITING
         request = Request(self.wanted, f"{self.id}.{self.requests_sent}", target_rsu)
         self.requests_sent += 1
         services.transmit(target_rsu, request, self.id)
 
-    def on_frame(self, frame, now_us: int, services) -> None:
+    def on_frame(self, frame, services) -> None:
         """Content for the wanted item: a Response or a RelayRebroadcast."""
         if self.caching:
             self.precached = True
         if self.status == WAITING:
-            source = frame.origin if isinstance(frame, Response) else SOURCE_RELAY_HIT
-            self._deliver(now_us, source, services)
+            self._deliver(frame.origin, services)
 
-    def _deliver(self, now_us: int, source: str, services) -> None:
+    def _deliver(self, source: str, services) -> None:
         """Satisfied now. A pre-cache hit comes before any request is sent
         (a waiting vehicle is satisfied by the content it hears), so it is
         its own first request and takes no time."""
         self.status = SATISFIED
+        now_us = services.now_us
         if self.first_request_at_us is None:
             self.first_request_at_us = now_us
         services.deliver(
@@ -163,18 +164,18 @@ class RsuBase:
         self.id = rsu_id
         self.proc_delay_us = proc_delay_us
 
-    def on_frame(self, frame, now_us: int, services) -> None:
+    def on_frame(self, frame, services) -> None:
         if isinstance(frame, Request):
             if not frame.forwarded:  # the ledger counts vehicle-originated ones
                 services.rsu_request(self.id)
-            self._on_request(frame, now_us, services)
+            self._on_request(frame, services)
         else:
-            self._on_broadcast(frame, now_us, services)
+            self._on_broadcast(frame, services)
 
-    def _on_broadcast(self, frame, now_us: int, services) -> None:
+    def _on_broadcast(self, frame, services) -> None:
         pass
 
-    def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
+    def on_content(self, item: ContentItem, request_id: str, services) -> None:
         raise OrphanResponse(f"{self.id} has no backhaul and expected no content")
 
     def _send_later(self, channel_owner: str, frame, services) -> None:
@@ -190,7 +191,7 @@ class RsuBase:
         services.cache_event(self.id, hit=item is not None)
         if item is None:
             return False
-        self._send_later(self.id, Response(item, frame.request_id, SOURCE_RSU_HIT), services)
+        self._send_later(self.id, Response(item, SOURCE_RSU_HIT), services)
         return True
 
 
@@ -206,23 +207,23 @@ class CachingGateway(RsuBase):
         self.cache = LruStore(capacity)
         self._pending: set[str] = set()  # names with a backhaul fetch in flight
 
-    def _on_request(self, frame: Request, now_us: int, services) -> None:
+    def _on_request(self, frame: Request, services) -> None:
         if self._answer_from_cache(frame, services):
             return
         if frame.name not in self._pending:
             self._pending.add(frame.name)
             services.backhaul_fetch(self.id, frame.name, frame.request_id)
 
-    def _on_broadcast(self, frame, now_us: int, services) -> None:
+    def _on_broadcast(self, frame, services) -> None:
         # overheard neighbor traffic is free cache warm-up; never rebroadcast
         self._store(frame.item, services)
 
-    def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
+    def on_content(self, item: ContentItem, request_id: str, services) -> None:
         if item.name not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request for {item.name}")
         self._pending.remove(item.name)
         self._store(item, services)
-        self._send_later(self.id, Response(item, request_id, SOURCE_SERVER_FETCH), services)
+        self._send_later(self.id, Response(item, SOURCE_SERVER_FETCH), services)
 
     def _store(self, item: ContentItem, services) -> None:
         evicted = self.cache.put(item)
@@ -237,15 +238,15 @@ class PlainGateway(RsuBase):
         super().__init__(rsu_id, proc_delay_us)
         self._pending: set[str] = set()  # request ids
 
-    def _on_request(self, frame: Request, now_us: int, services) -> None:
+    def _on_request(self, frame: Request, services) -> None:
         self._pending.add(frame.request_id)
         services.backhaul_fetch(self.id, frame.name, frame.request_id)
 
-    def on_content(self, item: ContentItem, request_id: str, now_us: int, services) -> None:
+    def on_content(self, item: ContentItem, request_id: str, services) -> None:
         if request_id not in self._pending:
             raise OrphanResponse(f"{self.id}: no pending request {request_id}")
         self._pending.remove(request_id)
-        self._send_later(self.id, Response(item, request_id, SOURCE_SERVER_FETCH), services)
+        self._send_later(self.id, Response(item, SOURCE_SERVER_FETCH), services)
 
 
 class Relay(RsuBase):
@@ -265,19 +266,19 @@ class Relay(RsuBase):
         self.next_hop = next_hop
         self._frames: dict[str, RelayRebroadcast] = {}  # name -> its frame
 
-    def _on_request(self, frame: Request, now_us: int, services) -> None:
+    def _on_request(self, frame: Request, services) -> None:
         if not self._answer_from_cache(frame, services):
             forward = Request(frame.name, frame.request_id, self.next_hop, True)
             self._send_later(self.next_hop, forward, services)
 
-    def _on_broadcast(self, frame, now_us: int, services) -> None:
+    def _on_broadcast(self, frame, services) -> None:
         item = frame.item
         held = self.cache.peek(item.name) is not None
         self.cache.put(item)  # a held name gains recency
         if not held:
             self._send_later(self.id, self._frame(item), services)
 
-    def on_announce(self, now_us: int, services) -> None:
+    def on_announce(self, services) -> None:
         """Rebroadcast the whole cache, least recently used first."""
         if len(self.cache) == 0:
             return

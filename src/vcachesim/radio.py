@@ -30,6 +30,18 @@ def in_range(zone, point: tuple[float, float]) -> bool:
     return math.hypot(point[0] - zone.center[0], point[1] - zone.center[1]) <= zone.radius_m
 
 
+def owner_at(zones: dict, point: tuple[float, float]) -> str | None:
+    """Owner of the nearest zone covering point; id order breaks exact ties."""
+    best: tuple[float, str] | None = None
+    for rsu_id, zone in zones.items():
+        distance = math.hypot(point[0] - zone.center[0], point[1] - zone.center[1])
+        if distance <= zone.radius_m:
+            key = (distance, rsu_id)
+            if best is None or key < best:
+                best = key
+    return best[1] if best else None
+
+
 def tx_duration_us(params: RadioParams, payload_bits: int) -> int:
     """Airtime quantized up to whole microseconds for the event clock; at
     least 1 us, for every frame has a header."""

@@ -1,9 +1,10 @@
 """The CSV writers render what a csv.writer row per line rendered, byte for byte.
 
-Each writer builds its file as one string. The reference renderer below is
-the row-by-row csv.writer form they replaced; a Hypothesis test draws
-ledgers and grids and holds the two identical, and a run whose RSU ids need
-quoting must read back through csv.reader.
+Each writer builds its file as one string. The frozen package's writers
+(tests/reference/vcachesim_ref) are the row-by-row csv.writer form they
+replaced; a Hypothesis test draws ledgers and grids and holds the two
+identical, and a run whose RSU ids need quoting must read back through
+csv.reader.
 """
 
 import csv
@@ -19,7 +20,6 @@ from vcachesim.metrics import (
     MetricsLedger,
     SOURCE_RSU_HIT,
     TARGET_ALL_RSUS,
-    TARGET_SERVER,
     sample_grid,
     write_cdt_csv,
     write_chr_csv,
@@ -27,58 +27,13 @@ from vcachesim.metrics import (
     write_server_requests_csv,
 )
 from vcachesim.scenarios import urban_multi
-from vcachesim.simcore import format_time
-
-# -- the reference: one csv.writer row per line ------------------------------
-
-
-def _writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
-def reference_cdt(stream, ledger, times_us):
-    out = _writer(stream)
-    out.writerow(["time_s", "avg_cdt_s", "deliveries"])
-    for t, count, avg_us in ledger.avg_cdt_series(times_us):
-        out.writerow([format_time(t), f"{avg_us / 1_000_000:.6f}", count])
-
-
-def reference_server_requests(stream, ledger, times_us):
-    out = _writer(stream)
-    out.writerow(["time_s", "cumulative"])
-    for t, count in ledger.request_count_series(times_us, TARGET_SERVER):
-        out.writerow([format_time(t), count])
-
-
-def reference_rsu_requests(stream, ledger, times_us):
-    out = _writer(stream)
-    out.writerow(["time_s", "rsu_id", "cumulative"])
-    per_rsu = {
-        rsu_id: ledger.request_count_series(times_us, rsu_id) for rsu_id in ledger.rsu_ids
-    }
-    for i, t in enumerate(times_us):
-        for rsu_id in ledger.rsu_ids:
-            out.writerow([format_time(t), rsu_id, per_rsu[rsu_id][i][1]])
-
-
-def reference_chr(stream, ledger, times_us):
-    out = _writer(stream)
-    out.writerow(["time_s", "scope", "hits", "misses", "chr"])
-    scopes = [TARGET_ALL_RSUS] + list(ledger.rsu_ids)
-    series = {scope: {p[0]: p for p in ledger.chr_series(times_us, scope)} for scope in scopes}
-    for t in times_us:
-        for scope in scopes:
-            point = series[scope].get(t)
-            if point is not None:
-                _, hits, misses, ratio = point
-                out.writerow([format_time(t), scope, hits, misses, f"{ratio:.6f}"])
-
+from vcachesim_ref import metrics as ref_metrics
 
 PAIRS = (
-    (write_cdt_csv, reference_cdt),
-    (write_server_requests_csv, reference_server_requests),
-    (write_rsu_requests_csv, reference_rsu_requests),
-    (write_chr_csv, reference_chr),
+    (write_cdt_csv, ref_metrics.write_cdt_csv),
+    (write_server_requests_csv, ref_metrics.write_server_requests_csv),
+    (write_rsu_requests_csv, ref_metrics.write_rsu_requests_csv),
+    (write_chr_csv, ref_metrics.write_chr_csv),
 )
 
 

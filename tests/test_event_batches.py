@@ -55,10 +55,10 @@ class Recorder:
         self.status = IDLE  # a listener: not yet satisfied
         self.wanted = ITEM  # the item broadcast sends
 
-    def on_frame(self, frame, now_us, services):
-        self.log.append((now_us, self.id))
+    def on_frame(self, frame, services):
+        self.log.append((services.now_us, self.id))
         if self.on_hear is not None:
-            self.on_hear(now_us, services)
+            self.on_hear(services)
 
 
 def layout(log, on_hear=None):
@@ -85,7 +85,7 @@ def layout(log, on_hear=None):
 
 def broadcast(sim):
     """Send one response from r0; returns the instant its airtime ends."""
-    sim.transmit("r0", Response(ContentItem(ITEM, 2000), "v9.0", SOURCE_RSU_HIT), "r0")
+    sim.transmit("r0", Response(ContentItem(ITEM, 2000), SOURCE_RSU_HIT), "r0")
     (end, _, _), = sim.queue._heap
     sim.queue.run_until(sim.duration_us)
     return end
@@ -111,7 +111,7 @@ def test_receivers_hear_in_instant_then_receive_order():
 def test_same_instant_follow_up_runs_after_the_rest_of_the_batch():
     log = []
 
-    def follow_up(now_us, services):
+    def follow_up(services):
         services.after(0, lambda: log.append((sim.queue.now_us, "r1 follow-up")))
 
     sim = layout(log, on_hear={"r1": follow_up})
@@ -509,9 +509,9 @@ def test_the_tick_sends_no_beacon_at_once_at_the_heap_top_or_with_other_work_at_
     attempted = set()
     on_attempt = VehicleAgent.on_attempt
 
-    def logged_attempt(agent, now_us, target, services):
-        attempted.add(now_us)
-        on_attempt(agent, now_us, target, services)
+    def logged_attempt(agent, target, services):
+        attempted.add(services.now_us)
+        on_attempt(agent, target, services)
 
     monkeypatch.setattr(VehicleAgent, "on_attempt", logged_attempt)
     Simulation(cfg).run()
@@ -553,9 +553,9 @@ def logged_due_work(sim, log, monkeypatch):
     """Record (instant, what) for every attempt and beacon sim runs."""
     on_attempt, transmit = VehicleAgent.on_attempt, sim.transmit
 
-    def attempt(agent, now_us, target, services):
-        log.append((now_us, f"attempt {agent.id}"))
-        on_attempt(agent, now_us, target, services)
+    def attempt(agent, target, services):
+        log.append((services.now_us, f"attempt {agent.id}"))
+        on_attempt(agent, target, services)
 
     def logged_transmit(channel_owner, frame, sender):
         if isinstance(frame, Beacon):
@@ -602,11 +602,11 @@ def test_the_next_tick_is_queued_before_what_due_work_schedules(monkeypatch):
     ticks = logged_ticks(sim)
     on_attempt = VehicleAgent.on_attempt
 
-    def attempt(agent, now_us, target, services):
-        if now_us == at_us and agent.id == "v000":
+    def attempt(agent, target, services):
+        if services.now_us == at_us and agent.id == "v000":
             later = at_us + sim.tick_us
             sim.queue.schedule(later, lambda: log.append(list(ticks)))
-        on_attempt(agent, now_us, target, services)
+        on_attempt(agent, target, services)
 
     monkeypatch.setattr(VehicleAgent, "on_attempt", attempt)
     sim.run()

@@ -20,9 +20,9 @@ import pytest
 
 from conftest import reference_outputs
 from vcachesim import mobility
-from vcachesim.engine import Simulation
+from vcachesim.engine import Simulation, SimulationResult
 from vcachesim.protocol import Beacon
-from vcachesim.scenarios import ScenarioConfig
+from vcachesim.radio import tx_duration_us
 from vcachesim.simcore import EventQueue, seconds_to_us
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -39,12 +39,10 @@ def test_table_covers_every_case():
 
 class CaseRun(NamedTuple):
     digests: dict[str, str]
-    config: ScenarioConfig
-    trace: list[tuple]  # the run's trace records
+    result: SimulationResult  # its trace records kept
     taken: list[tuple]  # its SPAWN and EXIT records
     admitted: list[tuple]  # those records as the traffic admitted before the run gives them
     world_ticks: int  # the calls that took traffic into the world
-    never_spawned: int
 
 
 def traffic_records(records: list[tuple]) -> list[tuple]:
@@ -85,10 +83,8 @@ def run_case(case, out_dir, monkeypatch) -> CaseRun:
     monkeypatch.setattr(Simulation, "run", kept_run)
     digests = make_golden.digest_case(*case, out_dir)
     (result,) = results
-    trace = result.trace_records
     return CaseRun(
-        digests, result.config, trace, traffic_records(trace), admitted, world_ticks[0],
-        result.never_spawned,
+        digests, result, traffic_records(result.trace_records), admitted, world_ticks[0]
     )
 
 
@@ -115,23 +111,34 @@ def test_outputs_match_golden_digests(case, as_is):
 @pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
 def test_every_golden_case_spawns_every_arrival(case, as_is):
     # so the CLI prints no never_spawned line for any of them
-    assert as_is(case).never_spawned == 0
+    assert as_is(case).result.never_spawned == 0
 
 
-def trace_violations(records: list[tuple], backhaul_latency_us: int) -> list[tuple]:
-    """(rule, record) for each record that breaks a timing rule of the trace:
-    every TX starts at the later of its instant and the end of the previous
-    TX on its channel; every DELIVER's cdt is its instant minus that of its
-    vehicle's first request TX, or 0 if the vehicle sent none; every SERVER
-    comes one backhaul latency after the FETCH with its id."""
+def trace_violations(result: SimulationResult) -> list[tuple]:
+    """(rule, record) for each record that breaks a timing rule of the
+    result's trace: every TX starts at the later of its instant and the end
+    of the previous TX on its channel, and lasts the airtime of the beacon
+    payload, of 8 bits per character of a request's name, or of the catalog
+    payload for content; every DELIVER's cdt is its instant minus that of
+    its vehicle's first request TX, or 0 if the vehicle sent none; every
+    SERVER comes one backhaul latency after the FETCH with its id. Then
+    ("count", (kind, records, result count)) for each of the SPAWN, EXIT and
+    DELIVER counts that is not the result's spawned, exited or satisfied."""
+    cfg, records = result.config, result.trace_records
+    backhaul_latency_us = seconds_to_us(cfg.backhaul_latency_s)
+    payload_bits = {"beacon": cfg.radio.beacon_payload_bits}  # frame kind -> its payload
+    payload_bits["response"] = payload_bits["relayrebroadcast"] = cfg.payload_bits
     busy, first_request, fetched, violations = {}, {}, {}, []
     for record in records:
         at_us, kind, *fields = record
         if kind == "TX":
-            frame, sender, channel, _, start, end = fields
+            frame, sender, channel, name, start, end = fields
             if start != max(at_us, busy.get(channel, 0)):
                 violations.append(("channel", record))
             busy[channel] = end
+            bits = 8 * len(name) if frame == "request" else payload_bits[frame]
+            if end - start != tx_duration_us(cfg.radio, bits):
+                violations.append(("airtime", record))
             if frame == "request":
                 first_request.setdefault(sender, at_us)
         elif kind == "DELIVER":
@@ -142,26 +149,32 @@ def trace_violations(records: list[tuple], backhaul_latency_us: int) -> list[tup
             fetched[fields[2]] = at_us
         elif kind == "SERVER" and at_us != fetched.get(fields[1], -1) + backhaul_latency_us:
             violations.append(("server", record))
+    counts = Counter(record[1] for record in records)
+    for kind, count in (
+        ("SPAWN", result.spawned), ("EXIT", result.exited), ("DELIVER", result.satisfied)
+    ):
+        if counts[kind] != count:
+            violations.append(("count", (kind, counts[kind], count)))
     return violations
 
 
 @pytest.mark.parametrize("case", make_golden.CASES, ids=lambda case: make_golden.case_id(*case))
 def test_every_golden_trace_keeps_its_timing_rules(case, as_is):
-    run = as_is(case)
-    assert any(record[1] == "TX" for record in run.trace)
-    latency_us = seconds_to_us(run.config.backhaul_latency_s)
-    assert trace_violations(run.trace, latency_us) == []
+    result = as_is(case).result
+    assert any(record[1] == "TX" for record in result.trace_records)
+    assert trace_violations(result) == []
 
 
 def test_a_delivery_after_a_retry_keeps_its_first_request_in_the_trace_cdt():
     # a 6 s backhaul: a server fetch outlasts the 10 s request interval, so
     # vehicles ask again before their content arrives; no golden case has one
     cfg = make_golden.build("urban_single", True, 1, 20, (("backhaul_latency_s", 6.0),))
-    records = Simulation(cfg).run().trace_records
+    result = Simulation(cfg).run()
+    records = result.trace_records
     requests = Counter(record[3] for record in records if record[1:3] == ("TX", "request"))
     delivered = [record[2] for record in records if record[1] == "DELIVER"]
     assert sum(requests[vehicle] >= 2 for vehicle in delivered) == 8
-    assert trace_violations(records, 6_000_000) == []
+    assert trace_violations(result) == []
 
 
 def counting_tracks(monkeypatch, brakes=True):

@@ -65,9 +65,9 @@ def test_attempts_and_beacons_run_inside_the_tick_and_are_still_traced(monkeypat
     attempts = []
     on_attempt = VehicleAgent.on_attempt
 
-    def counted(agent, now_us, target, services):
+    def counted(agent, target, services):
         attempts.append(agent.id)
-        on_attempt(agent, now_us, target, services)
+        on_attempt(agent, target, services)
 
     monkeypatch.setattr(VehicleAgent, "on_attempt", counted)
     small_run().run()

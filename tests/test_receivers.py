@@ -24,7 +24,7 @@ from vcachesim.scenarios import RsuSpec, ScenarioConfig, highway_multi
 
 ITEM = "/traffic/1"
 OTHER = "/traffic/2"
-CONTENT = Response(ContentItem(ITEM, 2000), "v9.0", SOURCE_RSU_HIT)
+CONTENT = Response(ContentItem(ITEM, 2000), SOURCE_RSU_HIT)
 
 
 def receivers_in_zone(zone, frame, rsus, vehicles, sender):
@@ -66,7 +66,7 @@ def place(sim, vid, road_id, pos, wanted=ITEM):
 def satisfy(sim, vid):
     """Satisfy a vehicle through a delivery, as a run does: SATISFIED, and
     out of the engine's vehicles wanting its item."""
-    sim.vehicles[vid]._deliver(sim.queue.now_us, SOURCE_RSU_HIT, sim)
+    sim.vehicles[vid]._deliver(SOURCE_RSU_HIT, sim)
 
 
 coords = st.floats(min_value=-300.0, max_value=300.0)
@@ -180,7 +180,7 @@ def test_receivers_match_the_range_test_on_every_node(layout):
     # content comes from the zone's own RSU; a request from anyone else in
     # it, on its target's channel; a request for another RSU raises
     for name in (ITEM, OTHER):
-        content = Response(ContentItem(name, 2000), "v9.0", SOURCE_RSU_HIT)
+        content = Response(ContentItem(name, 2000), SOURCE_RSU_HIT)
         assert sim._receivers(zone_id, zone_id, content) == oracle(sim, zone_id, zone_id, content)
     if sender != zone_id:
         request = Request(ITEM, "x.0", zone_id)
@@ -219,7 +219,7 @@ def test_vehicles_on_their_track_get_the_range_test_and_delays_by_age(cfg):
     sim = Simulation(cfg)
     seen = {"shared": 0, "receivers": 0}
     shared = sim.world._track(cfg.entry_speed_mps)
-    frames = [Response(item, "v9.0", SOURCE_RSU_HIT) for item in sim.catalog.values()]
+    frames = [Response(item, SOURCE_RSU_HIT) for item in sim.catalog.values()]
 
     def probe():
         for vid in active_ids(sim):
@@ -264,7 +264,7 @@ def logging_frames(sim, node_ids):
     log = []
     for node_id in node_ids:
         agent = sim.rsus.get(node_id) or sim.vehicles[node_id]
-        agent.on_frame = lambda frame, now_us, services, node_id=node_id: log.append(
+        agent.on_frame = lambda frame, services, node_id=node_id: log.append(
             (node_id, type(frame))
         )
     return log
@@ -320,7 +320,7 @@ def test_a_request_reaches_only_its_target_among_the_rsus_in_its_zone():
 def test_a_vehicle_that_wants_another_item_hears_none_of_it():
     sim = crossing(b0_wants=OTHER)
     assert heard(sim, "r0", CONTENT) == ["a0", "a1"]
-    assert heard(sim, "r0", Response(ContentItem(OTHER, 2000), "v9.0", SOURCE_RSU_HIT)) == ["b0"]
+    assert heard(sim, "r0", Response(ContentItem(OTHER, 2000), SOURCE_RSU_HIT)) == ["b0"]
     b0 = sim.vehicles["b0"]
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
@@ -330,7 +330,7 @@ def test_a_vehicle_that_wants_another_item_hears_none_of_it():
     sim.transmit("r0", CONTENT, "r0")
     sim.queue.run_until(sim.duration_us)
     assert sorted(log) == [("a0", Response), ("a1", Response)]
-    b0.on_attempt(sim.queue.now_us, "r0", sim)  # heard nothing of its own, so it asks
+    b0.on_attempt("r0", sim)  # heard nothing of its own, so it asks
     assert b0.status == WAITING and b0.requests_sent == 1
 
 
@@ -366,7 +366,7 @@ def test_an_idle_vehicle_precaches_overheard_content_and_then_hits_locally():
     agent = sim.vehicles["a0"]
     assert agent.precached
     assert agent.status != SATISFIED
-    agent.on_attempt(sim.queue.now_us, None, sim)  # outside every zone, or inside, alike
+    agent.on_attempt(None, sim)  # outside every zone, or inside, alike
     (record,) = sim.ledger.deliveries
     assert (record.vehicle, record.cdt_us, record.source) == ("a0", 0, SOURCE_LOCAL_PRECACHE)
     assert agent.status == SATISFIED

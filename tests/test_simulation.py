@@ -15,7 +15,7 @@ import pytest
 from conftest import active_ids
 from vcachesim import mobility
 from vcachesim.cli import write_outputs
-from vcachesim.engine import Simulation, _zone_owner_at, run_simulation
+from vcachesim.engine import Simulation, run_simulation
 from vcachesim.metrics import (
     SOURCE_LOCAL_PRECACHE,
     SOURCE_RSU_HIT,
@@ -39,7 +39,7 @@ from vcachesim.protocol import (
     RsuBase,
     VehicleAgent,
 )
-from vcachesim.radio import in_range
+from vcachesim.radio import in_range, owner_at
 from vcachesim.scenarios import (
     RsuSpec,
     ScenarioConfig,
@@ -194,10 +194,10 @@ def run_counting_requests(monkeypatch, cfg):
     arrivals = {False: 0, True: 0}
     on_frame = RsuBase.on_frame
 
-    def counted(rsu, frame, now_us, services):
+    def counted(rsu, frame, services):
         if isinstance(frame, Request):
             arrivals[frame.forwarded] += 1
-        on_frame(rsu, frame, now_us, services)
+        on_frame(rsu, frame, services)
 
     monkeypatch.setattr(RsuBase, "on_frame", counted)
     sim, result = run_pair(cfg)
@@ -427,10 +427,10 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(m
     attempts = []
     on_attempt = VehicleAgent.on_attempt
 
-    def attempt(agent, now_us, target, services):
-        assert target == _zone_owner_at(sim.zones, sim.world.world_xy(agent.id))
-        attempts.append((now_us, target))
-        on_attempt(agent, now_us, target, services)
+    def attempt(agent, target, services):
+        assert target == owner_at(sim.zones, sim.world.world_xy(agent.id))
+        attempts.append((services.now_us, target))
+        on_attempt(agent, target, services)
 
     monkeypatch.setattr(VehicleAgent, "on_attempt", attempt)
     heard_at = {}
@@ -440,7 +440,7 @@ def test_an_idle_vehicle_precaches_in_a_short_zone_and_hits_outside_every_zone(m
         # inside r0's zone, on its track, idle
         _, _, age = sim.world.riding("v000")
         heard_at.update(age=age, status=sim.vehicles["v000"].status)
-        sim.transmit("r0", Response(sim.catalog[item], "x.0", SOURCE_RSU_HIT), "r0")
+        sim.transmit("r0", Response(sim.catalog[item], SOURCE_RSU_HIT), "r0")
 
     sim.queue.schedule(seconds_to_us(15.0), answer_someone_else)
     result = sim.run()
@@ -476,14 +476,14 @@ def planned_runs(cfg):
 
     def log(kind, vehicle_id, target):
         xy = sim.world.world_xy(vehicle_id)
-        owner = _zone_owner_at(sim.zones, xy)
+        owner = owner_at(sim.zones, xy)
         runs[kind].append((vehicle_id, sim.world.riding(vehicle_id)[1], xy[0], target, owner))
 
     on_attempt, transmit = VehicleAgent.on_attempt, sim.transmit
 
-    def attempt(agent, now_us, target, services):
+    def attempt(agent, target, services):
         log("attempt", agent.id, target)
-        on_attempt(agent, now_us, target, services)
+        on_attempt(agent, target, services)
 
     def logged_transmit(channel_owner, frame, sender):
         if isinstance(frame, Beacon):
